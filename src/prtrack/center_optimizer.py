@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
-from .gridmath import FeatureMap, Grid2D, Kernel2D, _correlate, _correlate_adjoint, _windows
+from .gridmath import FeatureMap, Grid2D, Kernel2D, _columns, _correlate, _correlate_adjoint
 
 __all__ = [
     "SupportSample",
@@ -143,14 +143,19 @@ def _one_hot(shape: tuple[int, int], center_rc) -> np.ndarray:
 
 
 class _Prepared:
-    """Per-sample state reused across solver iterations."""
+    """Per-sample state reused across solver iterations.
+
+    The column matrix is C * kh * kw times the size of the features, so it
+    is rebuilt on demand and never kept: callers hold at most one at a time.
+    """
 
     def __init__(self, sample: SupportSample, cfg: OptimizerConfig, kernel_shape):
         kh, kw = kernel_shape
         z = sample.features
         if kh > z.height or kw > z.width:
             raise DimensionError(f"kernel {kh}x{kw} does not fit sample {z.height}x{z.width}")
-        self.win = _windows(z.values, kh, kw)
+        self.z = z.values
+        self.kernel_shape = (z.channels, kh, kw)
         self.gamma = float(sample.weight)
         lbl = sample.label_grid.values
         center = sample.center_rc
@@ -170,8 +175,16 @@ class _Prepared:
             self.a = lbl / peak if peak > 1e-150 else _one_hot(lbl.shape, center)
             self.threshold = cfg.rl2_threshold
 
-    def scores(self, w: np.ndarray) -> np.ndarray:
-        return _correlate(self.win, w)
+    def columns(self) -> np.ndarray:
+        return _columns(self.z, self.kernel_shape[1], self.kernel_shape[2])
+
+    def scores(self, w: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        if cols is None:
+            cols = self.columns()
+        return _correlate(cols, w, self.z.shape[1:])
+
+    def adjoint(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _correlate_adjoint(cols, u, self.kernel_shape)
 
     def value_grad(self, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
         """Loss value, gradient in s, and cached curvature state."""
@@ -223,8 +236,10 @@ def gradient(model: TargetModel, support, cfg: OptimizerConfig) -> Kernel2D:
     w = model.weights.values
     g = cfg.regularization * w.copy()
     for prep in _prepare(support, cfg, model.weights):
-        _, grad_s, _ = prep.value_grad(prep.scores(w))
-        g += prep.gamma * _correlate_adjoint(prep.win, grad_s)
+        cols = prep.columns()
+        _, grad_s, _ = prep.value_grad(prep.scores(w, cols))
+        g += prep.gamma * prep.adjoint(cols, grad_s)
+        del cols
     return Kernel2D(g)
 
 
@@ -243,8 +258,10 @@ def hessian_quadratic_form(
     g = direction.values
     total = cfg.regularization * float((g * g).sum())
     for prep in _prepare(support, cfg, model.weights):
-        _, _, state = prep.value_grad(prep.scores(w))
-        total += prep.gamma * prep.curvature(state, prep.scores(g))
+        cols = prep.columns()
+        _, _, state = prep.value_grad(prep.scores(w, cols))
+        total += prep.gamma * prep.curvature(state, prep.scores(g, cols))
+        del cols
     return total
 
 
@@ -273,10 +290,15 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
         grad = lam * wcur.copy()
         states = []
         for prep in prepped:
-            value, grad_s, state = prep.value_grad(prep.scores(wcur))
+            # One column matrix per sample serves the scores and the
+            # adjoint; deleting it before the next sample's is built keeps
+            # a single one alive.
+            cols = prep.columns()
+            value, grad_s, state = prep.value_grad(prep.scores(wcur, cols))
             obj += prep.gamma * value
-            grad += prep.gamma * _correlate_adjoint(prep.win, grad_s)
+            grad += prep.gamma * prep.adjoint(cols, grad_s)
             states.append(state)
+            del cols
         return obj, grad, states
 
     def _value(wcur):
@@ -335,8 +357,8 @@ def init_weights(support, kernel_shape: tuple[int, int]) -> TargetModel:
         raise DimensionError("support samples must share a channel count")
     w = np.zeros((channels, kh, kw))
     for prep in prepped:
-        w += prep.gamma * _correlate_adjoint(prep.win, prep.p)
-    peak = float(_correlate(prepped[0].win, w).max())
+        w += prep.gamma * prep.adjoint(prep.columns(), prep.p)
+    peak = float(prepped[0].scores(w).max())
     c = 1.0 / peak if peak > 1e-150 else 1.0
     return TargetModel(Kernel2D(c * w))
 

@@ -1,9 +1,12 @@
 """Dense 2D grid math: score maps, correlation kernels and stable exp-sums.
 
 Score grids discretize a continuous scalar field over a rectangular region;
-all numerics are float64 and deterministic (direct correlation, no FFT).
-Cross-correlation uses zero padding so the output grid has the same shape
-as the input feature map ("same" mode).
+all numerics are float64 and deterministic.  Cross-correlation is direct (no
+FFT): the zero-padded feature map is unfolded into a contiguous column
+matrix with one row per (channel, kernel offset) and one column per output
+cell, so a correlation is one matrix-vector product with the flattened
+kernel and its adjoint is the transposed product.  Zero padding keeps the
+output grid the same shape as the input feature map ("same" mode).
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError
 
@@ -118,19 +120,31 @@ class FeatureMap:
         return self.values.shape[2]
 
 
-def _windows(zvals: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """All (kh, kw) patches of the zero-padded map; shape (C, H, W, kh, kw)."""
+def _columns(zvals: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Column matrix of all (kh, kw) patches of the zero-padded map.
+
+    Row (c, i, j) holds z[c, y + i - kh // 2, x + j - kw // 2] for every
+    output cell (y, x) in row-major order; shape (C * kh * kw, H * W).
+    """
+    c, h, w = zvals.shape
     ph, pw = kh // 2, kw // 2
-    zp = np.pad(zvals, ((0, 0), (ph, ph), (pw, pw)))
-    return sliding_window_view(zp, (kh, kw), axis=(1, 2))
+    zp = np.zeros((c, h + 2 * ph, w + 2 * pw))
+    zp[:, ph : ph + h, pw : pw + w] = zvals
+    sc, sh, sw = zp.strides
+    # A strided view built directly: stride_tricks.as_strided goes through
+    # __array_interface__, which costs time and peak memory on this hot path.
+    patches = np.ndarray((c, kh, kw, h, w), zp.dtype, zp, 0, (sc, sh, sw, sh, sw))
+    return np.ascontiguousarray(patches).reshape(c * kh * kw, h * w)
 
 
-def _correlate(win: np.ndarray, wvals: np.ndarray) -> np.ndarray:
-    return np.einsum("chwij,cij->hw", win, wvals)
+def _correlate(cols: np.ndarray, wvals: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Scores of kernel wvals on the map behind cols, as a grid of the given shape."""
+    return (wvals.ravel() @ cols).reshape(shape)
 
 
-def _correlate_adjoint(win: np.ndarray, uvals: np.ndarray) -> np.ndarray:
-    return np.einsum("chwij,hw->cij", win, uvals)
+def _correlate_adjoint(cols: np.ndarray, uvals: np.ndarray, kernel_shape) -> np.ndarray:
+    """Kernel-space pullback of the grid uvals; kernel_shape is (C, kh, kw)."""
+    return (cols @ uvals.ravel()).reshape(kernel_shape)
 
 
 def _check_kernel_fits(z: FeatureMap, kh: int, kw: int):
@@ -148,8 +162,8 @@ def conv_apply(z: FeatureMap, w: Kernel2D) -> Grid2D:
     if z.channels != w.channels:
         raise DimensionError(f"channel mismatch: features {z.channels}, kernel {w.channels}")
     _check_kernel_fits(z, w.height, w.width)
-    win = _windows(z.values, w.height, w.width)
-    return Grid2D(_correlate(win, w.values))
+    cols = _columns(z.values, w.height, w.width)
+    return Grid2D(_correlate(cols, w.values, (z.height, z.width)))
 
 
 def conv_adjoint(z: FeatureMap, u: Grid2D, kernel_shape: tuple[int, int]) -> Kernel2D:
@@ -166,8 +180,8 @@ def conv_adjoint(z: FeatureMap, u: Grid2D, kernel_shape: tuple[int, int]) -> Ker
             f"grid {u.height}x{u.width} does not match feature map {z.height}x{z.width}"
         )
     _check_kernel_fits(z, kh, kw)
-    win = _windows(z.values, kh, kw)
-    return Kernel2D(_correlate_adjoint(win, u.values))
+    cols = _columns(z.values, kh, kw)
+    return Kernel2D(_correlate_adjoint(cols, u.values, (z.channels, kh, kw)))
 
 
 def log_sum_exp(g: Grid2D, cell_area: float = 1.0) -> float:

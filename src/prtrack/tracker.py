@@ -196,6 +196,18 @@ def generate_sequence(scenario: Scenario, rng: np.random.Generator | None = None
     return SyntheticSequence(tuple(frames), scenario)
 
 
+_INT_FIELDS = (
+    "kernel_size",
+    "init_iterations",
+    "online_iterations",
+    "update_interval",
+    "memory_capacity",
+    "refine_steps",
+    "bb_samples",
+    "bb_epochs",
+)
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     """Everything the two-stage tracker needs; defaults favor the divergence loss."""
@@ -232,6 +244,10 @@ class TrackerConfig:
     rl2_threshold: float = 0.05
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.loss_model not in ("l2", "rl2", "nll", "kl"):
             raise DomainError(f"unknown loss model {self.loss_model!r}")
         if self.sigma_tc is not None and not (self.sigma_tc > 0):

@@ -55,6 +55,25 @@ def conv_brute(zvals, wvals):
     return out
 
 
+def conv_adjoint_brute(zvals, uvals, kh, kw):
+    """Quadruple-loop kernel-space adjoint of conv_brute for grid uvals."""
+    c, h, w = zvals.shape
+    ph, pw = kh // 2, kw // 2
+    out = np.zeros((c, kh, kw))
+    for ch in range(c):
+        for i in range(kh):
+            for j in range(kw):
+                acc = 0.0
+                for r in range(h):
+                    for col in range(w):
+                        rr = r + i - ph
+                        cc = col + j - pw
+                        if 0 <= rr < h and 0 <= cc < w:
+                            acc += uvals[r, col] * zvals[ch, rr, cc]
+                out[ch, i, j] = acc
+    return out
+
+
 def recount_op_auc(ious):
     """OP_T at T in {0.00, 0.01, ..., 1.00} (strict >) and their mean."""
     ious = list(ious)

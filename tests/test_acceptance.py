@@ -268,24 +268,26 @@ def test_criterion_05_gd_oracle():
     model, _ = optimize(TargetModel(Kernel2D(w0)), support, cfg)
     final = objective(model, support, cfg)
 
-    probs = [l / l.sum() for l in labels]
+    # Both samples stacked: rows are (sample, cell), columns are channels,
+    # so each step is one product forward and one back.
+    zmat = np.stack(feats).reshape(2, 2, 9).transpose(0, 2, 1).reshape(18, 2)
+    pmat = np.stack([l / l.sum() for l in labels]).reshape(2, 9)
+    gcol = np.array(gammas)[:, None]
 
-    def oracle_value_grad(wv):
-        val = 0.5 * lam * float(wv @ wv)
-        grad = lam * wv.copy()
-        for z, p, g in zip(feats, probs, gammas):
-            s = np.tensordot(wv, z, axes=(0, 0))
-            m = s.max()
-            e = np.exp(s - m)
-            val += g * (m + math.log(e.sum()) - float((p * s).sum()))
-            grad += g * np.tensordot(z, e / e.sum() - p, axes=((1, 2), (0, 1)))
-        return val, grad
+    def oracle_softmax(wv):
+        s = (zmat @ wv).reshape(2, 9)
+        m = s.max(axis=1, keepdims=True)
+        e = np.exp(s - m)
+        total = e.sum(axis=1, keepdims=True)
+        return s, m, e / total, total
 
     wv = w0[:, 0, 0].copy()
     for _ in range(100_000):
-        _, grad = oracle_value_grad(wv)
-        wv -= 1e-3 * grad
-    oracle, _ = oracle_value_grad(wv)
+        _, _, q, _ = oracle_softmax(wv)
+        wv -= 1e-3 * (lam * wv + (gcol * (q - pmat)).ravel() @ zmat)
+    s, m, _, total = oracle_softmax(wv)
+    per_sample = m + np.log(total) - (pmat * s).sum(axis=1, keepdims=True)
+    oracle = 0.5 * lam * float(wv @ wv) + float((gcol * per_sample).sum())
 
     elapsed = time.perf_counter() - t0
     gap = abs(final - oracle)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,23 @@ def test_optimize_reports_non_finite_objective():
     w0 = np.full((1, 1, 1), 1e200)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="iteration 0"):
         optimize(_model(w0), [], OptimizerConfig(iterations=1))
+
+
+def test_optimize_memory_holds_few_column_matrices():
+    # Tracker-sized memory: 15 samples of 4x31x31 under a 5x5 kernel.  Each
+    # column matrix is 25x its sample (~770 KB), so caching one per sample
+    # would trace ~11.5 MB; the solver may hold only a couple at a time.
+    rng = np.random.Generator(np.random.PCG64(37))
+    support = _random_support(rng, n=15, channels=4, h=31, w=31)
+    model = _model(rng.normal(0.0, 0.1, (4, 5, 5)))
+    column_bytes = 4 * 25 * 31 * 31 * 8
+    tracemalloc.start()
+    try:
+        optimize(model, support, OptimizerConfig(iterations=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * column_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from prtrack.gridmath import (
     softmax,
 )
 
-from _oracles import conv_brute
+from _oracles import conv_adjoint_brute, conv_brute
 
 
 def test_grid_rejects_nan():
@@ -110,6 +110,27 @@ def test_conv_adjoint_identity():
         lhs = float(np.vdot(conv_apply(z, w).values, u.values))
         rhs = float(np.vdot(w.values, conv_adjoint(z, u, (kh, kw)).values))
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
+@pytest.mark.parametrize("shape,kernel", [((3, 7, 5), (5, 3)), ((2, 4, 9), (3, 7))])
+def test_conv_adjoint_matches_brute_force_loop(shape, kernel):
+    rng = np.random.Generator(np.random.PCG64(18))
+    z = rng.standard_normal(shape)
+    u = rng.standard_normal(shape[1:])
+    got = conv_adjoint(FeatureMap(z), Grid2D(u), kernel).values
+    np.testing.assert_allclose(got, conv_adjoint_brute(z, u, *kernel), rtol=0, atol=1e-12)
+
+
+def test_full_map_kernel_matches_brute_force():
+    # A kernel as large as the map: every output cell sees the padding.
+    rng = np.random.Generator(np.random.PCG64(19))
+    z = rng.standard_normal((2, 5, 7))
+    w = rng.standard_normal((2, 5, 7))
+    u = rng.standard_normal((5, 7))
+    got = conv_apply(FeatureMap(z), Kernel2D(w)).values
+    np.testing.assert_allclose(got, conv_brute(z, w), rtol=0, atol=1e-12)
+    adj = conv_adjoint(FeatureMap(z), Grid2D(u), (5, 7)).values
+    np.testing.assert_allclose(adj, conv_adjoint_brute(z, u, 5, 7), rtol=0, atol=1e-12)
 
 
 def test_conv_adjoint_size_mismatch():

@@ -1,6 +1,7 @@
 """Config validation, CLI behavior, file formats, and cross-command consistency."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -76,6 +77,19 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(_write_config(tmp_path, {"tracker": {"kernel_size": 4}}))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("kernel_size", 5.5), ("init_iterations", 10.0), ("bb_epochs", True), ("refine_steps", "10")],
+)
+def test_cli_rejects_non_integer_tracker_fields(tmp_path, capsys, field, value):
+    cfgpath = _write_config(tmp_path, {**TINY_SUITE, "tracker": {field: value}})
+    assert main(["compare-losses", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be an integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "compare_losses.csv").exists()
+
+
 def test_config_io_failures(tmp_path):
     with pytest.raises(UsageError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
@@ -140,6 +154,26 @@ def test_compare_losses_static_suite(tmp_path, capsys):
     out2 = tmp_path / "run2"
     assert main(["compare-losses", "--config", cfgpath, "--seed", "3", "--out", str(out2)]) == 0
     assert (out / "compare_losses.csv").read_bytes() == (out2 / "compare_losses.csv").read_bytes()
+
+
+# Digest of compare_losses.csv for one 20-frame distractors cell at seed 1,
+# taken from the einsum-based correlation that the column-matrix product
+# replaced: the rewrite must reproduce the CSV byte for byte.
+GOLDEN_SUITE = {
+    "suite": {
+        "scenarios": [{"preset": "distractors", "num_frames": 20}],
+        "repetitions": 1,
+    }
+}
+GOLDEN_SHA256 = "2fda11bc54b6954571a141d250db0637468cd3f1bad5d2e606080c41a34b699e"
+
+
+def test_compare_losses_golden_digest(tmp_path):
+    cfgpath = _write_config(tmp_path, GOLDEN_SUITE)
+    out = tmp_path / "out"
+    assert main(["compare-losses", "--config", cfgpath, "--seed", "1", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "compare_losses.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256
 
 
 # ---------------------------------------------------------------------------
