@@ -20,6 +20,11 @@ and no matrix assembly.  Because the quadratic model under-estimates how
 fast cross-entropy curvature grows once the softmax saturates, the step is
 halved until the objective does not increase; on a purely quadratic
 objective the first trial already descends, so Newton exactness is kept.
+
+Scores are linear in w, so the solver keeps each sample's scores s_j and
+the curvature pass's v_j = z_j * g: a trial step scores as s_j - alpha * v_j
+and backtracking trials cost no correlation.  An iteration unfolds each
+sample twice (adjoint pass, curvature pass), whatever the line search does.
 """
 
 from __future__ import annotations
@@ -145,8 +150,8 @@ def _one_hot(shape: tuple[int, int], center_rc) -> np.ndarray:
 class _Prepared:
     """Per-sample state reused across solver iterations.
 
-    The column matrix is C * kh * kw times the size of the features, so it
-    is rebuilt on demand and never kept: callers hold at most one at a time.
+    The row unfold is C * kh times the size of the features, so it is
+    rebuilt on demand and never kept: callers hold at most one at a time.
     """
 
     def __init__(self, sample: SupportSample, cfg: OptimizerConfig, kernel_shape):
@@ -173,7 +178,7 @@ class _Prepared:
         else:
             peak = lbl.max()
             self.a = lbl / peak if peak > 1e-150 else _one_hot(lbl.shape, center)
-            self.threshold = cfg.rl2_threshold
+            self.near = self.a > cfg.rl2_threshold
 
     def columns(self) -> np.ndarray:
         return _columns(self.z, self.kernel_shape[1], self.kernel_shape[2])
@@ -186,17 +191,28 @@ class _Prepared:
     def adjoint(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
         return _correlate_adjoint(cols, u, self.kernel_shape)
 
+    def _residual(self, s: np.ndarray) -> np.ndarray:
+        if self.kind == "l2":
+            return s - self.a
+        return np.where(self.near, s - self.a, np.maximum(s, 0.0))
+
+    def value(self, s: np.ndarray) -> float:
+        """Loss value alone, as value_grad computes it."""
+        if self.kind == "ce":
+            m = float(s.max())
+            return m + math.log(np.exp(s - m).sum()) - float((self.p * s).sum())
+        r = self._residual(s)
+        return float((r * r).sum())
+
     def value_grad(self, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
         """Loss value, gradient in s, and cached curvature state."""
         if self.kind == "ce":
             value, grad = softmax_cross_entropy(s, self.p)
             return value, grad, grad + self.p  # softmax probabilities
+        r = self._residual(s)
         if self.kind == "l2":
-            r = s - self.a
             return float((r * r).sum()), 2.0 * r, None
-        near = self.a > self.threshold
-        r = np.where(near, s - self.a, np.maximum(s, 0.0))
-        mask = np.where(near, 1.0, (s > 0).astype(np.float64))
+        mask = np.where(self.near, 1.0, (s > 0).astype(np.float64))
         return float((r * r).sum()), 2.0 * r, mask
 
     def curvature(self, state: np.ndarray | None, v: np.ndarray) -> float:
@@ -274,9 +290,11 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
     exact minimizing step of the ridge term alone.  The step is then halved
     until the objective does not increase (curvature can grow along the
     ray, so the quadratic-model step may overshoot; a failed search leaves
-    the weights in place with step_length 0).  Returns the updated model
-    and a trace with one row per iteration plus a final row for the end
-    state (step_length 0 by convention).
+    the weights in place with step_length 0).  Trial objectives come from
+    the kept scores, s_j - alpha * v_j, and an accepted trial's scores
+    carry into the next pass.  Returns the updated model and a trace with
+    one row per iteration plus a final row for the end state (step_length
+    0 by convention).
     """
     if not (cfg.regularization > 0):
         raise DomainError("optimize requires positive regularization")
@@ -284,29 +302,25 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
     prepped = _prepare(support, cfg, model.weights)
     lam = cfg.regularization
     trace: list[OptStep] = []
+    scores: list[np.ndarray | None] = [None] * len(prepped)
 
     def _pass(wcur):
         obj = 0.5 * lam * float((wcur * wcur).sum())
         grad = lam * wcur.copy()
         states = []
-        for prep in prepped:
-            # One column matrix per sample serves the scores and the
-            # adjoint; deleting it before the next sample's is built keeps
-            # a single one alive.
+        for j, prep in enumerate(prepped):
+            # One unfold per sample serves the adjoint (and the scores on
+            # the first pass); deleting it before the next sample's is
+            # built keeps a single one alive.
             cols = prep.columns()
-            value, grad_s, state = prep.value_grad(prep.scores(wcur, cols))
+            if scores[j] is None:
+                scores[j] = prep.scores(wcur, cols)
+            value, grad_s, state = prep.value_grad(scores[j])
             obj += prep.gamma * value
             grad += prep.gamma * prep.adjoint(cols, grad_s)
             states.append(state)
             del cols
         return obj, grad, states
-
-    def _value(wcur):
-        obj = 0.5 * lam * float((wcur * wcur).sum())
-        for prep in prepped:
-            value, _, _ = prep.value_grad(prep.scores(wcur))
-            obj += prep.gamma * value
-        return obj
 
     for it in range(cfg.iterations):
         obj, g, states = _pass(w)
@@ -318,15 +332,21 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
             trace.append(OptStep(it, obj, 0.0, 0.0))
             continue
         denom = lam * gg
+        dirs = []
         for prep, state in zip(prepped, states):
-            denom += prep.gamma * prep.curvature(state, prep.scores(g))
+            v = prep.scores(g)
+            denom += prep.gamma * prep.curvature(state, v)
+            dirs.append(v)
         alpha = gg / denom if denom >= cfg.step_length_floor * gg else 1.0 / lam
         accepted = 0.0
         for _ in range(40):
             cand = w - alpha * g
-            cand_obj = _value(cand)
+            cand_scores = [s - alpha * v for s, v in zip(scores, dirs)]
+            cand_obj = 0.5 * lam * float((cand * cand).sum())
+            for prep, s in zip(prepped, cand_scores):
+                cand_obj += prep.gamma * prep.value(s)
             if math.isfinite(cand_obj) and cand_obj <= obj:
-                w = cand
+                w, scores = cand, cand_scores
                 accepted = alpha
                 break
             alpha *= 0.5

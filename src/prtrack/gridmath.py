@@ -2,11 +2,17 @@
 
 Score grids discretize a continuous scalar field over a rectangular region;
 all numerics are float64 and deterministic.  Cross-correlation is direct (no
-FFT): the zero-padded feature map is unfolded into a contiguous column
-matrix with one row per (channel, kernel offset) and one column per output
-cell, so a correlation is one matrix-vector product with the flattened
-kernel and its adjoint is the transposed product.  Zero padding keeps the
-output grid the same shape as the input feature map ("same" mode).
+FFT) and unfolds rows, not patches.  Each channel of the zero-padded map is
+laid out flat with row pitch Wp = W + kw - 1, and row (c, i) of the unfold R
+is the run of that buffer starting at padded row i: kernel row i of channel
+c sees output cell (y, x) plus column offset j at R[(c, i), y * Wp + x + j].
+A correlation is then one product M = W_j @ R, where W_j[j] holds kernel
+column j, followed by a sum of the kw shifted diagonals, out[n] =
+sum_j M[j, n + j].  The adjoint stacks kw shifted copies of the output
+grid instead and takes one product of R with that stack.  R is kw times
+smaller than a patch (im2col) matrix.  The Wp - W extra columns of each output row wrap into the
+next padded row and are dropped.  Zero padding keeps the output grid the
+same shape as the input feature map ("same" mode).
 """
 
 from __future__ import annotations
@@ -120,31 +126,56 @@ class FeatureMap:
         return self.values.shape[2]
 
 
-def _columns(zvals: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Column matrix of all (kh, kw) patches of the zero-padded map.
-
-    Row (c, i, j) holds z[c, y + i - kh // 2, x + j - kw // 2] for every
-    output cell (y, x) in row-major order; shape (C * kh * kw, H * W).
-    """
-    c, h, w = zvals.shape
-    ph, pw = kh // 2, kw // 2
-    zp = np.zeros((c, h + 2 * ph, w + 2 * pw))
-    zp[:, ph : ph + h, pw : pw + w] = zvals
-    sc, sh, sw = zp.strides
+def _view(base: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
     # A strided view built directly: stride_tricks.as_strided goes through
     # __array_interface__, which costs time and peak memory on this hot path.
-    patches = np.ndarray((c, kh, kw, h, w), zp.dtype, zp, 0, (sc, sh, sw, sh, sw))
-    return np.ascontiguousarray(patches).reshape(c * kh * kw, h * w)
+    return np.ndarray(shape, base.dtype, base, offset, strides)
+
+
+def _columns(zvals: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Row unfold of the zero-padded map, shape (C * kh, H * Wp + kw - 1).
+
+    Row (c, i) holds the flat padded channel c from padded row i on, so
+    R[(c, i), y * Wp + x + j] = z[c, y + i - kh // 2, x + j - kw // 2] with
+    Wp = W + kw - 1 and zeros outside z.
+    """
+    c, h, w = zvals.shape
+    wp = w + kw - 1
+    length = h * wp + kw - 1
+    stride = (h + kh - 1) * wp + kw - 1
+    flat = np.zeros((c, stride))
+    item = flat.itemsize
+    offset = ((kh // 2) * wp + kw // 2) * item
+    _view(flat, zvals.shape, (stride * item, wp * item, item), offset)[...] = zvals
+    rows = _view(flat, (c, kh, length), (stride * item, wp * item, item))
+    return np.ascontiguousarray(rows).reshape(c * kh, length)
 
 
 def _correlate(cols: np.ndarray, wvals: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Scores of kernel wvals on the map behind cols, as a grid of the given shape."""
-    return (wvals.ravel() @ cols).reshape(shape)
+    """Scores of kernel wvals on the map behind the row unfold cols, as an (H, W) grid."""
+    c, kh, kw = wvals.shape
+    h, w = shape
+    wp = w + kw - 1
+    m = wvals.transpose(2, 0, 1).reshape(kw, c * kh) @ cols
+    item = m.itemsize
+    diagonals = _view(m, (kw, h * wp), (m.strides[0] + item, item))
+    return diagonals.sum(axis=0).reshape(h, wp)[:, :w]
 
 
 def _correlate_adjoint(cols: np.ndarray, uvals: np.ndarray, kernel_shape) -> np.ndarray:
-    """Kernel-space pullback of the grid uvals; kernel_shape is (C, kh, kw)."""
-    return (cols @ uvals.ravel()).reshape(kernel_shape)
+    """Kernel-space pullback of the (H, W) grid uvals; kernel_shape is (C, kh, kw)."""
+    c, kh, kw = kernel_shape
+    h, w = uvals.shape
+    wp = w + kw - 1
+    # u sits in an (H, Wp) grid behind kw - 1 zeros; row j of the shifted
+    # stack reads it j cells later, so shifted[j, n] = u_flat[n - j].
+    padded = np.zeros(h * wp + 2 * (kw - 1))
+    padded[kw - 1 : kw - 1 + h * wp].reshape(h, wp)[:, :w] = uvals
+    item = padded.itemsize
+    shifted = _view(padded, (kw, cols.shape[1]), (-item, item), (kw - 1) * item)
+    # A contiguous copy lets the product go to BLAS, which the negative
+    # row stride would otherwise keep from it.
+    return (cols @ np.ascontiguousarray(shifted).T).reshape(kernel_shape)
 
 
 def _check_kernel_fits(z: FeatureMap, kh: int, kw: int):

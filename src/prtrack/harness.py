@@ -61,6 +61,7 @@ from .labels import GaussianLabel, label_grid
 from .tracker import (
     Scenario,
     TrackerConfig,
+    _is_int,
     evaluate,
     generate_sequence,
     run_sequence,
@@ -167,7 +168,12 @@ def _validate_scenario_spec(spec, where: str):
             spec["preset"] in SCENARIO_PRESETS,
             f"{where}: unknown preset {spec['preset']!r}; presets: {sorted(SCENARIO_PRESETS)}",
         )
-    # Field-level semantics are checked when the Scenario is built.
+    # Field-level semantics are checked by building the Scenario once; the
+    # seed does not enter them.
+    try:
+        resolve_scenario(spec, 0)
+    except UsageError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
     return dict(spec)
 
 
@@ -180,8 +186,6 @@ def resolve_scenario(spec, seed: int) -> Scenario:
         preset = params.pop("preset", None)
         if preset is not None:
             params = {**SCENARIO_PRESETS[preset], **params}
-    if "occlusions" in params:
-        params["occlusions"] = tuple(tuple(p) for p in params["occlusions"])
     params["seed"] = seed
     try:
         return Scenario(**params)
@@ -231,7 +235,7 @@ def load_config(path: str | None) -> RunConfig:
             )
         if "repetitions" in suite:
             reps = suite["repetitions"]
-            _expect(isinstance(reps, int) and reps >= 1, "suite.repetitions must be an int >= 1")
+            _expect(_is_int(reps) and reps >= 1, "suite.repetitions must be an int >= 1")
             out["repetitions"] = reps
 
     if "sweep" in raw:
@@ -266,12 +270,12 @@ def load_config(path: str | None) -> RunConfig:
             out["dump_scenario"] = _validate_scenario_spec(section["scenario"], "dump.scenario")
         if "frame_index" in section:
             fi = section["frame_index"]
-            _expect(isinstance(fi, int) and fi >= 1, "dump.frame_index must be an int >= 1")
+            _expect(_is_int(fi) and fi >= 1, "dump.frame_index must be an int >= 1")
             out["dump_frame_index"] = fi
         if "slice_cells" in section:
             sc = section["slice_cells"]
             _expect(
-                isinstance(sc, int) and sc >= 3 and sc % 2 == 1,
+                _is_int(sc) and sc >= 3 and sc % 2 == 1,
                 "dump.slice_cells must be an odd int >= 3",
             )
             out["dump_slice_cells"] = sc

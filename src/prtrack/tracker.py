@@ -65,6 +65,16 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false in a config is never a count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value):
+    if not _is_int(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Parameters of one synthetic sequence; the target path is closed-form."""
@@ -91,6 +101,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_frames", "height", "width", "channels", "distractor_count"):
+            _require_int(name, getattr(self, name))
         if self.num_frames < 1 or self.height < 1 or self.width < 1 or self.channels < 1:
             raise DomainError("frame counts and dimensions must be positive")
         if not (self.target_w > 0 and self.target_h > 0 and self.blob_radius > 0):
@@ -101,10 +113,14 @@ class Scenario:
             raise DomainError("bad distractor settings")
         if self.noise_level < 0:
             raise DomainError("noise_level must be nonnegative")
-        occs = tuple((int(s), int(e)) for s, e in self.occlusions)
-        for s, e in occs:
-            if not (0 <= s < e):
-                raise DomainError(f"bad occlusion interval ({s}, {e})")
+        occs = tuple(tuple(pair) for pair in self.occlusions)
+        for pair in occs:
+            if len(pair) != 2:
+                raise DomainError(f"occlusion interval {pair} must be a (start, end) pair")
+            for bound in pair:
+                _require_int("occlusion bound", bound)
+            if not (0 <= pair[0] < pair[1]):
+                raise DomainError(f"bad occlusion interval {pair}")
         object.__setattr__(self, "occlusions", occs)
 
     def target_center(self, t: float) -> tuple[float, float]:
@@ -210,7 +226,11 @@ _INT_FIELDS = (
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Everything the two-stage tracker needs; defaults favor the divergence loss."""
+    """Everything the two-stage tracker needs; defaults favor the divergence loss.
+
+    Building it also builds init_optimizer and online_optimizer, the solver
+    settings of the first-frame and the online kernel solves.
+    """
 
     loss_model: str = "kl"
     sigma_tc: float | None = None  # absolute label width in cells; None = factor rule
@@ -245,11 +265,22 @@ class TrackerConfig:
 
     def __post_init__(self):
         for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.loss_model not in ("l2", "rl2", "nll", "kl"):
-            raise DomainError(f"unknown loss model {self.loss_model!r}")
+            _require_int(name, getattr(self, name))
+        if not (self.regularization > 0):
+            raise DomainError(f"regularization must be positive, got {self.regularization!r}")
+        # The solver settings are built here, once, so every check on them
+        # runs when the config is made rather than at the first solve.
+        for stage, iterations in (("init", self.init_iterations), ("online", self.online_iterations)):
+            try:
+                opt = OptimizerConfig(
+                    regularization=self.regularization,
+                    iterations=iterations,
+                    loss_model=self.loss_model,
+                    rl2_threshold=self.rl2_threshold,
+                )
+            except DomainError as exc:
+                raise DomainError(f"{stage} solver: {exc}") from exc
+            object.__setattr__(self, f"{stage}_optimizer", opt)
         if self.sigma_tc is not None and not (self.sigma_tc > 0):
             raise DomainError("sigma_tc must be positive when given")
         for name in ("sigma_tc_factor", "sigma_bb", "scorer_tau", "gamma_decay"):
@@ -315,15 +346,6 @@ def _make_sample(feats: np.ndarray, center_rc: tuple[float, float], sigma: float
     size = feats.shape[1]
     lbl = label_grid(GaussianLabel(np.array(center_rc), sigma), (size, size))
     return SupportSample(FeatureMap(feats), lbl, 1.0, (float(center_rc[0]), float(center_rc[1])))
-
-
-def _optimizer_config(cfg: TrackerConfig, iterations: int) -> OptimizerConfig:
-    return OptimizerConfig(
-        regularization=cfg.regularization,
-        iterations=iterations,
-        loss_model=cfg.loss_model,
-        rl2_threshold=cfg.rl2_threshold,
-    )
 
 
 def _set_gamma_weights(state: TrackState):
@@ -393,7 +415,7 @@ def track_init(
         sample.weight = 1.0 / len(samples)
 
     model = init_weights(samples, (cfg.kernel_size, cfg.kernel_size))
-    model, _ = optimize(model, samples, _optimizer_config(cfg, cfg.init_iterations))
+    model, _ = optimize(model, samples, cfg.init_optimizer)
 
     anchor_box = BoxParam(np.array([0.0, 0.0, math.log(w), math.log(h)]), (w, h))
     scorer = _build_scorer(cfg, anchor_box, rng)
@@ -467,7 +489,7 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
         state.sample_frames.pop(1)
     if state.frame_index % cfg.update_interval == 0:
         _set_gamma_weights(state)
-        state.model, _ = optimize(state.model, state.support, _optimizer_config(cfg, cfg.online_iterations))
+        state.model, _ = optimize(state.model, state.support, cfg.online_optimizer)
     return state, box, dens
 
 

@@ -2,8 +2,13 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, no shared helpers from the package) so a disagreement points at the
-implementation, not at a common bug.
+implementation, not at a common bug.  The one exception is
+optimize_reference, which replays the solver's loop on the package's public
+objective, gradient and curvature; those are checked against finite
+differences on their own.
 """
+
+import math
 
 import numpy as np
 
@@ -95,3 +100,44 @@ def iou_brute(a, b):
     inter = iw * ih
     union = a[2] * a[3] + b[2] * b[3] - inter
     return inter / union if union > 0 else 0.0
+
+
+def optimize_reference(model, support, cfg):
+    """The steepest-descent loop of optimize, re-evaluated from scratch.
+
+    Every objective, gradient and curvature comes from the public functions
+    at the current (or trial) weights, with no state carried between them.
+    Returns (weights, step lengths, halvings), one step and one halving
+    count per iteration.
+    """
+    from prtrack.center_optimizer import TargetModel, gradient, hessian_quadratic_form, objective
+    from prtrack.gridmath import Kernel2D
+
+    def at(w):
+        return TargetModel(Kernel2D(w))
+
+    lam = cfg.regularization
+    w = model.weights.values.copy()
+    steps, halvings = [], []
+    for _ in range(cfg.iterations):
+        obj = objective(at(w), support, cfg)
+        g = gradient(at(w), support, cfg).values
+        gg = float((g * g).sum())
+        if gg == 0.0:
+            steps.append(0.0)
+            halvings.append(0)
+            continue
+        denom = hessian_quadratic_form(at(w), Kernel2D(g), support, cfg)
+        alpha = gg / denom if denom >= cfg.step_length_floor * gg else 1.0 / lam
+        accepted, halved = 0.0, 0
+        for _ in range(40):
+            cand = w - alpha * g
+            cand_obj = objective(at(cand), support, cfg)
+            if math.isfinite(cand_obj) and cand_obj <= obj:
+                w, accepted = cand, alpha
+                break
+            alpha *= 0.5
+            halved += 1
+        steps.append(accepted)
+        halvings.append(halved)
+    return w, steps, halvings

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import fd_gradient
+from _oracles import fd_gradient, optimize_reference
+from prtrack import center_optimizer
 from prtrack.center_optimizer import (
     OptimizerConfig,
     SupportSample,
@@ -21,7 +22,7 @@ from prtrack.center_optimizer import (
     write_trace_csv,
 )
 from prtrack.errors import DimensionError, DomainError, NumericError
-from prtrack.gridmath import FeatureMap, Grid2D, Kernel2D, conv_apply
+from prtrack.gridmath import FeatureMap, Grid2D, Kernel2D, _columns, conv_apply
 
 CFG = OptimizerConfig(regularization=1e-2, iterations=5)
 
@@ -286,20 +287,89 @@ def test_optimize_reports_non_finite_objective():
 
 
 def test_optimize_memory_holds_few_column_matrices():
-    # Tracker-sized memory: 15 samples of 4x31x31 under a 5x5 kernel.  Each
-    # column matrix is 25x its sample (~770 KB), so caching one per sample
-    # would trace ~11.5 MB; the solver may hold only a couple at a time.
+    # Tracker-sized memory: 15 samples of 4x31x31 under a 5x5 kernel.  The
+    # row unfold is ~5x its sample (~174 KB), so caching one per sample
+    # would trace ~2.6 MB.  The solver may hold a few unfolds at a time plus
+    # score-sized grids per sample (scores, curvature direction and state,
+    # trial scores), however many iterations it runs.
     rng = np.random.Generator(np.random.PCG64(37))
     support = _random_support(rng, n=15, channels=4, h=31, w=31)
     model = _model(rng.normal(0.0, 0.1, (4, 5, 5)))
-    column_bytes = 4 * 25 * 31 * 31 * 8
-    tracemalloc.start()
-    try:
-        optimize(model, support, OptimizerConfig(iterations=2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * column_bytes
+    unfold_bytes = _columns(support[0].features.values, 5, 5).nbytes
+    grid_bytes = 31 * 31 * 8
+    for iterations in (2, 10):
+        tracemalloc.start()
+        try:
+            optimize(model, support, OptimizerConfig(iterations=iterations))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * unfold_bytes + 4 * len(support) * grid_bytes
+
+
+def _saturated_case():
+    # Weights large enough to saturate the softmax: the Newton step overshoots
+    # and the line search halves it (checked by the reference's counts).
+    rng = np.random.Generator(np.random.PCG64(38))
+    support = _random_support(rng)
+    w0 = rng.normal(0.0, 3.0, (2, 3, 3))
+    return support, w0, OptimizerConfig(regularization=1e-2, iterations=6, loss_model="kl")
+
+
+def _assert_matches_reference(w0, support, cfg):
+    model, trace = optimize(_model(w0), support, cfg)
+    want, steps, halvings = optimize_reference(_model(w0), support, cfg)
+    got = model.weights.values
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * float(np.abs(want).max()))
+    rows = trace[:-1]
+    assert [row.step_length > 0.0 for row in rows] == [step > 0.0 for step in steps]
+    np.testing.assert_allclose([row.step_length for row in rows], steps, rtol=1e-10)
+    return halvings
+
+
+@pytest.mark.parametrize("loss_model", ["l2", "rl2", "nll", "kl"])
+def test_optimize_matches_reference_loop(loss_model):
+    rng = np.random.Generator(np.random.PCG64(38))
+    support = _random_support(rng)
+    w0 = rng.normal(0.0, 0.5, (2, 3, 3))
+    cfg = OptimizerConfig(regularization=1e-2, iterations=6, loss_model=loss_model)
+    _assert_matches_reference(w0, support, cfg)
+
+
+def test_optimize_matches_reference_loop_when_backtracking():
+    support, w0, cfg = _saturated_case()
+    halvings = _assert_matches_reference(w0, support, cfg)
+    assert sum(halvings) > 0
+
+
+def test_optimize_matches_reference_loop_at_zero_gradient():
+    # Zero features and zero weights: the data term has no pull on the
+    # kernel and the ridge gradient vanishes, so no step is taken.
+    z = FeatureMap(np.zeros((2, 4, 4)))
+    p = Grid2D(np.full((4, 4), 1.0 / 16.0))
+    support = [SupportSample(z, p)]
+    cfg = OptimizerConfig(regularization=1e-2, iterations=3)
+    _assert_matches_reference(np.zeros((2, 3, 3)), support, cfg)
+    _, trace = optimize(_model(np.zeros((2, 3, 3))), support, cfg)
+    assert all(row.step_length == 0.0 and row.grad_norm == 0.0 for row in trace)
+
+
+def test_optimize_unfolds_each_sample_twice_per_iteration(monkeypatch):
+    # Backtracking trials reuse the kept scores, so one optimize call of k
+    # iterations builds at most 2k + 1 unfolds per sample, however many
+    # halvings happen.
+    support, w0, cfg = _saturated_case()
+    _, _, halvings = optimize_reference(_model(w0), support, cfg)
+    assert sum(halvings) > 0
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return _columns(*args)
+
+    monkeypatch.setattr(center_optimizer, "_columns", counting)
+    optimize(_model(w0), support, cfg)
+    assert len(built) <= len(support) * (2 * cfg.iterations + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from prtrack import harness
 from prtrack.errors import UsageError
 from prtrack.gridmath import load_grid
 from prtrack.harness import (
@@ -88,6 +89,67 @@ def test_cli_rejects_non_integer_tracker_fields(tmp_path, capsys, field, value):
     assert f"{field} must be an integer" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "compare_losses.csv").exists()
+
+
+def _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, *messages):
+    """compare-losses exits 2 with the messages before generating any sequence."""
+    generated = []
+    monkeypatch.setattr(harness, "generate_sequence", lambda *a: generated.append(a))
+    cfgpath = _write_config(tmp_path, payload)
+    assert main(["compare-losses", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    for message in messages:
+        assert message in err
+    assert "Traceback" not in err
+    assert generated == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("num_frames", 10.5, "num_frames must be an integer"),
+        ("height", 48.0, "height must be an integer"),
+        ("width", True, "width must be an integer"),
+        ("channels", "4", "channels must be an integer"),
+        ("distractor_count", 1.5, "distractor_count must be an integer"),
+        ("occlusions", [[1.5, 4]], "occlusion bound must be an integer"),
+        ("occlusions", [[2, False]], "occlusion bound must be an integer"),
+        ("occlusions", [[1, 2, 3]], "must be a (start, end) pair"),
+        ("occlusions", 5, "bad scenario spec"),
+    ],
+)
+def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, monkeypatch, field, value, message):
+    # The bad spec comes second, so a valid first cell would run if specs
+    # were only resolved cell by cell.
+    payload = {"suite": {"scenarios": ["static", {"preset": "static", field: value}]}}
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, "suite.scenarios[1]", message)
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"suite": {"scenarios": ["static"], "repetitions": True}}, "suite.repetitions"),
+        ({"dump": {"frame_index": True}}, "dump.frame_index"),
+        ({"dump": {"slice_cells": True}}, "dump.slice_cells"),
+    ],
+)
+def test_cli_rejects_booleans_as_integers(tmp_path, capsys, monkeypatch, payload, message):
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, message)
+
+
+@pytest.mark.parametrize(
+    "tracker,message",
+    [
+        ({"regularization": 0}, "regularization must be positive"),
+        ({"regularization": -1e-3}, "regularization must be positive"),
+        ({"init_iterations": -1}, "init solver: iterations must be nonnegative"),
+        ({"online_iterations": -1}, "online solver: iterations must be nonnegative"),
+    ],
+)
+def test_cli_rejects_bad_solver_settings(tmp_path, capsys, monkeypatch, tracker, message):
+    payload = {**TINY_SUITE, "tracker": tracker}
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, message)
 
 
 def test_config_io_failures(tmp_path):
