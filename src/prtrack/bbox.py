@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 BOX_LOSS_MODELS = ("l2", "rl2", "nll", "kl")
+BOX_DIM = 4  # (cx/w0, cy/h0, log w, log h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +58,8 @@ class BoxParam:
 
     def __post_init__(self):
         vals = _as_float_array(self.values, 1, "box parameters")
-        if vals.size != 4:
-            raise DimensionError(f"box parameters must have 4 entries, got {vals.size}")
+        if vals.size != BOX_DIM:
+            raise DimensionError(f"box parameters must have {BOX_DIM} entries, got {vals.size}")
         w0, h0 = self.reference
         if not (w0 > 0 and h0 > 0):
             raise DomainError(f"reference size must be positive, got {self.reference}")
@@ -153,7 +154,8 @@ class QuadraticScorer(BoxScorer):
 
     def value_batch(self, ys):
         d = _check_box_batch(ys) - self.mu
-        return -(d * d).sum(axis=1) / (2.0 * self.tau**2)
+        d *= d
+        return d.sum(axis=1) / (-2.0 * self.tau**2)
 
     def grad_box(self, y):
         return -(np.asarray(y, dtype=np.float64) - self.mu) / self.tau**2
@@ -278,23 +280,20 @@ class SGDConfig:
             raise DomainError(f"lr_decay must be nonnegative, got {self.lr_decay}")
 
 
-def _box_sample_loss(scorer, ann: BoxParam, ys, sigma_bb, proposal, loss_model):
+def _box_sample_loss(scorer, ann: BoxParam, ys, label, proposal, loss_model):
     """Loss value and its gradient in the scorer parameters for one batch."""
     s = scorer.value_batch(ys)
     basis = scorer.grad_params_batch(ys)
     k = ys.shape[0]
     if loss_model == "kl":
-        p = gaussian_density(GaussianLabel(ann.values, sigma_bb), ys)
-        q = proposal_density(proposal, ys)
-        lvg = kl_mc_loss(s, p, q)
+        lvg = kl_mc_loss(s, gaussian_density(label, ys), proposal_density(proposal, ys))
         return lvg.value, lvg.grad_scores @ basis
     if loss_model == "nll":
-        q = proposal_density(proposal, ys)
-        t = s - np.log(q)
-        m = t.max()
-        e = np.exp(t - m)
-        value = m + math.log(e.sum() / k) - scorer.value(ann.values)
-        return value, (e / e.sum()) @ basis - scorer.grad_params(ann.values)
+        # The delta-label loss is the divergence with zero label densities
+        # at the draws, minus the score at the annotation itself.
+        lvg = kl_mc_loss(s, np.zeros(k), proposal_density(proposal, ys))
+        value = lvg.value - scorer.value(ann.values)
+        return value, lvg.grad_scores @ basis - scorer.grad_params(ann.values)
     # Squared-error families regress the confidence exp(s) — range (0, 1],
     # same argmax as s — onto the overlap with the annotation; regressing
     # the raw score of a quadratic field onto [0, 1] targets is hopelessly
@@ -332,10 +331,12 @@ def train_box_scorer(
 
     Per annotation and epoch: draw samples_per_annotation proposals from
     `proposal` recentered on the annotation, evaluate the chosen loss and
-    step the scorer parameters along its gradient.  The final parameters
-    are the average of the iterates over the last half of the epochs,
-    which removes most of the stationary sampling noise.  Mutates and
-    returns the scorer together with the mean loss seen in the final epoch.
+    step the scorer parameters along its gradient.  The recentered
+    proposal and the label of each annotation are built once, before the
+    first epoch.  The final parameters are the average of the iterates over
+    the last half of the epochs, which removes most of the stationary
+    sampling noise.  Mutates and returns the scorer together with the mean
+    loss seen in the final epoch.
     """
     annotations = list(annotations)
     if not annotations:
@@ -346,28 +347,26 @@ def train_box_scorer(
         raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
     if loss_model not in BOX_LOSS_MODELS:
         raise DomainError(f"unknown loss model {loss_model!r}; pick one of {BOX_LOSS_MODELS}")
-    last = math.nan
+    targets = [
+        (ann, proposal.recenter(ann.values), GaussianLabel(ann.values, sigma_bb))
+        for ann in annotations
+    ]
     tail_start = sgd.epochs // 2
-    tail_sum, tail_n = None, 0
+    tail_sum = 0.0
     for epoch in range(sgd.epochs):
         lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
         values = []
-        for ann in annotations:
-            q = proposal.recenter(ann.values)
+        for ann, q, label in targets:
             ys = proposal_sample(q, rng, size=samples_per_annotation)
-            value, grad = _box_sample_loss(scorer, ann, ys, sigma_bb, q, loss_model)
+            value, grad = _box_sample_loss(scorer, ann, ys, label, q, loss_model)
             if not (math.isfinite(value) and np.isfinite(grad).all()):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             scorer.params = scorer.params - lr * grad
             values.append(value)
-        last = float(np.mean(values))
         if epoch >= tail_start:
-            p = scorer.params
-            tail_sum = p if tail_sum is None else tail_sum + p
-            tail_n += 1
-    if tail_n:
-        scorer.params = tail_sum / tail_n
-    return scorer, last
+            tail_sum = tail_sum + scorer.params
+    scorer.params = tail_sum / (sgd.epochs - tail_start)
+    return scorer, float(np.mean(values))
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,8 @@ class OptimizerConfig:
             raise DomainError(f"step_length_floor must be positive, got {self.step_length_floor}")
         if self.loss_model not in LOSS_MODELS:
             raise DomainError(f"unknown loss model {self.loss_model!r}; pick one of {LOSS_MODELS}")
+        if not math.isfinite(self.rl2_threshold):
+            raise DomainError(f"rl2_threshold must be finite, got {self.rl2_threshold!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import center_optimizer, losses
+from .bbox import BOX_DIM
 from .errors import DomainError, NumericError, PrtrackError, UsageError
 from .gridmath import (
     FeatureMap,
@@ -57,7 +58,7 @@ from .gridmath import (
     conv_apply,
     dump_grid,
 )
-from .labels import GaussianLabel, label_grid
+from .labels import GaussianLabel, gaussian_normalizer, label_grid
 from .tracker import (
     Scenario,
     TrackerConfig,
@@ -280,7 +281,29 @@ def load_config(path: str | None) -> RunConfig:
             )
             out["dump_slice_cells"] = sc
 
+    _check_label_widths(tracker, out)
     return RunConfig(tracker=tracker, **out)
+
+
+def _check_label_widths(tracker: TrackerConfig, out: dict):
+    """Reject label widths whose Gaussian normalizer is not finite.
+
+    The factor rule resolves sigma_tc from each scenario's target size, so
+    it is checked against every scenario; sweep values replace sigma_tc
+    (2D grid labels) or sigma_bb (labels over the BOX_DIM box parameters).
+    """
+    specs = (*out["scenarios"], out["track_scenario"], out["dump_scenario"])
+    sizes = sorted({(sc.target_w, sc.target_h) for sc in (resolve_scenario(s, 0) for s in specs)})
+    widths = [
+        (f"sigma_tc for a {w}x{h} target", tracker.resolved_sigma_tc(w, h), 2) for w, h in sizes
+    ]
+    dim = BOX_DIM if out["sweep_parameter"] == "sigma_bb" else 2
+    widths += [(f"sweep.values {v!r}", v, dim) for v in out["sweep_values"]]
+    for what, sigma, dim in widths:
+        try:
+            gaussian_normalizer(sigma, dim)
+        except DomainError as exc:
+            raise UsageError(f"{what}: {exc}") from exc
 
 
 def _cell_seed(master: int, scenario_index: int, repetition: int) -> int:

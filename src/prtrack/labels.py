@@ -6,12 +6,24 @@ noise.  Grid labels are evaluated at cell centers (not integrated over
 cells); cell (i, j) of a grid with cell area A sits at coordinate
 (i * sqrt(A), j * sqrt(A)).  Box-space sampling uses a Gaussian mixture
 proposal so importance ratios against the label stay bounded.
+
+Every Gaussian here is normalized by (2 pi sigma^2)^(-dim/2); a width whose
+normalizer under- or overflows is rejected when the label or proposal is
+built (gaussian_normalizer), not when it is first evaluated.
+
+Stream contract of proposal_sample: a call consumes exactly what
+``rng.choice(len(weights), size=n, p=weights)`` followed by
+``rng.standard_normal((n, dim))`` consumes, and returns the same numbers,
+so training runs are reproducible draw for draw.  The (n, dim) batch is
+coordinate-major: the transpose of a C-contiguous (dim, n) array, so the
+per-coordinate arithmetic and the sums over the coordinate axis that the
+densities and scorers do run along the long sample axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,6 +37,7 @@ if TYPE_CHECKING:  # only for annotations; boxes live in the bbox module
 __all__ = [
     "GaussianLabel",
     "MixtureProposal",
+    "gaussian_normalizer",
     "label_grid",
     "gaussian_density",
     "proposal_sample",
@@ -49,6 +62,7 @@ class GaussianLabel:
             raise DomainError("label center must be finite")
         if not (self.sigma > 0):
             raise DomainError(f"label sigma must be positive, got {self.sigma}")
+        gaussian_normalizer(self.sigma, c.size)
         object.__setattr__(self, "center", c)
 
     @property
@@ -61,11 +75,14 @@ class MixtureProposal:
     """Gaussian mixture q(y) = sum_m weight_m N(y; center, sigma_m^2 I).
 
     All components share the center; weights are positive and sum to 1.
+    cdf is the normalized cumulative weight vector that component draws
+    are looked up in.
     """
 
     weights: np.ndarray
     sigmas: np.ndarray
     center: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -75,10 +92,16 @@ class MixtureProposal:
             raise DimensionError("weights and sigmas must be 1D arrays of equal length")
         if c.ndim != 1 or c.size < 1 or not np.isfinite(c).all():
             raise DimensionError("proposal center must be a finite 1D coordinate")
-        if (w <= 0).any() or abs(w.sum() - 1.0) > 1e-12:
+        if not ((w > 0).all() and abs(w.sum() - 1.0) <= 1e-12):
             raise DomainError("component weights must be positive and sum to 1")
-        if (s <= 0).any():
+        if not (s > 0).all():
             raise DomainError("component sigmas must be positive")
+        for sigma in s:
+            gaussian_normalizer(sigma, c.size)
+        # Normalized exactly as Generator.choice normalizes its p argument.
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "sigmas", s)
         object.__setattr__(self, "center", c)
@@ -91,9 +114,31 @@ class MixtureProposal:
         return replace(self, center=np.asarray(center, dtype=np.float64))
 
 
+def gaussian_normalizer(sigma: float, dim: int) -> float:
+    """(2 pi sigma^2)^(-dim/2); DomainError unless it is finite and positive."""
+    sigma = float(sigma)
+    try:
+        norm = (2.0 * math.pi * sigma * sigma) ** (-dim / 2.0)
+    except (ZeroDivisionError, OverflowError):
+        norm = math.inf
+    if not (0.0 < norm < math.inf):
+        raise DomainError(
+            f"Gaussian width {sigma!r} in {dim}D has no finite positive normalizer"
+        )
+    return norm
+
+
 def _gauss(dist2: np.ndarray, sigma: float, dim: int) -> np.ndarray:
-    norm = (2.0 * math.pi * sigma * sigma) ** (-dim / 2.0)
-    return norm * np.exp(-dist2 / (2.0 * sigma * sigma))
+    # dist2 / (-2 sigma^2) is bit for bit -dist2 / (2 sigma^2), one op fewer.
+    out = np.exp(dist2 / (-2.0 * sigma * sigma))
+    out *= gaussian_normalizer(sigma, dim)
+    return out
+
+
+def _sq_dist(arr: np.ndarray, center: np.ndarray) -> np.ndarray:
+    d = arr - center
+    d *= d
+    return d.sum(axis=-1)
 
 
 def gaussian_density(label: GaussianLabel, y) -> float | np.ndarray:
@@ -103,8 +148,7 @@ def gaussian_density(label: GaussianLabel, y) -> float | np.ndarray:
         raise DimensionError(
             f"coordinate dim {arr.shape[-1:]} does not match label dim {label.dim}"
         )
-    d2 = ((arr - label.center) ** 2).sum(axis=-1)
-    out = _gauss(d2, label.sigma, label.dim)
+    out = _gauss(_sq_dist(arr, label.center), label.sigma, label.dim)
     return float(out) if out.ndim == 0 else out
 
 
@@ -129,13 +173,18 @@ def label_grid(label: GaussianLabel, grid_shape: tuple[int, int], cell_area: flo
 
 
 def proposal_sample(q: MixtureProposal, rng: np.random.Generator, size: int | None = None):
-    """Draw from the mixture; returns one coordinate or a (size, dim) stack."""
+    """Draw from the mixture; returns one coordinate or a (size, dim) stack.
+
+    The stack is coordinate-major and the draws follow the stream contract
+    in the module docstring.
+    """
     n = 1 if size is None else int(size)
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {size}")
-    comp = rng.choice(q.weights.size, size=n, p=q.weights)
-    draws = q.center + q.sigmas[comp, None] * rng.standard_normal((n, q.dim))
-    return draws[0] if size is None else draws
+    comp = q.cdf.searchsorted(rng.random(n), side="right")
+    draws = np.multiply(rng.standard_normal((n, q.dim)).T, q.sigmas[comp], out=np.empty((q.dim, n)))
+    draws += q.center[:, None]
+    return draws[:, 0] if size is None else draws.T
 
 
 def proposal_density(q: MixtureProposal, y) -> float | np.ndarray:
@@ -143,10 +192,12 @@ def proposal_density(q: MixtureProposal, y) -> float | np.ndarray:
     arr = np.asarray(y, dtype=np.float64)
     if arr.shape[-1:] != (q.dim,):
         raise DimensionError(f"coordinate dim {arr.shape[-1:]} does not match proposal dim {q.dim}")
-    d2 = ((arr - q.center) ** 2).sum(axis=-1)
-    out = np.zeros_like(d2, dtype=np.float64)
+    d2 = _sq_dist(arr, q.center)
+    out = None
     for wm, sm in zip(q.weights, q.sigmas):
-        out = out + wm * _gauss(d2, float(sm), q.dim)
+        term = _gauss(d2, float(sm), q.dim)
+        term *= wm
+        out = term if out is None else out + term
     return float(out) if out.ndim == 0 else out
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bbox import (
+    BOX_DIM,
     BoxParam,
     QuadraticScorer,
     RbfMixtureScorer,
@@ -47,7 +48,7 @@ from .center_optimizer import OptimizerConfig, SupportSample, TargetModel, init_
 from .density import GridDensity, argmax_state, expected_state, normalize
 from .errors import DimensionError, DomainError
 from .gridmath import FeatureMap, Grid2D, conv_apply
-from .labels import GaussianLabel, MixtureProposal, iou_xywh, label_grid
+from .labels import GaussianLabel, MixtureProposal, gaussian_normalizer, iou_xywh, label_grid
 
 __all__ = [
     "Scenario",
@@ -212,6 +213,14 @@ def generate_sequence(scenario: Scenario, rng: np.random.Generator | None = None
     return SyntheticSequence(tuple(frames), scenario)
 
 
+def _build(what: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with what prefixed to any rejection."""
+    try:
+        return make(*args, **kwargs)
+    except (DomainError, DimensionError) as exc:
+        raise DomainError(f"{what}: {exc}") from exc
+
+
 _INT_FIELDS = (
     "kernel_size",
     "init_iterations",
@@ -228,8 +237,12 @@ _INT_FIELDS = (
 class TrackerConfig:
     """Everything the two-stage tracker needs; defaults favor the divergence loss.
 
-    Building it also builds init_optimizer and online_optimizer, the solver
-    settings of the first-frame and the online kernel solves.
+    Building it also builds the settings objects the tracker uses, so every
+    check on them runs when the config is made: init_optimizer and
+    online_optimizer (the first-frame and the online kernel solves),
+    bb_proposal and bb_sgd (box-scorer training; the proposal is centered
+    at the origin and recentered on each annotation) and refine_config
+    (box refinement).
     """
 
     loss_model: str = "kl"
@@ -268,24 +281,33 @@ class TrackerConfig:
             _require_int(name, getattr(self, name))
         if not (self.regularization > 0):
             raise DomainError(f"regularization must be positive, got {self.regularization!r}")
-        # The solver settings are built here, once, so every check on them
-        # runs when the config is made rather than at the first solve.
         for stage, iterations in (("init", self.init_iterations), ("online", self.online_iterations)):
-            try:
-                opt = OptimizerConfig(
-                    regularization=self.regularization,
-                    iterations=iterations,
-                    loss_model=self.loss_model,
-                    rl2_threshold=self.rl2_threshold,
-                )
-            except DomainError as exc:
-                raise DomainError(f"{stage} solver: {exc}") from exc
+            opt = _build(
+                f"{stage} solver",
+                OptimizerConfig,
+                regularization=self.regularization,
+                iterations=iterations,
+                loss_model=self.loss_model,
+                rl2_threshold=self.rl2_threshold,
+            )
             object.__setattr__(self, f"{stage}_optimizer", opt)
         if self.sigma_tc is not None and not (self.sigma_tc > 0):
             raise DomainError("sigma_tc must be positive when given")
         for name in ("sigma_tc_factor", "sigma_bb", "scorer_tau", "gamma_decay"):
             if not (getattr(self, name) > 0):
                 raise DomainError(f"{name} must be positive")
+        if self.sigma_tc is not None:
+            _build("sigma_tc", gaussian_normalizer, self.sigma_tc, 2)
+        _build("sigma_bb", gaussian_normalizer, self.sigma_bb, BOX_DIM)
+        if self.bb_samples < 2:
+            raise DomainError(f"bb_samples must be at least 2, got {self.bb_samples}")
+        weights, sigmas = np.asarray(self.proposal_weights), np.asarray(self.proposal_sigmas)
+        proposal = _build("box proposal", MixtureProposal, weights, sigmas, np.zeros(BOX_DIM))
+        object.__setattr__(self, "bb_proposal", proposal)
+        sgd = (self.bb_learning_rate, self.bb_epochs, self.bb_lr_decay)
+        object.__setattr__(self, "bb_sgd", _build("box training", SGDConfig, *sgd))
+        ref = (self.refine_step, self.refine_steps, self.refine_tol)
+        object.__setattr__(self, "refine_config", _build("box refinement", RefConfig, *ref))
         if not (self.search_scale >= 1):
             raise DomainError("search_scale must be at least 1")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -366,12 +388,15 @@ def _build_scorer(cfg: TrackerConfig, anchor: BoxParam, rng: np.random.Generator
         amps[0] = 1.0
         scorer = RbfMixtureScorer(mu0 + offsets, np.full(len(offsets), cfg.scorer_tau), amps)
     if cfg.scorer_init == "train":
-        proposal = MixtureProposal(
-            np.asarray(cfg.proposal_weights), np.asarray(cfg.proposal_sigmas), mu0.copy()
-        )
-        sgd = SGDConfig(cfg.bb_learning_rate, cfg.bb_epochs, cfg.bb_lr_decay)
         train_box_scorer(
-            scorer, [anchor], cfg.sigma_bb, proposal, cfg.bb_samples, sgd, rng, cfg.loss_model
+            scorer,
+            [anchor],
+            cfg.sigma_bb,
+            cfg.bb_proposal,
+            cfg.bb_samples,
+            cfg.bb_sgd,
+            rng,
+            cfg.loss_model,
         )
     return scorer
 
@@ -474,9 +499,7 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
 
     # Stage 2: refine (center offset, log size) around the stage-1 center.
     candidate = BoxParam(np.array([0.0, 0.0, math.log(w), math.log(h)]), (w, h))
-    refined = refine_box(
-        state.scorer, candidate, RefConfig(cfg.refine_step, cfg.refine_steps, cfg.refine_tol)
-    )
+    refined = refine_box(state.scorer, candidate, cfg.refine_config)
     dx, dy, new_w, new_h = refined.decode()
     box = (new_cx + dx, new_cy + dy, new_w, new_h)
     state.current_box = box

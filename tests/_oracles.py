@@ -141,3 +141,68 @@ def optimize_reference(model, support, cfg):
         steps.append(accepted)
         halvings.append(halved)
     return w, steps, halvings
+
+
+def train_box_scorer_reference(scorer, annotations, sigma_bb, proposal, samples, sgd, rng, loss_model):
+    """Plain per-epoch box-scorer training: rebuild everything every epoch.
+
+    Draws come from rng.choice and standard_normal, the densities and the
+    losses are written out here, and only the scorer's own value/gradient
+    methods come from the package.  Returns (scorer, last epoch mean loss).
+    """
+    weights = np.asarray(proposal.weights, dtype=np.float64)
+    sigmas = np.asarray(proposal.sigmas, dtype=np.float64)
+
+    def gauss(d2, sigma, dim):
+        return (2.0 * math.pi * sigma * sigma) ** (-dim / 2.0) * np.exp(-d2 / (2.0 * sigma * sigma))
+
+    def boxes(ys, reference):
+        return np.column_stack(
+            [ys[:, 0] * reference[0], ys[:, 1] * reference[1], np.exp(ys[:, 2]), np.exp(ys[:, 3])]
+        )
+
+    def iou(a, b):
+        lo = np.maximum(a[:, :2] - a[:, 2:] / 2, b[:2] - b[2:] / 2)
+        hi = np.minimum(a[:, :2] + a[:, 2:] / 2, b[:2] + b[2:] / 2)
+        inter = np.clip(hi - lo, 0.0, None).prod(axis=1)
+        return inter / (a[:, 2:].prod(axis=1) + b[2:].prod() - inter)
+
+    last = math.nan
+    tail = []
+    for epoch in range(sgd.epochs):
+        lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
+        values = []
+        for ann in annotations:
+            center = np.array(ann.values, dtype=np.float64)
+            k, dim = samples, center.size
+            comp = rng.choice(weights.size, size=k, p=weights)
+            ys = center + sigmas[comp, None] * rng.standard_normal((k, dim))
+            s = scorer.value_batch(ys)
+            basis = scorer.grad_params_batch(ys)
+            d2 = ((ys - center) ** 2).sum(axis=1)
+            q = sum(w * gauss(d2, sig, dim) for w, sig in zip(weights, sigmas))
+            t = s - np.log(q)
+            e = np.exp(t - t.max())
+            log_mean = t.max() + math.log(e.sum() / k)
+            if loss_model == "kl":
+                p = gauss(d2, sigma_bb, dim)
+                value = log_mean - float(s @ (p / q)) / k
+                grad = (e / e.sum() - p / (q * k)) @ basis
+            elif loss_model == "nll":
+                value = log_mean - scorer.value(center)
+                grad = (e / e.sum()) @ basis - scorer.grad_params(center)
+            else:
+                w0, h0 = ann.reference
+                box = np.array([center[0] * w0, center[1] * h0, math.exp(center[2]), math.exp(center[3])])
+                targets = iou(boxes(ys, ann.reference), box)
+                c = np.exp(s)
+                r = c - targets if loss_model == "l2" else np.where(targets > 0.05, c - targets, c)
+                value = float(r @ r) / k
+                grad = (2.0 / k) * ((r * c) @ basis)
+            scorer.params = scorer.params - lr * grad
+            values.append(value)
+        last = float(np.mean(values))
+        if epoch >= sgd.epochs // 2:
+            tail.append(scorer.params)
+    scorer.params = np.mean(tail, axis=0)
+    return scorer, last

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import fd_gradient
+from _oracles import fd_gradient, train_box_scorer_reference
+from prtrack import bbox
 from prtrack.bbox import (
     BoxParam,
     QuadraticScorer,
@@ -274,6 +275,65 @@ def test_train_validation():
         train_box_scorer(scorer, [ann], 0.0, PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
         train_box_scorer(scorer, [ann], 0.05, PAPER_PROPOSAL, 4, sgd, rng, loss_model="huber")
+
+
+def _scorer(family, ann):
+    if family == "quadratic":
+        return QuadraticScorer(ann.values + 0.2, tau=0.2)
+    rng = np.random.Generator(np.random.PCG64(52))
+    offsets = np.vstack([np.zeros(4), 0.3 * rng.standard_normal((5, 4))])
+    amps = np.zeros(6)
+    amps[0] = 1.0
+    return RbfMixtureScorer(ann.values + offsets, np.full(6, 0.3), amps)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "rbf"])
+@pytest.mark.parametrize("loss_model", ["l2", "rl2", "nll", "kl"])
+def test_train_matches_plain_reference_loop(family, loss_model):
+    # Same draws in the same order, so the same iterates up to rounding and
+    # the same generator state afterwards.
+    anns = [box_encode((3.0, 2.0, 4.0, 5.0), (4.0, 5.0)), box_encode((1.0, -1.0, 3.0, 2.5), (3.5, 2.0))]
+    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
+    sgd = SGDConfig(learning_rate=0.25, epochs=30, lr_decay=0.5)
+    rng_a = np.random.Generator(np.random.PCG64(53))
+    rng_b = np.random.Generator(np.random.PCG64(53))
+    got, got_last = train_box_scorer(_scorer(family, anns[0]), anns, 0.05, proposal, 96, sgd, rng_a, loss_model)
+    want, want_last = train_box_scorer_reference(
+        _scorer(family, anns[0]), anns, 0.05, proposal, 96, sgd, rng_b, loss_model
+    )
+    np.testing.assert_allclose(got.params, want.params, rtol=1e-12, atol=0)
+    assert got_last == pytest.approx(want_last, rel=1e-12, abs=0)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
+    built = {"labels": 0, "proposals": 0, "losses": 0}
+
+    class CountingLabel(GaussianLabel):
+        def __post_init__(self):
+            built["labels"] += 1
+            super().__post_init__()
+
+    class CountingProposal(MixtureProposal):
+        def recenter(self, center):
+            built["proposals"] += 1
+            return super().recenter(center)
+
+    def counting_loss(*args):
+        built["losses"] += 1
+        return kl_mc_loss(*args)
+
+    monkeypatch.setattr(bbox, "GaussianLabel", CountingLabel)
+    monkeypatch.setattr(bbox, "kl_mc_loss", counting_loss)
+    anns = [box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0)), box_encode((1.0, 0.0, 2.0, 3.0), (2.0, 3.0))]
+    proposal = CountingProposal([0.5, 0.5], [0.05, 0.5], np.zeros(4))
+    for loss_model in ("kl", "nll"):
+        built.update(labels=0, proposals=0, losses=0)
+        scorer = QuadraticScorer(anns[0].values, tau=0.2)
+        rng = np.random.Generator(np.random.PCG64(54))
+        train_box_scorer(scorer, anns, 0.05, proposal, 16, SGDConfig(epochs=7), rng, loss_model)
+        # The delta-label (nll) loss goes through the same divergence code.
+        assert built == {"labels": 2, "proposals": 2, "losses": 14}
 
 
 def test_sgd_config_validation():

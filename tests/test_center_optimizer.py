@@ -435,6 +435,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(iterations=-1)
     with pytest.raises(DomainError):
         OptimizerConfig(loss_model="hinge")
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="rl2_threshold"):
+            OptimizerConfig(loss_model="rl2", rl2_threshold=threshold)
 
 
 def test_trace_csv_round_trip(tmp_path):

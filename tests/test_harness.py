@@ -152,6 +152,41 @@ def test_cli_rejects_bad_solver_settings(tmp_path, capsys, monkeypatch, tracker,
     _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, message)
 
 
+@pytest.mark.parametrize(
+    "tracker,message",
+    [
+        ({"refine_step": 0}, "box refinement: step_length must be positive"),
+        ({"proposal_weights": [0.3, 0.3]}, "box proposal: component weights must be positive and sum to 1"),
+        ({"proposal_sigmas": [0.05, -1]}, "box proposal: component sigmas must be positive"),
+        ({"proposal_weights": [1.0]}, "box proposal: weights and sigmas must be 1D arrays of equal length"),
+        ({"bb_samples": 1}, "bb_samples must be at least 2"),
+        ({"bb_lr_decay": -1}, "box training: lr_decay must be nonnegative"),
+    ],
+)
+def test_cli_rejects_bad_box_settings(tmp_path, capsys, monkeypatch, tracker, message):
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, "tracker": tracker}, message)
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"tracker": {"sigma_tc": 1e-300}}, "sigma_tc: Gaussian width 1e-300"),
+        ({"tracker": {"sigma_tc": 1e-160}}, "sigma_tc: Gaussian width 1e-160"),
+        ({"tracker": {"sigma_bb": 1e-100}}, "sigma_bb: Gaussian width 1e-100"),
+        ({"tracker": {"sigma_tc_factor": 1e-300}}, "sigma_tc for a 6.0x6.0 target"),
+        ({"sweep": {"parameter": "sigma_tc", "values": [1.5, 1e-300]}}, "sweep.values 1e-300"),
+        ({"sweep": {"parameter": "sigma_bb", "values": [1e-100]}}, "sweep.values 1e-100"),
+    ],
+)
+def test_cli_rejects_label_widths_without_finite_normalizer(tmp_path, capsys, monkeypatch, payload, message):
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, **payload}, message, "normalizer")
+
+
+def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
+    payload = {**TINY_SUITE, "tracker": {"loss_model": "rl2", "rl2_threshold": math.nan}}
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, "rl2_threshold must be finite")
+
+
 def test_config_io_failures(tmp_path):
     with pytest.raises(UsageError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))

@@ -9,6 +9,7 @@ from prtrack.labels import (
     GaussianLabel,
     MixtureProposal,
     gaussian_density,
+    gaussian_normalizer,
     iou_pseudo_label,
     iou_xywh,
     label_grid,
@@ -135,6 +136,62 @@ def test_proposal_sample_paper_mixture_variance():
     want = 0.5 * 0.05**2 + 0.5 * 0.5**2
     assert want == pytest.approx(0.12625, abs=1e-12)
     np.testing.assert_allclose(draws.var(axis=0), want, rtol=0.05)
+
+
+@pytest.mark.parametrize(
+    "weights,sigmas",
+    [([1.0], [0.3]), ([0.5, 0.5], [0.05, 0.5]), ([0.2, 0.3, 0.5], [0.01, 0.1, 1.0])],
+)
+@pytest.mark.parametrize("size", [None, 1, 7, 768])
+def test_proposal_sample_matches_choice_stream(weights, sigmas, size):
+    # The draws are rng.choice(p=weights) then standard_normal, bit for bit,
+    # and leave the generator where that pair of calls leaves it.
+    center = np.array([0.5, -1.0, 2.0, 0.25])
+    q = MixtureProposal(weights, sigmas, center)
+    rng_a = np.random.Generator(np.random.PCG64(38))
+    rng_b = np.random.Generator(np.random.PCG64(38))
+    for _ in range(3):
+        got = proposal_sample(q, rng_a, size=size)
+        n = 1 if size is None else size
+        comp = rng_b.choice(len(weights), size=n, p=np.asarray(weights))
+        want = center + np.asarray(sigmas)[comp, None] * rng_b.standard_normal((n, 4))
+        np.testing.assert_array_equal(got, want[0] if size is None else want)
+        assert got.shape == ((4,) if size is None else (size, 4))
+        if size is not None:
+            assert got.T.flags.c_contiguous  # coordinate-major
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_proposal_sample_uses_no_choice():
+    class NoChoice:
+        def __init__(self, rng):
+            self.random = rng.random
+            self.standard_normal = rng.standard_normal
+
+    draws = proposal_sample(PAPER_MIXTURE, NoChoice(np.random.Generator(np.random.PCG64(39))), size=5)
+    assert draws.shape == (5, 4)
+
+
+@pytest.mark.parametrize("sigma,dim", [(1e-300, 2), (1e-160, 2), (1e-100, 4), (1e200, 2), (math.inf, 4)])
+def test_non_finite_normalizer_rejected_when_built(sigma, dim):
+    with pytest.raises(DomainError, match="normalizer"):
+        gaussian_normalizer(sigma, dim)
+    with pytest.raises(DomainError, match="normalizer"):
+        GaussianLabel(np.zeros(dim), sigma)
+    with pytest.raises(DomainError, match="normalizer"):
+        MixtureProposal([0.5, 0.5], [0.5, sigma], np.zeros(dim))
+
+
+def test_densities_keep_their_values_for_valid_widths():
+    # Bit for bit the textbook expression, from tiny to wide widths.
+    rng = np.random.Generator(np.random.PCG64(40))
+    ys = rng.standard_normal((64, 4))
+    for sigma in (1e-75, 1e-3, 0.05, 0.5, 3.0, 1e50):
+        label = GaussianLabel(np.zeros(4), sigma)
+        d2 = (ys**2).sum(axis=1)
+        want = (2.0 * math.pi * sigma * sigma) ** -2.0 * np.exp(-d2 / (2.0 * sigma * sigma))
+        np.testing.assert_array_equal(gaussian_density(label, ys), want)
+        assert gaussian_normalizer(sigma, 4) == (2.0 * math.pi * sigma * sigma) ** -2.0
 
 
 def test_proposal_density_at_center():

@@ -165,6 +165,20 @@ def test_tracker_config_validation():
         TrackerConfig(miss_mode="sometimes")
 
 
+def test_tracker_config_builds_box_settings_once(monkeypatch):
+    # The settings objects are built with the config; tracking builds none.
+    from prtrack import tracker
+
+    cfg = TrackerConfig(scorer_init="train", bb_epochs=3, bb_samples=8)
+    assert (cfg.bb_sgd.epochs, cfg.refine_config.steps) == (3, cfg.refine_steps)
+    np.testing.assert_array_equal(cfg.bb_proposal.sigmas, cfg.proposal_sigmas)
+    for name in ("MixtureProposal", "SGDConfig", "RefConfig"):
+        monkeypatch.setattr(tracker, name, None)
+    seq = generate_sequence(Scenario(name="static", num_frames=4, start_x=20.0, start_y=20.0))
+    run = run_sequence(seq, cfg, np.random.Generator(np.random.PCG64(98)))
+    assert len(run.boxes) == 4
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
