@@ -78,7 +78,9 @@ from .tracker import (
     TrackState,
     evaluate,
     generate_sequence,
+    init_scorers,
     run_sequence,
+    search_region,
     track_init,
     track_step,
     write_track_csv,
@@ -110,6 +112,7 @@ __all__ = [
     "train_box_scorer", "RefConfig", "refine_box",
     # tracking
     "Scenario", "Frame", "SyntheticSequence", "generate_sequence",
-    "TrackerConfig", "TrackState", "track_init", "track_step", "run_sequence",
+    "TrackerConfig", "TrackState", "search_region", "init_scorers", "track_init",
+    "track_step", "run_sequence",
     "TrackRun", "TrackingMetrics", "evaluate", "write_track_csv",
 ]

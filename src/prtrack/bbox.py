@@ -11,10 +11,13 @@ checked against brute-force oracles:
 * rbf mixture      s(y) = sum_m a_m exp(-||y - c_m||^2 / (2 rho_m^2)),
                    trainable amplitudes a_m, fixed centers and widths.
 
-train_box_scorer fits a scorer to annotated boxes by drawing proposal
+train_box_scorer fits scorers to annotated boxes by drawing proposal
 samples around each annotation and following the Monte Carlo divergence
-gradient (the default), or one of the squared-error / hinged / delta-label
-objectives for side-by-side comparisons.
+gradient, or one of the squared-error / hinged / delta-label objectives
+for side-by-side comparisons.  It trains a list of jobs, each a (scorer,
+loss model, label width) triple, in lockstep on one proposal stream: the
+draws and the densities at them are shared, and every job ends exactly as
+it would if trained alone from an equally seeded generator.
 """
 
 from __future__ import annotations
@@ -115,6 +118,10 @@ class BoxScorer:
         """Per-sample gradients in the trainable parameters, shape (N, P)."""
         raise NotImplementedError
 
+    def value_and_grad_params_batch(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """value_batch(ys) and grad_params_batch(ys) together."""
+        return self.value_batch(ys), self.grad_params_batch(ys)
+
     @property
     def params(self) -> np.ndarray:
         raise NotImplementedError
@@ -213,6 +220,11 @@ class RbfMixtureScorer(BoxScorer):
     def grad_params_batch(self, ys):
         return self._basis(ys)
 
+    def value_and_grad_params_batch(self, ys):
+        # The score is linear in the amplitudes: one basis serves both.
+        basis = self._basis(ys)
+        return basis @ self.amplitudes, basis
+
     @property
     def params(self):
         return self.amplitudes.copy()
@@ -272,33 +284,36 @@ class SGDConfig:
     lr_decay: float = 0.0
 
     def __post_init__(self):
-        if not (self.learning_rate > 0):
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
+        # An infinite rate or decay turns the first update into NaN.
+        if not (0 < self.learning_rate < math.inf):
+            raise DomainError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise DomainError(f"epochs must be at least 1, got {self.epochs}")
-        if self.lr_decay < 0:
-            raise DomainError(f"lr_decay must be nonnegative, got {self.lr_decay}")
+        if not (0 <= self.lr_decay < math.inf):
+            raise DomainError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
 
 
-def _box_sample_loss(scorer, ann: BoxParam, ys, label, proposal, loss_model):
-    """Loss value and its gradient in the scorer parameters for one batch."""
-    s = scorer.value_batch(ys)
-    basis = scorer.grad_params_batch(ys)
+def _box_sample_loss(scorer, ann: BoxParam, ys, loss_model, label_dens, proposal_dens, targets):
+    """Loss value and its gradient in the scorer parameters for one batch.
+
+    label_dens and proposal_dens are the densities at the draws (kl and nll),
+    targets the draws' overlaps with the annotation (l2 and rl2).
+    """
+    s, basis = scorer.value_and_grad_params_batch(ys)
     k = ys.shape[0]
     if loss_model == "kl":
-        lvg = kl_mc_loss(s, gaussian_density(label, ys), proposal_density(proposal, ys))
+        lvg = kl_mc_loss(s, label_dens, proposal_dens)
         return lvg.value, lvg.grad_scores @ basis
     if loss_model == "nll":
         # The delta-label loss is the divergence with zero label densities
         # at the draws, minus the score at the annotation itself.
-        lvg = kl_mc_loss(s, np.zeros(k), proposal_density(proposal, ys))
+        lvg = kl_mc_loss(s, np.zeros(k), proposal_dens)
         value = lvg.value - scorer.value(ann.values)
         return value, lvg.grad_scores @ basis - scorer.grad_params(ann.values)
     # Squared-error families regress the confidence exp(s) — range (0, 1],
     # same argmax as s — onto the overlap with the annotation; regressing
     # the raw score of a quadratic field onto [0, 1] targets is hopelessly
     # scaled (score ~ -d^2/(2 tau^2) at proposal distance d).
-    targets = iou_xywh(_decode_batch(ys, ann.reference), np.asarray(ann.decode()))
     c = np.exp(s)
     if loss_model == "l2":
         r = c - targets
@@ -318,55 +333,80 @@ def _decode_batch(ys: np.ndarray, reference) -> np.ndarray:
 
 
 def train_box_scorer(
-    scorer: BoxScorer,
+    jobs,
     annotations,
-    sigma_bb: float,
     proposal: MixtureProposal,
     samples_per_annotation: int,
     sgd: SGDConfig,
     rng: np.random.Generator,
-    loss_model: str = "kl",
-) -> tuple[BoxScorer, float]:
-    """Fit the scorer to annotated boxes with stochastic first-order updates.
+) -> list[tuple[BoxScorer, float]]:
+    """Fit scorers to annotated boxes with stochastic first-order updates.
 
-    Per annotation and epoch: draw samples_per_annotation proposals from
-    `proposal` recentered on the annotation, evaluate the chosen loss and
-    step the scorer parameters along its gradient.  The recentered
-    proposal and the label of each annotation are built once, before the
+    jobs is a sequence of (scorer, loss_model, sigma_bb) triples, trained
+    in lockstep on one proposal stream.  Per epoch and annotation: draw
+    samples_per_annotation proposals from `proposal` recentered on the
+    annotation, evaluate each job's loss at those draws and step its scorer
+    parameters along the gradient.  The densities and overlaps the losses
+    read are computed once per draw batch and shared: the proposal density
+    if any job is kl or nll, one label density per distinct kl sigma_bb,
+    and the overlaps if any job is l2 or rl2.  Since a job's updates read
+    only its own parameters and the draws, every job ends exactly where a
+    run with it alone on an equally seeded generator ends.  The recentered
+    proposal and the labels of each annotation are built once, before the
     first epoch.  The final parameters are the average of the iterates over
     the last half of the epochs, which removes most of the stationary
-    sampling noise.  Mutates and returns the scorer together with the mean
-    loss seen in the final epoch.
+    sampling noise.  Mutates the scorers and returns one (scorer, mean loss
+    seen in the final epoch) per job.
     """
+    jobs = [(scorer, loss_model, sigma_bb) for scorer, loss_model, sigma_bb in jobs]
     annotations = list(annotations)
+    if not jobs:
+        raise DimensionError("train_box_scorer needs at least one job")
     if not annotations:
         raise DimensionError("train_box_scorer needs at least one annotation")
     if samples_per_annotation < 2:
         raise DomainError("need at least 2 samples per annotation")
-    if not (sigma_bb > 0):
-        raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
-    if loss_model not in BOX_LOSS_MODELS:
-        raise DomainError(f"unknown loss model {loss_model!r}; pick one of {BOX_LOSS_MODELS}")
+    for _, loss_model, sigma_bb in jobs:
+        if not (sigma_bb > 0):
+            raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
+        if loss_model not in BOX_LOSS_MODELS:
+            raise DomainError(f"unknown loss model {loss_model!r}; pick one of {BOX_LOSS_MODELS}")
+    models = {loss_model for _, loss_model, _ in jobs}
+    # A label per distinct width checks every job's width; only the kl
+    # jobs' labels are evaluated at the draws.
+    sigmas = dict.fromkeys(sigma for _, _, sigma in jobs)
+    kl_sigmas = dict.fromkeys(sigma for _, loss_model, sigma in jobs if loss_model == "kl")
     targets = [
-        (ann, proposal.recenter(ann.values), GaussianLabel(ann.values, sigma_bb))
+        (ann, proposal.recenter(ann.values), {sigma: GaussianLabel(ann.values, sigma) for sigma in sigmas})
         for ann in annotations
     ]
     tail_start = sgd.epochs // 2
-    tail_sum = 0.0
+    tail_sums = [0.0] * len(jobs)
     for epoch in range(sgd.epochs):
         lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
-        values = []
-        for ann, q, label in targets:
+        values = [[] for _ in jobs]
+        for ann, q, labels in targets:
             ys = proposal_sample(q, rng, size=samples_per_annotation)
-            value, grad = _box_sample_loss(scorer, ann, ys, label, q, loss_model)
-            if not (math.isfinite(value) and np.isfinite(grad).all()):
-                raise NumericError(f"non-finite training loss at epoch {epoch}")
-            scorer.params = scorer.params - lr * grad
-            values.append(value)
+            proposal_dens = proposal_density(q, ys) if models & {"kl", "nll"} else None
+            label_dens = {sigma: gaussian_density(labels[sigma], ys) for sigma in kl_sigmas}
+            overlaps = None
+            if models & {"l2", "rl2"}:
+                overlaps = iou_xywh(_decode_batch(ys, ann.reference), np.asarray(ann.decode()))
+            for (scorer, loss_model, sigma_bb), seen in zip(jobs, values):
+                value, grad = _box_sample_loss(
+                    scorer, ann, ys, loss_model, label_dens.get(sigma_bb), proposal_dens, overlaps
+                )
+                if not (math.isfinite(value) and np.isfinite(grad).all()):
+                    raise NumericError(f"non-finite {loss_model} training loss at epoch {epoch}")
+                scorer.params = scorer.params - lr * grad
+                seen.append(value)
         if epoch >= tail_start:
-            tail_sum = tail_sum + scorer.params
-    scorer.params = tail_sum / (sgd.epochs - tail_start)
-    return scorer, float(np.mean(values))
+            tail_sums = [acc + scorer.params for acc, (scorer, _, _) in zip(tail_sums, jobs)]
+    out = []
+    for (scorer, _, _), acc, seen in zip(jobs, tail_sums, values):
+        scorer.params = acc / (sgd.epochs - tail_start)
+        out.append((scorer, float(np.mean(seen))))
+    return out
 
 
 @dataclass(frozen=True)

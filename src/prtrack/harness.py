@@ -30,7 +30,13 @@ its sequence seed from --seed so that repetitions are reproducible).
 Determinism: each (scenario, repetition) cell owns its RNG streams, seeded
 as master + 103 * scenario_index + 10007 * repetition (the tracker stream
 adds a fixed offset), so outputs are bit-identical for equal (config,
-seed) regardless of --jobs, and the loss models see identical sequences.
+seed) regardless of --jobs.  compare-losses and sigma-sweep run cell-major:
+one task per cell renders the sequence once, builds the box scorers of all
+the subcommand's tracker configs from the cell's one tracker stream (they
+train in lockstep on one proposal stream, and each scorer is exactly the
+one its config would train alone), then tracks the sequence once per
+config.  So the loss models share one rendered sequence and one proposal
+stream per cell.
 """
 
 from __future__ import annotations
@@ -65,7 +71,9 @@ from .tracker import (
     _is_int,
     evaluate,
     generate_sequence,
+    init_scorers,
     run_sequence,
+    search_region,
     track_init,
     track_step,
     write_track_csv,
@@ -75,6 +83,7 @@ __all__ = ["RunConfig", "load_config", "SCENARIO_PRESETS", "MODEL_ORDER", "main"
 
 MODEL_ORDER = ("l2", "rl2", "nll", "kl")
 TRACKER_RNG_OFFSET = 7_654_321
+MAX_CROP_CELLS = 2**22  # channels x region^2 of one search-region crop
 
 SCENARIO_PRESETS: dict[str, dict] = {
     # A target parked on a cell center, nothing else in the scene.
@@ -154,7 +163,10 @@ def _check_keys(d: dict, allowed, where: str):
 
 def _as_number(v, where: str) -> float:
     _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{where} must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise UsageError(f"{where} is outside the floating-point range") from None
 
 
 def _validate_scenario_spec(spec, where: str):
@@ -281,19 +293,22 @@ def load_config(path: str | None) -> RunConfig:
             )
             out["dump_slice_cells"] = sc
 
-    _check_label_widths(tracker, out)
+    scenarios = [
+        resolve_scenario(s, 0) for s in (*out["scenarios"], out["track_scenario"], out["dump_scenario"])
+    ]
+    _check_label_widths(tracker, scenarios, out)
+    _check_search_regions(tracker, scenarios)
     return RunConfig(tracker=tracker, **out)
 
 
-def _check_label_widths(tracker: TrackerConfig, out: dict):
+def _check_label_widths(tracker: TrackerConfig, scenarios, out: dict):
     """Reject label widths whose Gaussian normalizer is not finite.
 
     The factor rule resolves sigma_tc from each scenario's target size, so
     it is checked against every scenario; sweep values replace sigma_tc
     (2D grid labels) or sigma_bb (labels over the BOX_DIM box parameters).
     """
-    specs = (*out["scenarios"], out["track_scenario"], out["dump_scenario"])
-    sizes = sorted({(sc.target_w, sc.target_h) for sc in (resolve_scenario(s, 0) for s in specs)})
+    sizes = sorted({(sc.target_w, sc.target_h) for sc in scenarios})
     widths = [
         (f"sigma_tc for a {w}x{h} target", tracker.resolved_sigma_tc(w, h), 2) for w, h in sizes
     ]
@@ -306,16 +321,42 @@ def _check_label_widths(tracker: TrackerConfig, out: dict):
             raise UsageError(f"{what}: {exc}") from exc
 
 
+def _check_search_regions(tracker: TrackerConfig, scenarios):
+    """Reject search regions that are not finite or whose crop is too large.
+
+    The region follows each scenario's target size, as in track_init; the
+    check runs on the sizes alone, before any crop is allocated.
+    """
+    for sc in scenarios:
+        what = f"search region for a {sc.target_w}x{sc.target_h} target"
+        try:
+            region = search_region(tracker, sc.target_w, sc.target_h)
+        except DomainError as exc:
+            raise UsageError(f"{what}: {exc}") from exc
+        cells = sc.channels * region * region
+        _expect(
+            cells <= MAX_CROP_CELLS,
+            f"{what}: a {sc.channels}x{region}x{region} crop has {cells} cells, over {MAX_CROP_CELLS}",
+        )
+
+
 def _cell_seed(master: int, scenario_index: int, repetition: int) -> int:
     return master + 103 * scenario_index + 10_007 * repetition
 
 
-def _run_cell(spec, scenario_index: int, repetition: int, master_seed: int, cfg: TrackerConfig):
+def _run_cell(sequence, cfg: TrackerConfig, scorer):
+    """Track one rendered sequence with one config and its initial box scorer."""
+    run = run_sequence(sequence, cfg, scorer=scorer)
+    return evaluate(sequence, run.boxes)
+
+
+def _run_cell_configs(spec, scenario_index: int, repetition: int, master_seed: int, tracker_cfgs):
+    """Render one cell's sequence once and track it with every config."""
     seed = _cell_seed(master_seed, scenario_index, repetition)
     sequence = generate_sequence(resolve_scenario(spec, seed))
     rng = np.random.Generator(np.random.PCG64(seed + TRACKER_RNG_OFFSET))
-    run = run_sequence(sequence, cfg, rng)
-    return evaluate(sequence, run.boxes)
+    scorers = init_scorers(tracker_cfgs, sequence.frames[0].ground_truth_box, rng)
+    return [_run_cell(sequence, c, scorer) for c, scorer in zip(tracker_cfgs, scorers)]
 
 
 def _run_cells(tasks, jobs: int):
@@ -327,21 +368,31 @@ def _run_cells(tasks, jobs: int):
         return {key: fut.result() for key, fut in futures.items()}
 
 
-def _suite_metrics(cfg: RunConfig, tracker_cfg: TrackerConfig, master_seed: int, jobs: int):
-    """Mean (auc, op50, op75) of one tracker over the whole suite."""
+def _suite_metrics(cfg: RunConfig, tracker_cfgs, master_seed: int, jobs: int):
+    """Mean (auc, op50, op75) over the whole suite, one triple per tracker config.
+
+    One task per (scenario, repetition) cell tracks every config; the means
+    run over the cells in sorted key order.
+    """
     tasks = {}
     for si, spec in enumerate(cfg.scenarios):
         for rep in range(cfg.repetitions):
             tasks[(si, rep)] = (
-                lambda s=spec, i=si, r=rep: _run_cell(s, i, r, master_seed, tracker_cfg)
+                lambda s=spec, i=si, r=rep: _run_cell_configs(s, i, r, master_seed, tracker_cfgs)
             )
     results = _run_cells(tasks, jobs)
-    metrics = [results[key] for key in sorted(results)]
-    return (
-        float(np.mean([m.auc for m in metrics])),
-        float(np.mean([m.op_at(0.50) for m in metrics])),
-        float(np.mean([m.op_at(0.75) for m in metrics])),
-    )
+    cells = [results[key] for key in sorted(results)]
+    out = []
+    for i in range(len(tracker_cfgs)):
+        metrics = [cell[i] for cell in cells]
+        out.append(
+            (
+                float(np.mean([m.auc for m in metrics])),
+                float(np.mean([m.op_at(0.50) for m in metrics])),
+                float(np.mean([m.op_at(0.75) for m in metrics])),
+            )
+        )
+    return out
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
@@ -353,11 +404,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 def cmd_compare_losses(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> Path:
     """Benchmark all four loss models on identical sequences."""
-    rows = []
-    for model in MODEL_ORDER:
-        tcfg = replace(cfg.tracker, loss_model=model, miss_mode="auto", scorer_init="train")
-        auc, op50, op75 = _suite_metrics(cfg, tcfg, seed, jobs)
-        rows.append([model, repr(auc), repr(op50), repr(op75)])
+    tcfgs = [
+        replace(cfg.tracker, loss_model=model, miss_mode="auto", scorer_init="train")
+        for model in MODEL_ORDER
+    ]
+    rows = [
+        [model, repr(auc), repr(op50), repr(op75)]
+        for model, (auc, op50, op75) in zip(MODEL_ORDER, _suite_metrics(cfg, tcfgs, seed, jobs))
+    ]
     path = out_dir / "compare_losses.csv"
     _write_csv(path, ["model", "auc", "op_0.50", "op_0.75"], rows)
     return path
@@ -365,17 +419,21 @@ def cmd_compare_losses(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> P
 
 def cmd_sigma_sweep(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> Path:
     """AUC of the divergence-loss tracker as the swept sigma varies."""
-    rows = []
-    for value in sorted(cfg.sweep_values):
-        tcfg = replace(
+    values = sorted(cfg.sweep_values)
+    tcfgs = [
+        replace(
             cfg.tracker,
             loss_model="kl",
             miss_mode="auto",
             scorer_init="train",
             **{cfg.sweep_parameter: value},
         )
-        auc, _, _ = _suite_metrics(cfg, tcfg, seed, jobs)
-        rows.append([repr(float(value)), repr(auc)])
+        for value in values
+    ]
+    rows = [
+        [repr(float(value)), repr(auc)]
+        for value, (auc, _, _) in zip(values, _suite_metrics(cfg, tcfgs, seed, jobs))
+    ]
     path = out_dir / "sigma_sweep.csv"
     _write_csv(path, ["sigma", "auc"], rows)
     return path

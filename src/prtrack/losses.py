@@ -168,6 +168,7 @@ def kl_mc_loss(sample_scores, label_densities, proposal_densities) -> LossValueG
     t = s - np.log(q)
     m = t.max()
     e = np.exp(t - m)
-    value = m + math.log(e.sum() / k) - float(s @ (p / q)) / k
-    grad = e / e.sum() - p / (q * k)
+    total = e.sum()
+    value = m + math.log(total / k) - float(s @ (p / q)) / k
+    grad = e / total - p / (q * k)
     return LossValueGrad(value, grad)

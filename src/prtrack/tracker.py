@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,8 @@ __all__ = [
     "generate_sequence",
     "TrackerConfig",
     "TrackState",
+    "search_region",
+    "init_scorers",
     "track_init",
     "track_step",
     "run_sequence",
@@ -74,6 +77,15 @@ def _is_int(value) -> bool:
 def _require_int(name: str, value):
     if not _is_int(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_real(name: str, value):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is outside the floating-point range") from None
 
 
 @dataclass(frozen=True)
@@ -231,6 +243,34 @@ _INT_FIELDS = (
     "bb_samples",
     "bb_epochs",
 )
+_REAL_FIELDS = (
+    "sigma_tc_factor",
+    "sigma_bb",
+    "search_scale",
+    "regularization",
+    "gamma_decay",
+    "miss_threshold_mass",
+    "miss_threshold_score",
+    "scorer_tau",
+    "refine_step",
+    "refine_tol",
+    "bb_learning_rate",
+    "bb_lr_decay",
+    "rl2_threshold",
+)
+_BOOL_FIELDS = ("augment", "subcell")
+# Box-scorer settings that tracker configs must share to train their
+# scorers in lockstep; loss_model, sigma_bb and scorer_tau may differ.
+_SHARED_SCORER_FIELDS = (
+    "scorer_family",
+    "scorer_init",
+    "bb_samples",
+    "bb_epochs",
+    "bb_learning_rate",
+    "bb_lr_decay",
+    "proposal_weights",
+    "proposal_sigmas",
+)
 
 
 @dataclass(frozen=True)
@@ -279,6 +319,13 @@ class TrackerConfig:
     def __post_init__(self):
         for name in _INT_FIELDS:
             _require_int(name, getattr(self, name))
+        for name in _REAL_FIELDS:
+            _require_real(name, getattr(self, name))
+        if self.sigma_tc is not None:
+            _require_real("sigma_tc", self.sigma_tc)
+        for name in _BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise DomainError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         if not (self.regularization > 0):
             raise DomainError(f"regularization must be positive, got {self.regularization!r}")
         for stage, iterations in (("init", self.init_iterations), ("online", self.online_iterations)):
@@ -378,27 +425,55 @@ def _set_gamma_weights(state: TrackState):
         sample.weight = float(g)
 
 
-def _build_scorer(cfg: TrackerConfig, anchor: BoxParam, rng: np.random.Generator):
-    mu0 = anchor.values
-    if cfg.scorer_family == "quadratic":
-        scorer = QuadraticScorer(mu0.copy(), cfg.scorer_tau)
-    else:
+def search_region(cfg: TrackerConfig, w: float, h: float) -> int:
+    """Side of the square search region around a w x h target, in cells.
+
+    search_scale times the target's geometric mean size, made odd and at
+    least the kernel size.  DomainError if that size is not finite.
+    """
+    size = cfg.search_scale * math.sqrt(w * h)
+    if not math.isfinite(size):
+        raise DomainError(f"search region {cfg.search_scale!r} x sqrt({w!r} x {h!r}) is not finite")
+    return max(int(round(size)) | 1, cfg.kernel_size)
+
+
+def init_scorers(cfgs, init_box: tuple[float, float, float, float], rng: np.random.Generator) -> list:
+    """Initial box scorers of several tracker configs for one annotated box.
+
+    The annotation is encoded relative to its own center.  The rbf family's
+    random offsets are drawn once and every scorer gets the same ones; with
+    scorer_init "train" the scorers are then trained in lockstep on one
+    proposal stream.  Each scorer therefore equals the one its config would
+    get alone from an equally seeded generator.  DomainError unless the
+    configs agree on every box-scorer setting but loss_model, sigma_bb and
+    scorer_tau.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise DomainError("init_scorers needs at least one tracker config")
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        for name in _SHARED_SCORER_FIELDS:
+            if getattr(cfg, name) != getattr(first, name):
+                raise DomainError(f"tracker configs disagree on {name}; box scorers cannot share training")
+    _, _, w, h = init_box
+    if not (w > 0 and h > 0):
+        raise DomainError(f"init box size must be positive, got {(w, h)}")
+    anchor = BoxParam(np.array([0.0, 0.0, math.log(w), math.log(h)]), (w, h))
+    if first.scorer_family == "rbf":
         offsets = np.vstack([np.zeros(4), 0.3 * rng.standard_normal((7, 4))])
-        amps = np.zeros(len(offsets))
-        amps[0] = 1.0
-        scorer = RbfMixtureScorer(mu0 + offsets, np.full(len(offsets), cfg.scorer_tau), amps)
-    if cfg.scorer_init == "train":
-        train_box_scorer(
-            scorer,
-            [anchor],
-            cfg.sigma_bb,
-            cfg.bb_proposal,
-            cfg.bb_samples,
-            cfg.bb_sgd,
-            rng,
-            cfg.loss_model,
-        )
-    return scorer
+    scorers = []
+    for cfg in cfgs:
+        if first.scorer_family == "quadratic":
+            scorers.append(QuadraticScorer(anchor.values.copy(), cfg.scorer_tau))
+        else:
+            amps = np.zeros(len(offsets))
+            amps[0] = 1.0
+            scorers.append(RbfMixtureScorer(anchor.values + offsets, np.full(len(offsets), cfg.scorer_tau), amps))
+    if first.scorer_init == "train":
+        jobs = [(scorer, cfg.loss_model, cfg.sigma_bb) for scorer, cfg in zip(scorers, cfgs)]
+        train_box_scorer(jobs, [anchor], first.bb_proposal, first.bb_samples, first.bb_sgd, rng)
+    return scorers
 
 
 def track_init(
@@ -406,22 +481,21 @@ def track_init(
     init_box: tuple[float, float, float, float],
     cfg: TrackerConfig,
     rng: np.random.Generator | None = None,
+    scorer=None,
 ) -> TrackState:
     """Build the initial model from the annotated first frame.
 
     The support set starts with the crop around the annotation (the anchor,
     never evicted) plus, unless augmentation is off, a horizontal flip and
     four shifted crops.  The kernel is warm-started by label back-projection
-    and optimized for cfg.init_iterations; the box scorer is fit (or
-    trained) on the annotation encoded relative to the annotated center.
+    and optimized for cfg.init_iterations.  The box scorer is the given one,
+    or else init_scorers([cfg], init_box, rng)[0]; rng (seed 0 if omitted)
+    is used for nothing else.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
     cx, cy, w, h = init_box
     if not (w > 0 and h > 0):
         raise DomainError(f"init box size must be positive, got {(w, h)}")
-    region = int(round(cfg.search_scale * math.sqrt(w * h)))
-    region = max(region | 1, cfg.kernel_size)  # odd, large enough for the kernel
+    region = search_region(cfg, w, h)
     sigma = cfg.resolved_sigma_tc(w, h)
 
     center = (int(round(cy)), int(round(cx)))
@@ -442,8 +516,10 @@ def track_init(
     model = init_weights(samples, (cfg.kernel_size, cfg.kernel_size))
     model, _ = optimize(model, samples, cfg.init_optimizer)
 
-    anchor_box = BoxParam(np.array([0.0, 0.0, math.log(w), math.log(h)]), (w, h))
-    scorer = _build_scorer(cfg, anchor_box, rng)
+    if scorer is None:
+        if rng is None:
+            rng = np.random.Generator(np.random.PCG64(0))
+        scorer = init_scorers([cfg], init_box, rng)[0]
 
     state = TrackState(cfg=cfg, model=model, scorer=scorer)
     state.support = samples
@@ -548,12 +624,16 @@ def run_sequence(
     sequence: SyntheticSequence,
     cfg: TrackerConfig,
     rng: np.random.Generator | None = None,
+    scorer=None,
 ) -> TrackRun:
-    """Initialize on frame 0 ground truth and track the remaining frames."""
+    """Initialize on frame 0 ground truth and track the remaining frames.
+
+    rng and scorer are passed to track_init.
+    """
     first = sequence.frames[0]
     if first.ground_truth_box is None:
         raise DomainError("the first frame needs a ground-truth box to initialize")
-    state = track_init(first, first.ground_truth_box, cfg, rng)
+    state = track_init(first, first.ground_truth_box, cfg, rng, scorer)
     boxes = [state.current_box]
     missing = [False]
     masses = [state.last_peak_mass]

@@ -194,7 +194,7 @@ def test_train_quadratic_centers_on_annotation():
     ann = box_encode((10.0, 12.0, 5.0, 4.0), (5.0, 4.0))
     scorer = QuadraticScorer(ann.values + 0.3, tau=0.2)
     sgd = SGDConfig(learning_rate=0.2, epochs=400, lr_decay=0.02)
-    scorer, last = train_box_scorer(scorer, [ann], 0.05, PAPER_PROPOSAL, 256, sgd, rng)
+    [(scorer, last)] = train_box_scorer([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 256, sgd, rng)
     assert math.isfinite(last)
     assert float(np.abs(scorer.mu - ann.values).max()) <= 1e-2
 
@@ -223,7 +223,7 @@ def test_train_loss_drops_over_epochs():
         ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
         scorer = QuadraticScorer(ann.values + 0.3, tau=0.2)
         sgd = SGDConfig(learning_rate=0.25, epochs=epochs, lr_decay=0.5)
-        _, last = train_box_scorer(scorer, [ann], 0.05, PAPER_PROPOSAL, 64, sgd, rng)
+        [(_, last)] = train_box_scorer([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 64, sgd, rng)
         return last
 
     assert run(50) < run(1)
@@ -240,9 +240,7 @@ def test_sigma_to_zero_matches_delta_label_training():
     def fit(loss_model):
         rng = np.random.Generator(np.random.PCG64(48))
         scorer = QuadraticScorer(ann.values + 0.2, tau=0.2)
-        scorer, _ = train_box_scorer(
-            scorer, [ann], 1e-4, proposal, 128, sgd, rng, loss_model=loss_model
-        )
+        [(scorer, _)] = train_box_scorer([(scorer, loss_model, 1e-4)], [ann], proposal, 128, sgd, rng)
         return scorer.mu
 
     mu_kl = fit("kl")
@@ -256,9 +254,7 @@ def test_train_squared_error_branch_moves_toward_annotation():
     start = ann.values + 0.4
     scorer = QuadraticScorer(start, tau=0.5)
     sgd = SGDConfig(learning_rate=0.5, epochs=120)
-    scorer, _ = train_box_scorer(
-        scorer, [ann], 0.05, PAPER_PROPOSAL, 64, sgd, rng, loss_model="l2"
-    )
+    [(scorer, _)] = train_box_scorer([(scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 64, sgd, rng)
     assert np.linalg.norm(scorer.mu - ann.values) < np.linalg.norm(start - ann.values)
 
 
@@ -268,13 +264,20 @@ def test_train_validation():
     sgd = SGDConfig()
     rng = np.random.Generator(np.random.PCG64(50))
     with pytest.raises(DimensionError):
-        train_box_scorer(scorer, [], 0.05, PAPER_PROPOSAL, 4, sgd, rng)
+        train_box_scorer([(scorer, "kl", 0.05)], [], PAPER_PROPOSAL, 4, sgd, rng)
+    with pytest.raises(DimensionError):
+        train_box_scorer([], [ann], PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
-        train_box_scorer(scorer, [ann], 0.05, PAPER_PROPOSAL, 1, sgd, rng)
+        train_box_scorer([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 1, sgd, rng)
     with pytest.raises(DomainError):
-        train_box_scorer(scorer, [ann], 0.0, PAPER_PROPOSAL, 4, sgd, rng)
+        train_box_scorer([(scorer, "kl", 0.0)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
-        train_box_scorer(scorer, [ann], 0.05, PAPER_PROPOSAL, 4, sgd, rng, loss_model="huber")
+        train_box_scorer([(scorer, "huber", 0.05)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+    # One bad job rejects the whole call before anything is drawn.
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        train_box_scorer([(scorer, "kl", 0.05), (scorer, "l2", -1.0)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+    assert rng.bit_generator.state == state
 
 
 def _scorer(family, ann):
@@ -297,7 +300,9 @@ def test_train_matches_plain_reference_loop(family, loss_model):
     sgd = SGDConfig(learning_rate=0.25, epochs=30, lr_decay=0.5)
     rng_a = np.random.Generator(np.random.PCG64(53))
     rng_b = np.random.Generator(np.random.PCG64(53))
-    got, got_last = train_box_scorer(_scorer(family, anns[0]), anns, 0.05, proposal, 96, sgd, rng_a, loss_model)
+    [(got, got_last)] = train_box_scorer(
+        [(_scorer(family, anns[0]), loss_model, 0.05)], anns, proposal, 96, sgd, rng_a
+    )
     want, want_last = train_box_scorer_reference(
         _scorer(family, anns[0]), anns, 0.05, proposal, 96, sgd, rng_b, loss_model
     )
@@ -331,9 +336,108 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
         built.update(labels=0, proposals=0, losses=0)
         scorer = QuadraticScorer(anns[0].values, tau=0.2)
         rng = np.random.Generator(np.random.PCG64(54))
-        train_box_scorer(scorer, anns, 0.05, proposal, 16, SGDConfig(epochs=7), rng, loss_model)
+        train_box_scorer([(scorer, loss_model, 0.05)], anns, proposal, 16, SGDConfig(epochs=7), rng)
         # The delta-label (nll) loss goes through the same divergence code.
         assert built == {"labels": 2, "proposals": 2, "losses": 14}
+
+
+def _lockstep_jobs():
+    anns = [box_encode((3.0, 2.0, 4.0, 5.0), (4.0, 5.0)), box_encode((1.0, -1.0, 3.0, 2.5), (3.5, 2.0))]
+    jobs = [
+        (family, loss_model, sigma_bb)
+        for family in ("quadratic", "rbf")
+        for loss_model in ("l2", "rl2", "nll", "kl")
+        for sigma_bb in (0.05, 0.12)
+    ]
+    return anns, jobs
+
+
+def test_lockstep_jobs_match_each_job_trained_alone():
+    # Every job ends bit for bit where training it alone from an equally
+    # seeded generator ends, and the generator ends in the same state.
+    anns, jobs = _lockstep_jobs()
+    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
+    sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
+    rng = np.random.Generator(np.random.PCG64(55))
+    together = train_box_scorer(
+        [(_scorer(family, anns[0]), loss, sigma) for family, loss, sigma in jobs], anns, proposal, 64, sgd, rng
+    )
+    assert len(together) == len(jobs)
+    for (family, loss, sigma), (got, got_last) in zip(jobs, together):
+        alone_rng = np.random.Generator(np.random.PCG64(55))
+        [(want, want_last)] = train_box_scorer(
+            [(_scorer(family, anns[0]), loss, sigma)], anns, proposal, 64, sgd, alone_rng
+        )
+        assert type(got) is type(want)
+        assert np.array_equal(got.params, want.params), (family, loss, sigma)
+        assert got_last == want_last, (family, loss, sigma)
+        assert alone_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "models,densities,labels,overlaps",
+    [
+        (("kl", "nll", "l2", "rl2"), 1, 2, 1),
+        (("kl",), 1, 2, 0),
+        (("nll",), 1, 0, 0),
+        (("l2", "rl2"), 0, 0, 1),
+    ],
+)
+def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities, labels, overlaps):
+    # Per epoch and annotation: one draw batch, at most one proposal density,
+    # one label density per distinct kl width, at most one overlap vector.
+    calls = {"sample": 0, "density": 0, "label": 0, "iou": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(bbox, "proposal_sample", counting("sample", proposal_sample))
+    monkeypatch.setattr(bbox, "proposal_density", counting("density", proposal_density))
+    monkeypatch.setattr(bbox, "gaussian_density", counting("label", gaussian_density))
+    monkeypatch.setattr(bbox, "iou_xywh", counting("iou", bbox.iou_xywh))
+    anns = [box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0)), box_encode((1.0, 0.0, 2.0, 3.0), (2.0, 3.0))]
+    jobs = [
+        (QuadraticScorer(anns[0].values, tau=0.2), loss_model, sigma_bb)
+        for loss_model in models
+        for sigma_bb in (0.05, 0.1, 0.05)
+    ]
+    rng = np.random.Generator(np.random.PCG64(56))
+    train_box_scorer(jobs, anns, PAPER_PROPOSAL, 16, SGDConfig(epochs=5), rng)
+    steps = 5 * len(anns)
+    assert calls == {"sample": steps, "density": densities * steps, "label": labels * steps, "iou": overlaps * steps}
+
+
+@pytest.mark.parametrize("loss_model,per_step", [("kl", 1), ("l2", 1), ("nll", 3)])
+def test_rbf_training_step_computes_the_basis_once(monkeypatch, loss_model, per_step):
+    # Score and parameter gradient of a batch share one basis evaluation;
+    # nll also scores the annotation itself (value and gradient).
+    calls = []
+    basis = RbfMixtureScorer._basis
+
+    def counting_basis(self, ys):
+        calls.append(len(ys))
+        return basis(self, ys)
+
+    monkeypatch.setattr(RbfMixtureScorer, "_basis", counting_basis)
+    ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
+    rng = np.random.Generator(np.random.PCG64(57))
+    train_box_scorer([(_scorer("rbf", ann), loss_model, 0.05)], [ann], PAPER_PROPOSAL, 16, SGDConfig(epochs=7), rng)
+    assert len(calls) == 7 * per_step
+    assert calls.count(16) == 7
+
+
+def test_rbf_value_and_grad_params_match_the_separate_calls():
+    ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
+    scorer = _scorer("rbf", ann)
+    scorer.params = np.linspace(-1.0, 2.0, 6)
+    ys = proposal_sample(PAPER_PROPOSAL.recenter(ann.values), np.random.Generator(np.random.PCG64(58)), size=32)
+    s, basis = scorer.value_and_grad_params_batch(ys)
+    assert np.array_equal(s, scorer.value_batch(ys))
+    assert np.array_equal(basis, scorer.grad_params_batch(ys))
 
 
 def test_sgd_config_validation():

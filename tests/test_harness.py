@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prtrack import harness
+from prtrack import bbox, harness
 from prtrack.errors import UsageError
 from prtrack.gridmath import load_grid
 from prtrack.harness import (
@@ -187,6 +189,78 @@ def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
     _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, "rl2_threshold must be finite")
 
 
+@pytest.mark.parametrize(
+    "tracker,message",
+    [
+        ({"miss_threshold_mass": "x"}, "miss_threshold_mass must be a real number"),
+        ({"miss_threshold_score": None}, "miss_threshold_score must be a real number"),
+        ({"sigma_bb": True}, "sigma_bb must be a real number"),
+        ({"sigma_tc": "1.5"}, "sigma_tc must be a real number"),
+        ({"search_scale": [5.0]}, "search_scale must be a real number"),
+        ({"gamma_decay": False}, "gamma_decay must be a real number"),
+        ({"refine_tol": 10**400}, "refine_tol is outside the floating-point range"),
+        ({"proposal_sigmas": [0.05, 10**400]}, "tracker.proposal_sigmas is outside the floating-point range"),
+        ({"augment": "no"}, "augment must be a boolean"),
+        ({"subcell": 0}, "subcell must be a boolean"),
+        ({"bb_learning_rate": math.inf}, "box training: learning_rate must be positive and finite"),
+        ({"bb_lr_decay": math.nan}, "box training: lr_decay must be nonnegative and finite"),
+    ],
+)
+def test_cli_rejects_mistyped_tracker_fields(tmp_path, capsys, monkeypatch, tracker, message):
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, "tracker": tracker}, message)
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"tracker": {"search_scale": 1e9}}, "search region for a 6.0x6.0 target: a 4x6000000001x6000000001 crop"),
+        ({"tracker": {"search_scale": math.inf}}, "search region for a 6.0x6.0 target: search region inf"),
+        ({"tracker": {"kernel_size": 2049}}, "a 4x2049x2049 crop has 16793604 cells, over 4194304"),
+        (
+            {"track": {"scenario": {"preset": "static", "target_w": 1e6, "target_h": 1e6}}},
+            "search region for a 1000000.0x1000000.0 target",
+        ),
+        (
+            {"dump": {"scenario": {"preset": "static", "channels": 4400}}},
+            "a 4400x31x31 crop has 4228400 cells, over 4194304",
+        ),
+    ],
+)
+def test_cli_bounds_the_search_region_at_load(tmp_path, capsys, monkeypatch, payload, message):
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, **payload}, message)
+
+
+def test_search_region_just_under_the_bound_loads(tmp_path):
+    payload = {"dump": {"scenario": {"preset": "static", "channels": 4000}}}  # 3,844,000 cells
+    assert load_config(_write_config(tmp_path, payload)).dump_scenario["channels"] == 4000
+
+
+_TRACKER_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e-3, max_value=20.0),
+    st.sampled_from(["kl", "nll", "l2", "rl2", "auto", "mass", "score", "fit", "train", "quadratic", "rbf", "x"]),
+    st.lists(st.one_of(st.floats(allow_nan=True), st.integers(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(harness._TRACKER_FIELDS)), _TRACKER_VALUES, max_size=4))
+def test_load_config_returns_or_raises_usage_error(tmp_path_factory, tracker):
+    # Any tracker section either loads or is rejected as bad usage; nothing
+    # else escapes load_config.
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps({"tracker": tracker}))
+    try:
+        load_config(str(path))
+    except UsageError:
+        pass
+
+
 def test_config_io_failures(tmp_path):
     with pytest.raises(UsageError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
@@ -271,6 +345,52 @@ def test_compare_losses_golden_digest(tmp_path):
     assert main(["compare-losses", "--config", cfgpath, "--seed", "1", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "compare_losses.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+SMALL_SUITE = {
+    "suite": {
+        "scenarios": [
+            {"preset": "distractors", "num_frames": 9},
+            {"preset": "distractors_occlusion", "num_frames": 9},
+        ],
+        "repetitions": 2,
+    },
+    "tracker": {"bb_epochs": 40, "bb_samples": 128},
+    "sweep": {"parameter": "sigma_bb", "values": [0.2, 0.05, 0.1]},
+}
+
+
+@pytest.mark.parametrize("command,name", [("compare-losses", "compare_losses.csv"), ("sigma-sweep", "sigma_sweep.csv")])
+def test_suite_csv_is_independent_of_jobs(tmp_path, command, name):
+    cfgpath = _write_config(tmp_path, SMALL_SUITE)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([command, "--config", cfgpath, "--seed", "4", "--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append((out / name).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command,configs", [("compare-losses", len(MODEL_ORDER)), ("sigma-sweep", 3)])
+def test_suite_renders_and_draws_once_per_cell(tmp_path, monkeypatch, command, configs):
+    # One rendered sequence and one proposal stream per (scenario, repetition)
+    # cell, shared by every tracker config; one tracked run per config.
+    calls = {"generate": 0, "sample": 0, "cells": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "generate_sequence", counting("generate", harness.generate_sequence))
+    monkeypatch.setattr(bbox, "proposal_sample", counting("sample", bbox.proposal_sample))
+    monkeypatch.setattr(harness, "_run_cell", counting("cells", harness._run_cell))
+    cfgpath = _write_config(tmp_path, SMALL_SUITE)
+    assert main([command, "--config", cfgpath, "--seed", "4", "--out", str(tmp_path / "o")]) == 0
+    cells = 2 * 2
+    assert calls == {"generate": cells, "sample": cells * 40, "cells": cells * configs}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from prtrack.tracker import (
     TrackerConfig,
     evaluate,
     generate_sequence,
+    init_scorers,
     run_sequence,
+    search_region,
     track_init,
     track_step,
     write_track_csv,
@@ -133,6 +135,93 @@ def test_init_deterministic_for_equal_seeds():
     a, b = build(), build()
     np.testing.assert_array_equal(a.model.weights.values, b.model.weights.values)
     np.testing.assert_array_equal(a.scorer.mu, b.scorer.mu)
+
+
+BOX = (20.0, 20.0, 6.0, 4.0)
+SHORT_TRAINING = dict(scorer_init="train", bb_samples=32, bb_epochs=8)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "rbf"])
+def test_init_scorers_match_each_config_alone(family):
+    # Lockstep construction gives each config the scorer it would get
+    # alone from an equally seeded generator, bit for bit.
+    cfgs = [
+        TrackerConfig(loss_model=loss, sigma_bb=sigma, scorer_tau=tau, scorer_family=family, **SHORT_TRAINING)
+        for loss, sigma, tau in (("l2", 0.05, 0.2), ("kl", 0.05, 0.2), ("kl", 0.1, 0.3), ("nll", 0.05, 0.2))
+    ]
+    rng = np.random.Generator(np.random.PCG64(18))
+    together = init_scorers(cfgs, BOX, rng)
+    for cfg, got in zip(cfgs, together):
+        alone_rng = np.random.Generator(np.random.PCG64(18))
+        [want] = init_scorers([cfg], BOX, alone_rng)
+        assert np.array_equal(got.params, want.params)
+        assert got.to_values() == want.to_values()
+        assert alone_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_init_with_a_given_scorer_matches_building_it():
+    seq = generate_sequence(STATIC)
+    frame = seq.frames[0]
+    cfg = TrackerConfig(**SHORT_TRAINING)
+    [scorer] = init_scorers([cfg], frame.ground_truth_box, np.random.Generator(np.random.PCG64(20)))
+    given = track_init(frame, frame.ground_truth_box, cfg, scorer=scorer)
+    built = track_init(frame, frame.ground_truth_box, cfg, np.random.Generator(np.random.PCG64(20)))
+    assert given.scorer is scorer
+    assert np.array_equal(built.scorer.mu, scorer.mu)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("scorer_family", "rbf"),
+        ("scorer_init", "fit"),
+        ("bb_samples", 64),
+        ("bb_epochs", 9),
+        ("bb_learning_rate", 0.1),
+        ("bb_lr_decay", 0.25),
+        ("proposal_weights", (0.25, 0.75)),
+        ("proposal_sigmas", (0.05, 0.4)),
+    ],
+)
+def test_init_scorers_rejects_configs_that_disagree_on_box_settings(field, value):
+    cfgs = [TrackerConfig(**SHORT_TRAINING), TrackerConfig(**{**SHORT_TRAINING, field: value})]
+    rng = np.random.Generator(np.random.PCG64(21))
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=field):
+        init_scorers(cfgs, BOX, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_search_region_is_odd_and_fits_the_kernel():
+    assert search_region(TrackerConfig(), 6.0, 6.0) == 31
+    assert search_region(TrackerConfig(), 6.0, 4.0) == 25
+    assert search_region(TrackerConfig(search_scale=1.0, kernel_size=9), 2.0, 2.0) == 9
+    with pytest.raises(DomainError, match="not finite"):
+        search_region(TrackerConfig(search_scale=math.inf), 6.0, 6.0)
+    with pytest.raises(DomainError, match="not finite"):
+        search_region(TrackerConfig(), 1e200, 1e200)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("miss_threshold_mass", "x", "must be a real number"),
+        ("miss_threshold_score", None, "must be a real number"),
+        ("sigma_bb", True, "must be a real number"),
+        ("sigma_tc", "1.5", "must be a real number"),
+        pytest.param("refine_tol", 10**400, "is outside the floating-point range", id="refine_tol-10**400"),
+        ("augment", "no", "must be a boolean"),
+        ("subcell", 1, "must be a boolean"),
+    ],
+)
+def test_tracker_config_checks_field_types(field, value, message):
+    with pytest.raises(DomainError, match=f"{field} {message}"):
+        TrackerConfig(**{field: value})
+
+
+def test_tracker_config_accepts_integers_and_numpy_reals_for_real_fields():
+    cfg = TrackerConfig(sigma_bb=np.float64(0.05), search_scale=5, miss_threshold_mass=np.int64(0))
+    assert cfg.search_scale == 5
 
 
 def test_init_rejects_degenerate_box():
