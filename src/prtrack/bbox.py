@@ -358,7 +358,7 @@ def train_box_scorer(
     sampling noise.  Mutates the scorers and returns one (scorer, mean loss
     seen in the final epoch) per job.
     """
-    jobs = [(scorer, loss_model, sigma_bb) for scorer, loss_model, sigma_bb in jobs]
+    jobs = list(jobs)
     annotations = list(annotations)
     if not jobs:
         raise DimensionError("train_box_scorer needs at least one job")

@@ -382,17 +382,14 @@ def _suite_metrics(cfg: RunConfig, tracker_cfgs, master_seed: int, jobs: int):
             )
     results = _run_cells(tasks, jobs)
     cells = [results[key] for key in sorted(results)]
-    out = []
-    for i in range(len(tracker_cfgs)):
-        metrics = [cell[i] for cell in cells]
-        out.append(
-            (
-                float(np.mean([m.auc for m in metrics])),
-                float(np.mean([m.op_at(0.50) for m in metrics])),
-                float(np.mean([m.op_at(0.75) for m in metrics])),
-            )
+    return [
+        (
+            float(np.mean([m.auc for m in metrics])),
+            float(np.mean([m.op_at(0.50) for m in metrics])),
+            float(np.mean([m.op_at(0.75) for m in metrics])),
         )
-    return out
+        for metrics in zip(*cells)
+    ]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):

@@ -204,6 +204,7 @@ def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
         ({"subcell": 0}, "subcell must be a boolean"),
         ({"bb_learning_rate": math.inf}, "box training: learning_rate must be positive and finite"),
         ({"bb_lr_decay": math.nan}, "box training: lr_decay must be nonnegative and finite"),
+        ({"bb_lr_decay": math.inf}, "box training: lr_decay must be nonnegative and finite"),
     ],
 )
 def test_cli_rejects_mistyped_tracker_fields(tmp_path, capsys, monkeypatch, tracker, message):
@@ -235,15 +236,18 @@ def test_search_region_just_under_the_bound_loads(tmp_path):
     assert load_config(_write_config(tmp_path, payload)).dump_scenario["channels"] == 4000
 
 
+# JSON integers are unbounded; these straddle the largest finite float.
+_HUGE_INTS = st.integers(min_value=2**1020, max_value=2**1030)
 _TRACKER_VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(10**6), max_value=10**6),
     st.integers(),
+    _HUGE_INTS,
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(min_value=1e-3, max_value=20.0),
     st.sampled_from(["kl", "nll", "l2", "rl2", "auto", "mass", "score", "fit", "train", "quadratic", "rbf", "x"]),
-    st.lists(st.one_of(st.floats(allow_nan=True), st.integers(), st.text(max_size=2)), max_size=3),
+    st.lists(st.one_of(st.floats(allow_nan=True), st.integers(), _HUGE_INTS, st.text(max_size=2)), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
 )
 
