@@ -23,13 +23,31 @@ objective the first trial already descends, so Newton exactness is kept.
 
 Scores are linear in w, so the solver keeps each sample's scores s_j and
 the curvature pass's v_j = z_j * g: a trial step scores as s_j - alpha * v_j
-and backtracking trials cost no correlation.  An iteration unfolds each
-sample twice (adjoint pass, curvature pass), whatever the line search does.
+and backtracking trials cost no correlation.
+
+The support set is one problem over (N, H * W) stacks: row j of the label,
+score, direction and work stacks is sample j's grid, flattened, so every
+sample of a support must share one grid shape.  Each loss family evaluates
+its value, score gradient and curvature over a whole stack at once.  It
+sums each row as NumPy sums a lone contiguous grid and accumulates the
+samples in order, so the stacked results equal per-sample ones bit for bit.
+
+Unfolds are built one sample at a time and never kept.  An iteration
+unfolds each sample at most twice, for its adjoint and for its curvature
+direction, whatever the line search does; the closing pass unfolds each
+sample once more.  That pass leaves each sample its scores and its loss
+gradient's kernel-space pullback under the returned kernel (see
+SupportSample), and the first pass of the next call reuses them: a sample
+that kept both needs no first-pass unfold, one that kept only its scores
+needs one for its adjoint, and a fresh sample's one unfold serves both its
+scores and its adjoint.  A k-iteration call thus builds N * (2k + 1)
+unfolds on fresh samples and N * 2k on the samples a previous call left.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,12 +80,23 @@ class SupportSample:
     center_rc optionally pins the annotated (row, col); it feeds the
     delta-label loss and replaces labels whose grid values underflowed to
     zero mass.  When absent, the label grid argmax is used instead.
+
+    A sample also keeps its last evaluation, so the next solve need not
+    repeat it: one (H, W) score grid, and with it, when a solve made them,
+    the loss gradient's kernel-space pullback and the loss settings
+    (loss_model, rl2_threshold) it was made under.  The key is the kernel
+    array itself, not its values, and it counts only while that array is
+    read-only (optimize returns read-only kernels), so an in-place edit
+    cannot leave a stale entry.  What is kept does not depend on the
+    weight; assigning any other field drops it.  A kept evaluation that does
+    not match is ignored.
     """
 
     features: FeatureMap
     label_grid: Grid2D
     weight: float = 1.0
     center_rc: tuple[float, float] | None = None
+    _kept = None  # (kernel array, scores, loss settings, pullback)
 
     def __post_init__(self):
         if (self.features.height, self.features.width) != (
@@ -77,6 +106,27 @@ class SupportSample:
             raise DimensionError("label grid shape must match the feature map spatial shape")
         if not (self.weight >= 0):
             raise DomainError(f"sample weight must be nonnegative, got {self.weight}")
+
+    def __setattr__(self, name, value):
+        if name != "weight":
+            object.__setattr__(self, "_kept", None)
+        object.__setattr__(self, name, value)
+
+    def keep(self, kernel: np.ndarray, scores: np.ndarray, loss=None, pullback=None):
+        """Keep the (H, W) scores made under the kernel array; a solve adds its loss settings and pullback."""
+        self._kept = (kernel, scores, loss, pullback)
+
+    def kept(self, kernel: np.ndarray, loss) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(scores, pullback) kept under this very kernel array, else Nones.
+
+        The pullback is None unless it was also made under these loss settings.
+        """
+        if self._kept is None:
+            return None, None
+        key, scores, kept_loss, pullback = self._kept
+        if key is not kernel or kernel.flags.writeable or scores.shape != self.label_grid.values.shape:
+            return None, None
+        return scores, pullback if kept_loss == loss else None
 
 
 @dataclass(frozen=True)
@@ -133,131 +183,255 @@ def softmax_cross_entropy(scores: np.ndarray, p: np.ndarray) -> tuple[float, np.
     pa = np.asarray(p, dtype=np.float64)
     if s.shape != pa.shape:
         raise DimensionError(f"score shape {s.shape} does not match label shape {pa.shape}")
-    m = float(s.max())
-    e = np.exp(s - m)
-    total = e.sum()
-    value = m + math.log(total) - float((pa * s).sum())
-    return value, e / total - pa
+    row = s.reshape(1, -1)
+    grad, state = np.empty_like(row), np.empty_like(row)
+    (value,) = _CrossEntropy(pa.reshape(1, -1)).value_grad(row, grad, state, slice(None))
+    return value, grad.reshape(s.shape)
 
 
-def _one_hot(shape: tuple[int, int], center_rc) -> np.ndarray:
-    h, w = shape
-    i = min(max(int(round(center_rc[0])), 0), h - 1)
-    j = min(max(int(round(center_rc[1])), 0), w - 1)
-    out = np.zeros(shape)
-    out[i, j] = 1.0
-    return out
+class _CrossEntropy:
+    """Softmax cross entropy log(sum_k exp s_k) - sum_k p_k s_k of each row.
 
-
-class _Prepared:
-    """Per-sample state reused across solver iterations.
-
-    The row unfold is C * kh times the size of the features, so it is
-    rebuilt on demand and never kept: callers hold at most one at a time.
+    The score gradient is softmax(s) - p.  The curvature state is the
+    softmax, taken as that gradient plus p.
     """
 
-    def __init__(self, sample: SupportSample, cfg: OptimizerConfig, kernel_shape):
-        kh, kw = kernel_shape
-        z = sample.features
-        if kh > z.height or kw > z.width:
-            raise DimensionError(f"kernel {kh}x{kw} does not fit sample {z.height}x{z.width}")
-        self.z = z.values
-        self.kernel_shape = (z.channels, kh, kw)
-        self.gamma = float(sample.weight)
-        lbl = sample.label_grid.values
-        center = sample.center_rc
-        if center is None:
-            flat = int(np.argmax(lbl))
-            center = (flat // lbl.shape[1], flat % lbl.shape[1])
-        self.kind = "ce" if cfg.loss_model in ("kl", "nll") else cfg.loss_model
-        if cfg.loss_model == "kl":
-            mass = lbl.sum()
-            # An extremely narrow label can underflow every cell; fall back
-            # to a delta at the annotated cell, which is its exact limit.
-            self.p = lbl / mass if mass > 1e-150 else _one_hot(lbl.shape, center)
-        elif cfg.loss_model == "nll":
-            self.p = _one_hot(lbl.shape, center)
+    def __init__(self, labels: np.ndarray):
+        self.labels = labels
+
+    @staticmethod
+    def _values(s, p, work):
+        # Leaves exp(s - max) in work and returns it with the row values.
+        m = s.max(axis=1)
+        ps = np.multiply(p, s, out=work).sum(axis=1)
+        np.subtract(s, m[:, None], out=work)
+        total = np.exp(work, out=work).sum(axis=1)
+        values = [mj + math.log(tj) - pj for mj, tj, pj in zip(m.tolist(), total.tolist(), ps.tolist())]
+        return values, total
+
+    def value(self, s: np.ndarray, work: np.ndarray) -> list[float]:
+        """Loss of each row of s; work is a scratch stack of its shape."""
+        return self._values(s, self.labels, work)[0]
+
+    def value_grad(self, s, grad, state, rows: slice) -> list[float]:
+        """Losses of the rows; grad and state get their score gradients and curvature states."""
+        s, grad, state, p = s[rows], grad[rows], state[rows], self.labels[rows]
+        values, total = self._values(s, p, state)
+        np.divide(state, total[:, None], out=state)
+        np.subtract(state, p, out=grad)
+        np.add(grad, p, out=state)
+        return values
+
+    def curvature(self, state: np.ndarray, v: np.ndarray, work: np.ndarray) -> list[float]:
+        """v' (d2 loss / ds2) v of each row: the softmax variance of v."""
+        pv = np.multiply(state, v, out=work).sum(axis=1).tolist()
+        pvv = np.multiply(work, v, out=work).sum(axis=1).tolist()
+        return [b - a * a for a, b in zip(pv, pvv)]
+
+
+class _Squared:
+    """Sum of squared residuals r = s - a of each row.
+
+    With a far mask (rl2) the residual off the near cells is the hinge
+    max(s, 0), and the curvature state masks the cells where it is flat.
+    Without one (l2) every cell is near and no state is needed.
+    """
+
+    def __init__(self, labels: np.ndarray, far: np.ndarray | None):
+        self.labels = labels
+        self.far = far
+
+    def _residual(self, s, out, rows):
+        np.subtract(s, self.labels[rows], out=out)
+        if self.far is not None:
+            np.maximum(s, 0.0, out=out, where=self.far[rows])
+        return out
+
+    def value(self, s: np.ndarray, work: np.ndarray) -> list[float]:
+        """Loss of each row of s; work is a scratch stack of its shape."""
+        r = self._residual(s, work, slice(None))
+        return np.multiply(r, r, out=r).sum(axis=1).tolist()
+
+    def value_grad(self, s, grad, state, rows: slice) -> list[float]:
+        """Losses of the rows; grad and state get their score gradients and curvature states."""
+        s, grad, state = s[rows], grad[rows], state[rows]
+        r = self._residual(s, grad, rows)
+        values = np.multiply(r, r, out=state).sum(axis=1).tolist()
+        np.multiply(r, 2.0, out=grad)
+        if self.far is not None:
+            state.fill(1.0)
+            np.greater(s, 0.0, out=state, where=self.far[rows])
+        return values
+
+    def curvature(self, state: np.ndarray, v: np.ndarray, work: np.ndarray) -> list[float]:
+        """v' (d2 loss / ds2) v of each row."""
+        if self.far is None:
+            vv = np.multiply(v, v, out=work)
         else:
-            peak = lbl.max()
-            self.a = lbl / peak if peak > 1e-150 else _one_hot(lbl.shape, center)
-            self.near = self.a > cfg.rl2_threshold
-
-    def columns(self) -> np.ndarray:
-        return _columns(self.z, self.kernel_shape[1], self.kernel_shape[2])
-
-    def scores(self, w: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        if cols is None:
-            cols = self.columns()
-        return _correlate(cols, w, self.z.shape[1:])
-
-    def adjoint(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _correlate_adjoint(cols, u, self.kernel_shape)
-
-    def _residual(self, s: np.ndarray) -> np.ndarray:
-        if self.kind == "l2":
-            return s - self.a
-        return np.where(self.near, s - self.a, np.maximum(s, 0.0))
-
-    def value(self, s: np.ndarray) -> float:
-        """Loss value alone, as value_grad computes it."""
-        if self.kind == "ce":
-            m = float(s.max())
-            return m + math.log(np.exp(s - m).sum()) - float((self.p * s).sum())
-        r = self._residual(s)
-        return float((r * r).sum())
-
-    def value_grad(self, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
-        """Loss value, gradient in s, and cached curvature state."""
-        if self.kind == "ce":
-            value, grad = softmax_cross_entropy(s, self.p)
-            return value, grad, grad + self.p  # softmax probabilities
-        r = self._residual(s)
-        if self.kind == "l2":
-            return float((r * r).sum()), 2.0 * r, None
-        mask = np.where(self.near, 1.0, (s > 0).astype(np.float64))
-        return float((r * r).sum()), 2.0 * r, mask
-
-    def curvature(self, state: np.ndarray | None, v: np.ndarray) -> float:
-        """Quadratic form v' (d2 loss / ds2) v for this sample."""
-        if self.kind == "ce":
-            phat = state
-            pv = float((phat * v).sum())
-            return float((phat * v * v).sum()) - pv * pv
-        if self.kind == "l2":
-            return 2.0 * float((v * v).sum())
-        return 2.0 * float((state * v * v).sum())
+            vv = np.multiply(np.multiply(state, v, out=work), v, out=work)
+        return [2.0 * x for x in vv.sum(axis=1).tolist()]
 
 
-def _prepare(support, cfg: OptimizerConfig, kernel: Kernel2D) -> list[_Prepared]:
-    prepped = []
-    for sample in support:
-        if sample.features.channels != kernel.channels:
-            raise DimensionError(
-                f"sample has {sample.features.channels} channels, kernel {kernel.channels}"
-            )
-        prepped.append(_Prepared(sample, cfg, (kernel.height, kernel.width)))
-    return prepped
+def _label(sample: SupportSample, loss_model: str, out: np.ndarray):
+    """Write the sample's loss target into the (H, W) grid out."""
+    lbl = sample.label_grid.values
+    # An extremely narrow label can underflow every cell; fall back to a
+    # delta at the annotated cell, which is its exact limit.
+    if loss_model == "kl":
+        mass = lbl.sum()
+        if mass > 1e-150:
+            np.divide(lbl, mass, out=out)
+            return
+    elif loss_model != "nll":
+        peak = lbl.max()
+        if peak > 1e-150:
+            np.divide(lbl, peak, out=out)
+            return
+    center = sample.center_rc
+    if center is None:
+        center = np.unravel_index(np.argmax(lbl), lbl.shape)
+    h, w = lbl.shape
+    out.fill(0.0)
+    out[min(max(int(round(center[0])), 0), h - 1), min(max(int(round(center[1])), 0), w - 1)] = 1.0
+
+
+def _runs(flags):
+    """Slices over the maximal runs of true flags."""
+    start = 0
+    for flag, group in itertools.groupby(flags):
+        stop = start + sum(1 for _ in group)
+        if flag:
+            yield slice(start, stop)
+        start = stop
+
+
+class _Problem:
+    """A support set and its loss as (N, H * W) stacks, row j for sample j.
+
+    Besides the loss's label stack it holds three: the scores, and two work
+    stacks the loss writes its score gradients and curvature states into.
+    The line search reuses those two for its trial scores and scratch.
+    """
+
+    def __init__(self, support, cfg: OptimizerConfig, kernel_shape):
+        samples = list(support)
+        c, kh, kw = kernel_shape
+        grids = {sample.label_grid.values.shape for sample in samples}
+        if len(grids) > 1:
+            raise DimensionError(f"support samples must share one grid shape, got {sorted(grids)}")
+        h, w = grids.pop() if grids else (kh, kw)
+        for sample in samples:
+            if sample.features.channels != c:
+                raise DimensionError(f"sample has {sample.features.channels} channels, kernel {c}")
+        if kh > h or kw > w:
+            raise DimensionError(f"kernel {kh}x{kw} does not fit sample {h}x{w}")
+        self.samples = samples
+        self.kernel_shape = (c, kh, kw)
+        self.grid = (h, w)
+        self.lam = cfg.regularization
+        self.gamma = [float(sample.weight) for sample in samples]
+        labels = np.empty((len(samples), h * w))
+        for sample, row in zip(samples, labels):
+            _label(sample, cfg.loss_model, row.reshape(h, w))
+        if cfg.loss_model in ("kl", "nll"):
+            self.loss = _CrossEntropy(labels)
+        else:
+            self.loss = _Squared(labels, None if cfg.loss_model == "l2" else labels <= cfg.rl2_threshold)
+        self.scores = np.empty_like(labels)
+        self.work = np.empty_like(labels)
+        self.state = np.empty_like(labels)
+
+    def unfold(self, j: int) -> np.ndarray:
+        return _columns(self.samples[j].features.values, self.kernel_shape[1], self.kernel_shape[2])
+
+    def adjoint(self, cols: np.ndarray, row: np.ndarray) -> np.ndarray:
+        return _correlate_adjoint(cols, row.reshape(self.grid), self.kernel_shape)
+
+    def correlate(self, *pairs):
+        """Fill row j of each (kernel, stack) pair with sample j's scores; one unfold per sample."""
+        for j in range(len(self.samples)):
+            cols = self.unfold(j)
+            for kernel, stack in pairs:
+                stack[j].reshape(self.grid)[...] = _correlate(cols, kernel, self.grid)
+            # Freed before the next sample's is built: one unfold alive at a time.
+            del cols
+
+    def recall(self, kernel: np.ndarray, loss) -> tuple[list[bool], list]:
+        """Copy in the scores the samples kept under kernel; returns (known rows, kept pullbacks)."""
+        known, pulls = [], []
+        for sample, row in zip(self.samples, self.scores):
+            scores, pull = sample.kept(kernel, loss)
+            if scores is not None:
+                row.reshape(self.grid)[...] = scores
+            known.append(scores is not None)
+            pulls.append(pull)
+        return known, pulls
+
+    def evaluate(self, w: np.ndarray, known, pulls) -> tuple[float, np.ndarray, list]:
+        """Objective and gradient at w, and each sample's pullback.
+
+        Rows flagged in known hold their scores at w already, and a pullback
+        given in pulls is its sample's at w; the rest are computed.  A row
+        with unknown scores is scored and evaluated alone, so that its
+        unfold also serves its adjoint; the known rows are evaluated in
+        runs.  The work and state stacks get the score gradients and
+        curvature states.
+        """
+        n = len(self.samples)
+        values, pulls = [0.0] * n, list(pulls)
+        for j in range(n):
+            if not known[j]:
+                cols = self.unfold(j)
+                self.scores[j].reshape(self.grid)[...] = _correlate(cols, w, self.grid)
+                (values[j],) = self.loss.value_grad(self.scores, self.work, self.state, slice(j, j + 1))
+                pulls[j] = self.adjoint(cols, self.work[j])
+                del cols
+        for rows in _runs(known):
+            values[rows] = self.loss.value_grad(self.scores, self.work, self.state, rows)
+        for j in range(n):
+            if pulls[j] is None:
+                pulls[j] = self.adjoint(self.unfold(j), self.work[j])
+        obj = 0.5 * self.lam * float((w * w).sum())
+        grad = self.lam * w.copy()
+        for gamma, value, pull in zip(self.gamma, values, pulls):
+            obj += gamma * value
+            grad += gamma * pull
+        return obj, grad, pulls
+
+    def trial(self, directions: np.ndarray, alpha: float) -> list[float]:
+        """Losses at the trial scores s - alpha * v, which go to the work stack."""
+        trial = np.multiply(directions, alpha, out=self.work)
+        np.subtract(self.scores, trial, out=trial)
+        return self.loss.value(trial, self.state)
+
+    def accept(self):
+        """Make the last trial's scores the current ones."""
+        self.scores, self.work = self.work, self.scores
+
+    def keep(self, kernel: np.ndarray, loss, pulls):
+        """Leave each sample its scores and its pullback under kernel."""
+        self.scores.flags.writeable = False
+        for sample, row, pull in zip(self.samples, self.scores, pulls):
+            sample.keep(kernel, row.reshape(self.grid), loss, pull)
 
 
 def objective(model: TargetModel, support, cfg: OptimizerConfig) -> float:
     """Weighted sample losses plus the ridge term (reg / 2) * ||w||^2."""
     w = model.weights.values
+    prob = _Problem(support, cfg, w.shape)
+    prob.correlate((w, prob.scores))
     total = 0.5 * cfg.regularization * float((w * w).sum())
-    for prep in _prepare(support, cfg, model.weights):
-        value, _, _ = prep.value_grad(prep.scores(w))
-        total += prep.gamma * value
+    for gamma, value in zip(prob.gamma, prob.loss.value(prob.scores, prob.work)):
+        total += gamma * value
     return total
 
 
 def gradient(model: TargetModel, support, cfg: OptimizerConfig) -> Kernel2D:
     """Exact objective gradient, pulled back to kernel space per sample."""
     w = model.weights.values
-    g = cfg.regularization * w.copy()
-    for prep in _prepare(support, cfg, model.weights):
-        cols = prep.columns()
-        _, grad_s, _ = prep.value_grad(prep.scores(w, cols))
-        g += prep.gamma * prep.adjoint(cols, grad_s)
-        del cols
+    prob = _Problem(support, cfg, w.shape)
+    n = len(prob.samples)
+    _, g, _ = prob.evaluate(w, [False] * n, [None] * n)
     return Kernel2D(g)
 
 
@@ -274,12 +448,13 @@ def hessian_quadratic_form(
         raise DimensionError("direction shape must match the model weights")
     w = model.weights.values
     g = direction.values
+    prob = _Problem(support, cfg, w.shape)
+    directions = np.empty_like(prob.scores)
+    prob.correlate((w, prob.scores), (g, directions))
+    prob.loss.value_grad(prob.scores, prob.work, prob.state, slice(None))
     total = cfg.regularization * float((g * g).sum())
-    for prep in _prepare(support, cfg, model.weights):
-        cols = prep.columns()
-        _, _, state = prep.value_grad(prep.scores(w, cols))
-        total += prep.gamma * prep.curvature(state, prep.scores(g, cols))
-        del cols
+    for gamma, curv in zip(prob.gamma, prob.loss.curvature(prob.state, directions, prob.work)):
+        total += gamma * curv
     return total
 
 
@@ -294,38 +469,25 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
     ray, so the quadratic-model step may overshoot; a failed search leaves
     the weights in place with step_length 0).  Trial objectives come from
     the kept scores, s_j - alpha * v_j, and an accepted trial's scores
-    carry into the next pass.  Returns the updated model and a trace with
-    one row per iteration plus a final row for the end state (step_length
-    0 by convention).
+    carry into the next pass.  Returns the updated model, whose kernel
+    array is read-only, and a trace with one row per iteration plus a final
+    row for the end state (step_length 0 by convention), evaluated on
+    scores correlated afresh at the returned kernel.  Each sample is left
+    those scores and its pullback under that kernel.
     """
     if not (cfg.regularization > 0):
         raise DomainError("optimize requires positive regularization")
-    w = model.weights.values.copy()
-    prepped = _prepare(support, cfg, model.weights)
+    kernel = model.weights.values
+    prob = _Problem(support, cfg, kernel.shape)
+    loss = (cfg.loss_model, cfg.rl2_threshold)
+    known, pulls = prob.recall(kernel, loss)
+    w = kernel.copy()
     lam = cfg.regularization
     trace: list[OptStep] = []
-    scores: list[np.ndarray | None] = [None] * len(prepped)
-
-    def _pass(wcur):
-        obj = 0.5 * lam * float((wcur * wcur).sum())
-        grad = lam * wcur.copy()
-        states = []
-        for j, prep in enumerate(prepped):
-            # One unfold per sample serves the adjoint (and the scores on
-            # the first pass); deleting it before the next sample's is
-            # built keeps a single one alive.
-            cols = prep.columns()
-            if scores[j] is None:
-                scores[j] = prep.scores(wcur, cols)
-            value, grad_s, state = prep.value_grad(scores[j])
-            obj += prep.gamma * value
-            grad += prep.gamma * prep.adjoint(cols, grad_s)
-            states.append(state)
-            del cols
-        return obj, grad, states
-
+    moved = False
     for it in range(cfg.iterations):
-        obj, g, states = _pass(w)
+        obj, g, pulls = prob.evaluate(w, known, pulls)
+        known = [True] * len(known)
         if not math.isfinite(obj):
             raise NumericError(f"non-finite objective at iteration {it}")
         gg = float((g * g).sum())
@@ -333,31 +495,40 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
         if gg == 0.0:
             trace.append(OptStep(it, obj, 0.0, 0.0))
             continue
+        directions = np.empty_like(prob.scores)
+        prob.correlate((g, directions))
         denom = lam * gg
-        dirs = []
-        for prep, state in zip(prepped, states):
-            v = prep.scores(g)
-            denom += prep.gamma * prep.curvature(state, v)
-            dirs.append(v)
+        for gamma, curv in zip(prob.gamma, prob.loss.curvature(prob.state, directions, prob.work)):
+            denom += gamma * curv
         alpha = gg / denom if denom >= cfg.step_length_floor * gg else 1.0 / lam
         accepted = 0.0
         for _ in range(40):
             cand = w - alpha * g
-            cand_scores = [s - alpha * v for s, v in zip(scores, dirs)]
             cand_obj = 0.5 * lam * float((cand * cand).sum())
-            for prep, s in zip(prepped, cand_scores):
-                cand_obj += prep.gamma * prep.value(s)
+            for gamma, value in zip(prob.gamma, prob.trial(directions, alpha)):
+                cand_obj += gamma * value
             if math.isfinite(cand_obj) and cand_obj <= obj:
-                w, scores = cand, cand_scores
+                w = cand
+                prob.accept()
+                pulls = [None] * len(pulls)
+                moved = True
                 accepted = alpha
                 break
             alpha *= 0.5
+        del directions
         trace.append(OptStep(it, obj, accepted, gnorm))
 
-    obj, g, _ = _pass(w)
+    if moved:
+        # Carried scores differ from a fresh correlation in the last bits.
+        # The closing pass scores afresh, so what the samples keep is
+        # exactly what a first pass at w would compute.
+        known = [False] * len(known)
+    obj, g, pulls = prob.evaluate(w, known, pulls)
     if not math.isfinite(obj):
         raise NumericError(f"non-finite objective at iteration {cfg.iterations}")
     trace.append(OptStep(cfg.iterations, obj, 0.0, math.sqrt(float((g * g).sum()))))
+    w.flags.writeable = False
+    prob.keep(w, loss, pulls)
     return TargetModel(Kernel2D(w)), trace
 
 
@@ -372,15 +543,12 @@ def init_weights(support, kernel_shape: tuple[int, int]) -> TargetModel:
     if not support:
         raise DomainError("init_weights needs at least one support sample")
     kh, kw = kernel_shape
-    cfg = OptimizerConfig(loss_model="kl")
-    prepped = [_Prepared(s, cfg, (kh, kw)) for s in support]
     channels = support[0].features.channels
-    if any(s.features.channels != channels for s in support):
-        raise DimensionError("support samples must share a channel count")
+    prob = _Problem(support, OptimizerConfig(loss_model="kl"), (channels, kh, kw))
     w = np.zeros((channels, kh, kw))
-    for prep in prepped:
-        w += prep.gamma * prep.adjoint(prep.columns(), prep.p)
-    peak = float(prepped[0].scores(w).max())
+    for j, (gamma, label) in enumerate(zip(prob.gamma, prob.loss.labels)):
+        w += gamma * prob.adjoint(prob.unfold(j), label)
+    peak = float(_correlate(prob.unfold(0), w, prob.grid).max())
     c = 1.0 / peak if peak > 1e-150 else 1.0
     return TargetModel(Kernel2D(c * w))
 

@@ -88,6 +88,28 @@ def _require_real(name: str, value):
         raise DomainError(f"{name} is outside the floating-point range") from None
 
 
+def _require_finite(name: str, value):
+    _require_real(name, value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+_SCENARIO_REAL_FIELDS = (
+    "target_w",
+    "target_h",
+    "start_x",
+    "start_y",
+    "velocity_x",
+    "velocity_y",
+    "osc_amp_x",
+    "osc_amp_y",
+    "osc_period",
+    "blob_radius",
+    "distractor_similarity",
+    "noise_level",
+)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Parameters of one synthetic sequence; the target path is closed-form."""
@@ -116,6 +138,8 @@ class Scenario:
     def __post_init__(self):
         for name in ("num_frames", "height", "width", "channels", "distractor_count"):
             _require_int(name, getattr(self, name))
+        for name in _SCENARIO_REAL_FIELDS:
+            _require_finite(name, getattr(self, name))
         if self.num_frames < 1 or self.height < 1 or self.width < 1 or self.channels < 1:
             raise DomainError("frame counts and dimensions must be positive")
         if not (self.target_w > 0 and self.target_h > 0 and self.blob_radius > 0):
@@ -323,6 +347,9 @@ class TrackerConfig:
             _require_real(name, getattr(self, name))
         if self.sigma_tc is not None:
             _require_real("sigma_tc", self.sigma_tc)
+        _require_finite("miss_threshold_score", self.miss_threshold_score)
+        if not (0 <= self.miss_threshold_mass <= 1):
+            raise DomainError(f"miss_threshold_mass must be in [0, 1], got {self.miss_threshold_mass!r}")
         for name in _BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
                 raise DomainError(f"{name} must be a boolean, got {getattr(self, name)!r}")
@@ -411,10 +438,10 @@ def _crop(values: np.ndarray, center_rc: tuple[int, int], size: int) -> tuple[np
     return out, (r0, c0)
 
 
-def _make_sample(feats: np.ndarray, center_rc: tuple[float, float], sigma: float) -> SupportSample:
-    size = feats.shape[1]
+def _make_sample(features: FeatureMap, center_rc: tuple[float, float], sigma: float) -> SupportSample:
+    size = features.height
     lbl = label_grid(GaussianLabel(np.array(center_rc), sigma), (size, size))
-    return SupportSample(FeatureMap(feats), lbl, 1.0, (float(center_rc[0]), float(center_rc[1])))
+    return SupportSample(features, lbl, 1.0, (float(center_rc[0]), float(center_rc[1])))
 
 
 def _set_gamma_weights(state: TrackState):
@@ -501,13 +528,13 @@ def track_init(
     center = (int(round(cy)), int(round(cx)))
     base, origin = _crop(first_frame.features.values, center, region)
     base_rc = (cy - origin[0], cx - origin[1])
-    samples = [_make_sample(base, base_rc, sigma)]
+    samples = [_make_sample(FeatureMap(base), base_rc, sigma)]
     if cfg.augment:
-        flipped = base[:, :, ::-1].copy()
+        flipped = FeatureMap(base[:, :, ::-1].copy())
         samples.append(_make_sample(flipped, (base_rc[0], region - 1 - base_rc[1]), sigma))
         for dr, dc in ((-3, 0), (3, 0), (0, -3), (0, 3)):
             shifted, _ = _crop(first_frame.features.values, (center[0] + dr, center[1] + dc), region)
-            samples.append(_make_sample(shifted, (base_rc[0] - dr, base_rc[1] - dc), sigma))
+            samples.append(_make_sample(FeatureMap(shifted), (base_rc[0] - dr, base_rc[1] - dc), sigma))
     # A tiny memory budget takes precedence over the augmentation count.
     samples = samples[: cfg.memory_capacity]
     for sample in samples:
@@ -545,7 +572,8 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
     cx, cy, w, h = state.current_box
     feats, origin = _crop(frame.features.values, (int(round(cy)), int(round(cx))), state.region)
     try:
-        scores = conv_apply(FeatureMap(feats), state.model.weights)
+        features = FeatureMap(feats)
+        scores = conv_apply(features, state.model.weights)
     except DomainError:  # the score grid rejects non-finite values
         scores = None
     if scores is None or not np.isfinite(scores.values).all():
@@ -580,7 +608,10 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
     box = (new_cx + dx, new_cy + dy, new_w, new_h)
     state.current_box = box
 
-    state.support.append(_make_sample(feats, est, state.sigma_tc))
+    sample = _make_sample(features, est, state.sigma_tc)
+    # The next solve starts from this kernel, so it can reuse these scores.
+    sample.keep(state.model.weights.values, scores.values)
+    state.support.append(sample)
     state.sample_frames.append(state.frame_index)
     while len(state.support) > cfg.memory_capacity:
         # Index 0 is the first-frame anchor and never leaves.

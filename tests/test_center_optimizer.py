@@ -372,6 +372,111 @@ def test_optimize_unfolds_each_sample_twice_per_iteration(monkeypatch):
     assert len(built) <= len(support) * (2 * cfg.iterations + 1)
 
 
+def _fresh(support):
+    """Copies of the samples that keep nothing from earlier solves."""
+    return [SupportSample(s.features, s.label_grid, s.weight, s.center_rc) for s in support]
+
+
+def _assert_same_solve(got, want):
+    (got_model, got_trace), (want_model, want_trace) = got, want
+    assert np.array_equal(got_model.weights.values, want_model.weights.values)
+    assert got_trace == want_trace
+
+
+@pytest.mark.parametrize("loss_model", ["l2", "rl2", "nll", "kl"])
+def test_optimize_reuses_what_the_last_solve_left(loss_model):
+    # The weights do not enter what a sample keeps, so reweighting between
+    # solves (as the tracker does) keeps the reuse exact.
+    rng = np.random.Generator(np.random.PCG64(39))
+    support = _random_support(rng, n=4)
+    cfg = OptimizerConfig(regularization=1e-2, iterations=3, loss_model=loss_model)
+    model, _ = optimize(_model(rng.normal(0.0, 0.5, (2, 3, 3))), support, cfg)
+    support[1].weight = 0.1
+    _assert_same_solve(optimize(model, support, cfg), optimize(model, _fresh(support), cfg))
+
+
+@pytest.mark.parametrize(
+    "change", ["kernel copy", "read-only kernel copy", "edited kernel", "loss model", "rl2 threshold", "features"]
+)
+def test_optimize_ignores_kept_evaluations_that_do_not_match(change):
+    rng = np.random.Generator(np.random.PCG64(40))
+    support = _random_support(rng, n=4)
+    cfg = OptimizerConfig(regularization=1e-2, iterations=2, loss_model="rl2")
+    model, _ = optimize(_model(rng.normal(0.0, 0.5, (2, 3, 3))), support, cfg)
+    if change == "kernel copy":
+        model = _model(model.weights.values.copy())
+    elif change == "read-only kernel copy":
+        kernel = model.weights.values.copy()
+        kernel.flags.writeable = False
+        model = _model(kernel)
+    elif change == "edited kernel":
+        # Scores kept under a writable array do not count: it can change in place.
+        kernel = model.weights.values.copy()
+        for sample in support:
+            sample.keep(kernel, conv_apply(sample.features, Kernel2D(kernel)).values)
+        kernel *= 1.5
+        model = _model(kernel)
+    elif change == "loss model":
+        cfg = OptimizerConfig(regularization=1e-2, iterations=2, loss_model="l2")
+    elif change == "rl2 threshold":
+        cfg = OptimizerConfig(regularization=1e-2, iterations=2, loss_model="rl2", rl2_threshold=0.5)
+    else:
+        support[2].features = FeatureMap(rng.normal(0.0, 1.0, support[2].features.values.shape))
+    _assert_same_solve(optimize(model, support, cfg), optimize(model, _fresh(support), cfg))
+
+
+def test_optimize_on_what_a_solve_left_skips_the_first_pass_unfolds(monkeypatch):
+    # A k-iteration call unfolds N * (2k + 1) times on fresh samples and
+    # N * 2k times on samples a solve left their scores and pullbacks; a
+    # sample that kept only its scores needs one unfold for its adjoint.
+    rng = np.random.Generator(np.random.PCG64(41))
+    support = _random_support(rng)
+    cfg = OptimizerConfig(regularization=1e-2, iterations=3)
+    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return _columns(*args)
+
+    monkeypatch.setattr(center_optimizer, "_columns", counting)
+    model, first = optimize(model, support, cfg)
+    n, k = len(support), cfg.iterations
+    assert len(built) == n * (2 * k + 1)
+    del built[:]
+    scored_only = _fresh(support[:1])[0]
+    scored_only.keep(model.weights.values, conv_apply(scored_only.features, model.weights).values)
+    support = [scored_only] + support[1:]
+    got = optimize(model, support, cfg)
+    assert len(built) == n * 2 * k + 1
+    # Every step is taken, so no pass is skipped for an unmoved kernel.
+    assert all(row.step_length > 0.0 for row in first[:-1] + got[1][:-1])
+    _assert_same_solve(got, optimize(model, _fresh(support), cfg))
+
+
+def test_optimize_returns_a_read_only_kernel():
+    rng = np.random.Generator(np.random.PCG64(42))
+    model, _ = optimize(_model(rng.normal(0.0, 0.5, (2, 3, 3))), _random_support(rng), CFG)
+    with pytest.raises(ValueError):
+        model.weights.values[0, 0, 0] = 1.0
+
+
+def test_support_with_mixed_grid_shapes_is_rejected():
+    rng = np.random.Generator(np.random.PCG64(43))
+    support = _random_support(rng, n=2, h=5, w=6) + _random_support(rng, n=1, h=6, w=6)
+    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    calls = [
+        lambda: optimize(model, support, CFG),
+        lambda: objective(model, support, CFG),
+        lambda: gradient(model, support, CFG),
+        lambda: hessian_quadratic_form(model, model.weights, support, CFG),
+        lambda: init_weights(support, (3, 3)),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError, match="share one grid shape"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # init_weights
 # ---------------------------------------------------------------------------

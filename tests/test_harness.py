@@ -119,6 +119,11 @@ def _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, *messages):
         ("occlusions", [[2, False]], "occlusion bound must be an integer"),
         ("occlusions", [[1, 2, 3]], "must be a (start, end) pair"),
         ("occlusions", 5, "bad scenario spec"),
+        pytest.param("target_w", 10**400, "target_w is outside the floating-point range", id="target_w-huge"),
+        ("velocity_x", math.inf, "velocity_x must be finite"),
+        ("osc_period", math.nan, "osc_period must be finite"),
+        ("noise_level", "x", "noise_level must be a real number"),
+        ("distractor_similarity", None, "distractor_similarity must be a real number"),
     ],
 )
 def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, monkeypatch, field, value, message):
@@ -205,6 +210,11 @@ def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
         ({"bb_learning_rate": math.inf}, "box training: learning_rate must be positive and finite"),
         ({"bb_lr_decay": math.nan}, "box training: lr_decay must be nonnegative and finite"),
         ({"bb_lr_decay": math.inf}, "box training: lr_decay must be nonnegative and finite"),
+        ({"miss_threshold_mass": math.nan}, "miss_threshold_mass must be in [0, 1]"),
+        ({"miss_threshold_mass": 1.5}, "miss_threshold_mass must be in [0, 1]"),
+        ({"miss_threshold_mass": -0.1}, "miss_threshold_mass must be in [0, 1]"),
+        ({"miss_threshold_score": math.inf}, "miss_threshold_score must be finite"),
+        ({"miss_threshold_score": -math.inf}, "miss_threshold_score must be finite"),
     ],
 )
 def test_cli_rejects_mistyped_tracker_fields(tmp_path, capsys, monkeypatch, tracker, message):
