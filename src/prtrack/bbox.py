@@ -15,9 +15,19 @@ train_box_scorer fits scorers to annotated boxes by drawing proposal
 samples around each annotation and following the Monte Carlo divergence
 gradient, or one of the squared-error / hinged / delta-label objectives
 for side-by-side comparisons.  It trains a list of jobs, each a (scorer,
-loss model, label width) triple, in lockstep on one proposal stream: the
-draws and the densities at them are shared, and every job ends exactly as
-it would if trained alone from an equally seeded generator.
+loss model, label width) triple, in lockstep on one proposal stream, and
+evaluates them on each draw batch as one stacked problem.  Once per draw
+batch: the draws, the proposal density, one label density per kl width,
+the overlaps, one (jobs x draws) score stack per scorer family, one
+kl_mc_loss call over the kl and nll rows, one exp over the l2 and rl2 rows
+and one parameter step per family.  Once per job: the dot products of its
+own row (loss value and parameter gradient) and the nll annotation term.
+Every job ends exactly as it would if trained alone from an equally
+seeded generator.
+
+refine_box ascends the score from a start box on 4 Python floats; the
+scorers' value_at and grad_box_at agree bit for bit with value and
+grad_box.
 """
 
 from __future__ import annotations
@@ -104,9 +114,17 @@ class BoxScorer:
     def value(self, y) -> float:
         return float(self.value_batch(np.asarray(y, dtype=np.float64)[None, :])[0])
 
+    def value_at(self, y: list[float]) -> float:
+        """value(y) for one box given as 4 Python floats."""
+        return self.value(np.array(y))
+
     def grad_box(self, y) -> np.ndarray:
         """Gradient of the score in the 4 box parameters."""
         raise NotImplementedError
+
+    def grad_box_at(self, y: list[float]) -> list[float]:
+        """grad_box(y) for one box given as 4 Python floats, as 4 floats."""
+        return self.grad_box(np.array(y)).tolist()
 
     def grad_params(self, y) -> np.ndarray:
         return self.grad_params_batch(np.asarray(y, dtype=np.float64)[None, :])[0]
@@ -118,9 +136,24 @@ class BoxScorer:
         """Per-sample gradients in the trainable parameters, shape (N, P)."""
         raise NotImplementedError
 
-    def value_and_grad_params_batch(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """value_batch(ys) and grad_params_batch(ys) together."""
-        return self.value_batch(ys), self.grad_params_batch(ys)
+    @staticmethod
+    def value_and_grad_params_stack(scorers, ys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Scores of several scorers of this family at one (K, 4) batch.
+
+        Returns a C-contiguous (J, K) score stack, row j equal to
+        scorers[j].value_batch(ys), and the J (K, P) arrays equal to
+        scorers[j].grad_params_batch(ys).
+        """
+        raise NotImplementedError
+
+    @staticmethod
+    def set_params_stack(scorers, params: np.ndarray) -> None:
+        """Give scorers[j] the trainable parameters params[j].
+
+        params is a finite (J, P) stack the caller has checked; the rows
+        are taken as they are, without the checks of the params setter.
+        """
+        raise NotImplementedError
 
     @property
     def params(self) -> np.ndarray:
@@ -154,6 +187,8 @@ class QuadraticScorer(BoxScorer):
     def __init__(self, mu, tau: float):
         if not (tau > 0):
             raise DomainError(f"tau must be positive, got {tau}")
+        if not (0.0 < float(tau) * float(tau) < math.inf):
+            raise DomainError(f"tau must have a finite positive square, got {tau}")
         self.mu = _as_float_array(mu, 1, "scorer center")
         if self.mu.size != 4:
             raise DimensionError("scorer center must have 4 entries")
@@ -164,11 +199,43 @@ class QuadraticScorer(BoxScorer):
         d *= d
         return d.sum(axis=1) / (-2.0 * self.tau**2)
 
+    def value(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (BOX_DIM,):
+            raise DimensionError(f"expected one box of {BOX_DIM} parameters, got shape {y.shape}")
+        return self.value_at(y.tolist())
+
+    def value_at(self, y):
+        # The four squares are summed left to right, as value_batch's row sum does.
+        d0, d1, d2, d3 = (a - b for a, b in zip(y, self.mu.tolist()))
+        return (((d0 * d0 + d1 * d1) + d2 * d2) + d3 * d3) / (-2.0 * self.tau**2)
+
     def grad_box(self, y):
         return -(np.asarray(y, dtype=np.float64) - self.mu) / self.tau**2
 
+    def grad_box_at(self, y):
+        t2 = self.tau**2
+        return [-(a - b) / t2 for a, b in zip(y, self.mu.tolist())]
+
     def grad_params_batch(self, ys):
         return (_check_box_batch(ys) - self.mu) / self.tau**2
+
+    @staticmethod
+    def value_and_grad_params_stack(scorers, ys):
+        # One (J, 4, K) difference array serves the scores and the bases; the
+        # score sums run over its 4-long axis, term by term like value_batch's.
+        t2 = np.array([scorer.tau**2 for scorer in scorers])
+        d = _check_box_batch(ys).T[None, :, :] - np.array([scorer.mu for scorer in scorers])[:, :, None]
+        bases = d / t2[:, None, None]
+        d *= d
+        scores = d.sum(axis=1)
+        scores /= (-2.0 * t2)[:, None]
+        return scores, [basis.T for basis in bases]
+
+    @staticmethod
+    def set_params_stack(scorers, params):
+        for scorer, mu in zip(scorers, params):
+            scorer.mu = mu
 
     @property
     def params(self):
@@ -220,10 +287,26 @@ class RbfMixtureScorer(BoxScorer):
     def grad_params_batch(self, ys):
         return self._basis(ys)
 
-    def value_and_grad_params_batch(self, ys):
-        # The score is linear in the amplitudes: one basis serves both.
-        basis = self._basis(ys)
-        return basis @ self.amplitudes, basis
+    @staticmethod
+    def value_and_grad_params_stack(scorers, ys):
+        # The score is linear in the amplitudes: one basis per distinct set of
+        # centers and widths serves the scores and gradients of its scorers.
+        shared = {}
+        scores = np.empty((len(scorers), len(ys)))
+        bases = []
+        for row, scorer in zip(scores, scorers):
+            key = (scorer.centers.shape, scorer.centers.tobytes(), scorer.widths.tobytes())
+            basis = shared.get(key)
+            if basis is None:
+                basis = shared[key] = scorer._basis(ys)
+            row[:] = basis @ scorer.amplitudes
+            bases.append(basis)
+        return scores, bases
+
+    @staticmethod
+    def set_params_stack(scorers, params):
+        for scorer, amplitudes in zip(scorers, params):
+            scorer.amplitudes = amplitudes
 
     @property
     def params(self):
@@ -293,43 +376,20 @@ class SGDConfig:
             raise DomainError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
 
 
-def _box_sample_loss(scorer, ann: BoxParam, ys, loss_model, label_dens, proposal_dens, targets):
-    """Loss value and its gradient in the scorer parameters for one batch.
-
-    label_dens and proposal_dens are the densities at the draws (kl and nll),
-    targets the draws' overlaps with the annotation (l2 and rl2).
-    """
-    s, basis = scorer.value_and_grad_params_batch(ys)
-    k = ys.shape[0]
-    if loss_model == "kl":
-        lvg = kl_mc_loss(s, label_dens, proposal_dens)
-        return lvg.value, lvg.grad_scores @ basis
-    if loss_model == "nll":
-        # The delta-label loss is the divergence with zero label densities
-        # at the draws, minus the score at the annotation itself.
-        lvg = kl_mc_loss(s, np.zeros(k), proposal_dens)
-        value = lvg.value - scorer.value(ann.values)
-        return value, lvg.grad_scores @ basis - scorer.grad_params(ann.values)
-    # Squared-error families regress the confidence exp(s) — range (0, 1],
-    # same argmax as s — onto the overlap with the annotation; regressing
-    # the raw score of a quadratic field onto [0, 1] targets is hopelessly
-    # scaled (score ~ -d^2/(2 tau^2) at proposal distance d).
-    c = np.exp(s)
-    if loss_model == "l2":
-        r = c - targets
-    else:
-        near = targets > 0.05
-        r = np.where(near, c - targets, c)  # hinge max(0, c) == c here
-    return float(r @ r) / k, (2.0 / k) * ((r * c) @ basis)
-
-
 def _decode_batch(ys: np.ndarray, reference) -> np.ndarray:
+    """Encoded (K, 4) boxes to (cx, cy, w, h), computed one coordinate row at a time."""
     w0, h0 = reference
-    out = np.empty_like(ys)
-    out[:, 0] = ys[:, 0] * w0
-    out[:, 1] = ys[:, 1] * h0
-    out[:, 2:] = np.exp(ys[:, 2:])
-    return out
+    coords = ys.T
+    out = np.empty(coords.shape)
+    np.multiply(coords[0], w0, out=out[0])
+    np.multiply(coords[1], h0, out=out[1])
+    np.exp(coords[2:], out=out[2:])
+    return out.T
+
+
+# Row order of the per-batch score stack: the divergence rows (kl, nll) go
+# through one kl_mc_loss call, the squared-error rows (l2, rl2) share one exp.
+_ROW_ORDER = ("kl", "nll", "l2", "rl2")
 
 
 def train_box_scorer(
@@ -345,18 +405,30 @@ def train_box_scorer(
     jobs is a sequence of (scorer, loss_model, sigma_bb) triples, trained
     in lockstep on one proposal stream.  Per epoch and annotation: draw
     samples_per_annotation proposals from `proposal` recentered on the
-    annotation, evaluate each job's loss at those draws and step its scorer
-    parameters along the gradient.  The densities and overlaps the losses
-    read are computed once per draw batch and shared: the proposal density
+    annotation, evaluate every job's loss at those draws and step its scorer
+    parameters along the gradient.
+
+    The jobs form one stacked problem per draw batch, with one row per job
+    (kl, nll, l2, then rl2 rows).  Once per draw batch: the proposal density
     if any job is kl or nll, one label density per distinct kl sigma_bb,
-    and the overlaps if any job is l2 or rl2.  Since a job's updates read
-    only its own parameters and the draws, every job ends exactly where a
-    run with it alone on an equally seeded generator ends.  The recentered
-    proposal and the labels of each annotation are built once, before the
-    first epoch.  The final parameters are the average of the iterates over
-    the last half of the epochs, which removes most of the stationary
-    sampling noise.  Mutates the scorers and returns one (scorer, mean loss
-    seen in the final epoch) per job.
+    the overlaps if any job is l2 or rl2, one score stack and its bases per
+    scorer family (value_and_grad_params_stack; rbf scorers with equal
+    centers and widths share a basis), one kl_mc_loss call over the kl and
+    nll rows, one exp over the l2 and rl2 rows, and one parameter step per
+    family (set_params_stack).  Once per job: the dot products of its row,
+    one for the loss value and one gradient-times-basis product for the
+    parameter gradient, and for nll the annotation's own score and
+    gradient.  Each row is computed in the order a job alone would compute
+    it, and a job's updates read only its own parameters and the draws, so
+    every job ends bit for bit where a run with it alone on an equally
+    seeded generator ends.
+
+    The recentered proposal and the labels of each annotation are built
+    once, before the first epoch.  The final parameters are the average of
+    the iterates over the last half of the epochs, which removes most of
+    the stationary sampling noise.  Mutates the scorers and returns one
+    (scorer, mean loss seen in the final epoch) per job.  NumericError once
+    a job's scores, loss or stepped parameters are not finite.
     """
     jobs = list(jobs)
     annotations = list(annotations)
@@ -371,42 +443,112 @@ def train_box_scorer(
             raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
         if loss_model not in BOX_LOSS_MODELS:
             raise DomainError(f"unknown loss model {loss_model!r}; pick one of {BOX_LOSS_MODELS}")
-    models = {loss_model for _, loss_model, _ in jobs}
+    if len({id(scorer) for scorer, _, _ in jobs}) < len(jobs):
+        raise DomainError("every job needs its own scorer")
+    k = int(samples_per_annotation)
+    order = sorted(range(len(jobs)), key=lambda i: _ROW_ORDER.index(jobs[i][1]))
+    scorers = [jobs[i][0] for i in order]
+    models = [jobs[i][1] for i in order]
+    n_div = models.count("kl") + models.count("nll")
+    n_l2 = models.count("l2")
+    # Scorers of one family and parameter count are scored, checked and
+    # stepped as one (rows x parameters) stack.
+    grouped: dict[tuple, list[int]] = {}
+    for row, scorer in enumerate(scorers):
+        grouped.setdefault((type(scorer), scorer.params.size), []).append(row)
+    groups = [(family, rows, [scorers[r] for r in rows]) for (family, _), rows in grouped.items()]
+    params = [np.array([scorer.params for scorer in members]) for _, _, members in groups]
     # A label per distinct width checks every job's width; only the kl
-    # jobs' labels are evaluated at the draws.
+    # jobs' labels are evaluated at the draws.  The nll rows get a zero
+    # label: the delta label has no density at the draws.
     sigmas = dict.fromkeys(sigma for _, _, sigma in jobs)
-    kl_sigmas = dict.fromkeys(sigma for _, loss_model, sigma in jobs if loss_model == "kl")
+    kl_sigmas = list(dict.fromkeys(sigma for _, loss_model, sigma in jobs if loss_model == "kl"))
+    label_rows = [kl_sigmas.index(jobs[i][2]) if model == "kl" else None for i, model in zip(order[:n_div], models)]
+    label_dens = np.empty((len(kl_sigmas), k))
+    # Per annotation: its recentered proposal, its labels and, for the
+    # overlaps, its decoded box.
     targets = [
-        (ann, proposal.recenter(ann.values), {sigma: GaussianLabel(ann.values, sigma) for sigma in sigmas})
+        (
+            ann,
+            proposal.recenter(ann.values),
+            {sigma: GaussianLabel(ann.values, sigma) for sigma in sigmas},
+            np.asarray(ann.decode()) if n_div < len(scorers) else None,
+        )
         for ann in annotations
     ]
     tail_start = sgd.epochs // 2
-    tail_sums = [0.0] * len(jobs)
+    tails = [np.zeros_like(stack) for stack in params]
     for epoch in range(sgd.epochs):
         lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
         values = [[] for _ in jobs]
-        for ann, q, labels in targets:
-            ys = proposal_sample(q, rng, size=samples_per_annotation)
-            proposal_dens = proposal_density(q, ys) if models & {"kl", "nll"} else None
-            label_dens = {sigma: gaussian_density(labels[sigma], ys) for sigma in kl_sigmas}
-            overlaps = None
-            if models & {"l2", "rl2"}:
-                overlaps = iou_xywh(_decode_batch(ys, ann.reference), np.asarray(ann.decode()))
-            for (scorer, loss_model, sigma_bb), seen in zip(jobs, values):
-                value, grad = _box_sample_loss(
-                    scorer, ann, ys, loss_model, label_dens.get(sigma_bb), proposal_dens, overlaps
-                )
-                if not (math.isfinite(value) and np.isfinite(grad).all()):
-                    raise NumericError(f"non-finite {loss_model} training loss at epoch {epoch}")
-                scorer.params = scorer.params - lr * grad
-                seen.append(value)
+        for ann, q, labels, ann_box in targets:
+            ys = proposal_sample(q, rng, size=k)
+            if len(groups) == 1:
+                scores, bases = groups[0][0].value_and_grad_params_stack(scorers, ys)
+            else:
+                scores = np.empty((len(scorers), k))
+                bases = [None] * len(scorers)
+                for family, rows, members in groups:
+                    scores[rows], group_bases = family.value_and_grad_params_stack(members, ys)
+                    for row, basis in zip(rows, group_bases):
+                        bases[row] = basis
+            losses = []
+            if n_div:
+                div = scores[:n_div]
+                proposal_dens = proposal_density(q, ys)
+                for i, sigma in enumerate(kl_sigmas):
+                    label_dens[i] = gaussian_density(labels[sigma], ys)
+                try:
+                    lvg = kl_mc_loss(div, label_dens, proposal_dens, label_rows)
+                except DomainError:
+                    # Scores that diverged are a training failure, not bad input.
+                    finite = np.isfinite(div).all(axis=1)
+                    if finite.all():
+                        raise
+                    raise NumericError(f"non-finite {models[finite.argmin()]} training loss at epoch {epoch}") from None
+                for row in range(n_div):
+                    value, grad = lvg.value[row], lvg.grad_scores[row] @ bases[row]
+                    if models[row] == "nll":
+                        # The delta-label loss is the divergence with zero label
+                        # densities at the draws, minus the score at the annotation.
+                        value -= scorers[row].value(ann.values)
+                        grad -= scorers[row].grad_params(ann.values)
+                    losses.append((value, grad))
+            if n_div < len(scorers):
+                # Squared-error families regress the confidence exp(s) — range
+                # (0, 1], same argmax as s — onto the overlap with the
+                # annotation; regressing the raw score of a quadratic field onto
+                # [0, 1] targets is hopelessly scaled (score ~ -d^2/(2 tau^2) at
+                # proposal distance d).
+                overlaps = iou_xywh(_decode_batch(ys, ann.reference), ann_box)
+                conf = np.exp(scores[n_div:])
+                resid = conf - overlaps
+                if n_div + n_l2 < len(scorers):
+                    # rl2 hinges the draws far from the annotation: max(0, c) == c.
+                    np.copyto(resid[n_l2:], conf[n_l2:], where=~(overlaps > 0.05))
+                weighted = resid * conf
+                for r, w, basis in zip(resid, weighted, bases[n_div:]):
+                    losses.append((float(r @ r) / k, (2.0 / k) * (w @ basis)))
+            for row, (value, _) in enumerate(losses):
+                if not math.isfinite(value):
+                    raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
+                values[order[row]].append(value)
+            for g, (family, rows, members) in enumerate(groups):
+                # A non-finite gradient or a step that overflows leaves
+                # non-finite parameters.
+                stepped = params[g] - lr * np.array([losses[r][1] for r in rows])
+                if not np.isfinite(stepped).all():
+                    row = rows[int(np.isfinite(stepped).all(axis=1).argmin())]
+                    raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
+                family.set_params_stack(members, stepped)
+                params[g] = stepped
         if epoch >= tail_start:
-            tail_sums = [acc + scorer.params for acc, (scorer, _, _) in zip(tail_sums, jobs)]
-    out = []
-    for (scorer, _, _), acc, seen in zip(jobs, tail_sums, values):
-        scorer.params = acc / (sgd.epochs - tail_start)
-        out.append((scorer, float(np.mean(seen))))
-    return out
+            for tail, stack in zip(tails, params):
+                tail += stack
+    for (_, _, members), tail in zip(groups, tails):
+        for scorer, mean in zip(members, tail / (sgd.epochs - tail_start)):
+            scorer.params = mean
+    return [(scorer, float(np.mean(seen))) for (scorer, _, _), seen in zip(jobs, values)]
 
 
 @dataclass(frozen=True)
@@ -431,18 +573,22 @@ def refine_box(scorer: BoxScorer, y0: BoxParam, cfg: RefConfig) -> BoxParam:
 
     The start point counts, so the output never scores below y0.  Ascent
     stops early once an update moves less than convergence_tol, or if the
-    gradient stops being finite.
+    gradient stops being finite.  The iterates are 4 Python floats and the
+    scorer is read through value_at and grad_box_at, which agree bit for
+    bit with value and grad_box.
     """
-    y = y0.values.copy()
-    best_y, best_s = y.copy(), scorer.value(y)
+    step = cfg.step_length
+    y = y0.values.tolist()
+    best_y, best_s = y, scorer.value_at(y)
     for _ in range(cfg.steps):
-        g = scorer.grad_box(y)
-        if not np.isfinite(g).all():
+        g = scorer.grad_box_at(y)
+        if not all(map(math.isfinite, g)):
             break
-        y = y + cfg.step_length * g
-        s = scorer.value(y)
+        moves = [step * gi for gi in g]
+        y = [yi + mi for yi, mi in zip(y, moves)]
+        s = scorer.value_at(y)
         if math.isfinite(s) and s > best_s:
-            best_y, best_s = y.copy(), s
-        if float(np.abs(cfg.step_length * g).max()) < cfg.convergence_tol:
+            best_y, best_s = y, s
+        if max(map(abs, moves)) < cfg.convergence_tol:
             break
-    return BoxParam(best_y, y0.reference)
+    return BoxParam(np.array(best_y), y0.reference)

@@ -210,13 +210,25 @@ def iou_xywh(a, b) -> float | np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
         raise DimensionError("boxes must have 4 components (cx, cy, w, h)")
-    if (a[..., 2:] <= 0).any() or (b[..., 2:] <= 0).any():
+    # Component-major views (4, ...) of equal rank, so the arithmetic runs
+    # along the stack axis; a (K, 4) stack that is the transpose of a
+    # C-contiguous (4, K) array gives contiguous rows.  Halving is exact, so
+    # * 0.5 equals / 2, and clipping at 0 from below is np.maximum.
+    nd = max(a.ndim, b.ndim)
+    axes = (nd - 1, *range(nd - 1))
+    a = a.reshape((1,) * (nd - a.ndim) + a.shape).transpose(axes)
+    b = b.reshape((1,) * (nd - b.ndim) + b.shape).transpose(axes)
+    if (a[2:] <= 0).any() or (b[2:] <= 0).any():
         raise DomainError("box width and height must be positive")
-    lo = np.maximum(a[..., :2] - a[..., 2:] / 2, b[..., :2] - b[..., 2:] / 2)
-    hi = np.minimum(a[..., :2] + a[..., 2:] / 2, b[..., :2] + b[..., 2:] / 2)
-    inter = np.clip(hi - lo, 0.0, None).prod(axis=-1)
-    union = a[..., 2:].prod(axis=-1) + b[..., 2:].prod(axis=-1) - inter
-    out = inter / union
+    half_a, half_b = a[2:] * 0.5, b[2:] * 0.5
+    lo = np.maximum(a[:2] - half_a, b[:2] - half_b)
+    sides = np.minimum(a[:2] + half_a, b[:2] + half_b)
+    sides -= lo
+    np.maximum(sides, 0.0, out=sides)
+    out = sides[0] * sides[1]
+    union = a[2] * a[3] + b[2] * b[3]
+    union -= out
+    out /= union
     return float(out) if out.ndim == 0 else out
 
 

@@ -46,10 +46,11 @@ class LossValueGrad:
     """Loss value plus its gradient with respect to the scores.
 
     grad_scores is a Grid2D for grid losses and a flat array for sample
-    losses, matching the shape of the score input.
+    losses, matching the shape of the score input.  A stacked sample loss
+    holds one value per score row.
     """
 
-    value: float
+    value: float | np.ndarray
     grad_scores: Grid2D | np.ndarray
 
 
@@ -144,19 +145,33 @@ def kl_grid_loss(
     return LossValueGrad(value, Grid2D(grad))
 
 
-def kl_mc_loss(sample_scores, label_densities, proposal_densities) -> LossValueGrad:
+def kl_mc_loss(sample_scores, label_densities, proposal_densities, label_rows=None) -> LossValueGrad:
     """Importance-sampled divergence at K proposal draws.
 
     value = log( (1/K) sum_k exp(s_k) / q_k ) - (1/K) sum_k s_k p_k / q_k
     with p_k the label density and q_k the proposal density at draw k.
     The first term is evaluated as a shifted log-sum-exp over s_k - log q_k.
+
+    Stacked form: sample_scores is an (R, K) stack of score rows at the
+    same draws, label_densities an (L, K) stack of labels, and label_rows
+    gives each score row the index of its label, or None for a zero label
+    (default: row r uses label r).  The inputs are checked and log q is
+    taken once per call, p/q and p/(q K) once per label; value is then an
+    (R,) array and grad_scores an (R, K) stack, each row bit for bit what
+    the one-row call returns (with np.zeros(K) for a zero label).
     """
     s = np.asarray(sample_scores, dtype=np.float64)
     p = np.asarray(label_densities, dtype=np.float64)
     q = np.asarray(proposal_densities, dtype=np.float64)
-    if not (s.ndim == p.ndim == q.ndim == 1) or not (s.size == p.size == q.size):
-        raise DimensionError("sample scores and densities must be 1D arrays of equal length")
-    if s.size < 1:
+    single = s.ndim == 1
+    if single and p.ndim == 1 and label_rows is None:
+        s, p = s[None, :], p[None, :]
+    if not (s.ndim == p.ndim == 2 and q.ndim == 1) or not (s.shape[1] == p.shape[1] == q.size):
+        raise DimensionError("sample scores and densities must be 1D arrays, or stacks of rows, of equal length")
+    rows = range(len(s)) if label_rows is None else list(label_rows)
+    if len(rows) != len(s) or not all(i is None or 0 <= i < len(p) for i in rows):
+        raise DimensionError(f"label_rows must give each of the {len(s)} score rows one of {len(p)} labels or None")
+    if s.shape[1] < 1:
         raise DimensionError("at least one sample is required")
     if not (np.isfinite(s).all() and np.isfinite(p).all() and np.isfinite(q).all()):
         raise DomainError("sample inputs must be finite")
@@ -164,11 +179,23 @@ def kl_mc_loss(sample_scores, label_densities, proposal_densities) -> LossValueG
         raise DomainError("proposal densities must be strictly positive")
     if (p < 0).any():
         raise DomainError("label densities must be nonnegative")
-    k = s.size
-    t = s - np.log(q)
-    m = t.max()
-    e = np.exp(t - m)
-    total = e.sum()
-    value = m + math.log(total / k) - float(s @ (p / q)) / k
-    grad = e / total - p / (q * k)
-    return LossValueGrad(value, grad)
+    k = q.size
+    e = s - np.log(q)
+    m = np.maximum.reduce(e, axis=1)
+    e -= m[:, None]
+    np.exp(e, out=e)
+    total = np.add.reduce(e, axis=1)
+    weights = p / q
+    label_grads = p / (q * k)
+    e /= total[:, None]  # the gradient's first term, in place
+    values = []
+    for r, (i, m_r, total_r) in enumerate(zip(rows, m.tolist(), total.tolist())):
+        value = m_r + math.log(total_r / k)
+        # A zero label's terms, s @ 0 and p/(q K) = 0, leave the row as it is.
+        if i is not None:
+            value -= float(s[r] @ weights[i]) / k
+            e[r] -= label_grads[i]
+        values.append(value)
+    if single:
+        return LossValueGrad(values[0], e[0])
+    return LossValueGrad(np.array(values), e)

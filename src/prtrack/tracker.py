@@ -370,6 +370,9 @@ class TrackerConfig:
         for name in ("sigma_tc_factor", "sigma_bb", "scorer_tau", "gamma_decay"):
             if not (getattr(self, name) > 0):
                 raise DomainError(f"{name} must be positive")
+        # Both scorer families divide by scorer_tau squared.
+        if not (0.0 < float(self.scorer_tau) * float(self.scorer_tau) < math.inf):
+            raise DomainError(f"scorer_tau must have a finite positive square, got {self.scorer_tau!r}")
         if self.sigma_tc is not None:
             _build("sigma_tc", gaussian_normalizer, self.sigma_tc, 2)
         _build("sigma_bb", gaussian_normalizer, self.sigma_bb, BOX_DIM)

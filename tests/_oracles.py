@@ -206,3 +206,30 @@ def train_box_scorer_reference(scorer, annotations, sigma_bb, proposal, samples,
             tail.append(scorer.params)
     scorer.params = np.mean(tail, axis=0)
     return scorer, last
+
+
+def refine_box_reference(scorer, y0, cfg):
+    """The box refinement loop on NumPy arrays: gradient ascent from y0.
+
+    Scores come from value_batch and gradients from grad_box.  Returns the
+    best iterate's values and the number of gradients evaluated.
+    """
+
+    def value(y):
+        return float(scorer.value_batch(y[None, :])[0])
+
+    y = y0.values.copy()
+    best_y, best_s = y.copy(), value(y)
+    evaluated = 0
+    for _ in range(cfg.steps):
+        g = scorer.grad_box(y)
+        evaluated += 1
+        if not np.isfinite(g).all():
+            break
+        y = y + cfg.step_length * g
+        s = value(y)
+        if math.isfinite(s) and s > best_s:
+            best_y, best_s = y.copy(), s
+        if float(np.abs(cfg.step_length * g).max()) < cfg.convergence_tol:
+            break
+    return best_y, evaluated

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import fd_gradient, train_box_scorer_reference
+from _oracles import fd_gradient, refine_box_reference, train_box_scorer_reference
 from prtrack import bbox
 from prtrack.bbox import (
     BoxParam,
@@ -134,6 +134,28 @@ def test_scorer_validation():
         RbfMixtureScorer(np.zeros((2, 3)), [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(DomainError):
         RbfMixtureScorer(np.zeros((1, 4)), [0.0], [1.0])
+    for tau in (1e200, 1e-200):
+        with pytest.raises(DomainError, match="finite positive square"):
+            QuadraticScorer(np.zeros(4), tau=tau)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "stack"])
+def test_numpy_sums_four_wide_rows_left_to_right(layout):
+    # QuadraticScorer.value_at adds its four squares left to right, and the
+    # stacked scorers sum the (J, 4, K) difference stack over its 4-long
+    # axis; both must equal value_batch's row sums bit for bit.  That holds
+    # while NumPy reduces a 4-wide row term by term, from the left, in C- and
+    # F-ordered stacks alike.
+    rng = np.random.Generator(np.random.PCG64(59))
+    x = rng.standard_normal((200_000, 4)) * 10.0 ** rng.integers(-8, 9, (200_000, 4))
+    if layout == "stack":
+        x = x.reshape(50, 4000, 4).transpose(0, 2, 1).copy()
+    else:
+        x = np.asarray(x, order=layout)
+    got, cols = x.sum(axis=1), [x[:, i] for i in range(4)]
+    assert np.array_equal(got, ((cols[0] + cols[1]) + cols[2]) + cols[3])
+    # The data tells the orders apart: pairwise sums differ on many rows.
+    assert not np.array_equal(got, (cols[0] + cols[1]) + (cols[2] + cols[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +299,20 @@ def test_train_validation():
     state = rng.bit_generator.state
     with pytest.raises(DomainError):
         train_box_scorer([(scorer, "kl", 0.05), (scorer, "l2", -1.0)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+    with pytest.raises(DomainError, match="its own scorer"):
+        train_box_scorer([(scorer, "kl", 0.05), (scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
     assert rng.bit_generator.state == state
 
 
-def _scorer(family, ann):
+def _scorer(family, ann, width=None):
+    """A scorer of the family; width is tau (quadratic) or every rbf width."""
     if family == "quadratic":
-        return QuadraticScorer(ann.values + 0.2, tau=0.2)
+        return QuadraticScorer(ann.values + 0.2, tau=width or 0.2)
     rng = np.random.Generator(np.random.PCG64(52))
     offsets = np.vstack([np.zeros(4), 0.3 * rng.standard_normal((5, 4))])
     amps = np.zeros(6)
     amps[0] = 1.0
-    return RbfMixtureScorer(ann.values + offsets, np.full(6, 0.3), amps)
+    return RbfMixtureScorer(ann.values + offsets, np.full(6, width or 0.3), amps)
 
 
 @pytest.mark.parametrize("family", ["quadratic", "rbf"])
@@ -342,12 +367,19 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
 
 
 def _lockstep_jobs():
+    # Both families, every loss model, two label widths, and scorers of a
+    # second tau or rbf width, so the stacks mix widths.
     anns = [box_encode((3.0, 2.0, 4.0, 5.0), (4.0, 5.0)), box_encode((1.0, -1.0, 3.0, 2.5), (3.5, 2.0))]
     jobs = [
-        (family, loss_model, sigma_bb)
+        (family, loss_model, sigma_bb, None)
         for family in ("quadratic", "rbf")
         for loss_model in ("l2", "rl2", "nll", "kl")
         for sigma_bb in (0.05, 0.12)
+    ]
+    jobs += [
+        (family, loss_model, 0.05, width)
+        for family, width in (("quadratic", 0.35), ("rbf", 0.45))
+        for loss_model in ("l2", "rl2", "nll", "kl")
     ]
     return anns, jobs
 
@@ -360,17 +392,22 @@ def test_lockstep_jobs_match_each_job_trained_alone():
     sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
     rng = np.random.Generator(np.random.PCG64(55))
     together = train_box_scorer(
-        [(_scorer(family, anns[0]), loss, sigma) for family, loss, sigma in jobs], anns, proposal, 64, sgd, rng
+        [(_scorer(family, anns[0], width), loss, sigma) for family, loss, sigma, width in jobs],
+        anns,
+        proposal,
+        64,
+        sgd,
+        rng,
     )
     assert len(together) == len(jobs)
-    for (family, loss, sigma), (got, got_last) in zip(jobs, together):
+    for (family, loss, sigma, width), (got, got_last) in zip(jobs, together):
         alone_rng = np.random.Generator(np.random.PCG64(55))
         [(want, want_last)] = train_box_scorer(
-            [(_scorer(family, anns[0]), loss, sigma)], anns, proposal, 64, sgd, alone_rng
+            [(_scorer(family, anns[0], width), loss, sigma)], anns, proposal, 64, sgd, alone_rng
         )
         assert type(got) is type(want)
-        assert np.array_equal(got.params, want.params), (family, loss, sigma)
-        assert got_last == want_last, (family, loss, sigma)
+        assert np.array_equal(got.params, want.params), (family, loss, sigma, width)
+        assert got_last == want_last, (family, loss, sigma, width)
         assert alone_rng.bit_generator.state == rng.bit_generator.state
 
 
@@ -430,14 +467,23 @@ def test_rbf_training_step_computes_the_basis_once(monkeypatch, loss_model, per_
     assert calls.count(16) == 7
 
 
-def test_rbf_value_and_grad_params_match_the_separate_calls():
+def test_value_and_grad_params_stack_matches_the_separate_calls():
+    # Each row of a family's stacked call is bit for bit its scorer's own
+    # batch calls, with scorers that differ in parameters and widths.
     ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
-    scorer = _scorer("rbf", ann)
-    scorer.params = np.linspace(-1.0, 2.0, 6)
     ys = proposal_sample(PAPER_PROPOSAL.recenter(ann.values), np.random.Generator(np.random.PCG64(58)), size=32)
-    s, basis = scorer.value_and_grad_params_batch(ys)
-    assert np.array_equal(s, scorer.value_batch(ys))
-    assert np.array_equal(basis, scorer.grad_params_batch(ys))
+    quadratic = [QuadraticScorer(ann.values + shift, tau) for shift, tau in ((0.2, 0.2), (-0.1, 0.2), (0.0, 0.35))]
+    rbf = [_scorer("rbf", ann) for _ in range(3)]
+    rbf[1].params = np.linspace(-1.0, 2.0, 6)
+    rbf[2] = RbfMixtureScorer(rbf[2].centers, np.full(6, 0.45), rbf[2].amplitudes)
+    for family, scorers in ((QuadraticScorer, quadratic), (RbfMixtureScorer, rbf)):
+        scores, bases = family.value_and_grad_params_stack(scorers, ys)
+        assert scores.shape == (3, 32) and scores.flags.c_contiguous
+        for scorer, s, basis in zip(scorers, scores, bases):
+            assert np.array_equal(s, scorer.value_batch(ys))
+            assert np.array_equal(basis, scorer.grad_params_batch(ys))
+    # Equal centers and widths share one basis; another width gets its own.
+    assert bases[0] is bases[1] and bases[2] is not bases[0]
 
 
 def test_sgd_config_validation():
@@ -505,6 +551,73 @@ def test_refine_survives_non_finite_gradient():
     with np.errstate(over="ignore", invalid="ignore"):
         out = refine_box(scorer, y0, RefConfig())
     np.testing.assert_array_equal(out.values, y0.values)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "rbf"])
+def test_float_scores_match_the_array_scores(family):
+    # refine_box reads value_at and grad_box_at; they must agree bit for bit
+    # with value_batch and grad_box.
+    rng = np.random.Generator(np.random.PCG64(61))
+    for _ in range(200):
+        if family == "quadratic":
+            scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
+        else:
+            scorer = RbfMixtureScorer(rng.normal(0.0, 1.0, (3, 4)), rng.uniform(0.2, 1.0, 3), rng.normal(0.0, 1.0, 3))
+        y = rng.normal(0.0, 1.0, 4) * 10.0 ** rng.integers(-3, 3, 4)
+        assert scorer.value_at(y.tolist()) == scorer.value_batch(y[None, :])[0] == scorer.value(y)
+        assert scorer.grad_box_at(y.tolist()) == scorer.grad_box(y).tolist()
+
+
+def _refine_cases(family):
+    """(scorer, start, config, how the reference loop ends) per case."""
+    rng = np.random.Generator(np.random.PCG64(60))
+    cases = []
+    for _ in range(12):
+        if family == "quadratic":
+            scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
+        else:
+            scorer = RbfMixtureScorer(rng.normal(0.0, 1.0, (3, 4)), rng.uniform(0.2, 1.0, 3), rng.normal(0.0, 1.0, 3))
+        y0 = BoxParam(rng.normal(0.0, 1.0, 4), (1.0, 1.0))
+        cases.append((scorer, y0, RefConfig(step_length=rng.uniform(0.005, 0.5), steps=10), "random"))
+    cases.append((scorer, y0, RefConfig(steps=0), "no steps"))
+    if family == "quadratic":
+        # A start 1e-9 off the maximum moves less than the tolerance at once.
+        scorer = QuadraticScorer(np.full(4, 0.3), tau=1.0)
+        cases.append((scorer, BoxParam(np.full(4, 0.3 + 1e-9), (1.0, 1.0)), RefConfig(), "converged"))
+        # tau^2 = 1e-10 turns the distance to a far center into an infinite gradient.
+        scorer = QuadraticScorer(np.full(4, 1e300), tau=1e-5)
+        cases.append((scorer, BoxParam(np.zeros(4), (1.0, 1.0)), RefConfig(), "non-finite"))
+    else:
+        # Far from every center the basis, and so the gradient, nearly vanishes.
+        scorer = RbfMixtureScorer(np.zeros((2, 4)), [0.3, 0.5], [1.0, -2.0])
+        cases.append((scorer, BoxParam(np.full(4, 2.5), (1.0, 1.0)), RefConfig(), "converged"))
+        # Amplitudes near the float maximum overflow the gradient.
+        scorer = RbfMixtureScorer(np.full((1, 4), 0.1), [1e-3], [1e308])
+        cases.append((scorer, BoxParam(np.full(4, 0.1 + 1e-4), (1.0, 1.0)), RefConfig(), "non-finite"))
+    return cases
+
+
+@pytest.mark.parametrize("family", ["quadratic", "rbf"])
+def test_refine_matches_the_numpy_reference_loop(family, monkeypatch):
+    # refine_box steps on Python floats; the NumPy loop it replaced must give
+    # the same box bit for bit after the same number of gradients.
+    seen = {"random": 0, "no steps": 0, "converged": 0, "non-finite": 0}
+    for scorer, y0, cfg, case in _refine_cases(family):
+        evaluated = []
+        grad_box_at = type(scorer).grad_box_at
+        monkeypatch.setattr(scorer, "grad_box_at", lambda y, s=scorer: evaluated.append(1) or grad_box_at(s, y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = refine_box(scorer, y0, cfg)
+            want, want_evaluated = refine_box_reference(scorer, y0, cfg)
+        assert np.array_equal(got.values, want), case
+        assert got.reference == y0.reference
+        assert len(evaluated) == want_evaluated, case
+        if case == "converged":
+            assert want_evaluated == 1
+        if case == "non-finite":
+            assert want_evaluated == 1 and np.array_equal(want, y0.values)
+        seen[case] += 1
+    assert all(seen.values())
 
 
 def test_ref_config_validation():

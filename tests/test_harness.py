@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,8 @@ def test_cli_rejects_bad_solver_settings(tmp_path, capsys, monkeypatch, tracker,
         ({"proposal_weights": [1.0]}, "box proposal: weights and sigmas must be 1D arrays of equal length"),
         ({"bb_samples": 1}, "bb_samples must be at least 2"),
         ({"bb_lr_decay": -1}, "box training: lr_decay must be nonnegative"),
+        ({"scorer_tau": 1e200}, "scorer_tau must have a finite positive square, got 1e+200"),
+        ({"scorer_tau": 1e-200}, "scorer_tau must have a finite positive square, got 1e-200"),
     ],
 )
 def test_cli_rejects_bad_box_settings(tmp_path, capsys, monkeypatch, tracker, message):
@@ -312,6 +316,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["compare-losses", "--config", cfgpath, "--jobs", "0"]) == 2
 
 
+def test_cli_diverging_box_training_is_a_numeric_failure(tmp_path, capsys):
+    # Steps this long overflow the quadratic scorers' centers within a few
+    # epochs; the run stops with exit 1 and names the model and the epoch.
+    tracker = {"bb_learning_rate": 1e300}
+    payload = {"suite": {"scenarios": [{"preset": "static", "num_frames": 6}], "repetitions": 1}, "tracker": tracker}
+    cfgpath = _write_config(tmp_path, payload)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["compare-losses", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"numeric failure: non-finite (l2|rl2|nll|kl) training loss at epoch \d+$", err.strip()), err
+    assert "Traceback" not in err
+
+
 def test_selftest_prints_one_line_per_check(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -359,6 +376,27 @@ def test_compare_losses_golden_digest(tmp_path):
     assert main(["compare-losses", "--config", cfgpath, "--seed", "1", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "compare_losses.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+# The inputs of the benchmark's init-burst workload (perfbench/run.py): both
+# suite presets cut to 8 frames, 15 repetitions, one job.  Box-scorer training
+# dominates them, so their pinned seed-1 digest checks that every scorer still
+# trains bit for bit as it did when the digests were taken.
+INIT_BURST_SUITE = {
+    "suite": {
+        "scenarios": [{"preset": name, "num_frames": 8} for name in ("distractors", "distractors_occlusion")],
+        "repetitions": 15,
+    }
+}
+PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "csv_digests.json"
+
+
+def test_compare_losses_matches_the_pinned_init_burst_digest(tmp_path):
+    pinned = json.loads(PINNED_DIGESTS.read_text())["init-burst"]["1"]
+    cfgpath = _write_config(tmp_path, INIT_BURST_SUITE)
+    out = tmp_path / "out"
+    assert main(["compare-losses", "--config", cfgpath, "--seed", "1", "--jobs", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "compare_losses.csv").read_bytes()).hexdigest() == pinned
 
 
 SMALL_SUITE = {
