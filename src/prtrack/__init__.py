@@ -14,7 +14,6 @@ from .bbox import (
     RbfMixtureScorer,
     RefConfig,
     SGDConfig,
-    box_decode,
     box_encode,
     load_scorer,
     refine_box,
@@ -107,7 +106,7 @@ __all__ = [
     "SupportSample", "OptimizerConfig", "TargetModel", "OptStep",
     "init_weights", "objective", "optimize", "write_trace_csv",
     # boxes
-    "BoxParam", "box_encode", "box_decode", "BoxScorer", "QuadraticScorer",
+    "BoxParam", "box_encode", "BoxScorer", "QuadraticScorer",
     "RbfMixtureScorer", "save_scorer", "load_scorer", "SGDConfig",
     "train_box_scorer", "RefConfig", "refine_box",
     # tracking

@@ -45,7 +45,6 @@ from .losses import kl_mc_loss
 __all__ = [
     "BoxParam",
     "box_encode",
-    "box_decode",
     "BoxScorer",
     "QuadraticScorer",
     "RbfMixtureScorer",
@@ -100,10 +99,6 @@ def box_encode(box, reference: tuple[float, float]) -> BoxParam:
     if not (w0 > 0 and h0 > 0):
         raise DomainError(f"reference size must be positive, got {reference}")
     return BoxParam(np.array([cx / w0, cy / h0, math.log(w), math.log(h)]), (w0, h0))
-
-
-def box_decode(y: BoxParam) -> tuple[float, float, float, float]:
-    return y.decode()
 
 
 class BoxScorer:
