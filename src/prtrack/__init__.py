@@ -53,7 +53,6 @@ from .labels import (
     GaussianLabel,
     MixtureProposal,
     gaussian_density,
-    iou_pseudo_label,
     iou_xywh,
     label_grid,
     proposal_density,
@@ -98,7 +97,7 @@ __all__ = [
     "GridDensity", "normalize", "argmax_state", "expected_state",
     # labels
     "GaussianLabel", "MixtureProposal", "gaussian_density", "proposal_density",
-    "proposal_sample", "label_grid", "iou_xywh", "iou_pseudo_label",
+    "proposal_sample", "label_grid", "iou_xywh",
     # losses
     "LossValueGrad", "l2_loss", "robust_l2_loss", "nll_loss",
     "kl_grid_loss", "kl_mc_loss",

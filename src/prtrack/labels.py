@@ -24,15 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .gridmath import Grid2D
-
-if TYPE_CHECKING:  # only for annotations; boxes live in the bbox module
-    from .bbox import BoxParam
 
 __all__ = [
     "GaussianLabel",
@@ -43,7 +39,6 @@ __all__ = [
     "proposal_sample",
     "proposal_density",
     "iou_xywh",
-    "iou_pseudo_label",
 ]
 
 
@@ -230,8 +225,3 @@ def iou_xywh(a, b) -> float | np.ndarray:
     union -= out
     out /= union
     return float(out) if out.ndim == 0 else out
-
-
-def iou_pseudo_label(y: "BoxParam", y_i: "BoxParam") -> float:
-    """Overlap in [0, 1] between two decoded boxes, used as a regression target."""
-    return iou_xywh(np.asarray(y.decode()), np.asarray(y_i.decode()))

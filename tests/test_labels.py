@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from prtrack.bbox import BoxParam
 from prtrack.errors import DimensionError, DomainError
 from prtrack.labels import (
     GaussianLabel,
     MixtureProposal,
     gaussian_density,
     gaussian_normalizer,
-    iou_pseudo_label,
     iou_xywh,
     label_grid,
     proposal_density,
@@ -224,17 +222,17 @@ def test_proposal_density_strictly_positive():
         assert proposal_density(PAPER_MIXTURE, y) > 0.0
 
 
-def test_iou_pseudo_label_identity_and_disjoint():
-    a = BoxParam(np.array([0.0, 0.0, 0.0, 0.0]), (1.0, 1.0))
-    b = BoxParam(np.array([10.0, 10.0, 0.0, 0.0]), (1.0, 1.0))
-    assert iou_pseudo_label(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert iou_pseudo_label(a, b) == pytest.approx(0.0, abs=1e-12)
+def test_iou_identity_and_disjoint():
+    a = np.array([0.0, 0.0, 1.0, 1.0])
+    b = np.array([10.0, 10.0, 1.0, 1.0])
+    assert iou_xywh(a, a) == pytest.approx(1.0, abs=1e-12)
+    assert iou_xywh(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_iou_pseudo_label_half_offset():
-    a = BoxParam(np.array([0.0, 0.0, 0.0, 0.0]), (1.0, 1.0))
-    b = BoxParam(np.array([0.5, 0.0, 0.0, 0.0]), (1.0, 1.0))
-    assert iou_pseudo_label(a, b) == pytest.approx(0.5 / 1.5, abs=1e-9)
+def test_iou_half_offset():
+    a = np.array([0.0, 0.0, 1.0, 1.0])
+    b = np.array([0.5, 0.0, 1.0, 1.0])
+    assert iou_xywh(a, b) == pytest.approx(0.5 / 1.5, abs=1e-9)
 
 
 def test_iou_symmetry():
