@@ -61,7 +61,6 @@ __all__ = [
     "OptimizerConfig",
     "TargetModel",
     "OptStep",
-    "softmax_cross_entropy",
     "objective",
     "gradient",
     "hessian_quadratic_form",
@@ -172,21 +171,6 @@ class OptStep:
     objective: float
     step_length: float
     grad_norm: float
-
-
-def softmax_cross_entropy(scores: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray]:
-    """Raw cross entropy log(sum exp s) - sum(p * s) with its score gradient.
-
-    The gradient is softmax(s) - p, so its entries sum to 1 - p.sum().
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    pa = np.asarray(p, dtype=np.float64)
-    if s.shape != pa.shape:
-        raise DimensionError(f"score shape {s.shape} does not match label shape {pa.shape}")
-    row = s.reshape(1, -1)
-    grad, state = np.empty_like(row), np.empty_like(row)
-    (value,) = _CrossEntropy(pa.reshape(1, -1)).value_grad(row, grad, state, slice(None))
-    return value, grad.reshape(s.shape)
 
 
 class _CrossEntropy:

@@ -18,7 +18,6 @@ from prtrack.center_optimizer import (
     init_weights,
     objective,
     optimize,
-    softmax_cross_entropy,
     write_trace_csv,
 )
 from prtrack.errors import DimensionError, DomainError, NumericError
@@ -126,16 +125,6 @@ def test_gradient_matches_finite_differences(loss_model):
     fd = fd_gradient(f, w0.ravel(), eps=1e-5).reshape(w0.shape)
     scale = max(1.0, float(np.abs(fd).max()))
     assert float(np.abs(fd - got).max()) <= 1e-6 * scale
-
-
-def test_ce_gradient_sums_to_one_minus_label_mass():
-    rng = np.random.Generator(np.random.PCG64(26))
-    s = rng.normal(0.0, 1.0, (4, 5))
-    for mass in (1.0, 0.6):
-        p = rng.uniform(0.01, 1.0, (4, 5))
-        p *= mass / p.sum()
-        _, grad = softmax_cross_entropy(s, p)
-        assert grad.sum() == pytest.approx(1.0 - mass, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
