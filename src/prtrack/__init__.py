@@ -9,15 +9,11 @@ a CLI harness exercise everything end to end on synthetic sequences.
 
 from .bbox import (
     BoxParam,
-    BoxScorer,
     QuadraticScorer,
-    RbfMixtureScorer,
     RefConfig,
     SGDConfig,
     box_encode,
-    load_scorer,
     refine_box,
-    save_scorer,
     train_box_scorer,
 )
 from .center_optimizer import (
@@ -105,8 +101,7 @@ __all__ = [
     "SupportSample", "OptimizerConfig", "TargetModel", "OptStep",
     "init_weights", "objective", "optimize", "write_trace_csv",
     # boxes
-    "BoxParam", "box_encode", "BoxScorer", "QuadraticScorer",
-    "RbfMixtureScorer", "save_scorer", "load_scorer", "SGDConfig",
+    "BoxParam", "box_encode", "QuadraticScorer", "SGDConfig",
     "train_box_scorer", "RefConfig", "refine_box",
     # tracking
     "Scenario", "Frame", "SyntheticSequence", "generate_sequence",

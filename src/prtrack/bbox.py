@@ -1,15 +1,12 @@
-"""Box parametrization, analytic box scorers, and their sample-based training.
+"""Box parametrization, the quadratic box scorer, and its sample-based training.
 
 Boxes are encoded as y = (cx / w0, cy / h0, log w, log h) with a positive
 reference size (w0, h0), normally the current target size estimate, so a
 fixed step in y moves small and large boxes by a comparable relative
-amount.  A scorer assigns a differentiable scalar score to encoded boxes;
-two analytic families are provided so training and refinement can be
-checked against brute-force oracles:
-
-* quadratic        s(y) = -||y - mu||^2 / (2 tau^2), trainable mu,
-* rbf mixture      s(y) = sum_m a_m exp(-||y - c_m||^2 / (2 rho_m^2)),
-                   trainable amplitudes a_m, fixed centers and widths.
+amount.  The scorer assigns a differentiable scalar score to encoded boxes,
+s(y) = -||y - mu||^2 / (2 tau^2) with a trainable center mu and a fixed
+width tau; its closed form lets training and refinement be checked against
+brute-force oracles.
 
 train_box_scorer fits scorers to annotated boxes by drawing proposal
 samples around each annotation and following the Monte Carlo divergence
@@ -18,15 +15,15 @@ for side-by-side comparisons.  It trains a list of jobs, each a (scorer,
 loss model, label width) triple, in lockstep on one proposal stream, and
 evaluates them on each draw batch as one stacked problem.  Once per draw
 batch: the draws, the proposal density, one label density per kl width,
-the overlaps, one (jobs x draws) score stack per scorer family, one
-kl_mc_loss call over the kl and nll rows, one exp over the l2 and rl2 rows
-and one parameter step per family.  Once per job: the dot products of its
-own row (loss value and parameter gradient) and the nll annotation term.
+the overlaps, one (jobs x draws) score stack, one kl_mc_loss call over the
+kl and nll rows, one exp over the l2 and rl2 rows and one step of the
+(jobs x 4) stack of centers.  Once per job: the dot products of its own
+row (loss value and parameter gradient) and the nll annotation term.
 Every job ends exactly as it would if trained alone from an equally
 seeded generator.
 
 refine_box ascends the score from a start box on 4 Python floats; the
-scorers' value_at and grad_box_at agree bit for bit with value and
+scorer's value_at and grad_box_at agree bit for bit with value and
 grad_box.
 """
 
@@ -45,12 +42,7 @@ from .losses import kl_mc_loss
 __all__ = [
     "BoxParam",
     "box_encode",
-    "BoxScorer",
     "QuadraticScorer",
-    "RbfMixtureScorer",
-    "SCORER_FAMILIES",
-    "save_scorer",
-    "load_scorer",
     "SGDConfig",
     "train_box_scorer",
     "RefConfig",
@@ -101,72 +93,6 @@ def box_encode(box, reference: tuple[float, float]) -> BoxParam:
     return BoxParam(np.array([cx / w0, cy / h0, math.log(w), math.log(h)]), (w0, h0))
 
 
-class BoxScorer:
-    """Differentiable scalar field over encoded boxes; subclasses define it."""
-
-    name = "base"
-
-    def value(self, y) -> float:
-        return float(self.value_batch(np.asarray(y, dtype=np.float64)[None, :])[0])
-
-    def value_at(self, y: list[float]) -> float:
-        """value(y) for one box given as 4 Python floats."""
-        return self.value(np.array(y))
-
-    def grad_box(self, y) -> np.ndarray:
-        """Gradient of the score in the 4 box parameters."""
-        raise NotImplementedError
-
-    def grad_box_at(self, y: list[float]) -> list[float]:
-        """grad_box(y) for one box given as 4 Python floats, as 4 floats."""
-        return self.grad_box(np.array(y)).tolist()
-
-    def grad_params(self, y) -> np.ndarray:
-        return self.grad_params_batch(np.asarray(y, dtype=np.float64)[None, :])[0]
-
-    def value_batch(self, ys: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_params_batch(self, ys: np.ndarray) -> np.ndarray:
-        """Per-sample gradients in the trainable parameters, shape (N, P)."""
-        raise NotImplementedError
-
-    @staticmethod
-    def value_and_grad_params_stack(scorers, ys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Scores of several scorers of this family at one (K, 4) batch.
-
-        Returns a C-contiguous (J, K) score stack, row j equal to
-        scorers[j].value_batch(ys), and the J (K, P) arrays equal to
-        scorers[j].grad_params_batch(ys).
-        """
-        raise NotImplementedError
-
-    @staticmethod
-    def set_params_stack(scorers, params: np.ndarray) -> None:
-        """Give scorers[j] the trainable parameters params[j].
-
-        params is a finite (J, P) stack the caller has checked; the rows
-        are taken as they are, without the checks of the params setter.
-        """
-        raise NotImplementedError
-
-    @property
-    def params(self) -> np.ndarray:
-        raise NotImplementedError
-
-    @params.setter
-    def params(self, values):
-        raise NotImplementedError
-
-    def to_values(self) -> list[float]:
-        """Flat serialization, one scalar per line in the text format."""
-        raise NotImplementedError
-
-    @classmethod
-    def from_values(cls, values: list[float]) -> "BoxScorer":
-        raise NotImplementedError
-
-
 def _check_box_batch(ys) -> np.ndarray:
     arr = np.asarray(ys, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 4:
@@ -174,10 +100,8 @@ def _check_box_batch(ys) -> np.ndarray:
     return arr
 
 
-class QuadraticScorer(BoxScorer):
+class QuadraticScorer:
     """s(y) = -||y - mu||^2 / (2 tau^2); mu trains, tau is fixed."""
-
-    name = "quadratic"
 
     def __init__(self, mu, tau: float):
         if not (tau > 0):
@@ -200,23 +124,37 @@ class QuadraticScorer(BoxScorer):
             raise DimensionError(f"expected one box of {BOX_DIM} parameters, got shape {y.shape}")
         return self.value_at(y.tolist())
 
-    def value_at(self, y):
+    def value_at(self, y: list[float]) -> float:
+        """value(y) for one box given as 4 Python floats."""
         # The four squares are summed left to right, as value_batch's row sum does.
         d0, d1, d2, d3 = (a - b for a, b in zip(y, self.mu.tolist()))
         return (((d0 * d0 + d1 * d1) + d2 * d2) + d3 * d3) / (-2.0 * self.tau**2)
 
-    def grad_box(self, y):
+    def grad_box(self, y) -> np.ndarray:
+        """Gradient of the score in the 4 box parameters."""
         return -(np.asarray(y, dtype=np.float64) - self.mu) / self.tau**2
 
-    def grad_box_at(self, y):
+    def grad_box_at(self, y: list[float]) -> list[float]:
+        """grad_box(y) for one box given as 4 Python floats, as 4 floats."""
         t2 = self.tau**2
         return [-(a - b) / t2 for a, b in zip(y, self.mu.tolist())]
 
-    def grad_params_batch(self, ys):
+    def grad_params(self, y) -> np.ndarray:
+        """Gradient of the score in mu."""
+        return (np.asarray(y, dtype=np.float64) - self.mu) / self.tau**2
+
+    def grad_params_batch(self, ys) -> np.ndarray:
+        """Per-sample gradients in mu, shape (N, 4)."""
         return (_check_box_batch(ys) - self.mu) / self.tau**2
 
     @staticmethod
-    def value_and_grad_params_stack(scorers, ys):
+    def value_and_grad_params_stack(scorers, ys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Scores of several scorers at one (K, 4) batch.
+
+        Returns a C-contiguous (J, K) score stack, row j equal to
+        scorers[j].value_batch(ys), and the J (K, 4) arrays equal to
+        scorers[j].grad_params_batch(ys).
+        """
         # One (J, 4, K) difference array serves the scores and the bases; the
         # score sums run over its 4-long axis, term by term like value_batch's.
         t2 = np.array([scorer.tau**2 for scorer in scorers])
@@ -227,130 +165,13 @@ class QuadraticScorer(BoxScorer):
         scores /= (-2.0 * t2)[:, None]
         return scores, [basis.T for basis in bases]
 
-    @staticmethod
-    def set_params_stack(scorers, params):
-        for scorer, mu in zip(scorers, params):
-            scorer.mu = mu
-
     @property
-    def params(self):
+    def params(self) -> np.ndarray:
         return self.mu.copy()
 
     @params.setter
     def params(self, values):
         self.mu = _as_float_array(values, 1, "scorer center")
-
-    def to_values(self):
-        return [self.tau, *self.mu.tolist()]
-
-    @classmethod
-    def from_values(cls, values):
-        if len(values) != 5:
-            raise DomainError(f"quadratic scorer needs 5 values, got {len(values)}")
-        return cls(values[1:], values[0])
-
-
-class RbfMixtureScorer(BoxScorer):
-    """Sum of fixed Gaussian bumps with trainable amplitudes."""
-
-    name = "rbf"
-
-    def __init__(self, centers, widths, amplitudes):
-        self.centers = np.asarray(centers, dtype=np.float64)
-        self.widths = np.asarray(widths, dtype=np.float64)
-        self.amplitudes = np.asarray(amplitudes, dtype=np.float64)
-        if self.centers.ndim != 2 or self.centers.shape[1] != 4 or self.centers.shape[0] < 1:
-            raise DimensionError("centers must be an (M, 4) array")
-        m = self.centers.shape[0]
-        if self.widths.shape != (m,) or self.amplitudes.shape != (m,):
-            raise DimensionError("widths and amplitudes must match the component count")
-        if (self.widths <= 0).any():
-            raise DomainError("component widths must be positive")
-
-    def _basis(self, ys):
-        d2 = ((_check_box_batch(ys)[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-d2 / (2.0 * self.widths**2))
-
-    def value_batch(self, ys):
-        return self._basis(ys) @ self.amplitudes
-
-    def grad_box(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        phi = self._basis(y[None, :])[0]
-        return ((self.amplitudes * phi)[:, None] * (self.centers - y) / self.widths[:, None] ** 2).sum(axis=0)
-
-    def grad_params_batch(self, ys):
-        return self._basis(ys)
-
-    @staticmethod
-    def value_and_grad_params_stack(scorers, ys):
-        # The score is linear in the amplitudes: one basis per distinct set of
-        # centers and widths serves the scores and gradients of its scorers.
-        shared = {}
-        scores = np.empty((len(scorers), len(ys)))
-        bases = []
-        for row, scorer in zip(scores, scorers):
-            key = (scorer.centers.shape, scorer.centers.tobytes(), scorer.widths.tobytes())
-            basis = shared.get(key)
-            if basis is None:
-                basis = shared[key] = scorer._basis(ys)
-            row[:] = basis @ scorer.amplitudes
-            bases.append(basis)
-        return scores, bases
-
-    @staticmethod
-    def set_params_stack(scorers, params):
-        for scorer, amplitudes in zip(scorers, params):
-            scorer.amplitudes = amplitudes
-
-    @property
-    def params(self):
-        return self.amplitudes.copy()
-
-    @params.setter
-    def params(self, values):
-        self.amplitudes = _as_float_array(values, 1, "amplitudes")
-
-    def to_values(self):
-        out = [float(self.centers.shape[0])]
-        for m in range(self.centers.shape[0]):
-            out.extend([self.amplitudes[m], self.widths[m], *self.centers[m].tolist()])
-        return out
-
-    @classmethod
-    def from_values(cls, values):
-        if not values:
-            raise DomainError("rbf scorer needs at least a component count")
-        m = int(values[0])
-        if m < 1 or len(values) != 1 + 6 * m:
-            raise DomainError(f"rbf scorer with {m} components needs {1 + 6 * m} values")
-        amps, widths, centers = [], [], []
-        for i in range(m):
-            chunk = values[1 + 6 * i : 1 + 6 * (i + 1)]
-            amps.append(chunk[0])
-            widths.append(chunk[1])
-            centers.append(chunk[2:])
-        return cls(centers, widths, amps)
-
-
-SCORER_FAMILIES = {QuadraticScorer.name: QuadraticScorer, RbfMixtureScorer.name: RbfMixtureScorer}
-
-
-def save_scorer(scorer: BoxScorer, path):
-    """Text format: family name on the first line, then one value per line."""
-    with open(path, "w") as fh:
-        fh.write(scorer.name + "\n")
-        for v in scorer.to_values():
-            fh.write(f"{float(v)!r}\n")
-
-
-def load_scorer(path) -> BoxScorer:
-    with open(path) as fh:
-        name = fh.readline().strip()
-        values = [float(line) for line in fh if line.strip()]
-    if name not in SCORER_FAMILIES:
-        raise DomainError(f"unknown scorer family {name!r}")
-    return SCORER_FAMILIES[name].from_values(values)
 
 
 @dataclass(frozen=True)
@@ -394,36 +215,34 @@ def train_box_scorer(
     samples_per_annotation: int,
     sgd: SGDConfig,
     rng: np.random.Generator,
-) -> list[tuple[BoxScorer, float]]:
+) -> list[tuple[QuadraticScorer, float]]:
     """Fit scorers to annotated boxes with stochastic first-order updates.
 
     jobs is a sequence of (scorer, loss_model, sigma_bb) triples, trained
     in lockstep on one proposal stream.  Per epoch and annotation: draw
     samples_per_annotation proposals from `proposal` recentered on the
     annotation, evaluate every job's loss at those draws and step its scorer
-    parameters along the gradient.
+    center along the gradient.
 
     The jobs form one stacked problem per draw batch, with one row per job
     (kl, nll, l2, then rl2 rows).  Once per draw batch: the proposal density
     if any job is kl or nll, one label density per distinct kl sigma_bb,
-    the overlaps if any job is l2 or rl2, one score stack and its bases per
-    scorer family (value_and_grad_params_stack; rbf scorers with equal
-    centers and widths share a basis), one kl_mc_loss call over the kl and
-    nll rows, one exp over the l2 and rl2 rows, and one parameter step per
-    family (set_params_stack).  Once per job: the dot products of its row,
-    one for the loss value and one gradient-times-basis product for the
-    parameter gradient, and for nll the annotation's own score and
-    gradient.  Each row is computed in the order a job alone would compute
-    it, and a job's updates read only its own parameters and the draws, so
-    every job ends bit for bit where a run with it alone on an equally
-    seeded generator ends.
+    the overlaps if any job is l2 or rl2, one score stack and its bases
+    (value_and_grad_params_stack), one kl_mc_loss call over the kl and nll
+    rows, one exp over the l2 and rl2 rows, and one step of the (jobs x 4)
+    stack of centers.  Once per job: the dot products of its row, one for
+    the loss value and one gradient-times-basis product for the parameter
+    gradient, and for nll the annotation's own score and gradient.  Each
+    row is computed in the order a job alone would compute it, and a job's
+    updates read only its own center and the draws, so every job ends bit
+    for bit where a run with it alone on an equally seeded generator ends.
 
     The recentered proposal and the labels of each annotation are built
-    once, before the first epoch.  The final parameters are the average of
+    once, before the first epoch.  The final centers are the average of
     the iterates over the last half of the epochs, which removes most of
     the stationary sampling noise.  Mutates the scorers and returns one
     (scorer, mean loss seen in the final epoch) per job.  NumericError once
-    a job's scores, loss or stepped parameters are not finite.
+    a job's scores, loss or stepped center are not finite.
     """
     jobs = list(jobs)
     annotations = list(annotations)
@@ -446,13 +265,7 @@ def train_box_scorer(
     models = [jobs[i][1] for i in order]
     n_div = models.count("kl") + models.count("nll")
     n_l2 = models.count("l2")
-    # Scorers of one family and parameter count are scored, checked and
-    # stepped as one (rows x parameters) stack.
-    grouped: dict[tuple, list[int]] = {}
-    for row, scorer in enumerate(scorers):
-        grouped.setdefault((type(scorer), scorer.params.size), []).append(row)
-    groups = [(family, rows, [scorers[r] for r in rows]) for (family, _), rows in grouped.items()]
-    params = [np.array([scorer.params for scorer in members]) for _, _, members in groups]
+    centers = np.array([scorer.mu for scorer in scorers])
     # A label per distinct width checks every job's width; only the kl
     # jobs' labels are evaluated at the draws.  The nll rows get a zero
     # label: the delta label has no density at the draws.
@@ -472,21 +285,13 @@ def train_box_scorer(
         for ann in annotations
     ]
     tail_start = sgd.epochs // 2
-    tails = [np.zeros_like(stack) for stack in params]
+    tail = np.zeros_like(centers)
     for epoch in range(sgd.epochs):
         lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
         values = [[] for _ in jobs]
         for ann, q, labels, ann_box in targets:
             ys = proposal_sample(q, rng, size=k)
-            if len(groups) == 1:
-                scores, bases = groups[0][0].value_and_grad_params_stack(scorers, ys)
-            else:
-                scores = np.empty((len(scorers), k))
-                bases = [None] * len(scorers)
-                for family, rows, members in groups:
-                    scores[rows], group_bases = family.value_and_grad_params_stack(members, ys)
-                    for row, basis in zip(rows, group_bases):
-                        bases[row] = basis
+            scores, bases = QuadraticScorer.value_and_grad_params_stack(scorers, ys)
             losses = []
             if n_div:
                 div = scores[:n_div]
@@ -528,21 +333,19 @@ def train_box_scorer(
                 if not math.isfinite(value):
                     raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
                 values[order[row]].append(value)
-            for g, (family, rows, members) in enumerate(groups):
-                # A non-finite gradient or a step that overflows leaves
-                # non-finite parameters.
-                stepped = params[g] - lr * np.array([losses[r][1] for r in rows])
-                if not np.isfinite(stepped).all():
-                    row = rows[int(np.isfinite(stepped).all(axis=1).argmin())]
-                    raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
-                family.set_params_stack(members, stepped)
-                params[g] = stepped
+            # A non-finite gradient or a step that overflows leaves
+            # non-finite centers.
+            stepped = centers - lr * np.array([grad for _, grad in losses])
+            if not np.isfinite(stepped).all():
+                row = int(np.isfinite(stepped).all(axis=1).argmin())
+                raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
+            for scorer, mu in zip(scorers, stepped):
+                scorer.mu = mu
+            centers = stepped
         if epoch >= tail_start:
-            for tail, stack in zip(tails, params):
-                tail += stack
-    for (_, _, members), tail in zip(groups, tails):
-        for scorer, mean in zip(members, tail / (sgd.epochs - tail_start)):
-            scorer.params = mean
+            tail += centers
+    for scorer, mean in zip(scorers, tail / (sgd.epochs - tail_start)):
+        scorer.params = mean
     return [(scorer, float(np.mean(seen))) for (scorer, _, _), seen in zip(jobs, values)]
 
 
@@ -563,7 +366,7 @@ class RefConfig:
             raise DomainError(f"convergence_tol must be positive, got {self.convergence_tol}")
 
 
-def refine_box(scorer: BoxScorer, y0: BoxParam, cfg: RefConfig) -> BoxParam:
+def refine_box(scorer: QuadraticScorer, y0: BoxParam, cfg: RefConfig) -> BoxParam:
     """Gradient-ascend the score from y0, returning the best iterate seen.
 
     The start point counts, so the output never scores below y0.  Ascent

@@ -39,7 +39,6 @@ from .bbox import (
     BOX_DIM,
     BoxParam,
     QuadraticScorer,
-    RbfMixtureScorer,
     RefConfig,
     SGDConfig,
     refine_box,
@@ -286,7 +285,6 @@ _BOOL_FIELDS = ("augment", "subcell")
 # Box-scorer settings that tracker configs must share to train their
 # scorers in lockstep; loss_model, sigma_bb and scorer_tau may differ.
 _SHARED_SCORER_FIELDS = (
-    "scorer_family",
     "scorer_init",
     "bb_samples",
     "bb_epochs",
@@ -326,7 +324,6 @@ class TrackerConfig:
     miss_threshold_mass: float = 0.05
     miss_threshold_score: float = 0.25
     subcell: bool = True
-    scorer_family: str = "quadratic"
     scorer_tau: float = 0.2
     scorer_init: str = "fit"  # fit: closed form at the annotation; train: SGD
     refine_step: float = 1e-2
@@ -370,7 +367,7 @@ class TrackerConfig:
         for name in ("sigma_tc_factor", "sigma_bb", "scorer_tau", "gamma_decay"):
             if not (getattr(self, name) > 0):
                 raise DomainError(f"{name} must be positive")
-        # Both scorer families divide by scorer_tau squared.
+        # The box scorer divides by scorer_tau squared.
         if not (0.0 < float(self.scorer_tau) * float(self.scorer_tau) < math.inf):
             raise DomainError(f"scorer_tau must have a finite positive square, got {self.scorer_tau!r}")
         if self.sigma_tc is not None:
@@ -397,8 +394,6 @@ class TrackerConfig:
             raise DomainError(f"unknown miss_mode {self.miss_mode!r}")
         if self.scorer_init not in ("fit", "train"):
             raise DomainError(f"unknown scorer_init {self.scorer_init!r}")
-        if self.scorer_family not in ("quadratic", "rbf"):
-            raise DomainError(f"unknown scorer_family {self.scorer_family!r}")
 
     def resolved_sigma_tc(self, target_w: float, target_h: float) -> float:
         if self.sigma_tc is not None:
@@ -470,13 +465,13 @@ def search_region(cfg: TrackerConfig, w: float, h: float) -> int:
 def init_scorers(cfgs, init_box: tuple[float, float, float, float], rng: np.random.Generator) -> list:
     """Initial box scorers of several tracker configs for one annotated box.
 
-    The annotation is encoded relative to its own center.  The rbf family's
-    random offsets are drawn once and every scorer gets the same ones; with
-    scorer_init "train" the scorers are then trained in lockstep on one
-    proposal stream.  Each scorer therefore equals the one its config would
-    get alone from an equally seeded generator.  DomainError unless the
-    configs agree on every box-scorer setting but loss_model, sigma_bb and
-    scorer_tau.
+    The annotation is encoded relative to its own center, and each scorer
+    starts centered on it with its config's scorer_tau.  With scorer_init
+    "train" the scorers are then trained in lockstep on one proposal
+    stream, so each equals the one its config would get alone from an
+    equally seeded generator; rng is used for nothing else.  DomainError
+    unless the configs agree on every box-scorer setting but loss_model,
+    sigma_bb and scorer_tau.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -490,16 +485,7 @@ def init_scorers(cfgs, init_box: tuple[float, float, float, float], rng: np.rand
     if not (w > 0 and h > 0):
         raise DomainError(f"init box size must be positive, got {(w, h)}")
     anchor = BoxParam(np.array([0.0, 0.0, math.log(w), math.log(h)]), (w, h))
-    if first.scorer_family == "rbf":
-        offsets = np.vstack([np.zeros(4), 0.3 * rng.standard_normal((7, 4))])
-    scorers = []
-    for cfg in cfgs:
-        if first.scorer_family == "quadratic":
-            scorers.append(QuadraticScorer(anchor.values.copy(), cfg.scorer_tau))
-        else:
-            amps = np.zeros(len(offsets))
-            amps[0] = 1.0
-            scorers.append(RbfMixtureScorer(anchor.values + offsets, np.full(len(offsets), cfg.scorer_tau), amps))
+    scorers = [QuadraticScorer(anchor.values.copy(), cfg.scorer_tau) for cfg in cfgs]
     if first.scorer_init == "train":
         jobs = [(scorer, cfg.loss_model, cfg.sigma_bb) for scorer, cfg in zip(scorers, cfgs)]
         train_box_scorer(jobs, [anchor], first.bb_proposal, first.bb_samples, first.bb_sgd, rng)

@@ -1,4 +1,4 @@
-"""Box encoding, analytic scorers, sample-based training and refinement."""
+"""Box encoding, the quadratic scorer, sample-based training and refinement."""
 
 import math
 
@@ -10,13 +10,10 @@ from prtrack import bbox
 from prtrack.bbox import (
     BoxParam,
     QuadraticScorer,
-    RbfMixtureScorer,
     RefConfig,
     SGDConfig,
     box_encode,
-    load_scorer,
     refine_box,
-    save_scorer,
     train_box_scorer,
 )
 from prtrack.errors import DimensionError, DomainError
@@ -102,37 +99,11 @@ def test_quadratic_grad_params_matches_fd():
     _fd_matches(f, mu0, QuadraticScorer(mu0, tau=0.3).grad_params(y))
 
 
-def test_rbf_grad_box_matches_fd():
-    rng = np.random.Generator(np.random.PCG64(43))
-    scorer = RbfMixtureScorer(
-        rng.normal(0.0, 1.0, (3, 4)), [0.4, 0.7, 1.1], [1.0, -0.5, 0.8]
-    )
-    y = rng.normal(0.0, 0.5, 4)
-    _fd_matches(scorer.value, y, scorer.grad_box(y))
-
-
-def test_rbf_grad_params_matches_fd():
-    rng = np.random.Generator(np.random.PCG64(44))
-    centers = rng.normal(0.0, 1.0, (3, 4))
-    widths = [0.4, 0.7, 1.1]
-    amps0 = np.array([1.0, -0.5, 0.8])
-    y = rng.normal(0.0, 0.5, 4)
-
-    def f(a):
-        return RbfMixtureScorer(centers, widths, a).value(y)
-
-    _fd_matches(f, amps0, RbfMixtureScorer(centers, widths, amps0).grad_params(y))
-
-
 def test_scorer_validation():
     with pytest.raises(DomainError):
         QuadraticScorer(np.zeros(4), tau=0.0)
     with pytest.raises(DimensionError):
         QuadraticScorer(np.zeros(3), tau=1.0)
-    with pytest.raises(DimensionError):
-        RbfMixtureScorer(np.zeros((2, 3)), [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(DomainError):
-        RbfMixtureScorer(np.zeros((1, 4)), [0.0], [1.0])
     for tau in (1e200, 1e-200):
         with pytest.raises(DomainError, match="finite positive square"):
             QuadraticScorer(np.zeros(4), tau=tau)
@@ -155,46 +126,6 @@ def test_numpy_sums_four_wide_rows_left_to_right(layout):
     assert np.array_equal(got, ((cols[0] + cols[1]) + cols[2]) + cols[3])
     # The data tells the orders apart: pairwise sums differ on many rows.
     assert not np.array_equal(got, (cols[0] + cols[1]) + (cols[2] + cols[3]))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_save_load_quadratic(tmp_path):
-    scorer = QuadraticScorer([0.1, -0.2, 0.3, 0.4], tau=0.25)
-    path = tmp_path / "scorer.txt"
-    save_scorer(scorer, path)
-    back = load_scorer(path)
-    assert isinstance(back, QuadraticScorer)
-    assert back.tau == scorer.tau
-    np.testing.assert_array_equal(back.mu, scorer.mu)
-
-
-def test_save_load_rbf(tmp_path):
-    scorer = RbfMixtureScorer([[0.0, 0.1, 0.2, 0.3], [1.0, 1.1, 1.2, 1.3]], [0.5, 0.8], [2.0, -1.0])
-    path = tmp_path / "scorer.txt"
-    save_scorer(scorer, path)
-    back = load_scorer(path)
-    assert isinstance(back, RbfMixtureScorer)
-    np.testing.assert_array_equal(back.centers, scorer.centers)
-    np.testing.assert_array_equal(back.widths, scorer.widths)
-    np.testing.assert_array_equal(back.amplitudes, scorer.amplitudes)
-
-
-def test_load_rejects_unknown_family(tmp_path):
-    path = tmp_path / "scorer.txt"
-    path.write_text("parabola\n1.0\n")
-    with pytest.raises(DomainError):
-        load_scorer(path)
-
-
-def test_load_rejects_bad_value_count(tmp_path):
-    path = tmp_path / "scorer.txt"
-    path.write_text("quadratic\n1.0\n2.0\n")
-    with pytest.raises(DomainError):
-        load_scorer(path)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +234,13 @@ def test_train_validation():
     assert rng.bit_generator.state == state
 
 
-def _scorer(family, ann, width=None):
-    """A scorer of the family; width is tau (quadratic) or every rbf width."""
-    if family == "quadratic":
-        return QuadraticScorer(ann.values + 0.2, tau=width or 0.2)
-    rng = np.random.Generator(np.random.PCG64(52))
-    offsets = np.vstack([np.zeros(4), 0.3 * rng.standard_normal((5, 4))])
-    amps = np.zeros(6)
-    amps[0] = 1.0
-    return RbfMixtureScorer(ann.values + offsets, np.full(6, width or 0.3), amps)
+def _scorer(ann, tau=0.2):
+    return QuadraticScorer(ann.values + 0.2, tau=tau)
 
 
-@pytest.mark.parametrize("family", ["quadratic", "rbf"])
+# The quadratic scorer is the only family; the family id keeps these tests'
+# ids as the suite has listed them.
+@pytest.mark.parametrize("family", ["quadratic"])
 @pytest.mark.parametrize("loss_model", ["l2", "rl2", "nll", "kl"])
 def test_train_matches_plain_reference_loop(family, loss_model):
     # Same draws in the same order, so the same iterates up to rounding and
@@ -325,10 +251,10 @@ def test_train_matches_plain_reference_loop(family, loss_model):
     rng_a = np.random.Generator(np.random.PCG64(53))
     rng_b = np.random.Generator(np.random.PCG64(53))
     [(got, got_last)] = train_box_scorer(
-        [(_scorer(family, anns[0]), loss_model, 0.05)], anns, proposal, 96, sgd, rng_a
+        [(_scorer(anns[0]), loss_model, 0.05)], anns, proposal, 96, sgd, rng_a
     )
     want, want_last = train_box_scorer_reference(
-        _scorer(family, anns[0]), anns, 0.05, proposal, 96, sgd, rng_b, loss_model
+        _scorer(anns[0]), anns, 0.05, proposal, 96, sgd, rng_b, loss_model
     )
     np.testing.assert_allclose(got.params, want.params, rtol=1e-12, atol=0)
     assert got_last == pytest.approx(want_last, rel=1e-12, abs=0)
@@ -366,20 +292,11 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
 
 
 def _lockstep_jobs():
-    # Both families, every loss model, two label widths, and scorers of a
-    # second tau or rbf width, so the stacks mix widths.
+    # Every loss model, two label widths, and scorers of a second tau, so
+    # the stack mixes widths.
     anns = [box_encode((3.0, 2.0, 4.0, 5.0), (4.0, 5.0)), box_encode((1.0, -1.0, 3.0, 2.5), (3.5, 2.0))]
-    jobs = [
-        (family, loss_model, sigma_bb, None)
-        for family in ("quadratic", "rbf")
-        for loss_model in ("l2", "rl2", "nll", "kl")
-        for sigma_bb in (0.05, 0.12)
-    ]
-    jobs += [
-        (family, loss_model, 0.05, width)
-        for family, width in (("quadratic", 0.35), ("rbf", 0.45))
-        for loss_model in ("l2", "rl2", "nll", "kl")
-    ]
+    jobs = [(loss_model, sigma_bb, 0.2) for loss_model in ("l2", "rl2", "nll", "kl") for sigma_bb in (0.05, 0.12)]
+    jobs += [(loss_model, 0.05, 0.35) for loss_model in ("l2", "rl2", "nll", "kl")]
     return anns, jobs
 
 
@@ -391,7 +308,7 @@ def test_lockstep_jobs_match_each_job_trained_alone():
     sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
     rng = np.random.Generator(np.random.PCG64(55))
     together = train_box_scorer(
-        [(_scorer(family, anns[0], width), loss, sigma) for family, loss, sigma, width in jobs],
+        [(_scorer(anns[0], tau), loss, sigma) for loss, sigma, tau in jobs],
         anns,
         proposal,
         64,
@@ -399,14 +316,13 @@ def test_lockstep_jobs_match_each_job_trained_alone():
         rng,
     )
     assert len(together) == len(jobs)
-    for (family, loss, sigma, width), (got, got_last) in zip(jobs, together):
+    for (loss, sigma, tau), (got, got_last) in zip(jobs, together):
         alone_rng = np.random.Generator(np.random.PCG64(55))
         [(want, want_last)] = train_box_scorer(
-            [(_scorer(family, anns[0], width), loss, sigma)], anns, proposal, 64, sgd, alone_rng
+            [(_scorer(anns[0], tau), loss, sigma)], anns, proposal, 64, sgd, alone_rng
         )
-        assert type(got) is type(want)
-        assert np.array_equal(got.params, want.params), (family, loss, sigma, width)
-        assert got_last == want_last, (family, loss, sigma, width)
+        assert np.array_equal(got.params, want.params), (loss, sigma, tau)
+        assert got_last == want_last, (loss, sigma, tau)
         assert alone_rng.bit_generator.state == rng.bit_generator.state
 
 
@@ -447,42 +363,17 @@ def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities,
     assert calls == {"sample": steps, "density": densities * steps, "label": labels * steps, "iou": overlaps * steps}
 
 
-@pytest.mark.parametrize("loss_model,per_step", [("kl", 1), ("l2", 1), ("nll", 3)])
-def test_rbf_training_step_computes_the_basis_once(monkeypatch, loss_model, per_step):
-    # Score and parameter gradient of a batch share one basis evaluation;
-    # nll also scores the annotation itself (value and gradient).
-    calls = []
-    basis = RbfMixtureScorer._basis
-
-    def counting_basis(self, ys):
-        calls.append(len(ys))
-        return basis(self, ys)
-
-    monkeypatch.setattr(RbfMixtureScorer, "_basis", counting_basis)
-    ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
-    rng = np.random.Generator(np.random.PCG64(57))
-    train_box_scorer([(_scorer("rbf", ann), loss_model, 0.05)], [ann], PAPER_PROPOSAL, 16, SGDConfig(epochs=7), rng)
-    assert len(calls) == 7 * per_step
-    assert calls.count(16) == 7
-
-
 def test_value_and_grad_params_stack_matches_the_separate_calls():
-    # Each row of a family's stacked call is bit for bit its scorer's own
-    # batch calls, with scorers that differ in parameters and widths.
+    # Each row of the stacked call is bit for bit its scorer's own batch
+    # calls, with scorers that differ in centers and widths.
     ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
     ys = proposal_sample(PAPER_PROPOSAL.recenter(ann.values), np.random.Generator(np.random.PCG64(58)), size=32)
-    quadratic = [QuadraticScorer(ann.values + shift, tau) for shift, tau in ((0.2, 0.2), (-0.1, 0.2), (0.0, 0.35))]
-    rbf = [_scorer("rbf", ann) for _ in range(3)]
-    rbf[1].params = np.linspace(-1.0, 2.0, 6)
-    rbf[2] = RbfMixtureScorer(rbf[2].centers, np.full(6, 0.45), rbf[2].amplitudes)
-    for family, scorers in ((QuadraticScorer, quadratic), (RbfMixtureScorer, rbf)):
-        scores, bases = family.value_and_grad_params_stack(scorers, ys)
-        assert scores.shape == (3, 32) and scores.flags.c_contiguous
-        for scorer, s, basis in zip(scorers, scores, bases):
-            assert np.array_equal(s, scorer.value_batch(ys))
-            assert np.array_equal(basis, scorer.grad_params_batch(ys))
-    # Equal centers and widths share one basis; another width gets its own.
-    assert bases[0] is bases[1] and bases[2] is not bases[0]
+    scorers = [QuadraticScorer(ann.values + shift, tau) for shift, tau in ((0.2, 0.2), (-0.1, 0.2), (0.0, 0.35))]
+    scores, bases = QuadraticScorer.value_and_grad_params_stack(scorers, ys)
+    assert scores.shape == (3, 32) and scores.flags.c_contiguous
+    for scorer, s, basis in zip(scorers, scores, bases):
+        assert np.array_equal(s, scorer.value_batch(ys))
+        assert np.array_equal(basis, scorer.grad_params_batch(ys))
 
 
 def test_sgd_config_validation():
@@ -533,13 +424,10 @@ def test_refine_zero_steps_is_identity():
 def test_refine_never_scores_below_start():
     rng = np.random.Generator(np.random.PCG64(51))
     for _ in range(20):
-        scorer = RbfMixtureScorer(
-            rng.normal(0.0, 1.0, (3, 4)),
-            rng.uniform(0.2, 1.0, 3),
-            rng.normal(0.0, 1.0, 3),
-        )
+        scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.2, 1.0))
         y0 = BoxParam(rng.normal(0.0, 1.0, 4), (1.0, 1.0))
-        # Deliberately coarse steps so single updates can overshoot.
+        # Deliberately coarse steps so single updates can overshoot: a step
+        # beyond 2 tau^2 lands farther from the center than it started.
         out = refine_box(scorer, y0, RefConfig(step_length=0.5, steps=8))
         assert scorer.value(out.values) >= scorer.value(y0.values)
 
@@ -552,56 +440,42 @@ def test_refine_survives_non_finite_gradient():
     np.testing.assert_array_equal(out.values, y0.values)
 
 
-@pytest.mark.parametrize("family", ["quadratic", "rbf"])
+@pytest.mark.parametrize("family", ["quadratic"])
 def test_float_scores_match_the_array_scores(family):
     # refine_box reads value_at and grad_box_at; they must agree bit for bit
     # with value_batch and grad_box.
     rng = np.random.Generator(np.random.PCG64(61))
     for _ in range(200):
-        if family == "quadratic":
-            scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
-        else:
-            scorer = RbfMixtureScorer(rng.normal(0.0, 1.0, (3, 4)), rng.uniform(0.2, 1.0, 3), rng.normal(0.0, 1.0, 3))
+        scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
         y = rng.normal(0.0, 1.0, 4) * 10.0 ** rng.integers(-3, 3, 4)
         assert scorer.value_at(y.tolist()) == scorer.value_batch(y[None, :])[0] == scorer.value(y)
         assert scorer.grad_box_at(y.tolist()) == scorer.grad_box(y).tolist()
 
 
-def _refine_cases(family):
+def _refine_cases():
     """(scorer, start, config, how the reference loop ends) per case."""
     rng = np.random.Generator(np.random.PCG64(60))
     cases = []
     for _ in range(12):
-        if family == "quadratic":
-            scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
-        else:
-            scorer = RbfMixtureScorer(rng.normal(0.0, 1.0, (3, 4)), rng.uniform(0.2, 1.0, 3), rng.normal(0.0, 1.0, 3))
+        scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
         y0 = BoxParam(rng.normal(0.0, 1.0, 4), (1.0, 1.0))
         cases.append((scorer, y0, RefConfig(step_length=rng.uniform(0.005, 0.5), steps=10), "random"))
     cases.append((scorer, y0, RefConfig(steps=0), "no steps"))
-    if family == "quadratic":
-        # A start 1e-9 off the maximum moves less than the tolerance at once.
-        scorer = QuadraticScorer(np.full(4, 0.3), tau=1.0)
-        cases.append((scorer, BoxParam(np.full(4, 0.3 + 1e-9), (1.0, 1.0)), RefConfig(), "converged"))
-        # tau^2 = 1e-10 turns the distance to a far center into an infinite gradient.
-        scorer = QuadraticScorer(np.full(4, 1e300), tau=1e-5)
-        cases.append((scorer, BoxParam(np.zeros(4), (1.0, 1.0)), RefConfig(), "non-finite"))
-    else:
-        # Far from every center the basis, and so the gradient, nearly vanishes.
-        scorer = RbfMixtureScorer(np.zeros((2, 4)), [0.3, 0.5], [1.0, -2.0])
-        cases.append((scorer, BoxParam(np.full(4, 2.5), (1.0, 1.0)), RefConfig(), "converged"))
-        # Amplitudes near the float maximum overflow the gradient.
-        scorer = RbfMixtureScorer(np.full((1, 4), 0.1), [1e-3], [1e308])
-        cases.append((scorer, BoxParam(np.full(4, 0.1 + 1e-4), (1.0, 1.0)), RefConfig(), "non-finite"))
+    # A start 1e-9 off the maximum moves less than the tolerance at once.
+    scorer = QuadraticScorer(np.full(4, 0.3), tau=1.0)
+    cases.append((scorer, BoxParam(np.full(4, 0.3 + 1e-9), (1.0, 1.0)), RefConfig(), "converged"))
+    # tau^2 = 1e-10 turns the distance to a far center into an infinite gradient.
+    scorer = QuadraticScorer(np.full(4, 1e300), tau=1e-5)
+    cases.append((scorer, BoxParam(np.zeros(4), (1.0, 1.0)), RefConfig(), "non-finite"))
     return cases
 
 
-@pytest.mark.parametrize("family", ["quadratic", "rbf"])
+@pytest.mark.parametrize("family", ["quadratic"])
 def test_refine_matches_the_numpy_reference_loop(family, monkeypatch):
     # refine_box steps on Python floats; the NumPy loop it replaced must give
     # the same box bit for bit after the same number of gradients.
     seen = {"random": 0, "no steps": 0, "converged": 0, "non-finite": 0}
-    for scorer, y0, cfg, case in _refine_cases(family):
+    for scorer, y0, cfg, case in _refine_cases():
         evaluated = []
         grad_box_at = type(scorer).grad_box_at
         monkeypatch.setattr(scorer, "grad_box_at", lambda y, s=scorer: evaluated.append(1) or grad_box_at(s, y))

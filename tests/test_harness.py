@@ -172,6 +172,8 @@ def test_cli_rejects_bad_solver_settings(tmp_path, capsys, monkeypatch, tracker,
         ({"bb_lr_decay": -1}, "box training: lr_decay must be nonnegative"),
         ({"scorer_tau": 1e200}, "scorer_tau must have a finite positive square, got 1e+200"),
         ({"scorer_tau": 1e-200}, "scorer_tau must have a finite positive square, got 1e-200"),
+        ({"scorer_family": "rbf"}, "unknown key(s) ['scorer_family'] in tracker section"),
+        ({"scorer_family": "quadratic"}, "unknown key(s) ['scorer_family'] in tracker section"),
     ],
 )
 def test_cli_rejects_bad_box_settings(tmp_path, capsys, monkeypatch, tracker, message):
@@ -260,7 +262,7 @@ _TRACKER_VALUES = st.one_of(
     _HUGE_INTS,
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(min_value=1e-3, max_value=20.0),
-    st.sampled_from(["kl", "nll", "l2", "rl2", "auto", "mass", "score", "fit", "train", "quadratic", "rbf", "x"]),
+    st.sampled_from(["kl", "nll", "l2", "rl2", "auto", "mass", "score", "fit", "train", "quadratic", "huber", "x"]),
     st.lists(st.one_of(st.floats(allow_nan=True), st.integers(), _HUGE_INTS, st.text(max_size=2)), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
 )
