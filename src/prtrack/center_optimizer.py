@@ -31,6 +31,8 @@ sample of a support must share one grid shape.  Each loss family evaluates
 its value, score gradient and curvature over a whole stack at once.  It
 sums each row as NumPy sums a lone contiguous grid and accumulates the
 samples in order, so the stacked results equal per-sample ones bit for bit.
+The two families, _CrossEntropy (kl, nll) and _Squared (l2, rl2), live in
+the losses module, whose grid losses are their one-row calls.
 
 Unfolds are built one sample at a time and never kept.  An iteration
 unfolds each sample at most twice, for its adjoint and for its curvature
@@ -55,6 +57,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
 from .gridmath import FeatureMap, Grid2D, Kernel2D, _columns, _correlate, _correlate_adjoint
+from .losses import _CrossEntropy, _Squared
 
 __all__ = [
     "SupportSample",
@@ -171,89 +174,6 @@ class OptStep:
     objective: float
     step_length: float
     grad_norm: float
-
-
-class _CrossEntropy:
-    """Softmax cross entropy log(sum_k exp s_k) - sum_k p_k s_k of each row.
-
-    The score gradient is softmax(s) - p.  The curvature state is the
-    softmax, taken as that gradient plus p.
-    """
-
-    def __init__(self, labels: np.ndarray):
-        self.labels = labels
-
-    @staticmethod
-    def _values(s, p, work):
-        # Leaves exp(s - max) in work and returns it with the row values.
-        m = s.max(axis=1)
-        ps = np.multiply(p, s, out=work).sum(axis=1)
-        np.subtract(s, m[:, None], out=work)
-        total = np.exp(work, out=work).sum(axis=1)
-        values = [mj + math.log(tj) - pj for mj, tj, pj in zip(m.tolist(), total.tolist(), ps.tolist())]
-        return values, total
-
-    def value(self, s: np.ndarray, work: np.ndarray) -> list[float]:
-        """Loss of each row of s; work is a scratch stack of its shape."""
-        return self._values(s, self.labels, work)[0]
-
-    def value_grad(self, s, grad, state, rows: slice) -> list[float]:
-        """Losses of the rows; grad and state get their score gradients and curvature states."""
-        s, grad, state, p = s[rows], grad[rows], state[rows], self.labels[rows]
-        values, total = self._values(s, p, state)
-        np.divide(state, total[:, None], out=state)
-        np.subtract(state, p, out=grad)
-        np.add(grad, p, out=state)
-        return values
-
-    def curvature(self, state: np.ndarray, v: np.ndarray, work: np.ndarray) -> list[float]:
-        """v' (d2 loss / ds2) v of each row: the softmax variance of v."""
-        pv = np.multiply(state, v, out=work).sum(axis=1).tolist()
-        pvv = np.multiply(work, v, out=work).sum(axis=1).tolist()
-        return [b - a * a for a, b in zip(pv, pvv)]
-
-
-class _Squared:
-    """Sum of squared residuals r = s - a of each row.
-
-    With a far mask (rl2) the residual off the near cells is the hinge
-    max(s, 0), and the curvature state masks the cells where it is flat.
-    Without one (l2) every cell is near and no state is needed.
-    """
-
-    def __init__(self, labels: np.ndarray, far: np.ndarray | None):
-        self.labels = labels
-        self.far = far
-
-    def _residual(self, s, out, rows):
-        np.subtract(s, self.labels[rows], out=out)
-        if self.far is not None:
-            np.maximum(s, 0.0, out=out, where=self.far[rows])
-        return out
-
-    def value(self, s: np.ndarray, work: np.ndarray) -> list[float]:
-        """Loss of each row of s; work is a scratch stack of its shape."""
-        r = self._residual(s, work, slice(None))
-        return np.multiply(r, r, out=r).sum(axis=1).tolist()
-
-    def value_grad(self, s, grad, state, rows: slice) -> list[float]:
-        """Losses of the rows; grad and state get their score gradients and curvature states."""
-        s, grad, state = s[rows], grad[rows], state[rows]
-        r = self._residual(s, grad, rows)
-        values = np.multiply(r, r, out=state).sum(axis=1).tolist()
-        np.multiply(r, 2.0, out=grad)
-        if self.far is not None:
-            state.fill(1.0)
-            np.greater(s, 0.0, out=state, where=self.far[rows])
-        return values
-
-    def curvature(self, state: np.ndarray, v: np.ndarray, work: np.ndarray) -> list[float]:
-        """v' (d2 loss / ds2) v of each row."""
-        if self.far is None:
-            vv = np.multiply(v, v, out=work)
-        else:
-            vv = np.multiply(np.multiply(state, v, out=work), v, out=work)
-        return [2.0 * x for x in vv.sum(axis=1).tolist()]
 
 
 def _label(sample: SupportSample, loss_model: str, out: np.ndarray):

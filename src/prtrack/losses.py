@@ -16,6 +16,13 @@ Grid losses take a Grid2D of scores; the Monte Carlo loss takes flat sample
 vectors.  The value of kl_grid_loss drops the score-independent entropy of
 the label density, so it can be negative; differences between score grids
 are still exact divergences.
+
+Each objective has one implementation.  _CrossEntropy (nll, kl) and
+_Squared (l2, rl2) evaluate a stack of flattened score grids, one row per
+grid, with value, score gradient and curvature; the online kernel solver in
+center_optimizer runs them over its whole support set, and the grid losses
+here are one-row calls scaled by the cell area.  kl_mc_loss is the sampled
+form the box scorers train on.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .gridmath import Grid2D, log_sum_exp, softmax
+from .gridmath import Grid2D
 
 __all__ = [
     "LossValueGrad",
@@ -54,6 +61,97 @@ class LossValueGrad:
     grad_scores: Grid2D | np.ndarray
 
 
+class _CrossEntropy:
+    """Softmax cross entropy log(sum_k exp s_k) - sum_k p_k s_k of each row.
+
+    The score gradient is softmax(s) - p.  The curvature state is the
+    softmax, taken as that gradient plus p.
+    """
+
+    def __init__(self, labels: np.ndarray):
+        self.labels = labels
+
+    @staticmethod
+    def _values(s, p, work):
+        # Leaves exp(s - max) in work and returns it with the row values.
+        m = s.max(axis=1)
+        ps = np.multiply(p, s, out=work).sum(axis=1)
+        np.subtract(s, m[:, None], out=work)
+        total = np.exp(work, out=work).sum(axis=1)
+        values = [mj + math.log(tj) - pj for mj, tj, pj in zip(m.tolist(), total.tolist(), ps.tolist())]
+        return values, total
+
+    def value(self, s: np.ndarray, work: np.ndarray) -> list[float]:
+        """Loss of each row of s; work is a scratch stack of its shape."""
+        return self._values(s, self.labels, work)[0]
+
+    def value_grad(self, s, grad, state, rows: slice) -> list[float]:
+        """Losses of the rows; grad and state get their score gradients and curvature states."""
+        s, grad, state, p = s[rows], grad[rows], state[rows], self.labels[rows]
+        values, total = self._values(s, p, state)
+        np.divide(state, total[:, None], out=state)
+        np.subtract(state, p, out=grad)
+        np.add(grad, p, out=state)
+        return values
+
+    def curvature(self, state: np.ndarray, v: np.ndarray, work: np.ndarray) -> list[float]:
+        """v' (d2 loss / ds2) v of each row: the softmax variance of v."""
+        pv = np.multiply(state, v, out=work).sum(axis=1).tolist()
+        pvv = np.multiply(work, v, out=work).sum(axis=1).tolist()
+        return [b - a * a for a, b in zip(pv, pvv)]
+
+
+class _Squared:
+    """Sum of squared residuals r = s - a of each row.
+
+    With a far mask (rl2) the residual off the near cells is the hinge
+    max(s, 0), and the curvature state masks the cells where it is flat.
+    Without one (l2) every cell is near and no state is needed.
+    """
+
+    def __init__(self, labels: np.ndarray, far: np.ndarray | None):
+        self.labels = labels
+        self.far = far
+
+    def _residual(self, s, out, rows):
+        np.subtract(s, self.labels[rows], out=out)
+        if self.far is not None:
+            np.maximum(s, 0.0, out=out, where=self.far[rows])
+        return out
+
+    def value(self, s: np.ndarray, work: np.ndarray) -> list[float]:
+        """Loss of each row of s; work is a scratch stack of its shape."""
+        r = self._residual(s, work, slice(None))
+        return np.multiply(r, r, out=r).sum(axis=1).tolist()
+
+    def value_grad(self, s, grad, state, rows: slice) -> list[float]:
+        """Losses of the rows; grad and state get their score gradients and curvature states."""
+        s, grad, state = s[rows], grad[rows], state[rows]
+        r = self._residual(s, grad, rows)
+        values = np.multiply(r, r, out=state).sum(axis=1).tolist()
+        np.multiply(r, 2.0, out=grad)
+        if self.far is not None:
+            state.fill(1.0)
+            np.greater(s, 0.0, out=state, where=self.far[rows])
+        return values
+
+    def curvature(self, state: np.ndarray, v: np.ndarray, work: np.ndarray) -> list[float]:
+        """v' (d2 loss / ds2) v of each row."""
+        if self.far is None:
+            vv = np.multiply(v, v, out=work)
+        else:
+            vv = np.multiply(np.multiply(state, v, out=work), v, out=work)
+        return [2.0 * x for x in vv.sum(axis=1).tolist()]
+
+
+def _one_row(loss, scores: Grid2D) -> tuple[float, np.ndarray]:
+    """Value and score gradient of a stacked loss on the one grid its labels were flattened from."""
+    row = scores.values.reshape(1, -1)
+    grad, state = np.empty_like(row), np.empty_like(row)
+    (value,) = loss.value_grad(row, grad, state, slice(None))
+    return value, grad.reshape(scores.values.shape)
+
+
 def _check_same_shape(scores: Grid2D, labels: Grid2D, what: str):
     if (scores.height, scores.width) != (labels.height, labels.width):
         raise DimensionError(
@@ -67,8 +165,8 @@ def l2_loss(scores: Grid2D, pseudo_labels: Grid2D, cell_area: float = 1.0) -> Lo
     _check_same_shape(scores, pseudo_labels, "pseudo labels")
     if cell_area <= 0:
         raise DomainError(f"cell_area must be positive, got {cell_area}")
-    r = scores.values - pseudo_labels.values
-    return LossValueGrad(cell_area * float((r * r).sum()), Grid2D(2.0 * cell_area * r))
+    value, grad = _one_row(_Squared(pseudo_labels.values.reshape(1, -1), None), scores)
+    return LossValueGrad(cell_area * value, Grid2D(cell_area * grad))
 
 
 def robust_l2_loss(
@@ -86,10 +184,9 @@ def robust_l2_loss(
     _check_same_shape(scores, pseudo_labels, "pseudo labels")
     if cell_area <= 0:
         raise DomainError(f"cell_area must be positive, got {cell_area}")
-    s, a = scores.values, pseudo_labels.values
-    near = a > threshold
-    r = np.where(near, s - a, np.maximum(s, 0.0))
-    return LossValueGrad(cell_area * float((r * r).sum()), Grid2D(2.0 * cell_area * r))
+    a = pseudo_labels.values.reshape(1, -1)
+    value, grad = _one_row(_Squared(a, ~(a > threshold)), scores)
+    return LossValueGrad(cell_area * value, Grid2D(cell_area * grad))
 
 
 def nll_loss(scores: Grid2D, label_coordinate, cell_area: float = 1.0) -> LossValueGrad:
@@ -97,7 +194,8 @@ def nll_loss(scores: Grid2D, label_coordinate, cell_area: float = 1.0) -> LossVa
 
     The continuous annotation is snapped to the nearest cell center
     (cell (i, j) sits at (i, j) * sqrt(cell_area)); annotations outside
-    the grid are rejected.
+    the grid are rejected.  This is log A plus the cross entropy against
+    a one-hot label at that cell.
     """
     if cell_area <= 0:
         raise DomainError(f"cell_area must be positive, got {cell_area}")
@@ -109,10 +207,10 @@ def nll_loss(scores: Grid2D, label_coordinate, cell_area: float = 1.0) -> LossVa
     j = int(round(coord[1] / spacing))
     if not (0 <= i < scores.height and 0 <= j < scores.width):
         raise DomainError(f"label coordinate {tuple(coord)} falls outside the score grid")
-    value = log_sum_exp(scores, cell_area) - float(scores.values[i, j])
-    grad = softmax(scores).values.copy()
-    grad[i, j] -= 1.0
-    return LossValueGrad(value, Grid2D(grad))
+    one_hot = np.zeros(scores.values.shape)
+    one_hot[i, j] = 1.0
+    value, grad = _one_row(_CrossEntropy(one_hot.reshape(1, -1)), scores)
+    return LossValueGrad(math.log(cell_area) + value, Grid2D(grad))
 
 
 def kl_grid_loss(
@@ -125,7 +223,8 @@ def kl_grid_loss(
 
     By default the label density is rescaled so its grid mass A * sum p_k
     is exactly 1, which keeps truncated or coarsely sampled Gaussians
-    honest; pass renormalize=False to trust the raw values.  The gradient
+    honest; pass renormalize=False to trust the raw values.  This is log A
+    plus the cross entropy against the cell masses A * p, and the gradient
     is A * (softmax density - p).
     """
     _check_same_shape(scores, label_grid, "label grid")
@@ -139,10 +238,8 @@ def kl_grid_loss(
         if mass <= 0:
             raise DomainError("label grid has zero mass; cannot renormalize")
         p = p / mass
-    value = log_sum_exp(scores, cell_area) - cell_area * float((scores.values * p).sum())
-    model_density = softmax(scores).values / cell_area
-    grad = cell_area * (model_density - p)
-    return LossValueGrad(value, Grid2D(grad))
+    value, grad = _one_row(_CrossEntropy((cell_area * p).reshape(1, -1)), scores)
+    return LossValueGrad(math.log(cell_area) + value, Grid2D(grad))
 
 
 def kl_mc_loss(sample_scores, label_densities, proposal_densities, label_rows=None) -> LossValueGrad:
