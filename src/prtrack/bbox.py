@@ -208,6 +208,10 @@ def _decode_batch(ys: np.ndarray, reference) -> np.ndarray:
 _ROW_ORDER = ("kl", "nll", "l2", "rl2")
 
 
+# A diverging run overflows its scores or steps to inf or nan.  The
+# finiteness checks turn that into one NumericError; NumPy's warnings would
+# only print the same failure again.
+@np.errstate(over="ignore", invalid="ignore")
 def train_box_scorer(
     jobs,
     annotations,
