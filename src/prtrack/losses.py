@@ -238,6 +238,8 @@ def kl_grid_loss(
         if mass <= 0:
             raise DomainError("label grid has zero mass; cannot renormalize")
         p = p / mass
+    if p.size == 0:
+        raise DomainError("divergence of an empty grid")
     value, grad = _one_row(_CrossEntropy((cell_area * p).reshape(1, -1)), scores)
     return LossValueGrad(math.log(cell_area) + value, Grid2D(grad))
 

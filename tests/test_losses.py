@@ -242,6 +242,13 @@ def test_kl_grid_rejects_negative_labels():
         kl_grid_loss(_grid(np.zeros((2, 2))), _grid([[0.5, -0.1], [0.3, 0.3]]))
 
 
+def test_kl_grid_rejects_empty_grids():
+    empty = _grid(np.zeros((0, 3)))
+    for renormalize in (True, False):
+        with pytest.raises(DomainError):
+            kl_grid_loss(empty, empty, renormalize=renormalize)
+
+
 def test_kl_grid_shape_mismatch():
     with pytest.raises(DimensionError):
         kl_grid_loss(_grid(np.zeros((2, 2))), _grid(np.zeros((2, 3))))
