@@ -22,6 +22,7 @@ from prtrack.center_optimizer import (
 )
 from prtrack.errors import DimensionError, DomainError, NumericError
 from prtrack.gridmath import FeatureMap, Grid2D, Kernel2D, _columns, conv_apply
+from prtrack.losses import kl_grid_loss
 
 CFG = OptimizerConfig(regularization=1e-2, iterations=5)
 
@@ -125,6 +126,18 @@ def test_gradient_matches_finite_differences(loss_model):
     fd = fd_gradient(f, w0.ravel(), eps=1e-5).reshape(w0.shape)
     scale = max(1.0, float(np.abs(fd).max()))
     assert float(np.abs(fd - got).max()) <= 1e-6 * scale
+
+
+def test_ce_gradient_sums_to_one_minus_label_mass():
+    # kl_grid_loss with raw labels and unit cells is the solver's softmax
+    # cross entropy; its score gradient softmax(s) - p sums to 1 - p.sum().
+    rng = np.random.Generator(np.random.PCG64(26))
+    s = Grid2D(rng.normal(0.0, 1.0, (4, 5)))
+    for mass in (1.0, 0.6):
+        p = rng.uniform(0.01, 1.0, (4, 5))
+        p *= mass / p.sum()
+        grad = kl_grid_loss(s, Grid2D(p), renormalize=False).grad_scores.values
+        assert grad.sum() == pytest.approx(1.0 - mass, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
