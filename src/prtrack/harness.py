@@ -15,7 +15,7 @@ Common flags: --config <json>, --seed <int>, --out <dir>, --jobs <n>.
 Exit codes: 0 success, 2 bad usage or configuration, 1 numeric failure.
 
 Configuration is a JSON document; unknown keys anywhere are rejected.
-Top-level sections (each optional, defaults apply):
+Top-level sections (each optional, an object when given, defaults apply):
 
     tracker   tracker settings, same field names as TrackerConfig
     suite     {"scenarios": [<spec>, ...], "repetitions": n}
@@ -26,6 +26,10 @@ Top-level sections (each optional, defaults apply):
 A scenario <spec> is a preset name, or an object with an optional "preset"
 key plus Scenario field overrides ("seed" is reserved: every run derives
 its sequence seed from --seed so that repetitions are reproducible).
+load_config checks every value against the annotations of TrackerConfig,
+Scenario and RunConfig, then the ranges, the sizes (MAX_SEQUENCE_CELLS,
+MAX_CROP_CELLS, MAX_BOX_SAMPLES) and the dump frame, so a config that
+loads runs without a usage error.
 
 Determinism: each (scenario, repetition) cell owns its RNG streams, seeded
 as master + 103 * scenario_index + 10007 * repetition (the tracker stream
@@ -68,7 +72,8 @@ from .labels import GaussianLabel, gaussian_normalizer, label_grid
 from .tracker import (
     Scenario,
     TrackerConfig,
-    _is_int,
+    _FIELD_CHECKS,
+    _check_fields,
     evaluate,
     generate_sequence,
     init_scorers,
@@ -84,6 +89,8 @@ __all__ = ["RunConfig", "load_config", "SCENARIO_PRESETS", "MODEL_ORDER", "main"
 MODEL_ORDER = ("l2", "rl2", "nll", "kl")
 TRACKER_RNG_OFFSET = 7_654_321
 MAX_CROP_CELLS = 2**22  # channels x region^2 of one search-region crop
+MAX_SEQUENCE_CELLS = 2**30  # num_frames x channels x height x width of one sequence
+MAX_BOX_SAMPLES = 2**20  # bb_samples: proposals drawn per annotation and epoch
 
 SCENARIO_PRESETS: dict[str, dict] = {
     # A target parked on a cell center, nothing else in the scene.
@@ -122,33 +129,15 @@ SCENARIO_PRESETS: dict[str, dict] = {
 
 _SCENARIO_FIELDS = {f.name: f for f in dataclasses.fields(Scenario)}
 _TRACKER_FIELDS = {f.name: f for f in dataclasses.fields(TrackerConfig)}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated configuration for every subcommand."""
-
-    tracker: TrackerConfig
-    scenarios: tuple
-    repetitions: int
-    sweep_parameter: str
-    sweep_values: tuple[float, ...]
-    track_scenario: object
-    dump_scenario: object
-    dump_frame_index: int
-    dump_slice_cells: int
-
-
-_DEFAULTS = dict(
-    scenarios=("distractors", "distractors_occlusion"),
-    repetitions=5,
-    sweep_parameter="sigma_tc",
-    sweep_values=(0.00015, 1.5, 15.0),
-    track_scenario="distractors",
-    dump_scenario="static",
-    dump_frame_index=5,
-    dump_slice_cells=41,
-)
+# The sections after "tracker" (whose keys are the TrackerConfig fields):
+# each key and the RunConfig field it sets.
+_SECTIONS = {
+    "suite": {"scenarios": "scenarios", "repetitions": "repetitions"},
+    "sweep": {"parameter": "sweep_parameter", "values": "sweep_values"},
+    "track": {"scenario": "track_scenario"},
+    "dump": {"scenario": "dump_scenario", "frame_index": "dump_frame_index", "slice_cells": "dump_slice_cells"},
+}
+_KEY_NAMES = {field: f"{section}.{key}" for section, keys in _SECTIONS.items() for key, field in keys.items()}
 
 
 def _expect(cond: bool, message: str):
@@ -156,17 +145,44 @@ def _expect(cond: bool, message: str):
         raise UsageError(message)
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated configuration for every subcommand; the defaults are the CLI's."""
+
+    tracker: TrackerConfig = dataclasses.field(default_factory=TrackerConfig)
+    scenarios: tuple = ("distractors", "distractors_occlusion")
+    repetitions: int = 5
+    sweep_parameter: str = "sigma_tc"
+    sweep_values: tuple[float, ...] = (0.00015, 1.5, 15.0)
+    track_scenario: object = "distractors"
+    dump_scenario: object = "static"
+    dump_frame_index: int = 5
+    dump_slice_cells: int = 41
+
+    def __post_init__(self):
+        try:
+            _check_fields(self, names=_KEY_NAMES)
+        except DomainError as exc:
+            raise UsageError(str(exc)) from exc
+        _expect(self.repetitions >= 1, "suite.repetitions must be an int >= 1")
+        _expect(self.sweep_parameter in ("sigma_tc", "sigma_bb"), "sweep.parameter must be 'sigma_tc' or 'sigma_bb'")
+        _expect(self.sweep_values, "sweep.values must be a nonempty list")
+        _expect(all(v > 0 for v in self.sweep_values), "sweep.values must be positive")
+        _expect(self.dump_frame_index >= 1, "dump.frame_index must be an int >= 1")
+        _expect(self.dump_slice_cells >= 3 and self.dump_slice_cells % 2 == 1, "dump.slice_cells must be an odd int >= 3")
+
+
+def _at_load(what: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a rejection turned into a usage error prefixed by what."""
+    try:
+        return fn(*args, **kwargs)
+    except (DomainError, UsageError) as exc:
+        raise UsageError(f"{what}: {exc}") from exc
+
+
 def _check_keys(d: dict, allowed, where: str):
     unknown = sorted(set(d) - set(allowed))
     _expect(not unknown, f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
-
-
-def _as_number(v, where: str) -> float:
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{where} must be a number")
-    try:
-        return float(v)
-    except OverflowError:
-        raise UsageError(f"{where} is outside the floating-point range") from None
 
 
 def _validate_scenario_spec(spec, where: str):
@@ -177,16 +193,11 @@ def _validate_scenario_spec(spec, where: str):
     allowed = set(_SCENARIO_FIELDS) - {"seed"} | {"preset"}
     _check_keys(spec, allowed, where)
     if "preset" in spec:
+        preset = spec["preset"]
         _expect(
-            spec["preset"] in SCENARIO_PRESETS,
-            f"{where}: unknown preset {spec['preset']!r}; presets: {sorted(SCENARIO_PRESETS)}",
+            isinstance(preset, str) and preset in SCENARIO_PRESETS,
+            f"{where}: unknown preset {preset!r}; presets: {sorted(SCENARIO_PRESETS)}",
         )
-    # Field-level semantics are checked by building the Scenario once; the
-    # seed does not enter them.
-    try:
-        resolve_scenario(spec, 0)
-    except UsageError as exc:
-        raise UsageError(f"{where}: {exc}") from exc
     return dict(spec)
 
 
@@ -200,23 +211,7 @@ def resolve_scenario(spec, seed: int) -> Scenario:
         if preset is not None:
             params = {**SCENARIO_PRESETS[preset], **params}
     params["seed"] = seed
-    try:
-        return Scenario(**params)
-    except (DomainError, TypeError) as exc:
-        raise UsageError(f"bad scenario spec: {exc}") from exc
-
-
-def _build_tracker(overrides: dict) -> TrackerConfig:
-    _check_keys(overrides, set(_TRACKER_FIELDS), "tracker section")
-    params = dict(overrides)
-    for key in ("proposal_weights", "proposal_sigmas"):
-        if key in params:
-            _expect(isinstance(params[key], (list, tuple)), f"tracker.{key} must be a list")
-            params[key] = tuple(_as_number(v, f"tracker.{key}") for v in params[key])
-    try:
-        return TrackerConfig(**params)
-    except (DomainError, TypeError) as exc:
-        raise UsageError(f"bad tracker config: {exc}") from exc
+    return _at_load("bad scenario spec", Scenario, **params)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -231,113 +226,75 @@ def load_config(path: str | None) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "config root must be a JSON object")
-    _check_keys(raw, {"tracker", "suite", "sweep", "track", "dump"}, "config root")
-
-    tracker = _build_tracker(raw.get("tracker", {}) or {})
-    out = dict(_DEFAULTS)
-
-    if "suite" in raw:
-        suite = raw["suite"]
-        _expect(isinstance(suite, dict), "suite must be an object")
-        _check_keys(suite, {"scenarios", "repetitions"}, "suite section")
-        if "scenarios" in suite:
-            specs = suite["scenarios"]
-            _expect(isinstance(specs, list) and specs, "suite.scenarios must be a nonempty list")
-            out["scenarios"] = tuple(
-                _validate_scenario_spec(s, f"suite.scenarios[{i}]") for i, s in enumerate(specs)
-            )
-        if "repetitions" in suite:
-            reps = suite["repetitions"]
-            _expect(_is_int(reps) and reps >= 1, "suite.repetitions must be an int >= 1")
-            out["repetitions"] = reps
-
-    if "sweep" in raw:
-        sweep = raw["sweep"]
-        _expect(isinstance(sweep, dict), "sweep must be an object")
-        _check_keys(sweep, {"parameter", "values"}, "sweep section")
-        if "parameter" in sweep:
-            _expect(
-                sweep["parameter"] in ("sigma_tc", "sigma_bb"),
-                "sweep.parameter must be 'sigma_tc' or 'sigma_bb'",
-            )
-            out["sweep_parameter"] = sweep["parameter"]
-        if "values" in sweep:
-            vals = sweep["values"]
-            _expect(isinstance(vals, list) and vals, "sweep.values must be a nonempty list")
-            values = tuple(_as_number(v, "sweep.values") for v in vals)
-            _expect(all(v > 0 for v in values), "sweep.values must be positive")
-            out["sweep_values"] = values
-
-    if "track" in raw:
-        section = raw["track"]
-        _expect(isinstance(section, dict), "track must be an object")
-        _check_keys(section, {"scenario"}, "track section")
-        if "scenario" in section:
-            out["track_scenario"] = _validate_scenario_spec(section["scenario"], "track.scenario")
-
-    if "dump" in raw:
-        section = raw["dump"]
-        _expect(isinstance(section, dict), "dump must be an object")
-        _check_keys(section, {"scenario", "frame_index", "slice_cells"}, "dump section")
-        if "scenario" in section:
-            out["dump_scenario"] = _validate_scenario_spec(section["scenario"], "dump.scenario")
-        if "frame_index" in section:
-            fi = section["frame_index"]
-            _expect(_is_int(fi) and fi >= 1, "dump.frame_index must be an int >= 1")
-            out["dump_frame_index"] = fi
-        if "slice_cells" in section:
-            sc = section["slice_cells"]
-            _expect(
-                _is_int(sc) and sc >= 3 and sc % 2 == 1,
-                "dump.slice_cells must be an odd int >= 3",
-            )
-            out["dump_slice_cells"] = sc
-
-    scenarios = [
-        resolve_scenario(s, 0) for s in (*out["scenarios"], out["track_scenario"], out["dump_scenario"])
-    ]
-    _check_label_widths(tracker, scenarios, out)
-    _check_search_regions(tracker, scenarios)
-    return RunConfig(tracker=tracker, **out)
+    _check_keys(raw, {"tracker", *_SECTIONS}, "config root")
+    fields = {}
+    for section in ("tracker", *_SECTIONS):
+        body = raw.get(section, {})
+        _expect(isinstance(body, dict), f"{section} must be an object")
+        _check_keys(body, _SECTIONS.get(section, _TRACKER_FIELDS), f"{section} section")
+        if section == "tracker":
+            for key in ("proposal_weights", "proposal_sigmas"):  # elements named with their section
+                check = _FIELD_CHECKS[_TRACKER_FIELDS[key].type]
+                _at_load("bad tracker config", check, f"tracker.{key}", body.get(key, ()))
+            fields["tracker"] = _at_load("bad tracker config", TrackerConfig, **body)
+            continue
+        for key, value in body.items():
+            where = f"{section}.{key}"
+            if key == "scenarios":
+                _expect(isinstance(value, list) and value, f"{where} must be a nonempty list")
+                value = tuple(_validate_scenario_spec(s, f"{where}[{i}]") for i, s in enumerate(value))
+            elif key == "scenario":
+                value = _validate_scenario_spec(value, where)
+            fields[_SECTIONS[section][key]] = value
+    cfg = RunConfig(**fields)
+    _check_resolved(cfg)
+    return cfg
 
 
-def _check_label_widths(tracker: TrackerConfig, scenarios, out: dict):
-    """Reject label widths whose Gaussian normalizer is not finite.
+def _check_resolved(cfg: RunConfig):
+    """Reject, before any sequence is rendered, what no run could build or compute.
 
-    The factor rule resolves sigma_tc from each scenario's target size, so
-    it is checked against every scenario; sweep values replace sigma_tc
-    (2D grid labels) or sigma_bb (labels over the BOX_DIM box parameters).
+    bb_samples is bounded.  One pass over the scenario specs builds each
+    Scenario (the seed does not enter its checks) and bounds its sequence's
+    size, its target's sigma_tc and its search region (as track_init
+    resolves them, from the sizes alone).  Sweep values replace sigma_tc or
+    sigma_bb, and a label width is rejected when its Gaussian normalizer is
+    not finite.  The dump frame must lie in the dump scenario.
     """
-    sizes = sorted({(sc.target_w, sc.target_h) for sc in scenarios})
-    widths = [
-        (f"sigma_tc for a {w}x{h} target", tracker.resolved_sigma_tc(w, h), 2) for w, h in sizes
-    ]
-    dim = BOX_DIM if out["sweep_parameter"] == "sigma_bb" else 2
-    widths += [(f"sweep.values {v!r}", v, dim) for v in out["sweep_values"]]
-    for what, sigma, dim in widths:
-        try:
-            gaussian_normalizer(sigma, dim)
-        except DomainError as exc:
-            raise UsageError(f"{what}: {exc}") from exc
-
-
-def _check_search_regions(tracker: TrackerConfig, scenarios):
-    """Reject search regions that are not finite or whose crop is too large.
-
-    The region follows each scenario's target size, as in track_init; the
-    check runs on the sizes alone, before any crop is allocated.
-    """
-    for sc in scenarios:
-        what = f"search region for a {sc.target_w}x{sc.target_h} target"
-        try:
-            region = search_region(tracker, sc.target_w, sc.target_h)
-        except DomainError as exc:
-            raise UsageError(f"{what}: {exc}") from exc
+    tracker = cfg.tracker
+    _expect(
+        tracker.bb_samples <= MAX_BOX_SAMPLES,
+        f"tracker.bb_samples must be at most {MAX_BOX_SAMPLES}, got {tracker.bb_samples}",
+    )
+    specs = [(f"suite.scenarios[{i}]", s) for i, s in enumerate(cfg.scenarios)]
+    specs += [("track.scenario", cfg.track_scenario), ("dump.scenario", cfg.dump_scenario)]
+    for where, spec in specs:
+        sc = _at_load(where, resolve_scenario, spec, 0)
+        size = (sc.num_frames, sc.channels, sc.height, sc.width)
+        cells = math.prod(size)
+        _expect(
+            cells <= MAX_SEQUENCE_CELLS,
+            f"{where}: num_frames x channels x height x width = {'x'.join(map(str, size))}"
+            f" = {cells} cells, over {MAX_SEQUENCE_CELLS}",
+        )
+        target = f"a {sc.target_w}x{sc.target_h} target"
+        sigma = tracker.resolved_sigma_tc(sc.target_w, sc.target_h)
+        _at_load(f"{where}: sigma_tc for {target}", gaussian_normalizer, sigma, 2)
+        region = _at_load(f"{where}: search region for {target}", search_region, tracker, sc.target_w, sc.target_h)
         cells = sc.channels * region * region
         _expect(
             cells <= MAX_CROP_CELLS,
-            f"{what}: a {sc.channels}x{region}x{region} crop has {cells} cells, over {MAX_CROP_CELLS}",
+            f"{where}: search region for {target}: a {sc.channels}x{region}x{region} crop has {cells} cells, "
+            f"over {MAX_CROP_CELLS}",
         )
+    dim = BOX_DIM if cfg.sweep_parameter == "sigma_bb" else 2
+    for value in cfg.sweep_values:
+        _at_load(f"sweep.values {value!r}", gaussian_normalizer, value, dim)
+    # sc is the dump scenario, resolved last.
+    _expect(
+        cfg.dump_frame_index < sc.num_frames,
+        f"dump.frame_index {cfg.dump_frame_index} out of range for {sc.num_frames} frames",
+    )
 
 
 def _cell_seed(master: int, scenario_index: int, repetition: int) -> int:
@@ -462,10 +419,6 @@ def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     """
     frame_index = cfg.dump_frame_index
     sequence = generate_sequence(resolve_scenario(cfg.dump_scenario, _cell_seed(seed, 0, 0)))
-    _expect(
-        frame_index < len(sequence.frames),
-        f"dump.frame_index {frame_index} out of range for {len(sequence.frames)} frames",
-    )
     rng = np.random.Generator(np.random.PCG64(_cell_seed(seed, 0, 0) + TRACKER_RNG_OFFSET))
     first = sequence.frames[0]
     state = track_init(first, first.ground_truth_box, cfg.tracker, rng)

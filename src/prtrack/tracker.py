@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .bbox import (
 )
 from .center_optimizer import OptimizerConfig, SupportSample, TargetModel, init_weights, optimize
 from .density import GridDensity, argmax_state, expected_state, normalize
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NumericError
 from .gridmath import FeatureMap, Grid2D, conv_apply
 from .labels import GaussianLabel, MixtureProposal, gaussian_normalizer, iou_xywh, label_grid
 
@@ -68,45 +68,66 @@ __all__ = [
 ]
 
 
-def _is_int(value) -> bool:
+def _instance(name: str, value, kind, what: str):
     # bool is an int subclass, but true/false in a config is never a count.
-    return isinstance(value, int) and not isinstance(value, bool)
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
-def _require_int(name: str, value):
-    if not _is_int(value):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_real(name: str, value):
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+def _real(name: str, value) -> float:
+    _instance(name, value, numbers.Real, "a real number")
     try:
-        float(value)
+        return float(value)
     except OverflowError:
         raise DomainError(f"{name} is outside the floating-point range") from None
 
 
-def _require_finite(name: str, value):
-    _require_real(name, value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+def _items(name: str, value) -> tuple:
+    return tuple(_instance(name, value, (list, tuple), "a list"))
 
 
-_SCENARIO_REAL_FIELDS = (
-    "target_w",
-    "target_h",
-    "start_x",
-    "start_y",
-    "velocity_x",
-    "velocity_y",
-    "osc_amp_x",
-    "osc_amp_y",
-    "osc_period",
-    "blob_radius",
-    "distractor_similarity",
-    "noise_level",
-)
+def _int_pairs(name: str, value) -> tuple:
+    # Errors name one element in the singular: occlusions -> "occlusion bound".
+    item = name.removesuffix("s")
+    pairs = tuple(_items(f"{item} interval", pair) for pair in _items(name, value))
+    for pair in pairs:
+        if len(pair) != 2:
+            raise DomainError(f"{item} interval {pair} must be a (start, end) pair")
+        for bound in pair:
+            _instance(f"{item} bound", bound, int, "an integer")
+    return pairs
+
+
+# Annotation (a string, under postponed evaluation) -> check(name, value),
+# which returns the value to store: reals as floats, lists as tuples.
+_FIELD_CHECKS = {
+    "int": lambda name, value: _instance(name, value, int, "an integer"),
+    "float": _real,
+    "float | None": lambda name, value: None if value is None else _real(name, value),
+    "bool": lambda name, value: _instance(name, value, bool, "a boolean"),
+    "str": lambda name, value: _instance(name, value, str, "a string"),
+    "tuple[float, ...]": lambda name, value: tuple(_real(name, v) for v in _items(name, value)),
+    "tuple[tuple[int, int], ...]": _int_pairs,
+}
+
+
+def _check_fields(obj, finite: bool = False, names: dict | None = None):
+    """Check each field of the frozen dataclass obj against its annotation.
+
+    Fields annotated float must also be finite when finite is set.  Errors
+    name a field by names[field] if given, else by the field name.  Fields
+    of other annotations (sub-configs, scenario specs) are checked where
+    they are built.
+    """
+    for f in fields(obj):
+        check = _FIELD_CHECKS.get(f.type)
+        if check is not None:
+            name = (names or {}).get(f.name, f.name)
+            value = check(name, getattr(obj, f.name))
+            if finite and f.type == "float" and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -135,10 +156,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_frames", "height", "width", "channels", "distractor_count"):
-            _require_int(name, getattr(self, name))
-        for name in _SCENARIO_REAL_FIELDS:
-            _require_finite(name, getattr(self, name))
+        _check_fields(self, finite=True)
         if self.num_frames < 1 or self.height < 1 or self.width < 1 or self.channels < 1:
             raise DomainError("frame counts and dimensions must be positive")
         if not (self.target_w > 0 and self.target_h > 0 and self.blob_radius > 0):
@@ -149,15 +167,9 @@ class Scenario:
             raise DomainError("bad distractor settings")
         if self.noise_level < 0:
             raise DomainError("noise_level must be nonnegative")
-        occs = tuple(tuple(pair) for pair in self.occlusions)
-        for pair in occs:
-            if len(pair) != 2:
-                raise DomainError(f"occlusion interval {pair} must be a (start, end) pair")
-            for bound in pair:
-                _require_int("occlusion bound", bound)
+        for pair in self.occlusions:
             if not (0 <= pair[0] < pair[1]):
                 raise DomainError(f"bad occlusion interval {pair}")
-        object.__setattr__(self, "occlusions", occs)
 
     def target_center(self, t: float) -> tuple[float, float]:
         """Closed-form (cx, cy) of the target at frame t."""
@@ -256,32 +268,6 @@ def _build(what: str, make, *args, **kwargs):
         raise DomainError(f"{what}: {exc}") from exc
 
 
-_INT_FIELDS = (
-    "kernel_size",
-    "init_iterations",
-    "online_iterations",
-    "update_interval",
-    "memory_capacity",
-    "refine_steps",
-    "bb_samples",
-    "bb_epochs",
-)
-_REAL_FIELDS = (
-    "sigma_tc_factor",
-    "sigma_bb",
-    "search_scale",
-    "regularization",
-    "gamma_decay",
-    "miss_threshold_mass",
-    "miss_threshold_score",
-    "scorer_tau",
-    "refine_step",
-    "refine_tol",
-    "bb_learning_rate",
-    "bb_lr_decay",
-    "rl2_threshold",
-)
-_BOOL_FIELDS = ("augment", "subcell")
 # Box-scorer settings that tracker configs must share to train their
 # scorers in lockstep; loss_model, sigma_bb and scorer_tau may differ.
 _SHARED_SCORER_FIELDS = (
@@ -305,6 +291,8 @@ class TrackerConfig:
     bb_proposal and bb_sgd (box-scorer training; the proposal is centered
     at the origin and recentered on each annotation) and refine_config
     (box refinement).
+
+    Field types come from the annotations: _check_fields checks them first.
     """
 
     loss_model: str = "kl"
@@ -338,18 +326,11 @@ class TrackerConfig:
     rl2_threshold: float = 0.05
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            _require_int(name, getattr(self, name))
-        for name in _REAL_FIELDS:
-            _require_real(name, getattr(self, name))
-        if self.sigma_tc is not None:
-            _require_real("sigma_tc", self.sigma_tc)
-        _require_finite("miss_threshold_score", self.miss_threshold_score)
+        _check_fields(self)
+        if not math.isfinite(self.miss_threshold_score):
+            raise DomainError(f"miss_threshold_score must be finite, got {self.miss_threshold_score!r}")
         if not (0 <= self.miss_threshold_mass <= 1):
             raise DomainError(f"miss_threshold_mass must be in [0, 1], got {self.miss_threshold_mass!r}")
-        for name in _BOOL_FIELDS:
-            if not isinstance(getattr(self, name), bool):
-                raise DomainError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         if not (self.regularization > 0):
             raise DomainError(f"regularization must be positive, got {self.regularization!r}")
         for stage, iterations in (("init", self.init_iterations), ("online", self.online_iterations)):
@@ -368,7 +349,7 @@ class TrackerConfig:
             if not (getattr(self, name) > 0):
                 raise DomainError(f"{name} must be positive")
         # The box scorer divides by scorer_tau squared.
-        if not (0.0 < float(self.scorer_tau) * float(self.scorer_tau) < math.inf):
+        if not (0.0 < self.scorer_tau * self.scorer_tau < math.inf):
             raise DomainError(f"scorer_tau must have a finite positive square, got {self.scorer_tau!r}")
         if self.sigma_tc is not None:
             _build("sigma_tc", gaussian_normalizer, self.sigma_tc, 2)
@@ -593,7 +574,11 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
     # Stage 2: refine (center offset, log size) around the stage-1 center.
     candidate = BoxParam(np.array([0.0, 0.0, math.log(w), math.log(h)]), (w, h))
     refined = refine_box(state.scorer, candidate, cfg.refine_config)
-    dx, dy, new_w, new_h = refined.decode()
+    try:
+        dx, dy, new_w, new_h = refined.decode()
+    except DomainError as exc:
+        # A scorer whose optimum lies beyond the float range is a training failure.
+        raise NumericError(f"box refinement at frame {state.frame_index}: {exc}") from None
     box = (new_cx + dx, new_cy + dy, new_w, new_h)
     state.current_box = box
 

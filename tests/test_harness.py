@@ -1,7 +1,10 @@
 """Config validation, CLI behavior, file formats, and cross-command consistency."""
 
+import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -16,9 +19,11 @@ from hypothesis import strategies as st
 from prtrack import bbox, harness
 from prtrack.errors import UsageError
 from prtrack.gridmath import load_grid
+from prtrack.tracker import Scenario, TrackerConfig
 from prtrack.harness import (
     MODEL_ORDER,
     SCENARIO_PRESETS,
+    RunConfig,
     load_config,
     main,
     resolve_scenario,
@@ -222,6 +227,10 @@ def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
         ({"miss_threshold_mass": -0.1}, "miss_threshold_mass must be in [0, 1]"),
         ({"miss_threshold_score": math.inf}, "miss_threshold_score must be finite"),
         ({"miss_threshold_score": -math.inf}, "miss_threshold_score must be finite"),
+        (5, "tracker must be an object"),
+        ("kl", "tracker must be an object"),
+        (None, "tracker must be an object"),
+        ([], "tracker must be an object"),
     ],
 )
 def test_cli_rejects_mistyped_tracker_fields(tmp_path, capsys, monkeypatch, tracker, message):
@@ -246,6 +255,33 @@ def test_cli_rejects_mistyped_tracker_fields(tmp_path, capsys, monkeypatch, trac
 )
 def test_cli_bounds_the_search_region_at_load(tmp_path, capsys, monkeypatch, payload, message):
     _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, **payload}, message)
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (
+            {"suite": {"scenarios": [{"preset": "static", "height": 1000000, "width": 1000000}]}},
+            "suite.scenarios[0]: num_frames x channels x height x width = 100x4x1000000x1000000",
+        ),
+        (
+            {"track": {"scenario": {"preset": "static", "num_frames": 2**20 + 1, "channels": 1, "height": 32, "width": 32}}},
+            "track.scenario: num_frames x channels x height x width = 1048577x1x32x32 = 1073742848 cells, over 1073741824",
+        ),
+        ({"tracker": {"bb_samples": 10**12}}, "tracker.bb_samples must be at most 1048576, got 1000000000000"),
+        ({"tracker": {"bb_samples": 2**20 + 1}}, "tracker.bb_samples must be at most 1048576"),
+    ],
+)
+def test_cli_bounds_sequence_and_proposal_sizes_at_load(tmp_path, capsys, monkeypatch, payload, message):
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, **payload}, message)
+
+
+def test_sequence_and_proposal_sizes_at_their_bounds_load(tmp_path):
+    scenario = {"preset": "static", "num_frames": 2**20, "channels": 1, "height": 32, "width": 32}
+    payload = {"track": {"scenario": scenario}, "tracker": {"bb_samples": 2**20}}
+    cfg = load_config(_write_config(tmp_path, payload))
+    assert cfg.track_scenario["num_frames"] * 32 * 32 == harness.MAX_SEQUENCE_CELLS
+    assert cfg.tracker.bb_samples == harness.MAX_BOX_SAMPLES
 
 
 def test_search_region_just_under_the_bound_loads(tmp_path):
@@ -280,6 +316,116 @@ def test_load_config_returns_or_raises_usage_error(tmp_path_factory, tracker):
         load_config(str(path))
     except UsageError:
         pass
+
+
+# Whole-config strategies, derived from the fields of TrackerConfig, Scenario
+# and RunConfig: each key draws a well-typed value for its annotation, a
+# mistyped one or an edge value.
+_EDGE = st.sampled_from([0, -1, math.nan, math.inf, -math.inf, 2**1030, True, False, "x", [], [0.5], None])
+_STRINGS = st.sampled_from(["kl", "nll", "l2", "rl2", "auto", "mass", "score", "fit", "train", "sigma_tc", "sigma_bb", "x"])
+_FIELDS = {cls: {f.name: f for f in dataclasses.fields(cls)} for cls in (TrackerConfig, Scenario, RunConfig)}
+_PRESETS = st.sampled_from([*SCENARIO_PRESETS, "nope"])
+
+
+def _typed(annotation, ints):
+    return {
+        "int": ints,
+        "float": st.floats(min_value=1e-3, max_value=10.0),
+        "float | None": st.none() | st.floats(min_value=1e-3, max_value=10.0),
+        "bool": st.booleans(),
+        "str": _STRINGS,
+        "tuple[float, ...]": st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=3),
+        "tuple[tuple[int, int], ...]": st.lists(st.lists(ints, min_size=2, max_size=2), max_size=2),
+    }[annotation]
+
+
+def _mostly(common, rare, odds=4):
+    """common, drawn odds times as often as rare."""
+    return st.sampled_from([common] * odds + [rare]).flatmap(lambda s: s)
+
+
+def _config_strategy(caps=None):
+    """Configs with all five sections, keyed by the config dataclasses' fields.
+
+    Each key mostly keeps its default or draws a well-typed value, else an
+    edge value, and a section sets at most six optional keys.  Without caps,
+    integers are unbounded, and a section, a scenario list or a spec may be
+    a non-object.  With caps (runnable configs), mistyped integers are never
+    huge, a section sets at most three optional keys, the suite is one
+    scenario object run once, and the fields named in caps are always set,
+    to integers in [2, caps[field]]; others lie in [-1, 8].
+    """
+
+    def value(cls, name):
+        field = _FIELDS[cls][name]
+        if caps and name in caps:
+            return st.integers(min_value=2, max_value=caps[name])
+        ints = st.integers(min_value=-1, max_value=8) if caps else st.integers(min_value=-2, max_value=64) | st.integers()
+        edge = st.sampled_from([1.5, math.nan, True, "x", None]) if caps and field.type == "int" else _EDGE
+        common = st.sampled_from([st.just(field.default), _typed(field.type, ints)]).flatmap(lambda s: s)
+        return _mostly(common, edge)
+
+    def keys(strategies, required=()):
+        optional = [name for name in strategies if name not in required]
+        chosen = st.lists(st.sampled_from(optional), max_size=3 if caps else 6, unique=True) if optional else st.just([])
+        return chosen.flatmap(lambda names: st.fixed_dictionaries({n: strategies[n] for n in (*required, *names)}))
+
+    scenario = {name: value(Scenario, name) for name in _FIELDS[Scenario] if name != "seed"}
+    spec = keys({**scenario, "preset": _mostly(_PRESETS, _EDGE)}, ["num_frames"] if caps else ())
+    specs = st.lists(spec, min_size=1, max_size=1)
+    if caps is None:
+        spec = _mostly(spec | _PRESETS, _EDGE)
+        specs = _mostly(st.lists(spec, max_size=3), _EDGE)
+    run_fields = {"scenarios": specs, "track_scenario": spec, "dump_scenario": spec}
+    if caps:
+        run_fields["repetitions"] = st.just(1)
+    tracker = {name: value(TrackerConfig, name) for name in _FIELDS[TrackerConfig]}
+    sections = {"tracker": keys(tracker, [name for name in caps or () if name in tracker])}
+    for section, table in harness._SECTIONS.items():
+        fields = {key: run_fields[field] if field in run_fields else value(RunConfig, field) for key, field in table.items()}
+        sections[section] = keys(fields, ["scenarios", "repetitions"] if caps and section == "suite" else ())
+    if caps is None:
+        sections = {section: _mostly(body, _EDGE, odds=9) for section, body in sections.items()}
+    return st.fixed_dictionaries(sections)
+
+
+def _keys(node):
+    if isinstance(node, dict):
+        return set(node).union(*map(_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_keys, node))
+    return set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_strategy())
+def test_whole_configs_load_or_name_what_is_wrong(tmp_path_factory, config):
+    # Every section is drawn; a rejection names a section or key of the config.
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config))
+    try:
+        load_config(str(path))
+    except UsageError as exc:
+        assert any(name in str(exc) for name in _keys(config)), (str(exc), config)
+
+
+# The settings that make a run costly; the fuzzed runs keep them small.
+_RUN_CAPS = {"num_frames": 4, "init_iterations": 3, "bb_epochs": 3, "bb_samples": 24}
+
+
+@settings(max_examples=120, deadline=None)
+@given(_config_strategy(_RUN_CAPS))
+def test_whole_configs_run_or_exit_cleanly(tmp_path_factory, config):
+    # A config either runs, is rejected at load (exit 2), or fails as a
+    # numeric failure (exit 1); no other exception reaches the caller.
+    path = tmp_path_factory.mktemp("fuzzrun") / "config.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["compare-losses", "--config", str(path), "--out", str(path.parent / "o")])
+    assert code == 0 or code == 2 or (code == 1 and err.getvalue().startswith("numeric failure:")), (code, err.getvalue(), config)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_config_io_failures(tmp_path):
@@ -332,6 +478,18 @@ def test_cli_diverging_box_training_is_a_numeric_failure(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert re.fullmatch(r"numeric failure: non-finite (l2|rl2|nll|kl) training loss at epoch \d+\n", err), err
+
+
+def test_cli_box_refinement_beyond_the_float_range_is_a_numeric_failure(tmp_path, capsys):
+    # This training ends with finite scorers whose optimum lies at a log box
+    # size beyond the float range; refinement climbs there on the first
+    # tracked frame.
+    tracker = {"bb_learning_rate": 1, "proposal_weights": [1], "proposal_sigmas": [1]}
+    payload = {"suite": {"scenarios": [{"preset": "static", "num_frames": 4}], "repetitions": 1}, "tracker": tracker}
+    cfgpath = _write_config(tmp_path, payload)
+    assert main(["compare-losses", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "numeric failure: box refinement at frame 1: decoded box size is not positive and finite\n", err
 
 
 def test_selftest_prints_one_line_per_check(capsys):
@@ -530,8 +688,12 @@ def test_dump_density_grids(tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_dump_frame_out_of_range(tmp_path, capsys):
+def test_dump_frame_out_of_range(tmp_path, capsys, monkeypatch):
+    generated = []
+    monkeypatch.setattr(harness, "generate_sequence", lambda *a: generated.append(a))
     payload = {"dump": {"scenario": {"preset": "static", "num_frames": 10}, "frame_index": 10}}
     cfgpath = _write_config(tmp_path, payload)
     assert main(["dump-density", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 2
     assert "out of range" in capsys.readouterr().err
+    # The frame index is checked at load, before any sequence is rendered.
+    assert generated == []
