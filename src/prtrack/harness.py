@@ -53,6 +53,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,6 @@ from .labels import GaussianLabel, gaussian_normalizer, label_grid
 from .tracker import (
     Scenario,
     TrackerConfig,
-    _FIELD_CHECKS,
     _check_fields,
     evaluate,
     generate_sequence,
@@ -127,7 +127,7 @@ SCENARIO_PRESETS: dict[str, dict] = {
     ),
 }
 
-_SCENARIO_FIELDS = {f.name: f for f in dataclasses.fields(Scenario)}
+_SCENARIO_KEYS = {f.name for f in dataclasses.fields(Scenario)} - {"seed"} | {"preset"}
 _TRACKER_FIELDS = {f.name: f for f in dataclasses.fields(TrackerConfig)}
 # The sections after "tracker" (whose keys are the TrackerConfig fields):
 # each key and the RunConfig field it sets.
@@ -135,9 +135,15 @@ _SECTIONS = {
     "suite": {"scenarios": "scenarios", "repetitions": "repetitions"},
     "sweep": {"parameter": "sweep_parameter", "values": "sweep_values"},
     "track": {"scenario": "track_scenario"},
-    "dump": {"scenario": "dump_scenario", "frame_index": "dump_frame_index", "slice_cells": "dump_slice_cells"},
+    "dump": {
+        "scenario": "dump_scenario",
+        "frame_index": "dump_frame_index",
+        "slice_cells": "dump_slice_cells",
+    },
 }
-_KEY_NAMES = {field: f"{section}.{key}" for section, keys in _SECTIONS.items() for key, field in keys.items()}
+_KEY_NAMES = {
+    field: f"{section}.{key}" for section, keys in _SECTIONS.items() for key, field in keys.items()
+}
 
 
 def _expect(cond: bool, message: str):
@@ -150,7 +156,7 @@ class RunConfig:
     """Validated configuration for every subcommand; the defaults are the CLI's."""
 
     tracker: TrackerConfig = dataclasses.field(default_factory=TrackerConfig)
-    scenarios: tuple = ("distractors", "distractors_occlusion")
+    scenarios: tuple[object, ...] = ("distractors", "distractors_occlusion")
     repetitions: int = 5
     sweep_parameter: str = "sigma_tc"
     sweep_values: tuple[float, ...] = (0.00015, 1.5, 15.0)
@@ -164,12 +170,19 @@ class RunConfig:
             _check_fields(self, names=_KEY_NAMES)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
+        _expect(self.scenarios, "suite.scenarios must be a nonempty list")
         _expect(self.repetitions >= 1, "suite.repetitions must be an int >= 1")
-        _expect(self.sweep_parameter in ("sigma_tc", "sigma_bb"), "sweep.parameter must be 'sigma_tc' or 'sigma_bb'")
+        _expect(
+            self.sweep_parameter in ("sigma_tc", "sigma_bb"),
+            "sweep.parameter must be 'sigma_tc' or 'sigma_bb'",
+        )
         _expect(self.sweep_values, "sweep.values must be a nonempty list")
         _expect(all(v > 0 for v in self.sweep_values), "sweep.values must be positive")
         _expect(self.dump_frame_index >= 1, "dump.frame_index must be an int >= 1")
-        _expect(self.dump_slice_cells >= 3 and self.dump_slice_cells % 2 == 1, "dump.slice_cells must be an odd int >= 3")
+        _expect(
+            self.dump_slice_cells >= 3 and self.dump_slice_cells % 2 == 1,
+            "dump.slice_cells must be an odd int >= 3",
+        )
 
 
 def _at_load(what: str, fn, *args, **kwargs):
@@ -185,33 +198,26 @@ def _check_keys(d: dict, allowed, where: str):
     _expect(not unknown, f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _validate_scenario_spec(spec, where: str):
+def resolve_scenario(spec, seed: int) -> Scenario:
+    """Build a Scenario from a spec and the cell seed.
+
+    A spec is a preset name, or an object of Scenario field overrides with
+    an optional "preset" key; UsageError if it is neither or names an
+    unknown key or preset.
+    """
     if isinstance(spec, str):
-        _expect(spec in SCENARIO_PRESETS, f"{where}: unknown preset {spec!r}; presets: {sorted(SCENARIO_PRESETS)}")
-        return spec
-    _expect(isinstance(spec, dict), f"{where} must be a preset name or an object")
-    allowed = set(_SCENARIO_FIELDS) - {"seed"} | {"preset"}
-    _check_keys(spec, allowed, where)
-    if "preset" in spec:
-        preset = spec["preset"]
+        spec = {"preset": spec}
+    _expect(isinstance(spec, dict), "a scenario spec must be a preset name or an object")
+    _check_keys(spec, _SCENARIO_KEYS, "scenario spec")
+    params = dict(spec)
+    if "preset" in params:
+        preset = params.pop("preset")
         _expect(
             isinstance(preset, str) and preset in SCENARIO_PRESETS,
-            f"{where}: unknown preset {preset!r}; presets: {sorted(SCENARIO_PRESETS)}",
+            f"unknown preset {preset!r}; presets: {sorted(SCENARIO_PRESETS)}",
         )
-    return dict(spec)
-
-
-def resolve_scenario(spec, seed: int) -> Scenario:
-    """Build a Scenario from a validated spec and the cell seed."""
-    if isinstance(spec, str):
-        params = dict(SCENARIO_PRESETS[spec])
-    else:
-        params = dict(spec)
-        preset = params.pop("preset", None)
-        if preset is not None:
-            params = {**SCENARIO_PRESETS[preset], **params}
-    params["seed"] = seed
-    return _at_load("bad scenario spec", Scenario, **params)
+        params = {**SCENARIO_PRESETS[preset], **params}
+    return _at_load("bad scenario spec", Scenario, **params, seed=seed)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -233,19 +239,9 @@ def load_config(path: str | None) -> RunConfig:
         _expect(isinstance(body, dict), f"{section} must be an object")
         _check_keys(body, _SECTIONS.get(section, _TRACKER_FIELDS), f"{section} section")
         if section == "tracker":
-            for key in ("proposal_weights", "proposal_sigmas"):  # elements named with their section
-                check = _FIELD_CHECKS[_TRACKER_FIELDS[key].type]
-                _at_load("bad tracker config", check, f"tracker.{key}", body.get(key, ()))
             fields["tracker"] = _at_load("bad tracker config", TrackerConfig, **body)
-            continue
-        for key, value in body.items():
-            where = f"{section}.{key}"
-            if key == "scenarios":
-                _expect(isinstance(value, list) and value, f"{where} must be a nonempty list")
-                value = tuple(_validate_scenario_spec(s, f"{where}[{i}]") for i, s in enumerate(value))
-            elif key == "scenario":
-                value = _validate_scenario_spec(value, where)
-            fields[_SECTIONS[section][key]] = value
+        else:
+            fields.update((_SECTIONS[section][key], value) for key, value in body.items())
     cfg = RunConfig(**fields)
     _check_resolved(cfg)
     return cfg
@@ -257,9 +253,9 @@ def _check_resolved(cfg: RunConfig):
     bb_samples is bounded.  One pass over the scenario specs builds each
     Scenario (the seed does not enter its checks) and bounds its sequence's
     size, its target's sigma_tc and its search region (as track_init
-    resolves them, from the sizes alone).  Sweep values replace sigma_tc or
-    sigma_bb, and a label width is rejected when its Gaussian normalizer is
-    not finite.  The dump frame must lie in the dump scenario.
+    resolves them, from the sizes alone); the dump frame must lie in the
+    dump scenario.  Sweep values replace sigma_tc or sigma_bb, and a label
+    width is rejected when its Gaussian normalizer is not finite.
     """
     tracker = cfg.tracker
     _expect(
@@ -280,21 +276,21 @@ def _check_resolved(cfg: RunConfig):
         target = f"a {sc.target_w}x{sc.target_h} target"
         sigma = tracker.resolved_sigma_tc(sc.target_w, sc.target_h)
         _at_load(f"{where}: sigma_tc for {target}", gaussian_normalizer, sigma, 2)
-        region = _at_load(f"{where}: search region for {target}", search_region, tracker, sc.target_w, sc.target_h)
+        what = f"{where}: search region for {target}"
+        region = _at_load(what, search_region, tracker, sc.target_w, sc.target_h)
         cells = sc.channels * region * region
         _expect(
             cells <= MAX_CROP_CELLS,
-            f"{where}: search region for {target}: a {sc.channels}x{region}x{region} crop has {cells} cells, "
-            f"over {MAX_CROP_CELLS}",
+            f"{what}: a {sc.channels}x{region}x{region} crop has {cells} cells, over {MAX_CROP_CELLS}",
         )
+        if where == "dump.scenario":
+            _expect(
+                cfg.dump_frame_index < sc.num_frames,
+                f"dump.frame_index {cfg.dump_frame_index} out of range for {sc.num_frames} frames",
+            )
     dim = BOX_DIM if cfg.sweep_parameter == "sigma_bb" else 2
     for value in cfg.sweep_values:
         _at_load(f"sweep.values {value!r}", gaussian_normalizer, value, dim)
-    # sc is the dump scenario, resolved last.
-    _expect(
-        cfg.dump_frame_index < sc.num_frames,
-        f"dump.frame_index {cfg.dump_frame_index} out of range for {sc.num_frames} frames",
-    )
 
 
 def _cell_seed(master: int, scenario_index: int, repetition: int) -> int:
@@ -334,9 +330,7 @@ def _suite_metrics(cfg: RunConfig, tracker_cfgs, master_seed: int, jobs: int):
     tasks = {}
     for si, spec in enumerate(cfg.scenarios):
         for rep in range(cfg.repetitions):
-            tasks[(si, rep)] = (
-                lambda s=spec, i=si, r=rep: _run_cell_configs(s, i, r, master_seed, tracker_cfgs)
-            )
+            tasks[(si, rep)] = partial(_run_cell_configs, spec, si, rep, master_seed, tracker_cfgs)
     results = _run_cells(tasks, jobs)
     cells = [results[key] for key in sorted(results)]
     return [

@@ -109,6 +109,8 @@ _FIELD_CHECKS = {
     "str": lambda name, value: _instance(name, value, str, "a string"),
     "tuple[float, ...]": lambda name, value: tuple(_real(name, v) for v in _items(name, value)),
     "tuple[tuple[int, int], ...]": _int_pairs,
+    "tuple[object, ...]": _items,
+    **dict.fromkeys(("TrackerConfig", "object")),  # sub-configs and specs: checked where built
 }
 
 
@@ -116,12 +118,13 @@ def _check_fields(obj, finite: bool = False, names: dict | None = None):
     """Check each field of the frozen dataclass obj against its annotation.
 
     Fields annotated float must also be finite when finite is set.  Errors
-    name a field by names[field] if given, else by the field name.  Fields
-    of other annotations (sub-configs, scenario specs) are checked where
-    they are built.
+    name a field by names[field] if given, else by the field name.
+    TypeError for an annotation that _FIELD_CHECKS does not list.
     """
     for f in fields(obj):
-        check = _FIELD_CHECKS.get(f.type)
+        if f.type not in _FIELD_CHECKS:
+            raise TypeError(f"{type(obj).__name__}.{f.name}: no check for annotation {f.type!r}")
+        check = _FIELD_CHECKS[f.type]
         if check is not None:
             name = (names or {}).get(f.name, f.name)
             value = check(name, getattr(obj, f.name))
@@ -292,7 +295,8 @@ class TrackerConfig:
     at the origin and recentered on each annotation) and refine_config
     (box refinement).
 
-    Field types come from the annotations: _check_fields checks them first.
+    Field types come from the annotations: _check_fields checks them first,
+    naming a field as its config key, tracker.<field>.
     """
 
     loss_model: str = "kl"
@@ -326,7 +330,7 @@ class TrackerConfig:
     rl2_threshold: float = 0.05
 
     def __post_init__(self):
-        _check_fields(self)
+        _check_fields(self, names=_TRACKER_NAMES)
         if not math.isfinite(self.miss_threshold_score):
             raise DomainError(f"miss_threshold_score must be finite, got {self.miss_threshold_score!r}")
         if not (0 <= self.miss_threshold_mass <= 1):
@@ -385,6 +389,9 @@ class TrackerConfig:
         if self.miss_mode != "auto":
             return self.miss_mode
         return "mass" if self.loss_model in ("kl", "nll") else "score"
+
+
+_TRACKER_NAMES = {f.name: f"tracker.{f.name}" for f in fields(TrackerConfig)}
 
 
 @dataclass(eq=False)
@@ -530,7 +537,6 @@ def track_init(
 
 def _peak_mass(dens: GridDensity, peak_rc: tuple[int, int]) -> float:
     r0, c0 = peak_rc
-    h, w = dens.grid.values.shape
     patch = dens.grid.values[max(r0 - 1, 0) : r0 + 2, max(c0 - 1, 0) : c0 + 2]
     return float(patch.sum()) * dens.cell_area
 

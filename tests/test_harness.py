@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prtrack import bbox, harness
+from prtrack import tracker as tracker_module
 from prtrack.errors import UsageError
 from prtrack.gridmath import load_grid
 from prtrack.tracker import Scenario, TrackerConfig
@@ -287,6 +288,33 @@ def test_sequence_and_proposal_sizes_at_their_bounds_load(tmp_path):
 def test_search_region_just_under_the_bound_loads(tmp_path):
     payload = {"dump": {"scenario": {"preset": "static", "channels": 4000}}}  # 3,844,000 cells
     assert load_config(_write_config(tmp_path, payload)).dump_scenario["channels"] == 4000
+
+
+def test_dump_frame_is_checked_against_the_dump_scenario(tmp_path):
+    short = {"preset": "static", "num_frames": 3}
+    payload = {
+        "suite": {"scenarios": [short]},
+        "track": {"scenario": short},
+        "dump": {"frame_index": 50},  # of the 100-frame default static scenario
+    }
+    assert load_config(_write_config(tmp_path, payload)).dump_frame_index == 50
+    payload = {"suite": {"scenarios": ["static"]}, "dump": {"scenario": short, "frame_index": 3}}
+    with pytest.raises(UsageError, match="dump.frame_index 3 out of range for 3 frames"):
+        load_config(_write_config(tmp_path, payload))
+
+
+def test_every_config_field_annotation_has_a_check():
+    for config in (TrackerConfig, Scenario, RunConfig):
+        for field in dataclasses.fields(config):
+            assert field.type in tracker_module._FIELD_CHECKS, (config.__name__, field.name)
+
+    @dataclasses.dataclass(frozen=True)
+    class Unlisted:
+        sizes: "tuple[int, ...]" = ()
+
+    message = r"Unlisted.sizes: no check for annotation 'tuple\[int, \.\.\.\]'"
+    with pytest.raises(TypeError, match=message):
+        tracker_module._check_fields(Unlisted())
 
 
 # JSON integers are unbounded; these straddle the largest finite float.
