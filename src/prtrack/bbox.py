@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericError
 from .gridmath import _as_float_array
 from .labels import GaussianLabel, MixtureProposal, gaussian_density, iou_xywh, proposal_density, proposal_sample
-from .losses import kl_mc_loss
+from .losses import DENSITY_MODELS, LOSS_MODELS, kl_mc_loss
 
 __all__ = [
     "BoxParam",
@@ -49,7 +49,6 @@ __all__ = [
     "refine_box",
 ]
 
-BOX_LOSS_MODELS = ("l2", "rl2", "nll", "kl")
 BOX_DIM = 4  # (cx/w0, cy/h0, log w, log h)
 
 
@@ -259,15 +258,15 @@ def train_box_scorer(
     for _, loss_model, sigma_bb in jobs:
         if not (sigma_bb > 0):
             raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
-        if loss_model not in BOX_LOSS_MODELS:
-            raise DomainError(f"unknown loss model {loss_model!r}; pick one of {BOX_LOSS_MODELS}")
+        if loss_model not in LOSS_MODELS:
+            raise DomainError(f"unknown loss model {loss_model!r}; pick one of {LOSS_MODELS}")
     if len({id(scorer) for scorer, _, _ in jobs}) < len(jobs):
         raise DomainError("every job needs its own scorer")
     k = int(samples_per_annotation)
     order = sorted(range(len(jobs)), key=lambda i: _ROW_ORDER.index(jobs[i][1]))
     scorers = [jobs[i][0] for i in order]
     models = [jobs[i][1] for i in order]
-    n_div = models.count("kl") + models.count("nll")
+    n_div = sum(model in DENSITY_MODELS for model in models)
     n_l2 = models.count("l2")
     centers = np.array([scorer.mu for scorer in scorers])
     # A label per distinct width checks every job's width; only the kl

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
 from .gridmath import FeatureMap, Grid2D, Kernel2D, _columns, _correlate, _correlate_adjoint
-from .losses import _CrossEntropy, _Squared
+from .losses import DENSITY_MODELS, LOSS_MODELS, _CrossEntropy, _Squared
 
 __all__ = [
     "SupportSample",
@@ -71,8 +71,6 @@ __all__ = [
     "init_weights",
     "write_trace_csv",
 ]
-
-LOSS_MODELS = ("l2", "rl2", "nll", "kl")
 
 
 @dataclass(eq=False)
@@ -237,7 +235,7 @@ class _Problem:
         labels = np.empty((len(samples), h * w))
         for sample, row in zip(samples, labels):
             _label(sample, cfg.loss_model, row.reshape(h, w))
-        if cfg.loss_model in ("kl", "nll"):
+        if cfg.loss_model in DENSITY_MODELS:
             self.loss = _CrossEntropy(labels)
         else:
             self.loss = _Squared(labels, None if cfg.loss_model == "l2" else labels <= cfg.rl2_threshold)

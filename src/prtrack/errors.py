@@ -4,6 +4,8 @@ The split mirrors how the CLI maps failures to exit codes: usage and
 configuration problems exit with 2, numeric failures with 1.
 """
 
+__all__ = ["PrtrackError", "DimensionError", "DomainError", "NumericError", "UsageError"]
+
 
 class PrtrackError(Exception):
     """Base class for all package-specific errors."""

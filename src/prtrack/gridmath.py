@@ -67,10 +67,6 @@ class Grid2D:
     def cell_count(self) -> int:
         return self.values.size
 
-    @classmethod
-    def full(cls, shape, fill: float) -> "Grid2D":
-        return cls(np.full(shape, fill, dtype=np.float64))
-
 
 @dataclass(frozen=True, eq=False)
 class Kernel2D:

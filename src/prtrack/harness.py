@@ -28,8 +28,8 @@ key plus Scenario field overrides ("seed" is reserved: every run derives
 its sequence seed from --seed so that repetitions are reproducible).
 load_config checks every value against the annotations of TrackerConfig,
 Scenario and RunConfig, then the ranges, the sizes (MAX_SEQUENCE_CELLS,
-MAX_CROP_CELLS, MAX_BOX_SAMPLES) and the dump frame, so a config that
-loads runs without a usage error.
+MAX_CROP_CELLS, MAX_BOX_SAMPLES, MAX_SUITE_CELLS) and the dump frame, so a
+config that loads runs without a usage error.
 
 Determinism: each (scenario, repetition) cell owns its RNG streams, seeded
 as master + 103 * scenario_index + 10007 * repetition (the tracker stream
@@ -86,11 +86,12 @@ from .tracker import (
 
 __all__ = ["RunConfig", "load_config", "SCENARIO_PRESETS", "MODEL_ORDER", "main"]
 
-MODEL_ORDER = ("l2", "rl2", "nll", "kl")
+MODEL_ORDER = losses.LOSS_MODELS
 TRACKER_RNG_OFFSET = 7_654_321
-MAX_CROP_CELLS = 2**22  # channels x region^2 of one search-region crop
+MAX_CROP_CELLS = 2**22  # channels x region^2 of one search-region crop; dump slice cells
 MAX_SEQUENCE_CELLS = 2**30  # num_frames x channels x height x width of one sequence
 MAX_BOX_SAMPLES = 2**20  # bb_samples: proposals drawn per annotation and epoch
+MAX_SUITE_CELLS = 2**16  # suite scenarios x repetitions
 
 SCENARIO_PRESETS: dict[str, dict] = {
     # A target parked on a cell center, nothing else in the scene.
@@ -250,17 +251,29 @@ def load_config(path: str | None) -> RunConfig:
 def _check_resolved(cfg: RunConfig):
     """Reject, before any sequence is rendered, what no run could build or compute.
 
-    bb_samples is bounded.  One pass over the scenario specs builds each
-    Scenario (the seed does not enter its checks) and bounds its sequence's
-    size, its target's sigma_tc and its search region (as track_init
-    resolves them, from the sizes alone); the dump frame must lie in the
-    dump scenario.  Sweep values replace sigma_tc or sigma_bb, and a label
-    width is rejected when its Gaussian normalizer is not finite.
+    bb_samples, the suite's cell count and the dump slice are bounded.  One
+    pass over the scenario specs builds each Scenario (the seed does not
+    enter its checks) and bounds its sequence's size, its target's sigma_tc
+    and its search region (as track_init resolves them, from the sizes
+    alone); the dump frame must lie in the dump scenario.  Sweep values
+    replace sigma_tc or sigma_bb, and a label width is rejected when its
+    Gaussian normalizer is not finite.
     """
     tracker = cfg.tracker
     _expect(
         tracker.bb_samples <= MAX_BOX_SAMPLES,
         f"tracker.bb_samples must be at most {MAX_BOX_SAMPLES}, got {tracker.bb_samples}",
+    )
+    cells = len(cfg.scenarios) * cfg.repetitions
+    _expect(
+        cells <= MAX_SUITE_CELLS,
+        f"suite.repetitions: {len(cfg.scenarios)} scenarios x {cfg.repetitions} repetitions"
+        f" = {cells} cells, over {MAX_SUITE_CELLS}",
+    )
+    n = cfg.dump_slice_cells
+    _expect(
+        n * n <= MAX_CROP_CELLS,
+        f"dump.slice_cells: a {n}x{n} slice has {n * n} cells, over {MAX_CROP_CELLS}",
     )
     specs = [(f"suite.scenarios[{i}]", s) for i, s in enumerate(cfg.scenarios)]
     specs += [("track.scenario", cfg.track_scenario), ("dump.scenario", cfg.dump_scenario)]
@@ -303,36 +316,46 @@ def _run_cell(sequence, cfg: TrackerConfig, scorer):
     return evaluate(sequence, run.boxes)
 
 
-def _run_cell_configs(spec, scenario_index: int, repetition: int, master_seed: int, tracker_cfgs):
-    """Render one cell's sequence once and track it with every config."""
-    seed = _cell_seed(master_seed, scenario_index, repetition)
+def _render(spec, seed: int):
+    """(sequence, tracker stream) of the cell with this seed."""
     sequence = generate_sequence(resolve_scenario(spec, seed))
-    rng = np.random.Generator(np.random.PCG64(seed + TRACKER_RNG_OFFSET))
+    return sequence, np.random.Generator(np.random.PCG64(seed + TRACKER_RNG_OFFSET))
+
+
+def _run_cell_configs(spec, seed: int, tracker_cfgs):
+    """Render one cell's sequence once and track it with every config."""
+    sequence, rng = _render(spec, seed)
     scorers = init_scorers(tracker_cfgs, sequence.frames[0].ground_truth_box, rng)
     return [_run_cell(sequence, c, scorer) for c, scorer in zip(tracker_cfgs, scorers)]
 
 
-def _run_cells(tasks, jobs: int):
-    """tasks: {key: zero-arg callable}; returns {key: result}, any order of execution."""
+def _run_cells(tasks, jobs: int) -> list:
+    """Call each zero-arg task; the results come in task order, whatever the order of execution."""
     if jobs <= 1:
-        return {key: fn() for key, fn in tasks.items()}
+        return [fn() for fn in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {key: pool.submit(fn) for key, fn in tasks.items()}
-        return {key: fut.result() for key, fut in futures.items()}
+        futures = [pool.submit(fn) for fn in tasks]
+        return [fut.result() for fut in futures]
 
 
-def _suite_metrics(cfg: RunConfig, tracker_cfgs, master_seed: int, jobs: int):
-    """Mean (auc, op50, op75) over the whole suite, one triple per tracker config.
+def _suite_metrics(cfg: RunConfig, variants, master_seed: int, jobs: int):
+    """Mean (auc, op50, op75) over the whole suite, one triple per variant.
 
-    One task per (scenario, repetition) cell tracks every config; the means
-    run over the cells in sorted key order.
+    A variant is a dict of field overrides of cfg.tracker, applied with
+    miss_mode "auto" and scorer_init "train".  One task per (scenario,
+    repetition) cell tracks every variant; the means run over the cells in
+    scenario-major order.
     """
-    tasks = {}
-    for si, spec in enumerate(cfg.scenarios):
-        for rep in range(cfg.repetitions):
-            tasks[(si, rep)] = partial(_run_cell_configs, spec, si, rep, master_seed, tracker_cfgs)
-    results = _run_cells(tasks, jobs)
-    cells = [results[key] for key in sorted(results)]
+    tracker_cfgs = [
+        replace(cfg.tracker, miss_mode="auto", scorer_init="train", **overrides)
+        for overrides in variants
+    ]
+    tasks = [
+        partial(_run_cell_configs, spec, _cell_seed(master_seed, si, rep), tracker_cfgs)
+        for si, spec in enumerate(cfg.scenarios)
+        for rep in range(cfg.repetitions)
+    ]
+    cells = _run_cells(tasks, jobs)
     return [
         (
             float(np.mean([m.auc for m in metrics])),
@@ -352,13 +375,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 def cmd_compare_losses(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> Path:
     """Benchmark all four loss models on identical sequences."""
-    tcfgs = [
-        replace(cfg.tracker, loss_model=model, miss_mode="auto", scorer_init="train")
-        for model in MODEL_ORDER
-    ]
+    variants = [{"loss_model": model} for model in MODEL_ORDER]
     rows = [
         [model, repr(auc), repr(op50), repr(op75)]
-        for model, (auc, op50, op75) in zip(MODEL_ORDER, _suite_metrics(cfg, tcfgs, seed, jobs))
+        for model, (auc, op50, op75) in zip(MODEL_ORDER, _suite_metrics(cfg, variants, seed, jobs))
     ]
     path = out_dir / "compare_losses.csv"
     _write_csv(path, ["model", "auc", "op_0.50", "op_0.75"], rows)
@@ -368,33 +388,23 @@ def cmd_compare_losses(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> P
 def cmd_sigma_sweep(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> Path:
     """AUC of the divergence-loss tracker as the swept sigma varies."""
     values = sorted(cfg.sweep_values)
-    tcfgs = [
-        replace(
-            cfg.tracker,
-            loss_model="kl",
-            miss_mode="auto",
-            scorer_init="train",
-            **{cfg.sweep_parameter: value},
-        )
-        for value in values
-    ]
+    variants = [{"loss_model": "kl", cfg.sweep_parameter: value} for value in values]
     rows = [
         [repr(float(value)), repr(auc)]
-        for value, (auc, _, _) in zip(values, _suite_metrics(cfg, tcfgs, seed, jobs))
+        for value, (auc, _, _) in zip(values, _suite_metrics(cfg, variants, seed, jobs))
     ]
     path = out_dir / "sigma_sweep.csv"
     _write_csv(path, ["sigma", "auc"], rows)
     return path
 
 
-def cmd_track(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> Path:
+def cmd_track(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     """Track one sequence; write a per-frame trace and summary metrics."""
-    sequence = generate_sequence(resolve_scenario(cfg.track_scenario, _cell_seed(seed, 0, 0)))
-    rng = np.random.Generator(np.random.PCG64(_cell_seed(seed, 0, 0) + TRACKER_RNG_OFFSET))
+    sequence, rng = _render(cfg.track_scenario, _cell_seed(seed, 0, 0))
     run = run_sequence(sequence, cfg.tracker, rng)
     metrics = evaluate(sequence, run.boxes)
     trace_path = out_dir / "track_trace.csv"
-    write_track_csv(run.trace_rows(sequence), trace_path)
+    write_track_csv(run, sequence, trace_path)
     _write_csv(
         out_dir / "track_metrics.csv",
         ["auc", "op_0.50", "op_0.75"],
@@ -412,8 +422,7 @@ def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     [-log 3, log 3] (a third to three times the current size).
     """
     frame_index = cfg.dump_frame_index
-    sequence = generate_sequence(resolve_scenario(cfg.dump_scenario, _cell_seed(seed, 0, 0)))
-    rng = np.random.Generator(np.random.PCG64(_cell_seed(seed, 0, 0) + TRACKER_RNG_OFFSET))
+    sequence, rng = _render(cfg.dump_scenario, _cell_seed(seed, 0, 0))
     first = sequence.frames[0]
     state = track_init(first, first.ground_truth_box, cfg.tracker, rng)
     density = None
@@ -537,6 +546,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "compare-losses":
@@ -544,7 +555,7 @@ def main(argv=None) -> int:
         elif args.command == "sigma-sweep":
             paths = [cmd_sigma_sweep(cfg, args.seed, out_dir, args.jobs)]
         elif args.command == "track":
-            paths = [cmd_track(cfg, args.seed, out_dir, args.jobs), out_dir / "track_metrics.csv"]
+            paths = [cmd_track(cfg, args.seed, out_dir), out_dir / "track_metrics.csv"]
         else:
             paths = cmd_dump_density(cfg, args.seed, out_dir)
         for path in paths:

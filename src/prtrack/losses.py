@@ -36,6 +36,8 @@ from .errors import DimensionError, DomainError
 from .gridmath import Grid2D
 
 __all__ = [
+    "LOSS_MODELS",
+    "DENSITY_MODELS",
     "LossValueGrad",
     "l2_loss",
     "robust_l2_loss",
@@ -44,8 +46,9 @@ __all__ = [
     "kl_mc_loss",
 ]
 
-# Hinge threshold for robust_l2_loss, as a fraction of the peak label value.
-DEFAULT_RL2_THRESHOLD_FRACTION = 0.05
+LOSS_MODELS = ("l2", "rl2", "nll", "kl")
+# The cross-entropy family, whose scores are log densities.
+DENSITY_MODELS = ("nll", "kl")
 
 
 @dataclass(frozen=True, eq=False)

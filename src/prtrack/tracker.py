@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .density import GridDensity, argmax_state, expected_state, normalize
 from .errors import DimensionError, DomainError, NumericError
 from .gridmath import FeatureMap, Grid2D, conv_apply
 from .labels import GaussianLabel, MixtureProposal, gaussian_normalizer, iou_xywh, label_grid
+from .losses import DENSITY_MODELS
 
 __all__ = [
     "Scenario",
@@ -62,6 +63,7 @@ __all__ = [
     "track_init",
     "track_step",
     "run_sequence",
+    "TrackRun",
     "TrackingMetrics",
     "evaluate",
     "write_track_csv",
@@ -221,10 +223,9 @@ def _blob(h: int, w: int, cx: float, cy: float, radius: float) -> np.ndarray:
     return np.exp(-(rows[:, None] + cols[None, :]) / (2.0 * radius * radius))
 
 
-def generate_sequence(scenario: Scenario, rng: np.random.Generator | None = None) -> SyntheticSequence:
-    """Render a sequence; bit-identical for equal seeds (or an equal rng state)."""
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(scenario.seed))
+def generate_sequence(scenario: Scenario) -> SyntheticSequence:
+    """Render a sequence; bit-identical for equal seeds."""
+    rng = np.random.Generator(np.random.PCG64(scenario.seed))
     c, h, w = scenario.channels, scenario.height, scenario.width
     target_sig = _unit(rng.standard_normal(c))
 
@@ -388,7 +389,7 @@ class TrackerConfig:
     def resolved_miss_mode(self) -> str:
         if self.miss_mode != "auto":
             return self.miss_mode
-        return "mass" if self.loss_model in ("kl", "nll") else "score"
+        return "mass" if self.loss_model in DENSITY_MODELS else "score"
 
 
 _TRACKER_NAMES = {f.name: f"tracker.{f.name}" for f in fields(TrackerConfig)}
@@ -401,14 +402,14 @@ class TrackState:
     cfg: TrackerConfig
     model: TargetModel
     scorer: object
-    support: list = field(default_factory=list)
-    sample_frames: list = field(default_factory=list)
-    current_box: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
+    support: list
+    sample_frames: list
+    current_box: tuple[float, float, float, float]
+    region: int
+    sigma_tc: float
     missing: bool = False
     frame_index: int = 0
-    region: int = 31
-    sigma_tc: float = 1.5
-    last_peak_mass: float = 0.0
+    last_peak_mass: float = 1.0  # the annotated first frame is certain
 
 
 def _crop(values: np.ndarray, center_rc: tuple[int, int], size: int) -> tuple[np.ndarray, tuple[int, int]]:
@@ -525,14 +526,8 @@ def track_init(
             rng = np.random.Generator(np.random.PCG64(0))
         scorer = init_scorers([cfg], init_box, rng)[0]
 
-    state = TrackState(cfg=cfg, model=model, scorer=scorer)
-    state.support = samples
-    state.sample_frames = [0] * len(samples)
-    state.current_box = (float(cx), float(cy), float(w), float(h))
-    state.region = region
-    state.sigma_tc = sigma
-    state.last_peak_mass = 1.0
-    return state
+    box = (float(cx), float(cy), float(w), float(h))
+    return TrackState(cfg, model, scorer, samples, [0] * len(samples), box, region, sigma)
 
 
 def _peak_mass(dens: GridDensity, peak_rc: tuple[int, int]) -> float:
@@ -551,8 +546,6 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
         features = FeatureMap(feats)
         scores = conv_apply(features, state.model.weights)
     except DomainError:  # the score grid rejects non-finite values
-        scores = None
-    if scores is None or not np.isfinite(scores.values).all():
         # Numeric failure: skip the frame rather than poisoning the model.
         state.missing = True
         state.last_peak_mass = 0.0
@@ -611,25 +604,6 @@ class TrackRun:
     missing: list
     peak_mass: list
 
-    def trace_rows(self, sequence: SyntheticSequence) -> list:
-        rows = []
-        for t, box in enumerate(self.boxes):
-            gt = sequence.frames[t].ground_truth_box
-            iou = float(iou_xywh(np.asarray(box), np.asarray(gt))) if gt is not None else math.nan
-            rows.append(
-                {
-                    "frame": t,
-                    "cx": box[0],
-                    "cy": box[1],
-                    "w": box[2],
-                    "h": box[3],
-                    "iou": iou,
-                    "missing": int(self.missing[t]),
-                    "peak_mass": self.peak_mass[t],
-                }
-            )
-        return rows
-
 
 def run_sequence(
     sequence: SyntheticSequence,
@@ -683,19 +657,20 @@ def evaluate(sequence: SyntheticSequence, boxes) -> TrackingMetrics:
         raise DimensionError(
             f"{len(boxes)} reported boxes for {len(annotated)} annotated frames"
         )
-    ious = np.array(
-        [iou_xywh(np.asarray(b), np.asarray(gt)) for b, gt in zip(boxes, annotated)]
-    )
+    ious = iou_xywh(np.reshape(boxes, (-1, 4)), np.reshape(annotated, (-1, 4)))
     thresholds = np.arange(101, dtype=np.float64) / 100.0
     op = (ious[None, :] > thresholds[:, None]).mean(axis=1)
     return TrackingMetrics(thresholds, op, float(op.mean()))
 
 
-def write_track_csv(rows, path):
-    """Per-frame trace CSV: frame, box, overlap, missing flag, peak mass."""
-    cols = ["frame", "cx", "cy", "w", "h", "iou", "missing", "peak_mass"]
+def write_track_csv(run: TrackRun, sequence: SyntheticSequence, path):
+    """Per-frame trace CSV: frame, box, overlap (nan without ground truth), missing, peak mass."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(cols)
-        for row in rows:
-            out.writerow([row["frame"]] + [repr(float(row[c])) for c in cols[1:-2]] + [row["missing"], repr(float(row["peak_mass"]))])
+        out.writerow(["frame", "cx", "cy", "w", "h", "iou", "missing", "peak_mass"])
+        rows = zip(run.boxes, sequence.frames, run.missing, run.peak_mass)
+        for t, (box, frame, missing, mass) in enumerate(rows):
+            gt = frame.ground_truth_box
+            iou = math.nan if gt is None else iou_xywh(box, gt)
+            values = [repr(float(v)) for v in (*box, iou)]
+            out.writerow([t, *values, int(missing), repr(float(mass))])

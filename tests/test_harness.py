@@ -271,6 +271,19 @@ def test_cli_bounds_the_search_region_at_load(tmp_path, capsys, monkeypatch, pay
         ),
         ({"tracker": {"bb_samples": 10**12}}, "tracker.bb_samples must be at most 1048576, got 1000000000000"),
         ({"tracker": {"bb_samples": 2**20 + 1}}, "tracker.bb_samples must be at most 1048576"),
+        (
+            {"suite": {"scenarios": [{"preset": "static", "num_frames": 2}], "repetitions": 10**8}},
+            "suite.repetitions: 1 scenarios x 100000000 repetitions = 100000000 cells, over 65536",
+        ),
+        (
+            {"suite": {"scenarios": ["static", "drift"], "repetitions": 2**15 + 1}},
+            "suite.repetitions: 2 scenarios x 32769 repetitions",
+        ),
+        (
+            {"dump": {"scenario": {"preset": "static", "num_frames": 6}, "slice_cells": 1000001}},
+            "dump.slice_cells: a 1000001x1000001 slice has 1000002000001 cells, over 4194304",
+        ),
+        ({"dump": {"slice_cells": 2049}}, "dump.slice_cells: a 2049x2049 slice"),
     ],
 )
 def test_cli_bounds_sequence_and_proposal_sizes_at_load(tmp_path, capsys, monkeypatch, payload, message):
@@ -283,6 +296,16 @@ def test_sequence_and_proposal_sizes_at_their_bounds_load(tmp_path):
     cfg = load_config(_write_config(tmp_path, payload))
     assert cfg.track_scenario["num_frames"] * 32 * 32 == harness.MAX_SEQUENCE_CELLS
     assert cfg.tracker.bb_samples == harness.MAX_BOX_SAMPLES
+
+
+def test_suite_cells_and_dump_slice_at_their_bounds_load(tmp_path):
+    payload = {
+        "suite": {"scenarios": ["static", "drift"], "repetitions": 2**15},
+        "dump": {"slice_cells": 2047},
+    }
+    cfg = load_config(_write_config(tmp_path, payload))
+    assert len(cfg.scenarios) * cfg.repetitions == harness.MAX_SUITE_CELLS
+    assert cfg.dump_slice_cells**2 <= harness.MAX_CROP_CELLS < (cfg.dump_slice_cells + 2) ** 2
 
 
 def test_search_region_just_under_the_bound_loads(tmp_path):
@@ -491,6 +514,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     cfgpath = _write_config(tmp_path, TINY_SUITE)
     assert main(["compare-losses", "--config", cfgpath, "--jobs", "0"]) == 2
+    capsys.readouterr()
+    assert main(["compare-losses", "--config", cfgpath, "--seed", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed must be nonnegative, got -5" in err
+    assert "Traceback" not in err
 
 
 def test_cli_diverging_box_training_is_a_numeric_failure(tmp_path, capsys):

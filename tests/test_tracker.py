@@ -428,9 +428,8 @@ def test_reusing_kept_evaluations_leaves_the_track_unchanged(monkeypatch, loss_m
 
 def test_trace_csv_round_trip(tmp_path):
     seq, run = _run(Scenario(num_frames=6, start_x=20.0, start_y=20.0))
-    rows = run.trace_rows(seq)
     path = tmp_path / "track.csv"
-    write_track_csv(rows, path)
+    write_track_csv(run, seq, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "frame,cx,cy,w,h,iou,missing,peak_mass"
     assert len(lines) == len(seq.frames) + 1
