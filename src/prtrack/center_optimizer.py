@@ -34,16 +34,18 @@ samples in order, so the stacked results equal per-sample ones bit for bit.
 The two families, _CrossEntropy (kl, nll) and _Squared (l2, rl2), live in
 the losses module, whose grid losses are their one-row calls.
 
-Unfolds are built one sample at a time and never kept.  An iteration
-unfolds each sample at most twice, for its adjoint and for its curvature
-direction, whatever the line search does; the closing pass unfolds each
-sample once more.  That pass leaves each sample its scores and its loss
-gradient's kernel-space pullback under the returned kernel (see
-SupportSample), and the first pass of the next call reuses them: a sample
-that kept both needs no first-pass unfold, one that kept only its scores
-needs one for its adjoint, and a fresh sample's one unfold serves both its
-scores and its adjoint.  A k-iteration call thus builds N * (2k + 1)
-unfolds on fresh samples and N * 2k on the samples a previous call left.
+Every correlation of a solve goes through one gridmath workspace, which
+holds the unfold of one sample at a time, and each pass arranges its
+kernel once for all samples.  An iteration unfolds each sample at most
+twice, for its adjoint and for its curvature direction, whatever the line
+search does; the closing pass unfolds each sample once more.  That pass
+leaves each sample its scores and its loss gradient's kernel-space
+pullback under the returned kernel (see SupportSample), and the first
+pass of the next call reuses them: a sample that kept both needs no
+first-pass unfold, one that kept only its scores needs one for its
+adjoint, and a fresh sample's one unfold serves both its scores and its
+adjoint.  A k-iteration call thus builds N * (2k + 1) unfolds on fresh
+samples and N * 2k on the samples a previous call left.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
-from .gridmath import FeatureMap, Grid2D, Kernel2D, _columns, _correlate, _correlate_adjoint
+from .gridmath import FeatureMap, Grid2D, Kernel2D, _Workspace
 from .losses import DENSITY_MODELS, LOSS_MODELS, _CrossEntropy, _Squared
 
 __all__ = [
@@ -228,7 +230,6 @@ class _Problem:
         if kh > h or kw > w:
             raise DimensionError(f"kernel {kh}x{kw} does not fit sample {h}x{w}")
         self.samples = samples
-        self.kernel_shape = (c, kh, kw)
         self.grid = (h, w)
         self.lam = cfg.regularization
         self.gamma = [float(sample.weight) for sample in samples]
@@ -242,21 +243,18 @@ class _Problem:
         self.scores = np.empty_like(labels)
         self.work = np.empty_like(labels)
         self.state = np.empty_like(labels)
+        self.ws = _Workspace((c, h, w), (c, kh, kw))
 
-    def unfold(self, j: int) -> np.ndarray:
-        return _columns(self.samples[j].features.values, self.kernel_shape[1], self.kernel_shape[2])
-
-    def adjoint(self, cols: np.ndarray, row: np.ndarray) -> np.ndarray:
-        return _correlate_adjoint(cols, row.reshape(self.grid), self.kernel_shape)
+    def unfold(self, j: int):
+        self.ws.unfold(self.samples[j].features.values)
 
     def correlate(self, *pairs):
         """Fill row j of each (kernel, stack) pair with sample j's scores; one unfold per sample."""
+        pairs = [(self.ws.arrange(kernel), stack) for kernel, stack in pairs]
         for j in range(len(self.samples)):
-            cols = self.unfold(j)
-            for kernel, stack in pairs:
-                stack[j].reshape(self.grid)[...] = _correlate(cols, kernel, self.grid)
-            # Freed before the next sample's is built: one unfold alive at a time.
-            del cols
+            self.unfold(j)
+            for arranged, stack in pairs:
+                self.ws.correlate(arranged, stack[j])
 
     def recall(self, kernel: np.ndarray, loss) -> tuple[list[bool], list]:
         """Copy in the scores the samples kept under kernel; returns (known rows, kept pullbacks)."""
@@ -281,18 +279,19 @@ class _Problem:
         """
         n = len(self.samples)
         values, pulls = [0.0] * n, list(pulls)
+        arranged = self.ws.arrange(w)
         for j in range(n):
             if not known[j]:
-                cols = self.unfold(j)
-                self.scores[j].reshape(self.grid)[...] = _correlate(cols, w, self.grid)
+                self.unfold(j)
+                self.ws.correlate(arranged, self.scores[j])
                 (values[j],) = self.loss.value_grad(self.scores, self.work, self.state, slice(j, j + 1))
-                pulls[j] = self.adjoint(cols, self.work[j])
-                del cols
+                pulls[j] = self.ws.adjoint(self.work[j])
         for rows in _runs(known):
             values[rows] = self.loss.value_grad(self.scores, self.work, self.state, rows)
         for j in range(n):
             if pulls[j] is None:
-                pulls[j] = self.adjoint(self.unfold(j), self.work[j])
+                self.unfold(j)
+                pulls[j] = self.ws.adjoint(self.work[j])
         obj = 0.5 * self.lam * float((w * w).sum())
         grad = self.lam * w.copy()
         for gamma, value, pull in zip(self.gamma, values, pulls):
@@ -449,8 +448,11 @@ def init_weights(support, kernel_shape: tuple[int, int]) -> TargetModel:
     prob = _Problem(support, OptimizerConfig(loss_model="kl"), (channels, kh, kw))
     w = np.zeros((channels, kh, kw))
     for j, (gamma, label) in enumerate(zip(prob.gamma, prob.loss.labels)):
-        w += gamma * prob.adjoint(prob.unfold(j), label)
-    peak = float(_correlate(prob.unfold(0), w, prob.grid).max())
+        prob.unfold(j)
+        w += gamma * prob.ws.adjoint(label)
+    prob.unfold(0)
+    prob.ws.correlate(prob.ws.arrange(w), prob.scores[0])
+    peak = float(prob.scores[0].max())
     c = 1.0 / peak if peak > 1e-150 else 1.0
     return TargetModel(Kernel2D(c * w))
 

@@ -10,9 +10,16 @@ A correlation is then one product M = W_j @ R, where W_j[j] holds kernel
 column j, followed by a sum of the kw shifted diagonals, out[n] =
 sum_j M[j, n + j].  The adjoint stacks kw shifted copies of the output
 grid instead and takes one product of R with that stack.  R is kw times
-smaller than a patch (im2col) matrix.  The Wp - W extra columns of each output row wrap into the
-next padded row and are dropped.  Zero padding keeps the output grid the
-same shape as the input feature map ("same" mode).
+smaller than a patch (im2col) matrix.  The Wp - W extra columns of each
+output row wrap into the next padded row and are dropped.  Zero padding
+keeps the output grid the same shape as the input feature map ("same" mode).
+
+One _Workspace per (map shape, kernel shape) holds every buffer these steps
+need: the padded map, R, the padded adjoint grid, the diagonal sums, and one
+(kw, H * Wp + kw - 1) buffer that M and the shifted stack share, since they
+are never alive together.  Borders are zeroed once and each use writes only
+interiors, so a reused workspace gives bit for bit a fresh one's results.
+The kernel solver keeps one per solve; conv_apply and conv_adjoint make one.
 """
 
 from __future__ import annotations
@@ -128,50 +135,57 @@ def _view(base: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
     return np.ndarray(shape, base.dtype, base, offset, strides)
 
 
-def _columns(zvals: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Row unfold of the zero-padded map, shape (C * kh, H * Wp + kw - 1).
+class _Workspace:
+    """Reused buffers for correlating (C, H, W) maps with (C, kh, kw) kernels (see the module docstring)."""
 
-    Row (c, i) holds the flat padded channel c from padded row i on, so
-    R[(c, i), y * Wp + x + j] = z[c, y + i - kh // 2, x + j - kw // 2] with
-    Wp = W + kw - 1 and zeros outside z.
-    """
-    c, h, w = zvals.shape
-    wp = w + kw - 1
-    length = h * wp + kw - 1
-    stride = (h + kh - 1) * wp + kw - 1
-    flat = np.zeros((c, stride))
-    item = flat.itemsize
-    offset = ((kh // 2) * wp + kw // 2) * item
-    _view(flat, zvals.shape, (stride * item, wp * item, item), offset)[...] = zvals
-    rows = _view(flat, (c, kh, length), (stride * item, wp * item, item))
-    return np.ascontiguousarray(rows).reshape(c * kh, length)
+    def __init__(self, map_shape, kernel_shape):
+        c, h, w = map_shape
+        _, kh, kw = kernel_shape
+        wp = w + kw - 1
+        length = h * wp + kw - 1
+        stride = (h + kh - 1) * wp + kw - 1
+        item = np.dtype(np.float64).itemsize
+        self.kernel_shape = (c, kh, kw)
+        padded = np.zeros((c, stride))
+        self._map = _view(padded, (c, h, w), (stride * item, wp * item, item), ((kh // 2) * wp + kw // 2) * item)
+        self._rows = _view(padded, (c, kh, length), (stride * item, wp * item, item))
+        self.unfolded = np.empty((c * kh, length))
+        self._unfolded_rows = self.unfolded.reshape(c, kh, length)
+        # u sits in an (H, Wp) grid behind kw - 1 zeros; row j of the shifted
+        # stack reads it j cells later, so shifted[j, n] = u_flat[n - j].
+        grid = np.zeros(h * wp + 2 * (kw - 1))
+        self._grid = grid[kw - 1 : kw - 1 + h * wp].reshape(h, wp)[:, :w]
+        self._shifted = _view(grid, (kw, length), (-item, item), (kw - 1) * item)
+        self._product = np.empty((kw, length))
+        self._diagonals = _view(self._product, (kw, h * wp), ((length + 1) * item, item))
+        self._sums = np.empty(h * wp)
+        self._scores = self._sums.reshape(h, wp)[:, :w]
 
+    def unfold(self, zvals: np.ndarray):
+        """Make R the row unfold of the (C, H, W) map zvals, with zeros outside z:
 
-def _correlate(cols: np.ndarray, wvals: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Scores of kernel wvals on the map behind the row unfold cols, as an (H, W) grid."""
-    c, kh, kw = wvals.shape
-    h, w = shape
-    wp = w + kw - 1
-    m = wvals.transpose(2, 0, 1).reshape(kw, c * kh) @ cols
-    item = m.itemsize
-    diagonals = _view(m, (kw, h * wp), (m.strides[0] + item, item))
-    return diagonals.sum(axis=0).reshape(h, wp)[:, :w]
+        R[(c, i), y * Wp + x + j] = z[c, y + i - kh // 2, x + j - kw // 2].
+        """
+        np.copyto(self._map, zvals)
+        np.copyto(self._unfolded_rows, self._rows)
 
+    def arrange(self, wvals: np.ndarray) -> np.ndarray:
+        """The (kw, C * kh) matrix W_j of kernel wvals, whose row j holds kernel column j."""
+        return wvals.transpose(2, 0, 1).reshape(wvals.shape[2], -1)
 
-def _correlate_adjoint(cols: np.ndarray, uvals: np.ndarray, kernel_shape) -> np.ndarray:
-    """Kernel-space pullback of the (H, W) grid uvals; kernel_shape is (C, kh, kw)."""
-    c, kh, kw = kernel_shape
-    h, w = uvals.shape
-    wp = w + kw - 1
-    # u sits in an (H, Wp) grid behind kw - 1 zeros; row j of the shifted
-    # stack reads it j cells later, so shifted[j, n] = u_flat[n - j].
-    padded = np.zeros(h * wp + 2 * (kw - 1))
-    padded[kw - 1 : kw - 1 + h * wp].reshape(h, wp)[:, :w] = uvals
-    item = padded.itemsize
-    shifted = _view(padded, (kw, cols.shape[1]), (-item, item), (kw - 1) * item)
-    # A contiguous copy lets the product go to BLAS, which the negative
-    # row stride would otherwise keep from it.
-    return (cols @ np.ascontiguousarray(shifted).T).reshape(kernel_shape)
+    def correlate(self, arranged: np.ndarray, out: np.ndarray):
+        """Write the scores of the arranged kernel on the unfolded map into out, H * W cells."""
+        np.dot(arranged, self.unfolded, out=self._product)
+        np.add.reduce(self._diagonals, 0, None, self._sums)
+        np.copyto(out.reshape(self._scores.shape), self._scores)
+
+    def adjoint(self, u: np.ndarray) -> np.ndarray:
+        """Kernel-space pullback of the H * W grid u on the unfolded map."""
+        self._grid[...] = u.reshape(self._grid.shape)
+        # A contiguous copy lets the product go to BLAS, which the negative
+        # row stride would otherwise keep from it.
+        np.copyto(self._product, self._shifted)
+        return np.dot(self.unfolded, self._product.T).reshape(self.kernel_shape)
 
 
 def _check_kernel_fits(z: FeatureMap, kh: int, kw: int):
@@ -189,8 +203,11 @@ def conv_apply(z: FeatureMap, w: Kernel2D) -> Grid2D:
     if z.channels != w.channels:
         raise DimensionError(f"channel mismatch: features {z.channels}, kernel {w.channels}")
     _check_kernel_fits(z, w.height, w.width)
-    cols = _columns(z.values, w.height, w.width)
-    return Grid2D(_correlate(cols, w.values, (z.height, z.width)))
+    ws = _Workspace(z.values.shape, w.values.shape)
+    ws.unfold(z.values)
+    out = np.empty((z.height, z.width))
+    ws.correlate(ws.arrange(w.values), out)
+    return Grid2D(out)
 
 
 def conv_adjoint(z: FeatureMap, u: Grid2D, kernel_shape: tuple[int, int]) -> Kernel2D:
@@ -207,8 +224,9 @@ def conv_adjoint(z: FeatureMap, u: Grid2D, kernel_shape: tuple[int, int]) -> Ker
             f"grid {u.height}x{u.width} does not match feature map {z.height}x{z.width}"
         )
     _check_kernel_fits(z, kh, kw)
-    cols = _columns(z.values, kh, kw)
-    return Kernel2D(_correlate_adjoint(cols, u.values, (z.channels, kh, kw)))
+    ws = _Workspace(z.values.shape, (z.channels, kh, kw))
+    ws.unfold(z.values)
+    return Kernel2D(ws.adjoint(u.values))
 
 
 def log_sum_exp(g: Grid2D, cell_area: float = 1.0) -> float:

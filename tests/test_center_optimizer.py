@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from _oracles import fd_gradient, optimize_reference
-from prtrack import center_optimizer
 from prtrack.center_optimizer import (
     OptimizerConfig,
     SupportSample,
@@ -21,7 +20,7 @@ from prtrack.center_optimizer import (
     write_trace_csv,
 )
 from prtrack.errors import DimensionError, DomainError, NumericError
-from prtrack.gridmath import FeatureMap, Grid2D, Kernel2D, _columns, conv_apply
+from prtrack.gridmath import FeatureMap, Grid2D, Kernel2D, _Workspace, conv_apply
 from prtrack.losses import kl_grid_loss
 
 CFG = OptimizerConfig(regularization=1e-2, iterations=5)
@@ -297,7 +296,7 @@ def test_optimize_memory_holds_few_column_matrices():
     rng = np.random.Generator(np.random.PCG64(37))
     support = _random_support(rng, n=15, channels=4, h=31, w=31)
     model = _model(rng.normal(0.0, 0.1, (4, 5, 5)))
-    unfold_bytes = _columns(support[0].features.values, 5, 5).nbytes
+    unfold_bytes = _Workspace(support[0].features.values.shape, (4, 5, 5)).unfolded.nbytes
     grid_bytes = 31 * 31 * 8
     for iterations in (2, 10):
         tracemalloc.start()
@@ -365,11 +364,13 @@ def test_optimize_unfolds_each_sample_twice_per_iteration(monkeypatch):
     assert sum(halvings) > 0
     built = []
 
-    def counting(*args):
-        built.append(args)
-        return _columns(*args)
+    unfold = _Workspace.unfold
 
-    monkeypatch.setattr(center_optimizer, "_columns", counting)
+    def counting(ws, *args):
+        built.append(args)
+        return unfold(ws, *args)
+
+    monkeypatch.setattr(_Workspace, "unfold", counting)
     optimize(_model(w0), support, cfg)
     assert len(built) <= len(support) * (2 * cfg.iterations + 1)
 
@@ -437,17 +438,19 @@ def test_optimize_on_what_a_solve_left_skips_the_first_pass_unfolds(monkeypatch)
     model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
     built = []
 
-    def counting(*args):
-        built.append(args)
-        return _columns(*args)
+    unfold = _Workspace.unfold
 
-    monkeypatch.setattr(center_optimizer, "_columns", counting)
+    def counting(ws, *args):
+        built.append(args)
+        return unfold(ws, *args)
+
+    monkeypatch.setattr(_Workspace, "unfold", counting)
     model, first = optimize(model, support, cfg)
     n, k = len(support), cfg.iterations
     assert len(built) == n * (2 * k + 1)
-    del built[:]
     scored_only = _fresh(support[:1])[0]
     scored_only.keep(model.weights.values, conv_apply(scored_only.features, model.weights).values)
+    del built[:]
     support = [scored_only] + support[1:]
     got = optimize(model, support, cfg)
     assert len(built) == n * 2 * k + 1

@@ -8,6 +8,7 @@ from prtrack.gridmath import (
     FeatureMap,
     Grid2D,
     Kernel2D,
+    _Workspace,
     conv_adjoint,
     conv_apply,
     dump_grid,
@@ -131,6 +132,51 @@ def test_full_map_kernel_matches_brute_force():
     np.testing.assert_allclose(got, conv_brute(z, w), rtol=0, atol=1e-12)
     adj = conv_adjoint(FeatureMap(z), Grid2D(u), (5, 7)).values
     np.testing.assert_allclose(adj, conv_adjoint_brute(z, u, 5, 7), rtol=0, atol=1e-12)
+
+
+def _workspace_shapes():
+    """(C, H, W, kh, kw) cases: 1x1 kernels, kernels the size of the map, non-square maps, random."""
+    yield from [(1, 1, 1, 1, 1), (3, 4, 9, 1, 1), (2, 5, 7, 5, 7), (1, 9, 3, 9, 3), (2, 6, 11, 3, 11)]
+    rng = np.random.Generator(np.random.PCG64(20))
+    for _ in range(25):
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        kh, kw = (int(rng.choice(np.arange(1, n + 1, 2))) for n in (h, w))
+        yield int(rng.integers(1, 4)), h, w, kh, kw
+
+
+def _workspace_pass(ws, z, k, u):
+    """Scores of k and the pullback of u on map z, then the scores once more after the adjoint."""
+    ws.unfold(z)
+    scores = np.full(u.size, np.nan)
+    ws.correlate(ws.arrange(k), scores)
+    pull = ws.adjoint(u.ravel())
+    again = np.full(u.size, np.nan)
+    ws.correlate(ws.arrange(k), again)
+    return scores.reshape(u.shape), pull, again.reshape(u.shape)
+
+
+@pytest.mark.parametrize("shape", list(_workspace_shapes()))
+def test_reused_workspace_is_exact(shape):
+    # One workspace runs samples A, B, then A again.  Each result equals a
+    # fresh workspace's and the one-shot primitives' bit for bit, and the
+    # brute-force loops within their usual tolerance, so no border is left
+    # dirty and the unfold survives the buffer the product and adjoint share.
+    c, h, w, kh, kw = shape
+    rng = np.random.Generator(np.random.PCG64(21))
+    samples = [
+        (rng.standard_normal((c, h, w)), rng.standard_normal((c, kh, kw)), rng.standard_normal((h, w)))
+        for _ in range(2)
+    ]
+    ws = _Workspace((c, h, w), (c, kh, kw))
+    for z, k, u in (samples[0], samples[1], samples[0]):
+        scores, pull, again = _workspace_pass(ws, z, k, u)
+        fresh_scores, fresh_pull, _ = _workspace_pass(_Workspace((c, h, w), (c, kh, kw)), z, k, u)
+        assert np.array_equal(scores, fresh_scores) and np.array_equal(again, scores)
+        assert np.array_equal(pull, fresh_pull)
+        assert np.array_equal(scores, conv_apply(FeatureMap(z), Kernel2D(k)).values)
+        assert np.array_equal(pull, conv_adjoint(FeatureMap(z), Grid2D(u), (kh, kw)).values)
+        np.testing.assert_allclose(scores, conv_brute(z, k), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pull, conv_adjoint_brute(z, u, kh, kw), rtol=0, atol=1e-12)
 
 
 def test_conv_adjoint_size_mismatch():

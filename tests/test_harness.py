@@ -403,7 +403,8 @@ def _config_strategy(caps=None):
     integers are unbounded, and a section, a scenario list or a spec may be
     a non-object.  With caps (runnable configs), mistyped integers are never
     huge, a section sets at most three optional keys, the suite is one
-    scenario object run once, and the fields named in caps are always set,
+    scenario object run once, the track section always names its scenario
+    object, and the fields named in caps are always set,
     to integers in [2, caps[field]]; others lie in [-1, 8].
     """
 
@@ -432,9 +433,10 @@ def _config_strategy(caps=None):
         run_fields["repetitions"] = st.just(1)
     tracker = {name: value(TrackerConfig, name) for name in _FIELDS[TrackerConfig]}
     sections = {"tracker": keys(tracker, [name for name in caps or () if name in tracker])}
+    required = {"suite": ["scenarios", "repetitions"], "track": ["scenario"]} if caps else {}
     for section, table in harness._SECTIONS.items():
         fields = {key: run_fields[field] if field in run_fields else value(RunConfig, field) for key, field in table.items()}
-        sections[section] = keys(fields, ["scenarios", "repetitions"] if caps and section == "suite" else ())
+        sections[section] = keys(fields, required.get(section, ()))
     if caps is None:
         sections = {section: _mostly(body, _EDGE, odds=9) for section, body in sections.items()}
     return st.fixed_dictionaries(sections)
@@ -464,9 +466,7 @@ def test_whole_configs_load_or_name_what_is_wrong(tmp_path_factory, config):
 _RUN_CAPS = {"num_frames": 4, "init_iterations": 3, "bb_epochs": 3, "bb_samples": 24}
 
 
-@settings(max_examples=120, deadline=None)
-@given(_config_strategy(_RUN_CAPS))
-def test_whole_configs_run_or_exit_cleanly(tmp_path_factory, config):
+def _runs_or_exits_cleanly(tmp_path_factory, command, config):
     # A config either runs, is rejected at load (exit 2), or fails as a
     # numeric failure (exit 1); no other exception reaches the caller.
     path = tmp_path_factory.mktemp("fuzzrun") / "config.json"
@@ -474,9 +474,22 @@ def test_whole_configs_run_or_exit_cleanly(tmp_path_factory, config):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = main(["compare-losses", "--config", str(path), "--out", str(path.parent / "o")])
+        code = main([command, "--config", str(path), "--out", str(path.parent / "o")])
     assert code == 0 or code == 2 or (code == 1 and err.getvalue().startswith("numeric failure:")), (code, err.getvalue(), config)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_config_strategy(_RUN_CAPS))
+def test_whole_configs_run_or_exit_cleanly(tmp_path_factory, config):
+    _runs_or_exits_cleanly(tmp_path_factory, "compare-losses", config)
+
+
+@pytest.mark.parametrize("command", ["sigma-sweep", "track"])
+@settings(max_examples=120, deadline=None)
+@given(_config_strategy(_RUN_CAPS))
+def test_whole_configs_run_or_exit_cleanly_in_other_commands(tmp_path_factory, command, config):
+    _runs_or_exits_cleanly(tmp_path_factory, command, config)
 
 
 def test_config_io_failures(tmp_path):
@@ -613,6 +626,21 @@ PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "csv_digest
 def test_compare_losses_matches_the_pinned_init_burst_digest(tmp_path):
     pinned = json.loads(PINNED_DIGESTS.read_text())["init-burst"]["1"]
     cfgpath = _write_config(tmp_path, INIT_BURST_SUITE)
+    out = tmp_path / "out"
+    assert main(["compare-losses", "--config", cfgpath, "--seed", "1", "--jobs", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "compare_losses.csv").read_bytes()).hexdigest() == pinned
+
+
+# The inputs of the benchmark's suite-j1 workload: both suite presets at their
+# full 60 frames, 5 repetitions, one job.  The online kernel solve dominates
+# them, so their pinned seed-1 digest checks that every solve still runs bit
+# for bit as it did when the digests were taken.
+HEADLINE_SUITE = {"suite": {"scenarios": ["distractors", "distractors_occlusion"], "repetitions": 5}}
+
+
+def test_compare_losses_matches_the_pinned_headline_digest(tmp_path):
+    pinned = json.loads(PINNED_DIGESTS.read_text())["suite"]["1"]
+    cfgpath = _write_config(tmp_path, HEADLINE_SUITE)
     out = tmp_path / "out"
     assert main(["compare-losses", "--config", cfgpath, "--seed", "1", "--jobs", "1", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "compare_losses.csv").read_bytes()).hexdigest() == pinned
