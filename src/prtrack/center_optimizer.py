@@ -50,7 +50,6 @@ samples and N * 2k on the samples a previous call left.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,7 +70,6 @@ __all__ = [
     "hessian_quadratic_form",
     "optimize",
     "init_weights",
-    "write_trace_csv",
 ]
 
 
@@ -455,12 +453,3 @@ def init_weights(support, kernel_shape: tuple[int, int]) -> TargetModel:
     peak = float(prob.scores[0].max())
     c = 1.0 / peak if peak > 1e-150 else 1.0
     return TargetModel(Kernel2D(c * w))
-
-
-def write_trace_csv(trace, path):
-    """Dump a solver trace as CSV (iteration, objective, step_length, grad_norm)."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["iteration", "objective", "step_length", "grad_norm"])
-        for row in trace:
-            out.writerow([row.iteration, repr(row.objective), repr(row.step_length), repr(row.grad_norm)])

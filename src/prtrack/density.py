@@ -1,8 +1,7 @@
 """Grid-discretized probability densities derived from score grids.
 
-A score grid s maps to the density d_k = exp(s_k) / (A * sum_l exp(s_l)),
-where A is the cell area, so that A * sum_k d_k == 1.  The log of the
-normalizer A * sum_l exp(s_l) is kept alongside the density.
+The tracker's densities live on unit cells: a score grid s maps to the
+density d_k = exp(s_k) / sum_l exp(s_l), so that sum_k d_k == 1.
 """
 
 from __future__ import annotations
@@ -14,60 +13,50 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .gridmath import Grid2D, log_sum_exp
 
-__all__ = ["GridDensity", "normalize", "argmax_state", "expected_state"]
+__all__ = ["GridDensity", "normalize", "read_peak"]
 
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
-    """Density values per cell plus the cell area and log normalizer."""
+    """Density values per unit cell, of total mass 1."""
 
     grid: Grid2D
-    cell_area: float
-    log_partition: float
 
     def __post_init__(self):
-        if self.cell_area <= 0:
-            raise DomainError(f"cell_area must be positive, got {self.cell_area}")
         if self.grid.cell_count == 0:
             raise DimensionError("density grid must be nonempty")
         vals = self.grid.values
         if (vals < 0).any():
             raise DomainError("density values must be nonnegative")
-        mass = float(vals.sum()) * self.cell_area
+        mass = float(vals.sum())
         if abs(mass - 1.0) > 1e-9:
             raise DomainError(f"density mass must be 1 within 1e-9, got {mass!r}")
 
 
-def normalize(scores: Grid2D, cell_area: float = 1.0) -> GridDensity:
-    """Turn a score grid into the density exp(s) / (A * sum exp(s))."""
-    logz = log_sum_exp(scores, cell_area)
-    dens = np.exp(scores.values - logz)
+def normalize(scores: Grid2D) -> GridDensity:
+    """Turn a score grid into the density exp(s) / sum exp(s)."""
+    dens = np.exp(scores.values - log_sum_exp(scores))
     # Guard against rounding pushing the total mass outside the 1e-9 gate.
-    dens /= dens.sum() * cell_area
-    return GridDensity(Grid2D(dens), cell_area, logz)
+    dens /= dens.sum()
+    return GridDensity(Grid2D(dens))
 
 
-def argmax_state(d: GridDensity) -> tuple[int, int]:
-    """Cell index (row, col) of the density peak; ties pick the row-major first."""
-    flat = int(np.argmax(d.grid.values))
-    h, w = d.grid.values.shape
-    return flat // w, flat % w
+def read_peak(d: GridDensity) -> tuple[tuple[int, int], float, tuple[float, float]]:
+    """((row, col), mass, (mean_row, mean_col)) of the density peak.
 
-
-def expected_state(d: GridDensity) -> tuple[float, float]:
-    """Density-weighted mean cell coordinate over the 3x3 patch at the peak.
-
-    The patch is clipped at grid borders, so peaks on the boundary average
-    over the cells that exist.
+    The peak is the argmax cell (ties pick the row-major first); mass is
+    the density mass of the 3x3 patch around it, and the mean is the
+    density-weighted mean cell coordinate over that patch.  The patch is
+    clipped at grid borders, so peaks on the boundary use the cells that
+    exist.
     """
-    r0, c0 = argmax_state(d)
-    h, w = d.grid.values.shape
-    rlo, rhi = max(r0 - 1, 0), min(r0 + 1, h - 1)
-    clo, chi = max(c0 - 1, 0), min(c0 + 1, w - 1)
-    patch = d.grid.values[rlo : rhi + 1, clo : chi + 1]
+    vals = d.grid.values
+    r0, c0 = divmod(int(np.argmax(vals)), vals.shape[1])
+    rlo, clo = max(r0 - 1, 0), max(c0 - 1, 0)
+    patch = vals[rlo : r0 + 2, clo : c0 + 2]
     total = patch.sum()
-    rows = np.arange(rlo, rhi + 1, dtype=np.float64)
-    cols = np.arange(clo, chi + 1, dtype=np.float64)
+    rows = np.arange(rlo, rlo + patch.shape[0], dtype=np.float64)
+    cols = np.arange(clo, clo + patch.shape[1], dtype=np.float64)
     r = float((patch.sum(axis=1) * rows).sum() / total)
     c = float((patch.sum(axis=0) * cols).sum() / total)
-    return r, c
+    return (r0, c0), float(total), (r, c)

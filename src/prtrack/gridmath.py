@@ -38,7 +38,6 @@ __all__ = [
     "conv_apply",
     "conv_adjoint",
     "log_sum_exp",
-    "softmax",
     "dump_grid",
     "load_grid",
 ]
@@ -237,14 +236,6 @@ def log_sum_exp(g: Grid2D, cell_area: float = 1.0) -> float:
         raise DomainError(f"cell_area must be positive, got {cell_area}")
     m = float(g.values.max())
     return math.log(cell_area) + m + math.log(np.exp(g.values - m).sum())
-
-
-def softmax(g: Grid2D) -> Grid2D:
-    """Exponentiate and normalize the grid to total mass 1 (shift-invariant)."""
-    if g.cell_count == 0:
-        raise DomainError("softmax of an empty grid")
-    e = np.exp(g.values - g.values.max())
-    return Grid2D(e / e.sum())
 
 
 def dump_grid(g: Grid2D, path):

@@ -342,14 +342,10 @@ def _suite_metrics(cfg: RunConfig, variants, master_seed: int, jobs: int):
     """Mean (auc, op50, op75) over the whole suite, one triple per variant.
 
     A variant is a dict of field overrides of cfg.tracker, applied with
-    miss_mode "auto" and scorer_init "train".  One task per (scenario,
-    repetition) cell tracks every variant; the means run over the cells in
-    scenario-major order.
+    scorer_init "train".  One task per (scenario, repetition) cell tracks
+    every variant; the means run over the cells in scenario-major order.
     """
-    tracker_cfgs = [
-        replace(cfg.tracker, miss_mode="auto", scorer_init="train", **overrides)
-        for overrides in variants
-    ]
+    tracker_cfgs = [replace(cfg.tracker, scorer_init="train", **overrides) for overrides in variants]
     tasks = [
         partial(_run_cell_configs, spec, _cell_seed(master_seed, si, rep), tracker_cfgs)
         for si, spec in enumerate(cfg.scenarios)
@@ -549,7 +545,10 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
         if args.command == "compare-losses":
             paths = [cmd_compare_losses(cfg, args.seed, out_dir, args.jobs)]
         elif args.command == "sigma-sweep":

@@ -45,7 +45,7 @@ from .bbox import (
     train_box_scorer,
 )
 from .center_optimizer import OptimizerConfig, SupportSample, TargetModel, init_weights, optimize
-from .density import GridDensity, argmax_state, expected_state, normalize
+from .density import GridDensity, normalize, read_peak
 from .errors import DimensionError, DomainError, NumericError
 from .gridmath import FeatureMap, Grid2D, conv_apply
 from .labels import GaussianLabel, MixtureProposal, gaussian_normalizer, iou_xywh, label_grid
@@ -202,10 +202,6 @@ class Frame:
 @dataclass(frozen=True, eq=False)
 class SyntheticSequence:
     frames: tuple[Frame, ...]
-    scenario: Scenario
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -261,7 +257,7 @@ def generate_sequence(scenario: Scenario) -> SyntheticSequence:
             dy = cross[1] + vel[1] * (t - t_cross)
             feats += sig[:, None, None] * _blob(h, w, dx, dy, scenario.blob_radius)
         frames.append(Frame(FeatureMap(feats), scenario.target_box(t)))
-    return SyntheticSequence(tuple(frames), scenario)
+    return SyntheticSequence(tuple(frames))
 
 
 def _build(what: str, make, *args, **kwargs):
@@ -313,9 +309,8 @@ class TrackerConfig:
     memory_capacity: int = 15
     gamma_decay: float = 0.99
     augment: bool = True
-    miss_mode: str = "auto"  # auto: mass for kl/nll, raw score for l2/rl2
-    miss_threshold_mass: float = 0.05
-    miss_threshold_score: float = 0.25
+    miss_threshold_mass: float = 0.05  # kl and nll gate on the 3x3 peak mass
+    miss_threshold_score: float = 0.25  # l2 and rl2 gate on the raw peak score
     subcell: bool = True
     scorer_tau: float = 0.2
     scorer_init: str = "fit"  # fit: closed form at the annotation; train: SGD
@@ -376,8 +371,6 @@ class TrackerConfig:
             raise DomainError("update_interval and memory_capacity must be at least 1")
         if self.gamma_decay > 1:
             raise DomainError("gamma_decay must be in (0, 1]")
-        if self.miss_mode not in ("auto", "mass", "score"):
-            raise DomainError(f"unknown miss_mode {self.miss_mode!r}")
         if self.scorer_init not in ("fit", "train"):
             raise DomainError(f"unknown scorer_init {self.scorer_init!r}")
 
@@ -385,11 +378,6 @@ class TrackerConfig:
         if self.sigma_tc is not None:
             return self.sigma_tc
         return self.sigma_tc_factor * math.sqrt(target_w * target_h)
-
-    def resolved_miss_mode(self) -> str:
-        if self.miss_mode != "auto":
-            return self.miss_mode
-        return "mass" if self.loss_model in DENSITY_MODELS else "score"
 
 
 _TRACKER_NAMES = {f.name: f"tracker.{f.name}" for f in fields(TrackerConfig)}
@@ -530,12 +518,6 @@ def track_init(
     return TrackState(cfg, model, scorer, samples, [0] * len(samples), box, region, sigma)
 
 
-def _peak_mass(dens: GridDensity, peak_rc: tuple[int, int]) -> float:
-    r0, c0 = peak_rc
-    patch = dens.grid.values[max(r0 - 1, 0) : r0 + 2, max(c0 - 1, 0) : c0 + 2]
-    return float(patch.sum()) * dens.cell_area
-
-
 def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, GridDensity]:
     """Advance one frame; returns (state, reported box, stage-1 density)."""
     cfg = state.cfg
@@ -551,13 +533,12 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
         state.last_peak_mass = 0.0
         n = state.region
         flat = Grid2D(np.full((n, n), 1.0 / (n * n)))
-        return state, state.current_box, GridDensity(flat, 1.0, 0.0)
+        return state, state.current_box, GridDensity(flat)
 
-    dens = normalize(scores, 1.0)
-    peak = argmax_state(dens)
-    mass = _peak_mass(dens, peak)
+    dens = normalize(scores)
+    peak, mass, mean = read_peak(dens)
     state.last_peak_mass = mass
-    if cfg.resolved_miss_mode() == "mass":
+    if cfg.loss_model in DENSITY_MODELS:
         missing = mass < cfg.miss_threshold_mass
     else:
         missing = float(scores.values.max()) < cfg.miss_threshold_score
@@ -566,7 +547,7 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
         return state, state.current_box, dens
 
     state.missing = False
-    est = expected_state(dens) if cfg.subcell else (float(peak[0]), float(peak[1]))
+    est = mean if cfg.subcell else (float(peak[0]), float(peak[1]))
     new_cx = origin[1] + est[1]
     new_cy = origin[0] + est[0]
 
@@ -632,9 +613,8 @@ def run_sequence(
 
 @dataclass(frozen=True, eq=False)
 class TrackingMetrics:
-    """Overlap-precision curve over 101 thresholds and its mean (the AUC)."""
+    """Overlap-precision curve over the 101 thresholds 0.00, ..., 1.00 and its mean (the AUC)."""
 
-    thresholds: np.ndarray
     op: np.ndarray
     auc: float
 
@@ -660,7 +640,7 @@ def evaluate(sequence: SyntheticSequence, boxes) -> TrackingMetrics:
     ious = iou_xywh(np.reshape(boxes, (-1, 4)), np.reshape(annotated, (-1, 4)))
     thresholds = np.arange(101, dtype=np.float64) / 100.0
     op = (ious[None, :] > thresholds[:, None]).mean(axis=1)
-    return TrackingMetrics(thresholds, op, float(op.mean()))
+    return TrackingMetrics(op, float(op.mean()))
 
 
 def write_track_csv(run: TrackRun, sequence: SyntheticSequence, path):

@@ -1,6 +1,5 @@
 """Objective, gradient, curvature and solver checks for the online learner."""
 
-import csv
 import math
 import tracemalloc
 
@@ -17,7 +16,6 @@ from prtrack.center_optimizer import (
     init_weights,
     objective,
     optimize,
-    write_trace_csv,
 )
 from prtrack.errors import DimensionError, DomainError, NumericError
 from prtrack.gridmath import FeatureMap, Grid2D, Kernel2D, _Workspace, conv_apply
@@ -548,20 +546,3 @@ def test_optimizer_config_validation():
     for threshold in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="rl2_threshold"):
             OptimizerConfig(loss_model="rl2", rl2_threshold=threshold)
-
-
-def test_trace_csv_round_trip(tmp_path):
-    rng = np.random.Generator(np.random.PCG64(36))
-    support = _random_support(rng, n=1)
-    _, trace = optimize(_model(rng.normal(0.0, 0.5, (2, 3, 3))), support, CFG)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "objective", "step_length", "grad_norm"]
-    assert len(rows) == len(trace) + 1
-    for row, step in zip(rows[1:], trace):
-        assert int(row[0]) == step.iteration
-        assert float(row[1]) == step.objective
-        assert float(row[2]) == step.step_length
-        assert float(row[3]) == step.grad_norm

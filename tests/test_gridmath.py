@@ -14,7 +14,6 @@ from prtrack.gridmath import (
     dump_grid,
     load_grid,
     log_sum_exp,
-    softmax,
 )
 
 from _oracles import conv_adjoint_brute, conv_brute
@@ -211,24 +210,6 @@ def test_log_sum_exp_empty_grid():
         log_sum_exp(Grid2D(np.zeros((0, 3))), 1.0)
 
 
-def test_softmax_uniform():
-    out = softmax(Grid2D(np.zeros((2, 2)))).values
-    np.testing.assert_allclose(out, np.full((2, 2), 0.25), atol=1e-15)
-
-
-def test_softmax_analytic_two_cell():
-    out = softmax(Grid2D(np.array([[0.0, math.log(3.0)]]))).values
-    np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-12)
-
-
-def test_softmax_shift_invariant_and_normalized():
-    rng = np.random.Generator(np.random.PCG64(16))
-    g = rng.standard_normal((5, 4))
-    base = softmax(Grid2D(g)).values
-    shifted = softmax(Grid2D(g + 123.456)).values
-    np.testing.assert_allclose(base, shifted, atol=1e-12)
-    assert base.min() >= 0.0
-    assert abs(base.sum() - 1.0) <= 1e-12
 
 
 def test_dump_load_round_trip(tmp_path):

@@ -68,6 +68,9 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(_write_config(tmp_path, {"sweeep": {}}))
     with pytest.raises(UsageError, match="unknown key"):
         load_config(_write_config(tmp_path, {"tracker": {"learning": 3}}))
+    # The miss gate follows the loss family; no key chooses it.
+    with pytest.raises(UsageError, match=r"unknown key\(s\) \['miss_mode'\] in tracker section"):
+        load_config(_write_config(tmp_path, {"tracker": {"miss_mode": "mass"}}))
     with pytest.raises(UsageError, match="unknown key"):
         load_config(
             _write_config(tmp_path, {"suite": {"scenarios": [{"blob": 2.0}]}})
@@ -403,9 +406,9 @@ def _config_strategy(caps=None):
     integers are unbounded, and a section, a scenario list or a spec may be
     a non-object.  With caps (runnable configs), mistyped integers are never
     huge, a section sets at most three optional keys, the suite is one
-    scenario object run once, the track section always names its scenario
-    object, and the fields named in caps are always set,
-    to integers in [2, caps[field]]; others lie in [-1, 8].
+    scenario object run once, the track and dump sections always name their
+    scenario objects, the dump frame is 1, and the fields named in caps are
+    always set, to integers in [2, caps[field]]; others lie in [-1, 8].
     """
 
     def value(cls, name):
@@ -431,9 +434,10 @@ def _config_strategy(caps=None):
     run_fields = {"scenarios": specs, "track_scenario": spec, "dump_scenario": spec}
     if caps:
         run_fields["repetitions"] = st.just(1)
+        run_fields["dump_frame_index"] = st.just(1)  # in every dump scenario, which has num_frames >= 2
     tracker = {name: value(TrackerConfig, name) for name in _FIELDS[TrackerConfig]}
     sections = {"tracker": keys(tracker, [name for name in caps or () if name in tracker])}
-    required = {"suite": ["scenarios", "repetitions"], "track": ["scenario"]} if caps else {}
+    required = {"suite": ["scenarios", "repetitions"], "track": ["scenario"], "dump": ["scenario", "frame_index"]} if caps else {}
     for section, table in harness._SECTIONS.items():
         fields = {key: run_fields[field] if field in run_fields else value(RunConfig, field) for key, field in table.items()}
         sections[section] = keys(fields, required.get(section, ()))
@@ -485,7 +489,7 @@ def test_whole_configs_run_or_exit_cleanly(tmp_path_factory, config):
     _runs_or_exits_cleanly(tmp_path_factory, "compare-losses", config)
 
 
-@pytest.mark.parametrize("command", ["sigma-sweep", "track"])
+@pytest.mark.parametrize("command", ["sigma-sweep", "track", "dump-density"])
 @settings(max_examples=120, deadline=None)
 @given(_config_strategy(_RUN_CAPS))
 def test_whole_configs_run_or_exit_cleanly_in_other_commands(tmp_path_factory, command, config):
@@ -532,6 +536,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--seed must be nonnegative, got -5" in err
     assert "Traceback" not in err
+    # --out must be a directory or creatable as one: not a file, nor under one.
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("x")
+    for out in (blocker, blocker / "sub"):
+        assert main(["track", "--config", cfgpath, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot create output directory {out}: " in err
+        assert "Traceback" not in err
 
 
 def test_cli_diverging_box_training_is_a_numeric_failure(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from _oracles import iou_brute, recount_op_auc
 from prtrack.center_optimizer import SupportSample, TargetModel
-from prtrack.density import argmax_state
+from prtrack.density import read_peak
 from prtrack.errors import DimensionError, DomainError
 from prtrack.gridmath import FeatureMap, Kernel2D
 from prtrack.tracker import (
@@ -106,7 +106,7 @@ def test_init_density_peaks_at_annotated_center():
     cfg = TrackerConfig()
     state = track_init(seq.frames[0], seq.frames[0].ground_truth_box, cfg)
     _, _, dens = track_step(state, seq.frames[0])
-    assert argmax_state(dens) == (state.region // 2, state.region // 2)
+    assert read_peak(dens)[0] == (state.region // 2, state.region // 2)
 
 
 def test_init_without_augmentation_keeps_single_sample():
@@ -234,10 +234,20 @@ def test_sigma_rule_and_miss_mode_resolution():
     assert cfg.resolved_sigma_tc(6.0, 6.0) == pytest.approx(1.5)
     assert cfg.resolved_sigma_tc(4.0, 9.0) == pytest.approx(1.5)
     assert TrackerConfig(sigma_tc=0.8).resolved_sigma_tc(6.0, 6.0) == 0.8
-    assert TrackerConfig(loss_model="kl").resolved_miss_mode() == "mass"
-    assert TrackerConfig(loss_model="nll").resolved_miss_mode() == "mass"
-    assert TrackerConfig(loss_model="l2").resolved_miss_mode() == "score"
-    assert TrackerConfig(loss_model="rl2", miss_mode="mass").resolved_miss_mode() == "mass"
+    # The miss gate follows the loss family: kl and nll read the 3x3 peak
+    # mass, l2 and rl2 the raw peak score.  Each config sets one threshold
+    # that misses every frame and one that misses none.
+    seq = generate_sequence(STATIC)
+    first = seq.frames[0]
+    for model, mass_gate in (("kl", True), ("nll", True), ("l2", False), ("rl2", False)):
+        for mass_threshold, score_threshold in ((1.0, -1e300), (0.0, 1e300)):
+            cfg = TrackerConfig(
+                loss_model=model,
+                miss_threshold_mass=mass_threshold,
+                miss_threshold_score=score_threshold,
+            )
+            state, _, _ = track_step(track_init(first, first.ground_truth_box, cfg), seq.frames[1])
+            assert state.missing == ((mass_threshold == 1.0) == mass_gate), (model, mass_threshold)
 
 
 def test_tracker_config_validation():
@@ -249,8 +259,6 @@ def test_tracker_config_validation():
         TrackerConfig(search_scale=0.5)
     with pytest.raises(DomainError):
         TrackerConfig(gamma_decay=1.5)
-    with pytest.raises(DomainError):
-        TrackerConfig(miss_mode="sometimes")
 
 
 def test_tracker_config_builds_box_settings_once(monkeypatch):
@@ -348,7 +356,7 @@ def test_memory_capacity_and_anchor_retention():
 def _toy_sequence(gt_boxes):
     feats = FeatureMap(np.zeros((1, 4, 4)))
     frames = tuple(Frame(feats, gt) for gt in gt_boxes)
-    return SyntheticSequence(frames, Scenario(num_frames=len(gt_boxes)))
+    return SyntheticSequence(frames)
 
 
 def test_op_step_function_single_frame():
