@@ -39,7 +39,6 @@ __all__ = [
     "conv_adjoint",
     "log_sum_exp",
     "dump_grid",
-    "load_grid",
 ]
 
 
@@ -244,21 +243,3 @@ def dump_grid(g: Grid2D, path):
         fh.write(f"{g.height} {g.width}\n")
         for row in g.values:
             fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
-
-
-def load_grid(path) -> Grid2D:
-    """Parse a grid written by dump_grid."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DomainError(f"{path}: malformed grid header")
-        h, w = int(header[0]), int(header[1])
-        rows = []
-        for line in fh:
-            if line.strip():
-                rows.append([float(tok) for tok in line.split()])
-    if len(rows) != h or any(len(r) != w for r in rows):
-        raise DimensionError(f"{path}: grid body does not match header {h} {w}")
-    if h == 0:
-        return Grid2D(np.zeros((0, w)))
-    return Grid2D(np.array(rows))

@@ -9,10 +9,11 @@ sigma-sweep      AUC of the divergence-loss tracker as one label width
 track            run one sequence, writing a per-frame trace and metrics
 dump-density     run to a chosen frame and dump the stage-1 center density
                  plus two box-scorer slices as text grids
-selftest         quick internal numeric checks, no configuration needed
 
-Common flags: --config <json>, --seed <int>, --out <dir>, --jobs <n>.
-Exit codes: 0 success, 2 bad usage or configuration, 1 numeric failure.
+Common flags: --config <json>, --seed <int>, --out <dir>; compare-losses
+and sigma-sweep also take --jobs <n>.
+Exit codes: 0 success, 2 bad usage, configuration or output write, 1 numeric
+failure.
 
 Configuration is a JSON document; unknown keys anywhere are rejected.
 Top-level sections (each optional, an object when given, defaults apply):
@@ -58,18 +59,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import center_optimizer, losses
+from . import losses
 from .bbox import BOX_DIM
 from .errors import DomainError, NumericError, PrtrackError, UsageError
-from .gridmath import (
-    FeatureMap,
-    Grid2D,
-    Kernel2D,
-    conv_adjoint,
-    conv_apply,
-    dump_grid,
-)
-from .labels import GaussianLabel, gaussian_normalizer, label_grid
+from .gridmath import Grid2D, dump_grid
+from .labels import gaussian_normalizer
 from .tracker import (
     Scenario,
     TrackerConfig,
@@ -409,6 +403,18 @@ def cmd_track(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     return trace_path
 
 
+def _score_slice(scorer, base, axes: tuple[int, int], offsets: np.ndarray) -> np.ndarray:
+    """exp(score) of the boxes base + offsets on an (n, n) grid, in one value_batch call.
+
+    Columns step box parameter axes[0] and rows step axes[1] through the n offsets.
+    """
+    n = offsets.size
+    boxes = np.tile(np.asarray(base, dtype=np.float64), (n * n, 1))
+    boxes[:, axes[0]] += np.tile(offsets, n)
+    boxes[:, axes[1]] += np.repeat(offsets, n)
+    return np.exp(scorer.value_batch(boxes)).reshape(n, n)
+
+
 def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     """Dump the stage-1 density and two box-scorer slices at one frame.
 
@@ -430,25 +436,10 @@ def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     # Box parameters are (dx/w0, dy/h0, log w, log h) relative to the
     # stage-1 center, with the current size as reference, so offsets of one
     # full width/height are exactly +-1 in parameter space.
-    offsets = np.linspace(-1.0, 1.0, n)
-    center_slice = np.empty((n, n))
-    for i, oy in enumerate(offsets):
-        boxes = np.column_stack(
-            [offsets, np.full(n, oy), np.full(n, math.log(w)), np.full(n, math.log(h))]
-        )
-        center_slice[i] = np.exp(state.scorer.value_batch(boxes))
-    log_offsets = np.linspace(-math.log(3.0), math.log(3.0), n)
-    size_slice = np.empty((n, n))
-    for i, dh in enumerate(log_offsets):
-        boxes = np.column_stack(
-            [
-                np.zeros(n),
-                np.zeros(n),
-                math.log(w) + log_offsets,
-                np.full(n, math.log(h) + dh),
-            ]
-        )
-        size_slice[i] = np.exp(state.scorer.value_batch(boxes))
+    base = (0.0, 0.0, math.log(w), math.log(h))
+    center_slice = _score_slice(state.scorer, base, (0, 1), np.linspace(-1.0, 1.0, n))
+    log3 = math.log(3.0)
+    size_slice = _score_slice(state.scorer, base, (2, 3), np.linspace(-log3, log3, n))
 
     paths = [
         out_dir / f"center_density_f{frame_index}.txt",
@@ -461,98 +452,39 @@ def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     return paths
 
 
-def cmd_selftest() -> int:
-    """Fast standalone numeric checks; prints one line per check."""
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-        if not ok:
-            failures += 1
-
-    rng = np.random.Generator(np.random.PCG64(7))
-    z = FeatureMap(rng.standard_normal((3, 8, 9)))
-    wk = Kernel2D(rng.standard_normal((3, 3, 5)))
-    u = Grid2D(rng.standard_normal((8, 9)))
-    lhs = float((conv_apply(z, wk).values * u.values).sum())
-    rhs = float((wk.values * conv_adjoint(z, u, (3, 5)).values).sum())
-    check("correlation adjoint identity", abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs)))
-
-    scores = Grid2D(rng.standard_normal((4, 5)))
-    lbl = label_grid(GaussianLabel(np.array([1.7, 2.2]), 1.0), (4, 5))
-    lvg = losses.kl_grid_loss(scores, lbl)
-    fd = np.zeros_like(scores.values)
-    hstep = 1e-5
-    for idx in np.ndindex(scores.values.shape):
-        up, dn = scores.values.copy(), scores.values.copy()
-        up[idx] += hstep
-        dn[idx] -= hstep
-        fd[idx] = (
-            losses.kl_grid_loss(Grid2D(up), lbl).value - losses.kl_grid_loss(Grid2D(dn), lbl).value
-        ) / (2 * hstep)
-    err = float(np.abs(lvg.grad_scores.values - fd).max())
-    check("divergence loss gradient vs finite differences", err < 1e-6, f"max err {err:.2e}")
-
-    w0 = center_optimizer.TargetModel(Kernel2D(rng.standard_normal((2, 3, 3))))
-    ocfg = center_optimizer.OptimizerConfig(regularization=0.5, iterations=1)
-    model, _ = center_optimizer.optimize(w0, [], ocfg)
-    check("ridge-only solve in one step", float(np.abs(model.weights.values).max()) < 1e-12)
-
-    s = Grid2D(rng.standard_normal((3, 4)))
-    delta = np.zeros((3, 4))
-    delta[1, 2] = 1.0
-    kl = losses.kl_grid_loss(s, Grid2D(delta), renormalize=False)
-    nll = losses.nll_loss(s, (1.0, 2.0))
-    check("delta-label divergence equals point loss", abs(kl.value - nll.value) < 1e-12)
-
-    scenario = resolve_scenario("static", 11)
-    scenario = dataclasses.replace(scenario, num_frames=15)
-    seq = generate_sequence(scenario)
-    run = run_sequence(seq, TrackerConfig())
-    metrics = evaluate(seq, run.boxes)
-    check("static sequence tracked", metrics.op_at(0.99) == 1.0, f"auc {metrics.auc:.3f}")
-
-    print(("SELFTEST OK" if failures == 0 else f"SELFTEST FAILED ({failures})"))
-    return 0 if failures == 0 else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="prtrack", description="synthetic probabilistic-tracking benchmarks"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    suites = {"compare-losses": cmd_compare_losses, "sigma-sweep": cmd_sigma_sweep}
     for name, doc in (
         ("compare-losses", "benchmark the four loss models"),
         ("sigma-sweep", "sweep a label sigma for the divergence model"),
         ("track", "track one synthetic sequence"),
         ("dump-density", "dump density and scorer slices as text grids"),
-        ("selftest", "run quick internal checks"),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
         p.add_argument("--out", default=".", help="output directory (default .)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel evaluation cells")
+        if name in suites:
+            p.add_argument("--jobs", type=int, default=1, help="parallel evaluation cells")
     args = parser.parse_args(argv)
+    out_dir = Path(args.out)
 
     try:
-        if args.command == "selftest":
-            return cmd_selftest()
         cfg = load_config(args.config)
-        if args.jobs < 1:
+        if args.command in suites and args.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         if args.seed < 0:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-        out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
-        if args.command == "compare-losses":
-            paths = [cmd_compare_losses(cfg, args.seed, out_dir, args.jobs)]
-        elif args.command == "sigma-sweep":
-            paths = [cmd_sigma_sweep(cfg, args.seed, out_dir, args.jobs)]
+        if args.command in suites:
+            paths = [suites[args.command](cfg, args.seed, out_dir, args.jobs)]
         elif args.command == "track":
             paths = [cmd_track(cfg, args.seed, out_dir), out_dir / "track_metrics.csv"]
         else:
@@ -562,6 +494,9 @@ def main(argv=None) -> int:
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

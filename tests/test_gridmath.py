@@ -12,7 +12,6 @@ from prtrack.gridmath import (
     conv_adjoint,
     conv_apply,
     dump_grid,
-    load_grid,
     log_sum_exp,
 )
 
@@ -219,13 +218,6 @@ def test_dump_load_round_trip(tmp_path):
     dump_grid(g, path)
     header = path.read_text().splitlines()[0]
     assert header == "3 4"
-    back = load_grid(path)
+    back = np.loadtxt(path, skiprows=1, ndmin=2)
     # 9 significant digits survive the round trip to that precision.
-    np.testing.assert_allclose(back.values, g.values, rtol=1e-8, atol=1e-12)
-
-
-def test_load_grid_rejects_malformed_body(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 2\n1 2\n3\n")
-    with pytest.raises(DimensionError):
-        load_grid(path)
+    np.testing.assert_allclose(back, g.values, rtol=1e-8, atol=1e-12)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from prtrack import bbox, harness
 from prtrack import tracker as tracker_module
 from prtrack.errors import UsageError
-from prtrack.gridmath import load_grid
 from prtrack.tracker import Scenario, TrackerConfig
 from prtrack.harness import (
     MODEL_ORDER,
@@ -530,8 +529,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["compare-losses", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
     cfgpath = _write_config(tmp_path, TINY_SUITE)
-    assert main(["compare-losses", "--config", cfgpath, "--jobs", "0"]) == 2
-    capsys.readouterr()
+    # Only the two suite commands take --jobs; they reject --jobs 0 after parsing it.
+    for command in ("compare-losses", "sigma-sweep"):
+        assert main([command, "--config", cfgpath, "--jobs", "0"]) == 2
+        assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
+    # The four commands are the whole CLI: argparse exits 2 on anything else.
+    for argv, message in (
+        (["selftest"], "invalid choice: 'selftest'"),
+        (["track", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+        (["dump-density", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
     assert main(["compare-losses", "--config", cfgpath, "--seed", "-5"]) == 2
     err = capsys.readouterr().err
     assert "--seed must be nonnegative, got -5" in err
@@ -544,6 +555,46 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"error: cannot create output directory {out}: " in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, first_output",
+    [
+        ("compare-losses", "compare_losses.csv"),
+        ("sigma-sweep", "sigma_sweep.csv"),
+        ("track", "track_trace.csv"),
+        ("dump-density", "center_density_f1.txt"),
+    ],
+)
+def test_cli_output_write_failure_exits_2(tmp_path, capsys, command, first_output):
+    scenario = {"preset": "static", "num_frames": 3}
+    payload = {
+        "suite": {"scenarios": [scenario], "repetitions": 1},
+        "sweep": {"values": [1.5]},
+        "track": {"scenario": scenario},
+        "dump": {"scenario": scenario, "frame_index": 1},
+    }
+    cfgpath = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    (out / first_output).mkdir(parents=True)
+    assert main([command, "--config", cfgpath, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / first_output}: "), err
+    assert "Traceback" not in err
+
+
+def test_readme_cli_block_names_the_argparse_commands(capsys):
+    # Every `prtrack <command>` line of the README's CLI block must parse
+    # (its --help exits 0, an unknown command exits 2), and all four appear.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("prtrack ")]
+    for command in named:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0, command
+    capsys.readouterr()
+    assert sorted(named) == sorted(["compare-losses", "sigma-sweep", "track", "dump-density"])
 
 
 def test_cli_diverging_box_training_is_a_numeric_failure(tmp_path, capsys):
@@ -571,14 +622,6 @@ def test_cli_box_refinement_beyond_the_float_range_is_a_numeric_failure(tmp_path
     assert main(["compare-losses", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "numeric failure: box refinement at frame 1: decoded box size is not positive and finite\n", err
-
-
-def test_selftest_prints_one_line_per_check(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[-1] == "SELFTEST OK"
-    assert all(line.startswith("PASS") for line in out[:-1])
-    assert len(out) >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +795,12 @@ def test_track_writes_trace_and_metrics(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _argmax_cell(grid):
-    flat = int(np.argmax(grid.values))
-    return flat // grid.width, flat % grid.width
+def _argmax_cell(values):
+    return np.unravel_index(int(np.argmax(values)), values.shape)
+
+
+def _load_dump(path):
+    return np.loadtxt(path, skiprows=1, ndmin=2)
 
 
 def test_dump_density_grids(tmp_path):
@@ -763,17 +809,17 @@ def test_dump_density_grids(tmp_path):
     out = tmp_path / "out"
     assert main(["dump-density", "--config", cfgpath, "--seed", "2", "--out", str(out)]) == 0
 
-    center = load_grid(out / "center_density_f5.txt")
+    center = _load_dump(out / "center_density_f5.txt")
     # Static target: the stage-1 density peaks at the middle of the crop.
-    region = center.height
+    region = center.shape[0]
     assert _argmax_cell(center) == (region // 2, region // 2)
 
     for name in ("bb_center_slice_f5.txt", "bb_size_slice_f5.txt"):
-        grid = load_grid(out / name)
-        n = grid.height
+        grid = _load_dump(out / name)
+        n = grid.shape[0]
         mid = (n - 1) // 2
         assert _argmax_cell(grid) == (mid, mid)
-        row = grid.values[mid]
+        row = grid[mid]
         # Unimodal slice: strictly falling away from the analytic optimum.
         assert np.all(np.diff(row[: mid + 1]) > 0)
         assert np.all(np.diff(row[mid:]) < 0)
@@ -782,6 +828,29 @@ def test_dump_density_grids(tmp_path):
     assert main(["dump-density", "--config", cfgpath, "--seed", "2", "--out", str(out2)]) == 0
     for name in ("center_density_f5.txt", "bb_center_slice_f5.txt", "bb_size_slice_f5.txt"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("n", [3, 41])
+def test_score_slices_match_a_per_row_loop(n):
+    # The (n, n) slices come from one value_batch call each; a loop that
+    # scores one row of n boxes at a time gives the same bits.
+    rng = np.random.Generator(np.random.PCG64(n))
+    lw, lh = math.log(7.3), math.log(4.1)
+    scorer = bbox.QuadraticScorer(rng.normal(scale=0.3, size=4) + [0.0, 0.0, lw, lh], 0.2)
+    base = (0.0, 0.0, lw, lh)
+    offsets = np.linspace(-1.0, 1.0, n)
+    log_offsets = np.linspace(-math.log(3.0), math.log(3.0), n)
+    center_rows = np.empty((n, n))
+    size_rows = np.empty((n, n))
+    for i in range(n):
+        boxes = np.column_stack([offsets, np.full(n, offsets[i]), np.full(n, lw), np.full(n, lh)])
+        center_rows[i] = np.exp(scorer.value_batch(boxes))
+        boxes = np.column_stack([np.zeros(n), np.zeros(n), lw + log_offsets, np.full(n, lh + log_offsets[i])])
+        size_rows[i] = np.exp(scorer.value_batch(boxes))
+    center = harness._score_slice(scorer, base, (0, 1), offsets)
+    size = harness._score_slice(scorer, base, (2, 3), log_offsets)
+    assert np.array_equal(center, center_rows)
+    assert np.array_equal(size, size_rows)
 
 
 def test_dump_frame_out_of_range(tmp_path, capsys, monkeypatch):
