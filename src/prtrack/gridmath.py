@@ -19,12 +19,17 @@ need: the padded map, R, the padded adjoint grid, the diagonal sums, and one
 (kw, H * Wp + kw - 1) buffer that M and the shifted stack share, since they
 are never alive together.  Borders are zeroed once and each use writes only
 interiors, so a reused workspace gives bit for bit a fresh one's results.
-The kernel solver keeps one per solve; conv_apply and conv_adjoint make one.
+Who keeps one: the kernel solver, one per solve; conv_apply, one per
+thread for the last (map shape, kernel shape) it correlated, so the
+tracker's per-frame scoring builds at most one per sequence while
+threads (the suites' --jobs workers) never share one; conv_adjoint,
+which no package code calls, makes one per call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +191,18 @@ class _Workspace:
         return np.dot(self.unfolded, self._product.T).reshape(self.kernel_shape)
 
 
+_local = threading.local()
+
+
+def _thread_workspace(map_shape, kernel_shape) -> _Workspace:
+    """This thread's workspace for the shapes, built when they differ from the last call's."""
+    key = (map_shape, kernel_shape)
+    held = getattr(_local, "workspace", None)
+    if held is None or held[0] != key:
+        held = _local.workspace = (key, _Workspace(map_shape, kernel_shape))
+    return held[1]
+
+
 def _check_kernel_fits(z: FeatureMap, kh: int, kw: int):
     if kh > z.height or kw > z.width:
         raise DimensionError(
@@ -201,7 +218,7 @@ def conv_apply(z: FeatureMap, w: Kernel2D) -> Grid2D:
     if z.channels != w.channels:
         raise DimensionError(f"channel mismatch: features {z.channels}, kernel {w.channels}")
     _check_kernel_fits(z, w.height, w.width)
-    ws = _Workspace(z.values.shape, w.values.shape)
+    ws = _thread_workspace(z.values.shape, w.values.shape)
     ws.unfold(z.values)
     out = np.empty((z.height, z.width))
     ws.correlate(ws.arrange(w.values), out)

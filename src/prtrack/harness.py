@@ -403,16 +403,26 @@ def cmd_track(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     return trace_path
 
 
+# Boxes per value_batch call of _score_slice: a slice's peak memory is its
+# (n, n) output plus a few blocks of this many boxes, whatever n is.
+_SLICE_BLOCK = 1 << 16
+
+
 def _score_slice(scorer, base, axes: tuple[int, int], offsets: np.ndarray) -> np.ndarray:
-    """exp(score) of the boxes base + offsets on an (n, n) grid, in one value_batch call.
+    """exp(score) of the boxes base + offsets on an (n, n) grid, a block of rows per value_batch call.
 
     Columns step box parameter axes[0] and rows step axes[1] through the n offsets.
     """
     n = offsets.size
-    boxes = np.tile(np.asarray(base, dtype=np.float64), (n * n, 1))
-    boxes[:, axes[0]] += np.tile(offsets, n)
-    boxes[:, axes[1]] += np.repeat(offsets, n)
-    return np.exp(scorer.value_batch(boxes)).reshape(n, n)
+    out = np.empty((n, n))
+    rows = _SLICE_BLOCK // n  # n <= 2047: dump.slice_cells is bounded at load
+    for start in range(0, n, rows):
+        block = offsets[start : start + rows]
+        boxes = np.tile(np.asarray(base, dtype=np.float64), (block.size * n, 1))
+        boxes[:, axes[0]] += np.tile(offsets, block.size)
+        boxes[:, axes[1]] += np.repeat(block, n)
+        out[start : start + block.size] = np.exp(scorer.value_batch(boxes)).reshape(block.size, n)
+    return out
 
 
 def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:

@@ -111,7 +111,7 @@ def test_scorer_validation():
 
 @pytest.mark.parametrize("layout", ["C", "F", "stack"])
 def test_numpy_sums_four_wide_rows_left_to_right(layout):
-    # QuadraticScorer.value_at adds its four squares left to right, and the
+    # QuadraticScorer.value and ascend add their four squares left to right, and the
     # stacked scorers sum the (J, 4, K) difference stack over its 4-long
     # axis; both must equal value_batch's row sums bit for bit.  That holds
     # while NumPy reduces a 4-wide row term by term, from the left, in C- and
@@ -442,14 +442,14 @@ def test_refine_survives_non_finite_gradient():
 
 @pytest.mark.parametrize("family", ["quadratic"])
 def test_float_scores_match_the_array_scores(family):
-    # refine_box reads value_at and grad_box_at; they must agree bit for bit
-    # with value_batch and grad_box.
+    # value scores one box on Python floats; it must agree bit for bit with
+    # value_batch.  The ascent's float gradients are checked against grad_box
+    # by the reference-loop test below.
     rng = np.random.Generator(np.random.PCG64(61))
     for _ in range(200):
         scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
         y = rng.normal(0.0, 1.0, 4) * 10.0 ** rng.integers(-3, 3, 4)
-        assert scorer.value_at(y.tolist()) == scorer.value_batch(y[None, :])[0] == scorer.value(y)
-        assert scorer.grad_box_at(y.tolist()) == scorer.grad_box(y).tolist()
+        assert scorer.value(y) == scorer.value_batch(y[None, :])[0]
 
 
 def _refine_cases():
@@ -471,20 +471,19 @@ def _refine_cases():
 
 
 @pytest.mark.parametrize("family", ["quadratic"])
-def test_refine_matches_the_numpy_reference_loop(family, monkeypatch):
+def test_refine_matches_the_numpy_reference_loop(family):
     # refine_box steps on Python floats; the NumPy loop it replaced must give
     # the same box bit for bit after the same number of gradients.
     seen = {"random": 0, "no steps": 0, "converged": 0, "non-finite": 0}
     for scorer, y0, cfg, case in _refine_cases():
-        evaluated = []
-        grad_box_at = type(scorer).grad_box_at
-        monkeypatch.setattr(scorer, "grad_box_at", lambda y, s=scorer: evaluated.append(1) or grad_box_at(s, y))
         with np.errstate(over="ignore", invalid="ignore"):
             got = refine_box(scorer, y0, cfg)
+            best, evaluated = scorer.ascend(y0.values.tolist(), cfg.step_length, cfg.steps, cfg.convergence_tol)
             want, want_evaluated = refine_box_reference(scorer, y0, cfg)
         assert np.array_equal(got.values, want), case
+        assert best == want.tolist(), case
         assert got.reference == y0.reference
-        assert len(evaluated) == want_evaluated, case
+        assert evaluated == want_evaluated, case
         if case == "converged":
             assert want_evaluated == 1
         if case == "non-finite":

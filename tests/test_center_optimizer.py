@@ -427,9 +427,11 @@ def test_optimize_ignores_kept_evaluations_that_do_not_match(change):
 
 
 def test_optimize_on_what_a_solve_left_skips_the_first_pass_unfolds(monkeypatch):
-    # A k-iteration call unfolds N * (2k + 1) times on fresh samples and
-    # N * 2k times on samples a solve left their scores and pullbacks; a
-    # sample that kept only its scores needs one unfold for its adjoint.
+    # A k-iteration call unfolds N * (2k + 1) - 2k times on fresh samples and
+    # (N - 1) * 2k + 1 times on samples a solve left their scores and
+    # pullbacks, also when one of them kept only its scores: the unfold for
+    # its adjoint starts the next sweep.  Each sweep after the first starts
+    # on the sample the last one left unfolded.
     rng = np.random.Generator(np.random.PCG64(41))
     support = _random_support(rng)
     cfg = OptimizerConfig(regularization=1e-2, iterations=3)
@@ -445,13 +447,13 @@ def test_optimize_on_what_a_solve_left_skips_the_first_pass_unfolds(monkeypatch)
     monkeypatch.setattr(_Workspace, "unfold", counting)
     model, first = optimize(model, support, cfg)
     n, k = len(support), cfg.iterations
-    assert len(built) == n * (2 * k + 1)
+    assert len(built) == n * (2 * k + 1) - 2 * k
     scored_only = _fresh(support[:1])[0]
     scored_only.keep(model.weights.values, conv_apply(scored_only.features, model.weights).values)
     del built[:]
     support = [scored_only] + support[1:]
     got = optimize(model, support, cfg)
-    assert len(built) == n * 2 * k + 1
+    assert len(built) == (n - 1) * 2 * k + 1
     # Every step is taken, so no pass is skipped for an unmoved kernel.
     assert all(row.step_length > 0.0 for row in first[:-1] + got[1][:-1])
     _assert_same_solve(got, optimize(model, _fresh(support), cfg))

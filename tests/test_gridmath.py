@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -175,6 +177,70 @@ def test_reused_workspace_is_exact(shape):
         assert np.array_equal(pull, conv_adjoint(FeatureMap(z), Grid2D(u), (kh, kw)).values)
         np.testing.assert_allclose(scores, conv_brute(z, k), rtol=0, atol=1e-12)
         np.testing.assert_allclose(pull, conv_adjoint_brute(z, u, kh, kw), rtol=0, atol=1e-12)
+
+
+def _run_in_thread(fn):
+    """fn() on a new thread, which starts with no workspace of its own; returns its result."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return result[0]
+
+
+def test_conv_apply_builds_one_workspace_per_thread_and_shape(monkeypatch):
+    # Repeated same-shape calls on one thread reuse its workspace; a new
+    # shape replaces it.  Each result is the brute-force correlation's.
+    built = []
+    init = _Workspace.__init__
+
+    def counting(ws, *args):
+        built.append(args)
+        init(ws, *args)
+
+    monkeypatch.setattr(_Workspace, "__init__", counting)
+    rng = np.random.Generator(np.random.PCG64(22))
+    calls = [(rng.standard_normal((2, 9, 8)), rng.standard_normal((2, 3, 5))) for _ in range(6)]
+    calls.append((rng.standard_normal((2, 7, 7)), rng.standard_normal((2, 3, 3))))
+    got = _run_in_thread(lambda: [conv_apply(FeatureMap(z), Kernel2D(k)).values for z, k in calls])
+    assert built == [((2, 9, 8), (2, 3, 5)), ((2, 7, 7), (2, 3, 3))]
+    for (z, k), scores in zip(calls, got):
+        np.testing.assert_allclose(scores, conv_brute(z, k), rtol=0, atol=1e-12)
+
+
+def test_conv_apply_threads_never_share_a_workspace():
+    # Four threads correlate at once, two per map shape, switching the
+    # interpreter between them as often as it can; a workspace shared
+    # between threads would mix their unfolds.  Every result equals the
+    # serial one bit for bit.
+    rng = np.random.Generator(np.random.PCG64(23))
+    shapes = [((3, 31, 31), (3, 5, 5)), ((2, 17, 23), (2, 3, 3))]
+    jobs = [
+        [(rng.standard_normal(shapes[t % 2][0]), rng.standard_normal(shapes[t % 2][1])) for _ in range(40)]
+        for t in range(4)
+    ]
+    serial = [[conv_apply(FeatureMap(z), Kernel2D(k)).values for z, k in job] for job in jobs]
+    start = threading.Barrier(len(jobs))
+    results = [None] * len(jobs)
+
+    def run(t):
+        start.wait(timeout=60)
+        results[t] = [conv_apply(FeatureMap(z), Kernel2D(k)).values for z, k in jobs[t]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, serial):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_conv_adjoint_size_mismatch():

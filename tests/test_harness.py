@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -830,10 +831,11 @@ def test_dump_density_grids(tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("n", [3, 41])
+@pytest.mark.parametrize("n", [3, 41, 600])
 def test_score_slices_match_a_per_row_loop(n):
-    # The (n, n) slices come from one value_batch call each; a loop that
-    # scores one row of n boxes at a time gives the same bits.
+    # The (n, n) slices come from one value_batch call per block of rows (n =
+    # 600 spans six blocks, the last one partial); a loop that scores one row
+    # of n boxes at a time gives the same bits.
     rng = np.random.Generator(np.random.PCG64(n))
     lw, lh = math.log(7.3), math.log(4.1)
     scorer = bbox.QuadraticScorer(rng.normal(scale=0.3, size=4) + [0.0, 0.0, lw, lh], 0.2)
@@ -851,6 +853,23 @@ def test_score_slices_match_a_per_row_loop(n):
     size = harness._score_slice(scorer, base, (2, 3), log_offsets)
     assert np.array_equal(center, center_rows)
     assert np.array_equal(size, size_rows)
+
+
+def test_score_slice_memory_does_not_grow_with_the_slice():
+    # Beyond its (n, n) output, a slice holds a few blocks of boxes at a time
+    # (the (K, 4) stack, value_batch's difference copy, K-long score rows),
+    # about 4.5 MiB for blocks of 2^16 boxes, not a stack of all n * n
+    # boxes: n = 1200 alone would need 44 MiB for it.
+    scorer = bbox.QuadraticScorer([0.1, -0.2, 1.9, 1.4], 0.2)
+    for n in (300, 1200):
+        offsets = np.linspace(-1.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            harness._score_slice(scorer, (0.0, 0.0, 2.0, 1.4), (0, 1), offsets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - n * n * 8 < 8 * 2**20, n
 
 
 def test_dump_frame_out_of_range(tmp_path, capsys, monkeypatch):
