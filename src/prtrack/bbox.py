@@ -24,8 +24,9 @@ seeded generator.
 
 refine_box ascends the score from a start box in one QuadraticScorer.ascend
 call.  The ascent reads mu and tau once and steps on 4 local Python floats
-with the operations of value and grad_box, so each iterate is bit for bit
-the one a loop over NumPy arrays would reach, at about a third of its cost.
+along the closed-form gradient -(y - mu) / tau^2, summing its squares in
+value_batch's order, so each iterate is bit for bit the one a loop over
+NumPy arrays would reach, at about a third of its cost.
 """
 
 from __future__ import annotations
@@ -123,26 +124,15 @@ class QuadraticScorer:
         d *= d
         return d.sum(axis=1) / (-2.0 * self.tau**2)
 
-    def value(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (BOX_DIM,):
-            raise DimensionError(f"expected one box of {BOX_DIM} parameters, got shape {y.shape}")
-        d0, d1, d2, d3 = (a - b for a, b in zip(y.tolist(), self.mu.tolist()))
-        return _score(d0, d1, d2, d3, -2.0 * self.tau**2)
-
-    def grad_box(self, y) -> np.ndarray:
-        """Gradient of the score in the 4 box parameters."""
-        return -(np.asarray(y, dtype=np.float64) - self.mu) / self.tau**2
-
     def ascend(self, y: list[float], step: float, steps: int, tol: float) -> tuple[list[float], int]:
         """Gradient-ascend the score from the box y, given as 4 Python floats.
 
-        Each step moves y by step * grad_box(y).  Ascent stops after steps
-        steps, once a move is smaller than tol in every coordinate, or at a
-        gradient that is not finite.  Returns the best iterate seen (the
-        start counts) and the number of gradients taken.  Scores go through
-        value's _score and gradients repeat grad_box's operations on floats,
-        so every iterate is bit for bit the array loop's.
+        Each step moves y by step * g, with g = -(y - mu) / tau^2 the
+        score's gradient in y.  Ascent stops after steps steps, once a move
+        is smaller than tol in every coordinate, or at a gradient that is not
+        finite.  Returns the best iterate seen (the start counts) and the
+        number of gradients taken.  Scores go through _score, which sums in
+        value_batch's order, so every iterate is bit for bit the array loop's.
         """
         m0, m1, m2, m3 = self.mu.tolist()
         t2 = self.tau**2
@@ -164,40 +154,6 @@ class QuadraticScorer:
             if max(abs(s0), abs(s1), abs(s2), abs(s3)) < tol:
                 return best, taken
         return best, steps
-
-    def grad_params(self, y) -> np.ndarray:
-        """Gradient of the score in mu."""
-        return (np.asarray(y, dtype=np.float64) - self.mu) / self.tau**2
-
-    def grad_params_batch(self, ys) -> np.ndarray:
-        """Per-sample gradients in mu, shape (N, 4)."""
-        return (_check_box_batch(ys) - self.mu) / self.tau**2
-
-    @staticmethod
-    def value_and_grad_params_stack(scorers, ys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Scores of several scorers at one (K, 4) batch.
-
-        Returns a C-contiguous (J, K) score stack, row j equal to
-        scorers[j].value_batch(ys), and the J (K, 4) arrays equal to
-        scorers[j].grad_params_batch(ys).
-        """
-        # One (J, 4, K) difference array serves the scores and the bases; the
-        # score sums run over its 4-long axis, term by term like value_batch's.
-        t2 = np.array([scorer.tau**2 for scorer in scorers])
-        d = _check_box_batch(ys).T[None, :, :] - np.array([scorer.mu for scorer in scorers])[:, :, None]
-        bases = d / t2[:, None, None]
-        d *= d
-        scores = d.sum(axis=1)
-        scores /= (-2.0 * t2)[:, None]
-        return scores, [basis.T for basis in bases]
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.mu.copy()
-
-    @params.setter
-    def params(self, values):
-        self.mu = _as_float_array(values, 1, "scorer center")
 
 
 @dataclass(frozen=True)
@@ -229,6 +185,23 @@ def _decode_batch(ys: np.ndarray, reference) -> np.ndarray:
     return out.T
 
 
+def _value_and_grad_params_stack(centers: np.ndarray, t2: np.ndarray, ys: np.ndarray):
+    """Scores of J scorers at one (K, 4) batch, from their (J, 4) centers and J squared widths t2.
+
+    Returns a C-contiguous (J, K) score stack, row j equal to the
+    value_batch of the scorer centered at centers[j], and the J (K, 4)
+    bases (ys - centers[j]) / t2[j], the scores' gradients in the center.
+    """
+    # One (J, 4, K) difference array serves the scores and the bases; the
+    # score sums run over its 4-long axis, term by term like value_batch's.
+    d = ys.T[None, :, :] - centers[:, :, None]
+    bases = d / t2[:, None, None]
+    d *= d
+    scores = d.sum(axis=1)
+    scores /= (-2.0 * t2)[:, None]
+    return scores, [basis.T for basis in bases]
+
+
 # Row order of the per-batch score stack: the divergence rows (kl, nll) go
 # through one kl_mc_loss call, the squared-error rows (l2, rl2) share one exp.
 _ROW_ORDER = ("kl", "nll", "l2", "rl2")
@@ -258,7 +231,7 @@ def train_box_scorer(
     (kl, nll, l2, then rl2 rows).  Once per draw batch: the proposal density
     if any job is kl or nll, one label density per distinct kl sigma_bb,
     the overlaps if any job is l2 or rl2, one score stack and its bases
-    (value_and_grad_params_stack), one kl_mc_loss call over the kl and nll
+    (_value_and_grad_params_stack), one kl_mc_loss call over the kl and nll
     rows, one exp over the l2 and rl2 rows, and one step of the (jobs x 4)
     stack of centers.  Once per job: the dot products of its row, one for
     the loss value and one gradient-times-basis product for the parameter
@@ -270,9 +243,10 @@ def train_box_scorer(
     The recentered proposal and the labels of each annotation are built
     once, before the first epoch.  The final centers are the average of
     the iterates over the last half of the epochs, which removes most of
-    the stationary sampling noise.  Mutates the scorers and returns one
-    (scorer, mean loss seen in the final epoch) per job.  NumericError once
-    a job's scores, loss or stepped center are not finite.
+    the stationary sampling noise.  Training steps a (jobs x 4) stack of
+    centers; each scorer's mu is set once, to its final center.  Returns
+    one (scorer, mean loss seen in the final epoch) per job.  NumericError
+    once a job's scores, loss or stepped center are not finite.
     """
     jobs = list(jobs)
     annotations = list(annotations)
@@ -296,6 +270,7 @@ def train_box_scorer(
     n_div = sum(model in DENSITY_MODELS for model in models)
     n_l2 = models.count("l2")
     centers = np.array([scorer.mu for scorer in scorers])
+    t2 = np.array([scorer.tau**2 for scorer in scorers])
     # A label per distinct width checks every job's width; only the kl
     # jobs' labels are evaluated at the draws.  The nll rows get a zero
     # label: the delta label has no density at the draws.
@@ -321,7 +296,7 @@ def train_box_scorer(
         values = [[] for _ in jobs]
         for ann, q, labels, ann_box in targets:
             ys = proposal_sample(q, rng, size=k)
-            scores, bases = QuadraticScorer.value_and_grad_params_stack(scorers, ys)
+            scores, bases = _value_and_grad_params_stack(centers, t2, ys)
             losses = []
             if n_div:
                 div = scores[:n_div]
@@ -341,8 +316,9 @@ def train_box_scorer(
                     if models[row] == "nll":
                         # The delta-label loss is the divergence with zero label
                         # densities at the draws, minus the score at the annotation.
-                        value -= scorers[row].value(ann.values)
-                        grad -= scorers[row].grad_params(ann.values)
+                        d = ann.values - centers[row]
+                        value -= _score(*d.tolist(), -2.0 * t2[row])
+                        grad -= d / t2[row]
                     losses.append((value, grad))
             if n_div < len(scorers):
                 # Squared-error families regress the confidence exp(s) — range
@@ -365,17 +341,14 @@ def train_box_scorer(
                 values[order[row]].append(value)
             # A non-finite gradient or a step that overflows leaves
             # non-finite centers.
-            stepped = centers - lr * np.array([grad for _, grad in losses])
-            if not np.isfinite(stepped).all():
-                row = int(np.isfinite(stepped).all(axis=1).argmin())
+            centers = centers - lr * np.array([grad for _, grad in losses])
+            if not np.isfinite(centers).all():
+                row = int(np.isfinite(centers).all(axis=1).argmin())
                 raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
-            for scorer, mu in zip(scorers, stepped):
-                scorer.mu = mu
-            centers = stepped
         if epoch >= tail_start:
             tail += centers
     for scorer, mean in zip(scorers, tail / (sgd.epochs - tail_start)):
-        scorer.params = mean
+        scorer.mu = _as_float_array(mean, 1, "scorer center")
     return [(scorer, float(np.mean(seen))) for (scorer, _, _), seen in zip(jobs, values)]
 
 

@@ -78,6 +78,9 @@ __all__ = [
     "init_weights",
 ]
 
+# Below this fraction of g'g the curvature g'Hg is treated as flat (see optimize).
+STEP_LENGTH_FLOOR = 1e-10
+
 
 @dataclass(eq=False)
 class SupportSample:
@@ -146,7 +149,6 @@ class OptimizerConfig:
 
     regularization: float = 1e-2
     iterations: int = 5
-    step_length_floor: float = 1e-10
     loss_model: str = "kl"
     rl2_threshold: float = 0.05
 
@@ -155,8 +157,6 @@ class OptimizerConfig:
             raise DomainError(f"regularization must be nonnegative, got {self.regularization}")
         if self.iterations < 0:
             raise DomainError(f"iterations must be nonnegative, got {self.iterations}")
-        if not (self.step_length_floor > 0):
-            raise DomainError(f"step_length_floor must be positive, got {self.step_length_floor}")
         if self.loss_model not in LOSS_MODELS:
             raise DomainError(f"unknown loss model {self.loss_model!r}; pick one of {LOSS_MODELS}")
         if not math.isfinite(self.rl2_threshold):
@@ -374,17 +374,18 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
 
     Each iteration evaluates the gradient g and steps w -= alpha * g with
     alpha = g'g / g'Hg.  If the curvature ever drops below
-    step_length_floor * g'g the step falls back to 1/regularization, the
-    exact minimizing step of the ridge term alone.  The step is then halved
-    until the objective does not increase (curvature can grow along the
-    ray, so the quadratic-model step may overshoot; a failed search leaves
-    the weights in place with step_length 0).  Trial objectives come from
-    the kept scores, s_j - alpha * v_j, and an accepted trial's scores
-    carry into the next pass.  Returns the updated model, whose kernel
-    array is read-only, and a trace with one row per iteration plus a final
-    row for the end state (step_length 0 by convention), evaluated on
-    scores correlated afresh at the returned kernel.  Each sample is left
-    those scores and its pullback under that kernel.
+    STEP_LENGTH_FLOOR * g'g (1e-10 g'g) the step falls back to
+    1/regularization, the exact minimizing step of the ridge term alone.
+    The step is then halved until the objective does not increase
+    (curvature can grow along the ray, so the quadratic-model step may
+    overshoot; a failed search leaves the weights in place with
+    step_length 0).  Trial objectives come from the kept scores,
+    s_j - alpha * v_j, and an accepted trial's scores carry into the next
+    pass.  Returns the updated model, whose kernel array is read-only, and
+    a trace with one row per iteration plus a final row for the end state
+    (step_length 0 by convention), evaluated on scores correlated afresh at
+    the returned kernel.  Each sample is left those scores and its pullback
+    under that kernel.
     """
     if not (cfg.regularization > 0):
         raise DomainError("optimize requires positive regularization")
@@ -411,7 +412,7 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
         denom = lam * gg
         for gamma, curv in zip(prob.gamma, prob.loss.curvature(prob.state, directions, prob.work)):
             denom += gamma * curv
-        alpha = gg / denom if denom >= cfg.step_length_floor * gg else 1.0 / lam
+        alpha = gg / denom if denom >= STEP_LENGTH_FLOOR * gg else 1.0 / lam
         accepted = 0.0
         for _ in range(40):
             cand = w - alpha * g

@@ -19,11 +19,11 @@ need: the padded map, R, the padded adjoint grid, the diagonal sums, and one
 (kw, H * Wp + kw - 1) buffer that M and the shifted stack share, since they
 are never alive together.  Borders are zeroed once and each use writes only
 interiors, so a reused workspace gives bit for bit a fresh one's results.
-Who keeps one: the kernel solver, one per solve; conv_apply, one per
-thread for the last (map shape, kernel shape) it correlated, so the
-tracker's per-frame scoring builds at most one per sequence while
-threads (the suites' --jobs workers) never share one; conv_adjoint,
-which no package code calls, makes one per call.
+Who keeps one: the kernel solver, one per solve, for its correlations
+and their adjoints; conv_apply, one per thread for the last (map shape,
+kernel shape) it correlated, so the tracker's per-frame scoring builds at
+most one per sequence while threads (the suites' --jobs workers) never
+share one.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "Kernel2D",
     "FeatureMap",
     "conv_apply",
-    "conv_adjoint",
     "log_sum_exp",
     "dump_grid",
 ]
@@ -203,13 +202,6 @@ def _thread_workspace(map_shape, kernel_shape) -> _Workspace:
     return held[1]
 
 
-def _check_kernel_fits(z: FeatureMap, kh: int, kw: int):
-    if kh > z.height or kw > z.width:
-        raise DimensionError(
-            f"kernel {kh}x{kw} does not fit inside {z.height}x{z.width} feature map"
-        )
-
-
 def conv_apply(z: FeatureMap, w: Kernel2D) -> Grid2D:
     """Multi-channel cross-correlation with zero same-padding, summed over channels.
 
@@ -217,31 +209,15 @@ def conv_apply(z: FeatureMap, w: Kernel2D) -> Grid2D:
     """
     if z.channels != w.channels:
         raise DimensionError(f"channel mismatch: features {z.channels}, kernel {w.channels}")
-    _check_kernel_fits(z, w.height, w.width)
+    if w.height > z.height or w.width > z.width:
+        raise DimensionError(
+            f"kernel {w.height}x{w.width} does not fit inside {z.height}x{z.width} feature map"
+        )
     ws = _thread_workspace(z.values.shape, w.values.shape)
     ws.unfold(z.values)
     out = np.empty((z.height, z.width))
     ws.correlate(ws.arrange(w.values), out)
     return Grid2D(out)
-
-
-def conv_adjoint(z: FeatureMap, u: Grid2D, kernel_shape: tuple[int, int]) -> Kernel2D:
-    """Adjoint of conv_apply in its kernel argument.
-
-    Returns the kernel K with <conv_apply(z, w), u> == <w, K> for every w of
-    the given (height, width) shape.
-    """
-    kh, kw = kernel_shape
-    if kh % 2 == 0 or kw % 2 == 0 or kh < 1 or kw < 1:
-        raise DimensionError(f"kernel spatial dims must be odd and positive, got {kh}x{kw}")
-    if (u.height, u.width) != (z.height, z.width):
-        raise DimensionError(
-            f"grid {u.height}x{u.width} does not match feature map {z.height}x{z.width}"
-        )
-    _check_kernel_fits(z, kh, kw)
-    ws = _Workspace(z.values.shape, (z.channels, kh, kw))
-    ws.unfold(z.values)
-    return Kernel2D(ws.adjoint(u.values))
 
 
 def log_sum_exp(g: Grid2D, cell_area: float = 1.0) -> float:

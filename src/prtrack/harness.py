@@ -59,11 +59,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses
-from .bbox import BOX_DIM
+from .bbox import BOX_DIM, box_encode
 from .errors import DomainError, NumericError, PrtrackError, UsageError
 from .gridmath import Grid2D, dump_grid
 from .labels import gaussian_normalizer
+from .losses import LOSS_MODELS
 from .tracker import (
     Scenario,
     TrackerConfig,
@@ -78,9 +78,8 @@ from .tracker import (
     write_track_csv,
 )
 
-__all__ = ["RunConfig", "load_config", "SCENARIO_PRESETS", "MODEL_ORDER", "main"]
+__all__ = ["RunConfig", "load_config", "SCENARIO_PRESETS", "main"]
 
-MODEL_ORDER = losses.LOSS_MODELS
 TRACKER_RNG_OFFSET = 7_654_321
 MAX_CROP_CELLS = 2**22  # channels x region^2 of one search-region crop; dump slice cells
 MAX_SEQUENCE_CELLS = 2**30  # num_frames x channels x height x width of one sequence
@@ -224,7 +223,10 @@ def load_config(path: str | None) -> RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, text that is not UTF-8 and
+            # integers past the interpreter's digit limit; RecursionError,
+            # arrays or objects nested past the recursion limit.
             raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "config root must be a JSON object")
     _check_keys(raw, {"tracker", *_SECTIONS}, "config root")
@@ -324,10 +326,15 @@ def _run_cell_configs(spec, seed: int, tracker_cfgs):
 
 
 def _run_cells(tasks, jobs: int) -> list:
-    """Call each zero-arg task; the results come in task order, whatever the order of execution."""
-    if jobs <= 1:
+    """Call each zero-arg task; the results come in task order, whatever the order of execution.
+
+    The tasks run on min(jobs, len(tasks)) threads, or serially when that
+    is 1: the pool starts a thread per submitted task while none is idle.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [fn() for fn in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn) for fn in tasks]
         return [fut.result() for fut in futures]
 
@@ -365,10 +372,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 def cmd_compare_losses(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> Path:
     """Benchmark all four loss models on identical sequences."""
-    variants = [{"loss_model": model} for model in MODEL_ORDER]
+    variants = [{"loss_model": model} for model in LOSS_MODELS]
     rows = [
         [model, repr(auc), repr(op50), repr(op75)]
-        for model, (auc, op50, op75) in zip(MODEL_ORDER, _suite_metrics(cfg, variants, seed, jobs))
+        for model, (auc, op50, op75) in zip(LOSS_MODELS, _suite_metrics(cfg, variants, seed, jobs))
     ]
     path = out_dir / "compare_losses.csv"
     _write_csv(path, ["model", "auc", "op_0.50", "op_0.75"], rows)
@@ -446,7 +453,7 @@ def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     # Box parameters are (dx/w0, dy/h0, log w, log h) relative to the
     # stage-1 center, with the current size as reference, so offsets of one
     # full width/height are exactly +-1 in parameter space.
-    base = (0.0, 0.0, math.log(w), math.log(h))
+    base = box_encode((0.0, 0.0, w, h), (w, h)).values
     center_slice = _score_slice(state.scorer, base, (0, 1), np.linspace(-1.0, 1.0, n))
     log3 = math.log(3.0)
     size_slice = _score_slice(state.scorer, base, (2, 3), np.linspace(-log3, log3, n))

@@ -37,10 +37,10 @@ import numpy as np
 
 from .bbox import (
     BOX_DIM,
-    BoxParam,
     QuadraticScorer,
     RefConfig,
     SGDConfig,
+    box_encode,
     refine_box,
     train_box_scorer,
 )
@@ -459,9 +459,7 @@ def init_scorers(cfgs, init_box: tuple[float, float, float, float], rng: np.rand
             if getattr(cfg, name) != getattr(first, name):
                 raise DomainError(f"tracker configs disagree on {name}; box scorers cannot share training")
     _, _, w, h = init_box
-    if not (w > 0 and h > 0):
-        raise DomainError(f"init box size must be positive, got {(w, h)}")
-    anchor = BoxParam(np.array([0.0, 0.0, math.log(w), math.log(h)]), (w, h))
+    anchor = box_encode((0.0, 0.0, w, h), (w, h))
     scorers = [QuadraticScorer(anchor.values.copy(), cfg.scorer_tau) for cfg in cfgs]
     if first.scorer_init == "train":
         jobs = [(scorer, cfg.loss_model, cfg.sigma_bb) for scorer, cfg in zip(scorers, cfgs)]
@@ -552,7 +550,7 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
     new_cy = origin[0] + est[0]
 
     # Stage 2: refine (center offset, log size) around the stage-1 center.
-    candidate = BoxParam(np.array([0.0, 0.0, math.log(w), math.log(h)]), (w, h))
+    candidate = box_encode((0.0, 0.0, w, h), (w, h))
     refined = refine_box(state.scorer, candidate, cfg.refine_config)
     try:
         dx, dy, new_w, new_h = refined.decode()

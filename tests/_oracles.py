@@ -110,7 +110,7 @@ def optimize_reference(model, support, cfg):
     Returns (weights, step lengths, halvings), one step and one halving
     count per iteration.
     """
-    from prtrack.center_optimizer import TargetModel, gradient, hessian_quadratic_form, objective
+    from prtrack.center_optimizer import STEP_LENGTH_FLOOR, TargetModel, gradient, hessian_quadratic_form, objective
     from prtrack.gridmath import Kernel2D
 
     def at(w):
@@ -128,7 +128,7 @@ def optimize_reference(model, support, cfg):
             halvings.append(0)
             continue
         denom = hessian_quadratic_form(at(w), Kernel2D(g), support, cfg)
-        alpha = gg / denom if denom >= cfg.step_length_floor * gg else 1.0 / lam
+        alpha = gg / denom if denom >= STEP_LENGTH_FLOOR * gg else 1.0 / lam
         accepted, halved = 0.0, 0
         for _ in range(40):
             cand = w - alpha * g
@@ -146,10 +146,13 @@ def optimize_reference(model, support, cfg):
 def train_box_scorer_reference(scorer, annotations, sigma_bb, proposal, samples, sgd, rng, loss_model):
     """Plain per-epoch box-scorer training: rebuild everything every epoch.
 
-    Draws come from rng.choice and standard_normal, the densities and the
-    losses are written out here, and only the scorer's own value/gradient
-    methods come from the package.  Returns (scorer, last epoch mean loss).
+    Draws come from rng.choice and standard_normal; the densities, the
+    scores, their gradients in the center, (y - mu) / tau^2, and the losses
+    are written out here.  Only the scorer's start center and width come
+    from the package.  Returns (scorer with the trained center, last epoch
+    mean loss).
     """
+    mu, t2 = scorer.mu.copy(), scorer.tau**2
     weights = np.asarray(proposal.weights, dtype=np.float64)
     sigmas = np.asarray(proposal.sigmas, dtype=np.float64)
 
@@ -177,8 +180,8 @@ def train_box_scorer_reference(scorer, annotations, sigma_bb, proposal, samples,
             k, dim = samples, center.size
             comp = rng.choice(weights.size, size=k, p=weights)
             ys = center + sigmas[comp, None] * rng.standard_normal((k, dim))
-            s = scorer.value_batch(ys)
-            basis = scorer.grad_params_batch(ys)
+            basis = (ys - mu) / t2
+            s = -((ys - mu) ** 2).sum(axis=1) / (2.0 * t2)
             d2 = ((ys - center) ** 2).sum(axis=1)
             q = sum(w * gauss(d2, sig, dim) for w, sig in zip(weights, sigmas))
             t = s - np.log(q)
@@ -189,8 +192,9 @@ def train_box_scorer_reference(scorer, annotations, sigma_bb, proposal, samples,
                 value = log_mean - float(s @ (p / q)) / k
                 grad = (e / e.sum() - p / (q * k)) @ basis
             elif loss_model == "nll":
-                value = log_mean - scorer.value(center)
-                grad = (e / e.sum()) @ basis - scorer.grad_params(center)
+                a = center - mu
+                value = log_mean + float(a @ a) / (2.0 * t2)
+                grad = (e / e.sum()) @ basis - a / t2
             else:
                 w0, h0 = ann.reference
                 box = np.array([center[0] * w0, center[1] * h0, math.exp(center[2]), math.exp(center[3])])
@@ -199,30 +203,33 @@ def train_box_scorer_reference(scorer, annotations, sigma_bb, proposal, samples,
                 r = c - targets if loss_model == "l2" else np.where(targets > 0.05, c - targets, c)
                 value = float(r @ r) / k
                 grad = (2.0 / k) * ((r * c) @ basis)
-            scorer.params = scorer.params - lr * grad
+            mu = mu - lr * grad
             values.append(value)
         last = float(np.mean(values))
         if epoch >= sgd.epochs // 2:
-            tail.append(scorer.params)
-    scorer.params = np.mean(tail, axis=0)
+            tail.append(mu)
+    scorer.mu = np.mean(tail, axis=0)
     return scorer, last
 
 
 def refine_box_reference(scorer, y0, cfg):
     """The box refinement loop on NumPy arrays: gradient ascent from y0.
 
-    Scores come from value_batch and gradients from grad_box.  Returns the
-    best iterate's values and the number of gradients evaluated.
+    Scores -||y - mu||^2 / (2 tau^2) and gradients -(y - mu) / tau^2 are
+    written out here.  Returns the best iterate's values and the number of
+    gradients evaluated.
     """
+    mu, t2 = scorer.mu, scorer.tau**2
 
     def value(y):
-        return float(scorer.value_batch(y[None, :])[0])
+        d = y - mu
+        return float((d * d).sum() / (-2.0 * t2))
 
     y = y0.values.copy()
     best_y, best_s = y.copy(), value(y)
     evaluated = 0
     for _ in range(cfg.steps):
-        g = scorer.grad_box(y)
+        g = -(y - mu) / t2
         evaluated += 1
         if not np.isfinite(g).all():
             break

@@ -82,21 +82,23 @@ def _fd_matches(f, x, grad, rel=1e-6):
 
 
 def test_quadratic_grad_box_matches_fd():
+    # ascend steps along the score's closed-form gradient in the box.
     rng = np.random.Generator(np.random.PCG64(41))
     scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=0.3)
     y = rng.normal(0.0, 1.0, 4)
-    _fd_matches(scorer.value, y, scorer.grad_box(y))
+    _fd_matches(lambda y: scorer.value_batch(y[None, :])[0], y, -(y - scorer.mu) / 0.3**2)
 
 
 def test_quadratic_grad_params_matches_fd():
+    # Training steps along the score's closed-form gradient in the center.
     rng = np.random.Generator(np.random.PCG64(42))
     mu0 = rng.normal(0.0, 1.0, 4)
     y = rng.normal(0.0, 1.0, 4)
 
     def f(mu):
-        return QuadraticScorer(mu, tau=0.3).value(y)
+        return QuadraticScorer(mu, tau=0.3).value_batch(y[None, :])[0]
 
-    _fd_matches(f, mu0, QuadraticScorer(mu0, tau=0.3).grad_params(y))
+    _fd_matches(f, mu0, (y - mu0) / 0.3**2)
 
 
 def test_scorer_validation():
@@ -111,11 +113,11 @@ def test_scorer_validation():
 
 @pytest.mark.parametrize("layout", ["C", "F", "stack"])
 def test_numpy_sums_four_wide_rows_left_to_right(layout):
-    # QuadraticScorer.value and ascend add their four squares left to right, and the
-    # stacked scorers sum the (J, 4, K) difference stack over its 4-long
-    # axis; both must equal value_batch's row sums bit for bit.  That holds
-    # while NumPy reduces a 4-wide row term by term, from the left, in C- and
-    # F-ordered stacks alike.
+    # bbox._score (ascend, the nll annotation term) adds its four squares
+    # left to right, and the stacked scorers sum the (J, 4, K) difference
+    # stack over its 4-long axis; both must equal value_batch's row sums bit
+    # for bit.  That holds while NumPy reduces a 4-wide row term by term,
+    # from the left, in C- and F-ordered stacks alike.
     rng = np.random.Generator(np.random.PCG64(59))
     x = rng.standard_normal((200_000, 4)) * 10.0 ** rng.integers(-8, 9, (200_000, 4))
     if layout == "stack":
@@ -234,6 +236,18 @@ def test_train_validation():
     assert rng.bit_generator.state == state
 
 
+def test_train_rejects_a_final_center_that_overflows():
+    # Centers at the float limit stay put through every step (their l2
+    # confidence underflows to 0, so their gradient is 0), but their tail
+    # average overflows; the one write of each scorer's mu rejects it.
+    ann = box_encode((0.0, 0.0, 1.0, 1.0), (1.0, 1.0))
+    scorer = QuadraticScorer(np.full(4, 1e308), tau=1e100)
+    rng = np.random.Generator(np.random.PCG64(57))
+    with pytest.raises(DomainError, match="scorer center must contain only finite values"):
+        train_box_scorer([(scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 4, SGDConfig(epochs=4), rng)
+    assert np.array_equal(scorer.mu, np.full(4, 1e308))
+
+
 def _scorer(ann, tau=0.2):
     return QuadraticScorer(ann.values + 0.2, tau=tau)
 
@@ -256,7 +270,7 @@ def test_train_matches_plain_reference_loop(family, loss_model):
     want, want_last = train_box_scorer_reference(
         _scorer(anns[0]), anns, 0.05, proposal, 96, sgd, rng_b, loss_model
     )
-    np.testing.assert_allclose(got.params, want.params, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.mu, want.mu, rtol=1e-12, atol=0)
     assert got_last == pytest.approx(want_last, rel=1e-12, abs=0)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -321,7 +335,7 @@ def test_lockstep_jobs_match_each_job_trained_alone():
         [(want, want_last)] = train_box_scorer(
             [(_scorer(anns[0], tau), loss, sigma)], anns, proposal, 64, sgd, alone_rng
         )
-        assert np.array_equal(got.params, want.params), (loss, sigma, tau)
+        assert np.array_equal(got.mu, want.mu), (loss, sigma, tau)
         assert got_last == want_last, (loss, sigma, tau)
         assert alone_rng.bit_generator.state == rng.bit_generator.state
 
@@ -364,16 +378,18 @@ def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities,
 
 
 def test_value_and_grad_params_stack_matches_the_separate_calls():
-    # Each row of the stacked call is bit for bit its scorer's own batch
-    # calls, with scorers that differ in centers and widths.
+    # Each row of the stacked call is bit for bit its scorer's value_batch
+    # and the closed-form center gradients (y - mu) / tau^2, with scorers
+    # that differ in centers and widths.
     ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
     ys = proposal_sample(PAPER_PROPOSAL.recenter(ann.values), np.random.Generator(np.random.PCG64(58)), size=32)
     scorers = [QuadraticScorer(ann.values + shift, tau) for shift, tau in ((0.2, 0.2), (-0.1, 0.2), (0.0, 0.35))]
-    scores, bases = QuadraticScorer.value_and_grad_params_stack(scorers, ys)
+    centers = np.array([scorer.mu for scorer in scorers])
+    scores, bases = bbox._value_and_grad_params_stack(centers, np.array([s.tau**2 for s in scorers]), ys)
     assert scores.shape == (3, 32) and scores.flags.c_contiguous
     for scorer, s, basis in zip(scorers, scores, bases):
         assert np.array_equal(s, scorer.value_batch(ys))
-        assert np.array_equal(basis, scorer.grad_params_batch(ys))
+        assert np.array_equal(basis, (ys - scorer.mu) / scorer.tau**2)
 
 
 def test_sgd_config_validation():
@@ -429,7 +445,8 @@ def test_refine_never_scores_below_start():
         # Deliberately coarse steps so single updates can overshoot: a step
         # beyond 2 tau^2 lands farther from the center than it started.
         out = refine_box(scorer, y0, RefConfig(step_length=0.5, steps=8))
-        assert scorer.value(out.values) >= scorer.value(y0.values)
+        got, start = scorer.value_batch(np.stack([out.values, y0.values]))
+        assert got >= start
 
 
 def test_refine_survives_non_finite_gradient():
@@ -442,14 +459,15 @@ def test_refine_survives_non_finite_gradient():
 
 @pytest.mark.parametrize("family", ["quadratic"])
 def test_float_scores_match_the_array_scores(family):
-    # value scores one box on Python floats; it must agree bit for bit with
-    # value_batch.  The ascent's float gradients are checked against grad_box
-    # by the reference-loop test below.
+    # _score scores one box on Python floats for ascend and the nll
+    # annotation term; it must agree bit for bit with value_batch.  The
+    # ascent's float gradients are checked against the closed form by the
+    # reference-loop test below.
     rng = np.random.Generator(np.random.PCG64(61))
     for _ in range(200):
         scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
         y = rng.normal(0.0, 1.0, 4) * 10.0 ** rng.integers(-3, 3, 4)
-        assert scorer.value(y) == scorer.value_batch(y[None, :])[0]
+        assert bbox._score(*(y - scorer.mu).tolist(), -2.0 * scorer.tau**2) == scorer.value_batch(y[None, :])[0]
 
 
 def _refine_cases():

@@ -11,7 +11,6 @@ from prtrack.gridmath import (
     Grid2D,
     Kernel2D,
     _Workspace,
-    conv_adjoint,
     conv_apply,
     dump_grid,
     log_sum_exp,
@@ -84,16 +83,19 @@ def test_conv_apply_linear_in_kernel():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def _adjoint(z: np.ndarray, u: np.ndarray, kernel_shape) -> np.ndarray:
+    """The kernel-space pullback of grid u on map z, through a fresh workspace."""
+    ws = _Workspace(z.shape, (z.shape[0], *kernel_shape))
+    ws.unfold(z)
+    return ws.adjoint(u.ravel())
+
+
 def test_conv_adjoint_zero_input():
-    z = FeatureMap(np.zeros((2, 4, 4)))
-    u = Grid2D(np.ones((4, 4)))
-    assert np.array_equal(conv_adjoint(z, u, (3, 3)).values, np.zeros((2, 3, 3)))
+    assert np.array_equal(_adjoint(np.zeros((2, 4, 4)), np.ones((4, 4)), (3, 3)), np.zeros((2, 3, 3)))
 
 
 def test_conv_adjoint_scalar_case():
-    z = FeatureMap(np.full((1, 1, 1), 3.0))
-    u = Grid2D(np.full((1, 1), 2.0))
-    assert conv_adjoint(z, u, (1, 1)).values[0, 0, 0] == 6.0
+    assert _adjoint(np.full((1, 1, 1), 3.0), np.full((1, 1), 2.0), (1, 1))[0, 0, 0] == 6.0
 
 
 def test_conv_adjoint_identity():
@@ -105,11 +107,11 @@ def test_conv_adjoint_identity():
         wd = int(rng.integers(3, 9))
         kh = int(rng.choice([k for k in (1, 3, 5) if k <= h]))
         kw = int(rng.choice([k for k in (1, 3, 5) if k <= wd]))
-        z = FeatureMap(rng.standard_normal((c, h, wd)))
-        w = Kernel2D(rng.standard_normal((c, kh, kw)))
-        u = Grid2D(rng.standard_normal((h, wd)))
-        lhs = float(np.vdot(conv_apply(z, w).values, u.values))
-        rhs = float(np.vdot(w.values, conv_adjoint(z, u, (kh, kw)).values))
+        z = rng.standard_normal((c, h, wd))
+        w = rng.standard_normal((c, kh, kw))
+        u = rng.standard_normal((h, wd))
+        lhs = float(np.vdot(conv_apply(FeatureMap(z), Kernel2D(w)).values, u))
+        rhs = float(np.vdot(w, _adjoint(z, u, (kh, kw))))
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
@@ -118,7 +120,7 @@ def test_conv_adjoint_matches_brute_force_loop(shape, kernel):
     rng = np.random.Generator(np.random.PCG64(18))
     z = rng.standard_normal(shape)
     u = rng.standard_normal(shape[1:])
-    got = conv_adjoint(FeatureMap(z), Grid2D(u), kernel).values
+    got = _adjoint(z, u, kernel)
     np.testing.assert_allclose(got, conv_adjoint_brute(z, u, *kernel), rtol=0, atol=1e-12)
 
 
@@ -130,7 +132,7 @@ def test_full_map_kernel_matches_brute_force():
     u = rng.standard_normal((5, 7))
     got = conv_apply(FeatureMap(z), Kernel2D(w)).values
     np.testing.assert_allclose(got, conv_brute(z, w), rtol=0, atol=1e-12)
-    adj = conv_adjoint(FeatureMap(z), Grid2D(u), (5, 7)).values
+    adj = _adjoint(z, u, (5, 7))
     np.testing.assert_allclose(adj, conv_adjoint_brute(z, u, 5, 7), rtol=0, atol=1e-12)
 
 
@@ -158,7 +160,7 @@ def _workspace_pass(ws, z, k, u):
 @pytest.mark.parametrize("shape", list(_workspace_shapes()))
 def test_reused_workspace_is_exact(shape):
     # One workspace runs samples A, B, then A again.  Each result equals a
-    # fresh workspace's and the one-shot primitives' bit for bit, and the
+    # fresh workspace's and the one-shot correlation's bit for bit, and the
     # brute-force loops within their usual tolerance, so no border is left
     # dirty and the unfold survives the buffer the product and adjoint share.
     c, h, w, kh, kw = shape
@@ -174,7 +176,6 @@ def test_reused_workspace_is_exact(shape):
         assert np.array_equal(scores, fresh_scores) and np.array_equal(again, scores)
         assert np.array_equal(pull, fresh_pull)
         assert np.array_equal(scores, conv_apply(FeatureMap(z), Kernel2D(k)).values)
-        assert np.array_equal(pull, conv_adjoint(FeatureMap(z), Grid2D(u), (kh, kw)).values)
         np.testing.assert_allclose(scores, conv_brute(z, k), rtol=0, atol=1e-12)
         np.testing.assert_allclose(pull, conv_adjoint_brute(z, u, kh, kw), rtol=0, atol=1e-12)
 
@@ -241,12 +242,6 @@ def test_conv_apply_threads_never_share_a_workspace():
     assert not any(thread.is_alive() for thread in threads)
     for got, want in zip(results, serial):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def test_conv_adjoint_size_mismatch():
-    z = FeatureMap(np.zeros((1, 4, 4)))
-    with pytest.raises(DimensionError):
-        conv_adjoint(z, Grid2D(np.zeros((3, 4))), (3, 3))
 
 
 def test_log_sum_exp_two_zeros():

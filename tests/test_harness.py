@@ -10,6 +10,8 @@ import math
 import re
 import tracemalloc
 import warnings
+from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +22,9 @@ from hypothesis import strategies as st
 from prtrack import bbox, harness
 from prtrack import tracker as tracker_module
 from prtrack.errors import UsageError
+from prtrack.losses import LOSS_MODELS
 from prtrack.tracker import Scenario, TrackerConfig
 from prtrack.harness import (
-    MODEL_ORDER,
     SCENARIO_PRESETS,
     RunConfig,
     load_config,
@@ -509,6 +511,20 @@ def test_config_io_failures(tmp_path):
         load_config(str(root))
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"tracker": "\xff"}', b"[" * 100_000, b'{"suite": {"repetitions": ' + b"1" * 5000 + b"}}"],
+    ids=["not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+)
+def test_cli_malformed_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["track", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} is not valid JSON: "), err
+    assert "Traceback" not in err
+
+
 def test_resolve_scenario_presets_and_overrides():
     for name in SCENARIO_PRESETS:
         scenario = resolve_scenario(name, seed=9)
@@ -584,6 +600,46 @@ def test_cli_output_write_failure_exits_2(tmp_path, capsys, command, first_outpu
     assert "Traceback" not in err
 
 
+def _inline_pool(sizes: list):
+    """A ThreadPoolExecutor stand-in that records its max_workers and runs each task as it is submitted."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn):
+            future = Future()
+            future.set_result(fn())
+            return future
+
+    return InlinePool
+
+
+@pytest.mark.parametrize("jobs,cells,pools", [(65536, 3, [3]), (2, 5, [2]), (4, 1, []), (1, 4, [])])
+def test_run_cells_starts_at_most_one_worker_per_cell(monkeypatch, jobs, cells, pools):
+    # The pool would start a thread per task while none is idle, so a
+    # --jobs above the cell count is capped, and one worker runs serially.
+    sizes = []
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _inline_pool(sizes))
+    assert harness._run_cells([partial(int, i) for i in range(cells)], jobs) == list(range(cells))
+    assert sizes == pools
+
+
+def test_cli_jobs_past_the_cell_count_start_one_worker_per_cell(tmp_path, capsys, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _inline_pool(sizes))
+    cfgpath = _write_config(tmp_path, {"suite": {**TINY_SUITE["suite"], "repetitions": 2}})
+    assert main(["compare-losses", "--config", cfgpath, "--jobs", "65536", "--out", str(tmp_path / "o")]) == 0
+    assert sizes == [2]
+    capsys.readouterr()
+
+
 def test_readme_cli_block_names_the_argparse_commands(capsys):
     # Every `prtrack <command>` line of the README's CLI block must parse
     # (its --help exits 0, an unknown command exits 2), and all four appear.
@@ -636,7 +692,7 @@ def test_compare_losses_static_suite(tmp_path, capsys):
     assert main(["compare-losses", "--config", cfgpath, "--seed", "3", "--out", str(out)]) == 0
     rows = _read_csv(out / "compare_losses.csv")
     assert rows[0] == ["model", "auc", "op_0.50", "op_0.75"]
-    assert [r[0] for r in rows[1:]] == list(MODEL_ORDER)
+    assert [r[0] for r in rows[1:]] == list(LOSS_MODELS)
     aucs = [float(r[1]) for r in rows[1:]]
     # A static noiseless scene cannot separate the objectives.
     assert max(aucs) - min(aucs) <= 1e-9
@@ -726,7 +782,7 @@ def test_suite_csv_is_independent_of_jobs(tmp_path, command, name):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("command,configs", [("compare-losses", len(MODEL_ORDER)), ("sigma-sweep", 3)])
+@pytest.mark.parametrize("command,configs", [("compare-losses", len(LOSS_MODELS)), ("sigma-sweep", 3)])
 def test_suite_renders_and_draws_once_per_cell(tmp_path, monkeypatch, command, configs):
     # One rendered sequence and one proposal stream per (scenario, repetition)
     # cell, shared by every tracker config; one tracked run per config.
