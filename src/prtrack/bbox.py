@@ -11,16 +11,18 @@ brute-force oracles.
 train_box_scorer fits scorers to annotated boxes by drawing proposal
 samples around each annotation and following the Monte Carlo divergence
 gradient, or one of the squared-error / hinged / delta-label objectives
-for side-by-side comparisons.  It trains a list of jobs, each a (scorer,
-loss model, label width) triple, in lockstep on one proposal stream, and
-evaluates them on each draw batch as one stacked problem.  Once per draw
-batch: the draws, the proposal density, one label density per kl width,
-the overlaps, one (jobs x draws) score stack, one kl_mc_loss call over the
+for side-by-side comparisons.  It trains a group of cells in lockstep.
+A cell is a list of jobs, each a (scorer, loss model, label width)
+triple, with its own annotations and its own proposal stream; the cells
+share one job layout.  Each draw batch is one stacked problem over all
+(cell x job) rows.  Once per cell and draw batch: the draws and the
+cell's score rows.  Once per group and draw batch: the proposal density,
+one label density per kl width, the overlaps, one kl_mc_loss call over the
 kl and nll rows, one exp over the l2 and rl2 rows and one step of the
-(jobs x 4) stack of centers.  Once per job: the dot products of its own
-row (loss value and parameter gradient) and the nll annotation term.
-Every job ends exactly as it would if trained alone from an equally
-seeded generator.
+(cells x jobs x 4) stack of centers.  Once per row: the dot products of
+its loss value and parameter gradient, and the nll annotation term.
+Every job ends exactly as it would if trained alone in its cell from an
+equally seeded generator.
 
 refine_box ascends the score from a start box in one QuadraticScorer.ascend
 call.  The ascent reads mu and tau once and steps on 4 local Python floats
@@ -174,32 +176,33 @@ class SGDConfig:
             raise DomainError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
 
 
-def _decode_batch(ys: np.ndarray, reference) -> np.ndarray:
-    """Encoded (K, 4) boxes to (cx, cy, w, h), computed one coordinate row at a time."""
+def _decode_batch(ys: np.ndarray, reference, out: np.ndarray):
+    """Encoded (K, 4) boxes to (cx, cy, w, h) in the (4, K) rows out, one coordinate row at a time."""
     w0, h0 = reference
     coords = ys.T
-    out = np.empty(coords.shape)
     np.multiply(coords[0], w0, out=out[0])
     np.multiply(coords[1], h0, out=out[1])
     np.exp(coords[2:], out=out[2:])
-    return out.T
 
 
-def _value_and_grad_params_stack(centers: np.ndarray, t2: np.ndarray, ys: np.ndarray):
-    """Scores of J scorers at one (K, 4) batch, from their (J, 4) centers and J squared widths t2.
+def _score_rows(centers: np.ndarray, t2: np.ndarray, ys: np.ndarray, out: np.ndarray):
+    """Scores of J scorers at one (K, 4) batch into the (J, K) rows out.
 
-    Returns a C-contiguous (J, K) score stack, row j equal to the
-    value_batch of the scorer centered at centers[j], and the J (K, 4)
-    bases (ys - centers[j]) / t2[j], the scores' gradients in the center.
+    The scorers have (J, 4) centers and J squared widths t2; row j equals
+    the value_batch of the scorer centered at centers[j].
     """
-    # One (J, 4, K) difference array serves the scores and the bases; the
-    # score sums run over its 4-long axis, term by term like value_batch's.
+    # One (J, 4, K) difference array; the score sums run over its 4-long
+    # axis, term by term like value_batch's.
     d = ys.T[None, :, :] - centers[:, :, None]
-    bases = d / t2[:, None, None]
     d *= d
-    scores = d.sum(axis=1)
-    scores /= (-2.0 * t2)[:, None]
-    return scores, [basis.T for basis in bases]
+    np.divide(d.sum(axis=1), (-2.0 * t2)[:, None], out=out)
+
+
+def _grad_params_bases(centers: np.ndarray, t2: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The (J, 4, K) stack of (ys - centers[j]).T / t2[j]; row j, transposed, is the scores' gradient in its center."""
+    d = ys.T[None, :, :] - centers[:, :, None]
+    d /= t2[:, None, None]
+    return d
 
 
 # Row order of the per-batch score stack: the divergence rows (kl, nll) go
@@ -207,149 +210,200 @@ def _value_and_grad_params_stack(centers: np.ndarray, t2: np.ndarray, ys: np.nda
 _ROW_ORDER = ("kl", "nll", "l2", "rl2")
 
 
+def _check_cells(cells, samples_per_annotation: int):
+    """The cells as lists; DimensionError or DomainError before anything is drawn."""
+    cells = [(list(jobs), list(annotations), rng) for jobs, annotations, rng in cells]
+    if not cells:
+        raise DimensionError("train_box_scorer needs at least one cell")
+    for jobs, annotations, _ in cells:
+        if not jobs:
+            raise DimensionError("train_box_scorer needs at least one job")
+        if not annotations:
+            raise DimensionError("train_box_scorer needs at least one annotation")
+    if samples_per_annotation < 2:
+        raise DomainError("need at least 2 samples per annotation")
+    first_jobs, first_annotations, _ = cells[0]
+    for _, loss_model, sigma_bb in first_jobs:
+        if not (sigma_bb > 0):
+            raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
+        if loss_model not in LOSS_MODELS:
+            raise DomainError(f"unknown loss model {loss_model!r}; pick one of {LOSS_MODELS}")
+    layout = [job[1:] for job in first_jobs]
+    for jobs, annotations, _ in cells[1:]:
+        if [job[1:] for job in jobs] != layout:
+            raise DomainError("every cell needs the same loss models and label widths, in the same order")
+        if len(annotations) != len(first_annotations):
+            raise DimensionError("every cell needs the same number of annotations")
+    scorers = [scorer for jobs, _, _ in cells for scorer, _, _ in jobs]
+    if len({id(scorer) for scorer in scorers}) < len(scorers):
+        raise DomainError("every job needs its own scorer")
+    return cells
+
+
 # A diverging run overflows its scores or steps to inf or nan.  The
 # finiteness checks turn that into one NumericError; NumPy's warnings would
 # only print the same failure again.
 @np.errstate(over="ignore", invalid="ignore")
 def train_box_scorer(
-    jobs,
-    annotations,
+    cells,
     proposal: MixtureProposal,
     samples_per_annotation: int,
     sgd: SGDConfig,
-    rng: np.random.Generator,
-) -> list[tuple[QuadraticScorer, float]]:
+) -> list[list[tuple[QuadraticScorer, float]]]:
     """Fit scorers to annotated boxes with stochastic first-order updates.
 
-    jobs is a sequence of (scorer, loss_model, sigma_bb) triples, trained
-    in lockstep on one proposal stream.  Per epoch and annotation: draw
-    samples_per_annotation proposals from `proposal` recentered on the
-    annotation, evaluate every job's loss at those draws and step its scorer
-    center along the gradient.
+    cells is a sequence of (jobs, annotations, rng) triples, trained in
+    lockstep; jobs is a sequence of (scorer, loss_model, sigma_bb)
+    triples.  Every cell has the same loss models and label widths in the
+    same order, and the same number of annotations; scorer widths may
+    differ.  Per epoch and annotation, each cell draws
+    samples_per_annotation proposals from its own rng, from `proposal`
+    recentered on its annotation, evaluates every job's loss at those draws
+    and steps its scorer center along the gradient.
 
-    The jobs form one stacked problem per draw batch, with one row per job
-    (kl, nll, l2, then rl2 rows).  Once per draw batch: the proposal density
-    if any job is kl or nll, one label density per distinct kl sigma_bb,
-    the overlaps if any job is l2 or rl2, one score stack and its bases
-    (_value_and_grad_params_stack), one kl_mc_loss call over the kl and nll
-    rows, one exp over the l2 and rl2 rows, and one step of the (jobs x 4)
-    stack of centers.  Once per job: the dot products of its row, one for
-    the loss value and one gradient-times-basis product for the parameter
-    gradient, and for nll the annotation's own score and gradient.  Each
-    row is computed in the order a job alone would compute it, and a job's
-    updates read only its own center and the draws, so every job ends bit
-    for bit where a run with it alone on an equally seeded generator ends.
+    Each draw batch is one stacked problem over all (cell x job) rows, as
+    the module docstring lays out.  The densities are taken at each draw's
+    offset from its cell's annotation, under a proposal and labels centered
+    at the origin, so their squared distances are the ones to the
+    annotation bit for bit (x - 0.0 == x).  A cell's gradient bases are
+    recomputed after the loss call rather than held for the whole group,
+    which keeps the group's memory to a few score-sized rows per cell.  Each
+    row is computed in the order a job alone would compute it, and a row's
+    updates read only its own center and its cell's draws, so every job
+    ends bit for bit where a run of its cell alone, with that job alone,
+    on an equally seeded generator ends.
 
-    The recentered proposal and the labels of each annotation are built
-    once, before the first epoch.  The final centers are the average of
-    the iterates over the last half of the epochs, which removes most of
-    the stationary sampling noise.  Training steps a (jobs x 4) stack of
-    centers; each scorer's mu is set once, to its final center.  Returns
-    one (scorer, mean loss seen in the final epoch) per job.  NumericError
-    once a job's scores, loss or stepped center are not finite.
+    The recentered proposals are built once per cell and annotation, and
+    the labels once per width, before the first epoch.  The final centers
+    are the average of the iterates over the last half of the epochs,
+    which removes most of the stationary sampling noise; each scorer's mu
+    is set once, to its final center.  Returns, per cell, one (scorer,
+    mean loss seen in the final epoch) per job.  NumericError once a job's
+    scores, loss or stepped center are not finite.
     """
-    jobs = list(jobs)
-    annotations = list(annotations)
-    if not jobs:
-        raise DimensionError("train_box_scorer needs at least one job")
-    if not annotations:
-        raise DimensionError("train_box_scorer needs at least one annotation")
-    if samples_per_annotation < 2:
-        raise DomainError("need at least 2 samples per annotation")
-    for _, loss_model, sigma_bb in jobs:
-        if not (sigma_bb > 0):
-            raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
-        if loss_model not in LOSS_MODELS:
-            raise DomainError(f"unknown loss model {loss_model!r}; pick one of {LOSS_MODELS}")
-    if len({id(scorer) for scorer, _, _ in jobs}) < len(jobs):
-        raise DomainError("every job needs its own scorer")
+    cells = _check_cells(cells, samples_per_annotation)
     k = int(samples_per_annotation)
-    order = sorted(range(len(jobs)), key=lambda i: _ROW_ORDER.index(jobs[i][1]))
-    scorers = [jobs[i][0] for i in order]
-    models = [jobs[i][1] for i in order]
+    n_cells = len(cells)
+    first_jobs = cells[0][0]
+    order = sorted(range(len(first_jobs)), key=lambda i: _ROW_ORDER.index(first_jobs[i][1]))
+    models = [first_jobs[i][1] for i in order]
+    n_jobs = len(models)
     n_div = sum(model in DENSITY_MODELS for model in models)
     n_l2 = models.count("l2")
-    centers = np.array([scorer.mu for scorer in scorers])
-    t2 = np.array([scorer.tau**2 for scorer in scorers])
+    scorers = [[jobs[i][0] for i in order] for jobs, _, _ in cells]
+    centers = np.array([[scorer.mu for scorer in row] for row in scorers])
+    t2 = np.array([[scorer.tau**2 for scorer in row] for row in scorers])
     # A label per distinct width checks every job's width; only the kl
     # jobs' labels are evaluated at the draws.  The nll rows get a zero
     # label: the delta label has no density at the draws.
-    sigmas = dict.fromkeys(sigma for _, _, sigma in jobs)
-    kl_sigmas = list(dict.fromkeys(sigma for _, loss_model, sigma in jobs if loss_model == "kl"))
-    label_rows = [kl_sigmas.index(jobs[i][2]) if model == "kl" else None for i, model in zip(order[:n_div], models)]
-    label_dens = np.empty((len(kl_sigmas), k))
-    # Per annotation: its recentered proposal, its labels and, for the
-    # overlaps, its decoded box.
-    targets = [
-        (
-            ann,
-            proposal.recenter(ann.values),
-            {sigma: GaussianLabel(ann.values, sigma) for sigma in sigmas},
-            np.asarray(ann.decode()) if n_div < len(scorers) else None,
-        )
-        for ann in annotations
+    origin = np.zeros(BOX_DIM)
+    labels = {sigma: GaussianLabel(origin, sigma) for _, _, sigma in first_jobs}
+    kl_sigmas = list(dict.fromkeys(first_jobs[i][2] for i in order[:n_div] if first_jobs[i][1] == "kl"))
+    # Score row j * cells + c is job j of cell c; label row i * cells + c
+    # is kl width i at cell c's draws, and proposal row c is cell c's.
+    label_rows = [
+        None if model == "nll" else kl_sigmas.index(first_jobs[i][2]) * n_cells + c
+        for i, model in zip(order[:n_div], models)
+        for c in range(n_cells)
     ]
+    proposal_rows = list(range(n_cells)) * n_div
+    q_origin = proposal.recenter(origin)
+    streams = [rng for _, _, rng in cells]
+    # Per annotation index, per cell: the annotation and its recentered
+    # proposal; then the cells' annotations as a (cells, 4) stack and, for
+    # the overlaps, their decoded boxes as a (cells, 1, 4) stack.
+    steps = [
+        [(annotations[a], proposal.recenter(annotations[a].values)) for _, annotations, _ in cells]
+        for a in range(len(cells[0][1]))
+    ]
+    anchors = [np.array([ann.values for ann, _ in step]) for step in steps]
+    if n_div < n_jobs:
+        boxes = [np.array([ann.decode() for ann, _ in step])[:, None, :] for step in steps]
+    scores = np.empty((n_jobs, n_cells, k))
+    # Each draw's offset from its annotation, then its decoded box.
+    coords = np.empty((n_cells, BOX_DIM, k))
+    label_dens = np.empty((len(kl_sigmas), n_cells, k))
+    grads = np.empty_like(centers)
     tail_start = sgd.epochs // 2
     tail = np.zeros_like(centers)
     for epoch in range(sgd.epochs):
         lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
-        values = [[] for _ in jobs]
-        for ann, q, labels, ann_box in targets:
-            ys = proposal_sample(q, rng, size=k)
-            scores, bases = _value_and_grad_params_stack(centers, t2, ys)
-            losses = []
+        values = [[[] for _ in range(n_jobs)] for _ in cells]
+        for a, step in enumerate(steps):
+            draws = [proposal_sample(q, rng, size=k) for (_, q), rng in zip(step, streams)]
+            for c, ys in enumerate(draws):
+                _score_rows(centers[c], t2[c], ys, scores[:, c])
             if n_div:
-                div = scores[:n_div]
-                proposal_dens = proposal_density(q, ys)
+                for c, ys in enumerate(draws):
+                    np.subtract(ys.T, anchors[a][c][:, None], out=coords[c])
+                div = scores[:n_div].reshape(n_div * n_cells, k)
+                at = coords.transpose(0, 2, 1)
+                proposal_dens = proposal_density(q_origin, at)
                 for i, sigma in enumerate(kl_sigmas):
-                    label_dens[i] = gaussian_density(labels[sigma], ys)
+                    label_dens[i] = gaussian_density(labels[sigma], at)
                 try:
-                    lvg = kl_mc_loss(div, label_dens, proposal_dens, label_rows)
+                    lvg = kl_mc_loss(
+                        div, label_dens.reshape(-1, k), proposal_dens, label_rows, proposal_rows
+                    )
                 except DomainError:
                     # Scores that diverged are a training failure, not bad input.
-                    finite = np.isfinite(div).all(axis=1)
+                    finite = np.isfinite(scores[:n_div]).all(axis=2).all(axis=1)
                     if finite.all():
                         raise
                     raise NumericError(f"non-finite {models[finite.argmin()]} training loss at epoch {epoch}") from None
-                for row in range(n_div):
-                    value, grad = lvg.value[row], lvg.grad_scores[row] @ bases[row]
-                    if models[row] == "nll":
-                        # The delta-label loss is the divergence with zero label
-                        # densities at the draws, minus the score at the annotation.
-                        d = ann.values - centers[row]
-                        value -= _score(*d.tolist(), -2.0 * t2[row])
-                        grad -= d / t2[row]
-                    losses.append((value, grad))
-            if n_div < len(scorers):
+                div_values = lvg.value.tolist()
+            if n_div < n_jobs:
                 # Squared-error families regress the confidence exp(s) — range
                 # (0, 1], same argmax as s — onto the overlap with the
                 # annotation; regressing the raw score of a quadratic field onto
                 # [0, 1] targets is hopelessly scaled (score ~ -d^2/(2 tau^2) at
                 # proposal distance d).
-                overlaps = iou_xywh(_decode_batch(ys, ann.reference), ann_box)
+                for c, ((ann, _), ys) in enumerate(zip(step, draws)):
+                    _decode_batch(ys, ann.reference, coords[c])
+                overlaps = iou_xywh(coords.transpose(0, 2, 1), boxes[a])
                 conf = np.exp(scores[n_div:])
                 resid = conf - overlaps
-                if n_div + n_l2 < len(scorers):
+                if n_div + n_l2 < n_jobs:
                     # rl2 hinges the draws far from the annotation: max(0, c) == c.
                     np.copyto(resid[n_l2:], conf[n_l2:], where=~(overlaps > 0.05))
                 weighted = resid * conf
-                for r, w, basis in zip(resid, weighted, bases[n_div:]):
-                    losses.append((float(r @ r) / k, (2.0 / k) * (w @ basis)))
-            for row, (value, _) in enumerate(losses):
-                if not math.isfinite(value):
-                    raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
-                values[order[row]].append(value)
+            for c, ys in enumerate(draws):
+                bases = _grad_params_bases(centers[c], t2[c], ys)
+                losses = []
+                for row in range(n_div):
+                    r = row * n_cells + c
+                    value, grad = div_values[r], lvg.grad_scores[r] @ bases[row].T
+                    if models[row] == "nll":
+                        # The delta-label loss is the divergence with zero label
+                        # densities at the draws, minus the score at the annotation.
+                        d = anchors[a][c] - centers[c, row]
+                        value -= _score(*d.tolist(), -2.0 * t2[c, row])
+                        grad -= d / t2[c, row]
+                    losses.append((value, grad))
+                for row in range(n_div, n_jobs):
+                    res, w = resid[row - n_div, c], weighted[row - n_div, c]
+                    losses.append((float(res @ res) / k, (2.0 / k) * (w @ bases[row].T)))
+                for row, (value, grad) in enumerate(losses):
+                    if not math.isfinite(value):
+                        raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
+                    values[c][order[row]].append(value)
+                    grads[c, row] = grad
             # A non-finite gradient or a step that overflows leaves
             # non-finite centers.
-            centers = centers - lr * np.array([grad for _, grad in losses])
+            centers = centers - lr * grads
             if not np.isfinite(centers).all():
-                row = int(np.isfinite(centers).all(axis=1).argmin())
+                row = int(np.isfinite(centers).all(axis=2).all(axis=0).argmin())
                 raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
         if epoch >= tail_start:
             tail += centers
-    for scorer, mean in zip(scorers, tail / (sgd.epochs - tail_start)):
-        scorer.mu = _as_float_array(mean, 1, "scorer center")
-    return [(scorer, float(np.mean(seen))) for (scorer, _, _), seen in zip(jobs, values)]
+    means = [[_as_float_array(mean, 1, "scorer center") for mean in row] for row in tail / (sgd.epochs - tail_start)]
+    for row, cell_means in zip(scorers, means):
+        for scorer, mean in zip(row, cell_means):
+            scorer.mu = mean
+    return [
+        [(scorer, float(np.mean(seen))) for (scorer, _, _), seen in zip(jobs, cell_values)]
+        for (jobs, _, _), cell_values in zip(cells, values)
+    ]
 
 
 @dataclass(frozen=True)

@@ -27,21 +27,23 @@ Top-level sections (each optional, an object when given, defaults apply):
 A scenario <spec> is a preset name, or an object with an optional "preset"
 key plus Scenario field overrides ("seed" is reserved: every run derives
 its sequence seed from --seed so that repetitions are reproducible).
-load_config checks every value against the annotations of TrackerConfig,
-Scenario and RunConfig, then the ranges, the sizes (MAX_SEQUENCE_CELLS,
-MAX_CROP_CELLS, MAX_BOX_SAMPLES, MAX_SUITE_CELLS) and the dump frame, so a
+load_config reads at most MAX_CONFIG_BYTES of the file, checks every value
+against the annotations of TrackerConfig, Scenario and RunConfig, then the
+ranges, the sizes and work (MAX_SEQUENCE_CELLS, MAX_CROP_CELLS,
+MAX_BOX_SAMPLES, MAX_BOX_DRAWS, MAX_SUITE_CELLS) and the dump frame, so a
 config that loads runs without a usage error.
 
 Determinism: each (scenario, repetition) cell owns its RNG streams, seeded
 as master + 103 * scenario_index + 10007 * repetition (the tracker stream
 adds a fixed offset), so outputs are bit-identical for equal (config,
-seed) regardless of --jobs.  compare-losses and sigma-sweep run cell-major:
-one task per cell renders the sequence once, builds the box scorers of all
-the subcommand's tracker configs from the cell's one tracker stream (they
-train in lockstep on one proposal stream, and each scorer is exactly the
-one its config would train alone), then tracks the sequence once per
-config.  So the loss models share one rendered sequence and one proposal
-stream per cell.
+seed) regardless of --jobs.  compare-losses and sigma-sweep run
+group-major: one task per group of up to _GROUP_CELLS cells first builds
+the box scorers of every cell and tracker config, from each scenario's
+first box and each cell's one tracker stream, and trains them in lockstep
+as one stacked problem (each scorer is exactly the one its config would
+train alone in its cell).  It then renders each cell's sequence once and
+tracks it once per config.  So the loss models share one rendered
+sequence and one proposal stream per cell.
 """
 
 from __future__ import annotations
@@ -85,6 +87,21 @@ MAX_CROP_CELLS = 2**22  # channels x region^2 of one search-region crop; dump sl
 MAX_SEQUENCE_CELLS = 2**30  # num_frames x channels x height x width of one sequence
 MAX_BOX_SAMPLES = 2**20  # bb_samples: proposals drawn per annotation and epoch
 MAX_SUITE_CELLS = 2**16  # suite scenarios x repetitions
+# bb_epochs x bb_samples: proposals drawn per cell and annotation in box
+# training, whose time grows with it; the default 150 epochs at the largest
+# bb_samples is the most.
+MAX_BOX_DRAWS = 150 * MAX_BOX_SAMPLES
+MAX_CONFIG_BYTES = 2**22  # size of the --config file
+# Suite cells per task.  A task trains the box scorers of its cells as one
+# stacked problem, which shares each draw batch's fixed per-call cost
+# across the group.  The group's draws, densities and score rows are held
+# together (about 1.5 MB for 8 cells at the default 768 draws), so larger
+# groups trade peak memory for a smaller further gain.
+_GROUP_CELLS = 8
+# Proposal draws per batch that one group may hold across its cells: 8
+# cells at the default bb_samples.  A larger bb_samples gets fewer cells per
+# group (at least one), so its memory grows no faster than one cell's.
+_GROUP_DRAWS = _GROUP_CELLS * 768
 
 SCENARIO_PRESETS: dict[str, dict] = {
     # A target parked on a cell center, nothing else in the scene.
@@ -219,10 +236,13 @@ def load_config(path: str | None) -> RunConfig:
     raw = {}
     if path is not None:
         try:
-            with open(path) as fh:
-                raw = json.load(fh)
+            with open(path, "rb") as fh:
+                data = fh.read(MAX_CONFIG_BYTES + 1)
         except OSError as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
+        _expect(len(data) <= MAX_CONFIG_BYTES, f"config {path} is larger than {MAX_CONFIG_BYTES} bytes")
+        try:
+            raw = json.loads(data.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError, text that is not UTF-8 and
             # integers past the interpreter's digit limit; RecursionError,
@@ -247,7 +267,8 @@ def load_config(path: str | None) -> RunConfig:
 def _check_resolved(cfg: RunConfig):
     """Reject, before any sequence is rendered, what no run could build or compute.
 
-    bb_samples, the suite's cell count and the dump slice are bounded.  One
+    bb_samples, the box-training draws bb_epochs x bb_samples, the suite's
+    cell count and the dump slice are bounded.  One
     pass over the scenario specs builds each Scenario (the seed does not
     enter its checks) and bounds its sequence's size, its target's sigma_tc
     and its search region (as track_init resolves them, from the sizes
@@ -259,6 +280,12 @@ def _check_resolved(cfg: RunConfig):
     _expect(
         tracker.bb_samples <= MAX_BOX_SAMPLES,
         f"tracker.bb_samples must be at most {MAX_BOX_SAMPLES}, got {tracker.bb_samples}",
+    )
+    draws = tracker.bb_epochs * tracker.bb_samples
+    _expect(
+        draws <= MAX_BOX_DRAWS,
+        f"tracker.bb_epochs: {tracker.bb_epochs} epochs x {tracker.bb_samples} bb_samples"
+        f" = {draws} box-training draws, over {MAX_BOX_DRAWS}",
     )
     cells = len(cfg.scenarios) * cfg.repetitions
     _expect(
@@ -312,16 +339,26 @@ def _run_cell(sequence, cfg: TrackerConfig, scorer):
     return evaluate(sequence, run.boxes)
 
 
-def _render(spec, seed: int):
-    """(sequence, tracker stream) of the cell with this seed."""
-    sequence = generate_sequence(resolve_scenario(spec, seed))
-    return sequence, np.random.Generator(np.random.PCG64(seed + TRACKER_RNG_OFFSET))
+def _cell(spec, seed: int):
+    """(scenario, tracker stream) of the cell with this seed."""
+    return resolve_scenario(spec, seed), np.random.Generator(np.random.PCG64(seed + TRACKER_RNG_OFFSET))
 
 
-def _run_cell_configs(spec, seed: int, tracker_cfgs):
-    """Render one cell's sequence once and track it with every config."""
-    sequence, rng = _render(spec, seed)
-    scorers = init_scorers(tracker_cfgs, sequence.frames[0].ground_truth_box, rng)
+def _run_cell_group(cells, tracker_cfgs):
+    """Track each (spec, seed) cell with every config; one list of metrics per cell.
+
+    The box scorers of all the cells train first, in lockstep, from each
+    scenario's first box; then each cell's sequence is rendered, tracked
+    once per config and dropped before the next cell's is rendered.
+    """
+    scenarios, streams = zip(*(_cell(spec, seed) for spec, seed in cells))
+    scorers = init_scorers(tracker_cfgs, [(sc.target_box(0), rng) for sc, rng in zip(scenarios, streams)])
+    # The sequence lives only inside _track_configs, so no two are held at once.
+    return [_track_configs(generate_sequence(sc), tracker_cfgs, row) for sc, row in zip(scenarios, scorers)]
+
+
+def _track_configs(sequence, tracker_cfgs, scorers):
+    """Track one rendered sequence once per config, each with its initial box scorer."""
     return [_run_cell(sequence, c, scorer) for c, scorer in zip(tracker_cfgs, scorers)]
 
 
@@ -343,16 +380,26 @@ def _suite_metrics(cfg: RunConfig, variants, master_seed: int, jobs: int):
     """Mean (auc, op50, op75) over the whole suite, one triple per variant.
 
     A variant is a dict of field overrides of cfg.tracker, applied with
-    scorer_init "train".  One task per (scenario, repetition) cell tracks
-    every variant; the means run over the cells in scenario-major order.
+    scorer_init "train".  The (scenario, repetition) cells, in
+    scenario-major order, are cut into groups of at most _GROUP_CELLS cells
+    and _GROUP_DRAWS draws per batch, and into at least min(jobs, cells)
+    groups so that no worker lacks a task.  One task per group tracks every
+    variant on each of its cells; the means run over the cells in
+    scenario-major order.
     """
     tracker_cfgs = [replace(cfg.tracker, scorer_init="train", **overrides) for overrides in variants]
-    tasks = [
-        partial(_run_cell_configs, spec, _cell_seed(master_seed, si, rep), tracker_cfgs)
+    seeds = [
+        (spec, _cell_seed(master_seed, si, rep))
         for si, spec in enumerate(cfg.scenarios)
         for rep in range(cfg.repetitions)
     ]
-    cells = _run_cells(tasks, jobs)
+    size = min(
+        _GROUP_CELLS,
+        max(1, _GROUP_DRAWS // cfg.tracker.bb_samples),
+        -(-len(seeds) // min(jobs, len(seeds))),
+    )
+    tasks = [partial(_run_cell_group, seeds[i : i + size], tracker_cfgs) for i in range(0, len(seeds), size)]
+    cells = [cell for group in _run_cells(tasks, jobs) for cell in group]
     return [
         (
             float(np.mean([m.auc for m in metrics])),
@@ -397,7 +444,8 @@ def cmd_sigma_sweep(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> Path
 
 def cmd_track(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     """Track one sequence; write a per-frame trace and summary metrics."""
-    sequence, rng = _render(cfg.track_scenario, _cell_seed(seed, 0, 0))
+    scenario, rng = _cell(cfg.track_scenario, _cell_seed(seed, 0, 0))
+    sequence = generate_sequence(scenario)
     run = run_sequence(sequence, cfg.tracker, rng)
     metrics = evaluate(sequence, run.boxes)
     trace_path = out_dir / "track_trace.csv"
@@ -441,7 +489,8 @@ def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     [-log 3, log 3] (a third to three times the current size).
     """
     frame_index = cfg.dump_frame_index
-    sequence, rng = _render(cfg.dump_scenario, _cell_seed(seed, 0, 0))
+    scenario, rng = _cell(cfg.dump_scenario, _cell_seed(seed, 0, 0))
+    sequence = generate_sequence(scenario)
     first = sequence.frames[0]
     state = track_init(first, first.ground_truth_box, cfg.tracker, rng)
     density = None

@@ -247,20 +247,27 @@ def kl_grid_loss(
     return LossValueGrad(math.log(cell_area) + value, Grid2D(grad))
 
 
-def kl_mc_loss(sample_scores, label_densities, proposal_densities, label_rows=None) -> LossValueGrad:
+def kl_mc_loss(
+    sample_scores, label_densities, proposal_densities, label_rows=None, proposal_rows=None
+) -> LossValueGrad:
     """Importance-sampled divergence at K proposal draws.
 
     value = log( (1/K) sum_k exp(s_k) / q_k ) - (1/K) sum_k s_k p_k / q_k
     with p_k the label density and q_k the proposal density at draw k.
     The first term is evaluated as a shifted log-sum-exp over s_k - log q_k.
 
-    Stacked form: sample_scores is an (R, K) stack of score rows at the
-    same draws, label_densities an (L, K) stack of labels, and label_rows
-    gives each score row the index of its label, or None for a zero label
-    (default: row r uses label r).  The inputs are checked and log q is
-    taken once per call, p/q and p/(q K) once per label; value is then an
-    (R,) array and grad_scores an (R, K) stack, each row bit for bit what
-    the one-row call returns (with np.zeros(K) for a zero label).
+    Stacked form: sample_scores is an (R, K) stack of score rows,
+    label_densities an (L, K) stack of labels, and label_rows gives each
+    score row the index of its label, or None for a zero label (default:
+    row r uses label r).  proposal_densities is one (K,) row that every
+    score row shares, or a (Q, K) stack with proposal_rows giving each
+    score row the index of its proposal row (default: row r uses row r);
+    rows that share a proposal row are scored at the same draws, so every
+    score row of one label must name the same proposal row.  The inputs are
+    checked and log q is taken once per call, p/q and p/(q K) once per
+    label; value is then an (R,) array and grad_scores an (R, K) stack,
+    each row bit for bit what the one-row call returns (with np.zeros(K)
+    for a zero label).
     """
     s = np.asarray(sample_scores, dtype=np.float64)
     p = np.asarray(label_densities, dtype=np.float64)
@@ -268,11 +275,27 @@ def kl_mc_loss(sample_scores, label_densities, proposal_densities, label_rows=No
     single = s.ndim == 1
     if single and p.ndim == 1 and label_rows is None:
         s, p = s[None, :], p[None, :]
-    if not (s.ndim == p.ndim == 2 and q.ndim == 1) or not (s.shape[1] == p.shape[1] == q.size):
+    if not (s.ndim == p.ndim == 2 and q.ndim in (1, 2)) or not (s.shape[1] == p.shape[1] == q.shape[-1]):
         raise DimensionError("sample scores and densities must be 1D arrays, or stacks of rows, of equal length")
     rows = range(len(s)) if label_rows is None else list(label_rows)
     if len(rows) != len(s) or not all(i is None or 0 <= i < len(p) for i in rows):
         raise DimensionError(f"label_rows must give each of the {len(s)} score rows one of {len(p)} labels or None")
+    if q.ndim == 1:
+        if proposal_rows is not None:
+            raise DimensionError("proposal_rows needs a stack of proposal rows")
+        q = q[None, :]
+        q_rows = [0] * len(s)
+    else:
+        q_rows = range(len(s)) if proposal_rows is None else list(proposal_rows)
+        if len(q_rows) != len(s) or not all(0 <= j < len(q) for j in q_rows):
+            raise DimensionError(
+                f"proposal_rows must give each of the {len(s)} score rows one of {len(q)} proposal rows"
+            )
+    # The proposal row of each label: the one its score rows name.
+    label_q = {}
+    for i, j in zip(rows, q_rows):
+        if i is not None and label_q.setdefault(i, j) != j:
+            raise DimensionError(f"label row {i} serves score rows of different proposal rows")
     if s.shape[1] < 1:
         raise DimensionError("at least one sample is required")
     if not (np.isfinite(s).all() and np.isfinite(p).all() and np.isfinite(q).all()):
@@ -281,14 +304,15 @@ def kl_mc_loss(sample_scores, label_densities, proposal_densities, label_rows=No
         raise DomainError("proposal densities must be strictly positive")
     if (p < 0).any():
         raise DomainError("label densities must be nonnegative")
-    k = q.size
-    e = s - np.log(q)
+    k = s.shape[1]
+    e = s - np.log(q)[q_rows]
     m = np.maximum.reduce(e, axis=1)
     e -= m[:, None]
     np.exp(e, out=e)
     total = np.add.reduce(e, axis=1)
-    weights = p / q
-    label_grads = p / (q * k)
+    q_labels = q[[label_q.get(i, 0) for i in range(len(p))]]
+    weights = p / q_labels
+    label_grads = p / (q_labels * k)
     e /= total[:, None]  # the gradient's first term, in place
     values = []
     for r, (i, m_r, total_r) in enumerate(zip(rows, m.tolist(), total.tolist())):

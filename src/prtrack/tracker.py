@@ -439,18 +439,20 @@ def search_region(cfg: TrackerConfig, w: float, h: float) -> int:
     return max(int(round(size)) | 1, cfg.kernel_size)
 
 
-def init_scorers(cfgs, init_box: tuple[float, float, float, float], rng: np.random.Generator) -> list:
-    """Initial box scorers of several tracker configs for one annotated box.
+def init_scorers(cfgs, cells) -> list[list]:
+    """Initial box scorers of several tracker configs for each of several cells.
 
-    The annotation is encoded relative to its own center, and each scorer
-    starts centered on it with its config's scorer_tau.  With scorer_init
-    "train" the scorers are then trained in lockstep on one proposal
-    stream, so each equals the one its config would get alone from an
-    equally seeded generator; rng is used for nothing else.  DomainError
-    unless the configs agree on every box-scorer setting but loss_model,
-    sigma_bb and scorer_tau.
+    cells is a sequence of (annotated box, rng) pairs.  Each annotation is
+    encoded relative to its own center, and each scorer starts centered on
+    it with its config's scorer_tau.  With scorer_init "train" the scorers
+    of all cells are then trained in lockstep, each cell on its own rng,
+    so each equals the one its config would get alone in its cell from an
+    equally seeded generator; the rngs are used for nothing else.  Returns
+    one list of scorers, in config order, per cell.  DomainError unless the
+    configs agree on every box-scorer setting but loss_model, sigma_bb and
+    scorer_tau.
     """
-    cfgs = list(cfgs)
+    cfgs, cells = list(cfgs), list(cells)
     if not cfgs:
         raise DomainError("init_scorers needs at least one tracker config")
     first = cfgs[0]
@@ -458,12 +460,14 @@ def init_scorers(cfgs, init_box: tuple[float, float, float, float], rng: np.rand
         for name in _SHARED_SCORER_FIELDS:
             if getattr(cfg, name) != getattr(first, name):
                 raise DomainError(f"tracker configs disagree on {name}; box scorers cannot share training")
-    _, _, w, h = init_box
-    anchor = box_encode((0.0, 0.0, w, h), (w, h))
-    scorers = [QuadraticScorer(anchor.values.copy(), cfg.scorer_tau) for cfg in cfgs]
+    anchors = [box_encode((0.0, 0.0, w, h), (w, h)) for (_, _, w, h), _ in cells]
+    scorers = [[QuadraticScorer(anchor.values.copy(), cfg.scorer_tau) for cfg in cfgs] for anchor in anchors]
     if first.scorer_init == "train":
-        jobs = [(scorer, cfg.loss_model, cfg.sigma_bb) for scorer, cfg in zip(scorers, cfgs)]
-        train_box_scorer(jobs, [anchor], first.bb_proposal, first.bb_samples, first.bb_sgd, rng)
+        train_cells = [
+            ([(scorer, cfg.loss_model, cfg.sigma_bb) for scorer, cfg in zip(row, cfgs)], [anchor], rng)
+            for row, anchor, (_, rng) in zip(scorers, anchors, cells)
+        ]
+        train_box_scorer(train_cells, first.bb_proposal, first.bb_samples, first.bb_sgd)
     return scorers
 
 
@@ -480,7 +484,7 @@ def track_init(
     never evicted) plus, unless augmentation is off, a horizontal flip and
     four shifted crops.  The kernel is warm-started by label back-projection
     and optimized for cfg.init_iterations.  The box scorer is the given one,
-    or else init_scorers([cfg], init_box, rng)[0]; rng (seed 0 if omitted)
+    or else init_scorers([cfg], [(init_box, rng)])[0][0]; rng (seed 0 if omitted)
     is used for nothing else.
     """
     cx, cy, w, h = init_box
@@ -510,7 +514,7 @@ def track_init(
     if scorer is None:
         if rng is None:
             rng = np.random.Generator(np.random.PCG64(0))
-        scorer = init_scorers([cfg], init_box, rng)[0]
+        [[scorer]] = init_scorers([cfg], [(init_box, rng)])
 
     box = (float(cx), float(cy), float(w), float(h))
     return TrackState(cfg, model, scorer, samples, [0] * len(samples), box, region, sigma)

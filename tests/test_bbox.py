@@ -135,6 +135,12 @@ def test_numpy_sums_four_wide_rows_left_to_right(layout):
 # ---------------------------------------------------------------------------
 
 
+def _train_cell(jobs, annotations, proposal, samples, sgd, rng):
+    """train_box_scorer on one cell: its (scorer, last-epoch loss) per job."""
+    [results] = train_box_scorer([(jobs, annotations, rng)], proposal, samples, sgd)
+    return results
+
+
 def test_duplicate_samples_collapse_to_single():
     a = kl_mc_loss([0.4, 0.4], [1.3, 1.3], [0.9, 0.9]).value
     b = kl_mc_loss([0.4], [1.3], [0.9]).value
@@ -148,7 +154,7 @@ def test_train_quadratic_centers_on_annotation():
     ann = box_encode((10.0, 12.0, 5.0, 4.0), (5.0, 4.0))
     scorer = QuadraticScorer(ann.values + 0.3, tau=0.2)
     sgd = SGDConfig(learning_rate=0.2, epochs=400, lr_decay=0.02)
-    [(scorer, last)] = train_box_scorer([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 256, sgd, rng)
+    [(scorer, last)] = _train_cell([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 256, sgd, rng)
     assert math.isfinite(last)
     assert float(np.abs(scorer.mu - ann.values).max()) <= 1e-2
 
@@ -177,7 +183,7 @@ def test_train_loss_drops_over_epochs():
         ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
         scorer = QuadraticScorer(ann.values + 0.3, tau=0.2)
         sgd = SGDConfig(learning_rate=0.25, epochs=epochs, lr_decay=0.5)
-        [(_, last)] = train_box_scorer([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 64, sgd, rng)
+        [(_, last)] = _train_cell([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 64, sgd, rng)
         return last
 
     assert run(50) < run(1)
@@ -194,7 +200,7 @@ def test_sigma_to_zero_matches_delta_label_training():
     def fit(loss_model):
         rng = np.random.Generator(np.random.PCG64(48))
         scorer = QuadraticScorer(ann.values + 0.2, tau=0.2)
-        [(scorer, _)] = train_box_scorer([(scorer, loss_model, 1e-4)], [ann], proposal, 128, sgd, rng)
+        [(scorer, _)] = _train_cell([(scorer, loss_model, 1e-4)], [ann], proposal, 128, sgd, rng)
         return scorer.mu
 
     mu_kl = fit("kl")
@@ -208,7 +214,7 @@ def test_train_squared_error_branch_moves_toward_annotation():
     start = ann.values + 0.4
     scorer = QuadraticScorer(start, tau=0.5)
     sgd = SGDConfig(learning_rate=0.5, epochs=120)
-    [(scorer, _)] = train_box_scorer([(scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 64, sgd, rng)
+    [(scorer, _)] = _train_cell([(scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 64, sgd, rng)
     assert np.linalg.norm(scorer.mu - ann.values) < np.linalg.norm(start - ann.values)
 
 
@@ -218,21 +224,21 @@ def test_train_validation():
     sgd = SGDConfig()
     rng = np.random.Generator(np.random.PCG64(50))
     with pytest.raises(DimensionError):
-        train_box_scorer([(scorer, "kl", 0.05)], [], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([(scorer, "kl", 0.05)], [], PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DimensionError):
-        train_box_scorer([], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([], [ann], PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
-        train_box_scorer([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 1, sgd, rng)
+        _train_cell([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 1, sgd, rng)
     with pytest.raises(DomainError):
-        train_box_scorer([(scorer, "kl", 0.0)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([(scorer, "kl", 0.0)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
-        train_box_scorer([(scorer, "huber", 0.05)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([(scorer, "huber", 0.05)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
     # One bad job rejects the whole call before anything is drawn.
     state = rng.bit_generator.state
     with pytest.raises(DomainError):
-        train_box_scorer([(scorer, "kl", 0.05), (scorer, "l2", -1.0)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([(scorer, "kl", 0.05), (scorer, "l2", -1.0)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError, match="its own scorer"):
-        train_box_scorer([(scorer, "kl", 0.05), (scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([(scorer, "kl", 0.05), (scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
     assert rng.bit_generator.state == state
 
 
@@ -244,7 +250,7 @@ def test_train_rejects_a_final_center_that_overflows():
     scorer = QuadraticScorer(np.full(4, 1e308), tau=1e100)
     rng = np.random.Generator(np.random.PCG64(57))
     with pytest.raises(DomainError, match="scorer center must contain only finite values"):
-        train_box_scorer([(scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 4, SGDConfig(epochs=4), rng)
+        _train_cell([(scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 4, SGDConfig(epochs=4), rng)
     assert np.array_equal(scorer.mu, np.full(4, 1e308))
 
 
@@ -264,7 +270,7 @@ def test_train_matches_plain_reference_loop(family, loss_model):
     sgd = SGDConfig(learning_rate=0.25, epochs=30, lr_decay=0.5)
     rng_a = np.random.Generator(np.random.PCG64(53))
     rng_b = np.random.Generator(np.random.PCG64(53))
-    [(got, got_last)] = train_box_scorer(
+    [(got, got_last)] = _train_cell(
         [(_scorer(anns[0]), loss_model, 0.05)], anns, proposal, 96, sgd, rng_a
     )
     want, want_last = train_box_scorer_reference(
@@ -297,12 +303,23 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
     anns = [box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0)), box_encode((1.0, 0.0, 2.0, 3.0), (2.0, 3.0))]
     proposal = CountingProposal([0.5, 0.5], [0.05, 0.5], np.zeros(4))
     for loss_model in ("kl", "nll"):
-        built.update(labels=0, proposals=0, losses=0)
-        scorer = QuadraticScorer(anns[0].values, tau=0.2)
-        rng = np.random.Generator(np.random.PCG64(54))
-        train_box_scorer([(scorer, loss_model, 0.05)], anns, proposal, 16, SGDConfig(epochs=7), rng)
-        # The delta-label (nll) loss goes through the same divergence code.
-        assert built == {"labels": 2, "proposals": 2, "losses": 14}
+        for n_cells in (1, 3):
+            built.update(labels=0, proposals=0, losses=0)
+            cells = [
+                (
+                    [(QuadraticScorer(anns[0].values, tau=0.2), loss_model, 0.05)],
+                    anns,
+                    np.random.Generator(np.random.PCG64(54 + c)),
+                )
+                for c in range(n_cells)
+            ]
+            train_box_scorer(cells, proposal, 16, SGDConfig(epochs=7))
+            # One label per width and one proposal at the origin, whose
+            # densities the cells share; one recentered proposal per cell and
+            # annotation to draw from; one loss call per draw batch of the
+            # whole group.  The delta-label (nll) loss goes through the same
+            # divergence code.
+            assert built == {"labels": 1, "proposals": 1 + n_cells * len(anns), "losses": 14}
 
 
 def _lockstep_jobs():
@@ -321,7 +338,7 @@ def test_lockstep_jobs_match_each_job_trained_alone():
     proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
     sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
     rng = np.random.Generator(np.random.PCG64(55))
-    together = train_box_scorer(
+    together = _train_cell(
         [(_scorer(anns[0], tau), loss, sigma) for loss, sigma, tau in jobs],
         anns,
         proposal,
@@ -332,12 +349,77 @@ def test_lockstep_jobs_match_each_job_trained_alone():
     assert len(together) == len(jobs)
     for (loss, sigma, tau), (got, got_last) in zip(jobs, together):
         alone_rng = np.random.Generator(np.random.PCG64(55))
-        [(want, want_last)] = train_box_scorer(
+        [(want, want_last)] = _train_cell(
             [(_scorer(anns[0], tau), loss, sigma)], anns, proposal, 64, sgd, alone_rng
         )
         assert np.array_equal(got.mu, want.mu), (loss, sigma, tau)
         assert got_last == want_last, (loss, sigma, tau)
         assert alone_rng.bit_generator.state == rng.bit_generator.state
+
+
+def _group(taus_by_cell, seed):
+    # Cells with their own two annotations, their own start centers, their
+    # own streams and, per cell, the scorer widths given; every loss model
+    # and two label widths in every cell.
+    models = [(loss_model, sigma_bb) for loss_model in ("l2", "rl2", "nll", "kl") for sigma_bb in (0.05, 0.12)]
+    cells = []
+    for c, taus in enumerate(taus_by_cell):
+        anns = [
+            box_encode((3.0 + c, 2.0 - c, 4.0 + 0.5 * c, 5.0), (4.0, 5.0 + c)),
+            box_encode((1.0, -1.0 + c, 3.0, 2.5 + 0.25 * c), (3.5, 2.0)),
+        ]
+        jobs = [(_scorer(anns[c % 2], tau), loss, sigma) for (loss, sigma), tau in zip(models, taus)]
+        cells.append((jobs, anns, np.random.Generator(np.random.PCG64(seed + c))))
+    return cells
+
+
+@pytest.mark.parametrize("n_cells", [2, 5])
+def test_group_cells_match_each_cell_trained_alone(n_cells):
+    # Every scorer of a group ends bit for bit where its cell trained alone
+    # from an equally seeded generator ends (center and last-epoch loss),
+    # and every cell's generator ends in the same state.
+    taus = [[0.2 + 0.05 * ((c + j) % 3) for j in range(8)] for c in range(n_cells)]
+    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
+    sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
+    group = _group(taus, 60)
+    together = train_box_scorer(group, proposal, 48, sgd)
+    assert [len(cell) for cell in together] == [8] * n_cells
+    for (jobs, _, rng), got_cell, want_cell in zip(group, together, _group(taus, 60)):
+        want_jobs, anns, alone_rng = want_cell
+        alone = _train_cell(want_jobs, anns, proposal, 48, sgd, alone_rng)
+        assert [scorer for scorer, _, _ in jobs] == [scorer for scorer, _ in got_cell]
+        for (got, got_last), (want, want_last) in zip(got_cell, alone):
+            assert np.array_equal(got.mu, want.mu)
+            assert got.tau == want.tau
+            assert got_last == want_last
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+
+
+def test_train_validation_across_cells():
+    ann = box_encode((0.0, 0.0, 1.0, 1.0), (1.0, 1.0))
+    sgd = SGDConfig(epochs=2)
+
+    def cell(*jobs, annotations=(ann,)):
+        return ([(QuadraticScorer(np.zeros(4), tau=0.2), loss, sigma) for loss, sigma in jobs], list(annotations), rng)
+
+    rng = np.random.Generator(np.random.PCG64(59))
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionError, match="at least one cell"):
+        train_box_scorer([], PAPER_PROPOSAL, 4, sgd)
+    with pytest.raises(DomainError, match="same loss models and label widths"):
+        train_box_scorer([cell(("kl", 0.05)), cell(("nll", 0.05))], PAPER_PROPOSAL, 4, sgd)
+    with pytest.raises(DomainError, match="same loss models and label widths"):
+        train_box_scorer([cell(("kl", 0.05)), cell(("kl", 0.1))], PAPER_PROPOSAL, 4, sgd)
+    with pytest.raises(DomainError, match="same loss models and label widths"):
+        train_box_scorer([cell(("kl", 0.05)), cell(("kl", 0.05), ("l2", 0.05))], PAPER_PROPOSAL, 4, sgd)
+    with pytest.raises(DimensionError, match="same number of annotations"):
+        train_box_scorer([cell(("kl", 0.05)), cell(("kl", 0.05), annotations=(ann, ann))], PAPER_PROPOSAL, 4, sgd)
+    with pytest.raises(DimensionError, match="at least one job"):
+        train_box_scorer([cell(("kl", 0.05)), cell()], PAPER_PROPOSAL, 4, sgd)
+    shared = cell(("kl", 0.05))
+    with pytest.raises(DomainError, match="its own scorer"):
+        train_box_scorer([shared, shared], PAPER_PROPOSAL, 4, sgd)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize(
@@ -350,9 +432,10 @@ def test_lockstep_jobs_match_each_job_trained_alone():
     ],
 )
 def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities, labels, overlaps):
-    # Per epoch and annotation: one draw batch, at most one proposal density,
-    # one label density per distinct kl width, at most one overlap vector.
-    calls = {"sample": 0, "density": 0, "label": 0, "iou": 0}
+    # Per epoch and annotation: one draw batch per cell, and for the whole
+    # group at most one proposal density, one label density per distinct kl
+    # width, at most one overlap stack and at most one divergence loss call.
+    calls = {}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -365,31 +448,52 @@ def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities,
     monkeypatch.setattr(bbox, "proposal_density", counting("density", proposal_density))
     monkeypatch.setattr(bbox, "gaussian_density", counting("label", gaussian_density))
     monkeypatch.setattr(bbox, "iou_xywh", counting("iou", bbox.iou_xywh))
+    monkeypatch.setattr(bbox, "kl_mc_loss", counting("loss", kl_mc_loss))
     anns = [box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0)), box_encode((1.0, 0.0, 2.0, 3.0), (2.0, 3.0))]
-    jobs = [
-        (QuadraticScorer(anns[0].values, tau=0.2), loss_model, sigma_bb)
-        for loss_model in models
-        for sigma_bb in (0.05, 0.1, 0.05)
-    ]
-    rng = np.random.Generator(np.random.PCG64(56))
-    train_box_scorer(jobs, anns, PAPER_PROPOSAL, 16, SGDConfig(epochs=5), rng)
-    steps = 5 * len(anns)
-    assert calls == {"sample": steps, "density": densities * steps, "label": labels * steps, "iou": overlaps * steps}
+    # A group of cells shares the same calls: one draw batch per cell, the
+    # rest once per group.
+    for n_cells in (1, 3):
+        calls.update(sample=0, density=0, label=0, iou=0, loss=0)
+        cells = [
+            (
+                [
+                    (QuadraticScorer(anns[0].values, tau=0.2), loss_model, sigma_bb)
+                    for loss_model in models
+                    for sigma_bb in (0.05, 0.1, 0.05)
+                ],
+                anns,
+                np.random.Generator(np.random.PCG64(56 + c)),
+            )
+            for c in range(n_cells)
+        ]
+        train_box_scorer(cells, PAPER_PROPOSAL, 16, SGDConfig(epochs=5))
+        steps = 5 * len(anns)
+        assert calls == {
+            "sample": n_cells * steps,
+            "density": densities * steps,
+            "label": labels * steps,
+            "iou": overlaps * steps,
+            "loss": densities * steps,
+        }, n_cells
 
 
-def test_value_and_grad_params_stack_matches_the_separate_calls():
-    # Each row of the stacked call is bit for bit its scorer's value_batch
-    # and the closed-form center gradients (y - mu) / tau^2, with scorers
-    # that differ in centers and widths.
+def test_score_rows_and_bases_match_the_separate_calls():
+    # Each score row is bit for bit its scorer's value_batch, also when the
+    # rows are one cell's slice of a (jobs, cells, draws) stack, and each
+    # basis is the closed-form center gradient (y - mu) / tau^2, with
+    # scorers that differ in centers and widths.
     ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
     ys = proposal_sample(PAPER_PROPOSAL.recenter(ann.values), np.random.Generator(np.random.PCG64(58)), size=32)
     scorers = [QuadraticScorer(ann.values + shift, tau) for shift, tau in ((0.2, 0.2), (-0.1, 0.2), (0.0, 0.35))]
     centers = np.array([scorer.mu for scorer in scorers])
-    scores, bases = bbox._value_and_grad_params_stack(centers, np.array([s.tau**2 for s in scorers]), ys)
-    assert scores.shape == (3, 32) and scores.flags.c_contiguous
-    for scorer, s, basis in zip(scorers, scores, bases):
+    t2 = np.array([s.tau**2 for s in scorers])
+    stack = np.zeros((3, 2, 32))
+    bbox._score_rows(centers, t2, ys, stack[:, 1])
+    bases = bbox._grad_params_bases(centers, t2, ys)
+    assert bases.shape == (3, 4, 32) and not stack[:, 0].any()
+    for scorer, s, basis in zip(scorers, stack[:, 1], bases):
         assert np.array_equal(s, scorer.value_batch(ys))
-        assert np.array_equal(basis, (ys - scorer.mu) / scorer.tau**2)
+        assert np.array_equal(basis.T, (ys - scorer.mu) / scorer.tau**2)
 
 
 def test_sgd_config_validation():

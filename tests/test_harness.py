@@ -10,6 +10,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
@@ -186,6 +187,11 @@ def test_cli_rejects_bad_solver_settings(tmp_path, capsys, monkeypatch, tracker,
         ({"scorer_tau": 1e-200}, "scorer_tau must have a finite positive square, got 1e-200"),
         ({"scorer_family": "rbf"}, "unknown key(s) ['scorer_family'] in tracker section"),
         ({"scorer_family": "quadratic"}, "unknown key(s) ['scorer_family'] in tracker section"),
+        (
+            {"bb_epochs": 100000000},
+            "tracker.bb_epochs: 100000000 epochs x 768 bb_samples = 76800000000 box-training draws, over 157286400",
+        ),
+        ({"bb_epochs": 151, "bb_samples": 2**20}, "tracker.bb_epochs: 151 epochs x 1048576 bb_samples"),
     ],
 )
 def test_cli_rejects_bad_box_settings(tmp_path, capsys, monkeypatch, tracker, message):
@@ -301,6 +307,7 @@ def test_sequence_and_proposal_sizes_at_their_bounds_load(tmp_path):
     cfg = load_config(_write_config(tmp_path, payload))
     assert cfg.track_scenario["num_frames"] * 32 * 32 == harness.MAX_SEQUENCE_CELLS
     assert cfg.tracker.bb_samples == harness.MAX_BOX_SAMPLES
+    assert cfg.tracker.bb_epochs * cfg.tracker.bb_samples == harness.MAX_BOX_DRAWS
 
 
 def test_suite_cells_and_dump_slice_at_their_bounds_load(tmp_path):
@@ -523,6 +530,33 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {path} is not valid JSON: "), err
     assert "Traceback" not in err
+
+
+def test_config_files_past_the_byte_bound_exit_2(tmp_path, capsys):
+    # The file is read only up to one byte past the bound, so no file (not
+    # even /dev/zero) is read into memory whole.
+    at_bound = tmp_path / "at_bound.json"
+    at_bound.write_bytes(b"{}" + b" " * (harness.MAX_CONFIG_BYTES - 2))
+    assert load_config(str(at_bound)) == RunConfig()
+    over = tmp_path / "over.json"
+    over.write_bytes(b"{}" + b" " * (harness.MAX_CONFIG_BYTES - 1))
+    assert main(["track", "--config", str(over), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {over} is larger than {harness.MAX_CONFIG_BYTES} bytes\n"
+    assert not (tmp_path / "o").exists()
+
+
+CUSTOM_SPEC = {"preset": "drift", "osc_amp_x": 3.5, "start_y": 11.25, "target_w": 4.5}
+
+
+@pytest.mark.parametrize("spec", [*SCENARIO_PRESETS, CUSTOM_SPEC])
+def test_first_target_box_is_the_first_frame_annotation(spec):
+    # The suites train the box scorers from Scenario.target_box(0) before
+    # any sequence is rendered, so it must be frame 0's annotation.
+    for seed in (0, 7):
+        scenario = resolve_scenario(spec, seed)
+        first = tracker_module.generate_sequence(scenario).frames[0]
+        assert scenario.target_box(0) == first.ground_truth_box
 
 
 def test_resolve_scenario_presets_and_overrides():
@@ -802,6 +836,101 @@ def test_suite_renders_and_draws_once_per_cell(tmp_path, monkeypatch, command, c
     assert main([command, "--config", cfgpath, "--seed", "4", "--out", str(tmp_path / "o")]) == 0
     cells = 2 * 2
     assert calls == {"generate": cells, "sample": cells * 40, "cells": cells * configs}
+
+
+# Nine cells: a full group of eight and a group of one at --jobs 1.
+NINE_CELLS = {
+    "suite": {
+        "scenarios": [{"preset": name, "num_frames": 3} for name in ("static", "drift", "occlusion")],
+        "repetitions": 3,
+    },
+    "tracker": {"bb_epochs": 6, "bb_samples": 16},
+}
+
+
+def test_suite_trains_each_group_before_rendering_its_cells(tmp_path, monkeypatch):
+    # Each task trains its group's scorers, then renders its cells one at a
+    # time, each sequence gone before the next is rendered; the suite draws
+    # exactly cells x bb_epochs x bb_samples proposals.
+    events, drawn, rendered = [], [], []
+    original_sample = bbox.proposal_sample
+
+    def init_scorers(cfgs, cells):
+        cells = list(cells)
+        events.append(("train", len(cells)))
+        return tracker_module.init_scorers(cfgs, cells)
+
+    def generate_sequence(scenario):
+        events.append(("render", 1))
+        assert all(ref() is None for ref in rendered)
+        sequence = tracker_module.generate_sequence(scenario)
+        rendered.append(weakref.ref(sequence))
+        return sequence
+
+    def proposal_sample(*args, **kwargs):
+        out = original_sample(*args, **kwargs)
+        drawn.append(len(out))
+        return out
+
+    monkeypatch.setattr(harness, "init_scorers", init_scorers)
+    monkeypatch.setattr(harness, "generate_sequence", generate_sequence)
+    monkeypatch.setattr(bbox, "proposal_sample", proposal_sample)
+    cfgpath = _write_config(tmp_path, NINE_CELLS)
+    assert main(["compare-losses", "--config", cfgpath, "--seed", "2", "--out", str(tmp_path / "o")]) == 0
+    assert harness._GROUP_CELLS == 8
+    assert events == [("train", 8)] + [("render", 1)] * 8 + [("train", 1), ("render", 1)]
+    assert sum(drawn) == 9 * 6 * 16 and set(drawn) == {16}
+
+
+@pytest.mark.parametrize("bb_samples,groups", [(768, [5]), (2048, [3, 2]), (6145, [1] * 5)])
+def test_suite_groups_hold_a_bounded_number_of_draws(tmp_path, monkeypatch, bb_samples, groups):
+    # A group holds at most _GROUP_DRAWS draws per batch across its cells,
+    # and at least one cell.
+    sizes = []
+
+    def init_scorers(cfgs, cells):
+        sizes.append(len(cells))
+        return tracker_module.init_scorers(cfgs, cells)
+
+    monkeypatch.setattr(harness, "init_scorers", init_scorers)
+    payload = {
+        "suite": {"scenarios": [{"preset": "static", "num_frames": 2}], "repetitions": 5},
+        "tracker": {"bb_epochs": 1, "bb_samples": bb_samples},
+    }
+    cfgpath = _write_config(tmp_path, payload)
+    assert main(["compare-losses", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 0
+    assert harness._GROUP_DRAWS == 8 * 768
+    assert sizes == groups
+
+
+def test_suite_csv_is_independent_of_the_group_size(tmp_path, monkeypatch):
+    cfgpath = _write_config(tmp_path, NINE_CELLS)
+    outputs = []
+    for size in (8, 1, 4):
+        monkeypatch.setattr(harness, "_GROUP_CELLS", size)
+        out = tmp_path / f"group{size}"
+        assert main(["compare-losses", "--config", cfgpath, "--seed", "2", "--out", str(out)]) == 0
+        outputs.append((out / "compare_losses.csv").read_bytes())
+    assert outputs[1] == outputs[0] == outputs[2]
+
+
+def test_group_training_memory_stays_within_a_few_cells():
+    # A group holds its cells' draws, offsets, densities, overlaps and score
+    # rows together (about 200 KB a cell at 768 draws and four loss models),
+    # but recomputes each cell's (jobs x 4 x draws) gradient bases: holding
+    # them for a group of 8 would add 786 KB and break this bound.
+    cfgs = [TrackerConfig(loss_model=model, scorer_init="train", bb_epochs=3) for model in LOSS_MODELS]
+    peaks = []
+    for n in (1, harness._GROUP_CELLS):
+        cells = [((20.0 + i, 20.0, 6.0, 5.0 + i), np.random.Generator(np.random.PCG64(i))) for i in range(n)]
+        tracemalloc.start()
+        try:
+            tracker_module.init_scorers(cfgs, cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 5 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,10 @@ def test_init_scorers_match_each_config_alone(family):
         for loss, sigma, tau in (("l2", 0.05, 0.2), ("kl", 0.05, 0.2), ("kl", 0.1, 0.3), ("nll", 0.05, 0.2))
     ]
     rng = np.random.Generator(np.random.PCG64(18))
-    together = init_scorers(cfgs, BOX, rng)
+    [together] = init_scorers(cfgs, [(BOX, rng)])
     for cfg, got in zip(cfgs, together):
         alone_rng = np.random.Generator(np.random.PCG64(18))
-        [want] = init_scorers([cfg], BOX, alone_rng)
+        [[want]] = init_scorers([cfg], [(BOX, alone_rng)])
         assert np.array_equal(got.mu, want.mu)
         assert got.tau == want.tau == cfg.scorer_tau
         assert alone_rng.bit_generator.state == rng.bit_generator.state
@@ -163,7 +163,7 @@ def test_init_with_a_given_scorer_matches_building_it():
     seq = generate_sequence(STATIC)
     frame = seq.frames[0]
     cfg = TrackerConfig(**SHORT_TRAINING)
-    [scorer] = init_scorers([cfg], frame.ground_truth_box, np.random.Generator(np.random.PCG64(20)))
+    [[scorer]] = init_scorers([cfg], [(frame.ground_truth_box, np.random.Generator(np.random.PCG64(20)))])
     given = track_init(frame, frame.ground_truth_box, cfg, scorer=scorer)
     built = track_init(frame, frame.ground_truth_box, cfg, np.random.Generator(np.random.PCG64(20)))
     assert given.scorer is scorer
@@ -187,8 +187,29 @@ def test_init_scorers_rejects_configs_that_disagree_on_box_settings(field, value
     rng = np.random.Generator(np.random.PCG64(21))
     state = rng.bit_generator.state
     with pytest.raises(DomainError, match=field):
-        init_scorers(cfgs, BOX, rng)
+        init_scorers(cfgs, [(BOX, rng)])
     assert rng.bit_generator.state == state
+
+
+def test_init_scorers_of_a_group_match_each_cell_alone():
+    # Cells with their own boxes and streams train together; each cell's
+    # scorers equal the ones it gets alone, and each stream ends where it
+    # would alone.
+    cfgs = [
+        TrackerConfig(loss_model=loss, sigma_bb=sigma, scorer_tau=tau, **SHORT_TRAINING)
+        for loss, sigma, tau in (("rl2", 0.05, 0.2), ("kl", 0.05, 0.2), ("kl", 0.1, 0.3), ("nll", 0.05, 0.25))
+    ]
+    boxes = [BOX, (14.0, 9.5, 3.0, 7.5), (31.0, 22.0, 9.0, 5.0)]
+    streams = [np.random.Generator(np.random.PCG64(22 + i)) for i in range(len(boxes))]
+    group = init_scorers(cfgs, list(zip(boxes, streams)))
+    assert [len(row) for row in group] == [len(cfgs)] * len(boxes)
+    for i, (box, stream, got) in enumerate(zip(boxes, streams, group)):
+        alone_rng = np.random.Generator(np.random.PCG64(22 + i))
+        [want] = init_scorers(cfgs, [(box, alone_rng)])
+        for g, w, cfg in zip(got, want, cfgs):
+            assert np.array_equal(g.mu, w.mu)
+            assert g.tau == w.tau == cfg.scorer_tau
+        assert alone_rng.bit_generator.state == stream.bit_generator.state
 
 
 def test_search_region_is_odd_and_fits_the_kernel():
