@@ -12,17 +12,17 @@ train_box_scorer fits scorers to annotated boxes by drawing proposal
 samples around each annotation and following the Monte Carlo divergence
 gradient, or one of the squared-error / hinged / delta-label objectives
 for side-by-side comparisons.  It trains a group of cells in lockstep.
-A cell is a list of jobs, each a (scorer, loss model, label width)
-triple, with its own annotations and its own proposal stream; the cells
-share one job layout.  Each draw batch is one stacked problem over all
-(cell x job) rows.  Once per cell and draw batch: the draws and the
-cell's score rows.  Once per group and draw batch: the proposal density,
-one label density per kl width, the overlaps, one kl_mc_loss call over the
-kl and nll rows, one exp over the l2 and rl2 rows and one step of the
-(cells x jobs x 4) stack of centers.  Once per row: the dot products of
-its loss value and parameter gradient, and the nll annotation term.
-Every job ends exactly as it would if trained alone in its cell from an
-equally seeded generator.
+Every cell shares one list of jobs, each a (loss model, label width,
+scorer width) triple, and brings its own annotation and its own proposal
+stream; every center starts on its cell's annotation.  Each draw batch is
+one stacked problem over all (job x cell) rows.  Once per cell and draw
+batch: the draws and the cell's score rows.  Once per group and draw
+batch: the proposal density, one label density per kl width, the
+overlaps, one kl_mc_loss call over the kl and nll rows, one exp over the
+l2 and rl2 rows and one step of the (cells x jobs x 4) stack of centers.
+Once per row: the dot products of its loss value and parameter gradient,
+and the nll annotation term.  Every center ends exactly as it would if
+its job were trained alone in its cell from an equally seeded generator.
 
 refine_box ascends the score from a start box in one QuadraticScorer.ascend
 call.  The ascent reads mu and tau once and steps on 4 local Python floats
@@ -208,36 +208,30 @@ def _grad_params_bases(centers: np.ndarray, t2: np.ndarray, ys: np.ndarray) -> n
 # Row order of the per-batch score stack: the divergence rows (kl, nll) go
 # through one kl_mc_loss call, the squared-error rows (l2, rl2) share one exp.
 _ROW_ORDER = ("kl", "nll", "l2", "rl2")
+# The rl2 box loss hinges the draws whose overlap with the annotation is at
+# most this, so far from the box only a confidence above zero costs.  It is
+# the box stage's own threshold: TrackerConfig.rl2_threshold is the stage-1
+# label threshold of the center solver and does not reach here.
+_RL2_OVERLAP = 0.05
 
 
-def _check_cells(cells, samples_per_annotation: int):
-    """The cells as lists; DimensionError or DomainError before anything is drawn."""
-    cells = [(list(jobs), list(annotations), rng) for jobs, annotations, rng in cells]
-    if not cells:
+def _check_jobs(jobs, anchors, rngs, samples_per_annotation: int):
+    """DimensionError or DomainError before anything is drawn."""
+    if not jobs:
+        raise DimensionError("train_box_scorer needs at least one job")
+    if not anchors:
         raise DimensionError("train_box_scorer needs at least one cell")
-    for jobs, annotations, _ in cells:
-        if not jobs:
-            raise DimensionError("train_box_scorer needs at least one job")
-        if not annotations:
-            raise DimensionError("train_box_scorer needs at least one annotation")
+    if len(rngs) != len(anchors):
+        raise DimensionError(f"train_box_scorer needs one rng per cell, got {len(rngs)} for {len(anchors)} cells")
     if samples_per_annotation < 2:
         raise DomainError("need at least 2 samples per annotation")
-    first_jobs, first_annotations, _ = cells[0]
-    for _, loss_model, sigma_bb in first_jobs:
-        if not (sigma_bb > 0):
-            raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
+    for loss_model, sigma_bb, tau in jobs:
         if loss_model not in LOSS_MODELS:
             raise DomainError(f"unknown loss model {loss_model!r}; pick one of {LOSS_MODELS}")
-    layout = [job[1:] for job in first_jobs]
-    for jobs, annotations, _ in cells[1:]:
-        if [job[1:] for job in jobs] != layout:
-            raise DomainError("every cell needs the same loss models and label widths, in the same order")
-        if len(annotations) != len(first_annotations):
-            raise DimensionError("every cell needs the same number of annotations")
-    scorers = [scorer for jobs, _, _ in cells for scorer, _, _ in jobs]
-    if len({id(scorer) for scorer in scorers}) < len(scorers):
-        raise DomainError("every job needs its own scorer")
-    return cells
+        if not (sigma_bb > 0):
+            raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
+        if not (tau > 0 and 0.0 < float(tau) * float(tau) < math.inf):
+            raise DomainError(f"tau must have a finite positive square, got {tau}")
 
 
 # A diverging run overflows its scores or steps to inf or nan.  The
@@ -245,23 +239,24 @@ def _check_cells(cells, samples_per_annotation: int):
 # only print the same failure again.
 @np.errstate(over="ignore", invalid="ignore")
 def train_box_scorer(
-    cells,
+    jobs,
+    anchors,
+    rngs,
     proposal: MixtureProposal,
     samples_per_annotation: int,
     sgd: SGDConfig,
-) -> list[list[tuple[QuadraticScorer, float]]]:
-    """Fit scorers to annotated boxes with stochastic first-order updates.
+) -> np.ndarray:
+    """Fit scorer centers to annotated boxes with stochastic first-order updates.
 
-    cells is a sequence of (jobs, annotations, rng) triples, trained in
-    lockstep; jobs is a sequence of (scorer, loss_model, sigma_bb)
-    triples.  Every cell has the same loss models and label widths in the
-    same order, and the same number of annotations; scorer widths may
-    differ.  Per epoch and annotation, each cell draws
-    samples_per_annotation proposals from its own rng, from `proposal`
-    recentered on its annotation, evaluates every job's loss at those draws
-    and steps its scorer center along the gradient.
+    jobs is a sequence of (loss_model, sigma_bb, tau) triples that every
+    cell shares; anchors holds one annotation (a BoxParam) per cell and
+    rngs one generator per cell.  Every center starts on its cell's
+    annotation.  Per epoch, each cell draws samples_per_annotation
+    proposals from its own rng, from `proposal` recentered on its
+    annotation, evaluates every job's loss at those draws and steps the
+    job's center along the gradient of a quadratic scorer of width tau.
 
-    Each draw batch is one stacked problem over all (cell x job) rows, as
+    Each draw batch is one stacked problem over all (job x cell) rows, as
     the module docstring lays out.  The densities are taken at each draw's
     offset from its cell's annotation, under a proposal and labels centered
     at the origin, so their squared distances are the ones to the
@@ -269,56 +264,41 @@ def train_box_scorer(
     recomputed after the loss call rather than held for the whole group,
     which keeps the group's memory to a few score-sized rows per cell.  Each
     row is computed in the order a job alone would compute it, and a row's
-    updates read only its own center and its cell's draws, so every job
+    updates read only its own center and its cell's draws, so every center
     ends bit for bit where a run of its cell alone, with that job alone,
     on an equally seeded generator ends.
 
-    The recentered proposals are built once per cell and annotation, and
-    the labels once per width, before the first epoch.  The final centers
-    are the average of the iterates over the last half of the epochs,
-    which removes most of the stationary sampling noise; each scorer's mu
-    is set once, to its final center.  Returns, per cell, one (scorer,
-    mean loss seen in the final epoch) per job.  NumericError once a job's
-    scores, loss or stepped center are not finite.
+    The recentered proposals are built once per cell, and the labels once
+    per width, before the first epoch.  Returns the (cells x jobs x 4)
+    final centers in job order, each the average of its iterates over the
+    last half of the epochs, which removes most of the stationary sampling
+    noise.  NumericError once a job's scores, loss or stepped center are not
+    finite; DomainError if an average is not.
     """
-    cells = _check_cells(cells, samples_per_annotation)
+    _check_jobs(jobs, anchors, rngs, samples_per_annotation)
     k = int(samples_per_annotation)
-    n_cells = len(cells)
-    first_jobs = cells[0][0]
-    order = sorted(range(len(first_jobs)), key=lambda i: _ROW_ORDER.index(first_jobs[i][1]))
-    models = [first_jobs[i][1] for i in order]
+    n_cells = len(anchors)
+    order = sorted(range(len(jobs)), key=lambda i: _ROW_ORDER.index(jobs[i][0]))
+    models = [jobs[i][0] for i in order]
     n_jobs = len(models)
     n_div = sum(model in DENSITY_MODELS for model in models)
     n_l2 = models.count("l2")
-    scorers = [[jobs[i][0] for i in order] for jobs, _, _ in cells]
-    centers = np.array([[scorer.mu for scorer in row] for row in scorers])
-    t2 = np.array([[scorer.tau**2 for scorer in row] for row in scorers])
+    t2 = np.array([float(jobs[i][2]) ** 2 for i in order])
     # A label per distinct width checks every job's width; only the kl
     # jobs' labels are evaluated at the draws.  The nll rows get a zero
     # label: the delta label has no density at the draws.
     origin = np.zeros(BOX_DIM)
-    labels = {sigma: GaussianLabel(origin, sigma) for _, _, sigma in first_jobs}
-    kl_sigmas = list(dict.fromkeys(first_jobs[i][2] for i in order[:n_div] if first_jobs[i][1] == "kl"))
-    # Score row j * cells + c is job j of cell c; label row i * cells + c
-    # is kl width i at cell c's draws, and proposal row c is cell c's.
-    label_rows = [
-        None if model == "nll" else kl_sigmas.index(first_jobs[i][2]) * n_cells + c
-        for i, model in zip(order[:n_div], models)
-        for c in range(n_cells)
-    ]
-    proposal_rows = list(range(n_cells)) * n_div
+    labels = {sigma: GaussianLabel(origin, sigma) for _, sigma, _ in jobs}
+    kl_sigmas = list(dict.fromkeys(jobs[i][1] for i in order[:n_div] if jobs[i][0] == "kl"))
+    label_rows = [None if model == "nll" else kl_sigmas.index(jobs[i][1]) for i, model in zip(order, models[:n_div])]
     q_origin = proposal.recenter(origin)
-    streams = [rng for _, _, rng in cells]
-    # Per annotation index, per cell: the annotation and its recentered
-    # proposal; then the cells' annotations as a (cells, 4) stack and, for
-    # the overlaps, their decoded boxes as a (cells, 1, 4) stack.
-    steps = [
-        [(annotations[a], proposal.recenter(annotations[a].values)) for _, annotations, _ in cells]
-        for a in range(len(cells[0][1]))
-    ]
-    anchors = [np.array([ann.values for ann, _ in step]) for step in steps]
+    proposals = [proposal.recenter(anchor.values) for anchor in anchors]
+    # The annotations as a (cells, 4) stack and, for the overlaps, their
+    # decoded boxes as a (cells, 1, 4) stack.
+    starts = np.array([anchor.values for anchor in anchors])
     if n_div < n_jobs:
-        boxes = [np.array([ann.decode() for ann, _ in step])[:, None, :] for step in steps]
+        boxes = np.array([anchor.decode() for anchor in anchors])[:, None, :]
+    centers = np.repeat(starts[:, None, :], n_jobs, axis=1)
     scores = np.empty((n_jobs, n_cells, k))
     # Each draw's offset from its annotation, then its decoded box.
     coords = np.empty((n_cells, BOX_DIM, k))
@@ -328,82 +308,66 @@ def train_box_scorer(
     tail = np.zeros_like(centers)
     for epoch in range(sgd.epochs):
         lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
-        values = [[[] for _ in range(n_jobs)] for _ in cells]
-        for a, step in enumerate(steps):
-            draws = [proposal_sample(q, rng, size=k) for (_, q), rng in zip(step, streams)]
+        draws = [proposal_sample(q, rng, size=k) for q, rng in zip(proposals, rngs)]
+        for c, ys in enumerate(draws):
+            _score_rows(centers[c], t2, ys, scores[:, c])
+        if n_div:
             for c, ys in enumerate(draws):
-                _score_rows(centers[c], t2[c], ys, scores[:, c])
-            if n_div:
-                for c, ys in enumerate(draws):
-                    np.subtract(ys.T, anchors[a][c][:, None], out=coords[c])
-                div = scores[:n_div].reshape(n_div * n_cells, k)
-                at = coords.transpose(0, 2, 1)
-                proposal_dens = proposal_density(q_origin, at)
-                for i, sigma in enumerate(kl_sigmas):
-                    label_dens[i] = gaussian_density(labels[sigma], at)
-                try:
-                    lvg = kl_mc_loss(
-                        div, label_dens.reshape(-1, k), proposal_dens, label_rows, proposal_rows
-                    )
-                except DomainError:
-                    # Scores that diverged are a training failure, not bad input.
-                    finite = np.isfinite(scores[:n_div]).all(axis=2).all(axis=1)
-                    if finite.all():
-                        raise
-                    raise NumericError(f"non-finite {models[finite.argmin()]} training loss at epoch {epoch}") from None
-                div_values = lvg.value.tolist()
-            if n_div < n_jobs:
-                # Squared-error families regress the confidence exp(s) — range
-                # (0, 1], same argmax as s — onto the overlap with the
-                # annotation; regressing the raw score of a quadratic field onto
-                # [0, 1] targets is hopelessly scaled (score ~ -d^2/(2 tau^2) at
-                # proposal distance d).
-                for c, ((ann, _), ys) in enumerate(zip(step, draws)):
-                    _decode_batch(ys, ann.reference, coords[c])
-                overlaps = iou_xywh(coords.transpose(0, 2, 1), boxes[a])
-                conf = np.exp(scores[n_div:])
-                resid = conf - overlaps
-                if n_div + n_l2 < n_jobs:
-                    # rl2 hinges the draws far from the annotation: max(0, c) == c.
-                    np.copyto(resid[n_l2:], conf[n_l2:], where=~(overlaps > 0.05))
-                weighted = resid * conf
-            for c, ys in enumerate(draws):
-                bases = _grad_params_bases(centers[c], t2[c], ys)
-                losses = []
-                for row in range(n_div):
-                    r = row * n_cells + c
-                    value, grad = div_values[r], lvg.grad_scores[r] @ bases[row].T
+                np.subtract(ys.T, starts[c][:, None], out=coords[c])
+            at = coords.transpose(0, 2, 1)
+            proposal_dens = proposal_density(q_origin, at)
+            for i, sigma in enumerate(kl_sigmas):
+                label_dens[i] = gaussian_density(labels[sigma], at)
+            try:
+                lvg = kl_mc_loss(scores[:n_div], label_dens, proposal_dens, label_rows)
+            except DomainError:
+                # Scores that diverged are a training failure, not bad input.
+                finite = np.isfinite(scores[:n_div]).all(axis=2).all(axis=1)
+                if finite.all():
+                    raise
+                raise NumericError(f"non-finite {models[finite.argmin()]} training loss at epoch {epoch}") from None
+            div_values = lvg.value.tolist()
+        if n_div < n_jobs:
+            # Squared-error families regress the confidence exp(s) — range
+            # (0, 1], same argmax as s — onto the overlap with the
+            # annotation; regressing the raw score of a quadratic field onto
+            # [0, 1] targets is hopelessly scaled (score ~ -d^2/(2 tau^2) at
+            # proposal distance d).
+            for c, (anchor, ys) in enumerate(zip(anchors, draws)):
+                _decode_batch(ys, anchor.reference, coords[c])
+            overlaps = iou_xywh(coords.transpose(0, 2, 1), boxes)
+            conf = np.exp(scores[n_div:])
+            resid = conf - overlaps
+            if n_div + n_l2 < n_jobs:
+                # rl2 hinges the draws far from the annotation: max(0, c) == c.
+                np.copyto(resid[n_l2:], conf[n_l2:], where=~(overlaps > _RL2_OVERLAP))
+            weighted = resid * conf
+        for c, ys in enumerate(draws):
+            bases = _grad_params_bases(centers[c], t2, ys)
+            for row in range(n_jobs):
+                if row < n_div:
+                    value, grad = div_values[row][c], lvg.grad_scores[row, c] @ bases[row].T
                     if models[row] == "nll":
                         # The delta-label loss is the divergence with zero label
                         # densities at the draws, minus the score at the annotation.
-                        d = anchors[a][c] - centers[c, row]
-                        value -= _score(*d.tolist(), -2.0 * t2[c, row])
-                        grad -= d / t2[c, row]
-                    losses.append((value, grad))
-                for row in range(n_div, n_jobs):
+                        d = starts[c] - centers[c, row]
+                        value -= _score(*d.tolist(), -2.0 * t2[row])
+                        grad -= d / t2[row]
+                else:
                     res, w = resid[row - n_div, c], weighted[row - n_div, c]
-                    losses.append((float(res @ res) / k, (2.0 / k) * (w @ bases[row].T)))
-                for row, (value, grad) in enumerate(losses):
-                    if not math.isfinite(value):
-                        raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
-                    values[c][order[row]].append(value)
-                    grads[c, row] = grad
-            # A non-finite gradient or a step that overflows leaves
-            # non-finite centers.
-            centers = centers - lr * grads
-            if not np.isfinite(centers).all():
-                row = int(np.isfinite(centers).all(axis=2).all(axis=0).argmin())
-                raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
+                    value, grad = float(res @ res) / k, (2.0 / k) * (w @ bases[row].T)
+                if not math.isfinite(value):
+                    raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
+                grads[c, row] = grad
+        # A non-finite gradient or a step that overflows leaves non-finite
+        # centers.
+        centers = centers - lr * grads
+        if not np.isfinite(centers).all():
+            row = int(np.isfinite(centers).all(axis=2).all(axis=0).argmin())
+            raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
         if epoch >= tail_start:
             tail += centers
-    means = [[_as_float_array(mean, 1, "scorer center") for mean in row] for row in tail / (sgd.epochs - tail_start)]
-    for row, cell_means in zip(scorers, means):
-        for scorer, mean in zip(row, cell_means):
-            scorer.mu = mean
-    return [
-        [(scorer, float(np.mean(seen))) for (scorer, _, _), seen in zip(jobs, cell_values)]
-        for (jobs, _, _), cell_values in zip(cells, values)
-    ]
+    return _as_float_array((tail / (sgd.epochs - tail_start))[:, np.argsort(order)], 3, "scorer center")
 
 
 @dataclass(frozen=True)

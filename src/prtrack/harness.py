@@ -30,20 +30,22 @@ its sequence seed from --seed so that repetitions are reproducible).
 load_config reads at most MAX_CONFIG_BYTES of the file, checks every value
 against the annotations of TrackerConfig, Scenario and RunConfig, then the
 ranges, the sizes and work (MAX_SEQUENCE_CELLS, MAX_CROP_CELLS,
-MAX_BOX_SAMPLES, MAX_BOX_DRAWS, MAX_SUITE_CELLS) and the dump frame, so a
-config that loads runs without a usage error.
+MAX_BOX_SAMPLES, MAX_BOX_DRAWS, MAX_SOLVER_ITERATIONS, MAX_TRAINING_ROWS,
+MAX_SUITE_CELLS) and the dump frame, so a config that loads runs without a
+usage error.
 
 Determinism: each (scenario, repetition) cell owns its RNG streams, seeded
 as master + 103 * scenario_index + 10007 * repetition (the tracker stream
 adds a fixed offset), so outputs are bit-identical for equal (config,
 seed) regardless of --jobs.  compare-losses and sigma-sweep run
-group-major: one task per group of up to _GROUP_CELLS cells first builds
-the box scorers of every cell and tracker config, from each scenario's
-first box and each cell's one tracker stream, and trains them in lockstep
-as one stacked problem (each scorer is exactly the one its config would
-train alone in its cell).  It then renders each cell's sequence once and
-tracks it once per config.  So the loss models share one rendered
-sequence and one proposal stream per cell.
+group-major: one task per group of cells, as many as hold _GROUP_DRAWS
+proposal draws per batch (at least one), first builds the box scorers of
+every cell and tracker config, from each scenario's first box and each
+cell's one tracker stream, and trains them in lockstep as one stacked
+problem (each scorer is exactly the one its config would train alone in
+its cell).  It then renders each cell's sequence once and tracks it once
+per config.  So the loss models share one rendered sequence and one
+proposal stream per cell.
 """
 
 from __future__ import annotations
@@ -92,16 +94,18 @@ MAX_SUITE_CELLS = 2**16  # suite scenarios x repetitions
 # bb_samples is the most.
 MAX_BOX_DRAWS = 150 * MAX_BOX_SAMPLES
 MAX_CONFIG_BYTES = 2**22  # size of the --config file
-# Suite cells per task.  A task trains the box scorers of its cells as one
-# stacked problem, which shares each draw batch's fixed per-call cost
-# across the group.  The group's draws, densities and score rows are held
-# together (about 1.5 MB for 8 cells at the default 768 draws), so larger
-# groups trade peak memory for a smaller further gain.
-_GROUP_CELLS = 8
-# Proposal draws per batch that one group may hold across its cells: 8
-# cells at the default bb_samples.  A larger bb_samples gets fewer cells per
-# group (at least one), so its memory grows no faster than one cell's.
-_GROUP_DRAWS = _GROUP_CELLS * 768
+MAX_SOLVER_ITERATIONS = 1000  # init_iterations, online_iterations: 100x the default first-frame solve
+# Proposal draws per batch that one suite task holds across its cells: 8
+# cells at the default bb_samples, at least one cell.  A task trains the box
+# scorers of its cells as one stacked problem, which shares each draw
+# batch's fixed per-call cost across the group.  The group's draws,
+# densities and score rows are held together (about 1.5 MB for 8 cells at
+# 768 draws), so larger groups trade peak memory for a smaller further gain.
+_GROUP_DRAWS = 8 * 768
+# Tracker configs x draws of one task's batch, max(bb_samples, _GROUP_DRAWS):
+# the score rows a suite task holds at once.  compare-losses at the largest
+# bb_samples is the most it needs; only a long sweep.values list goes past it.
+MAX_TRAINING_ROWS = 4 * MAX_BOX_SAMPLES
 
 SCENARIO_PRESETS: dict[str, dict] = {
     # A target parked on a cell center, nothing else in the scene.
@@ -267,8 +271,10 @@ def load_config(path: str | None) -> RunConfig:
 def _check_resolved(cfg: RunConfig):
     """Reject, before any sequence is rendered, what no run could build or compute.
 
-    bb_samples, the box-training draws bb_epochs x bb_samples, the suite's
-    cell count and the dump slice are bounded.  One
+    bb_samples, the box-training draws bb_epochs x bb_samples, the solver
+    iterations, the box-training rows of a sweep (its values times the
+    draws per suite task's batch), the suite's cell count and the dump
+    slice are bounded.  One
     pass over the scenario specs builds each Scenario (the seed does not
     enter its checks) and bounds its sequence's size, its target's sigma_tc
     and its search region (as track_init resolves them, from the sizes
@@ -286,6 +292,16 @@ def _check_resolved(cfg: RunConfig):
         draws <= MAX_BOX_DRAWS,
         f"tracker.bb_epochs: {tracker.bb_epochs} epochs x {tracker.bb_samples} bb_samples"
         f" = {draws} box-training draws, over {MAX_BOX_DRAWS}",
+    )
+    for name in ("init_iterations", "online_iterations"):
+        n = getattr(tracker, name)
+        _expect(n <= MAX_SOLVER_ITERATIONS, f"tracker.{name} must be at most {MAX_SOLVER_ITERATIONS}, got {n}")
+    batch = max(tracker.bb_samples, _GROUP_DRAWS)
+    rows = len(cfg.sweep_values) * batch
+    _expect(
+        rows <= MAX_TRAINING_ROWS,
+        f"sweep.values: {len(cfg.sweep_values)} values x {batch} draws per batch"
+        f" = {rows} box-training rows, over {MAX_TRAINING_ROWS}",
     )
     cells = len(cfg.scenarios) * cfg.repetitions
     _expect(
@@ -381,8 +397,8 @@ def _suite_metrics(cfg: RunConfig, variants, master_seed: int, jobs: int):
 
     A variant is a dict of field overrides of cfg.tracker, applied with
     scorer_init "train".  The (scenario, repetition) cells, in
-    scenario-major order, are cut into groups of at most _GROUP_CELLS cells
-    and _GROUP_DRAWS draws per batch, and into at least min(jobs, cells)
+    scenario-major order, are cut into groups of at most _GROUP_DRAWS draws
+    per batch (at least one cell), and into at least min(jobs, cells)
     groups so that no worker lacks a task.  One task per group tracks every
     variant on each of its cells; the means run over the cells in
     scenario-major order.
@@ -393,11 +409,7 @@ def _suite_metrics(cfg: RunConfig, variants, master_seed: int, jobs: int):
         for si, spec in enumerate(cfg.scenarios)
         for rep in range(cfg.repetitions)
     ]
-    size = min(
-        _GROUP_CELLS,
-        max(1, _GROUP_DRAWS // cfg.tracker.bb_samples),
-        -(-len(seeds) // min(jobs, len(seeds))),
-    )
+    size = min(max(1, _GROUP_DRAWS // cfg.tracker.bb_samples), -(-len(seeds) // min(jobs, len(seeds))))
     tasks = [partial(_run_cell_group, seeds[i : i + size], tracker_cfgs) for i in range(0, len(seeds), size)]
     cells = [cell for group in _run_cells(tasks, jobs) for cell in group]
     return [

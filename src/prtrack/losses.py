@@ -247,56 +247,38 @@ def kl_grid_loss(
     return LossValueGrad(math.log(cell_area) + value, Grid2D(grad))
 
 
-def kl_mc_loss(
-    sample_scores, label_densities, proposal_densities, label_rows=None, proposal_rows=None
-) -> LossValueGrad:
+def kl_mc_loss(sample_scores, label_densities, proposal_densities, label_rows=None) -> LossValueGrad:
     """Importance-sampled divergence at K proposal draws.
 
     value = log( (1/K) sum_k exp(s_k) / q_k ) - (1/K) sum_k s_k p_k / q_k
     with p_k the label density and q_k the proposal density at draw k.
     The first term is evaluated as a shifted log-sum-exp over s_k - log q_k.
 
-    Stacked form: sample_scores is an (R, K) stack of score rows,
-    label_densities an (L, K) stack of labels, and label_rows gives each
-    score row the index of its label, or None for a zero label (default:
-    row r uses label r).  proposal_densities is one (K,) row that every
-    score row shares, or a (Q, K) stack with proposal_rows giving each
-    score row the index of its proposal row (default: row r uses row r);
-    rows that share a proposal row are scored at the same draws, so every
-    score row of one label must name the same proposal row.  The inputs are
-    checked and log q is taken once per call, p/q and p/(q K) once per
-    label; value is then an (R,) array and grad_scores an (R, K) stack,
-    each row bit for bit what the one-row call returns (with np.zeros(K)
-    for a zero label).
+    Stacked form, over C cells that each draw their own K proposals:
+    sample_scores is a (J, C, K) stack of score rows, one per job and cell,
+    label_densities an (L, C, K) stack of labels, proposal_densities one
+    (C, K) row per cell, and label_rows gives each job the index of its
+    label, or None for a zero label (default: job j uses label j).  The
+    inputs are checked and log q is taken once per call, p/q and p/(q K)
+    once per label; value is then a (J, C) array and grad_scores a
+    (J, C, K) stack, each row bit for bit what the one-row call returns
+    (with np.zeros(K) for a zero label).
     """
     s = np.asarray(sample_scores, dtype=np.float64)
     p = np.asarray(label_densities, dtype=np.float64)
     q = np.asarray(proposal_densities, dtype=np.float64)
     single = s.ndim == 1
-    if single and p.ndim == 1 and label_rows is None:
-        s, p = s[None, :], p[None, :]
-    if not (s.ndim == p.ndim == 2 and q.ndim in (1, 2)) or not (s.shape[1] == p.shape[1] == q.shape[-1]):
-        raise DimensionError("sample scores and densities must be 1D arrays, or stacks of rows, of equal length")
+    if single and label_rows is None:
+        s, p, q = s[None, None], p[None, None], q[None]
+    if not (s.ndim == p.ndim == 3 and q.ndim == 2 and s.shape[1:] == p.shape[1:] == q.shape):
+        raise DimensionError(
+            "sample scores and densities must be 1D arrays of equal length,"
+            " or (jobs, cells, K), (labels, cells, K) and (cells, K) stacks"
+        )
     rows = range(len(s)) if label_rows is None else list(label_rows)
     if len(rows) != len(s) or not all(i is None or 0 <= i < len(p) for i in rows):
-        raise DimensionError(f"label_rows must give each of the {len(s)} score rows one of {len(p)} labels or None")
-    if q.ndim == 1:
-        if proposal_rows is not None:
-            raise DimensionError("proposal_rows needs a stack of proposal rows")
-        q = q[None, :]
-        q_rows = [0] * len(s)
-    else:
-        q_rows = range(len(s)) if proposal_rows is None else list(proposal_rows)
-        if len(q_rows) != len(s) or not all(0 <= j < len(q) for j in q_rows):
-            raise DimensionError(
-                f"proposal_rows must give each of the {len(s)} score rows one of {len(q)} proposal rows"
-            )
-    # The proposal row of each label: the one its score rows name.
-    label_q = {}
-    for i, j in zip(rows, q_rows):
-        if i is not None and label_q.setdefault(i, j) != j:
-            raise DimensionError(f"label row {i} serves score rows of different proposal rows")
-    if s.shape[1] < 1:
+        raise DimensionError(f"label_rows must give each of the {len(s)} jobs one of {len(p)} labels or None")
+    if s.shape[2] < 1:
         raise DimensionError("at least one sample is required")
     if not (np.isfinite(s).all() and np.isfinite(p).all() and np.isfinite(q).all()):
         raise DomainError("sample inputs must be finite")
@@ -304,24 +286,23 @@ def kl_mc_loss(
         raise DomainError("proposal densities must be strictly positive")
     if (p < 0).any():
         raise DomainError("label densities must be nonnegative")
-    k = s.shape[1]
-    e = s - np.log(q)[q_rows]
-    m = np.maximum.reduce(e, axis=1)
-    e -= m[:, None]
+    k = s.shape[2]
+    e = s - np.log(q)
+    m = np.maximum.reduce(e, axis=2)
+    e -= m[:, :, None]
     np.exp(e, out=e)
-    total = np.add.reduce(e, axis=1)
-    q_labels = q[[label_q.get(i, 0) for i in range(len(p))]]
-    weights = p / q_labels
-    label_grads = p / (q_labels * k)
-    e /= total[:, None]  # the gradient's first term, in place
+    total = np.add.reduce(e, axis=2)
+    weights = p / q
+    label_grads = p / (q * k)
+    e /= total[:, :, None]  # the gradient's first term, in place
     values = []
-    for r, (i, m_r, total_r) in enumerate(zip(rows, m.tolist(), total.tolist())):
-        value = m_r + math.log(total_r / k)
+    for j, i in enumerate(rows):
+        row = [m_r + math.log(total_r / k) for m_r, total_r in zip(m[j].tolist(), total[j].tolist())]
         # A zero label's terms, s @ 0 and p/(q K) = 0, leave the row as it is.
         if i is not None:
-            value -= float(s[r] @ weights[i]) / k
-            e[r] -= label_grads[i]
-        values.append(value)
+            row = [value - float(s_r @ w_r) / k for value, s_r, w_r in zip(row, s[j], weights[i])]
+            e[j] -= label_grads[i]
+        values.append(row)
     if single:
-        return LossValueGrad(values[0], e[0])
+        return LossValueGrad(values[0][0], e[0, 0])
     return LossValueGrad(np.array(values), e)

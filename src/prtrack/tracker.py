@@ -323,7 +323,7 @@ class TrackerConfig:
     bb_lr_decay: float = 0.5
     proposal_weights: tuple[float, ...] = (0.5, 0.5)
     proposal_sigmas: tuple[float, ...] = (0.05, 0.5)
-    rl2_threshold: float = 0.05
+    rl2_threshold: float = 0.05  # stage-1 label threshold of the rl2 center solve; not the box stage's
 
     def __post_init__(self):
         _check_fields(self, names=_TRACKER_NAMES)
@@ -461,14 +461,12 @@ def init_scorers(cfgs, cells) -> list[list]:
             if getattr(cfg, name) != getattr(first, name):
                 raise DomainError(f"tracker configs disagree on {name}; box scorers cannot share training")
     anchors = [box_encode((0.0, 0.0, w, h), (w, h)) for (_, _, w, h), _ in cells]
-    scorers = [[QuadraticScorer(anchor.values.copy(), cfg.scorer_tau) for cfg in cfgs] for anchor in anchors]
+    centers = [[anchor.values] * len(cfgs) for anchor in anchors]
     if first.scorer_init == "train":
-        train_cells = [
-            ([(scorer, cfg.loss_model, cfg.sigma_bb) for scorer, cfg in zip(row, cfgs)], [anchor], rng)
-            for row, anchor, (_, rng) in zip(scorers, anchors, cells)
-        ]
-        train_box_scorer(train_cells, first.bb_proposal, first.bb_samples, first.bb_sgd)
-    return scorers
+        jobs = [(cfg.loss_model, cfg.sigma_bb, cfg.scorer_tau) for cfg in cfgs]
+        rngs = [rng for _, rng in cells]
+        centers = train_box_scorer(jobs, anchors, rngs, first.bb_proposal, first.bb_samples, first.bb_sgd)
+    return [[QuadraticScorer(mu, cfg.scorer_tau) for mu, cfg in zip(row, cfgs)] for row in centers]
 
 
 def track_init(

@@ -143,16 +143,16 @@ def optimize_reference(model, support, cfg):
     return w, steps, halvings
 
 
-def train_box_scorer_reference(scorer, annotations, sigma_bb, proposal, samples, sgd, rng, loss_model):
-    """Plain per-epoch box-scorer training: rebuild everything every epoch.
+def train_box_scorer_reference(ann, tau, sigma_bb, proposal, samples, sgd, rng, loss_model):
+    """Plain per-epoch box-scorer training on one annotation: rebuild everything every epoch.
 
-    Draws come from rng.choice and standard_normal; the densities, the
-    scores, their gradients in the center, (y - mu) / tau^2, and the losses
-    are written out here.  Only the scorer's start center and width come
-    from the package.  Returns (scorer with the trained center, last epoch
-    mean loss).
+    The center starts on the annotation.  Draws come from rng.choice and
+    standard_normal; the densities, the scores, their gradients in the
+    center, (y - mu) / tau^2, and the loss gradients are written out here.
+    Only the annotation comes from the package.  Returns the trained center.
     """
-    mu, t2 = scorer.mu.copy(), scorer.tau**2
+    center = np.array(ann.values, dtype=np.float64)
+    mu, t2 = center.copy(), float(tau) ** 2
     weights = np.asarray(proposal.weights, dtype=np.float64)
     sigmas = np.asarray(proposal.sigmas, dtype=np.float64)
 
@@ -170,46 +170,34 @@ def train_box_scorer_reference(scorer, annotations, sigma_bb, proposal, samples,
         inter = np.clip(hi - lo, 0.0, None).prod(axis=1)
         return inter / (a[:, 2:].prod(axis=1) + b[2:].prod() - inter)
 
-    last = math.nan
+    w0, h0 = ann.reference
+    box = np.array([center[0] * w0, center[1] * h0, math.exp(center[2]), math.exp(center[3])])
+    k, dim = samples, center.size
     tail = []
     for epoch in range(sgd.epochs):
         lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
-        values = []
-        for ann in annotations:
-            center = np.array(ann.values, dtype=np.float64)
-            k, dim = samples, center.size
-            comp = rng.choice(weights.size, size=k, p=weights)
-            ys = center + sigmas[comp, None] * rng.standard_normal((k, dim))
-            basis = (ys - mu) / t2
-            s = -((ys - mu) ** 2).sum(axis=1) / (2.0 * t2)
-            d2 = ((ys - center) ** 2).sum(axis=1)
-            q = sum(w * gauss(d2, sig, dim) for w, sig in zip(weights, sigmas))
-            t = s - np.log(q)
-            e = np.exp(t - t.max())
-            log_mean = t.max() + math.log(e.sum() / k)
-            if loss_model == "kl":
-                p = gauss(d2, sigma_bb, dim)
-                value = log_mean - float(s @ (p / q)) / k
-                grad = (e / e.sum() - p / (q * k)) @ basis
-            elif loss_model == "nll":
-                a = center - mu
-                value = log_mean + float(a @ a) / (2.0 * t2)
-                grad = (e / e.sum()) @ basis - a / t2
-            else:
-                w0, h0 = ann.reference
-                box = np.array([center[0] * w0, center[1] * h0, math.exp(center[2]), math.exp(center[3])])
-                targets = iou(boxes(ys, ann.reference), box)
-                c = np.exp(s)
-                r = c - targets if loss_model == "l2" else np.where(targets > 0.05, c - targets, c)
-                value = float(r @ r) / k
-                grad = (2.0 / k) * ((r * c) @ basis)
-            mu = mu - lr * grad
-            values.append(value)
-        last = float(np.mean(values))
+        comp = rng.choice(weights.size, size=k, p=weights)
+        ys = center + sigmas[comp, None] * rng.standard_normal((k, dim))
+        basis = (ys - mu) / t2
+        s = -((ys - mu) ** 2).sum(axis=1) / (2.0 * t2)
+        d2 = ((ys - center) ** 2).sum(axis=1)
+        q = sum(w * gauss(d2, sig, dim) for w, sig in zip(weights, sigmas))
+        t = s - np.log(q)
+        e = np.exp(t - t.max())
+        if loss_model == "kl":
+            p = gauss(d2, sigma_bb, dim)
+            grad = (e / e.sum() - p / (q * k)) @ basis
+        elif loss_model == "nll":
+            grad = (e / e.sum()) @ basis - (center - mu) / t2
+        else:
+            targets = iou(boxes(ys, ann.reference), box)
+            c = np.exp(s)
+            r = c - targets if loss_model == "l2" else np.where(targets > 0.05, c - targets, c)
+            grad = (2.0 / k) * ((r * c) @ basis)
+        mu = mu - lr * grad
         if epoch >= sgd.epochs // 2:
             tail.append(mu)
-    scorer.mu = np.mean(tail, axis=0)
-    return scorer, last
+    return np.mean(tail, axis=0)
 
 
 def refine_box_reference(scorer, y0, cfg):

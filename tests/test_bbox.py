@@ -17,7 +17,14 @@ from prtrack.bbox import (
     train_box_scorer,
 )
 from prtrack.errors import DimensionError, DomainError
-from prtrack.labels import MixtureProposal, gaussian_density, GaussianLabel, proposal_density, proposal_sample
+from prtrack.labels import (
+    GaussianLabel,
+    MixtureProposal,
+    gaussian_density,
+    iou_xywh,
+    proposal_density,
+    proposal_sample,
+)
 from prtrack.losses import kl_mc_loss
 
 PAPER_PROPOSAL = MixtureProposal([0.5, 0.5], [0.05, 0.5], np.zeros(4))
@@ -135,10 +142,10 @@ def test_numpy_sums_four_wide_rows_left_to_right(layout):
 # ---------------------------------------------------------------------------
 
 
-def _train_cell(jobs, annotations, proposal, samples, sgd, rng):
-    """train_box_scorer on one cell: its (scorer, last-epoch loss) per job."""
-    [results] = train_box_scorer([(jobs, annotations, rng)], proposal, samples, sgd)
-    return results
+def _train_cell(jobs, ann, proposal, samples, sgd, rng):
+    """train_box_scorer on one cell: its (jobs, 4) trained centers."""
+    [centers] = train_box_scorer(jobs, [ann], [rng], proposal, samples, sgd)
+    return centers
 
 
 def test_duplicate_samples_collapse_to_single():
@@ -152,11 +159,9 @@ def test_train_quadratic_centers_on_annotation():
     # annotation itself; a grid-search oracle on a frozen sample set agrees.
     rng = np.random.Generator(np.random.PCG64(45))
     ann = box_encode((10.0, 12.0, 5.0, 4.0), (5.0, 4.0))
-    scorer = QuadraticScorer(ann.values + 0.3, tau=0.2)
     sgd = SGDConfig(learning_rate=0.2, epochs=400, lr_decay=0.02)
-    [(scorer, last)] = _train_cell([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 256, sgd, rng)
-    assert math.isfinite(last)
-    assert float(np.abs(scorer.mu - ann.values).max()) <= 1e-2
+    [mu] = _train_cell([("kl", 0.05, 0.2)], ann, PAPER_PROPOSAL, 256, sgd, rng)
+    assert float(np.abs(mu - ann.values).max()) <= 1e-2
 
     # Frozen-sample axis scans: the sampled objective bottoms out at the
     # annotation to within one 0.01 grid step on every axis.
@@ -178,13 +183,19 @@ def test_train_quadratic_centers_on_annotation():
 
 
 def test_train_loss_drops_over_epochs():
+    # The loss of the returned center, on one fixed set of draws, is lower
+    # after 50 epochs than after 1.
+    ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
+    q = PAPER_PROPOSAL.recenter(ann.values)
+    ys = proposal_sample(q, np.random.Generator(np.random.PCG64(147)), size=4096)
+    p = gaussian_density(GaussianLabel(ann.values, 0.05), ys)
+    qd = proposal_density(q, ys)
+
     def run(epochs):
         rng = np.random.Generator(np.random.PCG64(47))
-        ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
-        scorer = QuadraticScorer(ann.values + 0.3, tau=0.2)
         sgd = SGDConfig(learning_rate=0.25, epochs=epochs, lr_decay=0.5)
-        [(_, last)] = _train_cell([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 64, sgd, rng)
-        return last
+        [mu] = _train_cell([("kl", 0.05, 0.2)], ann, PAPER_PROPOSAL, 64, sgd, rng)
+        return kl_mc_loss(QuadraticScorer(mu, tau=0.2).value_batch(ys), p, qd).value
 
     assert run(50) < run(1)
 
@@ -199,63 +210,64 @@ def test_sigma_to_zero_matches_delta_label_training():
 
     def fit(loss_model):
         rng = np.random.Generator(np.random.PCG64(48))
-        scorer = QuadraticScorer(ann.values + 0.2, tau=0.2)
-        [(scorer, _)] = _train_cell([(scorer, loss_model, 1e-4)], [ann], proposal, 128, sgd, rng)
-        return scorer.mu
+        [mu] = _train_cell([(loss_model, 1e-4, 0.2)], ann, proposal, 128, sgd, rng)
+        return mu
 
     mu_kl = fit("kl")
     mu_nll = fit("nll")
     assert float(np.abs(mu_kl - mu_nll).max()) < 1e-3
 
 
-def test_train_squared_error_branch_moves_toward_annotation():
-    rng = np.random.Generator(np.random.PCG64(49))
+def test_train_squared_error_branch_lowers_its_loss():
+    # The l2 branch regresses the confidence exp(s) onto each draw's overlap
+    # with the annotation.  On fixed draws its trained center has a lower
+    # loss than its start on the annotation, where the optimum is not: the
+    # overlap grows faster toward larger boxes than toward smaller ones.
     ann = box_encode((1.0, 1.0, 2.0, 2.0), (2.0, 2.0))
-    start = ann.values + 0.4
-    scorer = QuadraticScorer(start, tau=0.5)
-    sgd = SGDConfig(learning_rate=0.5, epochs=120)
-    [(scorer, _)] = _train_cell([(scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 64, sgd, rng)
-    assert np.linalg.norm(scorer.mu - ann.values) < np.linalg.norm(start - ann.values)
+    ys = proposal_sample(PAPER_PROPOSAL.recenter(ann.values), np.random.Generator(np.random.PCG64(149)), size=4096)
+    overlaps = iou_xywh(np.column_stack([ys[:, :2] * 2.0, np.exp(ys[:, 2:])]), ann.decode())
+
+    def loss(mu):
+        r = np.exp(QuadraticScorer(mu, tau=0.5).value_batch(ys)) - overlaps
+        return float(r @ r) / len(ys)
+
+    rng = np.random.Generator(np.random.PCG64(49))
+    [mu] = _train_cell([("l2", 0.05, 0.5)], ann, PAPER_PROPOSAL, 64, SGDConfig(learning_rate=0.5, epochs=120), rng)
+    assert loss(mu) < loss(ann.values)
 
 
 def test_train_validation():
     ann = box_encode((0.0, 0.0, 1.0, 1.0), (1.0, 1.0))
-    scorer = QuadraticScorer(np.zeros(4), tau=0.2)
     sgd = SGDConfig()
     rng = np.random.Generator(np.random.PCG64(50))
     with pytest.raises(DimensionError):
-        _train_cell([(scorer, "kl", 0.05)], [], PAPER_PROPOSAL, 4, sgd, rng)
+        train_box_scorer([("kl", 0.05, 0.2)], [], [], PAPER_PROPOSAL, 4, sgd)
     with pytest.raises(DimensionError):
-        _train_cell([], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([], ann, PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
-        _train_cell([(scorer, "kl", 0.05)], [ann], PAPER_PROPOSAL, 1, sgd, rng)
+        _train_cell([("kl", 0.05, 0.2)], ann, PAPER_PROPOSAL, 1, sgd, rng)
     with pytest.raises(DomainError):
-        _train_cell([(scorer, "kl", 0.0)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([("kl", 0.0, 0.2)], ann, PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
-        _train_cell([(scorer, "huber", 0.05)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([("huber", 0.05, 0.2)], ann, PAPER_PROPOSAL, 4, sgd, rng)
+    for tau in (0.0, -0.2, 1e200):
+        with pytest.raises(DomainError, match="finite positive square"):
+            _train_cell([("kl", 0.05, tau)], ann, PAPER_PROPOSAL, 4, sgd, rng)
     # One bad job rejects the whole call before anything is drawn.
     state = rng.bit_generator.state
     with pytest.raises(DomainError):
-        _train_cell([(scorer, "kl", 0.05), (scorer, "l2", -1.0)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
-    with pytest.raises(DomainError, match="its own scorer"):
-        _train_cell([(scorer, "kl", 0.05), (scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([("kl", 0.05, 0.2), ("l2", -1.0, 0.2)], ann, PAPER_PROPOSAL, 4, sgd, rng)
     assert rng.bit_generator.state == state
 
 
 def test_train_rejects_a_final_center_that_overflows():
-    # Centers at the float limit stay put through every step (their l2
-    # confidence underflows to 0, so their gradient is 0), but their tail
-    # average overflows; the one write of each scorer's mu rejects it.
-    ann = box_encode((0.0, 0.0, 1.0, 1.0), (1.0, 1.0))
-    scorer = QuadraticScorer(np.full(4, 1e308), tau=1e100)
+    # Centers at the float limit stay put through every step (their draws
+    # round back onto them, so their gradient is 0), but their tail average
+    # overflows; the returned centers are checked once.
+    ann = BoxParam(np.array([1e308, 1e308, 0.0, 0.0]), (1.0, 1.0))
     rng = np.random.Generator(np.random.PCG64(57))
     with pytest.raises(DomainError, match="scorer center must contain only finite values"):
-        _train_cell([(scorer, "l2", 0.05)], [ann], PAPER_PROPOSAL, 4, SGDConfig(epochs=4), rng)
-    assert np.array_equal(scorer.mu, np.full(4, 1e308))
-
-
-def _scorer(ann, tau=0.2):
-    return QuadraticScorer(ann.values + 0.2, tau=tau)
+        _train_cell([("l2", 0.05, 1e100)], ann, PAPER_PROPOSAL, 4, SGDConfig(epochs=4), rng)
 
 
 # The quadratic scorer is the only family; the family id keeps these tests'
@@ -265,19 +277,14 @@ def _scorer(ann, tau=0.2):
 def test_train_matches_plain_reference_loop(family, loss_model):
     # Same draws in the same order, so the same iterates up to rounding and
     # the same generator state afterwards.
-    anns = [box_encode((3.0, 2.0, 4.0, 5.0), (4.0, 5.0)), box_encode((1.0, -1.0, 3.0, 2.5), (3.5, 2.0))]
+    ann = box_encode((3.0, 2.0, 4.0, 5.0), (4.0, 5.0))
     proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
     sgd = SGDConfig(learning_rate=0.25, epochs=30, lr_decay=0.5)
     rng_a = np.random.Generator(np.random.PCG64(53))
     rng_b = np.random.Generator(np.random.PCG64(53))
-    [(got, got_last)] = _train_cell(
-        [(_scorer(anns[0]), loss_model, 0.05)], anns, proposal, 96, sgd, rng_a
-    )
-    want, want_last = train_box_scorer_reference(
-        _scorer(anns[0]), anns, 0.05, proposal, 96, sgd, rng_b, loss_model
-    )
-    np.testing.assert_allclose(got.mu, want.mu, rtol=1e-12, atol=0)
-    assert got_last == pytest.approx(want_last, rel=1e-12, abs=0)
+    [got] = _train_cell([(loss_model, 0.05, 0.2)], ann, proposal, 96, sgd, rng_a)
+    want = train_box_scorer_reference(ann, 0.2, 0.05, proposal, 96, sgd, rng_b, loss_model)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -305,120 +312,80 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
     for loss_model in ("kl", "nll"):
         for n_cells in (1, 3):
             built.update(labels=0, proposals=0, losses=0)
-            cells = [
-                (
-                    [(QuadraticScorer(anns[0].values, tau=0.2), loss_model, 0.05)],
-                    anns,
-                    np.random.Generator(np.random.PCG64(54 + c)),
-                )
-                for c in range(n_cells)
-            ]
-            train_box_scorer(cells, proposal, 16, SGDConfig(epochs=7))
+            rngs = [np.random.Generator(np.random.PCG64(54 + c)) for c in range(n_cells)]
+            cell_anns = [anns[c % 2] for c in range(n_cells)]
+            train_box_scorer([(loss_model, 0.05, 0.2)], cell_anns, rngs, proposal, 16, SGDConfig(epochs=7))
             # One label per width and one proposal at the origin, whose
-            # densities the cells share; one recentered proposal per cell and
-            # annotation to draw from; one loss call per draw batch of the
-            # whole group.  The delta-label (nll) loss goes through the same
-            # divergence code.
-            assert built == {"labels": 1, "proposals": 1 + n_cells * len(anns), "losses": 14}
+            # densities the cells share; one recentered proposal per cell to
+            # draw from; one loss call per draw batch of the whole group.
+            # The delta-label (nll) loss goes through the same divergence
+            # code.
+            assert built == {"labels": 1, "proposals": 1 + n_cells, "losses": 7}
 
 
 def _lockstep_jobs():
     # Every loss model, two label widths, and scorers of a second tau, so
     # the stack mixes widths.
-    anns = [box_encode((3.0, 2.0, 4.0, 5.0), (4.0, 5.0)), box_encode((1.0, -1.0, 3.0, 2.5), (3.5, 2.0))]
+    ann = box_encode((1.0, -1.0, 3.0, 2.5), (3.5, 2.0))
     jobs = [(loss_model, sigma_bb, 0.2) for loss_model in ("l2", "rl2", "nll", "kl") for sigma_bb in (0.05, 0.12)]
     jobs += [(loss_model, 0.05, 0.35) for loss_model in ("l2", "rl2", "nll", "kl")]
-    return anns, jobs
+    return ann, jobs
 
 
 def test_lockstep_jobs_match_each_job_trained_alone():
     # Every job ends bit for bit where training it alone from an equally
     # seeded generator ends, and the generator ends in the same state.
-    anns, jobs = _lockstep_jobs()
+    ann, jobs = _lockstep_jobs()
     proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
     sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
     rng = np.random.Generator(np.random.PCG64(55))
-    together = _train_cell(
-        [(_scorer(anns[0], tau), loss, sigma) for loss, sigma, tau in jobs],
-        anns,
-        proposal,
-        64,
-        sgd,
-        rng,
-    )
-    assert len(together) == len(jobs)
-    for (loss, sigma, tau), (got, got_last) in zip(jobs, together):
+    together = _train_cell(jobs, ann, proposal, 64, sgd, rng)
+    assert together.shape == (len(jobs), 4)
+    for job, got in zip(jobs, together):
         alone_rng = np.random.Generator(np.random.PCG64(55))
-        [(want, want_last)] = _train_cell(
-            [(_scorer(anns[0], tau), loss, sigma)], anns, proposal, 64, sgd, alone_rng
-        )
-        assert np.array_equal(got.mu, want.mu), (loss, sigma, tau)
-        assert got_last == want_last, (loss, sigma, tau)
+        [want] = _train_cell([job], ann, proposal, 64, sgd, alone_rng)
+        assert np.array_equal(got, want), job
         assert alone_rng.bit_generator.state == rng.bit_generator.state
 
 
-def _group(taus_by_cell, seed):
-    # Cells with their own two annotations, their own start centers, their
-    # own streams and, per cell, the scorer widths given; every loss model
-    # and two label widths in every cell.
+def _group(n_cells, seed):
+    # Cells with their own annotations and their own streams; every loss
+    # model, two label widths and three scorer widths in the shared jobs.
     models = [(loss_model, sigma_bb) for loss_model in ("l2", "rl2", "nll", "kl") for sigma_bb in (0.05, 0.12)]
-    cells = []
-    for c, taus in enumerate(taus_by_cell):
-        anns = [
-            box_encode((3.0 + c, 2.0 - c, 4.0 + 0.5 * c, 5.0), (4.0, 5.0 + c)),
-            box_encode((1.0, -1.0 + c, 3.0, 2.5 + 0.25 * c), (3.5, 2.0)),
-        ]
-        jobs = [(_scorer(anns[c % 2], tau), loss, sigma) for (loss, sigma), tau in zip(models, taus)]
-        cells.append((jobs, anns, np.random.Generator(np.random.PCG64(seed + c))))
-    return cells
+    jobs = [(loss, sigma, 0.2 + 0.05 * (j % 3)) for j, (loss, sigma) in enumerate(models)]
+    anns = [box_encode((3.0 + c, 2.0 - c, 4.0 + 0.5 * c, 5.0 + 0.25 * c), (4.0, 5.0 + c)) for c in range(n_cells)]
+    rngs = [np.random.Generator(np.random.PCG64(seed + c)) for c in range(n_cells)]
+    return jobs, anns, rngs
 
 
 @pytest.mark.parametrize("n_cells", [2, 5])
 def test_group_cells_match_each_cell_trained_alone(n_cells):
-    # Every scorer of a group ends bit for bit where its cell trained alone
-    # from an equally seeded generator ends (center and last-epoch loss),
-    # and every cell's generator ends in the same state.
-    taus = [[0.2 + 0.05 * ((c + j) % 3) for j in range(8)] for c in range(n_cells)]
+    # Every center of a group ends bit for bit where its cell trained alone
+    # from an equally seeded generator ends, and every cell's generator ends
+    # in the same state.
     proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
     sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
-    group = _group(taus, 60)
-    together = train_box_scorer(group, proposal, 48, sgd)
-    assert [len(cell) for cell in together] == [8] * n_cells
-    for (jobs, _, rng), got_cell, want_cell in zip(group, together, _group(taus, 60)):
-        want_jobs, anns, alone_rng = want_cell
-        alone = _train_cell(want_jobs, anns, proposal, 48, sgd, alone_rng)
-        assert [scorer for scorer, _, _ in jobs] == [scorer for scorer, _ in got_cell]
-        for (got, got_last), (want, want_last) in zip(got_cell, alone):
-            assert np.array_equal(got.mu, want.mu)
-            assert got.tau == want.tau
-            assert got_last == want_last
+    jobs, anns, rngs = _group(n_cells, 60)
+    together = train_box_scorer(jobs, anns, rngs, proposal, 48, sgd)
+    assert together.shape == (n_cells, len(jobs), 4)
+    _, _, alone_rngs = _group(n_cells, 60)
+    for ann, rng, alone_rng, got in zip(anns, rngs, alone_rngs, together):
+        assert np.array_equal(got, _train_cell(jobs, ann, proposal, 48, sgd, alone_rng))
         assert rng.bit_generator.state == alone_rng.bit_generator.state
 
 
 def test_train_validation_across_cells():
     ann = box_encode((0.0, 0.0, 1.0, 1.0), (1.0, 1.0))
     sgd = SGDConfig(epochs=2)
-
-    def cell(*jobs, annotations=(ann,)):
-        return ([(QuadraticScorer(np.zeros(4), tau=0.2), loss, sigma) for loss, sigma in jobs], list(annotations), rng)
-
     rng = np.random.Generator(np.random.PCG64(59))
     state = rng.bit_generator.state
     with pytest.raises(DimensionError, match="at least one cell"):
-        train_box_scorer([], PAPER_PROPOSAL, 4, sgd)
-    with pytest.raises(DomainError, match="same loss models and label widths"):
-        train_box_scorer([cell(("kl", 0.05)), cell(("nll", 0.05))], PAPER_PROPOSAL, 4, sgd)
-    with pytest.raises(DomainError, match="same loss models and label widths"):
-        train_box_scorer([cell(("kl", 0.05)), cell(("kl", 0.1))], PAPER_PROPOSAL, 4, sgd)
-    with pytest.raises(DomainError, match="same loss models and label widths"):
-        train_box_scorer([cell(("kl", 0.05)), cell(("kl", 0.05), ("l2", 0.05))], PAPER_PROPOSAL, 4, sgd)
-    with pytest.raises(DimensionError, match="same number of annotations"):
-        train_box_scorer([cell(("kl", 0.05)), cell(("kl", 0.05), annotations=(ann, ann))], PAPER_PROPOSAL, 4, sgd)
+        train_box_scorer([("kl", 0.05, 0.2)], [], [], PAPER_PROPOSAL, 4, sgd)
     with pytest.raises(DimensionError, match="at least one job"):
-        train_box_scorer([cell(("kl", 0.05)), cell()], PAPER_PROPOSAL, 4, sgd)
-    shared = cell(("kl", 0.05))
-    with pytest.raises(DomainError, match="its own scorer"):
-        train_box_scorer([shared, shared], PAPER_PROPOSAL, 4, sgd)
+        train_box_scorer([], [ann, ann], [rng, rng], PAPER_PROPOSAL, 4, sgd)
+    for rngs in ([rng], [rng, rng, rng]):
+        with pytest.raises(DimensionError, match="one rng per cell"):
+            train_box_scorer([("kl", 0.05, 0.2)], [ann, ann], rngs, PAPER_PROPOSAL, 4, sgd)
     assert rng.bit_generator.state == state
 
 
@@ -432,9 +399,9 @@ def test_train_validation_across_cells():
     ],
 )
 def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities, labels, overlaps):
-    # Per epoch and annotation: one draw batch per cell, and for the whole
-    # group at most one proposal density, one label density per distinct kl
-    # width, at most one overlap stack and at most one divergence loss call.
+    # Per epoch: one draw batch per cell, and for the whole group at most
+    # one proposal density, one label density per distinct kl width, at most
+    # one overlap stack and at most one divergence loss call.
     calls = {}
 
     def counting(key, fn):
@@ -450,24 +417,14 @@ def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities,
     monkeypatch.setattr(bbox, "iou_xywh", counting("iou", bbox.iou_xywh))
     monkeypatch.setattr(bbox, "kl_mc_loss", counting("loss", kl_mc_loss))
     anns = [box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0)), box_encode((1.0, 0.0, 2.0, 3.0), (2.0, 3.0))]
+    jobs = [(loss_model, sigma_bb, 0.2) for loss_model in models for sigma_bb in (0.05, 0.1, 0.05)]
     # A group of cells shares the same calls: one draw batch per cell, the
     # rest once per group.
     for n_cells in (1, 3):
         calls.update(sample=0, density=0, label=0, iou=0, loss=0)
-        cells = [
-            (
-                [
-                    (QuadraticScorer(anns[0].values, tau=0.2), loss_model, sigma_bb)
-                    for loss_model in models
-                    for sigma_bb in (0.05, 0.1, 0.05)
-                ],
-                anns,
-                np.random.Generator(np.random.PCG64(56 + c)),
-            )
-            for c in range(n_cells)
-        ]
-        train_box_scorer(cells, PAPER_PROPOSAL, 16, SGDConfig(epochs=5))
-        steps = 5 * len(anns)
+        rngs = [np.random.Generator(np.random.PCG64(56 + c)) for c in range(n_cells)]
+        train_box_scorer(jobs, [anns[c % 2] for c in range(n_cells)], rngs, PAPER_PROPOSAL, 16, SGDConfig(epochs=5))
+        steps = 5
         assert calls == {
             "sample": n_cells * steps,
             "density": densities * steps,

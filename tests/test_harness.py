@@ -167,6 +167,8 @@ def test_cli_rejects_booleans_as_integers(tmp_path, capsys, monkeypatch, payload
         ({"regularization": -1e-3}, "regularization must be positive"),
         ({"init_iterations": -1}, "init solver: iterations must be nonnegative"),
         ({"online_iterations": -1}, "online solver: iterations must be nonnegative"),
+        ({"init_iterations": 1001}, "tracker.init_iterations must be at most 1000, got 1001"),
+        ({"online_iterations": 100000000}, "tracker.online_iterations must be at most 1000, got 100000000"),
     ],
 )
 def test_cli_rejects_bad_solver_settings(tmp_path, capsys, monkeypatch, tracker, message):
@@ -211,6 +213,24 @@ def test_cli_rejects_bad_box_settings(tmp_path, capsys, monkeypatch, tracker, me
 )
 def test_cli_rejects_label_widths_without_finite_normalizer(tmp_path, capsys, monkeypatch, payload, message):
     _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, **payload}, message, "normalizer")
+
+
+def test_cli_bounds_the_box_training_rows_of_a_sweep(tmp_path, capsys, monkeypatch):
+    # A suite task holds one score row per swept value and draw of its batch;
+    # the most that loads holds MAX_TRAINING_ROWS, and one value more exits 2
+    # before any sequence is rendered.
+    batch = max(TrackerConfig().bb_samples, harness._GROUP_DRAWS)
+    n = harness.MAX_TRAINING_ROWS // batch
+    at_bound = _write_config(tmp_path, {"sweep": {"parameter": "sigma_bb", "values": [0.05] * n}}, "at_bound.json")
+    assert len(load_config(at_bound).sweep_values) == n
+    generated = []
+    monkeypatch.setattr(harness, "generate_sequence", lambda *a: generated.append(a))
+    over = _write_config(tmp_path, {**TINY_SUITE, "sweep": {"parameter": "sigma_bb", "values": [0.05] * (n + 1)}})
+    assert main(["sigma-sweep", "--config", over, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"sweep.values: {n + 1} values x {batch} draws per batch = {(n + 1) * batch} box-training rows" in err
+    assert "Traceback" not in err
+    assert generated == []
 
 
 def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
@@ -875,9 +895,10 @@ def test_suite_trains_each_group_before_rendering_its_cells(tmp_path, monkeypatc
     monkeypatch.setattr(harness, "init_scorers", init_scorers)
     monkeypatch.setattr(harness, "generate_sequence", generate_sequence)
     monkeypatch.setattr(bbox, "proposal_sample", proposal_sample)
+    # 8 cells at this config's 16 draws per batch.
+    monkeypatch.setattr(harness, "_GROUP_DRAWS", 8 * 16)
     cfgpath = _write_config(tmp_path, NINE_CELLS)
     assert main(["compare-losses", "--config", cfgpath, "--seed", "2", "--out", str(tmp_path / "o")]) == 0
-    assert harness._GROUP_CELLS == 8
     assert events == [("train", 8)] + [("render", 1)] * 8 + [("train", 1), ("render", 1)]
     assert sum(drawn) == 9 * 6 * 16 and set(drawn) == {16}
 
@@ -907,7 +928,8 @@ def test_suite_csv_is_independent_of_the_group_size(tmp_path, monkeypatch):
     cfgpath = _write_config(tmp_path, NINE_CELLS)
     outputs = []
     for size in (8, 1, 4):
-        monkeypatch.setattr(harness, "_GROUP_CELLS", size)
+        # size cells at this config's 16 draws per batch.
+        monkeypatch.setattr(harness, "_GROUP_DRAWS", size * 16)
         out = tmp_path / f"group{size}"
         assert main(["compare-losses", "--config", cfgpath, "--seed", "2", "--out", str(out)]) == 0
         outputs.append((out / "compare_losses.csv").read_bytes())
@@ -921,7 +943,7 @@ def test_group_training_memory_stays_within_a_few_cells():
     # them for a group of 8 would add 786 KB and break this bound.
     cfgs = [TrackerConfig(loss_model=model, scorer_init="train", bb_epochs=3) for model in LOSS_MODELS]
     peaks = []
-    for n in (1, harness._GROUP_CELLS):
+    for n in (1, harness._GROUP_DRAWS // cfgs[0].bb_samples):
         cells = [((20.0 + i, 20.0, 6.0, 5.0 + i), np.random.Generator(np.random.PCG64(i))) for i in range(n)]
         tracemalloc.start()
         try:

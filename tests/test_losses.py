@@ -290,42 +290,41 @@ def test_kl_mc_rejects_bad_inputs():
 
 
 def test_kl_mc_stacked_rows_match_one_row_calls():
-    # Each score row names its label (or None, a zero label) and its
-    # proposal row; its value and gradient are bit for bit the one-row call's.
+    # A (jobs, cells, draws) stack: each job names its label (or None, a
+    # zero label), each cell brings its own proposal row, and every (job,
+    # cell) value and gradient is bit for bit the one-row call's.
     rng = np.random.Generator(np.random.PCG64(11))
     k = 40
-    s = rng.normal(0.0, 2.0, (5, k))
-    p = rng.uniform(0.0, 3.0, (3, k))
+    s = rng.normal(0.0, 2.0, (5, 2, k))
+    p = rng.uniform(0.0, 3.0, (3, 2, k))
     q = rng.uniform(0.1, 2.0, (2, k))
     label_rows = [0, None, 1, 2, 0]
-    proposal_rows = [0, 1, 1, 0, 0]
-    out = kl_mc_loss(s, p, q, label_rows, proposal_rows)
-    assert out.value.shape == (5,) and out.grad_scores.shape == (5, k)
-    for r, (i, j) in enumerate(zip(label_rows, proposal_rows)):
-        want = kl_mc_loss(s[r], np.zeros(k) if i is None else p[i], q[j])
-        assert out.value[r] == want.value
-        assert np.array_equal(out.grad_scores[r], want.grad_scores)
-    # A proposal stack defaults to one row per score row; one shared
-    # proposal row needs no proposal_rows.
+    out = kl_mc_loss(s, p, q, label_rows)
+    assert out.value.shape == (5, 2) and out.grad_scores.shape == (5, 2, k)
+    for j, i in enumerate(label_rows):
+        for c in range(2):
+            want = kl_mc_loss(s[j, c], np.zeros(k) if i is None else p[i, c], q[c])
+            assert out.value[j, c] == want.value
+            assert np.array_equal(out.grad_scores[j, c], want.grad_scores)
+    # By default job j uses label j.
     by_row = kl_mc_loss(s[:2], p[:2], q)
-    shared = kl_mc_loss(s[:2], p[:2], q[1])
-    for r in range(2):
-        assert by_row.value[r] == kl_mc_loss(s[r], p[r], q[r]).value
-        assert shared.value[r] == kl_mc_loss(s[r], p[r], q[1]).value
+    for j in range(2):
+        for c in range(2):
+            assert by_row.value[j, c] == kl_mc_loss(s[j, c], p[j, c], q[c]).value
 
 
 def test_kl_mc_rejects_bad_proposal_rows():
-    s, p, q = np.zeros((2, 3)), np.ones((1, 3)), np.ones((2, 3))
-    with pytest.raises(DimensionError, match="proposal_rows"):
-        kl_mc_loss(s, p, q, [0, 0], [0, 2])
-    with pytest.raises(DimensionError, match="proposal_rows"):
-        kl_mc_loss(s, p, q, [0, 0], [0])
-    with pytest.raises(DimensionError, match="proposal_rows needs a stack"):
-        kl_mc_loss(s, p, q[0], [0, 0], [0, 0])
-    with pytest.raises(DimensionError, match="different proposal rows"):
-        kl_mc_loss(s, p, q, [0, 0], [0, 1])
-    with pytest.raises(DimensionError):
-        kl_mc_loss(s, p, np.ones((2, 4)), [0, 0], [0, 1])
+    # One proposal row per cell, and every stack on the same cells and draws.
+    s, p, q = np.zeros((2, 2, 3)), np.ones((1, 2, 3)), np.ones((2, 3))
+    for bad_q in (q[0], q[:1], np.ones((3, 3)), np.ones((2, 4)), q[None]):
+        with pytest.raises(DimensionError, match="stacks"):
+            kl_mc_loss(s, p, bad_q, [0, 0])
+    with pytest.raises(DimensionError, match="stacks"):
+        kl_mc_loss(s, p[:, :1], q, [0, 0])
+    with pytest.raises(DimensionError, match="label_rows"):
+        kl_mc_loss(s, p, q, [0, 1])
+    with pytest.raises(DimensionError, match="label_rows"):
+        kl_mc_loss(s, p, q, [0])
 
 
 def _gauss2(y, c, sigma):
