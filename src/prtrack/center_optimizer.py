@@ -36,27 +36,21 @@ the losses module, whose grid losses are their one-row calls.
 
 Every correlation of a solve goes through one gridmath workspace, which
 holds the unfold of one sample at a time, and each pass arranges its
-kernel once for all samples.  An iteration unfolds each sample at most
-twice, for its adjoint and for its curvature direction, whatever the line
-search does; the closing pass unfolds each sample once more.  That pass
-leaves each sample its scores and its loss gradient's kernel-space
-pullback under the returned kernel (see SupportSample), and the first
-pass of the next call reuses them: a sample that kept both needs no
-first-pass unfold, one that kept only its scores needs one for its
-adjoint, and a fresh sample's one unfold serves both its scores and its
-adjoint.  The solve remembers which sample the workspace holds, and each
-sweep over the samples starts on it, so a sweep that follows another
-unfolds one sample fewer.  Rows are independent and the gradient is
-summed in index order whatever the sweep order, so the order does not
-move a bit.  A k-iteration call that steps every iteration thus builds
-N * (2k + 1) - 2k unfolds on fresh samples and (N - 1) * 2k + 1 on
-samples a previous call left, also when one of them (the tracker's newest)
-kept only its scores: its adjoint's unfold starts the next sweep.
+kernel once for all samples.  Each solve starts fresh, because carried
+scores differ from a fresh correlation in the last bits: its first pass
+scores every sample at the given kernel, and one unfold serves both a
+sample's scores and its adjoint.  Later passes use the carried scores, so
+an iteration unfolds each sample at most twice, for its adjoint and for its
+curvature direction, whatever the line search does.  The solve remembers
+which sample the workspace holds, and each sweep over the samples starts on
+it, so a sweep that follows another unfolds one sample fewer.  Rows are
+independent and the gradient is summed in index order whatever the sweep
+order, so the order does not move a bit.  A k-iteration call that steps
+every iteration thus builds 2k(N - 1) + 1 unfolds on N samples.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,24 +82,14 @@ class SupportSample:
 
     center_rc optionally pins the annotated (row, col); it feeds the
     delta-label loss and replaces labels whose grid values underflowed to
-    zero mass.  When absent, the label grid argmax is used instead.
-
-    A sample also keeps its last evaluation, so the next solve need not
-    repeat it: one (H, W) score grid, and with it, when a solve made them,
-    the loss gradient's kernel-space pullback and the loss settings
-    (loss_model, rl2_threshold) it was made under.  The key is the kernel
-    array itself, not its values, and it counts only while that array is
-    read-only (optimize returns read-only kernels), so an in-place edit
-    cannot leave a stale entry.  What is kept does not depend on the
-    weight; assigning any other field drops it.  A kept evaluation that does
-    not match is ignored.
+    zero mass.  When absent, the label grid argmax is used instead.  A
+    sample carries no solver state: every solve scores it afresh.
     """
 
     features: FeatureMap
     label_grid: Grid2D
     weight: float = 1.0
     center_rc: tuple[float, float] | None = None
-    _kept = None  # (kernel array, scores, loss settings, pullback)
 
     def __post_init__(self):
         if (self.features.height, self.features.width) != (
@@ -115,27 +99,6 @@ class SupportSample:
             raise DimensionError("label grid shape must match the feature map spatial shape")
         if not (self.weight >= 0):
             raise DomainError(f"sample weight must be nonnegative, got {self.weight}")
-
-    def __setattr__(self, name, value):
-        if name != "weight":
-            object.__setattr__(self, "_kept", None)
-        object.__setattr__(self, name, value)
-
-    def keep(self, kernel: np.ndarray, scores: np.ndarray, loss=None, pullback=None):
-        """Keep the (H, W) scores made under the kernel array; a solve adds its loss settings and pullback."""
-        self._kept = (kernel, scores, loss, pullback)
-
-    def kept(self, kernel: np.ndarray, loss) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(scores, pullback) kept under this very kernel array, else Nones.
-
-        The pullback is None unless it was also made under these loss settings.
-        """
-        if self._kept is None:
-            return None, None
-        key, scores, kept_loss, pullback = self._kept
-        if key is not kernel or kernel.flags.writeable or scores.shape != self.label_grid.values.shape:
-            return None, None
-        return scores, pullback if kept_loss == loss else None
 
 
 @dataclass(frozen=True)
@@ -203,16 +166,6 @@ def _label(sample: SupportSample, loss_model: str, out: np.ndarray):
     out[min(max(int(round(center[0])), 0), h - 1), min(max(int(round(center[1])), 0), w - 1)] = 1.0
 
 
-def _runs(flags):
-    """Slices over the maximal runs of true flags."""
-    start = 0
-    for flag, group in itertools.groupby(flags):
-        stop = start + sum(1 for _ in group)
-        if flag:
-            yield slice(start, stop)
-        start = stop
-
-
 class _Problem:
     """A support set and its loss as (N, H * W) stacks, row j for sample j.
 
@@ -234,7 +187,6 @@ class _Problem:
         if kh > h or kw > w:
             raise DimensionError(f"kernel {kh}x{kw} does not fit sample {h}x{w}")
         self.samples = samples
-        self.grid = (h, w)
         self.lam = cfg.regularization
         self.gamma = [float(sample.weight) for sample in samples]
         labels = np.empty((len(samples), h * w))
@@ -268,46 +220,42 @@ class _Problem:
             for arranged, stack in pairs:
                 self.ws.correlate(arranged, stack[j])
 
-    def recall(self, kernel: np.ndarray, loss) -> tuple[list[bool], list]:
-        """Copy in the scores the samples kept under kernel; returns (known rows, kept pullbacks)."""
-        known, pulls = [], []
-        for sample, row in zip(self.samples, self.scores):
-            scores, pull = sample.kept(kernel, loss)
-            if scores is not None:
-                row.reshape(self.grid)[...] = scores
-            known.append(scores is not None)
-            pulls.append(pull)
-        return known, pulls
-
-    def evaluate(self, w: np.ndarray, known, pulls) -> tuple[float, np.ndarray, list]:
+    def evaluate(self, w: np.ndarray, scored: bool, pulls=None) -> tuple[float, np.ndarray, list]:
         """Objective and gradient at w, and each sample's pullback.
 
-        Rows flagged in known hold their scores at w already, and a pullback
-        given in pulls is its sample's at w; the rest are computed.  A row
-        with unknown scores is scored and evaluated alone, so that its
-        unfold also serves its adjoint; the known rows are evaluated in
-        runs.  The work and state stacks get the score gradients and
+        With scored, the score stack holds the scores at w already, and
+        pulls, when given, each sample's pullback at w.  Otherwise each row
+        is scored and evaluated alone, so that its unfold also serves its
+        adjoint.  The work and state stacks get the score gradients and
         curvature states.
         """
         n = len(self.samples)
-        values, pulls = [0.0] * n, list(pulls)
-        arranged = self.ws.arrange(w)
-        for j in self.sweep(j for j in range(n) if not known[j]):
-            self.unfold(j)
-            self.ws.correlate(arranged, self.scores[j])
-            (values[j],) = self.loss.value_grad(self.scores, self.work, self.state, slice(j, j + 1))
-            pulls[j] = self.ws.adjoint(self.work[j])
-        for rows in _runs(known):
-            values[rows] = self.loss.value_grad(self.scores, self.work, self.state, rows)
-        for j in self.sweep(j for j in range(n) if pulls[j] is None):
-            self.unfold(j)
-            pulls[j] = self.ws.adjoint(self.work[j])
+        if scored:
+            values = self.loss.value_grad(self.scores, self.work, self.state, slice(None))
+        else:
+            values, pulls = [0.0] * n, None
+            arranged = self.ws.arrange(w)
+        if pulls is None:
+            pulls = [None] * n
+            for j in self.sweep(range(n)):
+                self.unfold(j)
+                if not scored:
+                    self.ws.correlate(arranged, self.scores[j])
+                    (values[j],) = self.loss.value_grad(self.scores, self.work, self.state, slice(j, j + 1))
+                pulls[j] = self.ws.adjoint(self.work[j])
         obj = 0.5 * self.lam * float((w * w).sum())
         grad = self.lam * w.copy()
         for gamma, value, pull in zip(self.gamma, values, pulls):
             obj += gamma * value
             grad += gamma * pull
         return obj, grad, pulls
+
+    def curvature(self, g: np.ndarray, directions: np.ndarray) -> float:
+        """g'Hg from the curvature states and the directions v_j = z_j * g."""
+        total = self.lam * float((g * g).sum())
+        for gamma, curv in zip(self.gamma, self.loss.curvature(self.state, directions, self.work)):
+            total += gamma * curv
+        return total
 
     def trial(self, directions: np.ndarray, alpha: float) -> list[float]:
         """Losses at the trial scores s - alpha * v, which go to the work stack."""
@@ -319,31 +267,17 @@ class _Problem:
         """Make the last trial's scores the current ones."""
         self.scores, self.work = self.work, self.scores
 
-    def keep(self, kernel: np.ndarray, loss, pulls):
-        """Leave each sample its scores and its pullback under kernel."""
-        self.scores.flags.writeable = False
-        for sample, row, pull in zip(self.samples, self.scores, pulls):
-            sample.keep(kernel, row.reshape(self.grid), loss, pull)
-
 
 def objective(model: TargetModel, support, cfg: OptimizerConfig) -> float:
     """Weighted sample losses plus the ridge term (reg / 2) * ||w||^2."""
     w = model.weights.values
-    prob = _Problem(support, cfg, w.shape)
-    prob.correlate((w, prob.scores))
-    total = 0.5 * cfg.regularization * float((w * w).sum())
-    for gamma, value in zip(prob.gamma, prob.loss.value(prob.scores, prob.work)):
-        total += gamma * value
-    return total
+    return _Problem(support, cfg, w.shape).evaluate(w, False)[0]
 
 
 def gradient(model: TargetModel, support, cfg: OptimizerConfig) -> Kernel2D:
     """Exact objective gradient, pulled back to kernel space per sample."""
     w = model.weights.values
-    prob = _Problem(support, cfg, w.shape)
-    n = len(prob.samples)
-    _, g, _ = prob.evaluate(w, [False] * n, [None] * n)
-    return Kernel2D(g)
+    return Kernel2D(_Problem(support, cfg, w.shape).evaluate(w, False)[1])
 
 
 def hessian_quadratic_form(
@@ -363,10 +297,7 @@ def hessian_quadratic_form(
     directions = np.empty_like(prob.scores)
     prob.correlate((w, prob.scores), (g, directions))
     prob.loss.value_grad(prob.scores, prob.work, prob.state, slice(None))
-    total = cfg.regularization * float((g * g).sum())
-    for gamma, curv in zip(prob.gamma, prob.loss.curvature(prob.state, directions, prob.work)):
-        total += gamma * curv
-    return total
+    return prob.curvature(g, directions)
 
 
 def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetModel, list[OptStep]]:
@@ -379,39 +310,36 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
     The step is then halved until the objective does not increase
     (curvature can grow along the ray, so the quadratic-model step may
     overshoot; a failed search leaves the weights in place with
-    step_length 0).  Trial objectives come from the kept scores,
+    step_length 0).  The first pass scores every sample at the given
+    kernel; trial objectives come from the carried scores,
     s_j - alpha * v_j, and an accepted trial's scores carry into the next
-    pass.  Returns the updated model, whose kernel array is read-only, and
-    a trace with one row per iteration plus a final row for the end state
-    (step_length 0 by convention), evaluated on scores correlated afresh at
-    the returned kernel.  Each sample is left those scores and its pullback
-    under that kernel.
+    pass.  Returns the updated model and a trace with one row per
+    iteration plus a final row for the end state (step_length 0 by
+    convention): the objective at the returned kernel, which is the last
+    accepted trial's, and the gradient norm there, math.nan when the last
+    step moved the kernel, since no pass scores the kernel a step lands on.
     """
     if not (cfg.regularization > 0):
         raise DomainError("optimize requires positive regularization")
-    kernel = model.weights.values
-    prob = _Problem(support, cfg, kernel.shape)
-    loss = (cfg.loss_model, cfg.rl2_threshold)
-    known, pulls = prob.recall(kernel, loss)
-    w = kernel.copy()
+    w = model.weights.values.copy()
+    prob = _Problem(support, cfg, w.shape)
     lam = cfg.regularization
     trace: list[OptStep] = []
-    moved = False
-    for it in range(cfg.iterations):
-        obj, g, pulls = prob.evaluate(w, known, pulls)
-        known = [True] * len(known)
+    pulls = None
+    for it in range(max(cfg.iterations, 1)):
+        obj, g, pulls = prob.evaluate(w, it > 0, pulls)
         if not math.isfinite(obj):
             raise NumericError(f"non-finite objective at iteration {it}")
         gg = float((g * g).sum())
         gnorm = math.sqrt(gg)
+        if it == cfg.iterations:
+            break  # no iterations: the one pass only gives the final row
         if gg == 0.0:
             trace.append(OptStep(it, obj, 0.0, 0.0))
             continue
         directions = np.empty_like(prob.scores)
         prob.correlate((g, directions))
-        denom = lam * gg
-        for gamma, curv in zip(prob.gamma, prob.loss.curvature(prob.state, directions, prob.work)):
-            denom += gamma * curv
+        denom = prob.curvature(g, directions)
         alpha = gg / denom if denom >= STEP_LENGTH_FLOOR * gg else 1.0 / lam
         accepted = 0.0
         for _ in range(40):
@@ -422,25 +350,15 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
             if math.isfinite(cand_obj) and cand_obj <= obj:
                 w = cand
                 prob.accept()
-                pulls = [None] * len(pulls)
-                moved = True
+                pulls = None
                 accepted = alpha
                 break
             alpha *= 0.5
         del directions
         trace.append(OptStep(it, obj, accepted, gnorm))
-
-    if moved:
-        # Carried scores differ from a fresh correlation in the last bits.
-        # The closing pass scores afresh, so what the samples keep is
-        # exactly what a first pass at w would compute.
-        known = [False] * len(known)
-    obj, g, pulls = prob.evaluate(w, known, pulls)
-    if not math.isfinite(obj):
-        raise NumericError(f"non-finite objective at iteration {cfg.iterations}")
-    trace.append(OptStep(cfg.iterations, obj, 0.0, math.sqrt(float((g * g).sum()))))
-    w.flags.writeable = False
-    prob.keep(w, loss, pulls)
+        if accepted:
+            obj, gnorm = cand_obj, math.nan
+    trace.append(OptStep(cfg.iterations, obj, 0.0, gnorm))
     return TargetModel(Kernel2D(w)), trace
 
 

@@ -30,9 +30,9 @@ its sequence seed from --seed so that repetitions are reproducible).
 load_config reads at most MAX_CONFIG_BYTES of the file, checks every value
 against the annotations of TrackerConfig, Scenario and RunConfig, then the
 ranges, the sizes and work (MAX_SEQUENCE_CELLS, MAX_CROP_CELLS,
-MAX_BOX_SAMPLES, MAX_BOX_DRAWS, MAX_SOLVER_ITERATIONS, MAX_TRAINING_ROWS,
-MAX_SUITE_CELLS) and the dump frame, so a config that loads runs without a
-usage error.
+MAX_BOX_SAMPLES, MAX_BOX_DRAWS, MAX_SOLVER_ITERATIONS, MAX_REFINE_STEPS,
+MAX_TRAINING_ROWS, MAX_SUITE_CELLS) and the dump frame, so a config that
+loads runs without a usage error.
 
 Determinism: each (scenario, repetition) cell owns its RNG streams, seeded
 as master + 103 * scenario_index + 10007 * repetition (the tracker stream
@@ -95,6 +95,9 @@ MAX_SUITE_CELLS = 2**16  # suite scenarios x repetitions
 MAX_BOX_DRAWS = 150 * MAX_BOX_SAMPLES
 MAX_CONFIG_BYTES = 2**22  # size of the --config file
 MAX_SOLVER_ITERATIONS = 1000  # init_iterations, online_iterations: 100x the default first-frame solve
+# refine_steps: 100x the default box refinement.  A large refine_step makes
+# the ascent oscillate, so refine_tol alone need not stop it.
+MAX_REFINE_STEPS = 1000
 # Proposal draws per batch that one suite task holds across its cells: 8
 # cells at the default bb_samples, at least one cell.  A task trains the box
 # scorers of its cells as one stacked problem, which shares each draw
@@ -272,15 +275,14 @@ def _check_resolved(cfg: RunConfig):
     """Reject, before any sequence is rendered, what no run could build or compute.
 
     bb_samples, the box-training draws bb_epochs x bb_samples, the solver
-    iterations, the box-training rows of a sweep (its values times the
-    draws per suite task's batch), the suite's cell count and the dump
-    slice are bounded.  One
-    pass over the scenario specs builds each Scenario (the seed does not
-    enter its checks) and bounds its sequence's size, its target's sigma_tc
-    and its search region (as track_init resolves them, from the sizes
-    alone); the dump frame must lie in the dump scenario.  Sweep values
-    replace sigma_tc or sigma_bb, and a label width is rejected when its
-    Gaussian normalizer is not finite.
+    iterations, the box refinement steps, the box-training rows of a sweep
+    (its values times the draws per suite task's batch), the suite's cell
+    count and the dump slice are bounded.  One pass over the scenario specs
+    builds each Scenario (the seed does not enter its checks) and bounds its
+    sequence's size, its target's sigma_tc and its search region (as
+    track_init resolves them, from the sizes alone); the dump frame must lie
+    in the dump scenario.  Sweep values replace sigma_tc or sigma_bb, and a
+    label width is rejected when its Gaussian normalizer is not finite.
     """
     tracker = cfg.tracker
     _expect(
@@ -293,9 +295,13 @@ def _check_resolved(cfg: RunConfig):
         f"tracker.bb_epochs: {tracker.bb_epochs} epochs x {tracker.bb_samples} bb_samples"
         f" = {draws} box-training draws, over {MAX_BOX_DRAWS}",
     )
-    for name in ("init_iterations", "online_iterations"):
+    for name, bound in (
+        ("init_iterations", MAX_SOLVER_ITERATIONS),
+        ("online_iterations", MAX_SOLVER_ITERATIONS),
+        ("refine_steps", MAX_REFINE_STEPS),
+    ):
         n = getattr(tracker, name)
-        _expect(n <= MAX_SOLVER_ITERATIONS, f"tracker.{name} must be at most {MAX_SOLVER_ITERATIONS}, got {n}")
+        _expect(n <= bound, f"tracker.{name} must be at most {bound}, got {n}")
     batch = max(tracker.bb_samples, _GROUP_DRAWS)
     rows = len(cfg.sweep_values) * batch
     _expect(

@@ -563,8 +563,6 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
     state.current_box = box
 
     sample = _make_sample(features, est, state.sigma_tc)
-    # The next solve starts from this kernel, so it can reuse these scores.
-    sample.keep(state.model.weights.values, scores.values)
     state.support.append(sample)
     state.sample_frames.append(state.frame_index)
     while len(state.support) > cfg.memory_capacity:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from _oracles import fd_gradient, optimize_reference
 from prtrack.center_optimizer import (
     OptimizerConfig,
+    OptStep,
     SupportSample,
     TargetModel,
     gradient,
@@ -353,15 +355,8 @@ def test_optimize_matches_reference_loop_at_zero_gradient():
     assert all(row.step_length == 0.0 and row.grad_norm == 0.0 for row in trace)
 
 
-def test_optimize_unfolds_each_sample_twice_per_iteration(monkeypatch):
-    # Backtracking trials reuse the kept scores, so one optimize call of k
-    # iterations builds at most 2k + 1 unfolds per sample, however many
-    # halvings happen.
-    support, w0, cfg = _saturated_case()
-    _, _, halvings = optimize_reference(_model(w0), support, cfg)
-    assert sum(halvings) > 0
+def _counting_unfolds(monkeypatch):
     built = []
-
     unfold = _Workspace.unfold
 
     def counting(ws, *args):
@@ -369,12 +364,23 @@ def test_optimize_unfolds_each_sample_twice_per_iteration(monkeypatch):
         return unfold(ws, *args)
 
     monkeypatch.setattr(_Workspace, "unfold", counting)
+    return built
+
+
+def test_optimize_unfolds_each_sample_twice_per_iteration(monkeypatch):
+    # Backtracking trials reuse the carried scores, so one optimize call of
+    # k iterations builds at most 2k(N - 1) + 1 unfolds, however many
+    # halvings happen.
+    support, w0, cfg = _saturated_case()
+    _, _, halvings = optimize_reference(_model(w0), support, cfg)
+    assert sum(halvings) > 0
+    built = _counting_unfolds(monkeypatch)
     optimize(_model(w0), support, cfg)
-    assert len(built) <= len(support) * (2 * cfg.iterations + 1)
+    assert len(built) <= 2 * cfg.iterations * (len(support) - 1) + 1
 
 
 def _fresh(support):
-    """Copies of the samples that keep nothing from earlier solves."""
+    """New sample objects with the same fields."""
     return [SupportSample(s.features, s.label_grid, s.weight, s.center_rc) for s in support]
 
 
@@ -384,86 +390,54 @@ def _assert_same_solve(got, want):
     assert got_trace == want_trace
 
 
-@pytest.mark.parametrize("loss_model", ["l2", "rl2", "nll", "kl"])
-def test_optimize_reuses_what_the_last_solve_left(loss_model):
-    # The weights do not enter what a sample keeps, so reweighting between
-    # solves (as the tracker does) keeps the reuse exact.
-    rng = np.random.Generator(np.random.PCG64(39))
-    support = _random_support(rng, n=4)
-    cfg = OptimizerConfig(regularization=1e-2, iterations=3, loss_model=loss_model)
-    model, _ = optimize(_model(rng.normal(0.0, 0.5, (2, 3, 3))), support, cfg)
-    support[1].weight = 0.1
-    _assert_same_solve(optimize(model, support, cfg), optimize(model, _fresh(support), cfg))
-
-
-@pytest.mark.parametrize(
-    "change", ["kernel copy", "read-only kernel copy", "edited kernel", "loss model", "rl2 threshold", "features"]
-)
-def test_optimize_ignores_kept_evaluations_that_do_not_match(change):
-    rng = np.random.Generator(np.random.PCG64(40))
-    support = _random_support(rng, n=4)
-    cfg = OptimizerConfig(regularization=1e-2, iterations=2, loss_model="rl2")
-    model, _ = optimize(_model(rng.normal(0.0, 0.5, (2, 3, 3))), support, cfg)
-    if change == "kernel copy":
-        model = _model(model.weights.values.copy())
-    elif change == "read-only kernel copy":
-        kernel = model.weights.values.copy()
-        kernel.flags.writeable = False
-        model = _model(kernel)
-    elif change == "edited kernel":
-        # Scores kept under a writable array do not count: it can change in place.
-        kernel = model.weights.values.copy()
-        for sample in support:
-            sample.keep(kernel, conv_apply(sample.features, Kernel2D(kernel)).values)
-        kernel *= 1.5
-        model = _model(kernel)
-    elif change == "loss model":
-        cfg = OptimizerConfig(regularization=1e-2, iterations=2, loss_model="l2")
-    elif change == "rl2 threshold":
-        cfg = OptimizerConfig(regularization=1e-2, iterations=2, loss_model="rl2", rl2_threshold=0.5)
-    else:
-        support[2].features = FeatureMap(rng.normal(0.0, 1.0, support[2].features.values.shape))
-    _assert_same_solve(optimize(model, support, cfg), optimize(model, _fresh(support), cfg))
-
-
-def test_optimize_on_what_a_solve_left_skips_the_first_pass_unfolds(monkeypatch):
-    # A k-iteration call unfolds N * (2k + 1) - 2k times on fresh samples and
-    # (N - 1) * 2k + 1 times on samples a solve left their scores and
-    # pullbacks, also when one of them kept only its scores: the unfold for
-    # its adjoint starts the next sweep.  Each sweep after the first starts
-    # on the sample the last one left unfolded.
+def test_consecutive_solves_each_start_fresh(monkeypatch):
+    # Each solve scores every sample in its first pass, whatever an earlier
+    # solve on the same samples did: a k-iteration solve that steps every
+    # iteration unfolds 2k(N - 1) + 1 times, and it equals a solve on new
+    # sample objects bit for bit.
     rng = np.random.Generator(np.random.PCG64(41))
-    support = _random_support(rng)
+    support = _random_support(rng, n=4)
     cfg = OptimizerConfig(regularization=1e-2, iterations=3)
     model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
-    built = []
-
-    unfold = _Workspace.unfold
-
-    def counting(ws, *args):
-        built.append(args)
-        return unfold(ws, *args)
-
-    monkeypatch.setattr(_Workspace, "unfold", counting)
-    model, first = optimize(model, support, cfg)
     n, k = len(support), cfg.iterations
-    assert len(built) == n * (2 * k + 1) - 2 * k
-    scored_only = _fresh(support[:1])[0]
-    scored_only.keep(model.weights.values, conv_apply(scored_only.features, model.weights).values)
-    del built[:]
-    support = [scored_only] + support[1:]
-    got = optimize(model, support, cfg)
-    assert len(built) == (n - 1) * 2 * k + 1
-    # Every step is taken, so no pass is skipped for an unmoved kernel.
-    assert all(row.step_length > 0.0 for row in first[:-1] + got[1][:-1])
-    _assert_same_solve(got, optimize(model, _fresh(support), cfg))
+    built = _counting_unfolds(monkeypatch)
+    for _ in range(2):
+        del built[:]
+        got = optimize(model, support, cfg)
+        assert len(built) == 2 * k * (n - 1) + 1
+        assert all(row.step_length > 0.0 for row in got[1][:-1])
+        _assert_same_solve(got, optimize(model, _fresh(support), cfg))
+        model = got[0]
 
 
-def test_optimize_returns_a_read_only_kernel():
+@pytest.mark.parametrize("loss_model", ["l2", "rl2", "nll", "kl"])
+def test_optimize_final_row_is_the_last_accepted_trial(loss_model):
+    # The end objective is the last accepted trial's, which the next
+    # iteration of a longer solve starts from; after a step no pass scores
+    # the new kernel, so its gradient norm is NaN.
     rng = np.random.Generator(np.random.PCG64(42))
-    model, _ = optimize(_model(rng.normal(0.0, 0.5, (2, 3, 3))), _random_support(rng), CFG)
-    with pytest.raises(ValueError):
-        model.weights.values[0, 0, 0] = 1.0
+    support = _random_support(rng)
+    w0 = rng.normal(0.0, 0.5, (2, 3, 3))
+    cfg = OptimizerConfig(regularization=1e-2, iterations=3, loss_model=loss_model)
+    model, trace = optimize(_model(w0), support, cfg)
+    _, longer = optimize(_model(w0), support, replace(cfg, iterations=4))
+    end, last = trace[-1], trace[-2]
+    assert last.step_length > 0.0
+    assert end == OptStep(3, longer[3].objective, 0.0, end.grad_norm)
+    assert end.objective <= last.objective
+    assert math.isnan(end.grad_norm)
+    assert end.objective == pytest.approx(objective(model, support, cfg), rel=1e-12)
+
+
+def test_optimize_without_iterations_evaluates_once():
+    rng = np.random.Generator(np.random.PCG64(43))
+    support = _random_support(rng)
+    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    cfg = OptimizerConfig(iterations=0)
+    got, trace = optimize(model, support, cfg)
+    assert np.array_equal(got.weights.values, model.weights.values)
+    g = gradient(model, support, cfg).values
+    assert trace == [OptStep(0, objective(model, support, cfg), 0.0, math.sqrt(float((g * g).sum())))]
 
 
 def test_support_with_mixed_grid_shapes_is_rejected():

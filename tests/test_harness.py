@@ -194,6 +194,11 @@ def test_cli_rejects_bad_solver_settings(tmp_path, capsys, monkeypatch, tracker,
             "tracker.bb_epochs: 100000000 epochs x 768 bb_samples = 76800000000 box-training draws, over 157286400",
         ),
         ({"bb_epochs": 151, "bb_samples": 2**20}, "tracker.bb_epochs: 151 epochs x 1048576 bb_samples"),
+        ({"refine_steps": 1001}, "tracker.refine_steps must be at most 1000, got 1001"),
+        (
+            {"refine_steps": 1000000000, "refine_step": 0.08, "scorer_init": "train"},
+            "tracker.refine_steps must be at most 1000, got 1000000000",
+        ),
     ],
 )
 def test_cli_rejects_bad_box_settings(tmp_path, capsys, monkeypatch, tracker, message):
@@ -323,10 +328,11 @@ def test_cli_bounds_sequence_and_proposal_sizes_at_load(tmp_path, capsys, monkey
 
 def test_sequence_and_proposal_sizes_at_their_bounds_load(tmp_path):
     scenario = {"preset": "static", "num_frames": 2**20, "channels": 1, "height": 32, "width": 32}
-    payload = {"track": {"scenario": scenario}, "tracker": {"bb_samples": 2**20}}
+    payload = {"track": {"scenario": scenario}, "tracker": {"bb_samples": 2**20, "refine_steps": 1000}}
     cfg = load_config(_write_config(tmp_path, payload))
     assert cfg.track_scenario["num_frames"] * 32 * 32 == harness.MAX_SEQUENCE_CELLS
     assert cfg.tracker.bb_samples == harness.MAX_BOX_SAMPLES
+    assert cfg.tracker.refine_steps == harness.MAX_REFINE_STEPS
     assert cfg.tracker.bb_epochs * cfg.tracker.bb_samples == harness.MAX_BOX_DRAWS
 
 

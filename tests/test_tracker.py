@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import iou_brute, recount_op_auc
-from prtrack.center_optimizer import SupportSample, TargetModel
+from prtrack.center_optimizer import TargetModel
 from prtrack.density import read_peak
 from prtrack.errors import DimensionError, DomainError
 from prtrack.gridmath import FeatureMap, Kernel2D
@@ -431,28 +431,6 @@ def test_run_is_deterministic_end_to_end():
     assert a.boxes == b.boxes
     assert a.missing == b.missing
     assert evaluate(seq, a.boxes).auc == evaluate(seq, b.boxes).auc
-
-
-@pytest.mark.parametrize("loss_model", ["kl", "rl2"])
-def test_reusing_kept_evaluations_leaves_the_track_unchanged(monkeypatch, loss_model):
-    # Each solve reuses the scores and pullbacks the samples kept; a run
-    # whose solves see fresh copies of the samples must report equal boxes.
-    from prtrack import center_optimizer, tracker
-
-    scenario = Scenario(num_frames=16, velocity_x=0.25, noise_level=0.05, seed=22)
-    seq = generate_sequence(scenario)
-    cfg = TrackerConfig(loss_model=loss_model, memory_capacity=8)
-    reused = run_sequence(seq, cfg, np.random.Generator(np.random.PCG64(1)))
-
-    def fresh_optimize(model, support, opt_cfg):
-        copies = [SupportSample(s.features, s.label_grid, s.weight, s.center_rc) for s in support]
-        return center_optimizer.optimize(model, copies, opt_cfg)
-
-    monkeypatch.setattr(tracker, "optimize", fresh_optimize)
-    fresh = run_sequence(seq, cfg, np.random.Generator(np.random.PCG64(1)))
-    assert reused.boxes == fresh.boxes
-    assert reused.missing == fresh.missing
-    assert reused.peak_mass == fresh.peak_mass
 
 
 def test_trace_csv_round_trip(tmp_path):
