@@ -8,14 +8,17 @@ s(y) = -||y - mu||^2 / (2 tau^2) with a trainable center mu and a fixed
 width tau; its closed form lets training and refinement be checked against
 brute-force oracles.
 
-train_box_scorer fits scorers to annotated boxes by drawing proposal
-samples around each annotation and following the Monte Carlo divergence
-gradient, or one of the squared-error / hinged / delta-label objectives
-for side-by-side comparisons.  It trains a group of cells in lockstep.
-Every cell shares one list of jobs, each a (loss model, label width,
-scorer width) triple, and brings its own annotation and its own proposal
-stream; every center starts on its cell's annotation.  Each draw batch is
-one stacked problem over all (job x cell) rows.  Once per cell and draw
+train_box_scorer fits scorers by drawing proposal samples around the
+annotation and following the Monte Carlo divergence gradient, or one of
+the squared-error / hinged / delta-label objectives for side-by-side
+comparisons.  Training happens in the target's own frame: the annotation
+is the origin, the unit box (0, 0, 1, 1) once decoded, and every draw and
+center is an offset from it, so every annotation poses the same problem
+and only the proposal streams tell cells apart.  It trains a group of
+cells in lockstep.  Every cell shares one list of jobs, each a (loss
+model, label width, scorer width) triple, and brings its own proposal
+stream; every center starts at the origin.  Each draw batch is one
+stacked problem over all (job x cell) rows.  Once per cell and draw
 batch: the draws and the cell's score rows.  Once per group and draw
 batch: the proposal density, one label density per kl width, the
 overlaps, one kl_mc_loss call over the kl and nll rows, one exp over the
@@ -176,15 +179,6 @@ class SGDConfig:
             raise DomainError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
 
 
-def _decode_batch(ys: np.ndarray, reference, out: np.ndarray):
-    """Encoded (K, 4) boxes to (cx, cy, w, h) in the (4, K) rows out, one coordinate row at a time."""
-    w0, h0 = reference
-    coords = ys.T
-    np.multiply(coords[0], w0, out=out[0])
-    np.multiply(coords[1], h0, out=out[1])
-    np.exp(coords[2:], out=out[2:])
-
-
 def _score_rows(centers: np.ndarray, t2: np.ndarray, ys: np.ndarray, out: np.ndarray):
     """Scores of J scorers at one (K, 4) batch into the (J, K) rows out.
 
@@ -215,14 +209,12 @@ _ROW_ORDER = ("kl", "nll", "l2", "rl2")
 _RL2_OVERLAP = 0.05
 
 
-def _check_jobs(jobs, anchors, rngs, samples_per_annotation: int):
+def _check_jobs(jobs, rngs, samples_per_annotation: int):
     """DimensionError or DomainError before anything is drawn."""
     if not jobs:
         raise DimensionError("train_box_scorer needs at least one job")
-    if not anchors:
+    if not rngs:
         raise DimensionError("train_box_scorer needs at least one cell")
-    if len(rngs) != len(anchors):
-        raise DimensionError(f"train_box_scorer needs one rng per cell, got {len(rngs)} for {len(anchors)} cells")
     if samples_per_annotation < 2:
         raise DomainError("need at least 2 samples per annotation")
     for loss_model, sigma_bb, tau in jobs:
@@ -240,44 +232,39 @@ def _check_jobs(jobs, anchors, rngs, samples_per_annotation: int):
 @np.errstate(over="ignore", invalid="ignore")
 def train_box_scorer(
     jobs,
-    anchors,
     rngs,
     proposal: MixtureProposal,
     samples_per_annotation: int,
     sgd: SGDConfig,
 ) -> np.ndarray:
-    """Fit scorer centers to annotated boxes with stochastic first-order updates.
+    """Fit scorer centers, as offsets from the annotation, with stochastic first-order updates.
 
     jobs is a sequence of (loss_model, sigma_bb, tau) triples that every
-    cell shares; anchors holds one annotation (a BoxParam) per cell and
-    rngs one generator per cell.  Every center starts on its cell's
-    annotation.  Per epoch, each cell draws samples_per_annotation
-    proposals from its own rng, from `proposal` recentered on its
-    annotation, evaluates every job's loss at those draws and steps the
-    job's center along the gradient of a quadratic scorer of width tau.
+    cell shares, and rngs holds one generator per cell.  Training runs in
+    the target's own frame, so every center starts at the origin, the
+    annotation.  Per epoch, each cell draws samples_per_annotation offsets
+    from `proposal` on its own rng, evaluates every job's loss at those
+    draws and steps the job's center along the gradient of a quadratic
+    scorer of width tau.
 
     Each draw batch is one stacked problem over all (job x cell) rows, as
-    the module docstring lays out.  The densities are taken at each draw's
-    offset from its cell's annotation, under a proposal and labels centered
-    at the origin, so their squared distances are the ones to the
-    annotation bit for bit (x - 0.0 == x).  A cell's gradient bases are
-    recomputed after the loss call rather than held for the whole group,
-    which keeps the group's memory to a few score-sized rows per cell.  Each
-    row is computed in the order a job alone would compute it, and a row's
-    updates read only its own center and its cell's draws, so every center
-    ends bit for bit where a run of its cell alone, with that job alone,
-    on an equally seeded generator ends.
+    the module docstring lays out.  A cell's gradient bases are recomputed
+    after the loss call rather than held for the whole group, which keeps
+    the group's memory to a few score-sized rows per cell.  Each row is
+    computed in the order a job alone would compute it, and a row's updates
+    read only its own center and its cell's draws, so every center ends bit
+    for bit where a run of its cell alone, with that job alone, on an
+    equally seeded generator ends.
 
-    The recentered proposals are built once per cell, and the labels once
-    per width, before the first epoch.  Returns the (cells x jobs x 4)
-    final centers in job order, each the average of its iterates over the
-    last half of the epochs, which removes most of the stationary sampling
-    noise.  NumericError once a job's scores, loss or stepped center are not
-    finite; DomainError if an average is not.
+    The labels are built once per width before the first epoch.  Returns
+    the (cells x jobs x 4) final centers in job order, each the average of
+    its iterates over the last half of the epochs, which removes most of the
+    stationary sampling noise.  NumericError once a job's scores, loss or
+    stepped center are not finite; DomainError if an average is not.
     """
-    _check_jobs(jobs, anchors, rngs, samples_per_annotation)
+    _check_jobs(jobs, rngs, samples_per_annotation)
     k = int(samples_per_annotation)
-    n_cells = len(anchors)
+    n_cells = len(rngs)
     order = sorted(range(len(jobs)), key=lambda i: _ROW_ORDER.index(jobs[i][0]))
     models = [jobs[i][0] for i in order]
     n_jobs = len(models)
@@ -287,37 +274,29 @@ def train_box_scorer(
     # A label per distinct width checks every job's width; only the kl
     # jobs' labels are evaluated at the draws.  The nll rows get a zero
     # label: the delta label has no density at the draws.
-    origin = np.zeros(BOX_DIM)
-    labels = {sigma: GaussianLabel(origin, sigma) for _, sigma, _ in jobs}
+    labels = {sigma: GaussianLabel(np.zeros(BOX_DIM), sigma) for _, sigma, _ in jobs}
     kl_sigmas = list(dict.fromkeys(jobs[i][1] for i in order[:n_div] if jobs[i][0] == "kl"))
     label_rows = [None if model == "nll" else kl_sigmas.index(jobs[i][1]) for i, model in zip(order, models[:n_div])]
-    q_origin = proposal.recenter(origin)
-    proposals = [proposal.recenter(anchor.values) for anchor in anchors]
-    # The annotations as a (cells, 4) stack and, for the overlaps, their
-    # decoded boxes as a (cells, 1, 4) stack.
-    starts = np.array([anchor.values for anchor in anchors])
-    if n_div < n_jobs:
-        boxes = np.array([anchor.decode() for anchor in anchors])[:, None, :]
-    centers = np.repeat(starts[:, None, :], n_jobs, axis=1)
+    centers = np.zeros((n_cells, n_jobs, BOX_DIM))
     scores = np.empty((n_jobs, n_cells, k))
-    # Each draw's offset from its annotation, then its decoded box.
-    coords = np.empty((n_cells, BOX_DIM, k))
+    # Every cell's draws as one (cells, 4, K) stack, and their decoded boxes.
+    offsets = np.empty((n_cells, BOX_DIM, k))
+    draws = offsets.transpose(0, 2, 1)
+    if n_div < n_jobs:
+        boxes = np.empty_like(offsets)
     label_dens = np.empty((len(kl_sigmas), n_cells, k))
     grads = np.empty_like(centers)
     tail_start = sgd.epochs // 2
     tail = np.zeros_like(centers)
     for epoch in range(sgd.epochs):
         lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
-        draws = [proposal_sample(q, rng, size=k) for q, rng in zip(proposals, rngs)]
-        for c, ys in enumerate(draws):
-            _score_rows(centers[c], t2, ys, scores[:, c])
+        for c, rng in enumerate(rngs):
+            offsets[c] = proposal_sample(proposal, rng, size=k).T
+            _score_rows(centers[c], t2, draws[c], scores[:, c])
         if n_div:
-            for c, ys in enumerate(draws):
-                np.subtract(ys.T, starts[c][:, None], out=coords[c])
-            at = coords.transpose(0, 2, 1)
-            proposal_dens = proposal_density(q_origin, at)
+            proposal_dens = proposal_density(proposal, draws)
             for i, sigma in enumerate(kl_sigmas):
-                label_dens[i] = gaussian_density(labels[sigma], at)
+                label_dens[i] = gaussian_density(labels[sigma], draws)
             try:
                 lvg = kl_mc_loss(scores[:n_div], label_dens, proposal_dens, label_rows)
             except DomainError:
@@ -332,27 +311,29 @@ def train_box_scorer(
             # (0, 1], same argmax as s — onto the overlap with the
             # annotation; regressing the raw score of a quadratic field onto
             # [0, 1] targets is hopelessly scaled (score ~ -d^2/(2 tau^2) at
-            # proposal distance d).
-            for c, (anchor, ys) in enumerate(zip(anchors, draws)):
-                _decode_batch(ys, anchor.reference, coords[c])
-            overlaps = iou_xywh(coords.transpose(0, 2, 1), boxes)
+            # proposal distance d).  At reference size (1, 1) decoding keeps
+            # the center offsets and exponentiates the log sizes.
+            boxes[:, :2] = offsets[:, :2]
+            np.exp(offsets[:, 2:], out=boxes[:, 2:])
+            overlaps = iou_xywh(boxes.transpose(0, 2, 1), (0.0, 0.0, 1.0, 1.0))
             conf = np.exp(scores[n_div:])
             resid = conf - overlaps
             if n_div + n_l2 < n_jobs:
                 # rl2 hinges the draws far from the annotation: max(0, c) == c.
                 np.copyto(resid[n_l2:], conf[n_l2:], where=~(overlaps > _RL2_OVERLAP))
             weighted = resid * conf
-        for c, ys in enumerate(draws):
-            bases = _grad_params_bases(centers[c], t2, ys)
+        for c in range(n_cells):
+            bases = _grad_params_bases(centers[c], t2, draws[c])
             for row in range(n_jobs):
                 if row < n_div:
                     value, grad = div_values[row][c], lvg.grad_scores[row, c] @ bases[row].T
                     if models[row] == "nll":
                         # The delta-label loss is the divergence with zero label
-                        # densities at the draws, minus the score at the annotation.
-                        d = starts[c] - centers[c, row]
-                        value -= _score(*d.tolist(), -2.0 * t2[row])
-                        grad -= d / t2[row]
+                        # densities at the draws, minus the score at the
+                        # annotation, the origin.
+                        mu = centers[c, row]
+                        value -= _score(*mu.tolist(), -2.0 * t2[row])
+                        grad += mu / t2[row]
                 else:
                     res, w = resid[row - n_div, c], weighted[row - n_div, c]
                     value, grad = float(res @ res) / k, (2.0 / k) * (w @ bases[row].T)

@@ -40,12 +40,12 @@ adds a fixed offset), so outputs are bit-identical for equal (config,
 seed) regardless of --jobs.  compare-losses and sigma-sweep run
 group-major: one task per group of cells, as many as hold _GROUP_DRAWS
 proposal draws per batch (at least one), first builds the box scorers of
-every cell and tracker config, from each scenario's first box and each
-cell's one tracker stream, and trains them in lockstep as one stacked
-problem (each scorer is exactly the one its config would train alone in
-its cell).  It then renders each cell's sequence once and tracks it once
-per config.  So the loss models share one rendered sequence and one
-proposal stream per cell.
+every cell and tracker config: it trains them in lockstep as one stacked
+problem in the target's own frame, each cell on its one tracker stream,
+and centers each on its scenario's first box (each scorer is exactly the
+one its config would train alone in its cell).  It then renders each
+cell's sequence once and tracks it once per config.  So the loss models
+share one rendered sequence and one proposal stream per cell.
 """
 
 from __future__ import annotations
@@ -369,9 +369,10 @@ def _cell(spec, seed: int):
 def _run_cell_group(cells, tracker_cfgs):
     """Track each (spec, seed) cell with every config; one list of metrics per cell.
 
-    The box scorers of all the cells train first, in lockstep, from each
-    scenario's first box; then each cell's sequence is rendered, tracked
-    once per config and dropped before the next cell's is rendered.
+    The box scorers of all the cells train first, in lockstep, and are
+    centered on each scenario's first box; then each cell's sequence is
+    rendered, tracked once per config and dropped before the next cell's
+    is rendered.
     """
     scenarios, streams = zip(*(_cell(spec, seed) for spec, seed in cells))
     scorers = init_scorers(tracker_cfgs, [(sc.target_box(0), rng) for sc, rng in zip(scenarios, streams)])

@@ -5,7 +5,10 @@ narrow sigma keeps the annotation nearly exact, wider sigma encodes label
 noise.  Grid labels are evaluated at cell centers (not integrated over
 cells); cell (i, j) of a grid with cell area A sits at coordinate
 (i * sqrt(A), j * sqrt(A)).  Box-space sampling uses a Gaussian mixture
-proposal so importance ratios against the label stay bounded.
+proposal so importance ratios against the label stay bounded.  Box training
+happens in the target's own frame, where every annotation sits at the
+origin, so the mixture is centered there and draws offsets from the
+annotation.
 
 Every Gaussian here is normalized by (2 pi sigma^2)^(-dim/2); a width whose
 normalizer under- or overflows is rejected when the label or proposal is
@@ -23,7 +26,7 @@ densities and scorers do run along the long sample axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,46 +70,37 @@ class GaussianLabel:
 
 @dataclass(frozen=True, eq=False)
 class MixtureProposal:
-    """Gaussian mixture q(y) = sum_m weight_m N(y; center, sigma_m^2 I).
+    """Gaussian mixture q(y) = sum_m weight_m N(y; 0, sigma_m^2 I) in dim dimensions.
 
-    All components share the center; weights are positive and sum to 1.
+    All components sit at the origin; weights are positive and sum to 1.
     cdf is the normalized cumulative weight vector that component draws
     are looked up in.
     """
 
     weights: np.ndarray
     sigmas: np.ndarray
-    center: np.ndarray
+    dim: int
     cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         s = np.asarray(self.sigmas, dtype=np.float64)
-        c = np.asarray(self.center, dtype=np.float64)
         if w.ndim != 1 or s.ndim != 1 or w.size != s.size or w.size < 1:
             raise DimensionError("weights and sigmas must be 1D arrays of equal length")
-        if c.ndim != 1 or c.size < 1 or not np.isfinite(c).all():
-            raise DimensionError("proposal center must be a finite 1D coordinate")
+        if self.dim < 1:
+            raise DimensionError(f"proposal dim must be at least 1, got {self.dim}")
         if not ((w > 0).all() and abs(w.sum() - 1.0) <= 1e-12):
             raise DomainError("component weights must be positive and sum to 1")
         if not (s > 0).all():
             raise DomainError("component sigmas must be positive")
         for sigma in s:
-            gaussian_normalizer(sigma, c.size)
+            gaussian_normalizer(sigma, self.dim)
         # Normalized exactly as Generator.choice normalizes its p argument.
         cdf = w.cumsum()
         cdf /= cdf[-1]
         object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "sigmas", s)
-        object.__setattr__(self, "center", c)
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-    def recenter(self, center) -> "MixtureProposal":
-        return replace(self, center=np.asarray(center, dtype=np.float64))
 
 
 def gaussian_normalizer(sigma: float, dim: int) -> float:
@@ -170,15 +164,15 @@ def label_grid(label: GaussianLabel, grid_shape: tuple[int, int], cell_area: flo
 def proposal_sample(q: MixtureProposal, rng: np.random.Generator, size: int | None = None):
     """Draw from the mixture; returns one coordinate or a (size, dim) stack.
 
-    The stack is coordinate-major and the draws follow the stream contract
-    in the module docstring.
+    Each draw is its component's sigma times standard normal noise.  The
+    stack is coordinate-major and the draws follow the stream contract in
+    the module docstring.
     """
     n = 1 if size is None else int(size)
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {size}")
     comp = q.cdf.searchsorted(rng.random(n), side="right")
     draws = np.multiply(rng.standard_normal((n, q.dim)).T, q.sigmas[comp], out=np.empty((q.dim, n)))
-    draws += q.center[:, None]
     return draws[:, 0] if size is None else draws.T
 
 
@@ -187,7 +181,7 @@ def proposal_density(q: MixtureProposal, y) -> float | np.ndarray:
     arr = np.asarray(y, dtype=np.float64)
     if arr.shape[-1:] != (q.dim,):
         raise DimensionError(f"coordinate dim {arr.shape[-1:]} does not match proposal dim {q.dim}")
-    d2 = _sq_dist(arr, q.center)
+    d2 = np.square(arr).sum(axis=-1)
     out = None
     for wm, sm in zip(q.weights, q.sigmas):
         term = _gauss(d2, float(sm), q.dim)

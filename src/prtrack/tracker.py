@@ -288,9 +288,8 @@ class TrackerConfig:
     Building it also builds the settings objects the tracker uses, so every
     check on them runs when the config is made: init_optimizer and
     online_optimizer (the first-frame and the online kernel solves),
-    bb_proposal and bb_sgd (box-scorer training; the proposal is centered
-    at the origin and recentered on each annotation) and refine_config
-    (box refinement).
+    bb_proposal and bb_sgd (box-scorer training; the proposal draws offsets
+    from the annotation) and refine_config (box refinement).
 
     Field types come from the annotations: _check_fields checks them first,
     naming a field as its config key, tracker.<field>.
@@ -357,7 +356,7 @@ class TrackerConfig:
         if self.bb_samples < 2:
             raise DomainError(f"bb_samples must be at least 2, got {self.bb_samples}")
         weights, sigmas = np.asarray(self.proposal_weights), np.asarray(self.proposal_sigmas)
-        proposal = _build("box proposal", MixtureProposal, weights, sigmas, np.zeros(BOX_DIM))
+        proposal = _build("box proposal", MixtureProposal, weights, sigmas, BOX_DIM)
         object.__setattr__(self, "bb_proposal", proposal)
         sgd = (self.bb_learning_rate, self.bb_epochs, self.bb_lr_decay)
         object.__setattr__(self, "bb_sgd", _build("box training", SGDConfig, *sgd))
@@ -443,14 +442,16 @@ def init_scorers(cfgs, cells) -> list[list]:
     """Initial box scorers of several tracker configs for each of several cells.
 
     cells is a sequence of (annotated box, rng) pairs.  Each annotation is
-    encoded relative to its own center, and each scorer starts centered on
-    it with its config's scorer_tau.  With scorer_init "train" the scorers
-    of all cells are then trained in lockstep, each cell on its own rng,
-    so each equals the one its config would get alone in its cell from an
-    equally seeded generator; the rngs are used for nothing else.  Returns
-    one list of scorers, in config order, per cell.  DomainError unless the
-    configs agree on every box-scorer setting but loss_model, sigma_bb and
-    scorer_tau.
+    encoded relative to its own center and size, as (0, 0, log w, log h),
+    and each scorer is centered on it with its config's scorer_tau.  With
+    scorer_init "train" the scorers of all cells are first trained in
+    lockstep in the target's own frame, each cell on its own rng, and each
+    trained offset is added to its cell's encoded annotation; so each
+    scorer equals the one its config would get alone in its cell from an
+    equally seeded generator, and the rngs are used for nothing else.
+    Returns one list of scorers, in config order, per cell.  DomainError
+    unless the configs agree on every box-scorer setting but loss_model,
+    sigma_bb and scorer_tau.
     """
     cfgs, cells = list(cfgs), list(cells)
     if not cfgs:
@@ -460,12 +461,13 @@ def init_scorers(cfgs, cells) -> list[list]:
         for name in _SHARED_SCORER_FIELDS:
             if getattr(cfg, name) != getattr(first, name):
                 raise DomainError(f"tracker configs disagree on {name}; box scorers cannot share training")
-    anchors = [box_encode((0.0, 0.0, w, h), (w, h)) for (_, _, w, h), _ in cells]
-    centers = [[anchor.values] * len(cfgs) for anchor in anchors]
+    offsets = np.zeros((len(cells), len(cfgs), BOX_DIM))
     if first.scorer_init == "train":
         jobs = [(cfg.loss_model, cfg.sigma_bb, cfg.scorer_tau) for cfg in cfgs]
         rngs = [rng for _, rng in cells]
-        centers = train_box_scorer(jobs, anchors, rngs, first.bb_proposal, first.bb_samples, first.bb_sgd)
+        offsets = train_box_scorer(jobs, rngs, first.bb_proposal, first.bb_samples, first.bb_sgd)
+    encoded = np.array([box_encode((0.0, 0.0, w, h), (w, h)).values for (_, _, w, h), _ in cells])
+    centers = encoded[:, None, :] + offsets
     return [[QuadraticScorer(mu, cfg.scorer_tau) for mu, cfg in zip(row, cfgs)] for row in centers]
 
 

@@ -27,7 +27,7 @@ from prtrack.labels import (
 )
 from prtrack.losses import kl_mc_loss
 
-PAPER_PROPOSAL = MixtureProposal([0.5, 0.5], [0.05, 0.5], np.zeros(4))
+PAPER_PROPOSAL = MixtureProposal([0.5, 0.5], [0.05, 0.5], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +142,9 @@ def test_numpy_sums_four_wide_rows_left_to_right(layout):
 # ---------------------------------------------------------------------------
 
 
-def _train_cell(jobs, ann, proposal, samples, sgd, rng):
-    """train_box_scorer on one cell: its (jobs, 4) trained centers."""
-    [centers] = train_box_scorer(jobs, [ann], [rng], proposal, samples, sgd)
+def _train_cell(jobs, proposal, samples, sgd, rng):
+    """train_box_scorer on one cell: its (jobs, 4) trained centers, offsets from the annotation."""
+    [centers] = train_box_scorer(jobs, [rng], proposal, samples, sgd)
     return centers
 
 
@@ -156,25 +156,24 @@ def test_duplicate_samples_collapse_to_single():
 
 def test_train_quadratic_centers_on_annotation():
     # The divergence optimum of this family is the label mean, i.e. the
-    # annotation itself; a grid-search oracle on a frozen sample set agrees.
+    # annotation itself, the origin of the target's frame; a grid-search
+    # oracle on a frozen sample set agrees.
     rng = np.random.Generator(np.random.PCG64(45))
-    ann = box_encode((10.0, 12.0, 5.0, 4.0), (5.0, 4.0))
     sgd = SGDConfig(learning_rate=0.2, epochs=400, lr_decay=0.02)
-    [mu] = _train_cell([("kl", 0.05, 0.2)], ann, PAPER_PROPOSAL, 256, sgd, rng)
-    assert float(np.abs(mu - ann.values).max()) <= 1e-2
+    [mu] = _train_cell([("kl", 0.05, 0.2)], PAPER_PROPOSAL, 256, sgd, rng)
+    assert float(np.abs(mu).max()) <= 1e-2
 
     # Frozen-sample axis scans: the sampled objective bottoms out at the
     # annotation to within one 0.01 grid step on every axis.
     oracle_rng = np.random.Generator(np.random.PCG64(46))
-    q = PAPER_PROPOSAL.recenter(ann.values)
-    ys = proposal_sample(q, oracle_rng, size=4096)
-    p = gaussian_density(GaussianLabel(ann.values, 0.05), ys)
-    qd = proposal_density(q, ys)
+    ys = proposal_sample(PAPER_PROPOSAL, oracle_rng, size=4096)
+    p = gaussian_density(GaussianLabel(np.zeros(4), 0.05), ys)
+    qd = proposal_density(PAPER_PROPOSAL, ys)
     offsets = np.linspace(-0.05, 0.05, 11)
     for axis in range(4):
         losses = []
         for t in offsets:
-            mu = ann.values.copy()
+            mu = np.zeros(4)
             mu[axis] += t
             s = -((ys - mu) ** 2).sum(axis=1) / (2.0 * 0.2**2)
             losses.append(kl_mc_loss(s, p, qd).value)
@@ -185,16 +184,14 @@ def test_train_quadratic_centers_on_annotation():
 def test_train_loss_drops_over_epochs():
     # The loss of the returned center, on one fixed set of draws, is lower
     # after 50 epochs than after 1.
-    ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
-    q = PAPER_PROPOSAL.recenter(ann.values)
-    ys = proposal_sample(q, np.random.Generator(np.random.PCG64(147)), size=4096)
-    p = gaussian_density(GaussianLabel(ann.values, 0.05), ys)
-    qd = proposal_density(q, ys)
+    ys = proposal_sample(PAPER_PROPOSAL, np.random.Generator(np.random.PCG64(147)), size=4096)
+    p = gaussian_density(GaussianLabel(np.zeros(4), 0.05), ys)
+    qd = proposal_density(PAPER_PROPOSAL, ys)
 
     def run(epochs):
         rng = np.random.Generator(np.random.PCG64(47))
         sgd = SGDConfig(learning_rate=0.25, epochs=epochs, lr_decay=0.5)
-        [mu] = _train_cell([("kl", 0.05, 0.2)], ann, PAPER_PROPOSAL, 64, sgd, rng)
+        [mu] = _train_cell([("kl", 0.05, 0.2)], PAPER_PROPOSAL, 64, sgd, rng)
         return kl_mc_loss(QuadraticScorer(mu, tau=0.2).value_batch(ys), p, qd).value
 
     assert run(50) < run(1)
@@ -204,13 +201,12 @@ def test_sigma_to_zero_matches_delta_label_training():
     # With the narrow proposal component matched to sigma_bb the importance
     # ratios stay bounded, and the nearly-degenerate Gaussian label trains
     # to the same center as the exact delta-label objective.
-    ann = box_encode((4.0, -2.0, 2.0, 5.0), (2.0, 5.0))
-    proposal = MixtureProposal([0.5, 0.5], [1e-4, 0.5], np.zeros(4))
+    proposal = MixtureProposal([0.5, 0.5], [1e-4, 0.5], 4)
     sgd = SGDConfig(learning_rate=0.15, epochs=300, lr_decay=0.02)
 
     def fit(loss_model):
         rng = np.random.Generator(np.random.PCG64(48))
-        [mu] = _train_cell([(loss_model, 1e-4, 0.2)], ann, proposal, 128, sgd, rng)
+        [mu] = _train_cell([(loss_model, 1e-4, 0.2)], proposal, 128, sgd, rng)
         return mu
 
     mu_kl = fit("kl")
@@ -220,54 +216,54 @@ def test_sigma_to_zero_matches_delta_label_training():
 
 def test_train_squared_error_branch_lowers_its_loss():
     # The l2 branch regresses the confidence exp(s) onto each draw's overlap
-    # with the annotation.  On fixed draws its trained center has a lower
-    # loss than its start on the annotation, where the optimum is not: the
-    # overlap grows faster toward larger boxes than toward smaller ones.
-    ann = box_encode((1.0, 1.0, 2.0, 2.0), (2.0, 2.0))
-    ys = proposal_sample(PAPER_PROPOSAL.recenter(ann.values), np.random.Generator(np.random.PCG64(149)), size=4096)
-    overlaps = iou_xywh(np.column_stack([ys[:, :2] * 2.0, np.exp(ys[:, 2:])]), ann.decode())
+    # with the annotation, the unit box in the target's frame.  On fixed
+    # draws its trained center has a lower loss than its start on the
+    # annotation, where the optimum is not: the overlap grows faster toward
+    # larger boxes than toward smaller ones.
+    ys = proposal_sample(PAPER_PROPOSAL, np.random.Generator(np.random.PCG64(149)), size=4096)
+    overlaps = iou_xywh(np.column_stack([ys[:, :2], np.exp(ys[:, 2:])]), (0.0, 0.0, 1.0, 1.0))
 
     def loss(mu):
         r = np.exp(QuadraticScorer(mu, tau=0.5).value_batch(ys)) - overlaps
         return float(r @ r) / len(ys)
 
     rng = np.random.Generator(np.random.PCG64(49))
-    [mu] = _train_cell([("l2", 0.05, 0.5)], ann, PAPER_PROPOSAL, 64, SGDConfig(learning_rate=0.5, epochs=120), rng)
-    assert loss(mu) < loss(ann.values)
+    [mu] = _train_cell([("l2", 0.05, 0.5)], PAPER_PROPOSAL, 64, SGDConfig(learning_rate=0.5, epochs=120), rng)
+    assert loss(mu) < loss(np.zeros(4))
 
 
 def test_train_validation():
-    ann = box_encode((0.0, 0.0, 1.0, 1.0), (1.0, 1.0))
     sgd = SGDConfig()
     rng = np.random.Generator(np.random.PCG64(50))
     with pytest.raises(DimensionError):
-        train_box_scorer([("kl", 0.05, 0.2)], [], [], PAPER_PROPOSAL, 4, sgd)
+        train_box_scorer([("kl", 0.05, 0.2)], [], PAPER_PROPOSAL, 4, sgd)
     with pytest.raises(DimensionError):
-        _train_cell([], ann, PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([], PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
-        _train_cell([("kl", 0.05, 0.2)], ann, PAPER_PROPOSAL, 1, sgd, rng)
+        _train_cell([("kl", 0.05, 0.2)], PAPER_PROPOSAL, 1, sgd, rng)
     with pytest.raises(DomainError):
-        _train_cell([("kl", 0.0, 0.2)], ann, PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([("kl", 0.0, 0.2)], PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
-        _train_cell([("huber", 0.05, 0.2)], ann, PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([("huber", 0.05, 0.2)], PAPER_PROPOSAL, 4, sgd, rng)
     for tau in (0.0, -0.2, 1e200):
         with pytest.raises(DomainError, match="finite positive square"):
-            _train_cell([("kl", 0.05, tau)], ann, PAPER_PROPOSAL, 4, sgd, rng)
+            _train_cell([("kl", 0.05, tau)], PAPER_PROPOSAL, 4, sgd, rng)
     # One bad job rejects the whole call before anything is drawn.
     state = rng.bit_generator.state
     with pytest.raises(DomainError):
-        _train_cell([("kl", 0.05, 0.2), ("l2", -1.0, 0.2)], ann, PAPER_PROPOSAL, 4, sgd, rng)
+        _train_cell([("kl", 0.05, 0.2), ("l2", -1.0, 0.2)], PAPER_PROPOSAL, 4, sgd, rng)
     assert rng.bit_generator.state == state
 
 
 def test_train_rejects_a_final_center_that_overflows():
-    # Centers at the float limit stay put through every step (their draws
-    # round back onto them, so their gradient is 0), but their tail average
-    # overflows; the returned centers are checked once.
-    ann = BoxParam(np.array([1e308, 1e308, 0.0, 0.0]), (1.0, 1.0))
+    # A first step of rate 1e308 throws the centers near the float limit,
+    # where they stay put (their scores are -inf, so their confidences and
+    # their gradient are 0), but their tail average overflows; the returned
+    # centers are checked once.
     rng = np.random.Generator(np.random.PCG64(57))
+    sgd = SGDConfig(learning_rate=1e308, epochs=400)
     with pytest.raises(DomainError, match="scorer center must contain only finite values"):
-        _train_cell([("l2", 0.05, 1e100)], ann, PAPER_PROPOSAL, 4, SGDConfig(epochs=4), rng)
+        _train_cell([("l2", 0.05, 1.0)], PAPER_PROPOSAL, 4, sgd, rng)
 
 
 # The quadratic scorer is the only family; the family id keeps these tests'
@@ -276,15 +272,16 @@ def test_train_rejects_a_final_center_that_overflows():
 @pytest.mark.parametrize("loss_model", ["l2", "rl2", "nll", "kl"])
 def test_train_matches_plain_reference_loop(family, loss_model):
     # Same draws in the same order, so the same iterates up to rounding and
-    # the same generator state afterwards.
+    # the same generator state afterwards.  The package trains an offset in
+    # the target's frame; the reference trains at the annotation itself.
     ann = box_encode((3.0, 2.0, 4.0, 5.0), (4.0, 5.0))
-    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
+    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], 4)
     sgd = SGDConfig(learning_rate=0.25, epochs=30, lr_decay=0.5)
     rng_a = np.random.Generator(np.random.PCG64(53))
     rng_b = np.random.Generator(np.random.PCG64(53))
-    [got] = _train_cell([(loss_model, 0.05, 0.2)], ann, proposal, 96, sgd, rng_a)
+    [offset] = _train_cell([(loss_model, 0.05, 0.2)], proposal, 96, sgd, rng_a)
     want = train_box_scorer_reference(ann, 0.2, 0.05, proposal, 96, sgd, rng_b, loss_model)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ann.values + offset, want, rtol=1e-12, atol=0)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -297,9 +294,9 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
             super().__post_init__()
 
     class CountingProposal(MixtureProposal):
-        def recenter(self, center):
+        def __post_init__(self):
             built["proposals"] += 1
-            return super().recenter(center)
+            super().__post_init__()
 
     def counting_loss(*args):
         built["losses"] += 1
@@ -307,55 +304,50 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
 
     monkeypatch.setattr(bbox, "GaussianLabel", CountingLabel)
     monkeypatch.setattr(bbox, "kl_mc_loss", counting_loss)
-    anns = [box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0)), box_encode((1.0, 0.0, 2.0, 3.0), (2.0, 3.0))]
-    proposal = CountingProposal([0.5, 0.5], [0.05, 0.5], np.zeros(4))
+    proposal = CountingProposal([0.5, 0.5], [0.05, 0.5], 4)
     for loss_model in ("kl", "nll"):
         for n_cells in (1, 3):
             built.update(labels=0, proposals=0, losses=0)
             rngs = [np.random.Generator(np.random.PCG64(54 + c)) for c in range(n_cells)]
-            cell_anns = [anns[c % 2] for c in range(n_cells)]
-            train_box_scorer([(loss_model, 0.05, 0.2)], cell_anns, rngs, proposal, 16, SGDConfig(epochs=7))
-            # One label per width and one proposal at the origin, whose
-            # densities the cells share; one recentered proposal per cell to
-            # draw from; one loss call per draw batch of the whole group.
-            # The delta-label (nll) loss goes through the same divergence
-            # code.
-            assert built == {"labels": 1, "proposals": 1 + n_cells, "losses": 7}
+            train_box_scorer([(loss_model, 0.05, 0.2)], rngs, proposal, 16, SGDConfig(epochs=7))
+            # One label per width; every cell draws from the given proposal,
+            # whose densities the cells share, so none is built; one loss
+            # call per draw batch of the whole group.  The delta-label (nll)
+            # loss goes through the same divergence code.
+            assert built == {"labels": 1, "proposals": 0, "losses": 7}
 
 
 def _lockstep_jobs():
     # Every loss model, two label widths, and scorers of a second tau, so
     # the stack mixes widths.
-    ann = box_encode((1.0, -1.0, 3.0, 2.5), (3.5, 2.0))
     jobs = [(loss_model, sigma_bb, 0.2) for loss_model in ("l2", "rl2", "nll", "kl") for sigma_bb in (0.05, 0.12)]
     jobs += [(loss_model, 0.05, 0.35) for loss_model in ("l2", "rl2", "nll", "kl")]
-    return ann, jobs
+    return jobs
 
 
 def test_lockstep_jobs_match_each_job_trained_alone():
     # Every job ends bit for bit where training it alone from an equally
     # seeded generator ends, and the generator ends in the same state.
-    ann, jobs = _lockstep_jobs()
-    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
+    jobs = _lockstep_jobs()
+    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], 4)
     sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
     rng = np.random.Generator(np.random.PCG64(55))
-    together = _train_cell(jobs, ann, proposal, 64, sgd, rng)
+    together = _train_cell(jobs, proposal, 64, sgd, rng)
     assert together.shape == (len(jobs), 4)
     for job, got in zip(jobs, together):
         alone_rng = np.random.Generator(np.random.PCG64(55))
-        [want] = _train_cell([job], ann, proposal, 64, sgd, alone_rng)
+        [want] = _train_cell([job], proposal, 64, sgd, alone_rng)
         assert np.array_equal(got, want), job
         assert alone_rng.bit_generator.state == rng.bit_generator.state
 
 
 def _group(n_cells, seed):
-    # Cells with their own annotations and their own streams; every loss
-    # model, two label widths and three scorer widths in the shared jobs.
+    # Cells with their own streams; every loss model, two label widths and
+    # three scorer widths in the shared jobs.
     models = [(loss_model, sigma_bb) for loss_model in ("l2", "rl2", "nll", "kl") for sigma_bb in (0.05, 0.12)]
     jobs = [(loss, sigma, 0.2 + 0.05 * (j % 3)) for j, (loss, sigma) in enumerate(models)]
-    anns = [box_encode((3.0 + c, 2.0 - c, 4.0 + 0.5 * c, 5.0 + 0.25 * c), (4.0, 5.0 + c)) for c in range(n_cells)]
     rngs = [np.random.Generator(np.random.PCG64(seed + c)) for c in range(n_cells)]
-    return jobs, anns, rngs
+    return jobs, rngs
 
 
 @pytest.mark.parametrize("n_cells", [2, 5])
@@ -363,29 +355,26 @@ def test_group_cells_match_each_cell_trained_alone(n_cells):
     # Every center of a group ends bit for bit where its cell trained alone
     # from an equally seeded generator ends, and every cell's generator ends
     # in the same state.
-    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], np.zeros(4))
+    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], 4)
     sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
-    jobs, anns, rngs = _group(n_cells, 60)
-    together = train_box_scorer(jobs, anns, rngs, proposal, 48, sgd)
+    jobs, rngs = _group(n_cells, 60)
+    together = train_box_scorer(jobs, rngs, proposal, 48, sgd)
     assert together.shape == (n_cells, len(jobs), 4)
-    _, _, alone_rngs = _group(n_cells, 60)
-    for ann, rng, alone_rng, got in zip(anns, rngs, alone_rngs, together):
-        assert np.array_equal(got, _train_cell(jobs, ann, proposal, 48, sgd, alone_rng))
+    _, alone_rngs = _group(n_cells, 60)
+    for rng, alone_rng, got in zip(rngs, alone_rngs, together):
+        assert np.array_equal(got, _train_cell(jobs, proposal, 48, sgd, alone_rng))
         assert rng.bit_generator.state == alone_rng.bit_generator.state
 
 
 def test_train_validation_across_cells():
-    ann = box_encode((0.0, 0.0, 1.0, 1.0), (1.0, 1.0))
+    # A cell is its rng, so the rngs give the cell count.
     sgd = SGDConfig(epochs=2)
     rng = np.random.Generator(np.random.PCG64(59))
     state = rng.bit_generator.state
     with pytest.raises(DimensionError, match="at least one cell"):
-        train_box_scorer([("kl", 0.05, 0.2)], [], [], PAPER_PROPOSAL, 4, sgd)
+        train_box_scorer([("kl", 0.05, 0.2)], [], PAPER_PROPOSAL, 4, sgd)
     with pytest.raises(DimensionError, match="at least one job"):
-        train_box_scorer([], [ann, ann], [rng, rng], PAPER_PROPOSAL, 4, sgd)
-    for rngs in ([rng], [rng, rng, rng]):
-        with pytest.raises(DimensionError, match="one rng per cell"):
-            train_box_scorer([("kl", 0.05, 0.2)], [ann, ann], rngs, PAPER_PROPOSAL, 4, sgd)
+        train_box_scorer([], [rng, rng], PAPER_PROPOSAL, 4, sgd)
     assert rng.bit_generator.state == state
 
 
@@ -416,14 +405,13 @@ def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities,
     monkeypatch.setattr(bbox, "gaussian_density", counting("label", gaussian_density))
     monkeypatch.setattr(bbox, "iou_xywh", counting("iou", bbox.iou_xywh))
     monkeypatch.setattr(bbox, "kl_mc_loss", counting("loss", kl_mc_loss))
-    anns = [box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0)), box_encode((1.0, 0.0, 2.0, 3.0), (2.0, 3.0))]
     jobs = [(loss_model, sigma_bb, 0.2) for loss_model in models for sigma_bb in (0.05, 0.1, 0.05)]
     # A group of cells shares the same calls: one draw batch per cell, the
     # rest once per group.
     for n_cells in (1, 3):
         calls.update(sample=0, density=0, label=0, iou=0, loss=0)
         rngs = [np.random.Generator(np.random.PCG64(56 + c)) for c in range(n_cells)]
-        train_box_scorer(jobs, [anns[c % 2] for c in range(n_cells)], rngs, PAPER_PROPOSAL, 16, SGDConfig(epochs=5))
+        train_box_scorer(jobs, rngs, PAPER_PROPOSAL, 16, SGDConfig(epochs=5))
         steps = 5
         assert calls == {
             "sample": n_cells * steps,
@@ -439,9 +427,8 @@ def test_score_rows_and_bases_match_the_separate_calls():
     # rows are one cell's slice of a (jobs, cells, draws) stack, and each
     # basis is the closed-form center gradient (y - mu) / tau^2, with
     # scorers that differ in centers and widths.
-    ann = box_encode((0.0, 0.0, 3.0, 3.0), (3.0, 3.0))
-    ys = proposal_sample(PAPER_PROPOSAL.recenter(ann.values), np.random.Generator(np.random.PCG64(58)), size=32)
-    scorers = [QuadraticScorer(ann.values + shift, tau) for shift, tau in ((0.2, 0.2), (-0.1, 0.2), (0.0, 0.35))]
+    ys = proposal_sample(PAPER_PROPOSAL, np.random.Generator(np.random.PCG64(58)), size=32)
+    scorers = [QuadraticScorer(np.full(4, shift), tau) for shift, tau in ((0.2, 0.2), (-0.1, 0.2), (0.0, 0.35))]
     centers = np.array([scorer.mu for scorer in scorers])
     t2 = np.array([s.tau**2 for s in scorers])
     stack = np.zeros((3, 2, 32))

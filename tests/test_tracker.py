@@ -1,5 +1,6 @@
 """Sequence synthesis, two-stage tracking, and overlap metrics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -210,6 +211,18 @@ def test_init_scorers_of_a_group_match_each_cell_alone():
             assert np.array_equal(g.mu, w.mu)
             assert g.tau == w.tau == cfg.scorer_tau
         assert alone_rng.bit_generator.state == stream.bit_generator.state
+
+
+def test_trained_scorers_match_their_pinned_digest():
+    # The centers that default box training gives the four loss models on
+    # three cells of different sizes, bit for bit: the pinned CSV digests
+    # can hold while the centers move in their last bits.
+    cfgs = [TrackerConfig(loss_model=loss, scorer_init="train") for loss in ("l2", "rl2", "nll", "kl")]
+    boxes = [BOX, (14.0, 9.5, 3.0, 7.5), (31.0, 22.0, 9.0, 5.0)]
+    cells = [(box, np.random.Generator(np.random.PCG64(70 + i))) for i, box in enumerate(boxes)]
+    centers = np.array([[scorer.mu for scorer in row] for row in init_scorers(cfgs, cells)])
+    digest = hashlib.sha256(centers.tobytes()).hexdigest()
+    assert digest == "b491dda99d06708589976f70c49d41177e65aa571af25f567ae2980aee4646e2"
 
 
 def test_search_region_is_odd_and_fits_the_kernel():
