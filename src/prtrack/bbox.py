@@ -1,12 +1,14 @@
 """Box parametrization, the quadratic box scorer, and its sample-based training.
 
-Boxes are encoded as y = (cx / w0, cy / h0, log w, log h) with a positive
-reference size (w0, h0), normally the current target size estimate, so a
-fixed step in y moves small and large boxes by a comparable relative
-amount.  The scorer assigns a differentiable scalar score to encoded boxes,
-s(y) = -||y - mu||^2 / (2 tau^2) with a trainable center mu and a fixed
-width tau; its closed form lets training and refinement be checked against
-brute-force oracles.
+Boxes are encoded as y = (dx / w0, dy / h0, log w, log h): the center
+offset from a reference box of size (w0, h0), normally the current target
+estimate, over that size, and the log size, so a fixed step in y moves
+small and large boxes by a comparable relative amount.  box_encode encodes
+a box against itself, as the four floats (0, 0, log w0, log h0); the
+tracker decodes a refined y inline.  The scorer assigns a differentiable
+scalar score to encoded boxes, s(y) = -||y - mu||^2 / (2 tau^2) with a
+trainable center mu and a fixed width tau; its closed form lets training
+and refinement be checked against brute-force oracles.
 
 train_box_scorer fits scorers by drawing proposal samples around the
 annotation and following the Monte Carlo divergence gradient, or one of
@@ -20,16 +22,17 @@ model, label width, scorer width) triple, and brings its own proposal
 stream; every center starts at the origin.  Each draw batch is one
 stacked problem over all (job x cell) rows.  Once per cell and draw
 batch: the draws and the cell's score rows.  Once per group and draw
-batch: the proposal density, one label density per kl width, the
-overlaps, one kl_mc_loss call over the kl and nll rows, one exp over the
-l2 and rl2 rows and one step of the (cells x jobs x 4) stack of centers.
+batch: the squared norms of the draws, the proposal density and one
+label density per kl width on those norms, the overlaps, one kl_mc_loss
+call over the kl and nll rows, one exp over the l2 and rl2 rows and one
+step of the (cells x jobs x 4) stack of centers.
 Once per row: the dot products of its loss value and parameter gradient,
 and the nll annotation term.  Every center ends exactly as it would if
 its job were trained alone in its cell from an equally seeded generator.
 
-refine_box ascends the score from a start box in one QuadraticScorer.ascend
-call.  The ascent reads mu and tau once and steps on 4 local Python floats
-along the closed-form gradient -(y - mu) / tau^2, summing its squares in
+refine_box ascends the score from a start box given as 4 Python floats.
+It reads mu and tau once and steps on 4 local Python floats along the
+closed-form gradient -(y - mu) / tau^2, summing its squares in
 value_batch's order, so each iterate is bit for bit the one a loop over
 NumPy arrays would reach, at about a third of its cost.
 """
@@ -43,11 +46,10 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
 from .gridmath import _as_float_array
-from .labels import GaussianLabel, MixtureProposal, gaussian_density, iou_xywh, proposal_density, proposal_sample
+from .labels import MixtureProposal, gaussian_density, gaussian_normalizer, iou_xywh, proposal_density, proposal_sample
 from .losses import DENSITY_MODELS, LOSS_MODELS, kl_mc_loss
 
 __all__ = [
-    "BoxParam",
     "box_encode",
     "QuadraticScorer",
     "SGDConfig",
@@ -59,44 +61,12 @@ __all__ = [
 BOX_DIM = 4  # (cx/w0, cy/h0, log w, log h)
 
 
-@dataclass(frozen=True, eq=False)
-class BoxParam:
-    """Encoded box (cx/w0, cy/h0, log w, log h) with its reference size."""
-
-    values: np.ndarray
-    reference: tuple[float, float]
-
-    def __post_init__(self):
-        vals = _as_float_array(self.values, 1, "box parameters")
-        if vals.size != BOX_DIM:
-            raise DimensionError(f"box parameters must have {BOX_DIM} entries, got {vals.size}")
-        w0, h0 = self.reference
-        if not (w0 > 0 and h0 > 0):
-            raise DomainError(f"reference size must be positive, got {self.reference}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "reference", (float(w0), float(h0)))
-
-    def decode(self) -> tuple[float, float, float, float]:
-        """Back to (cx, cy, w, h); sizes that under- or overflow are rejected."""
-        w0, h0 = self.reference
-        try:
-            wd, hd = math.exp(self.values[2]), math.exp(self.values[3])
-        except OverflowError:
-            raise DomainError("decoded box size is not positive and finite") from None
-        if not (0 < wd < math.inf and 0 < hd < math.inf):
-            raise DomainError("decoded box size is not positive and finite")
-        return self.values[0] * w0, self.values[1] * h0, wd, hd
-
-
-def box_encode(box, reference: tuple[float, float]) -> BoxParam:
-    """Encode an absolute (cx, cy, w, h) box against a reference size."""
-    cx, cy, w, h = (float(v) for v in box)
-    w0, h0 = (float(v) for v in reference)
-    if not (w > 0 and h > 0):
-        raise DomainError(f"box size must be positive, got {(w, h)}")
-    if not (w0 > 0 and h0 > 0):
-        raise DomainError(f"reference size must be positive, got {reference}")
-    return BoxParam(np.array([cx / w0, cy / h0, math.log(w), math.log(h)]), (w0, h0))
+def box_encode(w: float, h: float) -> list[float]:
+    """Encode a w x h box at the origin against its own size: [0.0, 0.0, log w, log h]."""
+    w, h = float(w), float(h)
+    if not (0 < w < math.inf and 0 < h < math.inf):
+        raise DomainError(f"box size must be positive and finite, got {(w, h)}")
+    return [0.0, 0.0, math.log(w), math.log(h)]
 
 
 def _check_box_batch(ys) -> np.ndarray:
@@ -128,37 +98,6 @@ class QuadraticScorer:
         d = _check_box_batch(ys) - self.mu
         d *= d
         return d.sum(axis=1) / (-2.0 * self.tau**2)
-
-    def ascend(self, y: list[float], step: float, steps: int, tol: float) -> tuple[list[float], int]:
-        """Gradient-ascend the score from the box y, given as 4 Python floats.
-
-        Each step moves y by step * g, with g = -(y - mu) / tau^2 the
-        score's gradient in y.  Ascent stops after steps steps, once a move
-        is smaller than tol in every coordinate, or at a gradient that is not
-        finite.  Returns the best iterate seen (the start counts) and the
-        number of gradients taken.  Scores go through _score, which sums in
-        value_batch's order, so every iterate is bit for bit the array loop's.
-        """
-        m0, m1, m2, m3 = self.mu.tolist()
-        t2 = self.tau**2
-        scale = -2.0 * t2
-        y0, y1, y2, y3 = y
-        d0, d1, d2, d3 = y0 - m0, y1 - m1, y2 - m2, y3 - m3
-        best, best_s = y, _score(d0, d1, d2, d3, scale)
-        isfinite = math.isfinite
-        for taken in range(1, steps + 1):
-            g0, g1, g2, g3 = -d0 / t2, -d1 / t2, -d2 / t2, -d3 / t2
-            if not (isfinite(g0) and isfinite(g1) and isfinite(g2) and isfinite(g3)):
-                return best, taken
-            s0, s1, s2, s3 = step * g0, step * g1, step * g2, step * g3
-            y0, y1, y2, y3 = y0 + s0, y1 + s1, y2 + s2, y3 + s3
-            d0, d1, d2, d3 = y0 - m0, y1 - m1, y2 - m2, y3 - m3
-            s = _score(d0, d1, d2, d3, scale)
-            if isfinite(s) and s > best_s:
-                best, best_s = [y0, y1, y2, y3], s
-            if max(abs(s0), abs(s1), abs(s2), abs(s3)) < tol:
-                return best, taken
-        return best, steps
 
 
 @dataclass(frozen=True)
@@ -222,6 +161,7 @@ def _check_jobs(jobs, rngs, samples_per_annotation: int):
             raise DomainError(f"unknown loss model {loss_model!r}; pick one of {LOSS_MODELS}")
         if not (sigma_bb > 0):
             raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
+        gaussian_normalizer(sigma_bb, BOX_DIM)
         if not (tau > 0 and 0.0 < float(tau) * float(tau) < math.inf):
             raise DomainError(f"tau must have a finite positive square, got {tau}")
 
@@ -256,11 +196,11 @@ def train_box_scorer(
     for bit where a run of its cell alone, with that job alone, on an
     equally seeded generator ends.
 
-    The labels are built once per width before the first epoch.  Returns
-    the (cells x jobs x 4) final centers in job order, each the average of
-    its iterates over the last half of the epochs, which removes most of the
-    stationary sampling noise.  NumericError once a job's scores, loss or
-    stepped center are not finite; DomainError if an average is not.
+    Returns the (cells x jobs x 4) final centers in job order, each the
+    average of its iterates over the last half of the epochs, which removes
+    most of the stationary sampling noise.  NumericError once a job's
+    scores, loss or stepped center are not finite; DomainError if an
+    average is not.
     """
     _check_jobs(jobs, rngs, samples_per_annotation)
     k = int(samples_per_annotation)
@@ -271,10 +211,8 @@ def train_box_scorer(
     n_div = sum(model in DENSITY_MODELS for model in models)
     n_l2 = models.count("l2")
     t2 = np.array([float(jobs[i][2]) ** 2 for i in order])
-    # A label per distinct width checks every job's width; only the kl
-    # jobs' labels are evaluated at the draws.  The nll rows get a zero
-    # label: the delta label has no density at the draws.
-    labels = {sigma: GaussianLabel(np.zeros(BOX_DIM), sigma) for _, sigma, _ in jobs}
+    # Only the kl jobs' labels are evaluated at the draws.  The nll rows get
+    # a zero label: the delta label has no density at the draws.
     kl_sigmas = list(dict.fromkeys(jobs[i][1] for i in order[:n_div] if jobs[i][0] == "kl"))
     label_rows = [None if model == "nll" else kl_sigmas.index(jobs[i][1]) for i, model in zip(order, models[:n_div])]
     centers = np.zeros((n_cells, n_jobs, BOX_DIM))
@@ -294,9 +232,11 @@ def train_box_scorer(
             offsets[c] = proposal_sample(proposal, rng, size=k).T
             _score_rows(centers[c], t2, draws[c], scores[:, c])
         if n_div:
-            proposal_dens = proposal_density(proposal, draws)
+            # Label and proposal both sit at the origin: one squared norm per draw.
+            d2 = np.square(draws).sum(axis=-1)
+            proposal_dens = proposal_density(proposal, d2)
             for i, sigma in enumerate(kl_sigmas):
-                label_dens[i] = gaussian_density(labels[sigma], draws)
+                label_dens[i] = gaussian_density(d2, sigma, BOX_DIM)
             try:
                 lvg = kl_mc_loss(scores[:n_div], label_dens, proposal_dens, label_rows)
             except DomainError:
@@ -368,13 +308,35 @@ class RefConfig:
             raise DomainError(f"convergence_tol must be positive, got {self.convergence_tol}")
 
 
-def refine_box(scorer: QuadraticScorer, y0: BoxParam, cfg: RefConfig) -> BoxParam:
-    """Gradient-ascend the score from y0, returning the best iterate seen.
+def refine_box(scorer: QuadraticScorer, y: list[float], cfg: RefConfig) -> tuple[list[float], int]:
+    """Gradient-ascend the score from the box y, given as 4 Python floats.
 
-    The start point counts, so the output never scores below y0.  Ascent
-    stops early once an update moves less than convergence_tol, or if the
-    gradient stops being finite.  The iterates are 4 Python floats, stepped
-    by one scorer.ascend call.
+    Each step moves y by cfg.step_length * g, with g = -(y - mu) / tau^2
+    the score's gradient in y.  Ascent stops after cfg.steps steps, once a
+    move is smaller than cfg.convergence_tol in every coordinate, or at a
+    gradient that is not finite.  Returns the best iterate seen (the start
+    counts, so the output never scores below y) and the number of
+    gradients taken.  Scores go through _score, which sums in value_batch's
+    order, so every iterate is bit for bit the array loop's.
     """
-    best, _ = scorer.ascend(y0.values.tolist(), cfg.step_length, cfg.steps, cfg.convergence_tol)
-    return BoxParam(np.array(best), y0.reference)
+    step, tol = cfg.step_length, cfg.convergence_tol
+    m0, m1, m2, m3 = scorer.mu.tolist()
+    t2 = scorer.tau**2
+    scale = -2.0 * t2
+    y0, y1, y2, y3 = y
+    d0, d1, d2, d3 = y0 - m0, y1 - m1, y2 - m2, y3 - m3
+    best, best_s = y, _score(d0, d1, d2, d3, scale)
+    isfinite = math.isfinite
+    for taken in range(1, cfg.steps + 1):
+        g0, g1, g2, g3 = -d0 / t2, -d1 / t2, -d2 / t2, -d3 / t2
+        if not (isfinite(g0) and isfinite(g1) and isfinite(g2) and isfinite(g3)):
+            return best, taken
+        s0, s1, s2, s3 = step * g0, step * g1, step * g2, step * g3
+        y0, y1, y2, y3 = y0 + s0, y1 + s1, y2 + s2, y3 + s3
+        d0, d1, d2, d3 = y0 - m0, y1 - m1, y2 - m2, y3 - m3
+        s = _score(d0, d1, d2, d3, scale)
+        if isfinite(s) and s > best_s:
+            best, best_s = [y0, y1, y2, y3], s
+        if max(abs(s0), abs(s1), abs(s2), abs(s3)) < tol:
+            return best, taken
+    return best, cfg.steps

@@ -220,14 +220,12 @@ def conv_apply(z: FeatureMap, w: Kernel2D) -> Grid2D:
     return Grid2D(out)
 
 
-def log_sum_exp(g: Grid2D, cell_area: float = 1.0) -> float:
-    """log(cell_area * sum_k exp(g_k)), max-shifted so huge scores stay exact."""
+def log_sum_exp(g: Grid2D) -> float:
+    """log(sum_k exp(g_k)), max-shifted so huge scores stay exact."""
     if g.cell_count == 0:
         raise DomainError("log_sum_exp of an empty grid")
-    if cell_area <= 0:
-        raise DomainError(f"cell_area must be positive, got {cell_area}")
     m = float(g.values.max())
-    return math.log(cell_area) + m + math.log(np.exp(g.values - m).sum())
+    return m + math.log(np.exp(g.values - m).sum())
 
 
 def dump_grid(g: Grid2D, path):

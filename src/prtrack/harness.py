@@ -521,7 +521,7 @@ def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     # Box parameters are (dx/w0, dy/h0, log w, log h) relative to the
     # stage-1 center, with the current size as reference, so offsets of one
     # full width/height are exactly +-1 in parameter space.
-    base = box_encode((0.0, 0.0, w, h), (w, h)).values
+    base = box_encode(w, h)
     center_slice = _score_slice(state.scorer, base, (0, 1), np.linspace(-1.0, 1.0, n))
     log3 = math.log(3.0)
     size_slice = _score_slice(state.scorer, base, (2, 3), np.linspace(-log3, log3, n))

@@ -3,16 +3,17 @@
 Annotated states are modelled as isotropic Gaussians around the annotation:
 narrow sigma keeps the annotation nearly exact, wider sigma encodes label
 noise.  Grid labels are evaluated at cell centers (not integrated over
-cells); cell (i, j) of a grid with cell area A sits at coordinate
-(i * sqrt(A), j * sqrt(A)).  Box-space sampling uses a Gaussian mixture
-proposal so importance ratios against the label stay bounded.  Box training
-happens in the target's own frame, where every annotation sits at the
-origin, so the mixture is centered there and draws offsets from the
-annotation.
+cells); cell (i, j) sits at coordinate (i, j).  Box-space sampling uses a
+Gaussian mixture proposal so importance ratios against the label stay
+bounded.  Box training happens in the target's own frame, where every
+annotation sits at the origin, so the mixture is centered there and draws
+offsets from the annotation.  Label and proposal then share one center, so
+both box densities take the squared norms of the draws, computed once per
+draw batch by their caller.
 
 Every Gaussian here is normalized by (2 pi sigma^2)^(-dim/2); a width whose
-normalizer under- or overflows is rejected when the label or proposal is
-built (gaussian_normalizer), not when it is first evaluated.
+normalizer under- or overflows is rejected (gaussian_normalizer) when a
+proposal is built and before any density is evaluated.
 
 Stream contract of proposal_sample: a call consumes exactly what
 ``rng.choice(len(weights), size=n, p=weights)`` followed by
@@ -34,7 +35,6 @@ from .errors import DimensionError, DomainError
 from .gridmath import Grid2D
 
 __all__ = [
-    "GaussianLabel",
     "MixtureProposal",
     "gaussian_normalizer",
     "label_grid",
@@ -43,29 +43,6 @@ __all__ = [
     "proposal_density",
     "iou_xywh",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianLabel:
-    """Isotropic Gaussian over a 2D grid state or a 4D box parametrization."""
-
-    center: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=np.float64)
-        if c.ndim != 1 or c.size < 1:
-            raise DimensionError(f"label center must be a 1D coordinate, got shape {c.shape}")
-        if not np.isfinite(c).all():
-            raise DomainError("label center must be finite")
-        if not (self.sigma > 0):
-            raise DomainError(f"label sigma must be positive, got {self.sigma}")
-        gaussian_normalizer(self.sigma, c.size)
-        object.__setattr__(self, "center", c)
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,76 +95,66 @@ def gaussian_normalizer(sigma: float, dim: int) -> float:
 
 
 def _gauss(dist2: np.ndarray, sigma: float, dim: int) -> np.ndarray:
+    norm = gaussian_normalizer(sigma, dim)
     # dist2 / (-2 sigma^2) is bit for bit -dist2 / (2 sigma^2), one op fewer.
     out = np.exp(dist2 / (-2.0 * sigma * sigma))
-    out *= gaussian_normalizer(sigma, dim)
+    out *= norm
     return out
 
 
-def _sq_dist(arr: np.ndarray, center: np.ndarray) -> np.ndarray:
-    d = arr - center
-    d *= d
-    return d.sum(axis=-1)
+def gaussian_density(d2, sigma: float, dim: int) -> np.ndarray:
+    """Isotropic Gaussian density of width sigma in dim dimensions at squared distances d2 from its center."""
+    if not (sigma > 0):
+        raise DomainError(f"label sigma must be positive, got {sigma}")
+    return _gauss(np.asarray(d2, dtype=np.float64), sigma, dim)
 
 
-def gaussian_density(label: GaussianLabel, y) -> float | np.ndarray:
-    """Gaussian density at y; y may be one coordinate or a stack (..., dim)."""
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.shape[-1:] != (label.dim,):
-        raise DimensionError(
-            f"coordinate dim {arr.shape[-1:]} does not match label dim {label.dim}"
-        )
-    out = _gauss(_sq_dist(arr, label.center), label.sigma, label.dim)
-    return float(out) if out.ndim == 0 else out
+def label_grid(center, sigma: float, grid_shape: tuple[int, int]) -> Grid2D:
+    """Evaluate a 2D Gaussian label of width sigma at (row, col) center over a grid.
 
-
-def label_grid(label: GaussianLabel, grid_shape: tuple[int, int], cell_area: float = 1.0) -> Grid2D:
-    """Evaluate a 2D Gaussian label at the cell centers of a grid.
-
-    The result is a density (per unit area): its grid mass times cell_area
-    approximates 1 once the +-4 sigma support fits inside the grid.
+    The result is a density per unit cell area: its grid mass approximates
+    1 once the +-4 sigma support fits inside the grid.
     """
-    if label.dim != 2:
-        raise DimensionError(f"grid labels need a 2D center, got dim {label.dim}")
-    if cell_area <= 0:
-        raise DomainError(f"cell_area must be positive, got {cell_area}")
+    c = np.asarray(center, dtype=np.float64)
+    if c.shape != (2,):
+        raise DimensionError(f"grid labels need a 2D center, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise DomainError("label center must be finite")
+    if not (sigma > 0):
+        raise DomainError(f"label sigma must be positive, got {sigma}")
     h, w = grid_shape
     if h < 1 or w < 1:
         raise DimensionError(f"grid shape must be positive, got {grid_shape}")
-    spacing = math.sqrt(cell_area)
-    rows = np.arange(h, dtype=np.float64) * spacing - label.center[0]
-    cols = np.arange(w, dtype=np.float64) * spacing - label.center[1]
+    rows = np.arange(h, dtype=np.float64) - c[0]
+    cols = np.arange(w, dtype=np.float64) - c[1]
     d2 = rows[:, None] ** 2 + cols[None, :] ** 2
-    return Grid2D(_gauss(d2, label.sigma, 2))
+    return Grid2D(_gauss(d2, sigma, 2))
 
 
-def proposal_sample(q: MixtureProposal, rng: np.random.Generator, size: int | None = None):
-    """Draw from the mixture; returns one coordinate or a (size, dim) stack.
+def proposal_sample(q: MixtureProposal, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw a (size, dim) stack from the mixture.
 
     Each draw is its component's sigma times standard normal noise.  The
     stack is coordinate-major and the draws follow the stream contract in
     the module docstring.
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {size}")
     comp = q.cdf.searchsorted(rng.random(n), side="right")
     draws = np.multiply(rng.standard_normal((n, q.dim)).T, q.sigmas[comp], out=np.empty((q.dim, n)))
-    return draws[:, 0] if size is None else draws.T
+    return draws.T
 
 
-def proposal_density(q: MixtureProposal, y) -> float | np.ndarray:
-    """Mixture density at y; y may be one coordinate or a stack (..., dim)."""
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.shape[-1:] != (q.dim,):
-        raise DimensionError(f"coordinate dim {arr.shape[-1:]} does not match proposal dim {q.dim}")
-    d2 = np.square(arr).sum(axis=-1)
+def proposal_density(q: MixtureProposal, d2) -> np.ndarray:
+    """Mixture density at squared norms d2 of points in q.dim dimensions."""
+    d2 = np.asarray(d2, dtype=np.float64)
     out = None
     for wm, sm in zip(q.weights, q.sigmas):
         term = _gauss(d2, float(sm), q.dim)
         term *= wm
         out = term if out is None else out + term
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def iou_xywh(a, b) -> float | np.ndarray:

@@ -17,8 +17,8 @@ Tracking per frame:
   model families whose outputs are not calibrated masses) is too small; a
   missing frame freezes the box and skips all model updates;
 * stage 2 refines the box: the candidate (previous size at the new center)
-  is encoded relative to the stage-1 center and gradient-ascended on the
-  box scorer;
+  is encoded relative to the stage-1 center and the previous size,
+  gradient-ascended on the box scorer and decoded back against them;
 * memory: the search-region features and a Gaussian label at the estimated
   center are appended to the support set (self-labeling), the oldest
   non-anchor sample is evicted at capacity, and every update_interval
@@ -48,7 +48,7 @@ from .center_optimizer import OptimizerConfig, SupportSample, TargetModel, init_
 from .density import GridDensity, normalize, read_peak
 from .errors import DimensionError, DomainError, NumericError
 from .gridmath import FeatureMap, Grid2D, conv_apply
-from .labels import GaussianLabel, MixtureProposal, gaussian_normalizer, iou_xywh, label_grid
+from .labels import MixtureProposal, gaussian_normalizer, iou_xywh, label_grid
 from .losses import DENSITY_MODELS
 
 __all__ = [
@@ -414,7 +414,7 @@ def _crop(values: np.ndarray, center_rc: tuple[int, int], size: int) -> tuple[np
 
 def _make_sample(features: FeatureMap, center_rc: tuple[float, float], sigma: float) -> SupportSample:
     size = features.height
-    lbl = label_grid(GaussianLabel(np.array(center_rc), sigma), (size, size))
+    lbl = label_grid(center_rc, sigma, (size, size))
     return SupportSample(features, lbl, 1.0, (float(center_rc[0]), float(center_rc[1])))
 
 
@@ -466,7 +466,7 @@ def init_scorers(cfgs, cells) -> list[list]:
         jobs = [(cfg.loss_model, cfg.sigma_bb, cfg.scorer_tau) for cfg in cfgs]
         rngs = [rng for _, rng in cells]
         offsets = train_box_scorer(jobs, rngs, first.bb_proposal, first.bb_samples, first.bb_sgd)
-    encoded = np.array([box_encode((0.0, 0.0, w, h), (w, h)).values for (_, _, w, h), _ in cells])
+    encoded = np.array([box_encode(w, h) for (_, _, w, h), _ in cells])
     centers = encoded[:, None, :] + offsets
     return [[QuadraticScorer(mu, cfg.scorer_tau) for mu, cfg in zip(row, cfgs)] for row in centers]
 
@@ -554,14 +554,15 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
     new_cy = origin[0] + est[0]
 
     # Stage 2: refine (center offset, log size) around the stage-1 center.
-    candidate = box_encode((0.0, 0.0, w, h), (w, h))
-    refined = refine_box(state.scorer, candidate, cfg.refine_config)
+    (dx, dy, log_w, log_h), _ = refine_box(state.scorer, box_encode(w, h), cfg.refine_config)
     try:
-        dx, dy, new_w, new_h = refined.decode()
-    except DomainError as exc:
+        new_w, new_h = math.exp(log_w), math.exp(log_h)
+    except OverflowError:
+        new_w = new_h = math.inf
+    if not (0 < new_w < math.inf and 0 < new_h < math.inf):
         # A scorer whose optimum lies beyond the float range is a training failure.
-        raise NumericError(f"box refinement at frame {state.frame_index}: {exc}") from None
-    box = (new_cx + dx, new_cy + dy, new_w, new_h)
+        raise NumericError(f"box refinement at frame {state.frame_index}: decoded box size is not positive and finite")
+    box = (new_cx + dx * w, new_cy + dy * h, new_w, new_h)
     state.current_box = box
 
     sample = _make_sample(features, est, state.sigma_tc)

@@ -143,15 +143,16 @@ def optimize_reference(model, support, cfg):
     return w, steps, halvings
 
 
-def train_box_scorer_reference(ann, tau, sigma_bb, proposal, samples, sgd, rng, loss_model):
+def train_box_scorer_reference(ann, reference, tau, sigma_bb, proposal, samples, sgd, rng, loss_model):
     """Plain per-epoch box-scorer training on one annotation: rebuild everything every epoch.
 
-    The center starts on the annotation.  Draws come from rng.choice and
+    ann is the encoded annotation (cx / w0, cy / h0, log w, log h) against
+    the reference size (w0, h0).  The center starts on the annotation.  Draws come from rng.choice and
     standard_normal; the densities, the scores, their gradients in the
     center, (y - mu) / tau^2, and the loss gradients are written out here.
-    Only the annotation comes from the package.  Returns the trained center.
+    Returns the trained center.
     """
-    center = np.array(ann.values, dtype=np.float64)
+    center = np.array(ann, dtype=np.float64)
     mu, t2 = center.copy(), float(tau) ** 2
     weights = np.asarray(proposal.weights, dtype=np.float64)
     sigmas = np.asarray(proposal.sigmas, dtype=np.float64)
@@ -170,7 +171,7 @@ def train_box_scorer_reference(ann, tau, sigma_bb, proposal, samples, sgd, rng, 
         inter = np.clip(hi - lo, 0.0, None).prod(axis=1)
         return inter / (a[:, 2:].prod(axis=1) + b[2:].prod() - inter)
 
-    w0, h0 = ann.reference
+    w0, h0 = reference
     box = np.array([center[0] * w0, center[1] * h0, math.exp(center[2]), math.exp(center[3])])
     k, dim = samples, center.size
     tail = []
@@ -190,7 +191,7 @@ def train_box_scorer_reference(ann, tau, sigma_bb, proposal, samples, sgd, rng, 
         elif loss_model == "nll":
             grad = (e / e.sum()) @ basis - (center - mu) / t2
         else:
-            targets = iou(boxes(ys, ann.reference), box)
+            targets = iou(boxes(ys, reference), box)
             c = np.exp(s)
             r = c - targets if loss_model == "l2" else np.where(targets > 0.05, c - targets, c)
             grad = (2.0 / k) * ((r * c) @ basis)
@@ -213,7 +214,7 @@ def refine_box_reference(scorer, y0, cfg):
         d = y - mu
         return float((d * d).sum() / (-2.0 * t2))
 
-    y = y0.values.copy()
+    y = np.array(y0, dtype=np.float64)
     best_y, best_s = y.copy(), value(y)
     evaluated = 0
     for _ in range(cfg.steps):

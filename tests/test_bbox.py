@@ -8,7 +8,6 @@ import pytest
 from _oracles import fd_gradient, refine_box_reference, train_box_scorer_reference
 from prtrack import bbox
 from prtrack.bbox import (
-    BoxParam,
     QuadraticScorer,
     RefConfig,
     SGDConfig,
@@ -18,9 +17,9 @@ from prtrack.bbox import (
 )
 from prtrack.errors import DimensionError, DomainError
 from prtrack.labels import (
-    GaussianLabel,
     MixtureProposal,
     gaussian_density,
+    gaussian_normalizer,
     iou_xywh,
     proposal_density,
     proposal_sample,
@@ -36,45 +35,27 @@ PAPER_PROPOSAL = MixtureProposal([0.5, 0.5], [0.05, 0.5], 4)
 
 
 def test_encode_analytic_example():
-    y = box_encode((10.0, 20.0, 4.0, 8.0), (4.0, 8.0))
-    np.testing.assert_allclose(
-        y.values, [2.5, 2.5, 1.3862944, 2.0794415], atol=1e-7
-    )
+    np.testing.assert_allclose(box_encode(4.0, 8.0), [0.0, 0.0, 1.3862944, 2.0794415], atol=1e-7)
 
 
 def test_encode_reference_box():
-    y = box_encode((0.0, 0.0, 4.0, 8.0), (4.0, 8.0))
-    np.testing.assert_allclose(y.values, [0.0, 0.0, math.log(4.0), math.log(8.0)])
+    # A box encoded against itself: zero center offsets, its log sizes.
+    assert box_encode(4.0, 8.0) == [0.0, 0.0, math.log(4.0), math.log(8.0)]
 
 
 def test_encode_decode_round_trip():
+    # track_step decodes the log sizes with exp; the round trip keeps the size.
     rng = np.random.Generator(np.random.PCG64(40))
     for _ in range(50):
-        box = (
-            rng.uniform(-30, 30),
-            rng.uniform(-30, 30),
-            rng.uniform(0.2, 20),
-            rng.uniform(0.2, 20),
-        )
-        ref = (rng.uniform(0.5, 10), rng.uniform(0.5, 10))
-        back = box_encode(box, ref).decode()
-        np.testing.assert_allclose(back, box, rtol=1e-12, atol=1e-12)
+        w, h = rng.uniform(0.2, 20), rng.uniform(0.2, 20)
+        _, _, log_w, log_h = box_encode(w, h)
+        np.testing.assert_allclose((math.exp(log_w), math.exp(log_h)), (w, h), rtol=1e-12, atol=1e-12)
 
 
 def test_encode_rejects_bad_sizes():
-    with pytest.raises(DomainError):
-        box_encode((0.0, 0.0, -1.0, 2.0), (1.0, 1.0))
-    with pytest.raises(DomainError):
-        box_encode((0.0, 0.0, 1.0, 2.0), (0.0, 1.0))
-
-
-def test_box_param_validation():
-    with pytest.raises(DimensionError):
-        BoxParam(np.zeros(3), (1.0, 1.0))
-    with pytest.raises(DomainError):
-        BoxParam(np.zeros(4), (1.0, -2.0))
-    with pytest.raises(DomainError):
-        BoxParam(np.array([0.0, 0.0, 800.0, 0.0]), (1.0, 1.0)).decode()
+    for w, h in ((-1.0, 2.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            box_encode(w, h)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +70,7 @@ def _fd_matches(f, x, grad, rel=1e-6):
 
 
 def test_quadratic_grad_box_matches_fd():
-    # ascend steps along the score's closed-form gradient in the box.
+    # refine_box steps along the score's closed-form gradient in the box.
     rng = np.random.Generator(np.random.PCG64(41))
     scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=0.3)
     y = rng.normal(0.0, 1.0, 4)
@@ -120,7 +101,7 @@ def test_scorer_validation():
 
 @pytest.mark.parametrize("layout", ["C", "F", "stack"])
 def test_numpy_sums_four_wide_rows_left_to_right(layout):
-    # bbox._score (ascend, the nll annotation term) adds its four squares
+    # bbox._score (refine_box, the nll annotation term) adds its four squares
     # left to right, and the stacked scorers sum the (J, 4, K) difference
     # stack over its 4-long axis; both must equal value_batch's row sums bit
     # for bit.  That holds while NumPy reduces a 4-wide row term by term,
@@ -167,8 +148,8 @@ def test_train_quadratic_centers_on_annotation():
     # annotation to within one 0.01 grid step on every axis.
     oracle_rng = np.random.Generator(np.random.PCG64(46))
     ys = proposal_sample(PAPER_PROPOSAL, oracle_rng, size=4096)
-    p = gaussian_density(GaussianLabel(np.zeros(4), 0.05), ys)
-    qd = proposal_density(PAPER_PROPOSAL, ys)
+    d2 = np.square(ys).sum(axis=1)
+    p, qd = gaussian_density(d2, 0.05, 4), proposal_density(PAPER_PROPOSAL, d2)
     offsets = np.linspace(-0.05, 0.05, 11)
     for axis in range(4):
         losses = []
@@ -185,8 +166,8 @@ def test_train_loss_drops_over_epochs():
     # The loss of the returned center, on one fixed set of draws, is lower
     # after 50 epochs than after 1.
     ys = proposal_sample(PAPER_PROPOSAL, np.random.Generator(np.random.PCG64(147)), size=4096)
-    p = gaussian_density(GaussianLabel(np.zeros(4), 0.05), ys)
-    qd = proposal_density(PAPER_PROPOSAL, ys)
+    d2 = np.square(ys).sum(axis=1)
+    p, qd = gaussian_density(d2, 0.05, 4), proposal_density(PAPER_PROPOSAL, d2)
 
     def run(epochs):
         rng = np.random.Generator(np.random.PCG64(47))
@@ -255,6 +236,18 @@ def test_train_validation():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("loss_model", ["kl", "nll"])
+def test_train_rejects_a_label_width_without_a_normalizer(loss_model):
+    # sigma_bb = 1e-200 squares to 0, so its 4D normalizer is infinite; the
+    # width is rejected before anything is drawn, for the nll rows too,
+    # whose label density is never evaluated.
+    rng = np.random.Generator(np.random.PCG64(59))
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="normalizer"):
+        _train_cell([(loss_model, 1e-200, 0.2)], PAPER_PROPOSAL, 4, SGDConfig(), rng)
+    assert rng.bit_generator.state == state
+
+
 def test_train_rejects_a_final_center_that_overflows():
     # A first step of rate 1e308 throws the centers near the float limit,
     # where they stay put (their scores are -inf, so their confidences and
@@ -274,24 +267,23 @@ def test_train_matches_plain_reference_loop(family, loss_model):
     # Same draws in the same order, so the same iterates up to rounding and
     # the same generator state afterwards.  The package trains an offset in
     # the target's frame; the reference trains at the annotation itself.
-    ann = box_encode((3.0, 2.0, 4.0, 5.0), (4.0, 5.0))
+    ann = np.array([3.0 / 4.0, 2.0 / 5.0, math.log(4.0), math.log(5.0)])  # (3, 2, 4, 5) against its size
     proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], 4)
     sgd = SGDConfig(learning_rate=0.25, epochs=30, lr_decay=0.5)
     rng_a = np.random.Generator(np.random.PCG64(53))
     rng_b = np.random.Generator(np.random.PCG64(53))
     [offset] = _train_cell([(loss_model, 0.05, 0.2)], proposal, 96, sgd, rng_a)
-    want = train_box_scorer_reference(ann, 0.2, 0.05, proposal, 96, sgd, rng_b, loss_model)
-    np.testing.assert_allclose(ann.values + offset, want, rtol=1e-12, atol=0)
+    want = train_box_scorer_reference(ann, (4.0, 5.0), 0.2, 0.05, proposal, 96, sgd, rng_b, loss_model)
+    np.testing.assert_allclose(ann + offset, want, rtol=1e-12, atol=0)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
     built = {"labels": 0, "proposals": 0, "losses": 0}
 
-    class CountingLabel(GaussianLabel):
-        def __post_init__(self):
-            built["labels"] += 1
-            super().__post_init__()
+    def counting_width_check(*args):
+        built["labels"] += 1
+        return gaussian_normalizer(*args)
 
     class CountingProposal(MixtureProposal):
         def __post_init__(self):
@@ -302,7 +294,7 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
         built["losses"] += 1
         return kl_mc_loss(*args)
 
-    monkeypatch.setattr(bbox, "GaussianLabel", CountingLabel)
+    monkeypatch.setattr(bbox, "gaussian_normalizer", counting_width_check)
     monkeypatch.setattr(bbox, "kl_mc_loss", counting_loss)
     proposal = CountingProposal([0.5, 0.5], [0.05, 0.5], 4)
     for loss_model in ("kl", "nll"):
@@ -310,7 +302,7 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
             built.update(labels=0, proposals=0, losses=0)
             rngs = [np.random.Generator(np.random.PCG64(54 + c)) for c in range(n_cells)]
             train_box_scorer([(loss_model, 0.05, 0.2)], rngs, proposal, 16, SGDConfig(epochs=7))
-            # One label per width; every cell draws from the given proposal,
+            # One label width check per job; every cell draws from the given proposal,
             # whose densities the cells share, so none is built; one loss
             # call per draw batch of the whole group.  The delta-label (nll)
             # loss goes through the same divergence code.
@@ -458,56 +450,55 @@ def test_refine_reaches_unique_maximum():
     # For the quadratic family a step of tau^2 jumps exactly onto mu.
     mu = np.array([0.3, -0.1, 0.7, 0.2])
     scorer = QuadraticScorer(mu, tau=0.1)
-    y0 = BoxParam(mu + 0.05, (2.0, 2.0))
-    out = refine_box(scorer, y0, RefConfig(step_length=0.01, steps=10))
-    np.testing.assert_allclose(out.values, mu, atol=1e-6)
+    y0 = (mu + 0.05).tolist()
+    out, _ = refine_box(scorer, y0, RefConfig(step_length=0.01, steps=10))
+    np.testing.assert_allclose(out, mu, atol=1e-6)
 
     # Dense grid search over the neighborhood agrees on the maximizer.
     ax = np.linspace(-0.08, 0.08, 9)
     grids = np.meshgrid(ax, ax, ax, ax, indexing="ij")
-    pts = y0.values + np.stack([g.ravel() for g in grids], axis=1)
+    pts = np.array(y0) + np.stack([g.ravel() for g in grids], axis=1)
     grid_best = pts[int(np.argmax(scorer.value_batch(pts)))]
-    assert float(np.abs(out.values - grid_best).max()) <= (ax[1] - ax[0]) + 1e-12
+    assert float(np.abs(np.array(out) - grid_best).max()) <= (ax[1] - ax[0]) + 1e-12
 
 
 def test_refine_stationary_start_is_fixed_point():
     mu = np.array([0.1, 0.2, 0.3, 0.4])
     scorer = QuadraticScorer(mu, tau=0.3)
-    y0 = BoxParam(mu.copy(), (1.0, 1.0))
-    out = refine_box(scorer, y0, RefConfig())
-    np.testing.assert_array_equal(out.values, y0.values)
+    y0 = mu.tolist()
+    out, _ = refine_box(scorer, y0, RefConfig())
+    assert out == y0
 
 
 def test_refine_zero_steps_is_identity():
     scorer = QuadraticScorer(np.zeros(4), tau=0.3)
-    y0 = BoxParam(np.array([0.5, 0.5, 0.0, 0.0]), (1.0, 1.0))
-    out = refine_box(scorer, y0, RefConfig(steps=0))
-    np.testing.assert_array_equal(out.values, y0.values)
+    y0 = [0.5, 0.5, 0.0, 0.0]
+    assert refine_box(scorer, y0, RefConfig(steps=0)) == (y0, 0)
 
 
 def test_refine_never_scores_below_start():
     rng = np.random.Generator(np.random.PCG64(51))
     for _ in range(20):
         scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.2, 1.0))
-        y0 = BoxParam(rng.normal(0.0, 1.0, 4), (1.0, 1.0))
+        y0 = rng.normal(0.0, 1.0, 4).tolist()
         # Deliberately coarse steps so single updates can overshoot: a step
         # beyond 2 tau^2 lands farther from the center than it started.
-        out = refine_box(scorer, y0, RefConfig(step_length=0.5, steps=8))
-        got, start = scorer.value_batch(np.stack([out.values, y0.values]))
+        out, _ = refine_box(scorer, y0, RefConfig(step_length=0.5, steps=8))
+        got, start = scorer.value_batch(np.array([out, y0]))
         assert got >= start
 
 
 def test_refine_survives_non_finite_gradient():
     scorer = QuadraticScorer(np.full(4, 1e200), tau=1.0)
-    y0 = BoxParam(np.zeros(4), (1.0, 1.0))
+    y0 = [0.0] * 4
     with np.errstate(over="ignore", invalid="ignore"):
-        out = refine_box(scorer, y0, RefConfig())
-    np.testing.assert_array_equal(out.values, y0.values)
+        out, _ = refine_box(scorer, y0, RefConfig())
+    assert out == y0
 
 
 @pytest.mark.parametrize("family", ["quadratic"])
 def test_float_scores_match_the_array_scores(family):
-    # _score scores one box on Python floats for ascend and the nll
+    # _score scores one box on Python floats for refine_box and the nll
     # annotation term; it must agree bit for bit with value_batch.  The
     # ascent's float gradients are checked against the closed form by the
     # reference-loop test below.
@@ -524,15 +515,15 @@ def _refine_cases():
     cases = []
     for _ in range(12):
         scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
-        y0 = BoxParam(rng.normal(0.0, 1.0, 4), (1.0, 1.0))
+        y0 = rng.normal(0.0, 1.0, 4).tolist()
         cases.append((scorer, y0, RefConfig(step_length=rng.uniform(0.005, 0.5), steps=10), "random"))
     cases.append((scorer, y0, RefConfig(steps=0), "no steps"))
     # A start 1e-9 off the maximum moves less than the tolerance at once.
     scorer = QuadraticScorer(np.full(4, 0.3), tau=1.0)
-    cases.append((scorer, BoxParam(np.full(4, 0.3 + 1e-9), (1.0, 1.0)), RefConfig(), "converged"))
+    cases.append((scorer, [0.3 + 1e-9] * 4, RefConfig(), "converged"))
     # tau^2 = 1e-10 turns the distance to a far center into an infinite gradient.
     scorer = QuadraticScorer(np.full(4, 1e300), tau=1e-5)
-    cases.append((scorer, BoxParam(np.zeros(4), (1.0, 1.0)), RefConfig(), "non-finite"))
+    cases.append((scorer, [0.0] * 4, RefConfig(), "non-finite"))
     return cases
 
 
@@ -543,17 +534,15 @@ def test_refine_matches_the_numpy_reference_loop(family):
     seen = {"random": 0, "no steps": 0, "converged": 0, "non-finite": 0}
     for scorer, y0, cfg, case in _refine_cases():
         with np.errstate(over="ignore", invalid="ignore"):
-            got = refine_box(scorer, y0, cfg)
-            best, evaluated = scorer.ascend(y0.values.tolist(), cfg.step_length, cfg.steps, cfg.convergence_tol)
+            got, evaluated = refine_box(scorer, y0, cfg)
             want, want_evaluated = refine_box_reference(scorer, y0, cfg)
-        assert np.array_equal(got.values, want), case
-        assert best == want.tolist(), case
-        assert got.reference == y0.reference
+        assert got == want.tolist(), case
+        assert all(type(v) is float for v in got), case
         assert evaluated == want_evaluated, case
         if case == "converged":
             assert want_evaluated == 1
         if case == "non-finite":
-            assert want_evaluated == 1 and np.array_equal(want, y0.values)
+            assert want_evaluated == 1 and got == y0
         seen[case] += 1
     assert all(seen.values())
 

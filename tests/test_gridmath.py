@@ -245,29 +245,18 @@ def test_conv_apply_threads_never_share_a_workspace():
 
 
 def test_log_sum_exp_two_zeros():
-    assert log_sum_exp(Grid2D(np.zeros((1, 2))), 1.0) == pytest.approx(math.log(2), abs=1e-12)
+    assert log_sum_exp(Grid2D(np.zeros((1, 2)))) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_log_sum_exp_huge_scores_no_overflow():
-    v = log_sum_exp(Grid2D(np.full((1, 2), 1000.0)), 1.0)
+    v = log_sum_exp(Grid2D(np.full((1, 2), 1000.0)))
     assert math.isfinite(v)
     assert v == pytest.approx(1000.0 + math.log(2), abs=1e-9)
 
 
-def test_log_sum_exp_area_cancels():
-    assert log_sum_exp(Grid2D(np.zeros((2, 2))), 0.25) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_log_sum_exp_area_factorizes():
-    rng = np.random.Generator(np.random.PCG64(15))
-    g = Grid2D(rng.standard_normal((4, 5)))
-    for a in (0.01, 0.5, 3.0):
-        assert log_sum_exp(g, a) == pytest.approx(math.log(a) + log_sum_exp(g, 1.0), abs=1e-12)
-
-
 def test_log_sum_exp_empty_grid():
     with pytest.raises(DomainError):
-        log_sum_exp(Grid2D(np.zeros((0, 3))), 1.0)
+        log_sum_exp(Grid2D(np.zeros((0, 3))))
 
 
 

@@ -1029,6 +1029,20 @@ def test_default_track_matches_its_pinned_digests(tmp_path):
     }
 
 
+def test_trained_track_matches_its_pinned_digests(tmp_path):
+    # The default track at seed 1 with its box scorer trained by SGD
+    # (scorer_init "train"): box training, encoding, refinement and the
+    # inline decode of every frame, byte for byte.
+    cfgpath = _write_config(tmp_path, {"tracker": {"scorer_init": "train"}})
+    out = tmp_path / "out"
+    assert main(["track", "--config", cfgpath, "--seed", "1", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("track_trace.csv", "track_metrics.csv")}
+    assert digests == {
+        "track_trace.csv": "1f7881c9dbdd34c30f08868923740df03543c11cc0428e94b4c33eb0252c0ea1",
+        "track_metrics.csv": "38d714c87d80aa4293c98170615d2c3a91aa72e9f8bedc445aacdc7cd3afc4e8",
+    }
+
+
 # ---------------------------------------------------------------------------
 # dump-density
 # ---------------------------------------------------------------------------
@@ -1067,6 +1081,19 @@ def test_dump_density_grids(tmp_path):
     assert main(["dump-density", "--config", cfgpath, "--seed", "2", "--out", str(out2)]) == 0
     for name in ("center_density_f5.txt", "bb_center_slice_f5.txt", "bb_size_slice_f5.txt"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_default_dump_density_matches_its_pinned_digests(tmp_path):
+    # The three default grids at seed 1, byte for byte: the stage-1 density
+    # and the two box-scorer slices around the encoded current box.
+    out = tmp_path / "out"
+    assert main(["dump-density", "--seed", "1", "--out", str(out)]) == 0
+    names = ("center_density_f5.txt", "bb_center_slice_f5.txt", "bb_size_slice_f5.txt")
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names} == {
+        "center_density_f5.txt": "c9e6e2d8184dd9bac73ccf420df55badf8e01ad92764536a3815bfeab59b8512",
+        "bb_center_slice_f5.txt": "649ddc95636b69a2ce70b36675d1661ae1dda4b583d462d853a0e6919f26a8ca",
+        "bb_size_slice_f5.txt": "c032bd7c97b6c4d61e66a3365b00a94676ce4bd451ef47db99c34f67ac172913",
+    }
 
 
 @pytest.mark.parametrize("n", [3, 41, 600])

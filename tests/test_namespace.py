@@ -78,3 +78,27 @@ def test_every_public_definition_has_a_user():
         if refs[node.name] == _references(node)[node.name]
     ]
     assert not unused, f"public definitions nothing uses: {unused}"
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) of each module-level import; __future__ imports bind nothing."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_module_level_import_is_used():
+    # A cut leaves dead imports behind; a name counts as used where the
+    # module reads it or lists it in __all__.
+    unused = []
+    for path in sorted((ROOT / "src" / "prtrack").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        module = importlib.import_module(f"prtrack.{path.stem}") if path.stem != "__init__" else prtrack
+        read |= set(getattr(module, "__all__", ()))
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree) if name not in read]
+    assert not unused, f"imports nothing uses: {unused}"
