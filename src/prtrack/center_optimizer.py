@@ -18,8 +18,10 @@ for the cross-entropy family, a masked sum of squares for the quadratic
 family), so alpha = g'g / g'Hg needs only one extra correlation per sample
 and no matrix assembly.  Because the quadratic model under-estimates how
 fast cross-entropy curvature grows once the softmax saturates, the step is
-halved until the objective does not increase; on a purely quadratic
-objective the first trial already descends, so Newton exactness is kept.
+halved until the objective decreases; on a purely quadratic objective the
+first trial already descends, so Newton exactness is kept.  A solve ends
+early at a zero gradient or when 40 halvings find no decrease, since every
+later iteration would repeat the same search from the same kernel.
 
 Scores are linear in w, so the solver keeps each sample's scores s_j and
 the curvature pass's v_j = z_j * g: a trial step scores as s_j - alpha * v_j
@@ -212,43 +214,40 @@ class _Problem:
         rows = list(rows)
         return [j for j in rows if j >= self.held] + [j for j in rows if j < self.held]
 
-    def correlate(self, *pairs):
-        """Fill row j of each (kernel, stack) pair with sample j's scores; one unfold per sample."""
-        pairs = [(self.ws.arrange(kernel), stack) for kernel, stack in pairs]
+    def correlate(self, kernel: np.ndarray, out: np.ndarray):
+        """Fill row j of out with sample j's scores under kernel."""
+        arranged = self.ws.arrange(kernel)
         for j in self.sweep(range(len(self.samples))):
             self.unfold(j)
-            for arranged, stack in pairs:
-                self.ws.correlate(arranged, stack[j])
+            self.ws.correlate(arranged, out[j])
 
-    def evaluate(self, w: np.ndarray, scored: bool, pulls=None) -> tuple[float, np.ndarray, list]:
-        """Objective and gradient at w, and each sample's pullback.
+    def evaluate(self, w: np.ndarray, scored: bool) -> tuple[float, np.ndarray]:
+        """Objective and gradient at w.
 
-        With scored, the score stack holds the scores at w already, and
-        pulls, when given, each sample's pullback at w.  Otherwise each row
-        is scored and evaluated alone, so that its unfold also serves its
-        adjoint.  The work and state stacks get the score gradients and
-        curvature states.
+        With scored, the score stack holds the scores at w already.
+        Otherwise each row is scored and evaluated alone, so that its unfold
+        also serves its adjoint.  The work and state stacks get the score
+        gradients and curvature states.
         """
         n = len(self.samples)
         if scored:
             values = self.loss.value_grad(self.scores, self.work, self.state, slice(None))
         else:
-            values, pulls = [0.0] * n, None
+            values = [0.0] * n
             arranged = self.ws.arrange(w)
-        if pulls is None:
-            pulls = [None] * n
-            for j in self.sweep(range(n)):
-                self.unfold(j)
-                if not scored:
-                    self.ws.correlate(arranged, self.scores[j])
-                    (values[j],) = self.loss.value_grad(self.scores, self.work, self.state, slice(j, j + 1))
-                pulls[j] = self.ws.adjoint(self.work[j])
         obj = 0.5 * self.lam * float((w * w).sum())
         grad = self.lam * w.copy()
+        pulls = [None] * n
+        for j in self.sweep(range(n)):
+            self.unfold(j)
+            if not scored:
+                self.ws.correlate(arranged, self.scores[j])
+                (values[j],) = self.loss.value_grad(self.scores, self.work, self.state, slice(j, j + 1))
+            pulls[j] = self.ws.adjoint(self.work[j])
         for gamma, value, pull in zip(self.gamma, values, pulls):
             obj += gamma * value
             grad += gamma * pull
-        return obj, grad, pulls
+        return obj, grad
 
     def curvature(self, g: np.ndarray, directions: np.ndarray) -> float:
         """g'Hg from the curvature states and the directions v_j = z_j * g."""
@@ -294,27 +293,29 @@ def hessian_quadratic_form(
     w = model.weights.values
     g = direction.values
     prob = _Problem(support, cfg, w.shape)
+    prob.evaluate(w, False)
     directions = np.empty_like(prob.scores)
-    prob.correlate((w, prob.scores), (g, directions))
-    prob.loss.value_grad(prob.scores, prob.work, prob.state, slice(None))
+    prob.correlate(g, directions)
     return prob.curvature(g, directions)
 
 
 def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetModel, list[OptStep]]:
-    """Run cfg.iterations steepest-descent steps with Newton step lengths.
+    """Run up to cfg.iterations steepest-descent steps with Newton step lengths.
 
     Each iteration evaluates the gradient g and steps w -= alpha * g with
     alpha = g'g / g'Hg.  If the curvature ever drops below
     STEP_LENGTH_FLOOR * g'g (1e-10 g'g) the step falls back to
     1/regularization, the exact minimizing step of the ridge term alone.
-    The step is then halved until the objective does not increase
-    (curvature can grow along the ray, so the quadratic-model step may
-    overshoot; a failed search leaves the weights in place with
-    step_length 0).  The first pass scores every sample at the given
-    kernel; trial objectives come from the carried scores,
-    s_j - alpha * v_j, and an accepted trial's scores carry into the next
-    pass.  Returns the updated model and a trace with one row per
-    iteration plus a final row for the end state (step_length 0 by
+    The step is then halved until the objective decreases (curvature can
+    grow along the ray, so the quadratic-model step may overshoot).  The
+    solve ends after an iteration whose gradient is zero or whose 40
+    halvings find no decrease, with step_length 0 in that iteration's row,
+    because every later iteration would repeat it from the same kernel.
+    The first pass scores every sample at the given kernel; trial
+    objectives come from the carried scores, s_j - alpha * v_j, and an
+    accepted trial's scores carry into the next pass.  Returns the updated
+    model and a trace with one row per iteration run plus a final row for
+    the end state, numbered by the iterations run (step_length 0 by
     convention): the objective at the returned kernel, which is the last
     accepted trial's, and the gradient norm there, math.nan when the last
     step moved the kernel, since no pass scores the kernel a step lands on.
@@ -325,40 +326,37 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
     prob = _Problem(support, cfg, w.shape)
     lam = cfg.regularization
     trace: list[OptStep] = []
-    pulls = None
     for it in range(max(cfg.iterations, 1)):
-        obj, g, pulls = prob.evaluate(w, it > 0, pulls)
+        obj, g = prob.evaluate(w, it > 0)
         if not math.isfinite(obj):
             raise NumericError(f"non-finite objective at iteration {it}")
         gg = float((g * g).sum())
         gnorm = math.sqrt(gg)
         if it == cfg.iterations:
             break  # no iterations: the one pass only gives the final row
-        if gg == 0.0:
-            trace.append(OptStep(it, obj, 0.0, 0.0))
-            continue
-        directions = np.empty_like(prob.scores)
-        prob.correlate((g, directions))
-        denom = prob.curvature(g, directions)
-        alpha = gg / denom if denom >= STEP_LENGTH_FLOOR * gg else 1.0 / lam
-        accepted = 0.0
-        for _ in range(40):
-            cand = w - alpha * g
-            cand_obj = 0.5 * lam * float((cand * cand).sum())
-            for gamma, value in zip(prob.gamma, prob.trial(directions, alpha)):
-                cand_obj += gamma * value
-            if math.isfinite(cand_obj) and cand_obj <= obj:
-                w = cand
-                prob.accept()
-                pulls = None
-                accepted = alpha
-                break
-            alpha *= 0.5
-        del directions
-        trace.append(OptStep(it, obj, accepted, gnorm))
-        if accepted:
-            obj, gnorm = cand_obj, math.nan
-    trace.append(OptStep(cfg.iterations, obj, 0.0, gnorm))
+        step = 0.0
+        if gg > 0.0:
+            directions = np.empty_like(prob.scores)
+            prob.correlate(g, directions)
+            denom = prob.curvature(g, directions)
+            alpha = gg / denom if denom >= STEP_LENGTH_FLOOR * gg else 1.0 / lam
+            for _ in range(40):
+                cand = w - alpha * g
+                cand_obj = 0.5 * lam * float((cand * cand).sum())
+                for gamma, value in zip(prob.gamma, prob.trial(directions, alpha)):
+                    cand_obj += gamma * value
+                if math.isfinite(cand_obj) and cand_obj < obj:
+                    step = alpha
+                    break
+                alpha *= 0.5
+            del directions
+        trace.append(OptStep(it, obj, step, gnorm))
+        if not step:
+            break
+        w = cand
+        prob.accept()
+        obj, gnorm = cand_obj, math.nan
+    trace.append(OptStep(len(trace), obj, 0.0, gnorm))
     return TargetModel(Kernel2D(w)), trace
 
 

@@ -107,8 +107,10 @@ def optimize_reference(model, support, cfg):
 
     Every objective, gradient and curvature comes from the public functions
     at the current (or trial) weights, with no state carried between them.
-    Returns (weights, step lengths, halvings), one step and one halving
-    count per iteration.
+    A trial is accepted only below the current objective, and the loop ends
+    after a zero gradient or a search whose 40 halvings all fail.  Returns
+    (weights, step lengths, halvings), one step and one halving count per
+    iteration run.
     """
     from prtrack.center_optimizer import STEP_LENGTH_FLOOR, TargetModel, gradient, hessian_quadratic_form, objective
     from prtrack.gridmath import Kernel2D
@@ -123,23 +125,22 @@ def optimize_reference(model, support, cfg):
         obj = objective(at(w), support, cfg)
         g = gradient(at(w), support, cfg).values
         gg = float((g * g).sum())
-        if gg == 0.0:
-            steps.append(0.0)
-            halvings.append(0)
-            continue
-        denom = hessian_quadratic_form(at(w), Kernel2D(g), support, cfg)
-        alpha = gg / denom if denom >= STEP_LENGTH_FLOOR * gg else 1.0 / lam
         accepted, halved = 0.0, 0
-        for _ in range(40):
-            cand = w - alpha * g
-            cand_obj = objective(at(cand), support, cfg)
-            if math.isfinite(cand_obj) and cand_obj <= obj:
-                w, accepted = cand, alpha
-                break
-            alpha *= 0.5
-            halved += 1
+        if gg != 0.0:
+            denom = hessian_quadratic_form(at(w), Kernel2D(g), support, cfg)
+            alpha = gg / denom if denom >= STEP_LENGTH_FLOOR * gg else 1.0 / lam
+            for _ in range(40):
+                cand = w - alpha * g
+                cand_obj = objective(at(cand), support, cfg)
+                if math.isfinite(cand_obj) and cand_obj < obj:
+                    w, accepted = cand, alpha
+                    break
+                alpha *= 0.5
+                halved += 1
         steps.append(accepted)
         halvings.append(halved)
+        if not accepted:
+            break
     return w, steps, halvings
 
 

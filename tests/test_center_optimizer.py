@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from _oracles import fd_gradient, optimize_reference
+from prtrack import tracker
 from prtrack.center_optimizer import (
     OptimizerConfig,
     OptStep,
+    _Problem,
     SupportSample,
     TargetModel,
     gradient,
@@ -22,6 +24,7 @@ from prtrack.center_optimizer import (
 from prtrack.errors import DimensionError, DomainError, NumericError
 from prtrack.gridmath import FeatureMap, Grid2D, Kernel2D, _Workspace, conv_apply
 from prtrack.losses import kl_grid_loss
+from prtrack.tracker import Scenario, TrackerConfig
 
 CFG = OptimizerConfig(regularization=1e-2, iterations=5)
 
@@ -345,14 +348,92 @@ def test_optimize_matches_reference_loop_when_backtracking():
 
 def test_optimize_matches_reference_loop_at_zero_gradient():
     # Zero features and zero weights: the data term has no pull on the
-    # kernel and the ridge gradient vanishes, so no step is taken.
+    # kernel and the ridge gradient vanishes, so the solve ends after its
+    # first iteration without a step.
     z = FeatureMap(np.zeros((2, 4, 4)))
     p = Grid2D(np.full((4, 4), 1.0 / 16.0))
     support = [SupportSample(z, p)]
     cfg = OptimizerConfig(regularization=1e-2, iterations=3)
     _assert_matches_reference(np.zeros((2, 3, 3)), support, cfg)
     _, trace = optimize(_model(np.zeros((2, 3, 3))), support, cfg)
+    assert [row.iteration for row in trace] == [0, 1]
     assert all(row.step_length == 0.0 and row.grad_norm == 0.0 for row in trace)
+
+
+def _counting_trials(monkeypatch, values=None):
+    """Count the line-search trials; values, when given, replaces their sample losses."""
+    made = []
+    trial = _Problem.trial
+
+    def counting(prob, *args):
+        made.append(args)
+        losses = trial(prob, *args)
+        return losses if values is None else [values] * len(losses)
+
+    monkeypatch.setattr(_Problem, "trial", counting)
+    return made
+
+
+def test_optimize_stops_when_the_line_search_fails(monkeypatch):
+    # Trials that never descend: the first search makes its 40 trials and
+    # the solve ends there with the input kernel, instead of repeating the
+    # same search every iteration.
+    rng = np.random.Generator(np.random.PCG64(44))
+    support = _random_support(rng)
+    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    made = _counting_trials(monkeypatch, values=math.inf)
+    got, trace = optimize(model, support, replace(CFG, iterations=5))
+    assert len(made) == 40
+    assert np.array_equal(got.weights.values, model.weights.values)
+    g = gradient(model, support, CFG).values
+    gnorm = math.sqrt(float((g * g).sum()))
+    assert trace == [OptStep(0, trace[0].objective, 0.0, gnorm), OptStep(1, trace[0].objective, 0.0, gnorm)]
+    assert trace[0].objective == objective(model, support, CFG)
+
+
+@pytest.mark.parametrize("loss_model", ["l2", "kl"])
+def test_converged_solve_ignores_its_remaining_budget(monkeypatch, loss_model):
+    # Once no halving lowers the objective the solve ends, so a larger
+    # iteration budget changes nothing and costs no trials.
+    rng = np.random.Generator(np.random.PCG64(45))
+    support = _random_support(rng)
+    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    made = _counting_trials(monkeypatch)
+    solves = []
+    for iterations in (300, 1000):
+        del made[:]
+        cfg = OptimizerConfig(regularization=1e-2, iterations=iterations, loss_model=loss_model)
+        solves.append(optimize(model, support, cfg))
+        run = len(solves[-1][1]) - 1
+        assert run < 300 and solves[-1][1][-2].step_length == 0.0
+        assert len(made) <= run + 40
+    _assert_same_solve(*solves)
+
+
+@pytest.mark.parametrize("loss_model", ["l2", "rl2", "nll", "kl"])
+def test_tracker_solves_never_end_early(monkeypatch, loss_model):
+    # At the tracker's default iteration counts every solve runs its whole
+    # budget and steps in every iteration, so the stop moves no tracked
+    # output.  Each iteration steps on its first trial, except for two
+    # halvings in the kl first-frame solve, whose Newton step overshoots.
+    made = _counting_trials(monkeypatch)
+    runs, trials = [], []
+
+    def recording(*args):
+        before = len(made)
+        model, trace = optimize(*args)
+        runs.append(len(trace) - 1)
+        trials.append(len(made) - before)
+        assert all(row.step_length > 0.0 for row in trace[:-1])
+        return model, trace
+
+    monkeypatch.setattr(tracker, "optimize", recording)
+    cfg = TrackerConfig(loss_model=loss_model)
+    scenario = Scenario(num_frames=21, velocity_x=0.3, noise_level=0.05)
+    tracker.run_sequence(tracker.generate_sequence(scenario), cfg, np.random.Generator(np.random.PCG64(98)))
+    assert runs == [cfg.init_iterations] + [cfg.online_iterations] * 4
+    overshoots = 2 if loss_model == "kl" else 0
+    assert trials == [runs[0] + overshoots] + runs[1:]
 
 
 def _counting_unfolds(monkeypatch):
