@@ -16,12 +16,13 @@ the squared-error / hinged / delta-label objectives for side-by-side
 comparisons.  Training happens in the target's own frame: the annotation
 is the origin, the unit box (0, 0, 1, 1) once decoded, and every draw and
 center is an offset from it, so every annotation poses the same problem
-and only the proposal streams tell cells apart.  It trains a group of
-cells in lockstep.  Every cell shares one list of jobs, each a (loss
-model, label width, scorer width) triple, and brings its own proposal
-stream; every center starts at the origin.  Each draw batch is one
-stacked problem over all (job x cell) rows.  Once per cell and draw
-batch: the draws and the cell's score rows.  Once per group and draw
+and only the proposal streams tell cells apart.  Every cell shares one
+list of jobs, each a (loss model, label width, scorer width) triple, and
+brings its own proposal stream; every center starts at the origin.  The
+cells train in blocks that hold at most _GROUP_DRAWS draws per batch (at
+least one cell), each block in lockstep.  Each draw batch of a block is
+one stacked problem over all its (job x cell) rows.  Once per cell and
+draw batch: the draws and the cell's score rows.  Once per block and draw
 batch: the squared norms of the draws, the proposal density and one
 label density per kl width on those norms, the overlaps, one kl_mc_loss
 call over the kl and nll rows, one exp over the l2 and rl2 rows and one
@@ -138,6 +139,13 @@ def _grad_params_bases(centers: np.ndarray, t2: np.ndarray, ys: np.ndarray) -> n
     return d
 
 
+# Proposal draws per batch that one training block holds across its cells:
+# 8 cells at the default bb_samples, at least one cell.  A block trains as
+# one stacked problem, which shares each draw batch's fixed per-call cost
+# across its cells.  The block's draws, densities and score rows are held
+# together (about 1.5 MB for 8 cells at 768 draws), so larger blocks trade
+# peak memory for a smaller further gain.
+_GROUP_DRAWS = 8 * 768
 # Row order of the per-batch score stack: the divergence rows (kl, nll) go
 # through one kl_mc_loss call, the squared-error rows (l2, rl2) share one exp.
 _ROW_ORDER = ("kl", "nll", "l2", "rl2")
@@ -148,28 +156,6 @@ _ROW_ORDER = ("kl", "nll", "l2", "rl2")
 _RL2_OVERLAP = 0.05
 
 
-def _check_jobs(jobs, rngs, samples_per_annotation: int):
-    """DimensionError or DomainError before anything is drawn."""
-    if not jobs:
-        raise DimensionError("train_box_scorer needs at least one job")
-    if not rngs:
-        raise DimensionError("train_box_scorer needs at least one cell")
-    if samples_per_annotation < 2:
-        raise DomainError("need at least 2 samples per annotation")
-    for loss_model, sigma_bb, tau in jobs:
-        if loss_model not in LOSS_MODELS:
-            raise DomainError(f"unknown loss model {loss_model!r}; pick one of {LOSS_MODELS}")
-        if not (sigma_bb > 0):
-            raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
-        gaussian_normalizer(sigma_bb, BOX_DIM)
-        if not (tau > 0 and 0.0 < float(tau) * float(tau) < math.inf):
-            raise DomainError(f"tau must have a finite positive square, got {tau}")
-
-
-# A diverging run overflows its scores or steps to inf or nan.  The
-# finiteness checks turn that into one NumericError; NumPy's warnings would
-# only print the same failure again.
-@np.errstate(over="ignore", invalid="ignore")
 def train_box_scorer(
     jobs,
     rngs,
@@ -187,23 +173,46 @@ def train_box_scorer(
     draws and steps the job's center along the gradient of a quadratic
     scorer of width tau.
 
-    Each draw batch is one stacked problem over all (job x cell) rows, as
-    the module docstring lays out.  A cell's gradient bases are recomputed
-    after the loss call rather than held for the whole group, which keeps
-    the group's memory to a few score-sized rows per cell.  Each row is
-    computed in the order a job alone would compute it, and a row's updates
-    read only its own center and its cell's draws, so every center ends bit
-    for bit where a run of its cell alone, with that job alone, on an
-    equally seeded generator ends.
+    The cells train block by block, in order, as the module docstring lays
+    out; a block's draws, densities and score rows are freed before the
+    next block starts, so peak memory does not grow with the cell count.
+    Each row is computed in the order a job alone would compute it, and a
+    row's updates read only its own center and its cell's draws, so every
+    center ends bit for bit where a run of its cell alone, with that job
+    alone, on an equally seeded generator ends.
 
     Returns the (cells x jobs x 4) final centers in job order, each the
     average of its iterates over the last half of the epochs, which removes
-    most of the stationary sampling noise.  NumericError once a job's
-    scores, loss or stepped center are not finite; DomainError if an
-    average is not.
+    most of the stationary sampling noise.  DimensionError or DomainError
+    for bad jobs, cells or samples, before anything is drawn; NumericError
+    once a job's scores, loss or stepped center are not finite; DomainError
+    if an average is not.
     """
-    _check_jobs(jobs, rngs, samples_per_annotation)
+    if not jobs:
+        raise DimensionError("train_box_scorer needs at least one job")
+    if not rngs:
+        raise DimensionError("train_box_scorer needs at least one cell")
+    if samples_per_annotation < 2:
+        raise DomainError("need at least 2 samples per annotation")
+    for loss_model, sigma_bb, tau in jobs:
+        if loss_model not in LOSS_MODELS:
+            raise DomainError(f"unknown loss model {loss_model!r}; pick one of {LOSS_MODELS}")
+        if not (sigma_bb > 0):
+            raise DomainError(f"sigma_bb must be positive, got {sigma_bb}")
+        gaussian_normalizer(sigma_bb, BOX_DIM)
+        if not (tau > 0 and 0.0 < float(tau) * float(tau) < math.inf):
+            raise DomainError(f"tau must have a finite positive square, got {tau}")
     k = int(samples_per_annotation)
+    size = max(1, _GROUP_DRAWS // k)
+    return np.concatenate([_train_block(jobs, rngs[i : i + size], proposal, k, sgd) for i in range(0, len(rngs), size)])
+
+
+# A diverging run overflows its scores or steps to inf or nan.  The
+# finiteness checks turn that into one NumericError; NumPy's warnings would
+# only print the same failure again.
+@np.errstate(over="ignore", invalid="ignore")
+def _train_block(jobs, rngs, proposal: MixtureProposal, k: int, sgd: SGDConfig) -> np.ndarray:
+    """train_box_scorer on one block of cells, as one stacked problem per draw batch."""
     n_cells = len(rngs)
     order = sorted(range(len(jobs)), key=lambda i: _ROW_ORDER.index(jobs[i][0]))
     models = [jobs[i][0] for i in order]
@@ -262,6 +271,8 @@ def train_box_scorer(
                 # rl2 hinges the draws far from the annotation: max(0, c) == c.
                 np.copyto(resid[n_l2:], conf[n_l2:], where=~(overlaps > _RL2_OVERLAP))
             weighted = resid * conf
+        # A cell's gradient bases are recomputed here rather than held for the
+        # whole block, which keeps its memory to a few score-sized rows per cell.
         for c in range(n_cells):
             bases = _grad_params_bases(centers[c], t2, draws[c])
             for row in range(n_jobs):

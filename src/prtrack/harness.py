@@ -37,15 +37,15 @@ loads runs without a usage error.
 Determinism: each (scenario, repetition) cell owns its RNG streams, seeded
 as master + 103 * scenario_index + 10007 * repetition (the tracker stream
 adds a fixed offset), so outputs are bit-identical for equal (config,
-seed) regardless of --jobs.  compare-losses and sigma-sweep run
-group-major: one task per group of cells, as many as hold _GROUP_DRAWS
-proposal draws per batch (at least one), first builds the box scorers of
-every cell and tracker config: it trains them in lockstep as one stacked
-problem in the target's own frame, each cell on its one tracker stream,
-and centers each on its scenario's first box (each scorer is exactly the
-one its config would train alone in its cell).  It then renders each
-cell's sequence once and tracks it once per config.  So the loss models
-share one rendered sequence and one proposal stream per cell.
+seed) regardless of --jobs.  compare-losses and sigma-sweep first build
+the box scorers of every cell and tracker config in one init_scorers
+call: it trains them in the target's own frame, each cell on its one
+tracker stream, in blocks of cells that train_box_scorer cuts from the
+draw count alone, and centers each on its scenario's first box (each
+scorer is exactly the one its config would train alone in its cell).
+The streams are then dropped, and the suite runs one task per cell: it
+renders the cell's sequence once and tracks it once per config.  So the
+loss models share one rendered sequence and one proposal stream per cell.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import bbox
 from .bbox import BOX_DIM, box_encode
 from .errors import DomainError, NumericError, PrtrackError, UsageError
 from .gridmath import Grid2D, dump_grid
@@ -98,16 +99,10 @@ MAX_SOLVER_ITERATIONS = 1000  # init_iterations, online_iterations: 100x the def
 # refine_steps: 100x the default box refinement.  A large refine_step makes
 # the ascent oscillate, so refine_tol alone need not stop it.
 MAX_REFINE_STEPS = 1000
-# Proposal draws per batch that one suite task holds across its cells: 8
-# cells at the default bb_samples, at least one cell.  A task trains the box
-# scorers of its cells as one stacked problem, which shares each draw
-# batch's fixed per-call cost across the group.  The group's draws,
-# densities and score rows are held together (about 1.5 MB for 8 cells at
-# 768 draws), so larger groups trade peak memory for a smaller further gain.
-_GROUP_DRAWS = 8 * 768
-# Tracker configs x draws of one task's batch, max(bb_samples, _GROUP_DRAWS):
-# the score rows a suite task holds at once.  compare-losses at the largest
-# bb_samples is the most it needs; only a long sweep.values list goes past it.
+# Tracker configs x draws of one training block's batch, max(bb_samples,
+# bbox._GROUP_DRAWS): the score rows box training holds at once.
+# compare-losses at the largest bb_samples is the most it needs; only a long
+# sweep.values list goes past it.
 MAX_TRAINING_ROWS = 4 * MAX_BOX_SAMPLES
 
 SCENARIO_PRESETS: dict[str, dict] = {
@@ -276,7 +271,7 @@ def _check_resolved(cfg: RunConfig):
 
     bb_samples, the box-training draws bb_epochs x bb_samples, the solver
     iterations, the box refinement steps, the box-training rows of a sweep
-    (its values times the draws per suite task's batch), the suite's cell
+    (its values times a training block's draws per batch), the suite's cell
     count and the dump slice are bounded.  One pass over the scenario specs
     builds each Scenario (the seed does not enter its checks) and bounds its
     sequence's size, its target's sigma_tc and its search region (as
@@ -302,7 +297,7 @@ def _check_resolved(cfg: RunConfig):
     ):
         n = getattr(tracker, name)
         _expect(n <= bound, f"tracker.{name} must be at most {bound}, got {n}")
-    batch = max(tracker.bb_samples, _GROUP_DRAWS)
+    batch = max(tracker.bb_samples, bbox._GROUP_DRAWS)
     rows = len(cfg.sweep_values) * batch
     _expect(
         rows <= MAX_TRAINING_ROWS,
@@ -366,22 +361,9 @@ def _cell(spec, seed: int):
     return resolve_scenario(spec, seed), np.random.Generator(np.random.PCG64(seed + TRACKER_RNG_OFFSET))
 
 
-def _run_cell_group(cells, tracker_cfgs):
-    """Track each (spec, seed) cell with every config; one list of metrics per cell.
-
-    The box scorers of all the cells train first, in lockstep, and are
-    centered on each scenario's first box; then each cell's sequence is
-    rendered, tracked once per config and dropped before the next cell's
-    is rendered.
-    """
-    scenarios, streams = zip(*(_cell(spec, seed) for spec, seed in cells))
-    scorers = init_scorers(tracker_cfgs, [(sc.target_box(0), rng) for sc, rng in zip(scenarios, streams)])
-    # The sequence lives only inside _track_configs, so no two are held at once.
-    return [_track_configs(generate_sequence(sc), tracker_cfgs, row) for sc, row in zip(scenarios, scorers)]
-
-
-def _track_configs(sequence, tracker_cfgs, scorers):
-    """Track one rendered sequence once per config, each with its initial box scorer."""
+def _track_cell(scenario: Scenario, tracker_cfgs, scorers):
+    """Render one cell's sequence and track it once per config, each with its initial box scorer."""
+    sequence = generate_sequence(scenario)  # held only by this call: one at a time in a serial suite
     return [_run_cell(sequence, c, scorer) for c, scorer in zip(tracker_cfgs, scorers)]
 
 
@@ -403,22 +385,24 @@ def _suite_metrics(cfg: RunConfig, variants, master_seed: int, jobs: int):
     """Mean (auc, op50, op75) over the whole suite, one triple per variant.
 
     A variant is a dict of field overrides of cfg.tracker, applied with
-    scorer_init "train".  The (scenario, repetition) cells, in
-    scenario-major order, are cut into groups of at most _GROUP_DRAWS draws
-    per batch (at least one cell), and into at least min(jobs, cells)
-    groups so that no worker lacks a task.  One task per group tracks every
-    variant on each of its cells; the means run over the cells in
-    scenario-major order.
+    scorer_init "train".  Every (scenario, repetition) cell, in
+    scenario-major order, is resolved and one init_scorers call builds the
+    box scorers of every cell and variant; nothing about that training
+    reads jobs.  Then one task per cell tracks every variant on it, and the
+    means run over the cells in scenario-major order.
     """
     tracker_cfgs = [replace(cfg.tracker, scorer_init="train", **overrides) for overrides in variants]
-    seeds = [
-        (spec, _cell_seed(master_seed, si, rep))
-        for si, spec in enumerate(cfg.scenarios)
-        for rep in range(cfg.repetitions)
-    ]
-    size = min(max(1, _GROUP_DRAWS // cfg.tracker.bb_samples), -(-len(seeds) // min(jobs, len(seeds))))
-    tasks = [partial(_run_cell_group, seeds[i : i + size], tracker_cfgs) for i in range(0, len(seeds), size)]
-    cells = [cell for group in _run_cells(tasks, jobs) for cell in group]
+    scenarios, streams = zip(
+        *(
+            _cell(spec, _cell_seed(master_seed, si, rep))
+            for si, spec in enumerate(cfg.scenarios)
+            for rep in range(cfg.repetitions)
+        )
+    )
+    scorers = init_scorers(tracker_cfgs, zip((sc.target_box(0) for sc in scenarios), streams))
+    del streams  # tracking draws nothing from them
+    tasks = [partial(_track_cell, sc, tracker_cfgs, row) for sc, row in zip(scenarios, scorers)]
+    cells = _run_cells(tasks, jobs)
     return [
         (
             float(np.mean([m.auc for m in metrics])),

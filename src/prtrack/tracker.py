@@ -164,10 +164,13 @@ class Scenario:
         _check_fields(self, finite=True)
         if self.num_frames < 1 or self.height < 1 or self.width < 1 or self.channels < 1:
             raise DomainError("frame counts and dimensions must be positive")
-        if not (self.target_w > 0 and self.target_h > 0 and self.blob_radius > 0):
-            raise DomainError("target size and blob radius must be positive")
-        if not (self.osc_period > 0):
-            raise DomainError("osc_period must be positive")
+        if not (self.target_w > 0 and self.target_h > 0):
+            raise DomainError("target size must be positive")
+        if not (self.blob_radius > 0 and 2.0 * self.blob_radius * self.blob_radius > 0):  # _blob divides by 2 r^2
+            raise DomainError(f"blob_radius must be positive with a positive 2 r^2, got {self.blob_radius!r}")
+        # The sway phase 2 pi t / osc_period, at t up to num_frames (a distractor's crossing time).
+        if not (self.osc_period > 0 and math.isfinite(2.0 * math.pi * self.num_frames / self.osc_period)):
+            raise DomainError(f"osc_period must be positive with a finite sway phase, got {self.osc_period!r}")
         if self.distractor_count < 0 or not (0.0 <= self.distractor_similarity <= 1.0):
             raise DomainError("bad distractor settings")
         if self.noise_level < 0:
@@ -330,8 +333,8 @@ class TrackerConfig:
             raise DomainError(f"miss_threshold_score must be finite, got {self.miss_threshold_score!r}")
         if not (0 <= self.miss_threshold_mass <= 1):
             raise DomainError(f"miss_threshold_mass must be in [0, 1], got {self.miss_threshold_mass!r}")
-        if not (self.regularization > 0):
-            raise DomainError(f"regularization must be positive, got {self.regularization!r}")
+        if not (0 < self.regularization < math.inf):
+            raise DomainError(f"tracker.regularization must be positive and finite, got {self.regularization!r}")
         for stage, iterations in (("init", self.init_iterations), ("online", self.online_iterations)):
             opt = _build(
                 f"{stage} solver",
@@ -444,11 +447,12 @@ def init_scorers(cfgs, cells) -> list[list]:
     cells is a sequence of (annotated box, rng) pairs.  Each annotation is
     encoded relative to its own center and size, as (0, 0, log w, log h),
     and each scorer is centered on it with its config's scorer_tau.  With
-    scorer_init "train" the scorers of all cells are first trained in
-    lockstep in the target's own frame, each cell on its own rng, and each
-    trained offset is added to its cell's encoded annotation; so each
-    scorer equals the one its config would get alone in its cell from an
-    equally seeded generator, and the rngs are used for nothing else.
+    scorer_init "train" the scorers of all cells are first trained by one
+    train_box_scorer call in the target's own frame, each cell on its own
+    rng, and each trained offset is added to its cell's encoded
+    annotation; so each scorer equals the one its config would get alone
+    in its cell from an equally seeded generator, and the rngs are used
+    for nothing else.
     Returns one list of scorers, in config order, per cell.  DomainError
     unless the configs agree on every box-scorer setting but loss_model,
     sigma_bb and scorer_tau.

@@ -1,6 +1,7 @@
 """Box encoding, the quadratic scorer, sample-based training and refinement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from prtrack.labels import (
     proposal_density,
     proposal_sample,
 )
-from prtrack.losses import kl_mc_loss
+from prtrack.losses import LOSS_MODELS, kl_mc_loss
+from prtrack.tracker import TrackerConfig, init_scorers
 
 PAPER_PROPOSAL = MixtureProposal([0.5, 0.5], [0.05, 0.5], 4)
 
@@ -356,6 +358,70 @@ def test_group_cells_match_each_cell_trained_alone(n_cells):
     for rng, alone_rng, got in zip(rngs, alone_rngs, together):
         assert np.array_equal(got, _train_cell(jobs, proposal, 48, sgd, alone_rng))
         assert rng.bit_generator.state == alone_rng.bit_generator.state
+
+
+def _recording_blocks(monkeypatch):
+    """The cell count of every block that train_box_scorer trains, in order."""
+    sizes = []
+    original = bbox._train_block
+
+    def train_block(jobs, rngs, *args):
+        sizes.append(len(rngs))
+        return original(jobs, rngs, *args)
+
+    monkeypatch.setattr(bbox, "_train_block", train_block)
+    return sizes
+
+
+@pytest.mark.parametrize("bb_samples,blocks", [(768, [5]), (2048, [3, 2]), (6145, [1] * 5)])
+def test_blocks_hold_a_bounded_number_of_draws(monkeypatch, bb_samples, blocks):
+    # A block holds at most _GROUP_DRAWS draws per batch across its cells,
+    # and at least one cell.
+    sizes = _recording_blocks(monkeypatch)
+    rngs = [np.random.Generator(np.random.PCG64(61 + c)) for c in range(5)]
+    train_box_scorer([("kl", 0.05, 0.2)], rngs, PAPER_PROPOSAL, bb_samples, SGDConfig(epochs=1))
+    assert bbox._GROUP_DRAWS == 8 * 768
+    assert sizes == blocks
+
+
+@pytest.mark.parametrize("cells_per_block,blocks", [(8, [8, 1]), (4, [4, 4, 1]), (1, [1] * 9)])
+def test_cells_in_any_block_layout_match_each_cell_trained_alone(monkeypatch, cells_per_block, blocks):
+    # Every center ends bit for bit where its cell trained alone ends,
+    # whichever block the cell falls in.
+    proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], 4)
+    sgd = SGDConfig(learning_rate=0.25, epochs=6, lr_decay=0.5)
+    jobs, rngs = _group(9, 62)
+    _, alone_rngs = _group(9, 62)
+    alone = [_train_cell(jobs, proposal, 16, sgd, rng) for rng in alone_rngs]
+    sizes = _recording_blocks(monkeypatch)
+    monkeypatch.setattr(bbox, "_GROUP_DRAWS", cells_per_block * 16)
+    together = train_box_scorer(jobs, rngs, proposal, 16, sgd)
+    assert sizes == blocks
+    assert together.shape == (9, len(jobs), 4)
+    for got, want in zip(together, alone):
+        assert np.array_equal(got, want)
+
+
+def test_block_training_memory_stays_within_a_few_cells():
+    # A block holds its cells' draws, offsets, densities, overlaps and score
+    # rows together (about 200 KB a cell at 768 draws and four loss models),
+    # but recomputes each cell's (jobs x 4 x draws) gradient bases: holding
+    # them for a block of 8 would add 786 KB and break the first bound.
+    # Blocks train one after another, so three blocks peak as one does.
+    cfgs = [TrackerConfig(loss_model=model, scorer_init="train", bb_epochs=3) for model in LOSS_MODELS]
+    per_block = bbox._GROUP_DRAWS // cfgs[0].bb_samples
+    peaks = []
+    for n in (1, per_block, 3 * per_block):
+        cells = [((20.0 + i, 20.0, 6.0, 5.0 + i), np.random.Generator(np.random.PCG64(i))) for i in range(n)]
+        tracemalloc.start()
+        try:
+            init_scorers(cfgs, cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 5 * peaks[0], peaks
+    assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
 def test_train_validation_across_cells():

@@ -137,6 +137,7 @@ def _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, *messages):
         pytest.param("target_w", 10**400, "target_w is outside the floating-point range", id="target_w-huge"),
         ("velocity_x", math.inf, "velocity_x must be finite"),
         ("osc_period", math.nan, "osc_period must be finite"),
+        ("blob_radius", -2.0, "blob_radius must be positive"),
         ("noise_level", "x", "noise_level must be a real number"),
         ("distractor_similarity", None, "distractor_similarity must be a real number"),
     ],
@@ -221,10 +222,10 @@ def test_cli_rejects_label_widths_without_finite_normalizer(tmp_path, capsys, mo
 
 
 def test_cli_bounds_the_box_training_rows_of_a_sweep(tmp_path, capsys, monkeypatch):
-    # A suite task holds one score row per swept value and draw of its batch;
-    # the most that loads holds MAX_TRAINING_ROWS, and one value more exits 2
-    # before any sequence is rendered.
-    batch = max(TrackerConfig().bb_samples, harness._GROUP_DRAWS)
+    # A training block holds one score row per swept value and draw of its
+    # batch; the most that loads holds MAX_TRAINING_ROWS, and one value more
+    # exits 2 before any sequence is rendered.
+    batch = max(TrackerConfig().bb_samples, bbox._GROUP_DRAWS)
     n = harness.MAX_TRAINING_ROWS // batch
     at_bound = _write_config(tmp_path, {"sweep": {"parameter": "sigma_bb", "values": [0.05] * n}}, "at_bound.json")
     assert len(load_config(at_bound).sweep_values) == n
@@ -236,6 +237,34 @@ def test_cli_bounds_the_box_training_rows_of_a_sweep(tmp_path, capsys, monkeypat
     assert f"sweep.values: {n + 1} values x {batch} draws per batch = {(n + 1) * batch} box-training rows" in err
     assert "Traceback" not in err
     assert generated == []
+
+
+@pytest.mark.parametrize("command", ["track", "compare-losses"])
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (
+            {"track": {"scenario": {"preset": "static", "osc_period": 1e-320, "num_frames": 2}}},
+            "track.scenario: bad scenario spec: osc_period must be positive with a finite sway phase, got 1e-320",
+        ),
+        (
+            {"track": {"scenario": {"preset": "static", "blob_radius": 1e-200}}},
+            "track.scenario: bad scenario spec: blob_radius must be positive with a positive 2 r^2, got 1e-200",
+        ),
+        ({"tracker": {"regularization": math.inf}}, "tracker.regularization must be positive and finite, got inf"),
+    ],
+    ids=["osc_period", "blob_radius", "regularization"],
+)
+def test_cli_rejects_values_that_would_fail_mid_run(tmp_path, capsys, command, payload, message):
+    # Each loaded before, then failed: the sway phase overflowed math.sin,
+    # the blob's 2 r^2 underflowed to 0, and an infinite regularization made
+    # the first solve's objective non-finite.
+    cfgpath = _write_config(tmp_path, payload)
+    assert main([command, "--config", cfgpath, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
@@ -410,7 +439,7 @@ def test_load_config_returns_or_raises_usage_error(tmp_path_factory, tracker):
 # Whole-config strategies, derived from the fields of TrackerConfig, Scenario
 # and RunConfig: each key draws a well-typed value for its annotation, a
 # mistyped one or an edge value.
-_EDGE = st.sampled_from([0, -1, math.nan, math.inf, -math.inf, 2**1030, True, False, "x", [], [0.5], None])
+_EDGE = st.sampled_from([0, -1, 5e-324, math.nan, math.inf, -math.inf, 2**1030, True, False, "x", [], [0.5], None])
 _STRINGS = st.sampled_from(["kl", "nll", "l2", "rl2", "auto", "mass", "score", "fit", "train", "sigma_tc", "sigma_bb", "x"])
 _FIELDS = {cls: {f.name: f for f in dataclasses.fields(cls)} for cls in (TrackerConfig, Scenario, RunConfig)}
 _PRESETS = st.sampled_from([*SCENARIO_PRESETS, "nope"])
@@ -868,7 +897,6 @@ def test_suite_renders_and_draws_once_per_cell(tmp_path, monkeypatch, command, c
     assert calls == {"generate": cells, "sample": cells * 40, "cells": cells * configs}
 
 
-# Nine cells: a full group of eight and a group of one at --jobs 1.
 NINE_CELLS = {
     "suite": {
         "scenarios": [{"preset": name, "num_frames": 3} for name in ("static", "drift", "occlusion")],
@@ -879,9 +907,10 @@ NINE_CELLS = {
 
 
 def test_suite_trains_each_group_before_rendering_its_cells(tmp_path, monkeypatch):
-    # Each task trains its group's scorers, then renders its cells one at a
-    # time, each sequence gone before the next is rendered; the suite draws
-    # exactly cells x bb_epochs x bb_samples proposals.
+    # One init_scorers call trains the scorers of every cell, then the cells
+    # are rendered one at a time, each sequence gone before the next is
+    # rendered; the suite draws exactly cells x bb_epochs x bb_samples
+    # proposals.
     events, drawn, rendered = [], [], []
     original_sample = bbox.proposal_sample
 
@@ -905,64 +934,39 @@ def test_suite_trains_each_group_before_rendering_its_cells(tmp_path, monkeypatc
     monkeypatch.setattr(harness, "init_scorers", init_scorers)
     monkeypatch.setattr(harness, "generate_sequence", generate_sequence)
     monkeypatch.setattr(bbox, "proposal_sample", proposal_sample)
-    # 8 cells at this config's 16 draws per batch.
-    monkeypatch.setattr(harness, "_GROUP_DRAWS", 8 * 16)
+    # Blocks of 8 cells at this config's 16 draws per batch.
+    monkeypatch.setattr(bbox, "_GROUP_DRAWS", 8 * 16)
     cfgpath = _write_config(tmp_path, NINE_CELLS)
     assert main(["compare-losses", "--config", cfgpath, "--seed", "2", "--out", str(tmp_path / "o")]) == 0
-    assert events == [("train", 8)] + [("render", 1)] * 8 + [("train", 1), ("render", 1)]
+    assert events == [("train", 9)] + [("render", 1)] * 9
     assert sum(drawn) == 9 * 6 * 16 and set(drawn) == {16}
 
 
-@pytest.mark.parametrize("bb_samples,groups", [(768, [5]), (2048, [3, 2]), (6145, [1] * 5)])
-def test_suite_groups_hold_a_bounded_number_of_draws(tmp_path, monkeypatch, bb_samples, groups):
-    # A group holds at most _GROUP_DRAWS draws per batch across its cells,
-    # and at least one cell.
-    sizes = []
+def test_suite_trains_the_same_blocks_at_any_jobs(tmp_path, monkeypatch):
+    # Box training runs before any task starts and cuts the cells into
+    # blocks by draws alone: 10 cells at the default 768 draws are a block
+    # of 8 and a block of 2 at --jobs 4 as at --jobs 1.
+    blocks = []
+    original = bbox._train_block
 
-    def init_scorers(cfgs, cells):
-        sizes.append(len(cells))
-        return tracker_module.init_scorers(cfgs, cells)
+    def train_block(jobs, rngs, *args):
+        blocks[-1].append(len(rngs))
+        return original(jobs, rngs, *args)
 
-    monkeypatch.setattr(harness, "init_scorers", init_scorers)
+    monkeypatch.setattr(bbox, "_train_block", train_block)
     payload = {
-        "suite": {"scenarios": [{"preset": "static", "num_frames": 2}], "repetitions": 5},
-        "tracker": {"bb_epochs": 1, "bb_samples": bb_samples},
+        "suite": {"scenarios": [{"preset": name, "num_frames": 3} for name in ("static", "drift")], "repetitions": 5},
+        "tracker": {"bb_epochs": 2},
     }
     cfgpath = _write_config(tmp_path, payload)
-    assert main(["compare-losses", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 0
-    assert harness._GROUP_DRAWS == 8 * 768
-    assert sizes == groups
-
-
-def test_suite_csv_is_independent_of_the_group_size(tmp_path, monkeypatch):
-    cfgpath = _write_config(tmp_path, NINE_CELLS)
     outputs = []
-    for size in (8, 1, 4):
-        # size cells at this config's 16 draws per batch.
-        monkeypatch.setattr(harness, "_GROUP_DRAWS", size * 16)
-        out = tmp_path / f"group{size}"
-        assert main(["compare-losses", "--config", cfgpath, "--seed", "2", "--out", str(out)]) == 0
+    for jobs in ("1", "4"):
+        blocks.append([])
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["compare-losses", "--config", cfgpath, "--jobs", jobs, "--out", str(out)]) == 0
         outputs.append((out / "compare_losses.csv").read_bytes())
-    assert outputs[1] == outputs[0] == outputs[2]
-
-
-def test_group_training_memory_stays_within_a_few_cells():
-    # A group holds its cells' draws, offsets, densities, overlaps and score
-    # rows together (about 200 KB a cell at 768 draws and four loss models),
-    # but recomputes each cell's (jobs x 4 x draws) gradient bases: holding
-    # them for a group of 8 would add 786 KB and break this bound.
-    cfgs = [TrackerConfig(loss_model=model, scorer_init="train", bb_epochs=3) for model in LOSS_MODELS]
-    peaks = []
-    for n in (1, harness._GROUP_DRAWS // cfgs[0].bb_samples):
-        cells = [((20.0 + i, 20.0, 6.0, 5.0 + i), np.random.Generator(np.random.PCG64(i))) for i in range(n)]
-        tracemalloc.start()
-        try:
-            tracker_module.init_scorers(cfgs, cells)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak)
-    assert peaks[1] < 5 * peaks[0], peaks
+    assert blocks == [[8, 2], [8, 2]]
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
