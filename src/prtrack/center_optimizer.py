@@ -1,7 +1,7 @@
 """Online learning of a correlation kernel against grid label densities.
 
-The model scores a feature map by cross-correlation, s_j = z_j * w, and w
-minimizes
+The target model is the kernel w itself, a Kernel2D: it scores a feature
+map by cross-correlation, s_j = z_j * w, and w minimizes
 
     L(w) = sum_j gamma_j * loss(s_j; labels_j) + (reg / 2) * ||w||^2
 
@@ -65,7 +65,6 @@ from .losses import DENSITY_MODELS, LOSS_MODELS, _CrossEntropy, _Squared
 __all__ = [
     "SupportSample",
     "OptimizerConfig",
-    "TargetModel",
     "OptStep",
     "objective",
     "gradient",
@@ -126,13 +125,6 @@ class OptimizerConfig:
             raise DomainError(f"unknown loss model {self.loss_model!r}; pick one of {LOSS_MODELS}")
         if not math.isfinite(self.rl2_threshold):
             raise DomainError(f"rl2_threshold must be finite, got {self.rl2_threshold!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class TargetModel:
-    """The learned correlation kernel."""
-
-    weights: Kernel2D
 
 
 @dataclass(frozen=True)
@@ -267,30 +259,28 @@ class _Problem:
         self.scores, self.work = self.work, self.scores
 
 
-def objective(model: TargetModel, support, cfg: OptimizerConfig) -> float:
+def objective(kernel: Kernel2D, support, cfg: OptimizerConfig) -> float:
     """Weighted sample losses plus the ridge term (reg / 2) * ||w||^2."""
-    w = model.weights.values
+    w = kernel.values
     return _Problem(support, cfg, w.shape).evaluate(w, False)[0]
 
 
-def gradient(model: TargetModel, support, cfg: OptimizerConfig) -> Kernel2D:
+def gradient(kernel: Kernel2D, support, cfg: OptimizerConfig) -> Kernel2D:
     """Exact objective gradient, pulled back to kernel space per sample."""
-    w = model.weights.values
+    w = kernel.values
     return Kernel2D(_Problem(support, cfg, w.shape).evaluate(w, False)[1])
 
 
-def hessian_quadratic_form(
-    model: TargetModel, direction: Kernel2D, support, cfg: OptimizerConfig
-) -> float:
-    """g' H g at the current weights, without assembling H.
+def hessian_quadratic_form(kernel: Kernel2D, direction: Kernel2D, support, cfg: OptimizerConfig) -> float:
+    """g' H g at the kernel, without assembling H.
 
     Each sample contributes gamma_j times the curvature of its loss along
     v_j = z_j * g; the ridge adds reg * ||g||^2.  The result is
     nonnegative whenever reg >= 0 because every per-sample loss is convex.
     """
-    if direction.values.shape != model.weights.values.shape:
-        raise DimensionError("direction shape must match the model weights")
-    w = model.weights.values
+    w = kernel.values
+    if direction.values.shape != w.shape:
+        raise DimensionError("direction shape must match the kernel")
     g = direction.values
     prob = _Problem(support, cfg, w.shape)
     prob.evaluate(w, False)
@@ -299,7 +289,7 @@ def hessian_quadratic_form(
     return prob.curvature(g, directions)
 
 
-def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetModel, list[OptStep]]:
+def optimize(kernel: Kernel2D, support, cfg: OptimizerConfig) -> tuple[Kernel2D, list[OptStep]]:
     """Run up to cfg.iterations steepest-descent steps with Newton step lengths.
 
     Each iteration evaluates the gradient g and steps w -= alpha * g with
@@ -314,7 +304,7 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
     The first pass scores every sample at the given kernel; trial
     objectives come from the carried scores, s_j - alpha * v_j, and an
     accepted trial's scores carry into the next pass.  Returns the updated
-    model and a trace with one row per iteration run plus a final row for
+    kernel and a trace with one row per iteration run plus a final row for
     the end state, numbered by the iterations run (step_length 0 by
     convention): the objective at the returned kernel, which is the last
     accepted trial's, and the gradient norm there, math.nan when the last
@@ -322,7 +312,7 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
     """
     if not (cfg.regularization > 0):
         raise DomainError("optimize requires positive regularization")
-    w = model.weights.values.copy()
+    w = kernel.values.copy()
     prob = _Problem(support, cfg, w.shape)
     lam = cfg.regularization
     trace: list[OptStep] = []
@@ -357,10 +347,10 @@ def optimize(model: TargetModel, support, cfg: OptimizerConfig) -> tuple[TargetM
         prob.accept()
         obj, gnorm = cand_obj, math.nan
     trace.append(OptStep(len(trace), obj, 0.0, gnorm))
-    return TargetModel(Kernel2D(w)), trace
+    return Kernel2D(w), trace
 
 
-def init_weights(support, kernel_shape: tuple[int, int]) -> TargetModel:
+def init_weights(support, kernel_shape: tuple[int, int]) -> Kernel2D:
     """Closed-form warm start: weighted label back-projection.
 
     w0 = c * sum_j gamma_j * adjoint(z_j, p_j) with p_j the mass-normalized
@@ -381,4 +371,4 @@ def init_weights(support, kernel_shape: tuple[int, int]) -> TargetModel:
     prob.ws.correlate(prob.ws.arrange(w), prob.scores[0])
     peak = float(prob.scores[0].max())
     c = 1.0 / peak if peak > 1e-150 else 1.0
-    return TargetModel(Kernel2D(c * w))
+    return Kernel2D(c * w)

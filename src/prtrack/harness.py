@@ -44,8 +44,9 @@ tracker stream, in blocks of cells that train_box_scorer cuts from the
 draw count alone, and centers each on its scenario's first box (each
 scorer is exactly the one its config would train alone in its cell).
 The streams are then dropped, and the suite runs one task per cell: it
-renders the cell's sequence once and tracks it once per config.  So the
-loss models share one rendered sequence and one proposal stream per cell.
+renders the cell's frames once and tracks them once per config, from and
+against the scenario's closed-form boxes.  So the loss models share one
+rendered sequence and one proposal stream per cell.
 """
 
 from __future__ import annotations
@@ -99,6 +100,9 @@ MAX_SOLVER_ITERATIONS = 1000  # init_iterations, online_iterations: 100x the def
 # refine_steps: 100x the default box refinement.  A large refine_step makes
 # the ascent oscillate, so refine_tol alone need not stop it.
 MAX_REFINE_STEPS = 1000
+# tracker.regularization: a solve step forms reg * ||g||^2 with g about reg * w,
+# so reg^3 ||w||^2 must stay in the float range; 1e100 keeps it there up to ||w|| = 1e4.
+MAX_REGULARIZATION = 1e100
 # Tracker configs x draws of one training block's batch, max(bb_samples,
 # bbox._GROUP_DRAWS): the score rows box training holds at once.
 # compare-losses at the largest bb_samples is the most it needs; only a long
@@ -270,13 +274,13 @@ def _check_resolved(cfg: RunConfig):
     """Reject, before any sequence is rendered, what no run could build or compute.
 
     bb_samples, the box-training draws bb_epochs x bb_samples, the solver
-    iterations, the box refinement steps, the box-training rows of a sweep
-    (its values times a training block's draws per batch), the suite's cell
-    count and the dump slice are bounded.  One pass over the scenario specs
-    builds each Scenario (the seed does not enter its checks) and bounds its
-    sequence's size, its target's sigma_tc and its search region (as
-    track_init resolves them, from the sizes alone); the dump frame must lie
-    in the dump scenario.  Sweep values replace sigma_tc or sigma_bb, and a
+    iterations and regularization, the box refinement steps, the
+    box-training rows of a sweep (its values times a training block's draws
+    per batch), the suite's cell count and the dump slice are bounded.  One
+    pass over the scenario specs builds each Scenario (the seed does not
+    enter its checks) and bounds its sequence's size, its target's sigma_tc
+    and its search region (as track_init resolves them, from the sizes
+    alone); the dump frame must lie in the dump scenario.  Sweep values replace sigma_tc or sigma_bb, and a
     label width is rejected when its Gaussian normalizer is not finite.
     """
     tracker = cfg.tracker
@@ -294,6 +298,7 @@ def _check_resolved(cfg: RunConfig):
         ("init_iterations", MAX_SOLVER_ITERATIONS),
         ("online_iterations", MAX_SOLVER_ITERATIONS),
         ("refine_steps", MAX_REFINE_STEPS),
+        ("regularization", MAX_REGULARIZATION),
     ):
         n = getattr(tracker, name)
         _expect(n <= bound, f"tracker.{name} must be at most {bound}, got {n}")
@@ -350,10 +355,10 @@ def _cell_seed(master: int, scenario_index: int, repetition: int) -> int:
     return master + 103 * scenario_index + 10_007 * repetition
 
 
-def _run_cell(sequence, cfg: TrackerConfig, scorer):
-    """Track one rendered sequence with one config and its initial box scorer."""
-    run = run_sequence(sequence, cfg, scorer=scorer)
-    return evaluate(sequence, run.boxes)
+def _run_cell(frames, truth, cfg: TrackerConfig, scorer):
+    """Track frames from truth[0] with one config and its initial box scorer; score against truth."""
+    run = run_sequence(frames, truth[0], cfg, scorer=scorer)
+    return evaluate(truth, run.boxes)
 
 
 def _cell(spec, seed: int):
@@ -363,8 +368,9 @@ def _cell(spec, seed: int):
 
 def _track_cell(scenario: Scenario, tracker_cfgs, scorers):
     """Render one cell's sequence and track it once per config, each with its initial box scorer."""
-    sequence = generate_sequence(scenario)  # held only by this call: one at a time in a serial suite
-    return [_run_cell(sequence, c, scorer) for c, scorer in zip(tracker_cfgs, scorers)]
+    frames = generate_sequence(scenario)  # held only by this call: one at a time in a serial suite
+    truth = [scenario.target_box(t) for t in range(scenario.num_frames)]
+    return [_run_cell(frames, truth, c, scorer) for c, scorer in zip(tracker_cfgs, scorers)]
 
 
 def _run_cells(tasks, jobs: int) -> list:
@@ -448,11 +454,11 @@ def cmd_sigma_sweep(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> Path
 def cmd_track(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     """Track one sequence; write a per-frame trace and summary metrics."""
     scenario, rng = _cell(cfg.track_scenario, _cell_seed(seed, 0, 0))
-    sequence = generate_sequence(scenario)
-    run = run_sequence(sequence, cfg.tracker, rng)
-    metrics = evaluate(sequence, run.boxes)
+    truth = [scenario.target_box(t) for t in range(scenario.num_frames)]
+    run = run_sequence(generate_sequence(scenario), truth[0], cfg.tracker, rng)
+    metrics = evaluate(truth, run.boxes)
     trace_path = out_dir / "track_trace.csv"
-    write_track_csv(run, sequence, trace_path)
+    write_track_csv(run, truth, trace_path)
     _write_csv(
         out_dir / "track_metrics.csv",
         ["auc", "op_0.50", "op_0.75"],
@@ -479,7 +485,8 @@ def _score_slice(scorer, base, axes: tuple[int, int], offsets: np.ndarray) -> np
         boxes = np.tile(np.asarray(base, dtype=np.float64), (block.size * n, 1))
         boxes[:, axes[0]] += np.tile(offsets, block.size)
         boxes[:, axes[1]] += np.repeat(block, n)
-        out[start : start + block.size] = np.exp(scorer.value_batch(boxes)).reshape(block.size, n)
+        with np.errstate(over="ignore"):  # a score past the float range is -inf: exp reads its limit 0
+            out[start : start + block.size] = np.exp(scorer.value_batch(boxes)).reshape(block.size, n)
     return out
 
 
@@ -493,12 +500,11 @@ def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     """
     frame_index = cfg.dump_frame_index
     scenario, rng = _cell(cfg.dump_scenario, _cell_seed(seed, 0, 0))
-    sequence = generate_sequence(scenario)
-    first = sequence.frames[0]
-    state = track_init(first, first.ground_truth_box, cfg.tracker, rng)
+    frames = generate_sequence(scenario)
+    state = track_init(frames[0], scenario.target_box(0), cfg.tracker, rng)
     density = None
-    for t in range(1, frame_index + 1):
-        state, _, density = track_step(state, sequence.frames[t])
+    for frame in frames[1 : frame_index + 1]:
+        state, _, density = track_step(state, frame)
 
     n = cfg.dump_slice_cells
     _, _, w, h = state.current_box

@@ -4,12 +4,14 @@ Sequences are rendered directly in feature space: the target is a Gaussian
 blob carrying a fixed channel signature, moving along a closed-form path
 (linear drift plus an optional sinusoid), with optional distractor blobs
 of similar signature, occlusion windows that suppress the target, and
-additive noise.  Boxes are center-format (cx, cy, w, h) in cell units with
-x along columns and y along rows; cell (i, j) sits at x = j, y = i.
+additive noise.  A sequence is the tuple of its rendered FeatureMaps; its
+ground truth is Scenario.target_box(t).  Boxes are center-format (cx, cy,
+w, h) in cell units with x along columns and y along rows; cell (i, j)
+sits at x = j, y = i.
 
-Tracking per frame:
+Tracking per frame, with the learned correlation kernel as the target model:
 
-* stage 1 locates the target center: correlate the learned kernel over a
+* stage 1 locates the target center: correlate the kernel over a
   search region around the previous box, normalize the scores to a density
   and read off the (optionally sub-cell refined) peak;
 * a confidence gate declares the target missing when the density mass in
@@ -44,17 +46,15 @@ from .bbox import (
     refine_box,
     train_box_scorer,
 )
-from .center_optimizer import OptimizerConfig, SupportSample, TargetModel, init_weights, optimize
+from .center_optimizer import OptimizerConfig, SupportSample, init_weights, optimize
 from .density import GridDensity, normalize, read_peak
 from .errors import DimensionError, DomainError, NumericError
-from .gridmath import FeatureMap, Grid2D, conv_apply
+from .gridmath import FeatureMap, Grid2D, Kernel2D, conv_apply
 from .labels import MixtureProposal, gaussian_normalizer, iou_xywh, label_grid
 from .losses import DENSITY_MODELS
 
 __all__ = [
     "Scenario",
-    "Frame",
-    "SyntheticSequence",
     "generate_sequence",
     "TrackerConfig",
     "TrackState",
@@ -168,13 +168,15 @@ class Scenario:
             raise DomainError("target size must be positive")
         if not (self.blob_radius > 0 and 2.0 * self.blob_radius * self.blob_radius > 0):  # _blob divides by 2 r^2
             raise DomainError(f"blob_radius must be positive with a positive 2 r^2, got {self.blob_radius!r}")
+        if not math.isfinite(2.0 * self.blob_radius * self.blob_radius):  # else a far target's d^2 / 2 r^2 is inf / inf
+            raise DomainError(f"blob_radius must have a finite 2 r^2, got {self.blob_radius!r}")
         # The sway phase 2 pi t / osc_period, at t up to num_frames (a distractor's crossing time).
         if not (self.osc_period > 0 and math.isfinite(2.0 * math.pi * self.num_frames / self.osc_period)):
             raise DomainError(f"osc_period must be positive with a finite sway phase, got {self.osc_period!r}")
         if self.distractor_count < 0 or not (0.0 <= self.distractor_similarity <= 1.0):
             raise DomainError("bad distractor settings")
-        if self.noise_level < 0:
-            raise DomainError("noise_level must be nonnegative")
+        if not (0 <= self.noise_level <= 1e50):  # a solve's curvature multiplies four feature values
+            raise DomainError(f"noise_level must be in [0, 1e50], got {self.noise_level!r}")
         for pair in self.occlusions:
             if not (0 <= pair[0] < pair[1]):
                 raise DomainError(f"bad occlusion interval {pair}")
@@ -194,19 +196,6 @@ class Scenario:
         return any(s <= t < e for s, e in self.occlusions)
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """One observation: a feature map, plus the annotated box when known."""
-
-    features: FeatureMap
-    ground_truth_box: tuple[float, float, float, float] | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class SyntheticSequence:
-    frames: tuple[Frame, ...]
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(v))
     if n == 0.0:
@@ -217,13 +206,15 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _blob(h: int, w: int, cx: float, cy: float, radius: float) -> np.ndarray:
-    rows = (np.arange(h, dtype=np.float64) - cy) ** 2
-    cols = (np.arange(w, dtype=np.float64) - cx) ** 2
-    return np.exp(-(rows[:, None] + cols[None, :]) / (2.0 * radius * radius))
+    # A d^2 / 2 r^2 past the float range is inf, and the blob reads its limit 0 there.
+    with np.errstate(over="ignore"):
+        rows = (np.arange(h, dtype=np.float64) - cy) ** 2
+        cols = (np.arange(w, dtype=np.float64) - cx) ** 2
+        return np.exp(-(rows[:, None] + cols[None, :]) / (2.0 * radius * radius))
 
 
-def generate_sequence(scenario: Scenario) -> SyntheticSequence:
-    """Render a sequence; bit-identical for equal seeds."""
+def generate_sequence(scenario: Scenario) -> tuple[FeatureMap, ...]:
+    """Render a sequence's frames; frame t shows scenario.target_box(t), bit-identical for equal seeds."""
     rng = np.random.Generator(np.random.PCG64(scenario.seed))
     c, h, w = scenario.channels, scenario.height, scenario.width
     target_sig = _unit(rng.standard_normal(c))
@@ -259,8 +250,8 @@ def generate_sequence(scenario: Scenario) -> SyntheticSequence:
             dx = cross[0] + vel[0] * (t - t_cross)
             dy = cross[1] + vel[1] * (t - t_cross)
             feats += sig[:, None, None] * _blob(h, w, dx, dy, scenario.blob_radius)
-        frames.append(Frame(FeatureMap(feats), scenario.target_box(t)))
-    return SyntheticSequence(tuple(frames))
+        frames.append(FeatureMap(feats))
+    return tuple(frames)
 
 
 def _build(what: str, make, *args, **kwargs):
@@ -390,7 +381,7 @@ class TrackState:
     """Mutable per-sequence tracker state; owned by a single worker."""
 
     cfg: TrackerConfig
-    model: TargetModel
+    kernel: Kernel2D
     scorer: object
     support: list
     sample_frames: list
@@ -476,13 +467,13 @@ def init_scorers(cfgs, cells) -> list[list]:
 
 
 def track_init(
-    first_frame: Frame,
+    first_frame: FeatureMap,
     init_box: tuple[float, float, float, float],
     cfg: TrackerConfig,
     rng: np.random.Generator | None = None,
     scorer=None,
 ) -> TrackState:
-    """Build the initial model from the annotated first frame.
+    """Build the initial kernel and support set from the first frame at init_box.
 
     The support set starts with the crop around the annotation (the anchor,
     never evicted) plus, unless augmentation is off, a horizontal flip and
@@ -498,22 +489,22 @@ def track_init(
     sigma = cfg.resolved_sigma_tc(w, h)
 
     center = (int(round(cy)), int(round(cx)))
-    base, origin = _crop(first_frame.features.values, center, region)
+    base, origin = _crop(first_frame.values, center, region)
     base_rc = (cy - origin[0], cx - origin[1])
     samples = [_make_sample(FeatureMap(base), base_rc, sigma)]
     if cfg.augment:
         flipped = FeatureMap(base[:, :, ::-1].copy())
         samples.append(_make_sample(flipped, (base_rc[0], region - 1 - base_rc[1]), sigma))
         for dr, dc in ((-3, 0), (3, 0), (0, -3), (0, 3)):
-            shifted, _ = _crop(first_frame.features.values, (center[0] + dr, center[1] + dc), region)
+            shifted, _ = _crop(first_frame.values, (center[0] + dr, center[1] + dc), region)
             samples.append(_make_sample(FeatureMap(shifted), (base_rc[0] - dr, base_rc[1] - dc), sigma))
     # A tiny memory budget takes precedence over the augmentation count.
     samples = samples[: cfg.memory_capacity]
     for sample in samples:
         sample.weight = 1.0 / len(samples)
 
-    model = init_weights(samples, (cfg.kernel_size, cfg.kernel_size))
-    model, _ = optimize(model, samples, cfg.init_optimizer)
+    kernel = init_weights(samples, (cfg.kernel_size, cfg.kernel_size))
+    kernel, _ = optimize(kernel, samples, cfg.init_optimizer)
 
     if scorer is None:
         if rng is None:
@@ -521,18 +512,18 @@ def track_init(
         [[scorer]] = init_scorers([cfg], [(init_box, rng)])
 
     box = (float(cx), float(cy), float(w), float(h))
-    return TrackState(cfg, model, scorer, samples, [0] * len(samples), box, region, sigma)
+    return TrackState(cfg, kernel, scorer, samples, [0] * len(samples), box, region, sigma)
 
 
-def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, GridDensity]:
+def track_step(state: TrackState, frame: FeatureMap) -> tuple[TrackState, tuple, GridDensity]:
     """Advance one frame; returns (state, reported box, stage-1 density)."""
     cfg = state.cfg
     state.frame_index += 1
     cx, cy, w, h = state.current_box
-    feats, origin = _crop(frame.features.values, (int(round(cy)), int(round(cx))), state.region)
+    feats, origin = _crop(frame.values, (int(round(cy)), int(round(cx))), state.region)
     try:
         features = FeatureMap(feats)
-        scores = conv_apply(features, state.model.weights)
+        scores = conv_apply(features, state.kernel)
     except DomainError:  # the score grid rejects non-finite values
         # Numeric failure: skip the frame rather than poisoning the model.
         state.missing = True
@@ -578,7 +569,7 @@ def track_step(state: TrackState, frame: Frame) -> tuple[TrackState, tuple, Grid
         state.sample_frames.pop(1)
     if state.frame_index % cfg.update_interval == 0:
         _set_gamma_weights(state)
-        state.model, _ = optimize(state.model, state.support, cfg.online_optimizer)
+        state.kernel, _ = optimize(state.kernel, state.support, cfg.online_optimizer)
     return state, box, dens
 
 
@@ -591,24 +582,11 @@ class TrackRun:
     peak_mass: list
 
 
-def run_sequence(
-    sequence: SyntheticSequence,
-    cfg: TrackerConfig,
-    rng: np.random.Generator | None = None,
-    scorer=None,
-) -> TrackRun:
-    """Initialize on frame 0 ground truth and track the remaining frames.
-
-    rng and scorer are passed to track_init.
-    """
-    first = sequence.frames[0]
-    if first.ground_truth_box is None:
-        raise DomainError("the first frame needs a ground-truth box to initialize")
-    state = track_init(first, first.ground_truth_box, cfg, rng, scorer)
-    boxes = [state.current_box]
-    missing = [False]
-    masses = [state.last_peak_mass]
-    for frame in sequence.frames[1:]:
+def run_sequence(frames, init_box, cfg: TrackerConfig, rng: np.random.Generator | None = None, scorer=None) -> TrackRun:
+    """Initialize on frames[0] at init_box and track the remaining frames; rng and scorer go to track_init."""
+    state = track_init(frames[0], init_box, cfg, rng, scorer)
+    boxes, missing, masses = [state.current_box], [False], [state.last_peak_mass]
+    for frame in frames[1:]:
         state, box, _ = track_step(state, frame)
         boxes.append(box)
         missing.append(state.missing)
@@ -630,32 +608,27 @@ class TrackingMetrics:
         return float(self.op[idx])
 
 
-def evaluate(sequence: SyntheticSequence, boxes) -> TrackingMetrics:
-    """Score reported boxes against ground truth.
+def evaluate(truth, boxes) -> TrackingMetrics:
+    """Score reported boxes against the ground-truth boxes, one per frame.
 
-    OP_T is the fraction of annotated frames whose overlap exceeds T, for
+    OP_T is the fraction of frames whose overlap exceeds T, for
     T = 0.00, 0.01, ..., 1.00; the AUC is the mean of the 101 values.
     """
-    annotated = [f.ground_truth_box for f in sequence.frames if f.ground_truth_box is not None]
-    boxes = list(boxes)
-    if len(boxes) != len(annotated):
-        raise DimensionError(
-            f"{len(boxes)} reported boxes for {len(annotated)} annotated frames"
-        )
-    ious = iou_xywh(np.reshape(boxes, (-1, 4)), np.reshape(annotated, (-1, 4)))
+    truth, boxes = list(truth), list(boxes)
+    if len(boxes) != len(truth):
+        raise DimensionError(f"{len(boxes)} reported boxes for {len(truth)} ground-truth boxes")
+    ious = iou_xywh(np.reshape(boxes, (-1, 4)), np.reshape(truth, (-1, 4)))
     thresholds = np.arange(101, dtype=np.float64) / 100.0
     op = (ious[None, :] > thresholds[:, None]).mean(axis=1)
     return TrackingMetrics(op, float(op.mean()))
 
 
-def write_track_csv(run: TrackRun, sequence: SyntheticSequence, path):
-    """Per-frame trace CSV: frame, box, overlap (nan without ground truth), missing, peak mass."""
+def write_track_csv(run: TrackRun, truth, path):
+    """Per-frame trace CSV: frame, box, overlap with the ground-truth box, missing, peak mass."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["frame", "cx", "cy", "w", "h", "iou", "missing", "peak_mass"])
-        rows = zip(run.boxes, sequence.frames, run.missing, run.peak_mass)
-        for t, (box, frame, missing, mass) in enumerate(rows):
-            gt = frame.ground_truth_box
-            iou = math.nan if gt is None else iou_xywh(box, gt)
-            values = [repr(float(v)) for v in (*box, iou)]
+        rows = zip(run.boxes, truth, run.missing, run.peak_mass)
+        for t, (box, gt, missing, mass) in enumerate(rows):
+            values = [repr(float(v)) for v in (*box, iou_xywh(box, gt))]
             out.writerow([t, *values, int(missing), repr(float(mass))])

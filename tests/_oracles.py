@@ -102,7 +102,7 @@ def iou_brute(a, b):
     return inter / union if union > 0 else 0.0
 
 
-def optimize_reference(model, support, cfg):
+def optimize_reference(kernel, support, cfg):
     """The steepest-descent loop of optimize, re-evaluated from scratch.
 
     Every objective, gradient and curvature comes from the public functions
@@ -112,14 +112,12 @@ def optimize_reference(model, support, cfg):
     (weights, step lengths, halvings), one step and one halving count per
     iteration run.
     """
-    from prtrack.center_optimizer import STEP_LENGTH_FLOOR, TargetModel, gradient, hessian_quadratic_form, objective
+    from prtrack.center_optimizer import STEP_LENGTH_FLOOR, gradient, hessian_quadratic_form, objective
     from prtrack.gridmath import Kernel2D
 
-    def at(w):
-        return TargetModel(Kernel2D(w))
-
+    at = Kernel2D
     lam = cfg.regularization
-    w = model.weights.values.copy()
+    w = kernel.values.copy()
     steps, halvings = [], []
     for _ in range(cfg.iterations):
         obj = objective(at(w), support, cfg)

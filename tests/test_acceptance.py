@@ -14,7 +14,6 @@ from prtrack.center_optimizer import (
     LOSS_MODELS,
     OptimizerConfig,
     SupportSample,
-    TargetModel,
     gradient,
     hessian_quadratic_form,
     objective,
@@ -136,8 +135,8 @@ def test_criterion_01_gradient_suite():
     errs = []
     for i in range(100):
         support, w, cfg = _random_opt_instance(rng, LOSS_MODELS[i % 4])
-        an = gradient(TargetModel(Kernel2D(w)), support, cfg).values
-        fd = fd_gradient(lambda v: objective(TargetModel(Kernel2D(v)), support, cfg), w)
+        an = gradient(Kernel2D(w), support, cfg).values
+        fd = fd_gradient(lambda v: objective(Kernel2D(v), support, cfg), w)
         errs.append(_rel(fd, an))
     worst["objective"] = max(errs)
 
@@ -163,10 +162,10 @@ def test_criterion_02_hessian_suite():
     for i in range(100):
         support, w, cfg = _random_opt_instance(rng, LOSS_MODELS[i % 4])
         v = rng.standard_normal(w.shape)
-        model = TargetModel(Kernel2D(w))
+        model = Kernel2D(w)
         an = hessian_quadratic_form(model, Kernel2D(v), support, cfg)
         fd = fd_directional(
-            lambda x: float((gradient(TargetModel(Kernel2D(x)), support, cfg).values * v).sum()),
+            lambda x: float((gradient(Kernel2D(x), support, cfg).values * v).sum()),
             w,
             v,
         )
@@ -224,8 +223,8 @@ def test_criterion_04_newton_exactness_and_descent():
         k = int(rng.integers(1, 3)) * 2 - 1
         w0 = rng.standard_normal((c, k, k))
         cfg = OptimizerConfig(regularization=lam, iterations=1)
-        model, _ = optimize(TargetModel(Kernel2D(w0)), [], cfg)
-        worst_dist = max(worst_dist, float(np.abs(model.weights.values).max()))
+        model, _ = optimize(Kernel2D(w0), [], cfg)
+        worst_dist = max(worst_dist, float(np.abs(model.values).max()))
 
     worst_uphill = -math.inf
     for i in range(100):
@@ -236,7 +235,7 @@ def test_criterion_04_newton_exactness_and_descent():
             loss_model=cfg.loss_model,
             rl2_threshold=cfg.rl2_threshold,
         )
-        _, trace = optimize(TargetModel(Kernel2D(w)), support, cfg)
+        _, trace = optimize(Kernel2D(w), support, cfg)
         objs = [row.objective for row in trace]
         worst_uphill = max(worst_uphill, float(np.max(np.diff(objs))))
     _criterion(
@@ -265,7 +264,7 @@ def test_criterion_05_gd_oracle():
     lam = 1.0
     cfg = OptimizerConfig(regularization=lam, iterations=60, loss_model="kl")
     w0 = rng.standard_normal((2, 1, 1))
-    model, _ = optimize(TargetModel(Kernel2D(w0)), support, cfg)
+    model, _ = optimize(Kernel2D(w0), support, cfg)
     final = objective(model, support, cfg)
 
     # Both samples stacked: rows are (sample, cell), columns are channels,
@@ -383,23 +382,23 @@ def test_criterion_07_delta_label_equivalence():
 
 
 def _track_preset(name: str):
-    sequence = generate_sequence(resolve_scenario(name, seed=3))
+    scenario = resolve_scenario(name, seed=3)
     rng = np.random.Generator(np.random.PCG64(11))
-    return sequence, run_sequence(sequence, TrackerConfig(), rng)
+    return scenario, run_sequence(generate_sequence(scenario), scenario.target_box(0), TrackerConfig(), rng)
 
 
 def test_criterion_08_tracking_sanity():
-    sequence, run = _track_preset("static")
+    scenario, run = _track_preset("static")
     ious = [
-        iou_brute(np.asarray(b), np.asarray(f.ground_truth_box))
-        for b, f in zip(run.boxes, sequence.frames)
+        iou_brute(np.asarray(b), np.asarray(scenario.target_box(t)))
+        for t, b in enumerate(run.boxes)
     ]
     static_ok = len(ious) == 100 and min(ious) >= 0.99
 
-    oseq, orun = _track_preset("occlusion")
+    oscenario, orun = _track_preset("occlusion")
     occluded = range(30, 42)
     final_iou = iou_brute(
-        np.asarray(orun.boxes[-1]), np.asarray(oseq.frames[-1].ground_truth_box)
+        np.asarray(orun.boxes[-1]), np.asarray(oscenario.target_box(oscenario.num_frames - 1))
     )
     occl_ok = (
         all(orun.missing[t] for t in occluded)

@@ -14,7 +14,6 @@ from prtrack.center_optimizer import (
     OptStep,
     _Problem,
     SupportSample,
-    TargetModel,
     gradient,
     hessian_quadratic_form,
     init_weights,
@@ -29,8 +28,8 @@ from prtrack.tracker import Scenario, TrackerConfig
 CFG = OptimizerConfig(regularization=1e-2, iterations=5)
 
 
-def _model(values):
-    return TargetModel(Kernel2D(np.asarray(values, dtype=np.float64)))
+def _kernel(values):
+    return Kernel2D(np.asarray(values, dtype=np.float64))
 
 
 def _random_support(rng, n=3, channels=2, h=5, w=6, normalize=True):
@@ -60,7 +59,7 @@ def _identity_pair_support(p):
 def test_objective_empty_support_is_ridge_only():
     rng = np.random.Generator(np.random.PCG64(20))
     w = rng.normal(0.0, 1.0, (2, 3, 3))
-    got = objective(_model(w), [], CFG)
+    got = objective(_kernel(w), [], CFG)
     assert got == pytest.approx(0.5 * CFG.regularization * (w**2).sum(), rel=1e-14)
 
 
@@ -68,7 +67,7 @@ def test_objective_zero_weights_uniform_labels():
     rng = np.random.Generator(np.random.PCG64(21))
     z = FeatureMap(rng.normal(0.0, 1.0, (3, 4, 5)))
     p = Grid2D(np.full((4, 5), 1.0 / 20.0))
-    got = objective(_model(np.zeros((3, 1, 1))), [SupportSample(z, p)], CFG)
+    got = objective(_kernel(np.zeros((3, 1, 1))), [SupportSample(z, p)], CFG)
     assert got == pytest.approx(math.log(20.0), abs=1e-12)
 
 
@@ -76,7 +75,7 @@ def test_objective_matches_straight_line_recomputation():
     rng = np.random.Generator(np.random.PCG64(22))
     support = _random_support(rng)
     w = rng.normal(0.0, 0.5, (2, 3, 3))
-    got = objective(_model(w), support, CFG)
+    got = objective(_kernel(w), support, CFG)
 
     want = 0.5 * CFG.regularization * (w**2).sum()
     for sample in support:
@@ -90,7 +89,7 @@ def test_objective_rejects_channel_mismatch():
     rng = np.random.Generator(np.random.PCG64(23))
     support = _random_support(rng, channels=3)
     with pytest.raises(DimensionError):
-        objective(_model(np.zeros((2, 1, 1))), support, CFG)
+        objective(_kernel(np.zeros((2, 1, 1))), support, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +102,14 @@ def test_gradient_uniform_scores_one_hot_label():
     # and the identity features route one cell into each kernel channel.
     support = _identity_pair_support([[1.0, 0.0]])
     cfg = OptimizerConfig(regularization=0.0)
-    g = gradient(_model(np.zeros((2, 1, 1))), support, cfg)
+    g = gradient(_kernel(np.zeros((2, 1, 1))), support, cfg)
     np.testing.assert_allclose(g.values.ravel(), [-0.5, 0.5], atol=1e-15)
 
 
 def test_gradient_empty_support_is_ridge():
     rng = np.random.Generator(np.random.PCG64(24))
     w = rng.normal(0.0, 1.0, (1, 3, 3))
-    g = gradient(_model(w), [], CFG)
+    g = gradient(_kernel(w), [], CFG)
     np.testing.assert_allclose(g.values, CFG.regularization * w, atol=1e-15)
 
 
@@ -122,9 +121,9 @@ def test_gradient_matches_finite_differences(loss_model):
     w0 = rng.normal(0.0, 0.5, (2, 3, 3))
 
     def f(wflat):
-        return objective(_model(wflat.reshape(w0.shape)), support, cfg)
+        return objective(_kernel(wflat.reshape(w0.shape)), support, cfg)
 
-    got = gradient(_model(w0), support, cfg).values
+    got = gradient(_kernel(w0), support, cfg).values
     fd = fd_gradient(f, w0.ravel(), eps=1e-5).reshape(w0.shape)
     scale = max(1.0, float(np.abs(fd).max()))
     assert float(np.abs(fd - got).max()) <= 1e-6 * scale
@@ -150,7 +149,7 @@ def test_ce_gradient_sums_to_one_minus_label_mass():
 def test_quadratic_form_empty_support():
     rng = np.random.Generator(np.random.PCG64(27))
     g = rng.normal(0.0, 1.0, (2, 3, 3))
-    got = hessian_quadratic_form(_model(np.zeros_like(g)), Kernel2D(g), [], CFG)
+    got = hessian_quadratic_form(_kernel(np.zeros_like(g)), Kernel2D(g), [], CFG)
     assert got == pytest.approx(CFG.regularization * (g**2).sum(), rel=1e-14)
 
 
@@ -159,7 +158,7 @@ def test_quadratic_form_uniform_softmax_variance():
     support = _identity_pair_support([[0.5, 0.5]])
     cfg = OptimizerConfig(regularization=0.0)
     g = Kernel2D(np.array([1.0, -1.0]).reshape(2, 1, 1))
-    got = hessian_quadratic_form(_model(np.zeros((2, 1, 1))), g, support, cfg)
+    got = hessian_quadratic_form(_kernel(np.zeros((2, 1, 1))), g, support, cfg)
     assert got == pytest.approx(1.0, abs=1e-14)
 
 
@@ -174,11 +173,11 @@ def test_quadratic_form_matches_directional_fd(loss_model):
         # Keep scores clear of the hinge kink so the curvature is smooth.
         cfg = OptimizerConfig(regularization=1e-2, loss_model="rl2", rl2_threshold=-10.0)
 
-    got = hessian_quadratic_form(_model(w0), Kernel2D(g), support, cfg)
+    got = hessian_quadratic_form(_kernel(w0), Kernel2D(g), support, cfg)
     eps = 1e-6
 
     def grad_at(wv):
-        return gradient(_model(wv), support, cfg).values
+        return gradient(_kernel(wv), support, cfg).values
 
     hv = (grad_at(w0 + eps * g) - grad_at(w0 - eps * g)) / (2.0 * eps)
     want = float((g * hv).sum())
@@ -192,7 +191,7 @@ def test_quadratic_form_is_psd_without_ridge():
         support = _random_support(rng, n=2, h=4, w=4)
         w = rng.normal(0.0, 1.0, (2, 3, 3))
         g = rng.normal(0.0, 1.0, (2, 3, 3))
-        assert hessian_quadratic_form(_model(w), Kernel2D(g), support, cfg) >= -1e-12
+        assert hessian_quadratic_form(_kernel(w), Kernel2D(g), support, cfg) >= -1e-12
 
 
 def test_quadratic_form_ridge_floor():
@@ -201,14 +200,14 @@ def test_quadratic_form_ridge_floor():
         support = _random_support(rng, n=2, h=4, w=4)
         w = rng.normal(0.0, 1.0, (2, 3, 3))
         g = rng.normal(0.0, 1.0, (2, 3, 3))
-        got = hessian_quadratic_form(_model(w), Kernel2D(g), support, CFG)
+        got = hessian_quadratic_form(_kernel(w), Kernel2D(g), support, CFG)
         assert got >= CFG.regularization * (g**2).sum() - 1e-12
 
 
 def test_quadratic_form_shape_mismatch():
     with pytest.raises(DimensionError):
         hessian_quadratic_form(
-            _model(np.zeros((1, 3, 3))), Kernel2D(np.zeros((1, 1, 1))), [], CFG
+            _kernel(np.zeros((1, 3, 3))), Kernel2D(np.zeros((1, 1, 1))), [], CFG
         )
 
 
@@ -223,8 +222,8 @@ def test_optimize_pure_ridge_one_step_exact():
     rng = np.random.Generator(np.random.PCG64(31))
     w0 = rng.normal(0.0, 1.0, (2, 3, 3))
     cfg = OptimizerConfig(regularization=0.25, iterations=1)
-    model, trace = optimize(_model(w0), [], cfg)
-    assert np.all(model.weights.values == 0.0)
+    kernel, trace = optimize(_kernel(w0), [], cfg)
+    assert np.all(kernel.values == 0.0)
     assert trace[0].step_length == pytest.approx(4.0, rel=1e-15)
     assert trace[-1].objective == 0.0
 
@@ -233,7 +232,7 @@ def test_optimize_trace_non_increasing():
     rng = np.random.Generator(np.random.PCG64(32))
     support = _random_support(rng, n=1)
     cfg = OptimizerConfig(regularization=1e-2, iterations=10)
-    _, trace = optimize(_model(rng.normal(0.0, 0.5, (2, 3, 3))), support, cfg)
+    _, trace = optimize(_kernel(rng.normal(0.0, 0.5, (2, 3, 3))), support, cfg)
     objs = [row.objective for row in trace]
     assert len(objs) == 11
     for before, after in zip(objs, objs[1:]):
@@ -246,13 +245,13 @@ def test_optimize_never_steps_uphill(seed):
     support = _random_support(rng, n=2, h=4, w=4)
     loss_model = ("l2", "rl2", "nll", "kl")[seed % 4]
     cfg = OptimizerConfig(regularization=1e-2, iterations=3, loss_model=loss_model)
-    _, trace = optimize(_model(rng.normal(0.0, 1.0, (2, 3, 3))), support, cfg)
+    _, trace = optimize(_kernel(rng.normal(0.0, 1.0, (2, 3, 3))), support, cfg)
     for before, after in zip(trace, trace[1:]):
         assert after.objective <= before.objective + 1e-12
 
 
 def test_optimize_matches_brute_force_descent():
-    # 9 cells, 2-channel 1x1 kernel: the model is a 2-vector, so plain
+    # 9 cells, 2-channel 1x1 kernel: the kernel is a 2-vector, so plain
     # gradient descent with a tiny fixed step is a usable optimum oracle.
     rng = np.random.Generator(np.random.PCG64(33))
     z = rng.normal(0.0, 1.0, (2, 3, 3))
@@ -261,7 +260,7 @@ def test_optimize_matches_brute_force_descent():
     lam = 1.0
     support = [SupportSample(FeatureMap(z), Grid2D(p))]
     cfg = OptimizerConfig(regularization=lam, iterations=10)
-    model, trace = optimize(_model(np.zeros((2, 1, 1))), support, cfg)
+    kernel, trace = optimize(_kernel(np.zeros((2, 1, 1))), support, cfg)
 
     w = np.zeros(2)
     for _ in range(100_000):
@@ -281,13 +280,13 @@ def test_optimize_matches_brute_force_descent():
 def test_optimize_requires_positive_regularization():
     cfg = OptimizerConfig(regularization=0.0, iterations=1)
     with pytest.raises(DomainError):
-        optimize(_model(np.zeros((1, 1, 1))), [], cfg)
+        optimize(_kernel(np.zeros((1, 1, 1))), [], cfg)
 
 
 def test_optimize_reports_non_finite_objective():
     w0 = np.full((1, 1, 1), 1e200)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="iteration 0"):
-        optimize(_model(w0), [], OptimizerConfig(iterations=1))
+        optimize(_kernel(w0), [], OptimizerConfig(iterations=1))
 
 
 def test_optimize_memory_holds_few_column_matrices():
@@ -298,13 +297,13 @@ def test_optimize_memory_holds_few_column_matrices():
     # trial scores), however many iterations it runs.
     rng = np.random.Generator(np.random.PCG64(37))
     support = _random_support(rng, n=15, channels=4, h=31, w=31)
-    model = _model(rng.normal(0.0, 0.1, (4, 5, 5)))
+    kernel = _kernel(rng.normal(0.0, 0.1, (4, 5, 5)))
     unfold_bytes = _Workspace(support[0].features.values.shape, (4, 5, 5)).unfolded.nbytes
     grid_bytes = 31 * 31 * 8
     for iterations in (2, 10):
         tracemalloc.start()
         try:
-            optimize(model, support, OptimizerConfig(iterations=iterations))
+            optimize(kernel, support, OptimizerConfig(iterations=iterations))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -321,9 +320,9 @@ def _saturated_case():
 
 
 def _assert_matches_reference(w0, support, cfg):
-    model, trace = optimize(_model(w0), support, cfg)
-    want, steps, halvings = optimize_reference(_model(w0), support, cfg)
-    got = model.weights.values
+    kernel, trace = optimize(_kernel(w0), support, cfg)
+    want, steps, halvings = optimize_reference(_kernel(w0), support, cfg)
+    got = kernel.values
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * float(np.abs(want).max()))
     rows = trace[:-1]
     assert [row.step_length > 0.0 for row in rows] == [step > 0.0 for step in steps]
@@ -355,7 +354,7 @@ def test_optimize_matches_reference_loop_at_zero_gradient():
     support = [SupportSample(z, p)]
     cfg = OptimizerConfig(regularization=1e-2, iterations=3)
     _assert_matches_reference(np.zeros((2, 3, 3)), support, cfg)
-    _, trace = optimize(_model(np.zeros((2, 3, 3))), support, cfg)
+    _, trace = optimize(_kernel(np.zeros((2, 3, 3))), support, cfg)
     assert [row.iteration for row in trace] == [0, 1]
     assert all(row.step_length == 0.0 and row.grad_norm == 0.0 for row in trace)
 
@@ -380,15 +379,15 @@ def test_optimize_stops_when_the_line_search_fails(monkeypatch):
     # same search every iteration.
     rng = np.random.Generator(np.random.PCG64(44))
     support = _random_support(rng)
-    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    kernel = _kernel(rng.normal(0.0, 0.5, (2, 3, 3)))
     made = _counting_trials(monkeypatch, values=math.inf)
-    got, trace = optimize(model, support, replace(CFG, iterations=5))
+    got, trace = optimize(kernel, support, replace(CFG, iterations=5))
     assert len(made) == 40
-    assert np.array_equal(got.weights.values, model.weights.values)
-    g = gradient(model, support, CFG).values
+    assert np.array_equal(got.values, kernel.values)
+    g = gradient(kernel, support, CFG).values
     gnorm = math.sqrt(float((g * g).sum()))
     assert trace == [OptStep(0, trace[0].objective, 0.0, gnorm), OptStep(1, trace[0].objective, 0.0, gnorm)]
-    assert trace[0].objective == objective(model, support, CFG)
+    assert trace[0].objective == objective(kernel, support, CFG)
 
 
 @pytest.mark.parametrize("loss_model", ["l2", "kl"])
@@ -397,13 +396,13 @@ def test_converged_solve_ignores_its_remaining_budget(monkeypatch, loss_model):
     # iteration budget changes nothing and costs no trials.
     rng = np.random.Generator(np.random.PCG64(45))
     support = _random_support(rng)
-    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    kernel = _kernel(rng.normal(0.0, 0.5, (2, 3, 3)))
     made = _counting_trials(monkeypatch)
     solves = []
     for iterations in (300, 1000):
         del made[:]
         cfg = OptimizerConfig(regularization=1e-2, iterations=iterations, loss_model=loss_model)
-        solves.append(optimize(model, support, cfg))
+        solves.append(optimize(kernel, support, cfg))
         run = len(solves[-1][1]) - 1
         assert run < 300 and solves[-1][1][-2].step_length == 0.0
         assert len(made) <= run + 40
@@ -421,16 +420,17 @@ def test_tracker_solves_never_end_early(monkeypatch, loss_model):
 
     def recording(*args):
         before = len(made)
-        model, trace = optimize(*args)
+        kernel, trace = optimize(*args)
         runs.append(len(trace) - 1)
         trials.append(len(made) - before)
         assert all(row.step_length > 0.0 for row in trace[:-1])
-        return model, trace
+        return kernel, trace
 
     monkeypatch.setattr(tracker, "optimize", recording)
     cfg = TrackerConfig(loss_model=loss_model)
     scenario = Scenario(num_frames=21, velocity_x=0.3, noise_level=0.05)
-    tracker.run_sequence(tracker.generate_sequence(scenario), cfg, np.random.Generator(np.random.PCG64(98)))
+    frames = tracker.generate_sequence(scenario)
+    tracker.run_sequence(frames, scenario.target_box(0), cfg, np.random.Generator(np.random.PCG64(98)))
     assert runs == [cfg.init_iterations] + [cfg.online_iterations] * 4
     overshoots = 2 if loss_model == "kl" else 0
     assert trials == [runs[0] + overshoots] + runs[1:]
@@ -453,10 +453,10 @@ def test_optimize_unfolds_each_sample_twice_per_iteration(monkeypatch):
     # k iterations builds at most 2k(N - 1) + 1 unfolds, however many
     # halvings happen.
     support, w0, cfg = _saturated_case()
-    _, _, halvings = optimize_reference(_model(w0), support, cfg)
+    _, _, halvings = optimize_reference(_kernel(w0), support, cfg)
     assert sum(halvings) > 0
     built = _counting_unfolds(monkeypatch)
-    optimize(_model(w0), support, cfg)
+    optimize(_kernel(w0), support, cfg)
     assert len(built) <= 2 * cfg.iterations * (len(support) - 1) + 1
 
 
@@ -466,8 +466,8 @@ def _fresh(support):
 
 
 def _assert_same_solve(got, want):
-    (got_model, got_trace), (want_model, want_trace) = got, want
-    assert np.array_equal(got_model.weights.values, want_model.weights.values)
+    (got_kernel, got_trace), (want_kernel, want_trace) = got, want
+    assert np.array_equal(got_kernel.values, want_kernel.values)
     assert got_trace == want_trace
 
 
@@ -479,16 +479,16 @@ def test_consecutive_solves_each_start_fresh(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(41))
     support = _random_support(rng, n=4)
     cfg = OptimizerConfig(regularization=1e-2, iterations=3)
-    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    kernel = _kernel(rng.normal(0.0, 0.5, (2, 3, 3)))
     n, k = len(support), cfg.iterations
     built = _counting_unfolds(monkeypatch)
     for _ in range(2):
         del built[:]
-        got = optimize(model, support, cfg)
+        got = optimize(kernel, support, cfg)
         assert len(built) == 2 * k * (n - 1) + 1
         assert all(row.step_length > 0.0 for row in got[1][:-1])
-        _assert_same_solve(got, optimize(model, _fresh(support), cfg))
-        model = got[0]
+        _assert_same_solve(got, optimize(kernel, _fresh(support), cfg))
+        kernel = got[0]
 
 
 @pytest.mark.parametrize("loss_model", ["l2", "rl2", "nll", "kl"])
@@ -500,36 +500,36 @@ def test_optimize_final_row_is_the_last_accepted_trial(loss_model):
     support = _random_support(rng)
     w0 = rng.normal(0.0, 0.5, (2, 3, 3))
     cfg = OptimizerConfig(regularization=1e-2, iterations=3, loss_model=loss_model)
-    model, trace = optimize(_model(w0), support, cfg)
-    _, longer = optimize(_model(w0), support, replace(cfg, iterations=4))
+    kernel, trace = optimize(_kernel(w0), support, cfg)
+    _, longer = optimize(_kernel(w0), support, replace(cfg, iterations=4))
     end, last = trace[-1], trace[-2]
     assert last.step_length > 0.0
     assert end == OptStep(3, longer[3].objective, 0.0, end.grad_norm)
     assert end.objective <= last.objective
     assert math.isnan(end.grad_norm)
-    assert end.objective == pytest.approx(objective(model, support, cfg), rel=1e-12)
+    assert end.objective == pytest.approx(objective(kernel, support, cfg), rel=1e-12)
 
 
 def test_optimize_without_iterations_evaluates_once():
     rng = np.random.Generator(np.random.PCG64(43))
     support = _random_support(rng)
-    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    kernel = _kernel(rng.normal(0.0, 0.5, (2, 3, 3)))
     cfg = OptimizerConfig(iterations=0)
-    got, trace = optimize(model, support, cfg)
-    assert np.array_equal(got.weights.values, model.weights.values)
-    g = gradient(model, support, cfg).values
-    assert trace == [OptStep(0, objective(model, support, cfg), 0.0, math.sqrt(float((g * g).sum())))]
+    got, trace = optimize(kernel, support, cfg)
+    assert np.array_equal(got.values, kernel.values)
+    g = gradient(kernel, support, cfg).values
+    assert trace == [OptStep(0, objective(kernel, support, cfg), 0.0, math.sqrt(float((g * g).sum())))]
 
 
 def test_support_with_mixed_grid_shapes_is_rejected():
     rng = np.random.Generator(np.random.PCG64(43))
     support = _random_support(rng, n=2, h=5, w=6) + _random_support(rng, n=1, h=6, w=6)
-    model = _model(rng.normal(0.0, 0.5, (2, 3, 3)))
+    kernel = _kernel(rng.normal(0.0, 0.5, (2, 3, 3)))
     calls = [
-        lambda: optimize(model, support, CFG),
-        lambda: objective(model, support, CFG),
-        lambda: gradient(model, support, CFG),
-        lambda: hessian_quadratic_form(model, model.weights, support, CFG),
+        lambda: optimize(kernel, support, CFG),
+        lambda: objective(kernel, support, CFG),
+        lambda: gradient(kernel, support, CFG),
+        lambda: hessian_quadratic_form(kernel, kernel, support, CFG),
         lambda: init_weights(support, (3, 3)),
     ]
     for call in calls:
@@ -547,20 +547,20 @@ def test_init_weights_delta_label_copies_feature_patch():
     z = rng.normal(0.0, 1.0, (1, 5, 5))
     delta = np.zeros((5, 5))
     delta[2, 3] = 1.0
-    model = init_weights([SupportSample(FeatureMap(z), Grid2D(delta))], (3, 3))
-    w = model.weights.values[0]
+    kernel = init_weights([SupportSample(FeatureMap(z), Grid2D(delta))], (3, 3))
+    w = kernel.values[0]
     patch = z[0, 1:4, 2:5]
     # Proportional to the feature patch under the delta, peak response 1.
     np.testing.assert_allclose(w * patch[0, 0], patch * w[0, 0], atol=1e-12)
-    resp = conv_apply(FeatureMap(z), model.weights).values
+    resp = conv_apply(FeatureMap(z), kernel).values
     assert resp.max() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_init_weights_zero_features_fall_back_to_unit_scale():
     z = FeatureMap(np.zeros((1, 4, 4)))
     p = Grid2D(np.full((4, 4), 1.0 / 16.0))
-    model = init_weights([SupportSample(z, p)], (3, 3))
-    assert np.all(model.weights.values == 0.0)
+    kernel = init_weights([SupportSample(z, p)], (3, 3))
+    assert np.all(kernel.values == 0.0)
 
 
 def test_init_weights_two_copies_equal_double_weight():
@@ -570,8 +570,8 @@ def test_init_weights_two_copies_equal_double_weight():
     p /= p.sum()
     one = SupportSample(z, Grid2D(p), weight=1.0)
     double = SupportSample(z, Grid2D(p), weight=2.0)
-    a = init_weights([one, one], (3, 3)).weights.values
-    b = init_weights([double], (3, 3)).weights.values
+    a = init_weights([one, one], (3, 3)).values
+    b = init_weights([double], (3, 3)).values
     np.testing.assert_allclose(a, b, atol=1e-14)
 
 

@@ -252,19 +252,64 @@ def test_cli_bounds_the_box_training_rows_of_a_sweep(tmp_path, capsys, monkeypat
             "track.scenario: bad scenario spec: blob_radius must be positive with a positive 2 r^2, got 1e-200",
         ),
         ({"tracker": {"regularization": math.inf}}, "tracker.regularization must be positive and finite, got inf"),
+        (
+            {"track": {"scenario": {"preset": "static", "noise_level": 1e308}}},
+            "track.scenario: bad scenario spec: noise_level must be in [0, 1e50], got 1e+308",
+        ),
+        (
+            {"track": {"scenario": {"preset": "static", "blob_radius": 1e308, "start_x": 1e308, "num_frames": 2}}},
+            "track.scenario: bad scenario spec: blob_radius must have a finite 2 r^2, got 1e+308",
+        ),
     ],
-    ids=["osc_period", "blob_radius", "regularization"],
+    ids=["osc_period", "blob_radius", "regularization", "noise_level", "blob_radius_inf"],
 )
 def test_cli_rejects_values_that_would_fail_mid_run(tmp_path, capsys, command, payload, message):
     # Each loaded before, then failed: the sway phase overflowed math.sin,
-    # the blob's 2 r^2 underflowed to 0, and an infinite regularization made
-    # the first solve's objective non-finite.
+    # the blob's 2 r^2 underflowed to 0, an infinite regularization made
+    # the first solve's objective non-finite, and noise past the float range
+    # or a far target's d^2 / 2 r^2 at inf / inf made a rendered frame
+    # non-finite.
     cfgpath = _write_config(tmp_path, payload)
     assert main([command, "--config", cfgpath, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_bounds_regularization_inside_the_float_range_of_a_solve(tmp_path, capsys):
+    # At 1e308 a first solve's reg * ||g||^2 overflowed: track exited 0 with
+    # NumPy warnings.  At the bound a run is clean (tier 1 turns a warning
+    # into an error).
+    cfgpath = _write_config(tmp_path, {"tracker": {"regularization": 1e308}})
+    assert main(["track", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 2
+    assert "tracker.regularization must be at most 1e+100, got 1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    at_bound = {"tracker": {"regularization": 1e100}, "track": {"scenario": {"preset": "static", "num_frames": 3}}}
+    cfgpath = _write_config(tmp_path, at_bound)
+    assert main(["track", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_renders_a_blob_too_narrow_for_the_float_range_as_its_limit(tmp_path, capsys):
+    # A blob_radius of 1e-160 made d^2 / 2 r^2 overflow with a NumPy warning.
+    # The blob now reads its limit: 1 at the center cell and 0 elsewhere.
+    spec = {"preset": "static", "blob_radius": 1e-160, "num_frames": 3}
+    cfgpath = _write_config(tmp_path, {"track": {"scenario": spec}})
+    assert main(["track", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    energy = (tracker_module.generate_sequence(resolve_scenario(spec, 0))[0].values ** 2).sum(axis=0)
+    assert np.count_nonzero(energy) == 1 and energy[20, 20] == pytest.approx(1.0)
+
+
+def test_cli_dumps_scorer_slices_too_narrow_for_the_float_range_as_their_limit(tmp_path, capsys):
+    # At scorer_tau 1e-160 a slice's score d^2 / (-2 tau^2) overflows to -inf,
+    # and exp reads its limit 0 there without a NumPy warning.
+    cfgpath = _write_config(tmp_path, {"tracker": {"scorer_tau": 1e-160}, "dump": {"frame_index": 2}})
+    assert main(["dump-density", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "o" / "bb_size_slice_f2.txt").read_text().splitlines()[1:]  # after the "H W" header
+    assert {float(v) for row in rows for v in row.split()} <= {0.0, 1.0}
 
 
 def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
@@ -439,7 +484,9 @@ def test_load_config_returns_or_raises_usage_error(tmp_path_factory, tracker):
 # Whole-config strategies, derived from the fields of TrackerConfig, Scenario
 # and RunConfig: each key draws a well-typed value for its annotation, a
 # mistyped one or an edge value.
-_EDGE = st.sampled_from([0, -1, 5e-324, math.nan, math.inf, -math.inf, 2**1030, True, False, "x", [], [0.5], None])
+_EDGE = st.sampled_from(
+    [0, -1, 5e-324, 1e-160, 1e308, -1e308, math.nan, math.inf, -math.inf, 2**1030, True, False, "x", [], [0.5], None]
+)
 _STRINGS = st.sampled_from(["kl", "nll", "l2", "rl2", "auto", "mass", "score", "fit", "train", "sigma_tc", "sigma_bb", "x"])
 _FIELDS = {cls: {f.name: f for f in dataclasses.fields(cls)} for cls in (TrackerConfig, Scenario, RunConfig)}
 _PRESETS = st.sampled_from([*SCENARIO_PRESETS, "nope"])
@@ -605,13 +652,18 @@ CUSTOM_SPEC = {"preset": "drift", "osc_amp_x": 3.5, "start_y": 11.25, "target_w"
 
 
 @pytest.mark.parametrize("spec", [*SCENARIO_PRESETS, CUSTOM_SPEC])
-def test_first_target_box_is_the_first_frame_annotation(spec):
-    # The suites train the box scorers from Scenario.target_box(0) before
-    # any sequence is rendered, so it must be frame 0's annotation.
+def test_rendered_target_peaks_at_the_truth_the_evaluator_reads(spec):
+    # Tracking starts from Scenario.target_box(0) and is scored against
+    # target_box(t), which no rendered frame carries: with noise and
+    # distractors off, the target's strongest cell is its rounded center.
     for seed in (0, 7):
-        scenario = resolve_scenario(spec, seed)
-        first = tracker_module.generate_sequence(scenario).frames[0]
-        assert scenario.target_box(0) == first.ground_truth_box
+        scenario = dataclasses.replace(resolve_scenario(spec, seed), noise_level=0.0, distractor_count=0)
+        frames = tracker_module.generate_sequence(scenario)
+        for t in (0, scenario.num_frames - 1):
+            assert not scenario.occluded(t)
+            energy = (frames[t].values ** 2).sum(axis=0)
+            cx, cy = scenario.target_center(t)
+            assert np.unravel_index(np.argmax(energy), energy.shape) == (round(cy), round(cx)), (spec, seed, t)
 
 
 def test_resolve_scenario_presets_and_overrides():
@@ -923,7 +975,7 @@ def test_suite_trains_each_group_before_rendering_its_cells(tmp_path, monkeypatc
         events.append(("render", 1))
         assert all(ref() is None for ref in rendered)
         sequence = tracker_module.generate_sequence(scenario)
-        rendered.append(weakref.ref(sequence))
+        rendered.append(weakref.ref(sequence[0]))
         return sequence
 
     def proposal_sample(*args, **kwargs):

@@ -3,7 +3,11 @@
 import ast
 import importlib
 import inspect
+import json
+import math
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,8 @@ import numpy as np
 import prtrack
 from prtrack.tracker import Scenario, TrackerConfig, generate_sequence, run_sequence
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer_targets():
@@ -64,10 +69,53 @@ def test_tracked_frames_go_through_the_traced_layers(monkeypatch):
         num_frames=16, start_x=20.0, start_y=20.0, velocity_x=0.2, noise_level=0.05, occlusions=((7, 10),)
     )
     cfg = TrackerConfig(update_interval=2)
-    run = run_sequence(generate_sequence(scenario), cfg, np.random.Generator(np.random.PCG64(97)))
+    rng = np.random.Generator(np.random.PCG64(97))
+    run = run_sequence(generate_sequence(scenario), scenario.target_box(0), cfg, rng)
     tracked = range(1, scenario.num_frames)
     assert [t for t in tracked if run.missing[t]] == [7, 8, 9]
     assert calls["conv_apply"] == len(tracked)
     assert calls["refine_box"] == sum(not run.missing[t] for t in tracked)
     # One solve in track_init, then one per update frame that is not missed.
     assert calls["optimize"] == 1 + sum(not run.missing[t] and t % cfg.update_interval == 0 for t in tracked)
+
+
+# A traced compare-losses run in a fresh interpreter, as the benchmark's child
+# runs it: argv is the perfbench directory, the source directory, the config
+# and the output directory.  It prints the layer metrics as its last line.
+_TRACED_RUN = """
+import json, sys
+perfbench, src, config, out = sys.argv[1:]
+sys.path[:0] = [perfbench, src]
+import prtrack.harness as harness
+import tracer
+modules = {name.split(".", 1)[1]: m for name, m in sys.modules.items() if name.startswith("prtrack.")}
+spans = tracer.Tracer()
+spans.install(modules)
+rc = spans.run_root(harness.main, ["compare-losses", "--jobs", "1", "--config", config, "--out", out])
+print(json.dumps({"rc": rc, "layers": tracer.layer_metrics(spans.spans, 1, 4, 28)[0]}))
+"""
+
+
+def test_a_traced_suite_measures_every_layer(tmp_path):
+    # One cell of 8 frames, tracked by the four loss models: 4 cells, 4
+    # track_init and 4 x 7 track_step spans.  The tracer reports a layer it
+    # could not measure as null, so every metric must come out a number.
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "suite": {"scenarios": [{"preset": "distractors", "num_frames": 8}], "repetitions": 1},
+                "tracker": {"bb_epochs": 6, "bb_samples": 16},
+            }
+        )
+    )
+    argv = [str(ROOT / "perfbench"), str(ROOT / "src"), str(config), str(tmp_path / "o")]
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_RUN, *argv], capture_output=True, text=True, check=True, timeout=120
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    layers = result["layers"]
+    assert result["rc"] == 0
+    assert len(layers) == 41
+    assert {k: v for k, v in layers.items() if not (isinstance(v, (int, float)) and math.isfinite(v))} == {}
+    assert layers["harness.cells"] == 4

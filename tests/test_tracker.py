@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 from _oracles import iou_brute, recount_op_auc
-from prtrack.center_optimizer import TargetModel
 from prtrack.density import read_peak
 from prtrack.errors import DimensionError, DomainError
-from prtrack.gridmath import FeatureMap, Kernel2D
+from prtrack.gridmath import Kernel2D
 from prtrack.tracker import (
-    Frame,
     Scenario,
-    SyntheticSequence,
     TrackerConfig,
     evaluate,
     generate_sequence,
@@ -29,11 +26,14 @@ from prtrack.tracker import (
 STATIC = Scenario(name="static", num_frames=30, start_x=20.0, start_y=20.0)
 
 
+def _truth(scenario):
+    return [scenario.target_box(t) for t in range(scenario.num_frames)]
+
+
 def _run(scenario, **cfg_kwargs):
-    seq = generate_sequence(scenario)
+    frames = generate_sequence(scenario)
     cfg = TrackerConfig(**cfg_kwargs)
-    run = run_sequence(seq, cfg, np.random.Generator(np.random.PCG64(99)))
-    return seq, run
+    return run_sequence(frames, scenario.target_box(0), cfg, np.random.Generator(np.random.PCG64(99)))
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +42,9 @@ def _run(scenario, **cfg_kwargs):
 
 
 def test_static_noiseless_frames_identical():
-    seq = generate_sequence(STATIC)
-    first = seq.frames[0].features.values
-    for frame in seq.frames[1:]:
-        np.testing.assert_array_equal(frame.features.values, first)
+    frames = generate_sequence(STATIC)
+    for frame in frames[1:]:
+        np.testing.assert_array_equal(frame.values, frames[0].values)
 
 
 def test_generation_is_bit_identical_for_equal_seeds():
@@ -55,9 +54,9 @@ def test_generation_is_bit_identical_for_equal_seeds():
     )
     a = generate_sequence(scenario)
     b = generate_sequence(scenario)
-    for fa, fb in zip(a.frames, b.frames):
-        np.testing.assert_array_equal(fa.features.values, fb.features.values)
-        assert fa.ground_truth_box == fb.ground_truth_box
+    assert len(a) == len(b) == scenario.num_frames
+    for fa, fb in zip(a, b):
+        np.testing.assert_array_equal(fa.values, fb.values)
 
 
 def test_ground_truth_matches_motion_closed_form():
@@ -66,22 +65,21 @@ def test_ground_truth_matches_motion_closed_form():
         velocity_y=0.22, osc_amp_x=2.5, osc_amp_y=2.0, osc_period=29.0,
         noise_level=0.05, distractor_count=2, seed=3,
     )
-    seq = generate_sequence(scenario)
-    for t, frame in enumerate(seq.frames):
+    for t in range(scenario.num_frames):
         phase = 2.0 * math.pi * t / scenario.osc_period
         cx = scenario.start_x + scenario.velocity_x * t + scenario.osc_amp_x * math.sin(phase)
         cy = scenario.start_y + scenario.velocity_y * t + scenario.osc_amp_y * math.sin(phase)
-        gx, gy, gw, gh = frame.ground_truth_box
+        gx, gy, gw, gh = scenario.target_box(t)
         assert abs(gx - cx) <= 1e-12 and abs(gy - cy) <= 1e-12
         assert (gw, gh) == (scenario.target_w, scenario.target_h)
 
 
 def test_occluded_frames_lack_target_signature():
     scenario = Scenario(num_frames=10, occlusions=((4, 7),))
-    seq = generate_sequence(scenario)
+    frames = generate_sequence(scenario)
     for t in (4, 5, 6):
-        assert np.all(seq.frames[t].features.values == 0.0)
-    assert seq.frames[3].features.values.max() > 0.5
+        assert np.all(frames[t].values == 0.0)
+    assert frames[3].values.max() > 0.5
 
 
 def test_scenario_validation():
@@ -103,38 +101,33 @@ def test_scenario_validation():
 
 
 def test_init_density_peaks_at_annotated_center():
-    seq = generate_sequence(STATIC)
-    cfg = TrackerConfig()
-    state = track_init(seq.frames[0], seq.frames[0].ground_truth_box, cfg)
-    _, _, dens = track_step(state, seq.frames[0])
+    frames = generate_sequence(STATIC)
+    state = track_init(frames[0], STATIC.target_box(0), TrackerConfig())
+    _, _, dens = track_step(state, frames[0])
     assert read_peak(dens)[0] == (state.region // 2, state.region // 2)
 
 
 def test_init_without_augmentation_keeps_single_sample():
-    seq = generate_sequence(STATIC)
-    cfg = TrackerConfig(augment=False)
-    state = track_init(seq.frames[0], seq.frames[0].ground_truth_box, cfg)
+    state = track_init(generate_sequence(STATIC)[0], STATIC.target_box(0), TrackerConfig(augment=False))
     assert len(state.support) == 1
 
 
 def test_init_augmented_support_layout():
-    seq = generate_sequence(STATIC)
-    state = track_init(seq.frames[0], seq.frames[0].ground_truth_box, TrackerConfig())
+    state = track_init(generate_sequence(STATIC)[0], STATIC.target_box(0), TrackerConfig())
     assert len(state.support) == 6  # base, flip, four shifts
     assert sum(s.weight for s in state.support) == pytest.approx(1.0)
 
 
 def test_init_deterministic_for_equal_seeds():
-    seq = generate_sequence(STATIC)
-    frame = seq.frames[0]
+    frame = generate_sequence(STATIC)[0]
     cfg = TrackerConfig(scorer_init="train", bb_samples=32, bb_epochs=10)
 
     def build():
         rng = np.random.Generator(np.random.PCG64(17))
-        return track_init(frame, frame.ground_truth_box, cfg, rng)
+        return track_init(frame, STATIC.target_box(0), cfg, rng)
 
     a, b = build(), build()
-    np.testing.assert_array_equal(a.model.weights.values, b.model.weights.values)
+    np.testing.assert_array_equal(a.kernel.values, b.kernel.values)
     np.testing.assert_array_equal(a.scorer.mu, b.scorer.mu)
 
 
@@ -161,12 +154,11 @@ def test_init_scorers_match_each_config_alone(family):
 
 
 def test_init_with_a_given_scorer_matches_building_it():
-    seq = generate_sequence(STATIC)
-    frame = seq.frames[0]
+    frame, box = generate_sequence(STATIC)[0], STATIC.target_box(0)
     cfg = TrackerConfig(**SHORT_TRAINING)
-    [[scorer]] = init_scorers([cfg], [(frame.ground_truth_box, np.random.Generator(np.random.PCG64(20)))])
-    given = track_init(frame, frame.ground_truth_box, cfg, scorer=scorer)
-    built = track_init(frame, frame.ground_truth_box, cfg, np.random.Generator(np.random.PCG64(20)))
+    [[scorer]] = init_scorers([cfg], [(box, np.random.Generator(np.random.PCG64(20)))])
+    given = track_init(frame, box, cfg, scorer=scorer)
+    built = track_init(frame, box, cfg, np.random.Generator(np.random.PCG64(20)))
     assert given.scorer is scorer
     assert np.array_equal(built.scorer.mu, scorer.mu)
 
@@ -258,9 +250,8 @@ def test_tracker_config_accepts_integers_and_numpy_reals_for_real_fields():
 
 
 def test_init_rejects_degenerate_box():
-    seq = generate_sequence(STATIC)
     with pytest.raises(DomainError):
-        track_init(seq.frames[0], (20.0, 20.0, 0.0, 6.0), TrackerConfig())
+        track_init(generate_sequence(STATIC)[0], (20.0, 20.0, 0.0, 6.0), TrackerConfig())
 
 
 def test_sigma_rule_and_miss_mode_resolution():
@@ -271,8 +262,7 @@ def test_sigma_rule_and_miss_mode_resolution():
     # The miss gate follows the loss family: kl and nll read the 3x3 peak
     # mass, l2 and rl2 the raw peak score.  Each config sets one threshold
     # that misses every frame and one that misses none.
-    seq = generate_sequence(STATIC)
-    first = seq.frames[0]
+    frames = generate_sequence(STATIC)
     for model, mass_gate in (("kl", True), ("nll", True), ("l2", False), ("rl2", False)):
         for mass_threshold, score_threshold in ((1.0, -1e300), (0.0, 1e300)):
             cfg = TrackerConfig(
@@ -280,7 +270,7 @@ def test_sigma_rule_and_miss_mode_resolution():
                 miss_threshold_mass=mass_threshold,
                 miss_threshold_score=score_threshold,
             )
-            state, _, _ = track_step(track_init(first, first.ground_truth_box, cfg), seq.frames[1])
+            state, _, _ = track_step(track_init(frames[0], STATIC.target_box(0), cfg), frames[1])
             assert state.missing == ((mass_threshold == 1.0) == mass_gate), (model, mass_threshold)
 
 
@@ -304,8 +294,9 @@ def test_tracker_config_builds_box_settings_once(monkeypatch):
     np.testing.assert_array_equal(cfg.bb_proposal.sigmas, cfg.proposal_sigmas)
     for name in ("MixtureProposal", "SGDConfig", "RefConfig"):
         monkeypatch.setattr(tracker, name, None)
-    seq = generate_sequence(Scenario(name="static", num_frames=4, start_x=20.0, start_y=20.0))
-    run = run_sequence(seq, cfg, np.random.Generator(np.random.PCG64(98)))
+    scenario = Scenario(name="static", num_frames=4, start_x=20.0, start_y=20.0)
+    rng = np.random.Generator(np.random.PCG64(98))
+    run = run_sequence(generate_sequence(scenario), scenario.target_box(0), cfg, rng)
     assert len(run.boxes) == 4
 
 
@@ -315,27 +306,23 @@ def test_tracker_config_builds_box_settings_once(monkeypatch):
 
 
 def test_static_tracking_follows_ground_truth():
-    seq, run = _run(STATIC)
-    metrics_ious = [
-        iou_brute(box, frame.ground_truth_box)
-        for box, frame in zip(run.boxes, seq.frames)
-    ]
+    run = _run(STATIC)
+    metrics_ious = [iou_brute(box, gt) for box, gt in zip(run.boxes, _truth(STATIC))]
     assert min(metrics_ious) >= 0.99
     assert not any(run.missing)
 
 
 def test_static_integer_center_without_subcell_is_exact():
-    seq, run = _run(STATIC, subcell=False)
-    for box, frame in zip(run.boxes, seq.frames):
-        assert box == pytest.approx(frame.ground_truth_box, abs=1e-12)
+    run = _run(STATIC, subcell=False)
+    for box, gt in zip(run.boxes, _truth(STATIC)):
+        assert box == pytest.approx(gt, abs=1e-12)
 
 
 def test_repeated_frame_reports_identical_box():
-    seq = generate_sequence(STATIC)
-    state = track_init(seq.frames[0], seq.frames[0].ground_truth_box,
-                       TrackerConfig(update_interval=50))
-    state, box1, _ = track_step(state, seq.frames[1])
-    state, box2, _ = track_step(state, seq.frames[1])
+    frames = generate_sequence(STATIC)
+    state = track_init(frames[0], STATIC.target_box(0), TrackerConfig(update_interval=50))
+    state, box1, _ = track_step(state, frames[1])
+    state, box2, _ = track_step(state, frames[1])
     assert box1 == box2
 
 
@@ -345,7 +332,7 @@ def test_occlusion_sets_missing_and_freezes_box():
         velocity_x=0.15, velocity_y=0.10, noise_level=0.05,
         occlusions=((30, 42),), seed=5,
     )
-    seq, run = _run(scenario)
+    run = _run(scenario)
     occluded = range(30, 42)
     assert all(run.missing[t] for t in occluded)
     frozen = run.boxes[30]
@@ -353,17 +340,16 @@ def test_occlusion_sets_missing_and_freezes_box():
         assert run.boxes[t] == frozen
     # The tracker reacquires the target once the signature returns.
     assert not run.missing[-1]
-    assert iou_brute(run.boxes[-1], seq.frames[-1].ground_truth_box) > 0.5
+    assert iou_brute(run.boxes[-1], scenario.target_box(scenario.num_frames - 1)) > 0.5
 
 
 def test_non_finite_scores_skip_frame():
-    seq = generate_sequence(STATIC)
-    state = track_init(seq.frames[0], seq.frames[0].ground_truth_box, TrackerConfig())
+    frames = generate_sequence(STATIC)
+    state = track_init(frames[0], STATIC.target_box(0), TrackerConfig())
     before = state.current_box
-    k = state.model.weights.values.shape
-    state.model = TargetModel(Kernel2D(np.full(k, 1e308)))
+    state.kernel = Kernel2D(np.full(state.kernel.values.shape, 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
-        state, box, dens = track_step(state, seq.frames[1])
+        state, box, dens = track_step(state, frames[1])
     assert state.missing
     assert box == before
     assert np.ptp(dens.grid.values) == 0.0
@@ -371,11 +357,11 @@ def test_non_finite_scores_skip_frame():
 
 def test_memory_capacity_and_anchor_retention():
     scenario = Scenario(num_frames=30, velocity_x=0.2, noise_level=0.02, seed=11)
-    seq = generate_sequence(scenario)
+    frames = generate_sequence(scenario)
     cfg = TrackerConfig(memory_capacity=4)
-    state = track_init(seq.frames[0], seq.frames[0].ground_truth_box, cfg)
+    state = track_init(frames[0], scenario.target_box(0), cfg)
     anchor = state.support[0]
-    for frame in seq.frames[1:]:
+    for frame in frames[1:]:
         state, _, _ = track_step(state, frame)
         assert len(state.support) <= cfg.memory_capacity
         assert state.support[0] is anchor
@@ -387,22 +373,15 @@ def test_memory_capacity_and_anchor_retention():
 # ---------------------------------------------------------------------------
 
 
-def _toy_sequence(gt_boxes):
-    feats = FeatureMap(np.zeros((1, 4, 4)))
-    frames = tuple(Frame(feats, gt) for gt in gt_boxes)
-    return SyntheticSequence(frames)
-
-
 def test_op_step_function_single_frame():
-    seq = _toy_sequence([(0.0, 0.0, 2.0, 2.0)])
-    metrics = evaluate(seq, [(0.5, 0.0, 2.0, 2.0)])  # IoU exactly 0.6
+    metrics = evaluate([(0.0, 0.0, 2.0, 2.0)], [(0.5, 0.0, 2.0, 2.0)])  # IoU exactly 0.6
     assert metrics.op_at(0.5) == 1.0
     assert metrics.op_at(0.75) == 0.0
 
 
 def test_perfect_track_auc_is_100_over_101():
     gts = [(float(i), 0.0, 2.0, 3.0) for i in range(7)]
-    metrics = evaluate(_toy_sequence(gts), gts)
+    metrics = evaluate(gts, gts)
     assert metrics.auc == pytest.approx(100.0 / 101.0, abs=1e-12)
 
 
@@ -414,7 +393,7 @@ def test_evaluate_matches_recount_oracle():
         off = rng.uniform(-2.0, 2.0, 2)
         gts.append(gt)
         boxes.append((gt[0] + off[0], gt[1] + off[1], 4.0, 5.0))
-    metrics = evaluate(_toy_sequence(gts), boxes)
+    metrics = evaluate(gts, boxes)
     op, auc = recount_op_auc([iou_brute(b, g) for b, g in zip(boxes, gts)])
     np.testing.assert_array_equal(metrics.op, op)
     assert metrics.auc == pytest.approx(auc, abs=1e-15)
@@ -423,36 +402,35 @@ def test_evaluate_matches_recount_oracle():
 
 
 def test_evaluate_length_mismatch():
-    seq = _toy_sequence([(0.0, 0.0, 1.0, 1.0)] * 3)
     with pytest.raises(DimensionError):
-        evaluate(seq, [(0.0, 0.0, 1.0, 1.0)] * 2)
+        evaluate([(0.0, 0.0, 1.0, 1.0)] * 3, [(0.0, 0.0, 1.0, 1.0)] * 2)
 
 
 def test_metrics_threshold_lookup_bounds():
-    seq = _toy_sequence([(0.0, 0.0, 1.0, 1.0)])
-    metrics = evaluate(seq, [(0.0, 0.0, 1.0, 1.0)])
+    metrics = evaluate([(0.0, 0.0, 1.0, 1.0)], [(0.0, 0.0, 1.0, 1.0)])
     with pytest.raises(DomainError):
         metrics.op_at(1.5)
 
 
 def test_run_is_deterministic_end_to_end():
     scenario = Scenario(num_frames=15, velocity_x=0.25, noise_level=0.05, seed=21)
-    seq = generate_sequence(scenario)
+    frames, truth = generate_sequence(scenario), _truth(scenario)
     cfg = TrackerConfig()
-    a = run_sequence(seq, cfg, np.random.Generator(np.random.PCG64(1)))
-    b = run_sequence(seq, cfg, np.random.Generator(np.random.PCG64(1)))
+    a = run_sequence(frames, truth[0], cfg, np.random.Generator(np.random.PCG64(1)))
+    b = run_sequence(frames, truth[0], cfg, np.random.Generator(np.random.PCG64(1)))
     assert a.boxes == b.boxes
     assert a.missing == b.missing
-    assert evaluate(seq, a.boxes).auc == evaluate(seq, b.boxes).auc
+    assert evaluate(truth, a.boxes).auc == evaluate(truth, b.boxes).auc
 
 
 def test_trace_csv_round_trip(tmp_path):
-    seq, run = _run(Scenario(num_frames=6, start_x=20.0, start_y=20.0))
+    scenario = Scenario(num_frames=6, start_x=20.0, start_y=20.0)
+    run = _run(scenario)
     path = tmp_path / "track.csv"
-    write_track_csv(run, seq, path)
+    write_track_csv(run, _truth(scenario), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "frame,cx,cy,w,h,iou,missing,peak_mass"
-    assert len(lines) == len(seq.frames) + 1
+    assert len(lines) == scenario.num_frames + 1
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[5]) == pytest.approx(1.0)  # init frame is the annotation
