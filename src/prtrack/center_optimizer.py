@@ -36,30 +36,36 @@ samples in order, so the stacked results equal per-sample ones bit for bit.
 The two families, _CrossEntropy (kl, nll) and _Squared (l2, rl2), live in
 the losses module, whose grid losses are their one-row calls.
 
-Every correlation of a solve goes through one gridmath workspace, which
-holds the unfold of one sample at a time, and each pass arranges its
-kernel once for all samples.  Each solve starts fresh, because carried
-scores differ from a fresh correlation in the last bits: its first pass
-scores every sample at the given kernel, and one unfold serves both a
-sample's scores and its adjoint.  Later passes use the carried scores, so
-an iteration unfolds each sample at most twice, for its adjoint and for its
-curvature direction, whatever the line search does.  The solve remembers
-which sample the workspace holds, and each sweep over the samples starts on
-it, so a sweep that follows another unfolds one sample fewer.  Rows are
-independent and the gradient is summed in index order whatever the sweep
-order, so the order does not move a bit.  A k-iteration call that steps
-every iteration thus builds 2k(N - 1) + 1 unfolds on N samples.
+Every correlation of a solve goes through its thread's gridmath workspace,
+the one conv_apply uses, which holds the unfold of one sample at a time,
+and each pass arranges its kernel once for all samples.  The label,
+score, work, state and direction stacks are the first N rows of one
+per-thread block, kept while the grid size holds and it has the rows, so
+a solve writes into memory its thread already owns; nothing it returns
+aliases the block or the workspace.  Each solve still starts fresh,
+because carried scores differ from a fresh correlation in the last bits:
+its first pass scores every sample at the given kernel, and one unfold
+serves both a sample's scores and its adjoint.  Later passes use the
+carried scores, so an iteration unfolds each sample at most twice, for its
+adjoint and for its curvature direction, whatever the line search does.
+The solve remembers which sample the workspace holds, and each sweep over
+the samples starts on it, so a sweep that follows another unfolds one
+sample fewer.  Rows are independent and the gradient is summed in index
+order whatever the sweep order, so the order does not move a bit.  A
+k-iteration call that steps every iteration thus builds 2k(N - 1) + 1
+unfolds on N samples.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
-from .gridmath import FeatureMap, Grid2D, Kernel2D, _Workspace
+from .gridmath import FeatureMap, Grid2D, Kernel2D, _thread_workspace
 from .losses import DENSITY_MODELS, LOSS_MODELS, _CrossEntropy, _Squared
 
 __all__ = [
@@ -75,6 +81,8 @@ __all__ = [
 
 # Below this fraction of g'g the curvature g'Hg is treated as flat (see optimize).
 STEP_LENGTH_FLOOR = 1e-10
+
+_local = threading.local()
 
 
 @dataclass(eq=False)
@@ -163,9 +171,10 @@ def _label(sample: SupportSample, loss_model: str, out: np.ndarray):
 class _Problem:
     """A support set and its loss as (N, H * W) stacks, row j for sample j.
 
-    Besides the loss's label stack it holds three: the scores, and two work
-    stacks the loss writes its score gradients and curvature states into.
-    The line search reuses those two for its trial scores and scratch.
+    Besides the loss's label stack it holds four: the scores, two work
+    stacks the loss writes its score gradients and curvature states into,
+    and the curvature directions.  The line search reuses the work and
+    state stacks for its trial scores and scratch.
     """
 
     def __init__(self, support, cfg: OptimizerConfig, kernel_shape):
@@ -183,17 +192,17 @@ class _Problem:
         self.samples = samples
         self.lam = cfg.regularization
         self.gamma = [float(sample.weight) for sample in samples]
-        labels = np.empty((len(samples), h * w))
+        block = getattr(_local, "block", None)
+        if block is None or block.shape[2] != h * w or block.shape[1] < len(samples):
+            block = _local.block = np.empty((5, len(samples), h * w))
+        labels, self.scores, self.work, self.state, self.directions = block[:, : len(samples)]
         for sample, row in zip(samples, labels):
             _label(sample, cfg.loss_model, row.reshape(h, w))
         if cfg.loss_model in DENSITY_MODELS:
             self.loss = _CrossEntropy(labels)
         else:
             self.loss = _Squared(labels, None if cfg.loss_model == "l2" else labels <= cfg.rl2_threshold)
-        self.scores = np.empty_like(labels)
-        self.work = np.empty_like(labels)
-        self.state = np.empty_like(labels)
-        self.ws = _Workspace((c, h, w), (c, kh, kw))
+        self.ws = _thread_workspace((c, h, w), (c, kh, kw))
         self.held = -1  # the sample whose unfold the workspace holds
 
     def unfold(self, j: int):
@@ -241,16 +250,17 @@ class _Problem:
             grad += gamma * pull
         return obj, grad
 
-    def curvature(self, g: np.ndarray, directions: np.ndarray) -> float:
-        """g'Hg from the curvature states and the directions v_j = z_j * g."""
+    def curvature(self, g: np.ndarray) -> float:
+        """g'Hg from the curvature states, after the directions v_j = z_j * g are correlated."""
+        self.correlate(g, self.directions)
         total = self.lam * float((g * g).sum())
-        for gamma, curv in zip(self.gamma, self.loss.curvature(self.state, directions, self.work)):
+        for gamma, curv in zip(self.gamma, self.loss.curvature(self.state, self.directions, self.work)):
             total += gamma * curv
         return total
 
-    def trial(self, directions: np.ndarray, alpha: float) -> list[float]:
+    def trial(self, alpha: float) -> list[float]:
         """Losses at the trial scores s - alpha * v, which go to the work stack."""
-        trial = np.multiply(directions, alpha, out=self.work)
+        trial = np.multiply(self.directions, alpha, out=self.work)
         np.subtract(self.scores, trial, out=trial)
         return self.loss.value(trial, self.state)
 
@@ -284,9 +294,7 @@ def hessian_quadratic_form(kernel: Kernel2D, direction: Kernel2D, support, cfg: 
     g = direction.values
     prob = _Problem(support, cfg, w.shape)
     prob.evaluate(w, False)
-    directions = np.empty_like(prob.scores)
-    prob.correlate(g, directions)
-    return prob.curvature(g, directions)
+    return prob.curvature(g)
 
 
 def optimize(kernel: Kernel2D, support, cfg: OptimizerConfig) -> tuple[Kernel2D, list[OptStep]]:
@@ -326,20 +334,17 @@ def optimize(kernel: Kernel2D, support, cfg: OptimizerConfig) -> tuple[Kernel2D,
             break  # no iterations: the one pass only gives the final row
         step = 0.0
         if gg > 0.0:
-            directions = np.empty_like(prob.scores)
-            prob.correlate(g, directions)
-            denom = prob.curvature(g, directions)
+            denom = prob.curvature(g)
             alpha = gg / denom if denom >= STEP_LENGTH_FLOOR * gg else 1.0 / lam
             for _ in range(40):
                 cand = w - alpha * g
                 cand_obj = 0.5 * lam * float((cand * cand).sum())
-                for gamma, value in zip(prob.gamma, prob.trial(directions, alpha)):
+                for gamma, value in zip(prob.gamma, prob.trial(alpha)):
                     cand_obj += gamma * value
                 if math.isfinite(cand_obj) and cand_obj < obj:
                     step = alpha
                     break
                 alpha *= 0.5
-            del directions
         trace.append(OptStep(it, obj, step, gnorm))
         if not step:
             break

@@ -19,11 +19,11 @@ need: the padded map, R, the padded adjoint grid, the diagonal sums, and one
 (kw, H * Wp + kw - 1) buffer that M and the shifted stack share, since they
 are never alive together.  Borders are zeroed once and each use writes only
 interiors, so a reused workspace gives bit for bit a fresh one's results.
-Who keeps one: the kernel solver, one per solve, for its correlations
-and their adjoints; conv_apply, one per thread for the last (map shape,
-kernel shape) it correlated, so the tracker's per-frame scoring builds at
-most one per sequence while threads (the suites' --jobs workers) never
-share one.
+Each thread keeps one, for the last (map shape, kernel shape) it used,
+and conv_apply and the kernel solver share it: during tracking both
+correlate the same shapes, so a tracked sequence builds at most one,
+while threads (the suites' --jobs workers) never share one.  A solve
+unfolds its first sample afresh, whatever the workspace holds.
 """
 
 from __future__ import annotations

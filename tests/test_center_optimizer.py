@@ -1,6 +1,8 @@
 """Objective, gradient, curvature and solver checks for the online learner."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from _oracles import fd_gradient, optimize_reference
+from test_gridmath import _run_in_thread
 from prtrack import tracker
 from prtrack.center_optimizer import (
     OptimizerConfig,
@@ -22,7 +25,7 @@ from prtrack.center_optimizer import (
 )
 from prtrack.errors import DimensionError, DomainError, NumericError
 from prtrack.gridmath import FeatureMap, Grid2D, Kernel2D, _Workspace, conv_apply
-from prtrack.losses import kl_grid_loss
+from prtrack.losses import LOSS_MODELS, kl_grid_loss
 from prtrack.tracker import Scenario, TrackerConfig
 
 CFG = OptimizerConfig(regularization=1e-2, iterations=5)
@@ -310,6 +313,25 @@ def test_optimize_memory_holds_few_column_matrices():
         assert peak < 3 * unfold_bytes + 4 * len(support) * grid_bytes
 
 
+def test_a_repeated_solve_allocates_less_than_one_stack():
+    # The tracker-sized case above.  A solve takes its stacks and workspace
+    # from the scratch its thread already holds, so once one solve has run,
+    # an identical one peaks below a single (N, H * W) stack; building its
+    # own stacks and workspace instead would peak near 1 MB.
+    rng = np.random.Generator(np.random.PCG64(37))
+    support = _random_support(rng, n=15, channels=4, h=31, w=31)
+    kernel = _kernel(rng.normal(0.0, 0.1, (4, 5, 5)))
+    cfg = OptimizerConfig(iterations=2)
+    optimize(kernel, support, cfg)
+    tracemalloc.start()
+    try:
+        optimize(kernel, support, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(support) * 31 * 31 * 8
+
+
 def _saturated_case():
     # Weights large enough to saturate the softmax: the Newton step overshoots
     # and the line search halves it (checked by the reference's counts).
@@ -535,6 +557,99 @@ def test_support_with_mixed_grid_shapes_is_rejected():
     for call in calls:
         with pytest.raises(DimensionError, match="share one grid shape"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# per-thread scratch
+# ---------------------------------------------------------------------------
+
+
+def _plain(result):
+    """A call's result with its kernel or grid as an array; optimize's trace stays as it is."""
+    if isinstance(result, tuple):
+        return _plain(result[0]), result[1]
+    return result.values if isinstance(result, (Kernel2D, Grid2D)) else result
+
+
+def _assert_identical(got, want):
+    if isinstance(want, tuple):
+        _assert_identical(got[0], want[0])
+        assert got[1] == want[1]
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+def _scratch_calls():
+    """Solver and correlation calls whose support size, grid size and loss model change between calls."""
+    rng = np.random.Generator(np.random.PCG64(47))
+    calls = []
+    for n, size in [(6, 31), (15, 31), (6, 31), (6, 21), (6, 31)]:
+        support = _random_support(rng, n=n, channels=4, h=size, w=size)
+        kernel = _kernel(rng.normal(0.0, 0.1, (4, 5, 5)))
+        direction = _kernel(rng.normal(0.0, 0.1, (4, 5, 5)))
+        features = support[0].features
+        calls.append(lambda s=support: init_weights(s, (5, 5)))
+        for loss_model in LOSS_MODELS:
+            cfg = OptimizerConfig(regularization=1e-2, iterations=3, loss_model=loss_model)
+            calls += [
+                lambda k=kernel, s=support, c=cfg: optimize(k, s, c),
+                lambda z=features, k=kernel: conv_apply(z, k),
+                lambda k=kernel, s=support, c=cfg: objective(k, s, c),
+                lambda k=kernel, s=support, c=cfg: gradient(k, s, c),
+                lambda k=kernel, d=direction, s=support, c=cfg: hessian_quadratic_form(k, d, s, c),
+            ]
+    return calls
+
+
+def test_reused_scratch_leaks_nothing_between_calls():
+    # One thread runs every call in turn, reusing its scratch through changes
+    # of support size (6, 15, 6), grid (31, 21, 31) and loss model.  Each
+    # result, kept until the end, equals the same call's on a fresh thread,
+    # so no call reads what an earlier one left and nothing returned aliases
+    # the scratch.
+    calls = _scratch_calls()
+    in_turn = _run_in_thread(lambda: [_plain(call()) for call in calls])
+    for call, got in zip(calls, in_turn):
+        _assert_identical(got, _run_in_thread(lambda: _plain(call())))
+
+
+def test_threads_solving_at_once_never_share_scratch():
+    # Two threads solve different problems of one shape at once, so a shared
+    # scratch would be reused rather than rebuilt, switching the interpreter
+    # between them as often as it can.  Each thread's results equal its
+    # serial ones bit for bit.
+    rng = np.random.Generator(np.random.PCG64(48))
+    jobs = []
+    for loss_model in ["kl", "rl2"]:
+        support = _random_support(rng, n=15, channels=4, h=31, w=31)
+        kernel = _kernel(rng.normal(0.0, 0.1, (4, 5, 5)))
+        cfg = OptimizerConfig(regularization=1e-2, iterations=3, loss_model=loss_model)
+        jobs.append(lambda s=support, k=kernel, c=cfg: [_plain(optimize(k, s, c)) for _ in range(8)])
+    serial = [_run_in_thread(job) for job in jobs]
+    start = threading.Barrier(len(jobs))
+    results = [None] * len(jobs)
+
+    def run(t):
+        start.wait(timeout=60)
+        results[t] = jobs[t]()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, serial):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_identical(a, b)
 
 
 # ---------------------------------------------------------------------------

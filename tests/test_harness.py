@@ -583,15 +583,17 @@ _RUN_CAPS = {"num_frames": 4, "init_iterations": 3, "bb_epochs": 3, "bb_samples"
 
 def _runs_or_exits_cleanly(tmp_path_factory, command, config):
     # A config either runs, is rejected at load (exit 2), or fails as a
-    # numeric failure (exit 1); no other exception reaches the caller.
+    # numeric failure (exit 1); no other exception reaches the caller, and
+    # no config makes NumPy warn.
     path = tmp_path_factory.mktemp("fuzzrun") / "config.json"
     path.write_text(json.dumps(config))
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main([command, "--config", str(path), "--out", str(path.parent / "o")])
     assert code == 0 or code == 2 or (code == 1 and err.getvalue().startswith("numeric failure:")), (code, err.getvalue(), config)
     assert "Traceback" not in err.getvalue()
+    assert not caught, ([f"{w.filename}:{w.lineno}: {w.message}" for w in caught], config)
 
 
 @settings(max_examples=120, deadline=None)
