@@ -10,6 +10,10 @@ track            run one sequence, writing a per-frame trace and metrics
 dump-density     run to a chosen frame and dump the stage-1 center density
                  plus two box-scorer slices as text grids
 
+Every command builds its box scorers with init_scorers from the cell's
+tracker stream before it tracks a frame; track and dump-density then render
+their sequence a frame at a time.
+
 Common flags: --config <json>, --seed <int>, --out <dir>; compare-losses
 and sigma-sweep also take --jobs <n>.
 Exit codes: 0 success, 2 bad usage, configuration or output write, 1 numeric
@@ -54,6 +58,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -68,7 +73,7 @@ from . import bbox
 from .bbox import BOX_DIM, box_encode
 from .errors import DomainError, NumericError, PrtrackError, UsageError
 from .gridmath import Grid2D, dump_grid
-from .labels import gaussian_normalizer
+from .labels import gaussian_normalizer, iou_xywh
 from .losses import LOSS_MODELS
 from .tracker import (
     Scenario,
@@ -77,11 +82,11 @@ from .tracker import (
     evaluate,
     generate_sequence,
     init_scorers,
+    render_frames,
     run_sequence,
     search_region,
     track_init,
     track_step,
-    write_track_csv,
 )
 
 __all__ = ["RunConfig", "load_config", "SCENARIO_PRESETS", "main"]
@@ -111,18 +116,16 @@ MAX_TRAINING_ROWS = 4 * MAX_BOX_SAMPLES
 
 SCENARIO_PRESETS: dict[str, dict] = {
     # A target parked on a cell center, nothing else in the scene.
-    "static": dict(
-        name="static", num_frames=100, start_x=20.0, start_y=20.0,
-    ),
+    "static": dict(num_frames=100, start_x=20.0, start_y=20.0),
     # Smooth sub-cell motion and light noise, no distractors.
     "drift": dict(
-        name="drift", num_frames=60, start_x=14.0, start_y=14.0,
+        num_frames=60, start_x=14.0, start_y=14.0,
         velocity_x=0.25, velocity_y=0.18, osc_amp_x=2.0, osc_amp_y=1.5,
         osc_period=37.0, noise_level=0.05,
     ),
     # Full occlusion window on a slowly moving target.
     "occlusion": dict(
-        name="occlusion", num_frames=70, start_x=16.0, start_y=18.0,
+        num_frames=70, start_x=16.0, start_y=18.0,
         velocity_x=0.15, velocity_y=0.10, noise_level=0.05,
         occlusions=((30, 42),),
     ),
@@ -130,14 +133,14 @@ SCENARIO_PRESETS: dict[str, dict] = {
     # the true center ambiguous at roughly the cell scale, which is the
     # regime the label width is meant to model.
     "distractors": dict(
-        name="distractors", num_frames=60, start_x=14.0, start_y=14.0,
+        num_frames=60, start_x=14.0, start_y=14.0,
         velocity_x=0.30, velocity_y=0.22, osc_amp_x=2.5, osc_amp_y=2.0,
         osc_period=29.0, noise_level=0.05, blob_radius=3.0,
         distractor_count=2, distractor_similarity=0.7,
     ),
     # Distractors plus a mid-sequence occlusion.
     "distractors_occlusion": dict(
-        name="distractors_occlusion", num_frames=60, start_x=30.0, start_y=30.0,
+        num_frames=60, start_x=30.0, start_y=30.0,
         velocity_x=-0.25, velocity_y=-0.20, osc_amp_x=2.0, osc_amp_y=2.5,
         osc_period=31.0, noise_level=0.05, blob_radius=3.0,
         distractor_count=2, distractor_similarity=0.7, occlusions=((28, 36),),
@@ -357,7 +360,7 @@ def _cell_seed(master: int, scenario_index: int, repetition: int) -> int:
 
 def _run_cell(frames, truth, cfg: TrackerConfig, scorer):
     """Track frames from truth[0] with one config and its initial box scorer; score against truth."""
-    run = run_sequence(frames, truth[0], cfg, scorer=scorer)
+    run = run_sequence(frames, truth[0], cfg, scorer)
     return evaluate(truth, run.boxes)
 
 
@@ -452,13 +455,18 @@ def cmd_sigma_sweep(cfg: RunConfig, seed: int, out_dir: Path, jobs: int) -> Path
 
 
 def cmd_track(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
-    """Track one sequence; write a per-frame trace and summary metrics."""
+    """Track one sequence, rendered a frame at a time; write a per-frame trace and summary metrics."""
     scenario, rng = _cell(cfg.track_scenario, _cell_seed(seed, 0, 0))
     truth = [scenario.target_box(t) for t in range(scenario.num_frames)]
-    run = run_sequence(generate_sequence(scenario), truth[0], cfg.tracker, rng)
+    [[scorer]] = init_scorers([cfg.tracker], [(truth[0], rng)])
+    run = run_sequence(render_frames(scenario), truth[0], cfg.tracker, scorer)
     metrics = evaluate(truth, run.boxes)
     trace_path = out_dir / "track_trace.csv"
-    write_track_csv(run, truth, trace_path)
+    trace = [
+        [t, *(repr(float(v)) for v in (*box, iou_xywh(box, gt))), int(missing), repr(float(mass))]
+        for t, (box, gt, missing, mass) in enumerate(zip(run.boxes, truth, run.missing, run.peak_mass))
+    ]
+    _write_csv(trace_path, ["frame", "cx", "cy", "w", "h", "iou", "missing", "peak_mass"], trace)
     _write_csv(
         out_dir / "track_metrics.csv",
         ["auc", "op_0.50", "op_0.75"],
@@ -491,7 +499,7 @@ def _score_slice(scorer, base, axes: tuple[int, int], offsets: np.ndarray) -> np
 
 
 def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
-    """Dump the stage-1 density and two box-scorer slices at one frame.
+    """Dump the stage-1 density and two box-scorer slices at one frame, rendering no later frame.
 
     The center density covers the search region around the previous box.
     The center slice evaluates exp(score) over box-center offsets of up to
@@ -500,10 +508,11 @@ def cmd_dump_density(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     """
     frame_index = cfg.dump_frame_index
     scenario, rng = _cell(cfg.dump_scenario, _cell_seed(seed, 0, 0))
-    frames = generate_sequence(scenario)
-    state = track_init(frames[0], scenario.target_box(0), cfg.tracker, rng)
-    density = None
-    for frame in frames[1 : frame_index + 1]:
+    box = scenario.target_box(0)
+    [[scorer]] = init_scorers([cfg.tracker], [(box, rng)])
+    frames = render_frames(scenario)
+    state = track_init(next(frames), box, cfg.tracker, scorer)
+    for frame in itertools.islice(frames, frame_index):  # frame_index >= 1: checked at load
         state, _, density = track_step(state, frame)
 
     n = cfg.dump_slice_cells

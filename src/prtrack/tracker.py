@@ -4,12 +4,15 @@ Sequences are rendered directly in feature space: the target is a Gaussian
 blob carrying a fixed channel signature, moving along a closed-form path
 (linear drift plus an optional sinusoid), with optional distractor blobs
 of similar signature, occlusion windows that suppress the target, and
-additive noise.  A sequence is the tuple of its rendered FeatureMaps; its
-ground truth is Scenario.target_box(t).  Boxes are center-format (cx, cy,
-w, h) in cell units with x along columns and y along rows; cell (i, j)
-sits at x = j, y = i.
+additive noise.  render_frames yields a sequence's FeatureMaps one at a
+time, and generate_sequence holds them as one tuple; the ground truth is
+Scenario.target_box(t).  Boxes are center-format (cx, cy, w, h) in cell
+units with x along columns and y along rows; cell (i, j) sits at x = j,
+y = i.
 
-Tracking per frame, with the learned correlation kernel as the target model:
+Tracking starts from a box scorer that init_scorers builds before any frame
+is tracked.  Per frame, with the learned correlation kernel as the target
+model:
 
 * stage 1 locates the target center: correlate the kernel over a
   search region around the previous box, normalize the scores to a density
@@ -30,7 +33,6 @@ Tracking per frame, with the learned correlation kernel as the target model:
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -55,6 +57,7 @@ from .losses import DENSITY_MODELS
 
 __all__ = [
     "Scenario",
+    "render_frames",
     "generate_sequence",
     "TrackerConfig",
     "TrackState",
@@ -66,7 +69,6 @@ __all__ = [
     "TrackRun",
     "TrackingMetrics",
     "evaluate",
-    "write_track_csv",
 ]
 
 
@@ -139,7 +141,6 @@ def _check_fields(obj, finite: bool = False, names: dict | None = None):
 class Scenario:
     """Parameters of one synthetic sequence; the target path is closed-form."""
 
-    name: str = "custom"
     num_frames: int = 60
     height: int = 48
     width: int = 48
@@ -213,8 +214,8 @@ def _blob(h: int, w: int, cx: float, cy: float, radius: float) -> np.ndarray:
         return np.exp(-(rows[:, None] + cols[None, :]) / (2.0 * radius * radius))
 
 
-def generate_sequence(scenario: Scenario) -> tuple[FeatureMap, ...]:
-    """Render a sequence's frames; frame t shows scenario.target_box(t), bit-identical for equal seeds."""
+def render_frames(scenario: Scenario):
+    """Yield a sequence's frames in order; frame t shows scenario.target_box(t), bit-identical for equal seeds."""
     rng = np.random.Generator(np.random.PCG64(scenario.seed))
     c, h, w = scenario.channels, scenario.height, scenario.width
     target_sig = _unit(rng.standard_normal(c))
@@ -237,7 +238,6 @@ def generate_sequence(scenario: Scenario) -> tuple[FeatureMap, ...]:
         vel = (speed * math.cos(vangle), speed * math.sin(vangle))
         distractors.append((sig, cross, vel, t_cross))
 
-    frames = []
     for t in range(scenario.num_frames):
         if scenario.noise_level > 0:
             feats = scenario.noise_level * rng.standard_normal((c, h, w))
@@ -250,8 +250,12 @@ def generate_sequence(scenario: Scenario) -> tuple[FeatureMap, ...]:
             dx = cross[0] + vel[0] * (t - t_cross)
             dy = cross[1] + vel[1] * (t - t_cross)
             feats += sig[:, None, None] * _blob(h, w, dx, dy, scenario.blob_radius)
-        frames.append(FeatureMap(feats))
-    return tuple(frames)
+        yield FeatureMap(feats)
+
+
+def generate_sequence(scenario: Scenario) -> tuple[FeatureMap, ...]:
+    """Every frame of render_frames(scenario), held as one tuple."""
+    return tuple(render_frames(scenario))
 
 
 def _build(what: str, make, *args, **kwargs):
@@ -470,8 +474,7 @@ def track_init(
     first_frame: FeatureMap,
     init_box: tuple[float, float, float, float],
     cfg: TrackerConfig,
-    rng: np.random.Generator | None = None,
-    scorer=None,
+    scorer,
 ) -> TrackState:
     """Build the initial kernel and support set from the first frame at init_box.
 
@@ -479,8 +482,7 @@ def track_init(
     never evicted) plus, unless augmentation is off, a horizontal flip and
     four shifted crops.  The kernel is warm-started by label back-projection
     and optimized for cfg.init_iterations.  The box scorer is the given one,
-    or else init_scorers([cfg], [(init_box, rng)])[0][0]; rng (seed 0 if omitted)
-    is used for nothing else.
+    as init_scorers builds it.
     """
     cx, cy, w, h = init_box
     if not (w > 0 and h > 0):
@@ -505,11 +507,6 @@ def track_init(
 
     kernel = init_weights(samples, (cfg.kernel_size, cfg.kernel_size))
     kernel, _ = optimize(kernel, samples, cfg.init_optimizer)
-
-    if scorer is None:
-        if rng is None:
-            rng = np.random.Generator(np.random.PCG64(0))
-        [[scorer]] = init_scorers([cfg], [(init_box, rng)])
 
     box = (float(cx), float(cy), float(w), float(h))
     return TrackState(cfg, kernel, scorer, samples, [0] * len(samples), box, region, sigma)
@@ -582,11 +579,12 @@ class TrackRun:
     peak_mass: list
 
 
-def run_sequence(frames, init_box, cfg: TrackerConfig, rng: np.random.Generator | None = None, scorer=None) -> TrackRun:
-    """Initialize on frames[0] at init_box and track the remaining frames; rng and scorer go to track_init."""
-    state = track_init(frames[0], init_box, cfg, rng, scorer)
+def run_sequence(frames, init_box, cfg: TrackerConfig, scorer) -> TrackRun:
+    """Initialize on the first of frames (any iterable) at init_box with scorer, and track the rest."""
+    frames = iter(frames)
+    state = track_init(next(frames), init_box, cfg, scorer)
     boxes, missing, masses = [state.current_box], [False], [state.last_peak_mass]
-    for frame in frames[1:]:
+    for frame in frames:
         state, box, _ = track_step(state, frame)
         boxes.append(box)
         missing.append(state.missing)
@@ -621,14 +619,3 @@ def evaluate(truth, boxes) -> TrackingMetrics:
     thresholds = np.arange(101, dtype=np.float64) / 100.0
     op = (ious[None, :] > thresholds[:, None]).mean(axis=1)
     return TrackingMetrics(op, float(op.mean()))
-
-
-def write_track_csv(run: TrackRun, truth, path):
-    """Per-frame trace CSV: frame, box, overlap with the ground-truth box, missing, peak mass."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["frame", "cx", "cy", "w", "h", "iou", "missing", "peak_mass"])
-        rows = zip(run.boxes, truth, run.missing, run.peak_mass)
-        for t, (box, gt, missing, mass) in enumerate(rows):
-            values = [repr(float(v)) for v in (*box, iou_xywh(box, gt))]
-            out.writerow([t, *values, int(missing), repr(float(mass))])

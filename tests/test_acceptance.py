@@ -22,7 +22,7 @@ from prtrack.center_optimizer import (
 from prtrack.gridmath import FeatureMap, Grid2D, Kernel2D
 from prtrack.harness import cmd_compare_losses, cmd_sigma_sweep, load_config, resolve_scenario
 from prtrack.losses import kl_grid_loss, kl_mc_loss, l2_loss, nll_loss, robust_l2_loss
-from prtrack.tracker import TrackerConfig, generate_sequence, run_sequence
+from prtrack.tracker import TrackerConfig, generate_sequence, init_scorers, run_sequence
 
 
 def _criterion(num: int, label: str, ok: bool, detail: str = ""):
@@ -383,8 +383,9 @@ def test_criterion_07_delta_label_equivalence():
 
 def _track_preset(name: str):
     scenario = resolve_scenario(name, seed=3)
-    rng = np.random.Generator(np.random.PCG64(11))
-    return scenario, run_sequence(generate_sequence(scenario), scenario.target_box(0), TrackerConfig(), rng)
+    cfg = TrackerConfig()
+    [[scorer]] = init_scorers([cfg], [(scenario.target_box(0), np.random.Generator(np.random.PCG64(11)))])
+    return scenario, run_sequence(generate_sequence(scenario), scenario.target_box(0), cfg, scorer)
 
 
 def test_criterion_08_tracking_sanity():

@@ -452,7 +452,8 @@ def test_tracker_solves_never_end_early(monkeypatch, loss_model):
     cfg = TrackerConfig(loss_model=loss_model)
     scenario = Scenario(num_frames=21, velocity_x=0.3, noise_level=0.05)
     frames = tracker.generate_sequence(scenario)
-    tracker.run_sequence(frames, scenario.target_box(0), cfg, np.random.Generator(np.random.PCG64(98)))
+    [[scorer]] = tracker.init_scorers([cfg], [(scenario.target_box(0), np.random.Generator(np.random.PCG64(98)))])
+    tracker.run_sequence(frames, scenario.target_box(0), cfg, scorer)
     assert runs == [cfg.init_iterations] + [cfg.online_iterations] * 4
     overshoots = 2 if loss_model == "kl" else 0
     assert trials == [runs[0] + overshoots] + runs[1:]

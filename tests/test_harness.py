@@ -78,6 +78,9 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(
             _write_config(tmp_path, {"suite": {"scenarios": [{"blob": 2.0}]}})
         )
+    # A scenario has no name field: nothing read it.
+    with pytest.raises(UsageError, match=r"unknown key\(s\) \['name'\] in scenario spec"):
+        load_config(_write_config(tmp_path, {"track": {"scenario": {"preset": "static", "name": "mine"}}}))
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -654,6 +657,19 @@ CUSTOM_SPEC = {"preset": "drift", "osc_amp_x": 3.5, "start_y": 11.25, "target_w"
 
 
 @pytest.mark.parametrize("spec", [*SCENARIO_PRESETS, CUSTOM_SPEC])
+def test_generated_sequence_is_the_rendered_frames(spec):
+    # generate_sequence holds what render_frames yields; two renderers of one
+    # scenario, stepped in turn, share no stream.
+    scenario = resolve_scenario(spec, 5)
+    held = tracker_module.generate_sequence(scenario)
+    streams = tracker_module.render_frames(scenario), tracker_module.render_frames(scenario)
+    assert len(held) == scenario.num_frames
+    for frame, *rendered in zip(held, *streams, strict=True):
+        for other in rendered:
+            assert (frame.values == other.values).all()
+
+
+@pytest.mark.parametrize("spec", [*SCENARIO_PRESETS, CUSTOM_SPEC])
 def test_rendered_target_peaks_at_the_truth_the_evaluator_reads(spec):
     # Tracking starts from Scenario.target_box(0) and is scored against
     # target_box(t), which no rendered frame carries: with noise and
@@ -672,7 +688,7 @@ def test_resolve_scenario_presets_and_overrides():
     for name in SCENARIO_PRESETS:
         scenario = resolve_scenario(name, seed=9)
         assert scenario.seed == 9
-        assert scenario.name == name
+        assert scenario.num_frames == SCENARIO_PRESETS[name]["num_frames"]
     merged = resolve_scenario({"preset": "static", "num_frames": 12}, seed=4)
     assert merged.num_frames == 12
     assert merged.start_x == SCENARIO_PRESETS["static"]["start_x"]
@@ -1073,6 +1089,76 @@ def test_track_writes_trace_and_metrics(tmp_path):
     assert metrics[0] == ["auc", "op_0.50", "op_0.75"]
     auc = float(metrics[1][0])
     assert 0.0 <= auc <= 1.0
+
+
+def test_trace_csv_round_trip(tmp_path):
+    cfgpath = _write_config(tmp_path, {"track": {"scenario": {"num_frames": 6, "start_x": 20.0, "start_y": 20.0}}})
+    out = tmp_path / "out"
+    assert main(["track", "--config", cfgpath, "--out", str(out)]) == 0
+    lines = (out / "track_trace.csv").read_text().strip().splitlines()
+    assert lines[0] == "frame,cx,cy,w,h,iou,missing,peak_mass"
+    assert len(lines) == 6 + 1
+    first = lines[1].split(",")
+    assert int(first[0]) == 0
+    assert float(first[5]) == pytest.approx(1.0)  # init frame is the annotation
+    assert first[6] == "0"
+
+
+SHORT_SEQUENCES = {
+    "tracker": {"scorer_init": "train", "bb_epochs": 6, "bb_samples": 16},
+    "track": {"scenario": {"preset": "static", "num_frames": 4}},
+    "dump": {"scenario": {"preset": "static", "num_frames": 4}, "frame_index": 2},
+}
+
+
+@pytest.mark.parametrize("command,frames", [("track", 4), ("dump-density", 3)])
+def test_single_sequence_commands_train_their_scorer_before_rendering(tmp_path, monkeypatch, command, frames):
+    # With scorer_init "train", init_scorers trains the one box scorer before
+    # the first frame is rendered, and track_init trains none.  dump-density
+    # renders frames 0 to frame_index and no later one.
+    events, inside = [], []
+    train, init = tracker_module.train_box_scorer, tracker_module.track_init
+
+    def train_box_scorer(*args):
+        events.append(("train", bool(inside)))
+        return train(*args)
+
+    def track_init(*args):
+        inside.append(True)
+        try:
+            return init(*args)
+        finally:
+            inside.pop()
+
+    def render_frames(scenario):
+        for frame in tracker_module.render_frames(scenario):
+            events.append(("render", bool(inside)))
+            yield frame
+
+    monkeypatch.setattr(tracker_module, "train_box_scorer", train_box_scorer)
+    monkeypatch.setattr(tracker_module, "track_init", track_init)
+    monkeypatch.setattr(harness, "track_init", track_init)
+    monkeypatch.setattr(harness, "render_frames", render_frames)
+    cfgpath = _write_config(tmp_path, SHORT_SEQUENCES)
+    assert main([command, "--config", cfgpath, "--out", str(tmp_path / "o")]) == 0
+    assert events == [("train", False)] + [("render", False)] * frames
+
+
+@pytest.mark.parametrize("command", ["cmd_track", "cmd_dump_density"])
+def test_single_sequence_commands_hold_no_sequence(tmp_path, command):
+    # A 500-frame static sequence is 500 x 4 x 48 x 48 float64 cells, 36.9 MB.
+    # Tracking it a rendered frame at a time, to its last frame, peaks below
+    # a tenth of that.  The config is loaded first: load_config reads into a
+    # MAX_CONFIG_BYTES buffer, which tracemalloc sees.
+    spec = {"preset": "static", "num_frames": 500}
+    cfg = load_config(_write_config(tmp_path, {"track": {"scenario": spec}, "dump": {"scenario": spec, "frame_index": 499}}))
+    tracemalloc.start()
+    try:
+        getattr(harness, command)(cfg, 1, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * 4 * 48 * 48 * 8 / 10
 
 
 def test_default_track_matches_its_pinned_digests(tmp_path):

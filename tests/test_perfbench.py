@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import prtrack
-from prtrack.tracker import Scenario, TrackerConfig, generate_sequence, run_sequence
+from prtrack.tracker import Scenario, TrackerConfig, generate_sequence, init_scorers, run_sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -69,8 +69,8 @@ def test_tracked_frames_go_through_the_traced_layers(monkeypatch):
         num_frames=16, start_x=20.0, start_y=20.0, velocity_x=0.2, noise_level=0.05, occlusions=((7, 10),)
     )
     cfg = TrackerConfig(update_interval=2)
-    rng = np.random.Generator(np.random.PCG64(97))
-    run = run_sequence(generate_sequence(scenario), scenario.target_box(0), cfg, rng)
+    [[scorer]] = init_scorers([cfg], [(scenario.target_box(0), np.random.Generator(np.random.PCG64(97)))])
+    run = run_sequence(generate_sequence(scenario), scenario.target_box(0), cfg, scorer)
     tracked = range(1, scenario.num_frames)
     assert [t for t in tracked if run.missing[t]] == [7, 8, 9]
     assert calls["conv_apply"] == len(tracked)

@@ -20,20 +20,29 @@ from prtrack.tracker import (
     search_region,
     track_init,
     track_step,
-    write_track_csv,
 )
 
-STATIC = Scenario(name="static", num_frames=30, start_x=20.0, start_y=20.0)
+STATIC = Scenario(num_frames=30, start_x=20.0, start_y=20.0)
 
 
 def _truth(scenario):
     return [scenario.target_box(t) for t in range(scenario.num_frames)]
 
 
+def _scorer(cfg, box, seed=0):
+    """The box scorer init_scorers builds for cfg at box, from a stream seeded with seed."""
+    [[scorer]] = init_scorers([cfg], [(box, np.random.Generator(np.random.PCG64(seed)))])
+    return scorer
+
+
+def _init(frame, box, cfg):
+    return track_init(frame, box, cfg, _scorer(cfg, box))
+
+
 def _run(scenario, **cfg_kwargs):
     frames = generate_sequence(scenario)
     cfg = TrackerConfig(**cfg_kwargs)
-    return run_sequence(frames, scenario.target_box(0), cfg, np.random.Generator(np.random.PCG64(99)))
+    return run_sequence(frames, scenario.target_box(0), cfg, _scorer(cfg, scenario.target_box(0), 99))
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +111,18 @@ def test_scenario_validation():
 
 def test_init_density_peaks_at_annotated_center():
     frames = generate_sequence(STATIC)
-    state = track_init(frames[0], STATIC.target_box(0), TrackerConfig())
+    state = _init(frames[0], STATIC.target_box(0), TrackerConfig())
     _, _, dens = track_step(state, frames[0])
     assert read_peak(dens)[0] == (state.region // 2, state.region // 2)
 
 
 def test_init_without_augmentation_keeps_single_sample():
-    state = track_init(generate_sequence(STATIC)[0], STATIC.target_box(0), TrackerConfig(augment=False))
+    state = _init(generate_sequence(STATIC)[0], STATIC.target_box(0), TrackerConfig(augment=False))
     assert len(state.support) == 1
 
 
 def test_init_augmented_support_layout():
-    state = track_init(generate_sequence(STATIC)[0], STATIC.target_box(0), TrackerConfig())
+    state = _init(generate_sequence(STATIC)[0], STATIC.target_box(0), TrackerConfig())
     assert len(state.support) == 6  # base, flip, four shifts
     assert sum(s.weight for s in state.support) == pytest.approx(1.0)
 
@@ -123,8 +132,7 @@ def test_init_deterministic_for_equal_seeds():
     cfg = TrackerConfig(scorer_init="train", bb_samples=32, bb_epochs=10)
 
     def build():
-        rng = np.random.Generator(np.random.PCG64(17))
-        return track_init(frame, STATIC.target_box(0), cfg, rng)
+        return track_init(frame, STATIC.target_box(0), cfg, _scorer(cfg, STATIC.target_box(0), 17))
 
     a, b = build(), build()
     np.testing.assert_array_equal(a.kernel.values, b.kernel.values)
@@ -157,10 +165,8 @@ def test_init_with_a_given_scorer_matches_building_it():
     frame, box = generate_sequence(STATIC)[0], STATIC.target_box(0)
     cfg = TrackerConfig(**SHORT_TRAINING)
     [[scorer]] = init_scorers([cfg], [(box, np.random.Generator(np.random.PCG64(20)))])
-    given = track_init(frame, box, cfg, scorer=scorer)
-    built = track_init(frame, box, cfg, np.random.Generator(np.random.PCG64(20)))
+    given = track_init(frame, box, cfg, scorer)
     assert given.scorer is scorer
-    assert np.array_equal(built.scorer.mu, scorer.mu)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +257,7 @@ def test_tracker_config_accepts_integers_and_numpy_reals_for_real_fields():
 
 def test_init_rejects_degenerate_box():
     with pytest.raises(DomainError):
-        track_init(generate_sequence(STATIC)[0], (20.0, 20.0, 0.0, 6.0), TrackerConfig())
+        track_init(generate_sequence(STATIC)[0], (20.0, 20.0, 0.0, 6.0), TrackerConfig(), None)
 
 
 def test_sigma_rule_and_miss_mode_resolution():
@@ -270,7 +276,7 @@ def test_sigma_rule_and_miss_mode_resolution():
                 miss_threshold_mass=mass_threshold,
                 miss_threshold_score=score_threshold,
             )
-            state, _, _ = track_step(track_init(frames[0], STATIC.target_box(0), cfg), frames[1])
+            state, _, _ = track_step(_init(frames[0], STATIC.target_box(0), cfg), frames[1])
             assert state.missing == ((mass_threshold == 1.0) == mass_gate), (model, mass_threshold)
 
 
@@ -294,9 +300,9 @@ def test_tracker_config_builds_box_settings_once(monkeypatch):
     np.testing.assert_array_equal(cfg.bb_proposal.sigmas, cfg.proposal_sigmas)
     for name in ("MixtureProposal", "SGDConfig", "RefConfig"):
         monkeypatch.setattr(tracker, name, None)
-    scenario = Scenario(name="static", num_frames=4, start_x=20.0, start_y=20.0)
-    rng = np.random.Generator(np.random.PCG64(98))
-    run = run_sequence(generate_sequence(scenario), scenario.target_box(0), cfg, rng)
+    scenario = Scenario(num_frames=4, start_x=20.0, start_y=20.0)
+    scorer = _scorer(cfg, scenario.target_box(0), 98)
+    run = run_sequence(generate_sequence(scenario), scenario.target_box(0), cfg, scorer)
     assert len(run.boxes) == 4
 
 
@@ -320,7 +326,7 @@ def test_static_integer_center_without_subcell_is_exact():
 
 def test_repeated_frame_reports_identical_box():
     frames = generate_sequence(STATIC)
-    state = track_init(frames[0], STATIC.target_box(0), TrackerConfig(update_interval=50))
+    state = _init(frames[0], STATIC.target_box(0), TrackerConfig(update_interval=50))
     state, box1, _ = track_step(state, frames[1])
     state, box2, _ = track_step(state, frames[1])
     assert box1 == box2
@@ -328,7 +334,7 @@ def test_repeated_frame_reports_identical_box():
 
 def test_occlusion_sets_missing_and_freezes_box():
     scenario = Scenario(
-        name="occlusion", num_frames=70, start_x=20.0, start_y=20.0,
+        num_frames=70, start_x=20.0, start_y=20.0,
         velocity_x=0.15, velocity_y=0.10, noise_level=0.05,
         occlusions=((30, 42),), seed=5,
     )
@@ -345,7 +351,7 @@ def test_occlusion_sets_missing_and_freezes_box():
 
 def test_non_finite_scores_skip_frame():
     frames = generate_sequence(STATIC)
-    state = track_init(frames[0], STATIC.target_box(0), TrackerConfig())
+    state = _init(frames[0], STATIC.target_box(0), TrackerConfig())
     before = state.current_box
     state.kernel = Kernel2D(np.full(state.kernel.values.shape, 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,7 +365,7 @@ def test_memory_capacity_and_anchor_retention():
     scenario = Scenario(num_frames=30, velocity_x=0.2, noise_level=0.02, seed=11)
     frames = generate_sequence(scenario)
     cfg = TrackerConfig(memory_capacity=4)
-    state = track_init(frames[0], scenario.target_box(0), cfg)
+    state = _init(frames[0], scenario.target_box(0), cfg)
     anchor = state.support[0]
     for frame in frames[1:]:
         state, _, _ = track_step(state, frame)
@@ -416,22 +422,8 @@ def test_run_is_deterministic_end_to_end():
     scenario = Scenario(num_frames=15, velocity_x=0.25, noise_level=0.05, seed=21)
     frames, truth = generate_sequence(scenario), _truth(scenario)
     cfg = TrackerConfig()
-    a = run_sequence(frames, truth[0], cfg, np.random.Generator(np.random.PCG64(1)))
-    b = run_sequence(frames, truth[0], cfg, np.random.Generator(np.random.PCG64(1)))
+    a = run_sequence(frames, truth[0], cfg, _scorer(cfg, truth[0], 1))
+    b = run_sequence(frames, truth[0], cfg, _scorer(cfg, truth[0], 1))
     assert a.boxes == b.boxes
     assert a.missing == b.missing
     assert evaluate(truth, a.boxes).auc == evaluate(truth, b.boxes).auc
-
-
-def test_trace_csv_round_trip(tmp_path):
-    scenario = Scenario(num_frames=6, start_x=20.0, start_y=20.0)
-    run = _run(scenario)
-    path = tmp_path / "track.csv"
-    write_track_csv(run, _truth(scenario), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "frame,cx,cy,w,h,iou,missing,peak_mass"
-    assert len(lines) == scenario.num_frames + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[5]) == pytest.approx(1.0)  # init frame is the annotation
-    assert first[6] == "0"
