@@ -26,7 +26,8 @@ draw batch: the draws and the cell's score rows.  Once per block and draw
 batch: the squared norms of the draws, the proposal density and one
 label density per kl width on those norms, the overlaps, one kl_mc_loss
 call over the kl and nll rows, one exp over the l2 and rl2 rows and one
-step of the (cells x jobs x 4) stack of centers.
+step of the (cells x jobs x 4) stack of centers.  The overlaps come from
+the block's own rows of draws, by iou_xywh's arithmetic against the unit box.
 Once per row: the dot products of its loss value and parameter gradient,
 and the nll annotation term.  Every center ends exactly as it would if
 its job were trained alone in its cell from an equally seeded generator.
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
 from .gridmath import _as_float_array
-from .labels import MixtureProposal, gaussian_density, gaussian_normalizer, iou_xywh, proposal_density, proposal_sample
+from .labels import MixtureProposal, gaussian_density, gaussian_normalizer, proposal_density, proposal_sample
 from .losses import DENSITY_MODELS, LOSS_MODELS, kl_mc_loss
 
 __all__ = [
@@ -139,6 +140,33 @@ def _grad_params_bases(centers: np.ndarray, t2: np.ndarray, ys: np.ndarray) -> n
     return d
 
 
+def _unit_overlaps(offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The (cells, K) overlaps of a (cells, 4, K) stack of draws with the annotation, the unit box.
+
+    A draw decodes to its center offsets and the exp of its log sizes, which
+    go into the (cells, 2, K) buffer sizes.  The arithmetic is iou_xywh's
+    against (0, 0, 1, 1), op for op, so every overlap, and the DomainError
+    for a size that underflows to 0, is bit for bit iou_xywh's.
+    """
+    centers = offsets[:, :2]
+    np.exp(offsets[:, 2:], out=sizes)
+    if (sizes <= 0).any():
+        raise DomainError("box width and height must be positive")
+    union = sizes[:, 0] * sizes[:, 1]
+    sizes *= 0.5
+    lo = centers - sizes
+    np.maximum(lo, -0.5, out=lo)
+    sizes += centers
+    np.minimum(sizes, 0.5, out=sizes)
+    sizes -= lo
+    np.maximum(sizes, 0.0, out=sizes)
+    out = sizes[:, 0] * sizes[:, 1]
+    union += 1.0
+    union -= out
+    out /= union
+    return out
+
+
 # Proposal draws per batch that one training block holds across its cells:
 # 8 cells at the default bb_samples, at least one cell.  A block trains as
 # one stacked problem, which shares each draw batch's fixed per-call cost
@@ -226,11 +254,11 @@ def _train_block(jobs, rngs, proposal: MixtureProposal, k: int, sgd: SGDConfig) 
     label_rows = [None if model == "nll" else kl_sigmas.index(jobs[i][1]) for i, model in zip(order, models[:n_div])]
     centers = np.zeros((n_cells, n_jobs, BOX_DIM))
     scores = np.empty((n_jobs, n_cells, k))
-    # Every cell's draws as one (cells, 4, K) stack, and their decoded boxes.
+    # Every cell's draws as one (cells, 4, K) stack, and their decoded sizes.
     offsets = np.empty((n_cells, BOX_DIM, k))
     draws = offsets.transpose(0, 2, 1)
     if n_div < n_jobs:
-        boxes = np.empty_like(offsets)
+        sizes = np.empty((n_cells, 2, k))
     label_dens = np.empty((len(kl_sigmas), n_cells, k))
     grads = np.empty_like(centers)
     tail_start = sgd.epochs // 2
@@ -260,11 +288,8 @@ def _train_block(jobs, rngs, proposal: MixtureProposal, k: int, sgd: SGDConfig) 
             # (0, 1], same argmax as s — onto the overlap with the
             # annotation; regressing the raw score of a quadratic field onto
             # [0, 1] targets is hopelessly scaled (score ~ -d^2/(2 tau^2) at
-            # proposal distance d).  At reference size (1, 1) decoding keeps
-            # the center offsets and exponentiates the log sizes.
-            boxes[:, :2] = offsets[:, :2]
-            np.exp(offsets[:, 2:], out=boxes[:, 2:])
-            overlaps = iou_xywh(boxes.transpose(0, 2, 1), (0.0, 0.0, 1.0, 1.0))
+            # proposal distance d).
+            overlaps = _unit_overlaps(offsets, sizes)
             conf = np.exp(scores[n_div:])
             resid = conf - overlaps
             if n_div + n_l2 < n_jobs:

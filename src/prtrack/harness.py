@@ -62,7 +62,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -246,7 +245,11 @@ def load_config(path: str | None) -> RunConfig:
     if path is not None:
         try:
             with open(path, "rb") as fh:
-                data = fh.read(MAX_CONFIG_BYTES + 1)
+                # In 16 KiB reads, up to one byte past the bound: a single
+                # read of that many bytes allocates them for any file.
+                data = bytearray()
+                while chunk := fh.read(min(2**14, MAX_CONFIG_BYTES + 1 - len(data))):
+                    data += chunk
         except OSError as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
         _expect(len(data) <= MAX_CONFIG_BYTES, f"config {path} is larger than {MAX_CONFIG_BYTES} bytes")
@@ -385,6 +388,9 @@ def _run_cells(tasks, jobs: int) -> list:
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn() for fn in tasks]
+    # Imported here, so a serial run does not load the pool's modules.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn) for fn in tasks]
         return [fut.result() for fut in futures]

@@ -444,10 +444,10 @@ def init_scorers(cfgs, cells) -> list[list]:
     and each scorer is centered on it with its config's scorer_tau.  With
     scorer_init "train" the scorers of all cells are first trained by one
     train_box_scorer call in the target's own frame, each cell on its own
-    rng, and each trained offset is added to its cell's encoded
-    annotation; so each scorer equals the one its config would get alone
-    in its cell from an equally seeded generator, and the rngs are used
-    for nothing else.
+    rng and each distinct (loss_model, sigma_bb, scorer_tau) job once, and
+    each trained offset is added to its cell's encoded annotation; so each
+    scorer equals the one its config would get alone in its cell from an
+    equally seeded generator, and the rngs are used for nothing else.
     Returns one list of scorers, in config order, per cell.  DomainError
     unless the configs agree on every box-scorer setting but loss_model,
     sigma_bb and scorer_tau.
@@ -462,9 +462,12 @@ def init_scorers(cfgs, cells) -> list[list]:
                 raise DomainError(f"tracker configs disagree on {name}; box scorers cannot share training")
     offsets = np.zeros((len(cells), len(cfgs), BOX_DIM))
     if first.scorer_init == "train":
+        # Configs that share a job share its trained row: rows are independent.
         jobs = [(cfg.loss_model, cfg.sigma_bb, cfg.scorer_tau) for cfg in cfgs]
+        distinct = list(dict.fromkeys(jobs))
         rngs = [rng for _, rng in cells]
-        offsets = train_box_scorer(jobs, rngs, first.bb_proposal, first.bb_samples, first.bb_sgd)
+        trained = train_box_scorer(distinct, rngs, first.bb_proposal, first.bb_samples, first.bb_sgd)
+        offsets = trained[:, [distinct.index(job) for job in jobs]]
     encoded = np.array([box_encode(w, h) for (_, _, w, h), _ in cells])
     centers = encoded[:, None, :] + offsets
     return [[QuadraticScorer(mu, cfg.scorer_tau) for mu, cfg in zip(row, cfgs)] for row in centers]

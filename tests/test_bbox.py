@@ -461,7 +461,7 @@ def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities,
     monkeypatch.setattr(bbox, "proposal_sample", counting("sample", proposal_sample))
     monkeypatch.setattr(bbox, "proposal_density", counting("density", proposal_density))
     monkeypatch.setattr(bbox, "gaussian_density", counting("label", gaussian_density))
-    monkeypatch.setattr(bbox, "iou_xywh", counting("iou", bbox.iou_xywh))
+    monkeypatch.setattr(bbox, "_unit_overlaps", counting("iou", bbox._unit_overlaps))
     monkeypatch.setattr(bbox, "kl_mc_loss", counting("loss", kl_mc_loss))
     jobs = [(loss_model, sigma_bb, 0.2) for loss_model in models for sigma_bb in (0.05, 0.1, 0.05)]
     # A group of cells shares the same calls: one draw batch per cell, the
@@ -478,6 +478,31 @@ def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities,
             "iou": overlaps * steps,
             "loss": densities * steps,
         }, n_cells
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_unit_overlaps_are_the_general_iou_bit_for_bit():
+    # A training block's overlaps equal iou_xywh against (0, 0, 1, 1) on
+    # random (cells, 4, K) draw stacks; every third has log sizes up to
+    # +-760, past where exp overflows and underflows, and a size that
+    # underflows to 0 raises iou_xywh's DomainError.
+    rng = np.random.default_rng(61)
+    raised = 0
+    for i in range(300):
+        offsets = rng.normal(size=(int(rng.integers(1, 5)), 4, int(rng.integers(1, 40)))) * rng.choice([0.1, 1.0, 10.0])
+        if i % 3 == 0:
+            offsets[:, 2:] = rng.uniform(-760.0, 760.0, size=offsets[:, 2:].shape)
+        boxes = np.stack([np.column_stack([cell[:2].T, np.exp(cell[2:].T)]) for cell in offsets])
+        sizes = np.empty((len(offsets), 2, offsets.shape[2]))
+        try:
+            want = iou_xywh(boxes, (0.0, 0.0, 1.0, 1.0))
+        except DomainError as exc:
+            raised += 1
+            with pytest.raises(DomainError, match=str(exc)):
+                bbox._unit_overlaps(offsets, sizes)
+        else:
+            assert np.array_equal(bbox._unit_overlaps(offsets, sizes), want, equal_nan=True)
+    assert 0 < raised < 100
 
 
 def test_score_rows_and_bases_match_the_separate_calls():

@@ -1,5 +1,6 @@
 """Config validation, CLI behavior, file formats, and cross-command consistency."""
 
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -8,6 +9,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -653,6 +656,21 @@ def test_config_files_past_the_byte_bound_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_small_config_file_loads_without_a_bound_sized_buffer(tmp_path):
+    # Reading stops at the file's end; nothing near MAX_CONFIG_BYTES is
+    # allocated for a 3-byte file.
+    path = tmp_path / "config.json"
+    path.write_bytes(b"{}\n")
+    load_config(str(path))
+    tracemalloc.start()
+    try:
+        assert load_config(str(path)) == RunConfig()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
 CUSTOM_SPEC = {"preset": "drift", "osc_amp_x": 3.5, "start_y": 11.25, "target_w": 4.5}
 
 
@@ -785,18 +803,35 @@ def test_run_cells_starts_at_most_one_worker_per_cell(monkeypatch, jobs, cells, 
     # The pool would start a thread per task while none is idle, so a
     # --jobs above the cell count is capped, and one worker runs serially.
     sizes = []
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", _inline_pool(sizes))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _inline_pool(sizes))
     assert harness._run_cells([partial(int, i) for i in range(cells)], jobs) == list(range(cells))
     assert sizes == pools
 
 
 def test_cli_jobs_past_the_cell_count_start_one_worker_per_cell(tmp_path, capsys, monkeypatch):
     sizes = []
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", _inline_pool(sizes))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _inline_pool(sizes))
     cfgpath = _write_config(tmp_path, {"suite": {**TINY_SUITE["suite"], "repetitions": 2}})
     assert main(["compare-losses", "--config", cfgpath, "--jobs", "65536", "--out", str(tmp_path / "o")]) == 0
     assert sizes == [2]
     capsys.readouterr()
+
+
+_SERIAL_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from prtrack.harness import main
+code = main(["compare-losses", "--jobs", "1", "--config", sys.argv[2], "--out", sys.argv[3]])
+print(code, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_a_serial_suite_does_not_import_the_thread_pool(tmp_path):
+    # In a fresh interpreter, a --jobs 1 suite loads nothing of the pool.
+    cfgpath = _write_config(tmp_path, {**TINY_SUITE, "tracker": {"bb_epochs": 2}})
+    argv = [str(Path(harness.__file__).parents[1]), cfgpath, str(tmp_path / "o")]
+    done = subprocess.run([sys.executable, "-B", "-c", _SERIAL_RUN, *argv], capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_readme_cli_block_names_the_argparse_commands(capsys):
@@ -1037,6 +1072,22 @@ def test_suite_trains_the_same_blocks_at_any_jobs(tmp_path, monkeypatch):
         outputs.append((out / "compare_losses.csv").read_bytes())
     assert blocks == [[8, 2], [8, 2]]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command,jobs", [("compare-losses", len(LOSS_MODELS)), ("sigma-sweep", 1)])
+def test_suite_trains_each_distinct_box_job_once(tmp_path, monkeypatch, command, jobs):
+    # The default sweep varies sigma_tc, which box training does not read,
+    # so its three kl configs share one job; the four loss models are four.
+    passed = []
+
+    def recording(box_jobs, *args):
+        passed.append(list(box_jobs))
+        return bbox.train_box_scorer(box_jobs, *args)
+
+    monkeypatch.setattr(tracker_module, "train_box_scorer", recording)
+    cfgpath = _write_config(tmp_path, {**TINY_SUITE, "tracker": {"bb_epochs": 2}})
+    assert main([command, "--config", cfgpath, "--out", str(tmp_path / "o")]) == 0
+    assert [len(box_jobs) for box_jobs in passed] == [jobs]
 
 
 # ---------------------------------------------------------------------------

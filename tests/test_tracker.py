@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import iou_brute, recount_op_auc
+from prtrack.bbox import train_box_scorer
 from prtrack.density import read_peak
 from prtrack.errors import DimensionError, DomainError
 from prtrack.gridmath import Kernel2D
@@ -159,6 +160,28 @@ def test_init_scorers_match_each_config_alone(family):
         assert np.array_equal(got.mu, want.mu)
         assert got.tau == want.tau == cfg.scorer_tau
         assert alone_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_init_scorers_train_a_shared_job_once(monkeypatch):
+    # Configs that differ only outside box training share one trained job,
+    # and each still gets the scorer it would get alone.
+    from prtrack import tracker
+
+    cfgs = [
+        TrackerConfig(loss_model=loss, sigma_tc=sigma_tc, **SHORT_TRAINING)
+        for loss, sigma_tc in (("kl", 0.5), ("l2", 1.5), ("kl", 1.5), ("kl", 15.0))
+    ]
+    passed = []
+
+    def recording(jobs, *args):
+        passed.append(list(jobs))
+        return train_box_scorer(jobs, *args)
+
+    monkeypatch.setattr(tracker, "train_box_scorer", recording)
+    [together] = init_scorers(cfgs, [(BOX, np.random.Generator(np.random.PCG64(19)))])
+    assert [[job[0] for job in jobs] for jobs in passed] == [["kl", "l2"]]
+    for cfg, got in zip(cfgs, together):
+        assert np.array_equal(got.mu, _scorer(cfg, BOX, seed=19).mu)
 
 
 def test_init_with_a_given_scorer_matches_building_it():
