@@ -32,11 +32,11 @@ A scenario <spec> is a preset name, or an object with an optional "preset"
 key plus Scenario field overrides ("seed" is reserved: every run derives
 its sequence seed from --seed so that repetitions are reproducible).
 load_config reads at most MAX_CONFIG_BYTES of the file, checks every value
-against the annotations of TrackerConfig, Scenario and RunConfig, then the
-ranges, the sizes and work (MAX_SEQUENCE_CELLS, MAX_CROP_CELLS,
-MAX_BOX_SAMPLES, MAX_BOX_DRAWS, MAX_SOLVER_ITERATIONS, MAX_REFINE_STEPS,
-MAX_TRAINING_ROWS, MAX_SUITE_CELLS) and the dump frame, so a config that
-loads runs without a usage error.
+against the annotation and the _ranged interval of its field in
+TrackerConfig, Scenario and RunConfig, then the bounds that span fields:
+sizes and work (MAX_SEQUENCE_CELLS, MAX_CROP_CELLS, MAX_BOX_DRAWS,
+MAX_TRAINING_ROWS, MAX_SUITE_CELLS), label-width normalizers and the dump
+frame, so a config that loads runs without a usage error.
 
 Determinism: each (scenario, repetition) cell owns its RNG streams, seeded
 as master + 103 * scenario_index + 10007 * repetition (the tracker stream
@@ -75,9 +75,11 @@ from .gridmath import Grid2D, dump_grid
 from .labels import gaussian_normalizer, iou_xywh
 from .losses import LOSS_MODELS
 from .tracker import (
+    MAX_BOX_SAMPLES,
     Scenario,
     TrackerConfig,
     _check_fields,
+    _ranged,
     evaluate,
     generate_sequence,
     init_scorers,
@@ -93,20 +95,12 @@ __all__ = ["RunConfig", "load_config", "SCENARIO_PRESETS", "main"]
 TRACKER_RNG_OFFSET = 7_654_321
 MAX_CROP_CELLS = 2**22  # channels x region^2 of one search-region crop; dump slice cells
 MAX_SEQUENCE_CELLS = 2**30  # num_frames x channels x height x width of one sequence
-MAX_BOX_SAMPLES = 2**20  # bb_samples: proposals drawn per annotation and epoch
 MAX_SUITE_CELLS = 2**16  # suite scenarios x repetitions
 # bb_epochs x bb_samples: proposals drawn per cell and annotation in box
 # training, whose time grows with it; the default 150 epochs at the largest
 # bb_samples is the most.
 MAX_BOX_DRAWS = 150 * MAX_BOX_SAMPLES
 MAX_CONFIG_BYTES = 2**22  # size of the --config file
-MAX_SOLVER_ITERATIONS = 1000  # init_iterations, online_iterations: 100x the default first-frame solve
-# refine_steps: 100x the default box refinement.  A large refine_step makes
-# the ascent oscillate, so refine_tol alone need not stop it.
-MAX_REFINE_STEPS = 1000
-# tracker.regularization: a solve step forms reg * ||g||^2 with g about reg * w,
-# so reg^3 ||w||^2 must stay in the float range; 1e100 keeps it there up to ||w|| = 1e4.
-MAX_REGULARIZATION = 1e100
 # Tracker configs x draws of one training block's batch, max(bb_samples,
 # bbox._GROUP_DRAWS): the score rows box training holds at once.
 # compare-losses at the largest bb_samples is the most it needs; only a long
@@ -176,13 +170,13 @@ class RunConfig:
 
     tracker: TrackerConfig = dataclasses.field(default_factory=TrackerConfig)
     scenarios: tuple[object, ...] = ("distractors", "distractors_occlusion")
-    repetitions: int = 5
+    repetitions: int = _ranged(5, 1)
     sweep_parameter: str = "sigma_tc"
-    sweep_values: tuple[float, ...] = (0.00015, 1.5, 15.0)
+    sweep_values: tuple[float, ...] = _ranged((0.00015, 1.5, 15.0), 0, open_low=True)
     track_scenario: object = "distractors"
     dump_scenario: object = "static"
-    dump_frame_index: int = 5
-    dump_slice_cells: int = 41
+    dump_frame_index: int = _ranged(5, 1)
+    dump_slice_cells: int = _ranged(41, 3)
 
     def __post_init__(self):
         try:
@@ -190,18 +184,12 @@ class RunConfig:
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
         _expect(self.scenarios, "suite.scenarios must be a nonempty list")
-        _expect(self.repetitions >= 1, "suite.repetitions must be an int >= 1")
         _expect(
             self.sweep_parameter in ("sigma_tc", "sigma_bb"),
             "sweep.parameter must be 'sigma_tc' or 'sigma_bb'",
         )
         _expect(self.sweep_values, "sweep.values must be a nonempty list")
-        _expect(all(v > 0 for v in self.sweep_values), "sweep.values must be positive")
-        _expect(self.dump_frame_index >= 1, "dump.frame_index must be an int >= 1")
-        _expect(
-            self.dump_slice_cells >= 3 and self.dump_slice_cells % 2 == 1,
-            "dump.slice_cells must be an odd int >= 3",
-        )
+        _expect(self.dump_slice_cells % 2 == 1, f"dump.slice_cells must be odd, got {self.dump_slice_cells}")
 
 
 def _at_load(what: str, fn, *args, **kwargs):
@@ -279,35 +267,24 @@ def load_config(path: str | None) -> RunConfig:
 def _check_resolved(cfg: RunConfig):
     """Reject, before any sequence is rendered, what no run could build or compute.
 
-    bb_samples, the box-training draws bb_epochs x bb_samples, the solver
-    iterations and regularization, the box refinement steps, the
-    box-training rows of a sweep (its values times a training block's draws
-    per batch), the suite's cell count and the dump slice are bounded.  One
-    pass over the scenario specs builds each Scenario (the seed does not
+    The field ranges are checked as the configs are built; this checks the
+    bounds that span fields.  The box-training draws bb_epochs x bb_samples,
+    the box-training rows of a sweep (its values times a training block's
+    draws per batch), the suite's cell count and the dump slice are bounded.
+    One pass over the scenario specs builds each Scenario (the seed does not
     enter its checks) and bounds its sequence's size, its target's sigma_tc
     and its search region (as track_init resolves them, from the sizes
-    alone); the dump frame must lie in the dump scenario.  Sweep values replace sigma_tc or sigma_bb, and a
-    label width is rejected when its Gaussian normalizer is not finite.
+    alone); the dump frame must lie in the dump scenario.  Sweep values
+    replace sigma_tc or sigma_bb, and a label width is rejected when its
+    Gaussian normalizer is not finite.
     """
     tracker = cfg.tracker
-    _expect(
-        tracker.bb_samples <= MAX_BOX_SAMPLES,
-        f"tracker.bb_samples must be at most {MAX_BOX_SAMPLES}, got {tracker.bb_samples}",
-    )
     draws = tracker.bb_epochs * tracker.bb_samples
     _expect(
         draws <= MAX_BOX_DRAWS,
         f"tracker.bb_epochs: {tracker.bb_epochs} epochs x {tracker.bb_samples} bb_samples"
         f" = {draws} box-training draws, over {MAX_BOX_DRAWS}",
     )
-    for name, bound in (
-        ("init_iterations", MAX_SOLVER_ITERATIONS),
-        ("online_iterations", MAX_SOLVER_ITERATIONS),
-        ("refine_steps", MAX_REFINE_STEPS),
-        ("regularization", MAX_REGULARIZATION),
-    ):
-        n = getattr(tracker, name)
-        _expect(n <= bound, f"tracker.{name} must be at most {bound}, got {n}")
     batch = max(tracker.bb_samples, bbox._GROUP_DRAWS)
     rows = len(cfg.sweep_values) * batch
     _expect(

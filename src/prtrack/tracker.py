@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -118,8 +118,32 @@ _FIELD_CHECKS = {
 }
 
 
+def _ranged(default, low, high=math.inf, *, open_low=False, open_high=False):
+    """A dataclass field whose value, or each entry of a tuple value, must lie between low and high.
+
+    Each bound is inclusive unless its open_ flag is set; _check_fields
+    applies the interval after the type check.
+    """
+    return field(default=default, metadata={"range": (low, high, open_low, open_high)})
+
+
+def _must_be(word: str, bound) -> str:
+    # A bound at an infinity reads as "finite", and "greater than 0" as "positive".
+    if math.isinf(bound):
+        return "finite"
+    return "positive" if (word, bound) == ("greater than", 0) else f"{word} {bound!r}"
+
+
+def _check_range(name: str, value, low, high, open_low: bool, open_high: bool):
+    for v in value if isinstance(value, tuple) else (value,):
+        if not (low < v if open_low else low <= v):
+            raise DomainError(f"{name} must be {_must_be('greater than' if open_low else 'at least', low)}, got {v!r}")
+        if not (v < high if open_high else v <= high):
+            raise DomainError(f"{name} must be {_must_be('less than' if open_high else 'at most', high)}, got {v!r}")
+
+
 def _check_fields(obj, finite: bool = False, names: dict | None = None):
-    """Check each field of the frozen dataclass obj against its annotation.
+    """Check each field of the frozen dataclass obj against its annotation and its _ranged interval.
 
     Fields annotated float must also be finite when finite is set.  Errors
     name a field by names[field] if given, else by the field name.
@@ -134,6 +158,8 @@ def _check_fields(obj, finite: bool = False, names: dict | None = None):
             value = check(name, getattr(obj, f.name))
             if finite and f.type == "float" and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
+            if "range" in f.metadata and value is not None:
+                _check_range(name, value, *f.metadata["range"])
             object.__setattr__(obj, f.name, value)
 
 
@@ -141,43 +167,39 @@ def _check_fields(obj, finite: bool = False, names: dict | None = None):
 class Scenario:
     """Parameters of one synthetic sequence; the target path is closed-form."""
 
-    num_frames: int = 60
-    height: int = 48
-    width: int = 48
-    channels: int = 4
-    target_w: float = 6.0
-    target_h: float = 6.0
+    # The sway-phase check takes num_frames as a float, so it must stay in the
+    # float range; no sequence the harness loads has more than 2^30 frames.
+    num_frames: int = _ranged(60, 1, 2**30)
+    height: int = _ranged(48, 1)
+    width: int = _ranged(48, 1)
+    channels: int = _ranged(4, 1)
+    target_w: float = _ranged(6.0, 0, open_low=True)
+    target_h: float = _ranged(6.0, 0, open_low=True)
     start_x: float = 20.0
     start_y: float = 20.0
     velocity_x: float = 0.0
     velocity_y: float = 0.0
     osc_amp_x: float = 0.0
     osc_amp_y: float = 0.0
-    osc_period: float = 24.0
-    blob_radius: float = 2.0
-    distractor_count: int = 0
-    distractor_similarity: float = 0.95
+    osc_period: float = _ranged(24.0, 0, open_low=True)
+    blob_radius: float = _ranged(2.0, 0, open_low=True)
+    # render_frames holds about 500 bytes per distractor before it yields a
+    # frame: 2^10 of them (the presets use 2) hold about 0.5 MB.
+    distractor_count: int = _ranged(0, 0, 2**10)
+    distractor_similarity: float = _ranged(0.95, 0, 1)
     occlusions: tuple[tuple[int, int], ...] = ()
-    noise_level: float = 0.0
+    noise_level: float = _ranged(0.0, 0, 1e50)  # a solve's curvature multiplies four feature values
     seed: int = 0
 
     def __post_init__(self):
         _check_fields(self, finite=True)
-        if self.num_frames < 1 or self.height < 1 or self.width < 1 or self.channels < 1:
-            raise DomainError("frame counts and dimensions must be positive")
-        if not (self.target_w > 0 and self.target_h > 0):
-            raise DomainError("target size must be positive")
-        if not (self.blob_radius > 0 and 2.0 * self.blob_radius * self.blob_radius > 0):  # _blob divides by 2 r^2
+        if not (2.0 * self.blob_radius * self.blob_radius > 0):  # _blob divides by 2 r^2
             raise DomainError(f"blob_radius must be positive with a positive 2 r^2, got {self.blob_radius!r}")
         if not math.isfinite(2.0 * self.blob_radius * self.blob_radius):  # else a far target's d^2 / 2 r^2 is inf / inf
             raise DomainError(f"blob_radius must have a finite 2 r^2, got {self.blob_radius!r}")
         # The sway phase 2 pi t / osc_period, at t up to num_frames (a distractor's crossing time).
-        if not (self.osc_period > 0 and math.isfinite(2.0 * math.pi * self.num_frames / self.osc_period)):
+        if not math.isfinite(2.0 * math.pi * self.num_frames / self.osc_period):
             raise DomainError(f"osc_period must be positive with a finite sway phase, got {self.osc_period!r}")
-        if self.distractor_count < 0 or not (0.0 <= self.distractor_similarity <= 1.0):
-            raise DomainError("bad distractor settings")
-        if not (0 <= self.noise_level <= 1e50):  # a solve's curvature multiplies four feature values
-            raise DomainError(f"noise_level must be in [0, 1e50], got {self.noise_level!r}")
         for pair in self.occlusions:
             if not (0 <= pair[0] < pair[1]):
                 raise DomainError(f"bad occlusion interval {pair}")
@@ -279,6 +301,16 @@ _SHARED_SCORER_FIELDS = (
 )
 
 
+MAX_SOLVER_ITERATIONS = 1000  # init_iterations, online_iterations: 100x the default first-frame solve
+# refine_steps: 100x the default box refinement.  A large refine_step makes
+# the ascent oscillate, so refine_tol alone need not stop it.
+MAX_REFINE_STEPS = 1000
+# regularization: a solve step forms reg * ||g||^2 with g about reg * w, so
+# reg^3 ||w||^2 must stay in the float range; 1e100 keeps it there up to ||w|| = 1e4.
+MAX_REGULARIZATION = 1e100
+MAX_BOX_SAMPLES = 2**20  # bb_samples: proposals drawn per annotation and epoch
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     """Everything the two-stage tracker needs; defaults favor the divergence loss.
@@ -289,32 +321,34 @@ class TrackerConfig:
     bb_proposal and bb_sgd (box-scorer training; the proposal draws offsets
     from the annotation) and refine_config (box refinement).
 
-    Field types come from the annotations: _check_fields checks them first,
-    naming a field as its config key, tracker.<field>.
+    Field types come from the annotations and ranges from the _ranged
+    fields: _check_fields checks both first, naming a field as its config
+    key, tracker.<field>.
     """
 
     loss_model: str = "kl"
-    sigma_tc: float | None = None  # absolute label width in cells; None = factor rule
-    sigma_tc_factor: float = 0.25  # sigma_tc = factor * sqrt(target area)
-    sigma_bb: float = 0.05
-    search_scale: float = 5.0
-    kernel_size: int = 5
-    regularization: float = 1e-2
-    init_iterations: int = 10
-    online_iterations: int = 2
-    update_interval: int = 5
-    memory_capacity: int = 15
-    gamma_decay: float = 0.99
+    sigma_tc: float | None = _ranged(None, 0, open_low=True)  # absolute label width in cells; None = factor rule
+    sigma_tc_factor: float = _ranged(0.25, 0, open_low=True)  # sigma_tc = factor * sqrt(target area)
+    sigma_bb: float = _ranged(0.05, 0, open_low=True)
+    search_scale: float = _ranged(5.0, 1)
+    kernel_size: int = _ranged(5, 1)
+    regularization: float = _ranged(1e-2, 0, MAX_REGULARIZATION, open_low=True)
+    init_iterations: int = _ranged(10, 0, MAX_SOLVER_ITERATIONS)
+    online_iterations: int = _ranged(2, 0, MAX_SOLVER_ITERATIONS)
+    update_interval: int = _ranged(5, 1)
+    memory_capacity: int = _ranged(15, 1)
+    gamma_decay: float = _ranged(0.99, 0, 1, open_low=True)
     augment: bool = True
-    miss_threshold_mass: float = 0.05  # kl and nll gate on the 3x3 peak mass
-    miss_threshold_score: float = 0.25  # l2 and rl2 gate on the raw peak score
+    miss_threshold_mass: float = _ranged(0.05, 0, 1)  # kl and nll gate on the 3x3 peak mass
+    # l2 and rl2 gate on the raw peak score.
+    miss_threshold_score: float = _ranged(0.25, -math.inf, math.inf, open_low=True, open_high=True)
     subcell: bool = True
-    scorer_tau: float = 0.2
+    scorer_tau: float = _ranged(0.2, 0, open_low=True)
     scorer_init: str = "fit"  # fit: closed form at the annotation; train: SGD
     refine_step: float = 1e-2
-    refine_steps: int = 10
+    refine_steps: int = _ranged(10, 0, MAX_REFINE_STEPS)
     refine_tol: float = 1e-6
-    bb_samples: int = 768
+    bb_samples: int = _ranged(768, 2, MAX_BOX_SAMPLES)
     bb_epochs: int = 150
     bb_learning_rate: float = 0.25
     bb_lr_decay: float = 0.5
@@ -324,12 +358,6 @@ class TrackerConfig:
 
     def __post_init__(self):
         _check_fields(self, names=_TRACKER_NAMES)
-        if not math.isfinite(self.miss_threshold_score):
-            raise DomainError(f"miss_threshold_score must be finite, got {self.miss_threshold_score!r}")
-        if not (0 <= self.miss_threshold_mass <= 1):
-            raise DomainError(f"miss_threshold_mass must be in [0, 1], got {self.miss_threshold_mass!r}")
-        if not (0 < self.regularization < math.inf):
-            raise DomainError(f"tracker.regularization must be positive and finite, got {self.regularization!r}")
         for stage, iterations in (("init", self.init_iterations), ("online", self.online_iterations)):
             opt = _build(
                 f"{stage} solver",
@@ -340,19 +368,12 @@ class TrackerConfig:
                 rl2_threshold=self.rl2_threshold,
             )
             object.__setattr__(self, f"{stage}_optimizer", opt)
-        if self.sigma_tc is not None and not (self.sigma_tc > 0):
-            raise DomainError("sigma_tc must be positive when given")
-        for name in ("sigma_tc_factor", "sigma_bb", "scorer_tau", "gamma_decay"):
-            if not (getattr(self, name) > 0):
-                raise DomainError(f"{name} must be positive")
         # The box scorer divides by scorer_tau squared.
         if not (0.0 < self.scorer_tau * self.scorer_tau < math.inf):
             raise DomainError(f"scorer_tau must have a finite positive square, got {self.scorer_tau!r}")
         if self.sigma_tc is not None:
             _build("sigma_tc", gaussian_normalizer, self.sigma_tc, 2)
         _build("sigma_bb", gaussian_normalizer, self.sigma_bb, BOX_DIM)
-        if self.bb_samples < 2:
-            raise DomainError(f"bb_samples must be at least 2, got {self.bb_samples}")
         weights, sigmas = np.asarray(self.proposal_weights), np.asarray(self.proposal_sigmas)
         proposal = _build("box proposal", MixtureProposal, weights, sigmas, BOX_DIM)
         object.__setattr__(self, "bb_proposal", proposal)
@@ -360,14 +381,8 @@ class TrackerConfig:
         object.__setattr__(self, "bb_sgd", _build("box training", SGDConfig, *sgd))
         ref = (self.refine_step, self.refine_steps, self.refine_tol)
         object.__setattr__(self, "refine_config", _build("box refinement", RefConfig, *ref))
-        if not (self.search_scale >= 1):
-            raise DomainError("search_scale must be at least 1")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise DomainError("kernel_size must be odd and positive")
-        if self.update_interval < 1 or self.memory_capacity < 1:
-            raise DomainError("update_interval and memory_capacity must be at least 1")
-        if self.gamma_decay > 1:
-            raise DomainError("gamma_decay must be in (0, 1]")
+        if self.kernel_size % 2 == 0:
+            raise DomainError(f"kernel_size must be odd, got {self.kernel_size}")
         if self.scorer_init not in ("fit", "train"):
             raise DomainError(f"unknown scorer_init {self.scorer_init!r}")
 

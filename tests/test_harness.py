@@ -93,7 +93,7 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(_write_config(tmp_path, {"suite": {"repetitions": 0}}))
     with pytest.raises(UsageError, match="sweep.parameter"):
         load_config(_write_config(tmp_path, {"sweep": {"parameter": "tau"}}))
-    with pytest.raises(UsageError, match="positive"):
+    with pytest.raises(UsageError, match="sweep.values must be positive, got -2.0"):
         load_config(_write_config(tmp_path, {"sweep": {"values": [1.0, -2.0]}}))
     with pytest.raises(UsageError, match="nonempty"):
         load_config(_write_config(tmp_path, {"sweep": {"values": []}}))
@@ -146,6 +146,7 @@ def _expect_usage_exit(tmp_path, capsys, monkeypatch, payload, *messages):
         ("blob_radius", -2.0, "blob_radius must be positive"),
         ("noise_level", "x", "noise_level must be a real number"),
         ("distractor_similarity", None, "distractor_similarity must be a real number"),
+        pytest.param("num_frames", 2**1030, "num_frames must be at most 1073741824, got 1150", id="num_frames-huge"),
     ],
 )
 def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, monkeypatch, field, value, message):
@@ -172,8 +173,8 @@ def test_cli_rejects_booleans_as_integers(tmp_path, capsys, monkeypatch, payload
     [
         ({"regularization": 0}, "regularization must be positive"),
         ({"regularization": -1e-3}, "regularization must be positive"),
-        ({"init_iterations": -1}, "init solver: iterations must be nonnegative"),
-        ({"online_iterations": -1}, "online solver: iterations must be nonnegative"),
+        ({"init_iterations": -1}, "tracker.init_iterations must be at least 0, got -1"),
+        ({"online_iterations": -1}, "tracker.online_iterations must be at least 0, got -1"),
         ({"init_iterations": 1001}, "tracker.init_iterations must be at most 1000, got 1001"),
         ({"online_iterations": 100000000}, "tracker.online_iterations must be at most 1000, got 100000000"),
     ],
@@ -257,10 +258,10 @@ def test_cli_bounds_the_box_training_rows_of_a_sweep(tmp_path, capsys, monkeypat
             {"track": {"scenario": {"preset": "static", "blob_radius": 1e-200}}},
             "track.scenario: bad scenario spec: blob_radius must be positive with a positive 2 r^2, got 1e-200",
         ),
-        ({"tracker": {"regularization": math.inf}}, "tracker.regularization must be positive and finite, got inf"),
+        ({"tracker": {"regularization": math.inf}}, "tracker.regularization must be at most 1e+100, got inf"),
         (
             {"track": {"scenario": {"preset": "static", "noise_level": 1e308}}},
-            "track.scenario: bad scenario spec: noise_level must be in [0, 1e50], got 1e+308",
+            "track.scenario: bad scenario spec: noise_level must be at most 1e+50, got 1e+308",
         ),
         (
             {"track": {"scenario": {"preset": "static", "blob_radius": 1e308, "start_x": 1e308, "num_frames": 2}}},
@@ -339,9 +340,9 @@ def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
         ({"bb_learning_rate": math.inf}, "box training: learning_rate must be positive and finite"),
         ({"bb_lr_decay": math.nan}, "box training: lr_decay must be nonnegative and finite"),
         ({"bb_lr_decay": math.inf}, "box training: lr_decay must be nonnegative and finite"),
-        ({"miss_threshold_mass": math.nan}, "miss_threshold_mass must be in [0, 1]"),
-        ({"miss_threshold_mass": 1.5}, "miss_threshold_mass must be in [0, 1]"),
-        ({"miss_threshold_mass": -0.1}, "miss_threshold_mass must be in [0, 1]"),
+        ({"miss_threshold_mass": math.nan}, "tracker.miss_threshold_mass must be at least 0, got nan"),
+        ({"miss_threshold_mass": 1.5}, "tracker.miss_threshold_mass must be at most 1, got 1.5"),
+        ({"miss_threshold_mass": -0.1}, "tracker.miss_threshold_mass must be at least 0, got -0.1"),
         ({"miss_threshold_score": math.inf}, "miss_threshold_score must be finite"),
         ({"miss_threshold_score": -math.inf}, "miss_threshold_score must be finite"),
         (5, "tracker must be an object"),
@@ -411,8 +412,8 @@ def test_sequence_and_proposal_sizes_at_their_bounds_load(tmp_path):
     payload = {"track": {"scenario": scenario}, "tracker": {"bb_samples": 2**20, "refine_steps": 1000}}
     cfg = load_config(_write_config(tmp_path, payload))
     assert cfg.track_scenario["num_frames"] * 32 * 32 == harness.MAX_SEQUENCE_CELLS
-    assert cfg.tracker.bb_samples == harness.MAX_BOX_SAMPLES
-    assert cfg.tracker.refine_steps == harness.MAX_REFINE_STEPS
+    assert cfg.tracker.bb_samples == tracker_module.MAX_BOX_SAMPLES
+    assert cfg.tracker.refine_steps == tracker_module.MAX_REFINE_STEPS
     assert cfg.tracker.bb_epochs * cfg.tracker.bb_samples == harness.MAX_BOX_DRAWS
 
 
@@ -448,6 +449,8 @@ def test_every_config_field_annotation_has_a_check():
     for config in (TrackerConfig, Scenario, RunConfig):
         for field in dataclasses.fields(config):
             assert field.type in tracker_module._FIELD_CHECKS, (config.__name__, field.name)
+            if "range" in field.metadata:
+                assert field.type in ("int", "float", "float | None", "tuple[float, ...]"), (config.__name__, field.name)
 
     @dataclasses.dataclass(frozen=True)
     class Unlisted:
@@ -456,6 +459,104 @@ def test_every_config_field_annotation_has_a_check():
     message = r"Unlisted.sizes: no check for annotation 'tuple\[int, \.\.\.\]'"
     with pytest.raises(TypeError, match=message):
         tracker_module._check_fields(Unlisted())
+
+
+def _ranged_fields():
+    """(config key, field, value -> config that sets it) for each field with a _ranged interval.
+
+    A scenario field's key is scenario.<field>, as in the README's range
+    table; its value is set in the track scenario.
+    """
+    for f in dataclasses.fields(TrackerConfig):
+        yield f"tracker.{f.name}", f, lambda v, n=f.name: {"tracker": {n: v}}
+    for f in dataclasses.fields(Scenario):
+        yield f"scenario.{f.name}", f, lambda v, n=f.name: {"track": {"scenario": {"preset": "static", n: v}}}
+    run_fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    for section, keys in harness._SECTIONS.items():
+        for key, name in keys.items():
+            f = run_fields[name]
+            yield f"{section}.{key}", f, lambda v, s=section, k=key, many=f.type.startswith("tuple"): {s: {k: [v] if many else v}}
+
+
+_RANGED = [(key, f, where) for key, f, where in _ranged_fields() if "range" in f.metadata]
+
+
+def _beside(field, bound, toward):
+    """The value next to bound in the direction of toward: one apart for an integer field, one float apart otherwise."""
+    if field.type == "int":
+        return bound + (1 if toward > bound else -1)
+    return math.nextafter(float(bound), toward)
+
+
+def _bound_cases(field):
+    """(side, bound, is_open, outside, inside) for each finite bound of field's interval.
+
+    outside is the nearest value the interval excludes and inside the nearest
+    it holds: the bound itself on its closed side.
+    """
+    low, high, open_low, open_high = field.metadata["range"]
+    for side, bound, is_open, away in (("low", low, open_low, -math.inf), ("high", high, open_high, math.inf)):
+        if math.isfinite(bound):
+            outside = bound if is_open else _beside(field, bound, away)
+            inside = _beside(field, bound, -away) if is_open else bound
+            if field.type != "int":
+                outside, inside = float(outside), float(inside)
+            yield side, bound, is_open, outside, inside
+
+
+def _range_message(key, side, bound, is_open, value):
+    """The rejection of value by one bound; a scenario field is named by its spec's place and its field name."""
+    if side == "low":
+        words = "positive" if is_open and bound == 0 else f"{'greater than' if is_open else 'at least'} {bound!r}"
+    else:
+        words = f"{'less than' if is_open else 'at most'} {bound!r}"
+    name = key.replace("scenario.", "track.scenario: bad scenario spec: ")
+    return f"{name} must be {words}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "key,field,where,side,bound,is_open,outside,inside",
+    [(key, f, where, *case) for key, f, where in _RANGED for case in _bound_cases(f)],
+    ids=[f"{key}-{case[0]}" for key, f, _ in _RANGED for case in _bound_cases(f)],
+)
+def test_each_field_range_rejects_the_value_just_outside_each_bound(
+    tmp_path, key, field, where, side, bound, is_open, outside, inside
+):
+    # The nearest value outside the interval is rejected by load_config with
+    # a message naming the config key, the bound and the value; the nearest
+    # one inside passes the range check (another check may still reject it).
+    with pytest.raises(UsageError) as info:
+        load_config(_write_config(tmp_path, where(outside), "outside.json"))
+    assert str(info.value).endswith(_range_message(key, side, bound, is_open, outside)), str(info.value)
+    try:
+        load_config(_write_config(tmp_path, where(inside), "inside.json"))
+    except UsageError as exc:
+        assert not str(exc).endswith(_range_message(key, side, bound, is_open, inside)), str(exc)
+
+
+def test_readme_range_table_is_the_field_metadata():
+    # Each row of the README's range table is one ranged field: its config
+    # key and its interval, ( or ) for an open bound and [ or ] for a closed one.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w.]+)` \| `([\[(].*?[\])])` \|", readme, re.M)
+    expected = {}
+    for key, field, _ in _RANGED:
+        low, high, open_low, open_high = field.metadata["range"]
+        expected[key] = f"{'(' if open_low else '['}{low!r}, {high!r}{')' if open_high else ']'}"
+    assert dict(rows) == expected
+    assert len(rows) == len(expected)
+
+
+def test_cli_bounds_the_distractor_count(tmp_path, capsys, monkeypatch):
+    # render_frames builds every distractor's state before it yields the
+    # first frame, about 500 bytes each: 10^9 of them loaded and would have
+    # needed about 450 GB.
+    spec = {"preset": "static", "num_frames": 2}
+    at_bound = {"track": {"scenario": {**spec, "distractor_count": 2**10}}}
+    assert load_config(_write_config(tmp_path, at_bound, "at_bound.json")).track_scenario["distractor_count"] == 2**10
+    over = {"track": {"scenario": {**spec, "distractor_count": 2**10 + 1}}}
+    message = "track.scenario: bad scenario spec: distractor_count must be at most 1024, got 1025"
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, over, message)
 
 
 # JSON integers are unbounded; these straddle the largest finite float.
@@ -489,7 +590,11 @@ def test_load_config_returns_or_raises_usage_error(tmp_path_factory, tracker):
 
 # Whole-config strategies, derived from the fields of TrackerConfig, Scenario
 # and RunConfig: each key draws a well-typed value for its annotation, a
-# mistyped one or an edge value.
+# mistyped one or an edge value.  The edges are the type edges, 0 and -1 for
+# the settings objects' own bounds, and the float format's extremes, which
+# the float-range rules (sway phase, 2 r^2, tau^2, the normalizers) meet;
+# a ranged field adds each finite bound and the values just inside and just
+# outside it.
 _EDGE = st.sampled_from(
     [0, -1, 5e-324, 1e-160, 1e308, -1e308, math.nan, math.inf, -math.inf, 2**1030, True, False, "x", [], [0.5], None]
 )
@@ -534,6 +639,10 @@ def _config_strategy(caps=None):
             return st.integers(min_value=2, max_value=caps[name])
         ints = st.integers(min_value=-1, max_value=8) if caps else st.integers(min_value=-2, max_value=64) | st.integers()
         edge = st.sampled_from([1.5, math.nan, True, "x", None]) if caps and field.type == "int" else _EDGE
+        cases = _bound_cases(field) if "range" in field.metadata else ()
+        bounds = [v for _, bound, _, outside, inside in cases for v in (outside, bound, inside)]
+        if bounds:
+            edge = edge | st.sampled_from([[v] if field.type.startswith("tuple") else v for v in bounds])
         common = st.sampled_from([st.just(field.default), _typed(field.type, ints)]).flatmap(lambda s: s)
         return _mostly(common, edge)
 
@@ -914,6 +1023,19 @@ def test_compare_losses_golden_digest(tmp_path):
     assert main(["compare-losses", "--config", cfgpath, "--seed", "1", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "compare_losses.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+def test_sigma_sweep_at_the_factor_rule_width_is_the_kl_row_of_compare_losses(tmp_path):
+    # The default sigma_tc is the factor rule, 0.25 sqrt(6 x 6) = 1.5 for the
+    # golden suite's target, and each scorer is the one its config would
+    # train alone: so the swept kl tracker at sigma_tc 1.5 is compare-losses'
+    # kl tracker, bit for bit, on the same cells and seed.
+    cfgpath = _write_config(tmp_path, {**GOLDEN_SUITE, "sweep": {"parameter": "sigma_tc", "values": [1.5]}})
+    for command in ("compare-losses", "sigma-sweep"):
+        assert main([command, "--config", cfgpath, "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+    losses = {row[0]: row[1] for row in _read_csv(tmp_path / "out" / "compare_losses.csv")[1:]}
+    assert _read_csv(tmp_path / "out" / "sigma_sweep.csv")[1:] == [["1.5", losses["kl"]]]
+    assert losses["kl"] != losses["l2"]  # the suite separates the objectives
 
 
 # The inputs of the benchmark's init-burst workload (perfbench/run.py): both
