@@ -42,7 +42,6 @@ NumPy arrays would reach, at about a third of its cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +53,7 @@ from .losses import DENSITY_MODELS, LOSS_MODELS, kl_mc_loss
 __all__ = [
     "box_encode",
     "QuadraticScorer",
-    "SGDConfig",
     "train_box_scorer",
-    "RefConfig",
     "refine_box",
 ]
 
@@ -100,24 +97,6 @@ class QuadraticScorer:
         d = _check_box_batch(ys) - self.mu
         d *= d
         return d.sum(axis=1) / (-2.0 * self.tau**2)
-
-
-@dataclass(frozen=True)
-class SGDConfig:
-    """First-order training schedule; lr_t = learning_rate / (1 + lr_decay * t)."""
-
-    learning_rate: float = 0.2
-    epochs: int = 100
-    lr_decay: float = 0.0
-
-    def __post_init__(self):
-        # An infinite rate or decay turns the first update into NaN.
-        if not (0 < self.learning_rate < math.inf):
-            raise DomainError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise DomainError(f"epochs must be at least 1, got {self.epochs}")
-        if not (0 <= self.lr_decay < math.inf):
-            raise DomainError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
 
 
 def _score_rows(centers: np.ndarray, t2: np.ndarray, ys: np.ndarray, out: np.ndarray):
@@ -189,7 +168,10 @@ def train_box_scorer(
     rngs,
     proposal: MixtureProposal,
     samples_per_annotation: int,
-    sgd: SGDConfig,
+    *,
+    learning_rate: float,
+    epochs: int,
+    lr_decay: float,
 ) -> np.ndarray:
     """Fit scorer centers, as offsets from the annotation, with stochastic first-order updates.
 
@@ -199,7 +181,11 @@ def train_box_scorer(
     annotation.  Per epoch, each cell draws samples_per_annotation offsets
     from `proposal` on its own rng, evaluates every job's loss at those
     draws and steps the job's center along the gradient of a quadratic
-    scorer of width tau.
+    scorer of width tau, at the rate learning_rate / (1 + lr_decay * t) in
+    epoch t.  The schedule is not checked here: learning_rate must be
+    positive and finite, epochs at least 1 and lr_decay nonnegative and
+    finite, as the TrackerConfig fields bb_learning_rate, bb_epochs and
+    bb_lr_decay are.
 
     The cells train block by block, in order, as the module docstring lays
     out; a block's draws, densities and score rows are freed before the
@@ -232,14 +218,17 @@ def train_box_scorer(
             raise DomainError(f"tau must have a finite positive square, got {tau}")
     k = int(samples_per_annotation)
     size = max(1, _GROUP_DRAWS // k)
-    return np.concatenate([_train_block(jobs, rngs[i : i + size], proposal, k, sgd) for i in range(0, len(rngs), size)])
+    blocks = (rngs[i : i + size] for i in range(0, len(rngs), size))
+    return np.concatenate([_train_block(jobs, block, proposal, k, learning_rate, epochs, lr_decay) for block in blocks])
 
 
 # A diverging run overflows its scores or steps to inf or nan.  The
 # finiteness checks turn that into one NumericError; NumPy's warnings would
 # only print the same failure again.
 @np.errstate(over="ignore", invalid="ignore")
-def _train_block(jobs, rngs, proposal: MixtureProposal, k: int, sgd: SGDConfig) -> np.ndarray:
+def _train_block(
+    jobs, rngs, proposal: MixtureProposal, k: int, learning_rate: float, epochs: int, lr_decay: float
+) -> np.ndarray:
     """train_box_scorer on one block of cells, as one stacked problem per draw batch."""
     n_cells = len(rngs)
     order = sorted(range(len(jobs)), key=lambda i: _ROW_ORDER.index(jobs[i][0]))
@@ -261,10 +250,10 @@ def _train_block(jobs, rngs, proposal: MixtureProposal, k: int, sgd: SGDConfig) 
         sizes = np.empty((n_cells, 2, k))
     label_dens = np.empty((len(kl_sigmas), n_cells, k))
     grads = np.empty_like(centers)
-    tail_start = sgd.epochs // 2
+    tail_start = epochs // 2
     tail = np.zeros_like(centers)
-    for epoch in range(sgd.epochs):
-        lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
+    for epoch in range(epochs):
+        lr = learning_rate / (1.0 + lr_decay * epoch)
         for c, rng in enumerate(rngs):
             offsets[c] = proposal_sample(proposal, rng, size=k).T
             _score_rows(centers[c], t2, draws[c], scores[:, c])
@@ -324,38 +313,22 @@ def _train_block(jobs, rngs, proposal: MixtureProposal, k: int, sgd: SGDConfig) 
             raise NumericError(f"non-finite {models[row]} training loss at epoch {epoch}")
         if epoch >= tail_start:
             tail += centers
-    return _as_float_array((tail / (sgd.epochs - tail_start))[:, np.argsort(order)], 3, "scorer center")
+    return _as_float_array((tail / (epochs - tail_start))[:, np.argsort(order)], 3, "scorer center")
 
 
-@dataclass(frozen=True)
-class RefConfig:
-    """Gradient-ascent refinement schedule."""
-
-    step_length: float = 1e-2
-    steps: int = 10
-    convergence_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not (self.step_length > 0):
-            raise DomainError(f"step_length must be positive, got {self.step_length}")
-        if self.steps < 0:
-            raise DomainError(f"steps must be nonnegative, got {self.steps}")
-        if not (self.convergence_tol > 0):
-            raise DomainError(f"convergence_tol must be positive, got {self.convergence_tol}")
-
-
-def refine_box(scorer: QuadraticScorer, y: list[float], cfg: RefConfig) -> tuple[list[float], int]:
+def refine_box(scorer: QuadraticScorer, y: list[float], step: float, steps: int, tol: float) -> tuple[list[float], int]:
     """Gradient-ascend the score from the box y, given as 4 Python floats.
 
-    Each step moves y by cfg.step_length * g, with g = -(y - mu) / tau^2
-    the score's gradient in y.  Ascent stops after cfg.steps steps, once a
-    move is smaller than cfg.convergence_tol in every coordinate, or at a
-    gradient that is not finite.  Returns the best iterate seen (the start
-    counts, so the output never scores below y) and the number of
-    gradients taken.  Scores go through _score, which sums in value_batch's
-    order, so every iterate is bit for bit the array loop's.
+    Each step moves y by step * g, with g = -(y - mu) / tau^2 the score's
+    gradient in y.  Ascent stops after steps steps, once a move is smaller
+    than tol in every coordinate, or at a gradient that is not finite.
+    Returns the best iterate seen (the start counts, so the output never
+    scores below y) and the number of gradients taken.  Scores go through
+    _score, which sums in value_batch's order, so every iterate is bit for
+    bit the array loop's.  step and tol must be positive and steps
+    nonnegative, as the TrackerConfig fields refine_step, refine_tol and
+    refine_steps are; they are not checked here.
     """
-    step, tol = cfg.step_length, cfg.convergence_tol
     m0, m1, m2, m3 = scorer.mu.tolist()
     t2 = scorer.tau**2
     scale = -2.0 * t2
@@ -363,7 +336,7 @@ def refine_box(scorer: QuadraticScorer, y: list[float], cfg: RefConfig) -> tuple
     d0, d1, d2, d3 = y0 - m0, y1 - m1, y2 - m2, y3 - m3
     best, best_s = y, _score(d0, d1, d2, d3, scale)
     isfinite = math.isfinite
-    for taken in range(1, cfg.steps + 1):
+    for taken in range(1, steps + 1):
         g0, g1, g2, g3 = -d0 / t2, -d1 / t2, -d2 / t2, -d3 / t2
         if not (isfinite(g0) and isfinite(g1) and isfinite(g2) and isfinite(g3)):
             return best, taken
@@ -375,4 +348,4 @@ def refine_box(scorer: QuadraticScorer, y: list[float], cfg: RefConfig) -> tuple
             best, best_s = [y0, y1, y2, y3], s
         if max(abs(s0), abs(s1), abs(s2), abs(s3)) < tol:
             return best, taken
-    return best, cfg.steps
+    return best, steps

@@ -39,15 +39,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bbox import (
-    BOX_DIM,
-    QuadraticScorer,
-    RefConfig,
-    SGDConfig,
-    box_encode,
-    refine_box,
-    train_box_scorer,
-)
+from .bbox import BOX_DIM, QuadraticScorer, box_encode, refine_box, train_box_scorer
 from .center_optimizer import OptimizerConfig, SupportSample, init_weights, optimize
 from .density import GridDensity, normalize, read_peak
 from .errors import DimensionError, DomainError, NumericError
@@ -317,13 +309,12 @@ class TrackerConfig:
 
     Building it also builds the settings objects the tracker uses, so every
     check on them runs when the config is made: init_optimizer and
-    online_optimizer (the first-frame and the online kernel solves),
-    bb_proposal and bb_sgd (box-scorer training; the proposal draws offsets
-    from the annotation) and refine_config (box refinement).
+    online_optimizer (the first-frame and the online kernel solves) and
+    bb_proposal (box-scorer training draws offsets from the annotation).
 
     Field types come from the annotations and ranges from the _ranged
-    fields: _check_fields checks both first, naming a field as its config
-    key, tracker.<field>.
+    fields: _check_fields checks both first.  Every rejection names a field
+    as its config key, tracker.<field>.
     """
 
     loss_model: str = "kl"
@@ -345,22 +336,25 @@ class TrackerConfig:
     subcell: bool = True
     scorer_tau: float = _ranged(0.2, 0, open_low=True)
     scorer_init: str = "fit"  # fit: closed form at the annotation; train: SGD
-    refine_step: float = 1e-2
+    refine_step: float = _ranged(1e-2, 0, open_low=True)
     refine_steps: int = _ranged(10, 0, MAX_REFINE_STEPS)
-    refine_tol: float = 1e-6
+    refine_tol: float = _ranged(1e-6, 0, open_low=True)
     bb_samples: int = _ranged(768, 2, MAX_BOX_SAMPLES)
-    bb_epochs: int = 150
-    bb_learning_rate: float = 0.25
-    bb_lr_decay: float = 0.5
+    bb_epochs: int = _ranged(150, 1)
+    # An infinite rate or decay turns the first update into NaN.
+    bb_learning_rate: float = _ranged(0.25, 0, math.inf, open_low=True, open_high=True)
+    bb_lr_decay: float = _ranged(0.5, 0, math.inf, open_high=True)
     proposal_weights: tuple[float, ...] = (0.5, 0.5)
     proposal_sigmas: tuple[float, ...] = (0.05, 0.5)
-    rl2_threshold: float = 0.05  # stage-1 label threshold of the rl2 center solve; not the box stage's
+    # The stage-1 label threshold of the rl2 center solve; not the box stage's.
+    rl2_threshold: float = _ranged(0.05, -math.inf, math.inf, open_low=True, open_high=True)
 
     def __post_init__(self):
         _check_fields(self, names=_TRACKER_NAMES)
+        # The ranges hold every solver setting but loss_model.
         for stage, iterations in (("init", self.init_iterations), ("online", self.online_iterations)):
             opt = _build(
-                f"{stage} solver",
+                "tracker.loss_model",
                 OptimizerConfig,
                 regularization=self.regularization,
                 iterations=iterations,
@@ -370,21 +364,17 @@ class TrackerConfig:
             object.__setattr__(self, f"{stage}_optimizer", opt)
         # The box scorer divides by scorer_tau squared.
         if not (0.0 < self.scorer_tau * self.scorer_tau < math.inf):
-            raise DomainError(f"scorer_tau must have a finite positive square, got {self.scorer_tau!r}")
+            raise DomainError(f"tracker.scorer_tau must have a finite positive square, got {self.scorer_tau!r}")
         if self.sigma_tc is not None:
-            _build("sigma_tc", gaussian_normalizer, self.sigma_tc, 2)
-        _build("sigma_bb", gaussian_normalizer, self.sigma_bb, BOX_DIM)
+            _build("tracker.sigma_tc", gaussian_normalizer, self.sigma_tc, 2)
+        _build("tracker.sigma_bb", gaussian_normalizer, self.sigma_bb, BOX_DIM)
         weights, sigmas = np.asarray(self.proposal_weights), np.asarray(self.proposal_sigmas)
-        proposal = _build("box proposal", MixtureProposal, weights, sigmas, BOX_DIM)
-        object.__setattr__(self, "bb_proposal", proposal)
-        sgd = (self.bb_learning_rate, self.bb_epochs, self.bb_lr_decay)
-        object.__setattr__(self, "bb_sgd", _build("box training", SGDConfig, *sgd))
-        ref = (self.refine_step, self.refine_steps, self.refine_tol)
-        object.__setattr__(self, "refine_config", _build("box refinement", RefConfig, *ref))
+        what = "tracker.proposal_weights, tracker.proposal_sigmas: box proposal"
+        object.__setattr__(self, "bb_proposal", _build(what, MixtureProposal, weights, sigmas, BOX_DIM))
         if self.kernel_size % 2 == 0:
-            raise DomainError(f"kernel_size must be odd, got {self.kernel_size}")
+            raise DomainError(f"tracker.kernel_size must be odd, got {self.kernel_size}")
         if self.scorer_init not in ("fit", "train"):
-            raise DomainError(f"unknown scorer_init {self.scorer_init!r}")
+            raise DomainError(f"tracker.scorer_init must be 'fit' or 'train', got {self.scorer_init!r}")
 
     def resolved_sigma_tc(self, target_w: float, target_h: float) -> float:
         if self.sigma_tc is not None:
@@ -481,7 +471,8 @@ def init_scorers(cfgs, cells) -> list[list]:
         jobs = [(cfg.loss_model, cfg.sigma_bb, cfg.scorer_tau) for cfg in cfgs]
         distinct = list(dict.fromkeys(jobs))
         rngs = [rng for _, rng in cells]
-        trained = train_box_scorer(distinct, rngs, first.bb_proposal, first.bb_samples, first.bb_sgd)
+        schedule = {"learning_rate": first.bb_learning_rate, "epochs": first.bb_epochs, "lr_decay": first.bb_lr_decay}
+        trained = train_box_scorer(distinct, rngs, first.bb_proposal, first.bb_samples, **schedule)
         offsets = trained[:, [distinct.index(job) for job in jobs]]
     encoded = np.array([box_encode(w, h) for (_, _, w, h), _ in cells])
     centers = encoded[:, None, :] + offsets
@@ -564,7 +555,8 @@ def track_step(state: TrackState, frame: FeatureMap) -> tuple[TrackState, tuple,
     new_cy = origin[0] + est[0]
 
     # Stage 2: refine (center offset, log size) around the stage-1 center.
-    (dx, dy, log_w, log_h), _ = refine_box(state.scorer, box_encode(w, h), cfg.refine_config)
+    y = box_encode(w, h)
+    (dx, dy, log_w, log_h), _ = refine_box(state.scorer, y, cfg.refine_step, cfg.refine_steps, cfg.refine_tol)
     try:
         new_w, new_h = math.exp(log_w), math.exp(log_h)
     except OverflowError:

@@ -142,7 +142,9 @@ def optimize_reference(kernel, support, cfg):
     return w, steps, halvings
 
 
-def train_box_scorer_reference(ann, reference, tau, sigma_bb, proposal, samples, sgd, rng, loss_model):
+def train_box_scorer_reference(
+    ann, reference, tau, sigma_bb, proposal, samples, rng, loss_model, *, learning_rate, epochs, lr_decay
+):
     """Plain per-epoch box-scorer training on one annotation: rebuild everything every epoch.
 
     ann is the encoded annotation (cx / w0, cy / h0, log w, log h) against
@@ -174,8 +176,8 @@ def train_box_scorer_reference(ann, reference, tau, sigma_bb, proposal, samples,
     box = np.array([center[0] * w0, center[1] * h0, math.exp(center[2]), math.exp(center[3])])
     k, dim = samples, center.size
     tail = []
-    for epoch in range(sgd.epochs):
-        lr = sgd.learning_rate / (1.0 + sgd.lr_decay * epoch)
+    for epoch in range(epochs):
+        lr = learning_rate / (1.0 + lr_decay * epoch)
         comp = rng.choice(weights.size, size=k, p=weights)
         ys = center + sigmas[comp, None] * rng.standard_normal((k, dim))
         basis = (ys - mu) / t2
@@ -195,13 +197,13 @@ def train_box_scorer_reference(ann, reference, tau, sigma_bb, proposal, samples,
             r = c - targets if loss_model == "l2" else np.where(targets > 0.05, c - targets, c)
             grad = (2.0 / k) * ((r * c) @ basis)
         mu = mu - lr * grad
-        if epoch >= sgd.epochs // 2:
+        if epoch >= epochs // 2:
             tail.append(mu)
     return np.mean(tail, axis=0)
 
 
-def refine_box_reference(scorer, y0, cfg):
-    """The box refinement loop on NumPy arrays: gradient ascent from y0.
+def refine_box_reference(scorer, y0, step, steps, tol):
+    """The box refinement loop on NumPy arrays: gradient ascent from y0 with refine_box's arguments.
 
     Scores -||y - mu||^2 / (2 tau^2) and gradients -(y - mu) / tau^2 are
     written out here.  Returns the best iterate's values and the number of
@@ -216,15 +218,15 @@ def refine_box_reference(scorer, y0, cfg):
     y = np.array(y0, dtype=np.float64)
     best_y, best_s = y.copy(), value(y)
     evaluated = 0
-    for _ in range(cfg.steps):
+    for _ in range(steps):
         g = -(y - mu) / t2
         evaluated += 1
         if not np.isfinite(g).all():
             break
-        y = y + cfg.step_length * g
+        y = y + step * g
         s = value(y)
         if math.isfinite(s) and s > best_s:
             best_y, best_s = y.copy(), s
-        if float(np.abs(cfg.step_length * g).max()) < cfg.convergence_tol:
+        if float(np.abs(step * g).max()) < tol:
             break
     return best_y, evaluated

@@ -8,14 +8,7 @@ import pytest
 
 from _oracles import fd_gradient, refine_box_reference, train_box_scorer_reference
 from prtrack import bbox
-from prtrack.bbox import (
-    QuadraticScorer,
-    RefConfig,
-    SGDConfig,
-    box_encode,
-    refine_box,
-    train_box_scorer,
-)
+from prtrack.bbox import QuadraticScorer, box_encode, refine_box, train_box_scorer
 from prtrack.errors import DimensionError, DomainError
 from prtrack.labels import (
     MixtureProposal,
@@ -127,7 +120,7 @@ def test_numpy_sums_four_wide_rows_left_to_right(layout):
 
 def _train_cell(jobs, proposal, samples, sgd, rng):
     """train_box_scorer on one cell: its (jobs, 4) trained centers, offsets from the annotation."""
-    [centers] = train_box_scorer(jobs, [rng], proposal, samples, sgd)
+    [centers] = train_box_scorer(jobs, [rng], proposal, samples, **sgd)
     return centers
 
 
@@ -142,7 +135,7 @@ def test_train_quadratic_centers_on_annotation():
     # annotation itself, the origin of the target's frame; a grid-search
     # oracle on a frozen sample set agrees.
     rng = np.random.Generator(np.random.PCG64(45))
-    sgd = SGDConfig(learning_rate=0.2, epochs=400, lr_decay=0.02)
+    sgd = dict(learning_rate=0.2, epochs=400, lr_decay=0.02)
     [mu] = _train_cell([("kl", 0.05, 0.2)], PAPER_PROPOSAL, 256, sgd, rng)
     assert float(np.abs(mu).max()) <= 1e-2
 
@@ -173,7 +166,7 @@ def test_train_loss_drops_over_epochs():
 
     def run(epochs):
         rng = np.random.Generator(np.random.PCG64(47))
-        sgd = SGDConfig(learning_rate=0.25, epochs=epochs, lr_decay=0.5)
+        sgd = dict(learning_rate=0.25, epochs=epochs, lr_decay=0.5)
         [mu] = _train_cell([("kl", 0.05, 0.2)], PAPER_PROPOSAL, 64, sgd, rng)
         return kl_mc_loss(QuadraticScorer(mu, tau=0.2).value_batch(ys), p, qd).value
 
@@ -185,7 +178,7 @@ def test_sigma_to_zero_matches_delta_label_training():
     # ratios stay bounded, and the nearly-degenerate Gaussian label trains
     # to the same center as the exact delta-label objective.
     proposal = MixtureProposal([0.5, 0.5], [1e-4, 0.5], 4)
-    sgd = SGDConfig(learning_rate=0.15, epochs=300, lr_decay=0.02)
+    sgd = dict(learning_rate=0.15, epochs=300, lr_decay=0.02)
 
     def fit(loss_model):
         rng = np.random.Generator(np.random.PCG64(48))
@@ -211,15 +204,49 @@ def test_train_squared_error_branch_lowers_its_loss():
         return float(r @ r) / len(ys)
 
     rng = np.random.Generator(np.random.PCG64(49))
-    [mu] = _train_cell([("l2", 0.05, 0.5)], PAPER_PROPOSAL, 64, SGDConfig(learning_rate=0.5, epochs=120), rng)
+    sgd = dict(learning_rate=0.5, epochs=120, lr_decay=0.0)
+    [mu] = _train_cell([("l2", 0.05, 0.5)], PAPER_PROPOSAL, 64, sgd, rng)
     assert loss(mu) < loss(np.zeros(4))
 
 
+# The l2 log-size offset that the suite's schedule (150 epochs, rate 0.25,
+# decay 0.5) trains with 2^16 draws per epoch instead of 768: the mean of
+# both log sizes over 8 cells, 0.003494 with a standard error of 0.000037, from
+#   PYTHONPATH=src python3 -c "import numpy as np; from prtrack.bbox import train_box_scorer;
+#   from prtrack.tracker import TrackerConfig; c = TrackerConfig(); print(train_box_scorer(
+#   [('l2', 0.05, 0.2)], [np.random.default_rng(s) for s in range(8)], c.bb_proposal, 2**16,
+#   learning_rate=0.25, epochs=150, lr_decay=0.5)[:, 0, 2:].mean())"
+# The schedule stops short of the l2 objective's own optimum, near 0.011.
+L2_LOG_SIZE_REFERENCE = 0.003494
+
+
+def test_default_box_training_reaches_its_reference_centers():
+    # 32 cells train the four loss models' default jobs at the suite's own
+    # settings.  The kl and nll centers estimate the annotation, the origin:
+    # the kl optimum is exactly the label mean.  The l2 and rl2 center
+    # offsets estimate 0 by symmetry, and their log sizes the large-draw
+    # reference; at the default proposal the rl2 hinge changes almost
+    # nothing.  Each mean lies within 4 standard errors of the cells' spread,
+    # and the spread stays small: a trainer that diverges has a mean that is
+    # near nothing and a spread to match.
+    cfg = TrackerConfig()
+    jobs = [(model, cfg.sigma_bb, cfg.scorer_tau) for model in ("kl", "nll", "l2", "rl2")]
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in range(1000, 1032)]
+    schedule = dict(learning_rate=cfg.bb_learning_rate, epochs=cfg.bb_epochs, lr_decay=cfg.bb_lr_decay)
+    centers = train_box_scorer(jobs, rngs, cfg.bb_proposal, cfg.bb_samples, **schedule)
+    spread = centers.std(axis=0, ddof=1)
+    assert (spread <= 0.005).all(), spread  # about 0.003 for kl and nll, at most 0.0017 for l2 and rl2
+    means, errors = centers.mean(axis=0), spread / math.sqrt(len(rngs))
+    want = np.zeros((len(jobs), 4))
+    want[2:, 2:] = L2_LOG_SIZE_REFERENCE
+    assert (np.abs(means - want) <= 4.0 * errors).all(), (means, errors)
+
+
 def test_train_validation():
-    sgd = SGDConfig()
+    sgd = dict(learning_rate=0.2, epochs=100, lr_decay=0.0)
     rng = np.random.Generator(np.random.PCG64(50))
     with pytest.raises(DimensionError):
-        train_box_scorer([("kl", 0.05, 0.2)], [], PAPER_PROPOSAL, 4, sgd)
+        train_box_scorer([("kl", 0.05, 0.2)], [], PAPER_PROPOSAL, 4, **sgd)
     with pytest.raises(DimensionError):
         _train_cell([], PAPER_PROPOSAL, 4, sgd, rng)
     with pytest.raises(DomainError):
@@ -245,8 +272,9 @@ def test_train_rejects_a_label_width_without_a_normalizer(loss_model):
     # whose label density is never evaluated.
     rng = np.random.Generator(np.random.PCG64(59))
     state = rng.bit_generator.state
+    sgd = dict(learning_rate=0.2, epochs=100, lr_decay=0.0)
     with pytest.raises(DomainError, match="normalizer"):
-        _train_cell([(loss_model, 1e-200, 0.2)], PAPER_PROPOSAL, 4, SGDConfig(), rng)
+        _train_cell([(loss_model, 1e-200, 0.2)], PAPER_PROPOSAL, 4, sgd, rng)
     assert rng.bit_generator.state == state
 
 
@@ -256,7 +284,7 @@ def test_train_rejects_a_final_center_that_overflows():
     # their gradient are 0), but their tail average overflows; the returned
     # centers are checked once.
     rng = np.random.Generator(np.random.PCG64(57))
-    sgd = SGDConfig(learning_rate=1e308, epochs=400)
+    sgd = dict(learning_rate=1e308, epochs=400, lr_decay=0.0)
     with pytest.raises(DomainError, match="scorer center must contain only finite values"):
         _train_cell([("l2", 0.05, 1.0)], PAPER_PROPOSAL, 4, sgd, rng)
 
@@ -271,11 +299,11 @@ def test_train_matches_plain_reference_loop(family, loss_model):
     # the target's frame; the reference trains at the annotation itself.
     ann = np.array([3.0 / 4.0, 2.0 / 5.0, math.log(4.0), math.log(5.0)])  # (3, 2, 4, 5) against its size
     proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], 4)
-    sgd = SGDConfig(learning_rate=0.25, epochs=30, lr_decay=0.5)
+    sgd = dict(learning_rate=0.25, epochs=30, lr_decay=0.5)
     rng_a = np.random.Generator(np.random.PCG64(53))
     rng_b = np.random.Generator(np.random.PCG64(53))
     [offset] = _train_cell([(loss_model, 0.05, 0.2)], proposal, 96, sgd, rng_a)
-    want = train_box_scorer_reference(ann, (4.0, 5.0), 0.2, 0.05, proposal, 96, sgd, rng_b, loss_model)
+    want = train_box_scorer_reference(ann, (4.0, 5.0), 0.2, 0.05, proposal, 96, rng_b, loss_model, **sgd)
     np.testing.assert_allclose(ann + offset, want, rtol=1e-12, atol=0)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -303,7 +331,7 @@ def test_train_builds_proposals_and_labels_once_per_annotation(monkeypatch):
         for n_cells in (1, 3):
             built.update(labels=0, proposals=0, losses=0)
             rngs = [np.random.Generator(np.random.PCG64(54 + c)) for c in range(n_cells)]
-            train_box_scorer([(loss_model, 0.05, 0.2)], rngs, proposal, 16, SGDConfig(epochs=7))
+            train_box_scorer([(loss_model, 0.05, 0.2)], rngs, proposal, 16, learning_rate=0.2, epochs=7, lr_decay=0.0)
             # One label width check per job; every cell draws from the given proposal,
             # whose densities the cells share, so none is built; one loss
             # call per draw batch of the whole group.  The delta-label (nll)
@@ -324,7 +352,7 @@ def test_lockstep_jobs_match_each_job_trained_alone():
     # seeded generator ends, and the generator ends in the same state.
     jobs = _lockstep_jobs()
     proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], 4)
-    sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
+    sgd = dict(learning_rate=0.25, epochs=12, lr_decay=0.5)
     rng = np.random.Generator(np.random.PCG64(55))
     together = _train_cell(jobs, proposal, 64, sgd, rng)
     assert together.shape == (len(jobs), 4)
@@ -350,9 +378,9 @@ def test_group_cells_match_each_cell_trained_alone(n_cells):
     # from an equally seeded generator ends, and every cell's generator ends
     # in the same state.
     proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], 4)
-    sgd = SGDConfig(learning_rate=0.25, epochs=12, lr_decay=0.5)
+    sgd = dict(learning_rate=0.25, epochs=12, lr_decay=0.5)
     jobs, rngs = _group(n_cells, 60)
-    together = train_box_scorer(jobs, rngs, proposal, 48, sgd)
+    together = train_box_scorer(jobs, rngs, proposal, 48, **sgd)
     assert together.shape == (n_cells, len(jobs), 4)
     _, alone_rngs = _group(n_cells, 60)
     for rng, alone_rng, got in zip(rngs, alone_rngs, together):
@@ -379,7 +407,7 @@ def test_blocks_hold_a_bounded_number_of_draws(monkeypatch, bb_samples, blocks):
     # and at least one cell.
     sizes = _recording_blocks(monkeypatch)
     rngs = [np.random.Generator(np.random.PCG64(61 + c)) for c in range(5)]
-    train_box_scorer([("kl", 0.05, 0.2)], rngs, PAPER_PROPOSAL, bb_samples, SGDConfig(epochs=1))
+    train_box_scorer([("kl", 0.05, 0.2)], rngs, PAPER_PROPOSAL, bb_samples, learning_rate=0.2, epochs=1, lr_decay=0.0)
     assert bbox._GROUP_DRAWS == 8 * 768
     assert sizes == blocks
 
@@ -389,13 +417,13 @@ def test_cells_in_any_block_layout_match_each_cell_trained_alone(monkeypatch, ce
     # Every center ends bit for bit where its cell trained alone ends,
     # whichever block the cell falls in.
     proposal = MixtureProposal([0.3, 0.7], [0.05, 0.4], 4)
-    sgd = SGDConfig(learning_rate=0.25, epochs=6, lr_decay=0.5)
+    sgd = dict(learning_rate=0.25, epochs=6, lr_decay=0.5)
     jobs, rngs = _group(9, 62)
     _, alone_rngs = _group(9, 62)
     alone = [_train_cell(jobs, proposal, 16, sgd, rng) for rng in alone_rngs]
     sizes = _recording_blocks(monkeypatch)
     monkeypatch.setattr(bbox, "_GROUP_DRAWS", cells_per_block * 16)
-    together = train_box_scorer(jobs, rngs, proposal, 16, sgd)
+    together = train_box_scorer(jobs, rngs, proposal, 16, **sgd)
     assert sizes == blocks
     assert together.shape == (9, len(jobs), 4)
     for got, want in zip(together, alone):
@@ -426,13 +454,13 @@ def test_block_training_memory_stays_within_a_few_cells():
 
 def test_train_validation_across_cells():
     # A cell is its rng, so the rngs give the cell count.
-    sgd = SGDConfig(epochs=2)
+    sgd = dict(learning_rate=0.2, epochs=2, lr_decay=0.0)
     rng = np.random.Generator(np.random.PCG64(59))
     state = rng.bit_generator.state
     with pytest.raises(DimensionError, match="at least one cell"):
-        train_box_scorer([("kl", 0.05, 0.2)], [], PAPER_PROPOSAL, 4, sgd)
+        train_box_scorer([("kl", 0.05, 0.2)], [], PAPER_PROPOSAL, 4, **sgd)
     with pytest.raises(DimensionError, match="at least one job"):
-        train_box_scorer([], [rng, rng], PAPER_PROPOSAL, 4, sgd)
+        train_box_scorer([], [rng, rng], PAPER_PROPOSAL, 4, **sgd)
     assert rng.bit_generator.state == state
 
 
@@ -469,7 +497,7 @@ def test_lockstep_shares_the_work_per_draw_batch(monkeypatch, models, densities,
     for n_cells in (1, 3):
         calls.update(sample=0, density=0, label=0, iou=0, loss=0)
         rngs = [np.random.Generator(np.random.PCG64(56 + c)) for c in range(n_cells)]
-        train_box_scorer(jobs, rngs, PAPER_PROPOSAL, 16, SGDConfig(epochs=5))
+        train_box_scorer(jobs, rngs, PAPER_PROPOSAL, 16, learning_rate=0.2, epochs=5, lr_decay=0.0)
         steps = 5
         assert calls == {
             "sample": n_cells * steps,
@@ -524,12 +552,19 @@ def test_score_rows_and_bases_match_the_separate_calls():
 
 
 def test_sgd_config_validation():
-    with pytest.raises(DomainError):
-        SGDConfig(learning_rate=0.0)
-    with pytest.raises(DomainError):
-        SGDConfig(epochs=0)
-    with pytest.raises(DomainError):
-        SGDConfig(lr_decay=-0.1)
+    # The training schedule is checked as the TrackerConfig fields that
+    # init_scorers passes to train_box_scorer, under their config keys; NaN
+    # fails every bound.
+    for field, value, message in (
+        ("bb_learning_rate", 0.0, "positive"),
+        ("bb_learning_rate", math.nan, "positive"),
+        ("bb_learning_rate", math.inf, "finite"),
+        ("bb_epochs", 0, "at least 1"),
+        ("bb_lr_decay", -0.1, "at least 0"),
+        ("bb_lr_decay", math.nan, "at least 0"),
+    ):
+        with pytest.raises(DomainError, match=f"tracker.{field} must be {message}"):
+            TrackerConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +577,7 @@ def test_refine_reaches_unique_maximum():
     mu = np.array([0.3, -0.1, 0.7, 0.2])
     scorer = QuadraticScorer(mu, tau=0.1)
     y0 = (mu + 0.05).tolist()
-    out, _ = refine_box(scorer, y0, RefConfig(step_length=0.01, steps=10))
+    out, _ = refine_box(scorer, y0, 0.01, 10, 1e-6)
     np.testing.assert_allclose(out, mu, atol=1e-6)
 
     # Dense grid search over the neighborhood agrees on the maximizer.
@@ -557,14 +592,14 @@ def test_refine_stationary_start_is_fixed_point():
     mu = np.array([0.1, 0.2, 0.3, 0.4])
     scorer = QuadraticScorer(mu, tau=0.3)
     y0 = mu.tolist()
-    out, _ = refine_box(scorer, y0, RefConfig())
+    out, _ = refine_box(scorer, y0, 1e-2, 10, 1e-6)
     assert out == y0
 
 
 def test_refine_zero_steps_is_identity():
     scorer = QuadraticScorer(np.zeros(4), tau=0.3)
     y0 = [0.5, 0.5, 0.0, 0.0]
-    assert refine_box(scorer, y0, RefConfig(steps=0)) == (y0, 0)
+    assert refine_box(scorer, y0, 1e-2, 0, 1e-6) == (y0, 0)
 
 
 def test_refine_never_scores_below_start():
@@ -574,7 +609,7 @@ def test_refine_never_scores_below_start():
         y0 = rng.normal(0.0, 1.0, 4).tolist()
         # Deliberately coarse steps so single updates can overshoot: a step
         # beyond 2 tau^2 lands farther from the center than it started.
-        out, _ = refine_box(scorer, y0, RefConfig(step_length=0.5, steps=8))
+        out, _ = refine_box(scorer, y0, 0.5, 8, 1e-6)
         got, start = scorer.value_batch(np.array([out, y0]))
         assert got >= start
 
@@ -583,7 +618,7 @@ def test_refine_survives_non_finite_gradient():
     scorer = QuadraticScorer(np.full(4, 1e200), tau=1.0)
     y0 = [0.0] * 4
     with np.errstate(over="ignore", invalid="ignore"):
-        out, _ = refine_box(scorer, y0, RefConfig())
+        out, _ = refine_box(scorer, y0, 1e-2, 10, 1e-6)
     assert out == y0
 
 
@@ -601,20 +636,20 @@ def test_float_scores_match_the_array_scores(family):
 
 
 def _refine_cases():
-    """(scorer, start, config, how the reference loop ends) per case."""
+    """(scorer, start, (step, steps, tol), how the reference loop ends) per case."""
     rng = np.random.Generator(np.random.PCG64(60))
     cases = []
     for _ in range(12):
         scorer = QuadraticScorer(rng.normal(0.0, 1.0, 4), tau=rng.uniform(0.05, 1.0))
         y0 = rng.normal(0.0, 1.0, 4).tolist()
-        cases.append((scorer, y0, RefConfig(step_length=rng.uniform(0.005, 0.5), steps=10), "random"))
-    cases.append((scorer, y0, RefConfig(steps=0), "no steps"))
+        cases.append((scorer, y0, (rng.uniform(0.005, 0.5), 10, 1e-6), "random"))
+    cases.append((scorer, y0, (1e-2, 0, 1e-6), "no steps"))
     # A start 1e-9 off the maximum moves less than the tolerance at once.
     scorer = QuadraticScorer(np.full(4, 0.3), tau=1.0)
-    cases.append((scorer, [0.3 + 1e-9] * 4, RefConfig(), "converged"))
+    cases.append((scorer, [0.3 + 1e-9] * 4, (1e-2, 10, 1e-6), "converged"))
     # tau^2 = 1e-10 turns the distance to a far center into an infinite gradient.
     scorer = QuadraticScorer(np.full(4, 1e300), tau=1e-5)
-    cases.append((scorer, [0.0] * 4, RefConfig(), "non-finite"))
+    cases.append((scorer, [0.0] * 4, (1e-2, 10, 1e-6), "non-finite"))
     return cases
 
 
@@ -623,10 +658,10 @@ def test_refine_matches_the_numpy_reference_loop(family):
     # refine_box steps on Python floats; the NumPy loop it replaced must give
     # the same box bit for bit after the same number of gradients.
     seen = {"random": 0, "no steps": 0, "converged": 0, "non-finite": 0}
-    for scorer, y0, cfg, case in _refine_cases():
+    for scorer, y0, schedule, case in _refine_cases():
         with np.errstate(over="ignore", invalid="ignore"):
-            got, evaluated = refine_box(scorer, y0, cfg)
-            want, want_evaluated = refine_box_reference(scorer, y0, cfg)
+            got, evaluated = refine_box(scorer, y0, *schedule)
+            want, want_evaluated = refine_box_reference(scorer, y0, *schedule)
         assert got == want.tolist(), case
         assert all(type(v) is float for v in got), case
         assert evaluated == want_evaluated, case
@@ -639,9 +674,15 @@ def test_refine_matches_the_numpy_reference_loop(family):
 
 
 def test_ref_config_validation():
-    with pytest.raises(DomainError):
-        RefConfig(step_length=0.0)
-    with pytest.raises(DomainError):
-        RefConfig(steps=-1)
-    with pytest.raises(DomainError):
-        RefConfig(convergence_tol=0.0)
+    # The refinement settings are checked as the TrackerConfig fields that
+    # track_step passes to refine_box, under their config keys; NaN fails
+    # every bound.
+    for field, value, message in (
+        ("refine_step", 0.0, "positive"),
+        ("refine_step", math.nan, "positive"),
+        ("refine_steps", -1, "at least 0"),
+        ("refine_tol", 0.0, "positive"),
+        ("refine_tol", math.nan, "positive"),
+    ):
+        with pytest.raises(DomainError, match=f"tracker.{field} must be {message}"):
+            TrackerConfig(**{field: value})

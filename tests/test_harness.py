@@ -187,12 +187,12 @@ def test_cli_rejects_bad_solver_settings(tmp_path, capsys, monkeypatch, tracker,
 @pytest.mark.parametrize(
     "tracker,message",
     [
-        ({"refine_step": 0}, "box refinement: step_length must be positive"),
+        ({"refine_step": 0}, "tracker.refine_step must be positive, got 0.0"),
         ({"proposal_weights": [0.3, 0.3]}, "box proposal: component weights must be positive and sum to 1"),
         ({"proposal_sigmas": [0.05, -1]}, "box proposal: component sigmas must be positive"),
         ({"proposal_weights": [1.0]}, "box proposal: weights and sigmas must be 1D arrays of equal length"),
         ({"bb_samples": 1}, "bb_samples must be at least 2"),
-        ({"bb_lr_decay": -1}, "box training: lr_decay must be nonnegative"),
+        ({"bb_lr_decay": -1}, "tracker.bb_lr_decay must be at least 0, got -1.0"),
         ({"scorer_tau": 1e200}, "scorer_tau must have a finite positive square, got 1e+200"),
         ({"scorer_tau": 1e-200}, "scorer_tau must have a finite positive square, got 1e-200"),
         ({"scorer_family": "rbf"}, "unknown key(s) ['scorer_family'] in tracker section"),
@@ -337,9 +337,9 @@ def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
         ({"proposal_sigmas": [0.05, 10**400]}, "tracker.proposal_sigmas is outside the floating-point range"),
         ({"augment": "no"}, "augment must be a boolean"),
         ({"subcell": 0}, "subcell must be a boolean"),
-        ({"bb_learning_rate": math.inf}, "box training: learning_rate must be positive and finite"),
-        ({"bb_lr_decay": math.nan}, "box training: lr_decay must be nonnegative and finite"),
-        ({"bb_lr_decay": math.inf}, "box training: lr_decay must be nonnegative and finite"),
+        ({"bb_learning_rate": math.inf}, "tracker.bb_learning_rate must be finite, got inf"),
+        ({"bb_lr_decay": math.nan}, "tracker.bb_lr_decay must be at least 0, got nan"),
+        ({"bb_lr_decay": math.inf}, "tracker.bb_lr_decay must be finite, got inf"),
         ({"miss_threshold_mass": math.nan}, "tracker.miss_threshold_mass must be at least 0, got nan"),
         ({"miss_threshold_mass": 1.5}, "tracker.miss_threshold_mass must be at most 1, got 1.5"),
         ({"miss_threshold_mass": -0.1}, "tracker.miss_threshold_mass must be at least 0, got -0.1"),
@@ -353,6 +353,53 @@ def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
 )
 def test_cli_rejects_mistyped_tracker_fields(tmp_path, capsys, monkeypatch, tracker, message):
     _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, "tracker": tracker}, message)
+
+
+# A rejected value for each TrackerConfig field: where a field has a check
+# past its type and range (the loss model, an odd kernel, a label width's
+# normalizer, tau^2, the proposal mixture, the box-training draws, the
+# scorer_init choice), a value only that check rejects; else one outside
+# its range or of the wrong type.
+_REJECTED_TRACKER_VALUES = {
+    "loss_model": "huber",
+    "sigma_tc": 1e-300,
+    "sigma_tc_factor": 0,
+    "sigma_bb": 1e-100,
+    "search_scale": 0.5,
+    "kernel_size": 4,
+    "regularization": 0,
+    "init_iterations": -1,
+    "online_iterations": 1001,
+    "update_interval": 0,
+    "memory_capacity": 0,
+    "gamma_decay": 0,
+    "augment": "no",
+    "miss_threshold_mass": 1.5,
+    "miss_threshold_score": math.inf,
+    "subcell": 1,
+    "scorer_tau": 1e200,
+    "scorer_init": "sgd",
+    "refine_step": 0,
+    "refine_steps": -1,
+    "refine_tol": 0,
+    "bb_samples": 1,
+    "bb_epochs": 10**8,
+    "bb_learning_rate": math.inf,
+    "bb_lr_decay": -1,
+    "proposal_weights": [0.3, 0.3],
+    "proposal_sigmas": [0.05, -1],
+    "rl2_threshold": math.nan,
+}
+
+
+def test_every_tracker_field_is_rejected_under_its_config_key(tmp_path, capsys):
+    assert list(_REJECTED_TRACKER_VALUES) == [f.name for f in dataclasses.fields(TrackerConfig)]
+    for field, value in _REJECTED_TRACKER_VALUES.items():
+        cfgpath = _write_config(tmp_path, {"tracker": {field: value}})
+        assert main(["compare-losses", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 2, field
+        err = capsys.readouterr().err
+        # \b keeps tracker.sigma_tc from matching tracker.sigma_tc_factor.
+        assert re.search(rf"tracker\.{field}\b", err) and "Traceback" not in err, (field, err)
 
 
 @pytest.mark.parametrize(
@@ -489,14 +536,15 @@ def _beside(field, bound, toward):
 
 
 def _bound_cases(field):
-    """(side, bound, is_open, outside, inside) for each finite bound of field's interval.
+    """(side, bound, is_open, outside, inside) for each bound of field's interval that excludes a value.
 
-    outside is the nearest value the interval excludes and inside the nearest
-    it holds: the bound itself on its closed side.
+    That is each finite bound, and an open infinite one ("finite").  outside
+    is the nearest value the interval excludes and inside the nearest it
+    holds: the bound itself on its closed side.
     """
     low, high, open_low, open_high = field.metadata["range"]
     for side, bound, is_open, away in (("low", low, open_low, -math.inf), ("high", high, open_high, math.inf)):
-        if math.isfinite(bound):
+        if math.isfinite(bound) or is_open:
             outside = bound if is_open else _beside(field, bound, away)
             inside = _beside(field, bound, -away) if is_open else bound
             if field.type != "int":
@@ -506,7 +554,9 @@ def _bound_cases(field):
 
 def _range_message(key, side, bound, is_open, value):
     """The rejection of value by one bound; a scenario field is named by its spec's place and its field name."""
-    if side == "low":
+    if math.isinf(bound):
+        words = "finite"
+    elif side == "low":
         words = "positive" if is_open and bound == 0 else f"{'greater than' if is_open else 'at least'} {bound!r}"
     else:
         words = f"{'less than' if is_open else 'at most'} {bound!r}"
@@ -590,11 +640,10 @@ def test_load_config_returns_or_raises_usage_error(tmp_path_factory, tracker):
 
 # Whole-config strategies, derived from the fields of TrackerConfig, Scenario
 # and RunConfig: each key draws a well-typed value for its annotation, a
-# mistyped one or an edge value.  The edges are the type edges, 0 and -1 for
-# the settings objects' own bounds, and the float format's extremes, which
-# the float-range rules (sway phase, 2 r^2, tau^2, the normalizers) meet;
-# a ranged field adds each finite bound and the values just inside and just
-# outside it.
+# mistyped one or an edge value.  The edges are the type edges, 0 and -1,
+# and the float format's extremes, which the float-range rules (sway phase,
+# 2 r^2, tau^2, the normalizers) meet; a ranged field adds each bound that
+# _bound_cases tests and the values just inside and just outside it.
 _EDGE = st.sampled_from(
     [0, -1, 5e-324, 1e-160, 1e308, -1e308, math.nan, math.inf, -math.inf, 2**1030, True, False, "x", [], [0.5], None]
 )
@@ -1034,7 +1083,7 @@ def test_sigma_sweep_at_the_factor_rule_width_is_the_kl_row_of_compare_losses(tm
     for command in ("compare-losses", "sigma-sweep"):
         assert main([command, "--config", cfgpath, "--seed", "1", "--out", str(tmp_path / "out")]) == 0
     losses = {row[0]: row[1] for row in _read_csv(tmp_path / "out" / "compare_losses.csv")[1:]}
-    assert _read_csv(tmp_path / "out" / "sigma_sweep.csv")[1:] == [["1.5", losses["kl"]]]
+    assert _read_csv(tmp_path / "out" / "sigma_sweep.csv") == [["sigma", "auc"], ["1.5", losses["kl"]]]
     assert losses["kl"] != losses["l2"]  # the suite separates the objectives
 
 
@@ -1202,9 +1251,9 @@ def test_suite_trains_each_distinct_box_job_once(tmp_path, monkeypatch, command,
     # so its three kl configs share one job; the four loss models are four.
     passed = []
 
-    def recording(box_jobs, *args):
+    def recording(box_jobs, *args, **schedule):
         passed.append(list(box_jobs))
-        return bbox.train_box_scorer(box_jobs, *args)
+        return bbox.train_box_scorer(box_jobs, *args, **schedule)
 
     monkeypatch.setattr(tracker_module, "train_box_scorer", recording)
     cfgpath = _write_config(tmp_path, {**TINY_SUITE, "tracker": {"bb_epochs": 2}})
@@ -1215,23 +1264,6 @@ def test_suite_trains_each_distinct_box_job_once(tmp_path, monkeypatch, command,
 # ---------------------------------------------------------------------------
 # sigma-sweep
 # ---------------------------------------------------------------------------
-
-
-def test_sweep_at_default_sigma_matches_compare_row(tmp_path):
-    payload = dict(TINY_SUITE)
-    payload["sweep"] = {"parameter": "sigma_tc", "values": [1.5]}
-    cfgpath = _write_config(tmp_path, payload)
-    out = tmp_path / "out"
-    assert main(["compare-losses", "--config", cfgpath, "--seed", "5", "--out", str(out)]) == 0
-    assert main(["sigma-sweep", "--config", cfgpath, "--seed", "5", "--out", str(out)]) == 0
-    compare = {r[0]: r[1] for r in _read_csv(out / "compare_losses.csv")[1:]}
-    sweep = _read_csv(out / "sigma_sweep.csv")
-    assert sweep[0] == ["sigma", "auc"]
-    assert len(sweep) == 2
-    # 1.5 is exactly what the factor rule resolves to for the 6x6 target,
-    # so the sweep cell and the comparison's kl cell are the same pipeline.
-    assert float(sweep[1][0]) == 1.5
-    assert sweep[1][1] == compare["kl"]
 
 
 def test_default_sigma_sweep_matches_its_pinned_digest(tmp_path):
@@ -1292,9 +1324,9 @@ def test_single_sequence_commands_train_their_scorer_before_rendering(tmp_path, 
     events, inside = [], []
     train, init = tracker_module.train_box_scorer, tracker_module.track_init
 
-    def train_box_scorer(*args):
+    def train_box_scorer(*args, **schedule):
         events.append(("train", bool(inside)))
-        return train(*args)
+        return train(*args, **schedule)
 
     def track_init(*args):
         inside.append(True)

@@ -173,9 +173,9 @@ def test_init_scorers_train_a_shared_job_once(monkeypatch):
     ]
     passed = []
 
-    def recording(jobs, *args):
+    def recording(jobs, *args, **schedule):
         passed.append(list(jobs))
-        return train_box_scorer(jobs, *args)
+        return train_box_scorer(jobs, *args, **schedule)
 
     monkeypatch.setattr(tracker, "train_box_scorer", recording)
     [together] = init_scorers(cfgs, [(BOX, np.random.Generator(np.random.PCG64(19)))])
@@ -315,14 +315,12 @@ def test_tracker_config_validation():
 
 
 def test_tracker_config_builds_box_settings_once(monkeypatch):
-    # The settings objects are built with the config; tracking builds none.
+    # The box proposal is built with the config; training and tracking build none.
     from prtrack import tracker
 
     cfg = TrackerConfig(scorer_init="train", bb_epochs=3, bb_samples=8)
-    assert (cfg.bb_sgd.epochs, cfg.refine_config.steps) == (3, cfg.refine_steps)
     np.testing.assert_array_equal(cfg.bb_proposal.sigmas, cfg.proposal_sigmas)
-    for name in ("MixtureProposal", "SGDConfig", "RefConfig"):
-        monkeypatch.setattr(tracker, name, None)
+    monkeypatch.setattr(tracker, "MixtureProposal", None)
     scenario = Scenario(num_frames=4, start_x=20.0, start_y=20.0)
     scorer = _scorer(cfg, scenario.target_box(0), 98)
     run = run_sequence(generate_sequence(scenario), scenario.target_box(0), cfg, scorer)
