@@ -272,11 +272,11 @@ def _check_resolved(cfg: RunConfig):
     the box-training rows of a sweep (its values times a training block's
     draws per batch), the suite's cell count and the dump slice are bounded.
     One pass over the scenario specs builds each Scenario (the seed does not
-    enter its checks) and bounds its sequence's size, its target's sigma_tc
-    and its search region (as track_init resolves them, from the sizes
-    alone); the dump frame must lie in the dump scenario.  Sweep values
-    replace sigma_tc or sigma_bb, and a label width is rejected when its
-    Gaussian normalizer is not finite.
+    enter its checks) and bounds its sequence's size, its target's
+    factor-rule sigma_tc and its search region (as track_init resolves them,
+    from the sizes alone); the dump frame must lie in the dump scenario.
+    Sweep values replace sigma_tc or sigma_bb, and a label width is
+    rejected when its Gaussian normalizer is not finite.
     """
     tracker = cfg.tracker
     draws = tracker.bb_epochs * tracker.bb_samples
@@ -315,14 +315,16 @@ def _check_resolved(cfg: RunConfig):
             f" = {cells} cells, over {MAX_SEQUENCE_CELLS}",
         )
         target = f"a {sc.target_w}x{sc.target_h} target"
-        sigma = tracker.resolved_sigma_tc(sc.target_w, sc.target_h)
-        _at_load(f"{where}: sigma_tc for {target}", gaussian_normalizer, sigma, 2)
+        if tracker.sigma_tc is None:  # a set sigma_tc is checked as TrackerConfig is built
+            sigma = tracker.resolved_sigma_tc(sc.target_w, sc.target_h)
+            _at_load(f"tracker.sigma_tc_factor: {where}: sigma_tc for {target}", gaussian_normalizer, sigma, 2)
         what = f"{where}: search region for {target}"
-        region = _at_load(what, search_region, tracker, sc.target_w, sc.target_h)
+        region = _at_load(f"tracker.search_scale: {what}", search_region, tracker, sc.target_w, sc.target_h)
         cells = sc.channels * region * region
+        key = "tracker.kernel_size" if region == tracker.kernel_size else "tracker.search_scale"
         _expect(
             cells <= MAX_CROP_CELLS,
-            f"{what}: a {sc.channels}x{region}x{region} crop has {cells} cells, over {MAX_CROP_CELLS}",
+            f"{key}: {what}: a {sc.channels}x{region}x{region} crop has {cells} cells, over {MAX_CROP_CELLS}",
         )
         if where == "dump.scenario":
             _expect(

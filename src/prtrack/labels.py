@@ -37,6 +37,7 @@ from .gridmath import Grid2D
 __all__ = [
     "MixtureProposal",
     "gaussian_normalizer",
+    "gaussian_bump",
     "label_grid",
     "gaussian_density",
     "proposal_sample",
@@ -94,10 +95,14 @@ def gaussian_normalizer(sigma: float, dim: int) -> float:
     return norm
 
 
+def gaussian_bump(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """Unnormalized isotropic Gaussian exp(-d2 / 2 sigma^2) as d2 / (-2 sigma^2): the same bits, one op fewer."""
+    return np.exp(d2 / (-2.0 * sigma * sigma))
+
+
 def _gauss(dist2: np.ndarray, sigma: float, dim: int) -> np.ndarray:
     norm = gaussian_normalizer(sigma, dim)
-    # dist2 / (-2 sigma^2) is bit for bit -dist2 / (2 sigma^2), one op fewer.
-    out = np.exp(dist2 / (-2.0 * sigma * sigma))
+    out = gaussian_bump(dist2, sigma)
     out *= norm
     return out
 

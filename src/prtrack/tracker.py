@@ -16,7 +16,7 @@ model:
 
 * stage 1 locates the target center: correlate the kernel over a
   search region around the previous box, normalize the scores to a density
-  and read off the (optionally sub-cell refined) peak;
+  and read off its mean over the 3x3 peak neighborhood, a sub-cell center;
 * a confidence gate declares the target missing when the density mass in
   the 3x3 peak neighborhood (or the raw peak score, for the squared-error
   model families whose outputs are not calibrated masses) is too small; a
@@ -44,7 +44,7 @@ from .center_optimizer import OptimizerConfig, SupportSample, init_weights, opti
 from .density import GridDensity, normalize, read_peak
 from .errors import DimensionError, DomainError, NumericError
 from .gridmath import FeatureMap, Grid2D, Kernel2D, conv_apply
-from .labels import MixtureProposal, gaussian_normalizer, iou_xywh, label_grid
+from .labels import MixtureProposal, gaussian_bump, gaussian_normalizer, iou_xywh, label_grid
 from .losses import DENSITY_MODELS
 
 __all__ = [
@@ -66,7 +66,7 @@ __all__ = [
 
 def _instance(name: str, value, kind, what: str):
     # bool is an int subclass, but true/false in a config is never a count.
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise DomainError(f"{name} must be {what}, got {value!r}")
     return value
 
@@ -101,7 +101,6 @@ _FIELD_CHECKS = {
     "int": lambda name, value: _instance(name, value, int, "an integer"),
     "float": _real,
     "float | None": lambda name, value: None if value is None else _real(name, value),
-    "bool": lambda name, value: _instance(name, value, bool, "a boolean"),
     "str": lambda name, value: _instance(name, value, str, "a string"),
     "tuple[float, ...]": lambda name, value: tuple(_real(name, v) for v in _items(name, value)),
     "tuple[tuple[int, int], ...]": _int_pairs,
@@ -185,7 +184,7 @@ class Scenario:
 
     def __post_init__(self):
         _check_fields(self, finite=True)
-        if not (2.0 * self.blob_radius * self.blob_radius > 0):  # _blob divides by 2 r^2
+        if not (2.0 * self.blob_radius * self.blob_radius > 0):  # the blob divides by 2 r^2
             raise DomainError(f"blob_radius must be positive with a positive 2 r^2, got {self.blob_radius!r}")
         if not math.isfinite(2.0 * self.blob_radius * self.blob_radius):  # else a far target's d^2 / 2 r^2 is inf / inf
             raise DomainError(f"blob_radius must have a finite 2 r^2, got {self.blob_radius!r}")
@@ -223,9 +222,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def _blob(h: int, w: int, cx: float, cy: float, radius: float) -> np.ndarray:
     # A d^2 / 2 r^2 past the float range is inf, and the blob reads its limit 0 there.
     with np.errstate(over="ignore"):
-        rows = (np.arange(h, dtype=np.float64) - cy) ** 2
-        cols = (np.arange(w, dtype=np.float64) - cx) ** 2
-        return np.exp(-(rows[:, None] + cols[None, :]) / (2.0 * radius * radius))
+        d2 = (np.arange(h, dtype=np.float64)[:, None] - cy) ** 2 + (np.arange(w, dtype=np.float64) - cx) ** 2
+        return gaussian_bump(d2, radius)
 
 
 def render_frames(scenario: Scenario):
@@ -329,11 +327,9 @@ class TrackerConfig:
     update_interval: int = _ranged(5, 1)
     memory_capacity: int = _ranged(15, 1)
     gamma_decay: float = _ranged(0.99, 0, 1, open_low=True)
-    augment: bool = True
     miss_threshold_mass: float = _ranged(0.05, 0, 1)  # kl and nll gate on the 3x3 peak mass
     # l2 and rl2 gate on the raw peak score.
     miss_threshold_score: float = _ranged(0.25, -math.inf, math.inf, open_low=True, open_high=True)
-    subcell: bool = True
     scorer_tau: float = _ranged(0.2, 0, open_low=True)
     scorer_init: str = "fit"  # fit: closed form at the annotation; train: SGD
     refine_step: float = _ranged(1e-2, 0, open_low=True)
@@ -488,10 +484,10 @@ def track_init(
     """Build the initial kernel and support set from the first frame at init_box.
 
     The support set starts with the crop around the annotation (the anchor,
-    never evicted) plus, unless augmentation is off, a horizontal flip and
-    four shifted crops.  The kernel is warm-started by label back-projection
-    and optimized for cfg.init_iterations.  The box scorer is the given one,
-    as init_scorers builds it.
+    never evicted), its horizontal flip and four crops shifted by 3 cells,
+    cut to cfg.memory_capacity.  The kernel is warm-started by label
+    back-projection and optimized for cfg.init_iterations.  The box scorer
+    is the given one, as init_scorers builds it.
     """
     cx, cy, w, h = init_box
     if not (w > 0 and h > 0):
@@ -503,12 +499,11 @@ def track_init(
     base, origin = _crop(first_frame.values, center, region)
     base_rc = (cy - origin[0], cx - origin[1])
     samples = [_make_sample(FeatureMap(base), base_rc, sigma)]
-    if cfg.augment:
-        flipped = FeatureMap(base[:, :, ::-1].copy())
-        samples.append(_make_sample(flipped, (base_rc[0], region - 1 - base_rc[1]), sigma))
-        for dr, dc in ((-3, 0), (3, 0), (0, -3), (0, 3)):
-            shifted, _ = _crop(first_frame.values, (center[0] + dr, center[1] + dc), region)
-            samples.append(_make_sample(FeatureMap(shifted), (base_rc[0] - dr, base_rc[1] - dc), sigma))
+    flipped = FeatureMap(base[:, :, ::-1].copy())
+    samples.append(_make_sample(flipped, (base_rc[0], region - 1 - base_rc[1]), sigma))
+    for dr, dc in ((-3, 0), (3, 0), (0, -3), (0, 3)):
+        shifted, _ = _crop(first_frame.values, (center[0] + dr, center[1] + dc), region)
+        samples.append(_make_sample(FeatureMap(shifted), (base_rc[0] - dr, base_rc[1] - dc), sigma))
     # A tiny memory budget takes precedence over the augmentation count.
     samples = samples[: cfg.memory_capacity]
     for sample in samples:
@@ -539,18 +534,15 @@ def track_step(state: TrackState, frame: FeatureMap) -> tuple[TrackState, tuple,
         return state, state.current_box, GridDensity(flat)
 
     dens = normalize(scores)
-    peak, mass, mean = read_peak(dens)
+    _, mass, est = read_peak(dens)
     state.last_peak_mass = mass
     if cfg.loss_model in DENSITY_MODELS:
-        missing = mass < cfg.miss_threshold_mass
+        state.missing = mass < cfg.miss_threshold_mass
     else:
-        missing = float(scores.values.max()) < cfg.miss_threshold_score
-    if missing:
-        state.missing = True
+        state.missing = float(scores.values.max()) < cfg.miss_threshold_score
+    if state.missing:
         return state, state.current_box, dens
 
-    state.missing = False
-    est = mean if cfg.subcell else (float(peak[0]), float(peak[1]))
     new_cx = origin[1] + est[1]
     new_cy = origin[0] + est[0]
 

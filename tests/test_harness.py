@@ -335,8 +335,9 @@ def test_cli_rejects_non_finite_rl2_threshold(tmp_path, capsys, monkeypatch):
         ({"gamma_decay": False}, "gamma_decay must be a real number"),
         ({"refine_tol": 10**400}, "refine_tol is outside the floating-point range"),
         ({"proposal_sigmas": [0.05, 10**400]}, "tracker.proposal_sigmas is outside the floating-point range"),
-        ({"augment": "no"}, "augment must be a boolean"),
-        ({"subcell": 0}, "subcell must be a boolean"),
+        # Stage 1 always augments the first frame and reads the 3x3 density mean.
+        ({"augment": False}, "unknown key(s) ['augment'] in tracker section"),
+        ({"subcell": False}, "unknown key(s) ['subcell'] in tracker section"),
         ({"bb_learning_rate": math.inf}, "tracker.bb_learning_rate must be finite, got inf"),
         ({"bb_lr_decay": math.nan}, "tracker.bb_lr_decay must be at least 0, got nan"),
         ({"bb_lr_decay": math.inf}, "tracker.bb_lr_decay must be finite, got inf"),
@@ -373,10 +374,8 @@ _REJECTED_TRACKER_VALUES = {
     "update_interval": 0,
     "memory_capacity": 0,
     "gamma_decay": 0,
-    "augment": "no",
     "miss_threshold_mass": 1.5,
     "miss_threshold_score": math.inf,
-    "subcell": 1,
     "scorer_tau": 1e200,
     "scorer_init": "sgd",
     "refine_step": 0,
@@ -420,6 +419,20 @@ def test_every_tracker_field_is_rejected_under_its_config_key(tmp_path, capsys):
 )
 def test_cli_bounds_the_search_region_at_load(tmp_path, capsys, monkeypatch, payload, message):
     _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, **payload}, message)
+
+
+@pytest.mark.parametrize(
+    "tracker,key",
+    [
+        ({"sigma_tc_factor": 1e-300}, "tracker.sigma_tc_factor: suite.scenarios[0]: sigma_tc for a 6.0x6.0 target"),
+        ({"sigma_tc": 1e-300, "sigma_tc_factor": 1e-300}, "tracker.sigma_tc: Gaussian width 1e-300"),
+        ({"search_scale": 1e9}, "tracker.search_scale: suite.scenarios[0]: search region for a 6.0x6.0 target"),
+        ({"search_scale": math.inf}, "tracker.search_scale: suite.scenarios[0]: search region for a 6.0x6.0 target"),
+        ({"kernel_size": 2049}, "tracker.kernel_size: suite.scenarios[0]: search region for a 6.0x6.0 target"),
+    ],
+)
+def test_cross_field_rejections_name_their_tracker_key(tmp_path, capsys, monkeypatch, tracker, key):
+    _expect_usage_exit(tmp_path, capsys, monkeypatch, {**TINY_SUITE, "tracker": tracker}, key)
 
 
 @pytest.mark.parametrize(
@@ -657,7 +670,6 @@ def _typed(annotation, ints):
         "int": ints,
         "float": st.floats(min_value=1e-3, max_value=10.0),
         "float | None": st.none() | st.floats(min_value=1e-3, max_value=10.0),
-        "bool": st.booleans(),
         "str": _STRINGS,
         "tuple[float, ...]": st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=3),
         "tuple[tuple[int, int], ...]": st.lists(st.lists(ints, min_size=2, max_size=2), max_size=2),

@@ -117,11 +117,6 @@ def test_init_density_peaks_at_annotated_center():
     assert read_peak(dens)[0] == (state.region // 2, state.region // 2)
 
 
-def test_init_without_augmentation_keeps_single_sample():
-    state = _init(generate_sequence(STATIC)[0], STATIC.target_box(0), TrackerConfig(augment=False))
-    assert len(state.support) == 1
-
-
 def test_init_augmented_support_layout():
     state = _init(generate_sequence(STATIC)[0], STATIC.target_box(0), TrackerConfig())
     assert len(state.support) == 6  # base, flip, four shifts
@@ -264,8 +259,6 @@ def test_search_region_is_odd_and_fits_the_kernel():
         ("sigma_bb", True, "must be a real number"),
         ("sigma_tc", "1.5", "must be a real number"),
         pytest.param("refine_tol", 10**400, "is outside the floating-point range", id="refine_tol-10**400"),
-        ("augment", "no", "must be a boolean"),
-        ("subcell", 1, "must be a boolean"),
     ],
 )
 def test_tracker_config_checks_field_types(field, value, message):
@@ -337,12 +330,6 @@ def test_static_tracking_follows_ground_truth():
     metrics_ious = [iou_brute(box, gt) for box, gt in zip(run.boxes, _truth(STATIC))]
     assert min(metrics_ious) >= 0.99
     assert not any(run.missing)
-
-
-def test_static_integer_center_without_subcell_is_exact():
-    run = _run(STATIC, subcell=False)
-    for box, gt in zip(run.boxes, _truth(STATIC)):
-        assert box == pytest.approx(gt, abs=1e-12)
 
 
 def test_repeated_frame_reports_identical_box():
